@@ -1,7 +1,8 @@
 """Kernel selection: compiled extension if available, NumPy fallback otherwise.
 
-Set ``SYMLOC_PURE=1`` to force the fallback (used by the benchmark and by
-tests that compare the two implementations).
+Set ``SYMLOC_PURE=1`` to force the fallback, for instance to compare the
+two implementations on one machine.  Neither the tests nor the benchmark
+set it.
 """
 
 from __future__ import annotations

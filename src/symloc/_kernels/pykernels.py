@@ -1,8 +1,8 @@
 """NumPy reference implementations of the hot inner kernels.
 
 These are the import-time fallback when the compiled extension is not
-available (or when ``SYMLOC_PURE=1``).  They define the semantics the
-Cython versions must reproduce:
+available, or when ``SYMLOC_PURE=1`` forces them.  They define the
+semantics the Cython versions must reproduce:
 
 ``combine_terms``
     out[n] = sum_r coeffs[r] * prod_{k in row r} factors[factor_idx[k], n]

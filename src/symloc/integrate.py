@@ -20,7 +20,11 @@ Quadrature over M_r comes in two flavours, chosen per space:
   through s = sum_j w_j |z_j|^2, the region is a slab in s; tensor
   Gauss-Legendre in the slab/simplex coordinates times uniform angular
   grids (trapezoid is spectrally accurate on periodic directions), with
-  the order escalated until consecutive refinements agree.
+  the order escalated until consecutive refinements agree.  When the
+  integrand's top-degree coefficient is verified invariant under the
+  torus of plane rotations (see _torus_invariance), every angular grid
+  collapses to the angle-0 ray weighted by 2 pi per plane
+  (Duistermaat-Heckman push-forward to the moment image).
 * rejection-refined: for other spaces, dyadic subdivision of the sample
   box where cells straddling the cut {|mu|^2 = r} are refined and their
   leaf nodes indicator-weighted.  First-order accurate at the cut; meant
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +68,8 @@ from .liealg import (
     _logdet,
     _wick_table,
 )
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "QuadratureScheme",
@@ -137,6 +144,8 @@ class QuadratureScheme:
             "max_level": self.max_level,
             "chunk": self.chunk,
             "workers": self.workers,
+            "min_depth": self.min_depth,
+            "max_depth": self.max_depth,
         }
 
 
@@ -359,8 +368,16 @@ def _gauss_legendre(n: int, lo: float, hi: float):
     return lo + half * (x + 1.0), half * w
 
 
-def _level_counts(scheme: QuadratureScheme, level: int):
+def _level_counts(scheme: QuadratureScheme, level: int, torus_invariant=False):
+    """Node counts (s, v, angle per plane) of one radial refinement level.
+
+    A torus-invariant integrand (verified by _torus_invariance, never
+    assumed) takes a single angle per plane: on a constant-in-angle
+    integrand the one-node trapezoid rule is exact, so only the s and v
+    orders refine."""
     n_s = scheme.base_radial * (1 << level)
+    if torus_invariant:
+        return n_s, n_s, 1
     n_ang = scheme.base_angular * (1 << min(level, 1))
     return n_s, n_s, n_ang
 
@@ -423,15 +440,20 @@ def _radial_axes(
     level: int,
     scheme: QuadratureScheme,
     s_intervals=None,
+    torus_invariant=False,
 ):
     """1-D node/weight arrays whose product grid covers the slab
     {s_lo <= s <= s_hi} in polar coordinates.  Lebesgue measure is
-    prod_j (1/2) drho_j dtheta_j."""
+    prod_j (1/2) drho_j dtheta_j.
+
+    With ``torus_invariant`` (only for an integrand that passed
+    _torus_invariance) each angle axis is the single node 0 with weight
+    2 pi, so the grid is the angle-0 rays times (2 pi)^planes."""
     if s_intervals is None:
         s_intervals = [info.s_bounds(r)]
     if any(hi <= lo for lo, hi in s_intervals):
         raise InputError("empty integration region")
-    n_s, n_v, n_ang = _level_counts(scheme, level)
+    n_s, n_v, n_ang = _level_counts(scheme, level, torus_invariant)
     s_parts = [_gauss_legendre(n_s, lo, hi) for lo, hi in s_intervals]
     s_nodes = np.concatenate([x for x, _ in s_parts])
     s_w = np.concatenate([w for _, w in s_parts])
@@ -631,6 +653,40 @@ def integrate_over_Mr(
     return _integrate_rejection(space, f, r, scheme)
 
 
+_INVARIANCE_SAMPLES = 8  # per support interval
+_INVARIANCE_RTOL = 1e-12
+
+
+def _torus_invariance(f, info, s_intervals, top):
+    """Probe whether the top-degree coefficient of ``f`` is invariant
+    under independent rotations of each plane.
+
+    Draws _INVARIANCE_SAMPLES nodes per support interval on the angle-0
+    rays (fixed seed, s and v inside the interval) and rotates every plane
+    of each node by its own random angle; both sets go through ``f`` in
+    one call.  Returns (max |f(rotated) - f(base)|, max |f(base)|, number
+    of base nodes).  Rotations preserve Lebesgue measure, so when the
+    residual is at roundoff the angular integrals are exactly (2 pi)^planes
+    times the angle-0 value."""
+    rng = np.random.default_rng(0)
+    n = _INVARIANCE_SAMPLES
+    base = np.concatenate([
+        _points_on_ray(info, rng.uniform(lo, hi, n), rng.uniform(0.0, 1.0, n))
+        for lo, hi in s_intervals
+    ])
+    angles = rng.uniform(0.0, 2.0 * np.pi, (base.shape[0], info.planes))
+    rotated = np.empty_like(base)
+    rotated[:, 0::2] = base[:, 0::2] * np.cos(angles)  # y_j = 0 on the rays
+    rotated[:, 1::2] = base[:, 0::2] * np.sin(angles)
+    vals = _eval_top(f, np.concatenate([base, rotated]), top)
+    ref, rot = vals[: base.shape[0]], vals[base.shape[0]:]
+    return (
+        float(np.max(np.abs(rot - ref))),
+        float(np.max(np.abs(ref))),
+        base.shape[0],
+    )
+
+
 def _integrate_radial(space, f, r, info, scheme) -> IntegralResult:
     t0 = time.perf_counter()
     top = tuple(range(space.ambient_dim))
@@ -640,8 +696,20 @@ def _integrate_radial(space, f, r, info, scheme) -> IntegralResult:
     nodes_total = 0
     profile = getattr(f, "_damp_profile", None)
     s_intervals = _support_intervals(info, r, profile)
+    residual, scale, n_samples = _torus_invariance(f, info, s_intervals, top)
+    # A zero scale proves nothing (the probe saw no integrand); a NaN
+    # residual fails the comparison and keeps the full grid.
+    invariant = scale > 0.0 and residual <= _INVARIANCE_RTOL * scale
+    _log.debug(
+        "radial quadrature on %s: torus invariance residual %.3g (scale %.3g, "
+        "%d sample nodes) -> %s",
+        space.name, residual, scale, n_samples,
+        "angles collapsed" if invariant else "full angular grid",
+    )
     for level in range(scheme.max_level + 1):
-        axes, build = _radial_axes(info, r, level, scheme, s_intervals=s_intervals)
+        axes, build = _radial_axes(
+            info, r, level, scheme, s_intervals=s_intervals, torus_invariant=invariant
+        )
         chunks = _product_chunks(axes, build, scheme.chunk)
         value, n = _chunk_sums(f, chunks, top, scheme.workers)
         nodes_total += n

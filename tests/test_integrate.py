@@ -18,6 +18,7 @@ Expected values are frozen from closed forms derived by hand:
 """
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -493,6 +494,74 @@ def test_basic_integral_deterministic_across_workers():
     assert runs[0].value == runs[1].value == runs[2].value
 
 
+# ---------------------------------------------------------------------------
+# torus collapse of the radial angles
+# ---------------------------------------------------------------------------
+
+
+def x_squared_top_form(space, i):
+    """x_i^2 times the Liouville form: not invariant in the plane of x_i."""
+    return exp_form_part(space.omega).scale(mul(coord(i), coord(i)))
+
+
+def test_invariant_integrand_collapses_angles(caplog):
+    # levels 0 and 1 on the angle-0 rays: 12^2 + 24^2 = 720 nodes, against
+    # 626,688 on the full angular grid
+    r, eps = 0.16, 0.05
+    sp = two_planes()
+    with caplog.at_level(logging.DEBUG, logger="symloc"):
+        res = basic_integral(
+            BasicIntegralRequest(space=sp, alpha=one_form(sp), r=r, epsilon=eps)
+        )
+    assert res.n_nodes == 720
+    assert res.value.real == pytest.approx(
+        math.pi * math.erf(math.sqrt(r / (2 * eps))), abs=1e-10
+    )
+    assert "angles collapsed" in caplog.text
+    assert "8 sample nodes" in caplog.text
+
+
+def test_su2_deformed_integrand_collapses_angles():
+    sp = catalog("c2_su2")
+    res = basic_integral(
+        BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.04, t=4.0,
+                             epsilon=0.05)
+    )
+    assert res.n_nodes == 720
+
+
+@pytest.mark.parametrize("coord_index", [0, 2], ids=["x1", "x3"])
+def test_non_invariant_integrand_keeps_angular_grid(coord_index, caplog):
+    # int x_i^2 over {0.2 <= s <= 1.8} in C^2 = pi^2 (1.8^3 - 0.2^3) / 12;
+    # x3^2 is invariant in plane 1 only, which must not collapse either
+    sp = two_planes()
+    with caplog.at_level(logging.DEBUG, logger="symloc"):
+        res = integrate_over_Mr(sp, x_squared_top_form(sp, coord_index), 0.16)
+    assert res.n_nodes == 626_688
+    assert res.value == pytest.approx(
+        math.pi**2 * (1.8**3 - 0.2**3) / 12.0, abs=1e-12
+    )
+    assert "full angular grid" in caplog.text
+
+
+def test_full_grid_deterministic_across_workers():
+    # the full level-1 grid spans 5 chunks of the default size
+    sp = two_planes()
+    runs = [
+        integrate_over_Mr(
+            sp, x_squared_top_form(sp, 0), 0.16, QuadratureScheme(workers=w)
+        )
+        for w in (1, 4, 1)
+    ]
+    assert runs[0].n_nodes == 626_688
+    assert runs[0].value == runs[1].value == runs[2].value
+
+
+def test_library_logger_is_silent_by_default():
+    handlers = logging.getLogger("symloc").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
 def test_basic_integral_validation_paths():
     sp = annulus()
     alpha = one_form(sp)
@@ -543,6 +612,12 @@ def test_request_and_result_serialize():
                                epsilon=0.05, alpha_label="1")
     blob = json.dumps(req.to_json_dict(), sort_keys=True)
     assert "cn_u1(1,1)" in blob
+    # rejection schemes that differ only in their depths serialize apart
+    shallow = QuadratureScheme(kind="rejection", min_depth=2, max_depth=6)
+    deep = QuadratureScheme(kind="rejection", min_depth=3, max_depth=8)
+    rec = shallow.to_json_dict()
+    assert (rec["min_depth"], rec["max_depth"]) == (2, 6)
+    assert rec != deep.to_json_dict()
     res = basic_integral(req)
     rec = json.loads(res.to_json())
     assert rec["value"][0] == res.value.real
