@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .fields import Expr, const
 from .hamspace import HamiltonianSpace
@@ -236,6 +235,10 @@ def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50):
 def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int):
     """Low-discrepancy starts inside M_{r_max} (rejection against the
     sample box)."""
+    # imported here, not at module load: scipy.stats is slow to import and
+    # only the seed sampler needs it
+    from scipy.stats import qmc
+
     d = space.ambient_dim
     lo, hi = space.sample_box[:, 0], space.sample_box[:, 1]
     sampler = qmc.Sobol(d, scramble=True, seed=seed)

@@ -37,6 +37,7 @@ counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -362,8 +363,19 @@ def check_regular_radius(space: HamiltonianSpace, r: float, margin: float = 1e-3
 # ---------------------------------------------------------------------------
 
 
-def _gauss_legendre(n: int, lo: float, hi: float):
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n.
+
+    Every caller shares the cached arrays, so they are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(n: int, lo: float, hi: float):
+    x, w = _leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -754,7 +766,7 @@ def _rejection_depth_value(space, f, r, depth, min_depth):
         )
     box = np.asarray(space.sample_box, dtype=float)
     p = 4  # leaf tensor order
-    x1, w1 = np.polynomial.legendre.leggauss(p)
+    x1, w1 = _leggauss(p)
     x1 = 0.5 * (x1 + 1.0)  # on [0, 1]
     w1 = 0.5 * w1
     grids = np.meshgrid(*([x1] * d), indexing="ij")

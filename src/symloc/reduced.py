@@ -11,6 +11,10 @@ module realizes:
                            the unique connection whose horizontal space is the
                            metric orthogonal complement of the orbit; it is
                            normalized so that A(V phi) = phi pointwise.
+                           The level keeps A, dA, F, omega and the vertical
+                           generators pulled back to parameter coordinates;
+                           ``cartan_map`` and ``kirwan_integral`` read them
+                           from it instead of recomputing them.
 * ``curvature``         -- F_A = dA + (1/2)[A, A], horizontal by construction.
 * ``cartan_map``        -- restrict an equivariant form to the level set,
                            substitute phi -> i F_A, and project horizontally;
@@ -54,7 +58,7 @@ import numpy as np
 from .fields import Expr  # noqa: F401  (re-exported type for annotations)
 from .forms import EquivariantForm, _merge_sign, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
-from .integrate import check_alpha
+from .integrate import _leggauss, check_alpha
 from .liealg import AccuracyError, InputError, NotRegularError
 
 __all__ = [
@@ -245,7 +249,7 @@ class _U1LevelChart:
             object.__setattr__(self, "angle_steps", (self.weights[0],))
             return
         # two planes
-        gl_x, gl_w = np.polynomial.legendre.leggauss(m)
+        gl_x, gl_w = _leggauss(m)
         eta = 0.25 * math.pi * (gl_x + 1.0)
         eta_w = 0.25 * math.pi * gl_w
         ang = np.arange(m) * (2.0 * math.pi / m)
@@ -317,6 +321,30 @@ def _eval_col(expr, pts, cache) -> np.ndarray:
     )
 
 
+def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> dict:
+    """The generator fields V, the metric g, Vg, the inverse of the Gram
+    matrix G = <V e_a, V e_b>, and A = G^{-1} Vg at ambient points."""
+    gdim = space.algebra.dim
+    amb = space.ambient_dim
+    n_pts = len(x)
+    metric = np.asarray(space.metric.eval(x, cache), dtype=float)
+    if metric.ndim == 2:
+        metric = np.broadcast_to(metric, (n_pts, amb, amb))
+    v_field = np.empty((n_pts, gdim, amb))
+    for a in range(gdim):
+        for i in range(amb):
+            v_field[:, a, i] = _eval_col(space.action.components[a][i], x, cache)
+    vg = np.einsum("naj,njl->nal", v_field, metric)
+    gram_inv = np.linalg.inv(np.einsum("nal,nbl->nab", vg, v_field))
+    return {
+        "V": v_field,
+        "metric": metric,
+        "vg": vg,
+        "gram_inv": gram_inv,
+        "A": np.einsum("nab,nbi->nai", gram_inv, vg),
+    }
+
+
 def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
     """A, dA, and F = dA + (1/2)[A, A] at ambient points, from symbolic
     derivatives of the action and metric (no finite differences)."""
@@ -324,9 +352,9 @@ def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
     gdim = space.algebra.dim
     amb = space.ambient_dim
     n_pts = len(x)
-    metric = np.asarray(space.metric.eval(x, cache), dtype=float)
-    if metric.ndim == 2:
-        metric = np.broadcast_to(metric, (n_pts, amb, amb))
+    base = _metric_connection(space, x, cache)
+    v_field, metric, vg = base["V"], base["metric"], base["vg"]
+    gram_inv, conn = base["gram_inv"], base["A"]
     dmetric = []
     for k in range(amb):
         mk = np.asarray(space.metric.diff(k).eval(x, cache), dtype=float)
@@ -334,19 +362,12 @@ def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
             mk = np.broadcast_to(mk, (n_pts, amb, amb))
         dmetric.append(mk)
 
-    v_field = np.empty((n_pts, gdim, amb))
     dv_field = np.empty((n_pts, amb, gdim, amb))
     for a in range(gdim):
         for i in range(amb):
             comp = space.action.components[a][i]
-            v_field[:, a, i] = _eval_col(comp, x, cache)
             for k in range(amb):
                 dv_field[:, k, a, i] = _eval_col(comp.diff(k), x, cache)
-
-    vg = np.einsum("naj,njl->nal", v_field, metric)
-    gram = np.einsum("nal,nbl->nab", vg, v_field)
-    gram_inv = np.linalg.inv(gram)
-    conn = np.einsum("nab,nbi->nai", gram_inv, vg)
 
     d_conn = np.empty((n_pts, amb, gdim, amb))
     for k in range(amb):
@@ -358,7 +379,7 @@ def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
         )
         d_conn[:, k] = np.einsum(
             "nab,nbi->nai", gram_inv, dvg_k
-        ) - np.einsum("nab,nbc,ncd,ndi->nai", gram_inv, dgram_k, gram_inv, vg)
+        ) - gram_inv @ dgram_k @ gram_inv @ vg
 
     # (dA)^a_{ij} = d_i A^a_j - d_j A^a_i
     da = np.einsum("niaj->naij", d_conn) - np.einsum("njai->naij", d_conn)
@@ -373,7 +394,6 @@ def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
         "A": conn,
         "dA": da,
         "F": f_total,
-        "gram": gram,
     }
 
 
@@ -382,17 +402,9 @@ def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray)
     arbitrary parameter points."""
     x = chart.embed(u)
     jac = chart.jacobian(u)
+    jac_t = jac.transpose(0, 2, 1)
     conn = _connection_at(space, x)
-    cache: dict = {}
-    omega_amb = np.asarray(space.omega_matrix.eval(x, cache), dtype=float)
-    if omega_amb.ndim == 2:
-        omega_amb = np.broadcast_to(
-            omega_amb, (len(x), space.ambient_dim, space.ambient_dim)
-        )
-    omega_u = np.einsum("nik,nij,njl->nkl", jac, omega_amb, jac)
-    a_u = np.einsum("nai,nik->nak", conn["A"], jac)
-    da_u = np.einsum("nik,naij,njl->nakl", jac, conn["dA"], jac)
-    f_u = np.einsum("nik,naij,njl->nakl", jac, conn["F"], jac)
+    omega_amb = np.asarray(space.omega_matrix.eval(x, {}), dtype=float)
     # vertical generators in parameter coordinates: solve J v_u = V e_a
     jtj = np.einsum("nik,nil->nkl", jac, jac)
     jtv = np.einsum("nik,nai->nak", jac, conn["V"])
@@ -402,10 +414,10 @@ def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray)
     return {
         "x": x,
         "jac": jac,
-        "omega_u": omega_u,
-        "a_u": a_u,
-        "da_u": da_u,
-        "f_u": f_u,
+        "omega_u": jac_t @ omega_amb @ jac,
+        "a_u": np.einsum("nai,nik->nak", conn["A"], jac),
+        "da_u": jac_t[:, None] @ conn["dA"] @ jac[:, None],
+        "f_u": jac_t[:, None] @ conn["F"] @ jac[:, None],
         "vert_u": vert_u,
         "conn": conn,
     }
@@ -417,7 +429,13 @@ def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray)
 
 
 class ZeroLevelData:
-    """mu^{-1}(0) with induced measure, metric connection, and curvature."""
+    """mu^{-1}(0) with induced measure, metric connection, and curvature.
+
+    Besides the ambient connection it carries the data pulled back to
+    parameter coordinates on the mesh (``connection_param``,
+    ``vertical_param``, ``omega_param``, ``da_param``, ``f_param``);
+    ``cartan_map`` and ``kirwan_integral`` reuse them rather than rebuild
+    the connection at ``param_nodes``."""
 
     __slots__ = (
         "space",
@@ -475,6 +493,17 @@ class ZeroLevelData:
 
     def omega_parts(self) -> dict:
         return _matrix_to_parts(self.omega_param)
+
+    def _pulled_back(self) -> dict:
+        """The stored connection data on the mesh, keyed as _chart_conn_at
+        keys it, so the Cartan map reads it instead of recomputing it."""
+        return {
+            "x": self.nodes,
+            "jac": self.jacobians,
+            "a_u": self.connection_param,
+            "vert_u": self.vertical_param,
+            "f_u": self.f_param,
+        }
 
     def to_json_dict(self, stride: int = 1, include_mesh: bool = True) -> dict:
         out = {
@@ -584,7 +613,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     ):
         for t in (0.37, 1.19, 2.83, -0.61):
             moved, jac_g = space.action_sampler(t, nodes)
-            a_moved = _connection_at(space, moved)["A"]
+            a_moved = _metric_connection(space, moved, {})["A"]
             pulled = np.einsum("nai,nij->naj", a_moved, jac_g)
             equiv = max(
                 equiv,
@@ -596,10 +625,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
             )
 
     # orientation: fix the sign making the reduced Liouville volume positive
-    omega_u_mat = np.einsum(
-        "nik,nij,njl->nkl", jac, _ambient_omega(space, nodes), jac
-    )
-    omega_parts = _matrix_to_parts(omega_u_mat)
+    omega_parts = _matrix_to_parts(data["omega_u"])
     a_param = data["a_u"]
     vert_parts = {(): np.ones(n_pts, dtype=complex)}
     for b in range(gdim):
@@ -639,7 +665,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         connection_ambient=data["conn"]["A"],
         connection_param=a_param,
         vertical_param=data["vert_u"],
-        omega_param=omega_u_mat,
+        omega_param=data["omega_u"],
         da_param=data["da_u"],
         f_ambient=data["conn"]["F"],
         f_param=data["f_u"],
@@ -647,13 +673,6 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         stabilizer_order=math.gcd(*(abs(w) for w in weights)),
         orient_sign=orient,
     )
-
-
-def _ambient_omega(space: HamiltonianSpace, pts: np.ndarray) -> np.ndarray:
-    mat = np.asarray(space.omega_matrix.eval(pts, {}), dtype=float)
-    if mat.ndim == 2:
-        mat = np.broadcast_to(mat, (len(pts), space.ambient_dim, space.ambient_dim))
-    return mat
 
 
 def _exp_parts(two_form: dict, top_dim: int, n_nodes: int | None = None) -> dict:
@@ -776,16 +795,12 @@ def chern_numbers(level: ZeroLevelData) -> np.ndarray:
 
 
 def _kappa_parts(
-    space: HamiltonianSpace,
-    chart: _U1LevelChart,
-    alpha: EquivariantForm,
-    u_pts: np.ndarray,
+    space: HamiltonianSpace, alpha: EquivariantForm, data: dict
 ) -> dict:
-    """kappa(alpha) = P_A^* (alpha|_{level}, phi -> i F_A) at given
-    parameter points, as a pointwise form dict."""
-    data = _chart_conn_at(space, chart, u_pts)
-    n_pts = len(u_pts)
-    k_dim = chart.param_dim
+    """kappa(alpha) = P_A^* (alpha|_{level}, phi -> i F_A) as a pointwise
+    form dict, from pulled-back connection data: _chart_conn_at at chosen
+    parameter points, or ZeroLevelData._pulled_back() on the level mesh."""
+    n_pts, k_dim = data["jac"].shape[0], data["jac"].shape[2]
     gdim = space.algebra.dim
     # horizontal projection in parameter coordinates
     proj = np.broadcast_to(np.eye(k_dim), (n_pts, k_dim, k_dim)).copy()
@@ -831,7 +846,7 @@ def cartan_map(alpha: EquivariantForm, level: ZeroLevelData) -> LevelForm:
             f"cartan_map requires an invariant form "
             f"(invariance residual {inv:.3e})"
         )
-    parts = _kappa_parts(space, level.chart, alpha, level.param_nodes)
+    parts = _kappa_parts(space, alpha, level._pulled_back())
     return LevelForm(level.param_dim, level.n_nodes, parts)
 
 
@@ -885,8 +900,8 @@ def cartan_d_residual(
     for j in range(k_dim):
         shift = np.zeros(k_dim)
         shift[j] = h
-        plus.append(_kappa_parts(space, chart, alpha, u0 + shift))
-        minus.append(_kappa_parts(space, chart, alpha, u0 - shift))
+        for u, out in ((u0 + shift, plus), (u0 - shift, minus)):
+            out.append(_kappa_parts(space, alpha, _chart_conn_at(space, chart, u)))
     scale = max(1.0, max((_max_abs(p) for p in plus), default=1.0))
     keys: set = set()
     for p in plus + minus:
@@ -971,7 +986,7 @@ def kirwan_integral(
             f"(D residual {gate['d_residual']:.3e}, "
             f"invariance residual {gate['invariance_residual']:.3e})"
         )
-    kappa = _kappa_parts(space, level.chart, alpha, level.param_nodes)
+    kappa = _kappa_parts(space, alpha, level._pulled_back())
     omega_parts = level.omega_parts()
     exp_omega = _exp_parts(omega_parts, level.param_dim, level.n_nodes)
     vert = level.vertical_volume_parts()

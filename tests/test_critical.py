@@ -9,10 +9,14 @@ is bounded below by 1/4 on the unit sphere of the slice.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import symloc
 from symloc.critical import (
     CriticalComponent,
     _descend,
@@ -265,3 +269,18 @@ def test_local_model_requires_representatives():
     )
     with pytest.raises(InputError):
         local_model_check(sp, empty)
+
+
+def test_scipy_stats_is_imported_only_by_the_seed_sampler():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symloc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, symloc.analysis, symloc.reduced; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

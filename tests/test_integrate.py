@@ -41,6 +41,7 @@ from symloc.hamspace import (
 )
 from symloc.integrate import (
     BasicIntegralRequest,
+    _leggauss,
     QuadratureScheme,
     basic_integral,
     boundary_integral,
@@ -722,3 +723,16 @@ def test_rejection_volume_of_region():
     scheme = QuadratureScheme(kind="rejection", rel_tol=5e-3)
     res = integrate_over_Mr(sp, unit, 0.16, scheme)
     assert res.value.real == pytest.approx(1.6 * math.pi, rel=2e-3)
+
+
+@pytest.mark.parametrize("n", [1, 4, 17, 96])
+def test_leggauss_is_cached_and_read_only(n):
+    x, w = _leggauss(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    again = _leggauss(n)
+    assert again[0] is x and again[1] is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0

@@ -260,3 +260,48 @@ def test_determinism_and_json(circle):
     kb = json.loads(a.to_json())
     assert kb["value"] == [1.0000000000000002, 0.0]
     assert kb["meta"]["space"] == "cn_u1(1,1)"
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [("cn_u1", dict(n=2, a=1.0)), ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0))],
+)
+def test_cartan_and_kirwan_reuse_the_level(name, kw, monkeypatch):
+    sp = catalog(name, **kw)
+    lv = R.zero_level(sp, 12)
+    forms = (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j))
+    calls = []
+    recompute = R._chart_conn_at
+
+    def counted(*args):
+        calls.append(args)
+        return recompute(*args)
+
+    monkeypatch.setattr(R, "_chart_conn_at", counted)
+    kappas = [R.cartan_map(alpha, lv) for alpha in forms]
+    kirwans = [R.kirwan_integral(alpha, lv, 0.05) for alpha in forms]
+    assert calls == []
+    # the stored level data is what a recomputation at the mesh gives, so
+    # reading it changes no bit of either result
+    monkeypatch.setattr(
+        R.ZeroLevelData,
+        "_pulled_back",
+        lambda level: recompute(level.space, level.chart, level.param_nodes),
+    )
+    for alpha, kappa, kirwan in zip(forms, kappas, kirwans):
+        old = R.cartan_map(alpha, lv)
+        assert kappa.parts.keys() == old.parts.keys()
+        for idx, coeff in kappa.parts.items():
+            assert np.array_equal(coeff, old.parts[idx])
+        assert kirwan.coefficients == R.kirwan_integral(alpha, lv, 0.05).coefficients
+
+
+def test_metric_connection_is_the_connection_form(sphere):
+    sp, lv = sphere
+    moved, _ = sp.action_sampler(0.37, lv.nodes)
+    for pts in (lv.nodes, moved):
+        a_only = R._metric_connection(sp, pts, {})["A"]
+        assert np.array_equal(a_only, R._connection_at(sp, pts)["A"])
+    assert np.array_equal(
+        R._metric_connection(sp, lv.nodes, {})["A"], lv.connection_ambient
+    )
