@@ -30,9 +30,9 @@ Quadrature over M_r comes in two flavours, chosen per space:
   leaf nodes indicator-weighted.  First-order accurate at the cut; meant
   for smoke checks, not tight tolerances.
 
-Node evaluation is chunked (fixed chunk size, fixed order) and reduced
-with compensated summation, so results are bit-identical across worker
-counts.
+Node evaluation is chunked (fixed chunk size, fixed order); each chunk
+is reduced with an exactly rounded math.fsum, and the chunk sums with
+another, so results are bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import combine_terms, kahan_wsum
 from .fields import add, const, mul
 from .forms import (
     EquivariantForm,
@@ -609,14 +608,25 @@ def _eval_top(f, pts, top):
     return arr
 
 
+def _wsum(values, weights) -> complex:
+    """sum_n values[n] * weights[n], with the real and imaginary sums of
+    the products each exactly rounded (math.fsum), so the result does not
+    depend on the order of the nodes."""
+    values = np.asarray(values, dtype=np.complex128)
+    weights = np.asarray(weights, dtype=np.float64)
+    re = math.fsum((values.real * weights).tolist())
+    im = math.fsum((values.imag * weights).tolist())
+    return complex(re, im)
+
+
 def _chunk_sums(f, chunks, top, workers: int):
-    """Per-chunk compensated sums, reduced in chunk order with exact
+    """Per-chunk exact sums, reduced in chunk order with exact
     accumulation.  Chunk boundaries are fixed by the scheme, so the
     result is bit-identical for any worker count."""
 
     def one(args):
         pts, wts = args
-        return kahan_wsum(_eval_top(f, pts, top), wts), pts.shape[0]
+        return _wsum(_eval_top(f, pts, top), wts), pts.shape[0]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -626,6 +636,42 @@ def _chunk_sums(f, chunks, top, workers: int):
     re = math.fsum(v.real for v, _ in results)
     im = math.fsum(v.imag for v, _ in results)
     return complex(re, im), sum(n for _, n in results)
+
+
+def _refine(levels, level_value, scheme, t0, failure, hint=""):
+    """Evaluate ``level_value(level) -> (value, nodes)`` over ``levels``
+    until two consecutive values differ by at most
+    max(rel_tol * |value|, abs_tol).
+
+    Returns the IntegralResult of the first level that meets the scheme
+    tolerance; ``t0`` is the perf_counter reading its wall_time counts
+    from.  Raises AccuracyError carrying the last value and error
+    estimate when the levels run out, with the message ``failure``
+    followed by the estimate and ``hint``."""
+    prev = None
+    value = 0j
+    err = math.inf
+    nodes_total = 0
+    for level in levels:
+        value, n = level_value(level)
+        nodes_total += n
+        if prev is not None:
+            err = abs(value - prev)
+            if err <= max(scheme.rel_tol * abs(value), scheme.abs_tol):
+                return IntegralResult(
+                    value=value,
+                    error=err,
+                    n_nodes=nodes_total,
+                    level=level,
+                    wall_time=time.perf_counter() - t0,
+                    scheme=scheme,
+                )
+        prev = value
+    raise AccuracyError(
+        f"{failure} (last error estimate {err:g}){hint}",
+        partial=value,
+        estimate=err,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +748,6 @@ def _torus_invariance(f, info, s_intervals, top):
 def _integrate_radial(space, f, r, info, scheme) -> IntegralResult:
     t0 = time.perf_counter()
     top = tuple(range(space.ambient_dim))
-    prev = None
-    value = 0j
-    err = math.inf
-    nodes_total = 0
     profile = getattr(f, "_damp_profile", None)
     s_intervals = _support_intervals(info, r, profile)
     residual, scale, n_samples = _torus_invariance(f, info, s_intervals, top)
@@ -718,31 +760,18 @@ def _integrate_radial(space, f, r, info, scheme) -> IntegralResult:
         space.name, residual, scale, n_samples,
         "angles collapsed" if invariant else "full angular grid",
     )
-    for level in range(scheme.max_level + 1):
+
+    def level_value(level):
         axes, build = _radial_axes(
             info, r, level, scheme, s_intervals=s_intervals, torus_invariant=invariant
         )
         chunks = _product_chunks(axes, build, scheme.chunk)
-        value, n = _chunk_sums(f, chunks, top, scheme.workers)
-        nodes_total += n
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(scheme.rel_tol * abs(value), scheme.abs_tol):
-                return IntegralResult(
-                    value=value,
-                    error=err,
-                    n_nodes=nodes_total,
-                    level=level,
-                    wall_time=time.perf_counter() - t0,
-                    scheme=scheme,
-                )
-        prev = value
-    raise AccuracyError(
+        return _chunk_sums(f, chunks, top, scheme.workers)
+
+    return _refine(
+        range(scheme.max_level + 1), level_value, scheme, t0,
         f"radial quadrature on {space.name} did not reach tolerance "
-        f"{scheme.rel_tol:g} within {scheme.max_level + 1} levels "
-        f"(last error estimate {err:g})",
-        partial=value,
-        estimate=err,
+        f"{scheme.rel_tol:g} within {scheme.max_level + 1} levels",
     )
 
 
@@ -803,7 +832,7 @@ def _rejection_depth_value(space, f, r, depth, min_depth):
             wts = unit_w * vol
             if not inside.all():
                 wts = wts * inside
-            s = kahan_wsum(vals, wts)
+            s = _wsum(vals, wts)
             re_parts.append(s.real)
             im_parts.append(s.imag)
             continue
@@ -820,32 +849,13 @@ def _integrate_rejection(space, f, r, scheme) -> IntegralResult:
     d = space.ambient_dim
     min_depth = scheme.min_depth if scheme.min_depth is not None else (4 if d <= 2 else 2)
     max_depth = scheme.max_depth if scheme.max_depth is not None else (12 if d <= 2 else 6)
-    start = min_depth + 2
-    prev = None
-    value = 0j
-    err = math.inf
-    nodes_total = 0
-    for depth in range(start, max_depth + 1):
-        value, n = _rejection_depth_value(space, f, r, depth, min_depth)
-        nodes_total += n
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(scheme.rel_tol * abs(value), scheme.abs_tol):
-                return IntegralResult(
-                    value=value,
-                    error=err,
-                    n_nodes=nodes_total,
-                    level=depth,
-                    wall_time=time.perf_counter() - t0,
-                    scheme=scheme,
-                )
-        prev = value
-    raise AccuracyError(
+    return _refine(
+        range(min_depth + 2, max_depth + 1),
+        lambda depth: _rejection_depth_value(space, f, r, depth, min_depth),
+        scheme, t0,
         f"rejection quadrature on {space.name} did not reach tolerance "
-        f"{scheme.rel_tol:g} by depth {max_depth} (last error estimate {err:g}); "
-        "the cut handling is first-order -- loosen the tolerance",
-        partial=value,
-        estimate=err,
+        f"{scheme.rel_tol:g} by depth {max_depth}",
+        hint="; the cut handling is first-order -- loosen the tolerance",
     )
 
 
@@ -998,7 +1008,7 @@ def integrate_form_on_surface(grid: SurfaceGrid, fmi_values: dict) -> complex:
         if len(fmi) != d - 1:
             continue
         minors = np.linalg.det(grid.jac[:, list(fmi), :])
-        total += kahan_wsum(np.asarray(vals) * minors, grid.weights)
+        total += _wsum(np.asarray(vals) * minors, grid.weights)
     return grid.orient_sign * total
 
 
@@ -1013,29 +1023,19 @@ def boundary_integral(
     scheme = quadrature or QuadratureScheme()
     f = _as_integrand(space, form_field)
     t0 = time.perf_counter()
-    prev = None
-    value = 0j
-    err = math.inf
-    nodes_total = 0
-    for level in range(scheme.max_level + 1):
-        surfaces = boundary_surfaces(space, r, level, scheme)
+
+    def level_value(level):
         value = 0j
-        for s in surfaces:
+        nodes = 0
+        for s in boundary_surfaces(space, r, level, scheme):
             value += integrate_form_on_surface(s, f(s.nodes, {}))
-            nodes_total += s.n_nodes
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(scheme.rel_tol * abs(value), scheme.abs_tol):
-                return IntegralResult(
-                    value=value, error=err, n_nodes=nodes_total, level=level,
-                    wall_time=time.perf_counter() - t0, scheme=scheme,
-                )
-        prev = value
-    raise AccuracyError(
+            nodes += s.n_nodes
+        return value, nodes
+
+    return _refine(
+        range(scheme.max_level + 1), level_value, scheme, t0,
         f"boundary quadrature on {space.name} did not reach tolerance "
         f"{scheme.rel_tol:g} within {scheme.max_level + 1} levels",
-        partial=value,
-        estimate=err,
     )
 
 
@@ -1160,50 +1160,36 @@ def phi_reduced_integrand(
         )
     m_exprs = _shift_exprs(space, t)
     algebra = space.algebra
-    # Static term program: per form multi-index, rows of
-    # (coefficient row, Gaussian row) products for combine_terms.
+    # Per form multi-index, the phi-exponents of its terms, in term order:
+    # the form is sum_nu (coefficient of phi^nu) * (Gaussian moment of nu).
     by_fmi: dict = {}
     for (fmi, nu), _ in sorted(total.indexed_terms.items()):
         by_fmi.setdefault(fmi, []).append(nu)
 
+    def shift_values(pts, cache):
+        return np.stack(
+            [np.asarray(e.eval(pts, cache), dtype=float) for e in m_exprs], axis=1
+        )
+
     def integrand(pts, cache=None):
         cache = {} if cache is None else cache
-        n = pts.shape[0]
-        m_cols = []
-        for e in m_exprs:
-            v = np.asarray(e.eval(pts, cache), dtype=float)
-            m_cols.append(np.broadcast_to(v, (n,)) if v.ndim == 0 else v)
-        m_arr = np.stack(m_cols, axis=1)
+        m_arr = shift_values(pts, cache)
         term_vals = total.eval_terms(pts, cache)
         gauss: dict = {}
         out: dict = {}
         for fmi, nus in by_fmi.items():
-            nu_rows = sorted(set(nus))
-            for nu in nu_rows:
+            acc = np.zeros(pts.shape[0], dtype=complex)
+            for nu in nus:
                 if nu not in gauss:
                     gauss[nu] = sgi_values(algebra, nu, m_arr, eps)
-            factors = np.vstack(
-                [term_vals[(fmi, nu)] for nu in nus]
-                + [gauss[nu] for nu in nu_rows]
-            )
-            k = len(nus)
-            row_ptr = np.arange(0, 2 * k + 1, 2)
-            factor_idx = np.empty(2 * k, dtype=np.intp)
-            factor_idx[0::2] = np.arange(k)
-            factor_idx[1::2] = [k + nu_rows.index(nu) for nu in nus]
-            out[fmi] = combine_terms(np.ones(k), row_ptr, factor_idx, factors)
+                acc += term_vals[(fmi, nu)] * gauss[nu]
+            out[fmi] = acc
         return out
 
     q = algebra.inner_product
 
     def damp_profile(pts):
-        cache: dict = {}
-        n = pts.shape[0]
-        cols = []
-        for e in m_exprs:
-            v = np.asarray(e.eval(pts, cache), dtype=float)
-            cols.append(np.broadcast_to(v, (n,)) if v.ndim == 0 else v)
-        m_arr = np.stack(cols, axis=1)
+        m_arr = shift_values(pts, {})
         return np.exp(-np.einsum("ng,gh,nh->n", m_arr, q, m_arr) / (2.0 * eps))
 
     # The quadrature driver uses this to place radial panels where the

@@ -419,6 +419,7 @@ def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray)
         "da_u": jac_t[:, None] @ conn["dA"] @ jac[:, None],
         "f_u": jac_t[:, None] @ conn["F"] @ jac[:, None],
         "vert_u": vert_u,
+        "jtj": jtj,
         "conn": conn,
     }
 
@@ -576,8 +577,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     n_pts = len(nodes)
     gdim = space.algebra.dim
 
-    gram_param = np.einsum("nik,nil->nkl", jac, jac)
-    riemann = chart.param_weights * np.sqrt(np.linalg.det(gram_param))
+    riemann = chart.param_weights * np.sqrt(np.linalg.det(data["jtj"]))
 
     # regularity: d mu must be onto at every node
     cache: dict = {}

@@ -17,12 +17,14 @@ Expected values are frozen from closed forms derived by hand:
 * surfaces: circle of radius sqrt(s), and the 3-sphere area 2 pi^2 R^3.
 """
 
+import itertools
 import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.special import iv
 
 from symloc.fields import MatConst, add, const, coord, mul
 from symloc.forms import (
@@ -42,6 +44,7 @@ from symloc.hamspace import (
 from symloc.integrate import (
     BasicIntegralRequest,
     _leggauss,
+    _wsum,
     QuadratureScheme,
     basic_integral,
     boundary_integral,
@@ -583,20 +586,60 @@ def test_basic_integral_validation_paths():
     assert report["invariance_residual"] > 1e-3
 
 
-def test_accuracy_error_carries_partial_value():
+def _exp_x_dy(pts, cache=None):
+    return {(1,): np.exp(5.0 * pts[:, 0]).astype(complex)}
+
+
+@pytest.mark.parametrize("path", ["radial", "rejection", "boundary"])
+def test_accuracy_error_carries_partial_value(path):
+    # A tolerance no level can meet uses up every level of each path; the
+    # depths (4 and 5) are read by the rejection path only.
     sp = annulus()
-    scheme = QuadratureScheme(rel_tol=1e-16, abs_tol=1e-300, max_level=1)
+    scheme = QuadratureScheme(
+        kind="rejection" if path == "rejection" else "auto",
+        rel_tol=1e-16, abs_tol=1e-300, max_level=1, min_depth=2, max_depth=5,
+    )
     with pytest.raises(AccuracyError) as exc:
-        basic_integral(
-            BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16,
-                                 epsilon=0.012, quadrature=scheme)
-        )
+        if path == "boundary":
+            boundary_integral(sp, _exp_x_dy, 0.16, scheme)
+        else:
+            basic_integral(
+                BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16,
+                                     epsilon=0.012, quadrature=scheme)
+            )
+    if path == "boundary":
+        # Stokes: the integral of e^{5x} dy over a circle of radius R is
+        # the disk integral of 5 e^{5x}, 2 pi R I_1(5R); the inner circle
+        # of the annulus {|s - 1| <= 0.8} enters with the opposite sign.
+        r_out, r_in = math.sqrt(1.8), math.sqrt(0.2)
+        oracle = 2.0 * math.pi * (r_out * iv(1, 5.0 * r_out) - r_in * iv(1, 5.0 * r_in))
+        rel = 1e-12
+    else:
+        # the partial value is the unnormalized region integral
+        k = sp.algebra.group_volume * (2.0 * math.pi) ** sp.algebra.dim
+        oracle = k * math.erf(math.sqrt(0.16 / 0.024))
+        rel = 1e-2
     err = exc.value
-    oracle = math.erf(math.sqrt(0.16 / 0.024))
-    # partial value is the unnormalized region integral
-    k = sp.algebra.group_volume * (2.0 * math.pi) ** sp.algebra.dim
-    assert abs(err.partial / k - oracle) < 1e-2
-    assert math.isfinite(err.estimate)
+    assert abs(err.partial - oracle) < rel * abs(oracle)
+    assert math.isfinite(err.estimate) and err.estimate > 0.0
+    assert f"last error estimate {err.estimate:g}" in str(err)
+    assert str(err).startswith(f"{path} quadrature on cn_u1(1,1)")
+    assert ("first-order" in str(err)) == (path == "rejection")
+
+
+def test_wsum_is_exactly_rounded_and_order_free():
+    values = np.array([1e16, 1.0, -1e16, 1.0]) * (1.0 - 2.0j)
+    weights = np.ones(4)
+    # plain summation loses both small terms of each part
+    assert np.sum(values.real * weights) != 2.0
+    exact = complex(
+        math.fsum((values.real * weights).tolist()),
+        math.fsum((values.imag * weights).tolist()),
+    )
+    assert exact == complex(2.0, -4.0)
+    for perm in itertools.permutations(range(4)):
+        got = _wsum(values[list(perm)], weights[list(perm)])
+        assert (got.real.hex(), got.imag.hex()) == (exact.real.hex(), exact.imag.hex())
 
 
 def test_phi_degree_cap_enforced():
