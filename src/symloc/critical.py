@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Expr, const
+from .fields import Expr, column, const
 from .hamspace import HamiltonianSpace
 from .liealg import InputError, NonConvergenceError, NotRegularError
 
@@ -41,6 +41,8 @@ CONVERGED_F = 1e-16          # ||V mu*||^2 below this counts as critical
 VALUE_GROUP_TOL = 1e-6       # critical values closer than this are equal
 DEFAULT_CLUSTER_RADIUS = 1e-2
 MIN_VALUE_GAP = 1e-4         # distinct critical values must be this far apart
+GD_HANDOFF = 0.5             # a gradient step keeping more of f than this
+                             # share hands the seed to Gauss-Newton
 
 
 @dataclass(frozen=True)
@@ -93,22 +95,14 @@ def _vfield_and_jacobian(space: HamiltonianSpace):
 
     def f_eval(pts):
         cache: dict = {}
-        n = pts.shape[0]
-        cols = [
-            np.broadcast_to(np.asarray(c.eval(pts, cache), float), (n,))
-            for c in comps
-        ]
-        return np.stack(cols, axis=1)
+        return np.stack([column(c, pts, cache) for c in comps], axis=1)
 
     def j_eval(pts):
         cache: dict = {}
-        n = pts.shape[0]
-        out = np.empty((n, d, d))
+        out = np.empty((len(pts), d, d))
         for j in range(d):
             for i in range(d):
-                out[:, j, i] = np.broadcast_to(
-                    np.asarray(jac[j][i].eval(pts, cache), float), (n,)
-                )
+                out[:, j, i] = column(jac[j][i], pts, cache)
         return out
 
     return f_eval, j_eval
@@ -120,10 +114,7 @@ def _action_matrix(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
     cache: dict = {}
     cols = []
     for a in range(space.algebra.dim):
-        col = [
-            float(np.broadcast_to(np.asarray(c.eval(pts, cache), float), (1,))[0])
-            for c in space.action.components[a]
-        ]
+        col = [float(column(c, pts, cache)[0]) for c in space.action.components[a]]
         cols.append(col)
     return np.array(cols).T  # (d, g)
 
@@ -138,11 +129,7 @@ def _action_jacobians(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
         for j in range(d):
             cj = space.action.components[a][j]
             for i in range(d):
-                out[a, j, i] = float(
-                    np.broadcast_to(
-                        np.asarray(cj.diff(i).eval(pts, cache), float), (1,)
-                    )[0]
-                )
+                out[a, j, i] = float(column(cj.diff(i), pts, cache)[0])
     return out
 
 
@@ -154,11 +141,7 @@ def _moment_gradients(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
     rows = np.empty((space.algebra.dim, d))
     for a, expr in enumerate(space.mu_pairing_exprs()):
         for i in range(d):
-            rows[a, i] = float(
-                np.broadcast_to(
-                    np.asarray(expr.diff(i).eval(pts, cache), float), (1,)
-                )[0]
-            )
+            rows[a, i] = float(column(expr.diff(i), pts, cache)[0])
     return rows
 
 
@@ -168,66 +151,96 @@ def _moment_gradients(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
 
 
 def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50):
-    """Vectorized descent of f = ||F||^2: backtracking gradient steps, then
-    Levenberg-damped Gauss-Newton on F = 0.  Returns (points, f values)."""
+    """Vectorized descent of f = ||F||^2 from the rows of x.  Returns
+    (points, f values).
+
+    Every seed runs two phases, and each phase evaluates F and its
+    Jacobian only at the seeds still in it.
+
+    Gradient phase: steepest descent with Armijo backtracking, at most
+    max_gd steps.  A seed leaves it once f < 1e-18, when it cannot move
+    (its gradient vanishes, or 30 halvings of its step find no Armijo
+    decrease), or when its accepted step keeps more than GD_HANDOFF of f
+    (the descent has slowed down).
+
+    Gauss-Newton phase: at most max_newton Levenberg-Marquardt steps for
+    every seed with f >= 1e-28, solving
+    (J^T J + lam * max diag(J^T J) * I) dx = -J^T F.  Scaling the damping
+    by J^T J keeps lam dimensionless, so the steps stay Newton-like at a
+    degenerate zero, where J^T J shrinks like a power of the distance.  lam
+    starts at 1e-6, falls 3x after a step that does not raise f (floor
+    1e-14) and grows 10x after one that does; a step is retried up to 12
+    times per Jacobian."""
     x = np.array(x, dtype=float)
     F = f_eval(x)
     f = np.sum(F * F, axis=1)
+
     alpha = np.full(len(x), 0.1)
+    active = np.nonzero(f >= 1e-18)[0]
     for _ in range(max_gd):
-        if np.max(f) < 1e-18:
+        if len(active) == 0:
             break
-        J = j_eval(x)
-        grad = 2.0 * np.einsum("nji,nj->ni", J, F)
+        J = j_eval(x[active])
+        grad = 2.0 * np.einsum("nji,nj->ni", J, F[active])
         g2 = np.sum(grad * grad, axis=1)
         move = g2 > 1e-30
-        if not np.any(move):
-            break
-        accepted = np.zeros(len(x), dtype=bool)
+        rows, grad, g2 = active[move], grad[move], g2[move]
+        f_before = f[rows]
+        accepted = np.zeros(len(rows), dtype=bool)
         for _ in range(30):
-            trial = np.where(
-                (move & ~accepted)[:, None], x - alpha[:, None] * grad, x
-            )
+            todo = np.nonzero(~accepted)[0]
+            if len(todo) == 0:
+                break
+            idx = rows[todo]
+            trial = x[idx] - alpha[idx, None] * grad[todo]
             Ft = f_eval(trial)
             ft = np.sum(Ft * Ft, axis=1)
-            ok = ft <= f - 1e-4 * alpha * g2
-            newly = move & ~accepted & ok
-            x[newly] = trial[newly]
-            f[newly] = ft[newly]
-            F[newly] = Ft[newly]
-            accepted |= newly
-            alpha[move & ~accepted] *= 0.5
-            if np.all(accepted | ~move):
-                break
-        alpha[accepted] = np.minimum(alpha[accepted] * 1.5, 1.0)
-        alpha[move & ~accepted] = 0.1  # reset stalled points
+            ok = ft <= f[idx] - 1e-4 * alpha[idx] * g2[todo]
+            new = idx[ok]
+            x[new] = trial[ok]
+            f[new] = ft[ok]
+            F[new] = Ft[ok]
+            accepted[todo[ok]] = True
+            alpha[idx[~ok]] *= 0.5
+        moved = rows[accepted]
+        alpha[moved] = np.minimum(alpha[moved] * 1.5, 1.0)
+        fast = f[moved] <= GD_HANDOFF * f_before[accepted]
+        active = moved[fast & (f[moved] >= 1e-18)]
 
     lam = np.full(len(x), 1e-6)
     eye = np.eye(x.shape[1])
     for _ in range(max_newton):
-        if np.max(f) < 1e-28:
+        active = np.nonzero(f >= 1e-28)[0]
+        if len(active) == 0:
             break
-        J = j_eval(x)
+        J = j_eval(x[active])
         jtj = np.einsum("nji,njk->nik", J, J)
-        rhs = -np.einsum("nji,nj->ni", J, F)
+        rhs = -np.einsum("nji,nj->ni", J, F[active])
+        scale = np.max(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
+        scale[scale == 0.0] = 1.0  # J = 0: keep the damped system regular
+        pending = np.arange(len(active))
         for _ in range(12):
+            idx = active[pending]
+            damp = (lam[idx] * scale[pending])[:, None, None] * eye
             try:
                 dx = np.linalg.solve(
-                    jtj + lam[:, None, None] * eye, rhs[..., None]
+                    jtj[pending] + damp, rhs[pending][..., None]
                 )[..., 0]
             except np.linalg.LinAlgError:
-                lam = lam * 10
+                lam[idx] *= 10.0
                 continue
-            trial = x + dx
+            trial = x[idx] + dx
             Ft = f_eval(trial)
             ft = np.sum(Ft * Ft, axis=1)
-            ok = ft <= f
-            x[ok] = trial[ok]
-            f[ok] = ft[ok]
-            F[ok] = Ft[ok]
-            lam[ok] = np.maximum(lam[ok] / 3.0, 1e-14)
-            lam[~ok] *= 10.0
-            if np.all(ok):
+            ok = ft <= f[idx]
+            new = idx[ok]
+            x[new] = trial[ok]
+            f[new] = ft[ok]
+            F[new] = Ft[ok]
+            lam[new] = np.maximum(lam[new] / 3.0, 1e-14)
+            lam[idx[~ok]] *= 10.0
+            pending = pending[~ok]
+            if len(pending) == 0:
                 break
     return x, f
 
@@ -248,9 +261,7 @@ def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int)
     for _ in range(12):
         draw = lo + (hi - lo) * sampler.random(max(2 * n_seeds, 64))
         cache: dict = {}
-        vals = np.broadcast_to(
-            np.asarray(mu2.eval(draw, cache), float), (len(draw),)
-        )
+        vals = column(mu2, draw, cache)
         inside = draw[vals <= r_max]
         if space.chart_radius < math.inf:
             inside = inside[
@@ -292,28 +303,6 @@ def _dedupe(pts: np.ndarray, f: np.ndarray, resolution: float = 1e-7):
     return pts[idx], f[idx], np.array(mult)
 
 
-def _minimum_spanning_edges(pts: np.ndarray):
-    """Prim's algorithm: (length, i, j) edges of the Euclidean MST."""
-    n = len(pts)
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diffs * diffs, axis=2))
-    best = dist[0].copy()
-    best_from = np.zeros(n, dtype=int)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best[0] = np.inf
-    edges = []
-    for _ in range(n - 1):
-        j = int(np.argmin(best))
-        edges.append((float(best[j]), int(best_from[j]), j))
-        in_tree[j] = True
-        closer = dist[j] < best
-        best_from[closer] = j
-        best = np.where(closer, dist[j], best)
-        best[in_tree] = np.inf
-    return edges
-
-
 def _mst_clusters(pts: np.ndarray, cluster_radius: float, jump: float = 4.0):
     """Single-linkage clustering with a scale-jump cut.
 
@@ -323,37 +312,35 @@ def _mst_clusters(pts: np.ndarray, cluster_radius: float, jump: float = 4.0):
     every longer edge.  A continuum component sampled at finite density
     has a smoothly varying edge spectrum and survives intact; genuinely
     separate components are bridged by an edge an order of magnitude
-    longer and get cut."""
+    longer and get cut.  Groups come in ascending order of their smallest
+    index.
+
+    The single-linkage merge heights are the MST edge lengths, and every
+    MST has the same lengths and the same components below any cut, so
+    ties between distances do not change the groups."""
     n = len(pts)
     if n == 1:
         return [[0]], None
-    edges = _minimum_spanning_edges(pts)
-    lengths = sorted(e[0] for e in edges)
+    # imported here, not at module load: only the clustering needs it
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist
+
+    tree = linkage(pdist(pts), "single")
     cut_at = None
     prev = cluster_radius
-    for ln in lengths:
+    for ln in tree[:, 2]:
         if ln > cluster_radius and ln > jump * prev:
-            cut_at = ln
+            cut_at = float(ln)
             break
         prev = max(prev, ln)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for ln, i, j in edges:
-        if cut_at is not None and ln >= cut_at:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    if cut_at is None:
+        return [list(range(n))], None
+    # merges strictly below the cut: heights <= the next float down
+    labels = fcluster(tree, np.nextafter(cut_at, 0.0), criterion="distance")
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)], cut_at
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return list(groups.values()), cut_at
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +358,14 @@ def find_critical_points(
 ) -> list[CriticalComponent]:
     """Locate the critical components of |mu|^2 inside M_{r_max}.
 
-    Quasi-random starts descend f = ||V mu*||^2 (gradient steps with
-    backtracking, then damped Gauss-Newton on V mu* = 0); points with
-    f < 1e-16 are clustered by critical value and chart-distance chains
-    into components, sorted by critical value.
+    Quasi-random starts descend f = ||V mu*||^2 in two per-seed phases:
+    backtracking gradient steps until a step no longer halves f, then
+    Levenberg-Marquardt steps on V mu* = 0 with the damping scaled by the
+    largest diagonal entry of J^T J, until f < 1e-28 (see _descend).  A
+    seed stops being evaluated as soon as it leaves a phase, so converged
+    seeds cost nothing.  Points with f < 1e-16 are grouped by critical
+    value, chained by chart distance (single linkage with a scale-jump
+    cut) into components, and sorted by critical value.
 
     Raises NotRegularError when a located component sits within 1e-3 of
     r_max (r_max must be regular).  Returns [] with a warning when no
@@ -406,9 +397,7 @@ def find_critical_points(
     pts, f = pts[conv], f[conv]
 
     cache: dict = {}
-    mu2 = np.broadcast_to(
-        np.asarray(space.mu_norm2_expr().eval(pts, cache), float), (len(pts),)
-    )
+    mu2 = column(space.mu_norm2_expr(), pts, cache)
     inside = mu2 <= r_max + 1e-9
     pts, f, mu2 = pts[inside], f[inside], mu2[inside]
     if len(pts) == 0:
@@ -423,10 +412,7 @@ def find_critical_points(
     for chunk in np.split(np.arange(len(pts)), breaks):
         sub, subf, mult = _dedupe(pts[chunk], f[chunk])
         cache = {}
-        subv = np.broadcast_to(
-            np.asarray(space.mu_norm2_expr().eval(sub, cache), float),
-            (len(sub),),
-        )
+        subv = column(space.mu_norm2_expr(), sub, cache)
         clusters, cut_at = _mst_clusters(sub, cluster_radius)
         for idx in clusters:
             idx = np.array(idx)

@@ -56,6 +56,7 @@ __all__ = [
     "Expm",
     "Sqrtm",
     "mat_entry",
+    "column",
     "texp",
 ]
 
@@ -296,6 +297,12 @@ class MatEntry(Expr):
 
     def __repr__(self):
         return f"MatEntry({self.mat!r}, {self.i}, {self.j})"
+
+
+def column(expr: Expr, pts: np.ndarray, cache: dict) -> np.ndarray:
+    """Real expr at the (N, chart_dim) points as an (N,) float array.  A
+    scalar result is broadcast, so the array may be a read-only view."""
+    return np.broadcast_to(np.asarray(expr.eval(pts, cache), float), (len(pts),))
 
 
 # -- smart constructors -----------------------------------------------------

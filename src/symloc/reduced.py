@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .fields import Expr  # noqa: F401  (re-exported type for annotations)
+from .fields import Expr, column  # noqa: F401  (Expr is re-exported for annotations)
 from .forms import EquivariantForm, _merge_sign, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
 from .integrate import _leggauss, check_alpha
@@ -315,12 +315,6 @@ class _U1LevelChart:
 # ---------------------------------------------------------------------------
 
 
-def _eval_col(expr, pts, cache) -> np.ndarray:
-    return np.broadcast_to(
-        np.asarray(expr.eval(pts, cache), dtype=float), (len(pts),)
-    )
-
-
 def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> dict:
     """The generator fields V, the metric g, Vg, the inverse of the Gram
     matrix G = <V e_a, V e_b>, and A = G^{-1} Vg at ambient points."""
@@ -333,7 +327,7 @@ def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> d
     v_field = np.empty((n_pts, gdim, amb))
     for a in range(gdim):
         for i in range(amb):
-            v_field[:, a, i] = _eval_col(space.action.components[a][i], x, cache)
+            v_field[:, a, i] = column(space.action.components[a][i], x, cache)
     vg = np.einsum("naj,njl->nal", v_field, metric)
     gram_inv = np.linalg.inv(np.einsum("nal,nbl->nab", vg, v_field))
     return {
@@ -367,7 +361,7 @@ def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
         for i in range(amb):
             comp = space.action.components[a][i]
             for k in range(amb):
-                dv_field[:, k, a, i] = _eval_col(comp.diff(k), x, cache)
+                dv_field[:, k, a, i] = column(comp.diff(k), x, cache)
 
     d_conn = np.empty((n_pts, amb, gdim, amb))
     for k in range(amb):
@@ -584,7 +578,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     dmu = np.empty((n_pts, gdim, space.ambient_dim))
     for b, pairing in enumerate(space.mu_pairing_exprs()):
         for k in range(space.ambient_dim):
-            dmu[:, b, k] = _eval_col(pairing.diff(k), nodes, cache)
+            dmu[:, b, k] = column(pairing.diff(k), nodes, cache)
     sigma = np.linalg.svd(dmu, compute_uv=False)
     min_sigma = float(np.min(sigma[:, -1]))
     if min_sigma <= 1e-6:
