@@ -258,8 +258,12 @@ def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int)
     mu2 = space.mu_norm2_expr()
     kept = []
     n_kept = 0
-    for _ in range(12):
-        draw = lo + (hi - lo) * sampler.random(max(2 * n_seeds, 64))
+    # Sobol' points keep their balance only in power-of-2 totals, so the
+    # first draw is the next power of 2 >= max(2 n_seeds, 64) and each
+    # later draw doubles the total, up to 16 times the first draw.
+    m = (max(2 * n_seeds, 64) - 1).bit_length()
+    for k in range(5):
+        draw = lo + (hi - lo) * sampler.random_base2(m + max(k - 1, 0))
         cache: dict = {}
         vals = column(mu2, draw, cache)
         inside = draw[vals <= r_max]

@@ -15,16 +15,17 @@ immutable expression trees with those two capabilities:
   expm([[A, E], [0, A]]) = [[e^A, D_E e^A], [0, e^A]]).
 
 Evaluation signature: ``eval(pts, cache)`` with ``pts`` of shape
-(N, chart_dim); results are (N,) scalars or (N, k, k) matrices.  The
-cache dict (keyed by node id) makes shared subtrees evaluate once per
-sweep.  Trees are immutable after construction, so concurrent evaluation
-with per-call caches needs no locking.
+(N, chart_dim); results are (N,) scalars or (N, k, k) matrices, except
+that a ``Const`` evaluates to its plain value (it broadcasts; ``column``
+turns any scalar field into an (N,) array).  The cache dict (keyed by
+node id) makes shared subtrees evaluate once per sweep.  Trees are
+immutable after construction, so concurrent evaluation with per-call
+caches needs no locking.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 __all__ = [
     "Expr",
@@ -138,14 +139,18 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", complex(value) if np.iscomplexobj(value) or isinstance(value, complex) else float(value))
+        is_complex = isinstance(value, complex) or (
+            not isinstance(value, (float, int)) and np.iscomplexobj(value)
+        )
+        object.__setattr__(self, "value", complex(value) if is_complex else float(value))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
     def _eval(self, pts, cache):
-        n = pts.shape[0]
-        return np.full(n, self.value)
+        # a scalar: it broadcasts against the arrays it is combined with;
+        # consumers that need an (N,) array go through ``column``
+        return self.value
 
     def _diff(self, i):
         return Const(0.0)
@@ -183,7 +188,7 @@ class Add(Expr):
         raise AttributeError("immutable")
 
     def _eval(self, pts, cache):
-        out = self.terms[0].eval(pts, cache).copy()
+        out = self.terms[0].eval(pts, cache)
         for t in self.terms[1:]:
             out = out + t.eval(pts, cache)
         return out
@@ -205,7 +210,7 @@ class Mul(Expr):
         raise AttributeError("immutable")
 
     def _eval(self, pts, cache):
-        out = self.factors[0].eval(pts, cache).copy()
+        out = self.factors[0].eval(pts, cache)
         for f in self.factors[1:]:
             out = out * f.eval(pts, cache)
         return out
@@ -815,8 +820,11 @@ class _SqrtmFrechet(MatrixField):
 
 
 def _batched_expm(a: np.ndarray) -> np.ndarray:
-    out = _scipy_expm(a)
-    return np.asarray(out)
+    # imported here, not at module load: scipy.linalg is slow to import and
+    # only the Expm fields need it
+    from scipy.linalg import expm
+
+    return np.asarray(expm(a))
 
 
 def texp(ad: MatrixField) -> MatrixField:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm as _expm_dense, logm as _logm_dense
 
 from .fields import (
     Const,
@@ -51,6 +50,7 @@ from .fields import (
     Sqrtm,
     add,
     as_expr,
+    column,
     const,
     coord,
     mat_entry,
@@ -198,11 +198,7 @@ class HamiltonianSpace:
 
     def eval_moment(self, pts: np.ndarray, cache=None) -> np.ndarray:
         cache = {} if cache is None else cache
-        cols = [
-            np.broadcast_to(np.asarray(m.eval(pts, cache)), (pts.shape[0],))
-            for m in self.moment_star
-        ]
-        return np.stack(cols, axis=1)
+        return np.stack([column(m, pts, cache) for m in self.moment_star], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +910,21 @@ def _ad_to_vector(lmat: np.ndarray, admats) -> np.ndarray:
     basis = np.stack([b.ravel() for b in admats], axis=1)
     sol, *_ = np.linalg.lstsq(basis, lmat.ravel(), rcond=None)
     return sol
+
+
+# The dense helpers import scipy.linalg when called, not at module load: it
+# is slow to import and only the standard local models and the c2_su2
+# action sampler need it.
+def _expm_dense(a: np.ndarray) -> np.ndarray:
+    from scipy.linalg import expm
+
+    return expm(a)
+
+
+def _logm_dense(a: np.ndarray) -> np.ndarray:
+    from scipy.linalg import logm
+
+    return logm(a)
 
 
 def _texp_dense(a: np.ndarray) -> np.ndarray:

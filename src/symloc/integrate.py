@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import add, const, mul
+from .fields import add, column, const, mul
 from .forms import (
     EquivariantForm,
     equivariant_D,
@@ -1167,9 +1167,7 @@ def phi_reduced_integrand(
         by_fmi.setdefault(fmi, []).append(nu)
 
     def shift_values(pts, cache):
-        return np.stack(
-            [np.asarray(e.eval(pts, cache), dtype=float) for e in m_exprs], axis=1
-        )
+        return np.stack([column(e, pts, cache) for e in m_exprs], axis=1)
 
     def integrand(pts, cache=None):
         cache = {} if cache is None else cache

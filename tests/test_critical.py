@@ -220,7 +220,6 @@ _VALIDATION_COMPONENTS = {
     [pytest.param(name, build, id=name)
      for name, build in catalog_names_for_validation()],
 )
-@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
 def test_validation_spaces_components(name, build):
     values, count = _VALIDATION_COMPONENTS[name]
     sp = build()
@@ -425,10 +424,11 @@ def test_scipy_stats_is_imported_only_by_the_seed_sampler():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, symloc.analysis, symloc.reduced; "
-        "print('scipy.stats' in sys.modules, 'scipy.cluster' in sys.modules)"
+        "print('scipy.stats' in sys.modules, 'scipy.cluster' in sys.modules, "
+        "'scipy.linalg' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
