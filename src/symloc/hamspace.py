@@ -379,6 +379,12 @@ def _weighted_cn_space(n: int, weights, a: float, name: str) -> HamiltonianSpace
     weights = tuple(int(w) for w in weights)
     if len(weights) != n or any(w == 0 for w in weights):
         raise InputError("weights must be n nonzero integers")
+    if any(w > 0 for w in weights) and any(w < 0 for w in weights):
+        raise InputError(
+            f"weights {weights} have mixed signs, so the moment map is not "
+            "proper (|mu| stays bounded along an unbounded set); localization "
+            "needs a proper moment map"
+        )
     algebra = builtin_algebra("u1")
     chart = name
     dim = 2 * n

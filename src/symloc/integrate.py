@@ -445,6 +445,13 @@ def _support_intervals(info, r, damp_profile):
     return out
 
 
+def _check_planes(info: _RadialInfo) -> None:
+    if info.planes > 2:
+        raise InputError(
+            f"radial quadrature implemented for 1 or 2 planes, got {info.planes}"
+        )
+
+
 def _radial_axes(
     info: _RadialInfo,
     r: float,
@@ -460,6 +467,7 @@ def _radial_axes(
     With ``torus_invariant`` (only for an integrand that passed
     _torus_invariance) each angle axis is the single node 0 with weight
     2 pi, so the grid is the angle-0 rays times (2 pi)^planes."""
+    _check_planes(info)
     if s_intervals is None:
         s_intervals = [info.s_bounds(r)]
     if any(hi <= lo for lo, hi in s_intervals):
@@ -508,9 +516,6 @@ def _radial_axes(
             return pts, wts
 
         return axes, build
-    raise InputError(
-        f"radial quadrature implemented for 1 or 2 planes, got {info.planes}"
-    )
 
 
 def _product_chunks(axes, build, chunk: int):
@@ -747,6 +752,7 @@ def _torus_invariance(f, info, s_intervals, top):
 
 def _integrate_radial(space, f, r, info, scheme) -> IntegralResult:
     t0 = time.perf_counter()
+    _check_planes(info)  # before the support scan, which assumes <= 2 planes
     top = tuple(range(space.ambient_dim))
     profile = getattr(f, "_damp_profile", None)
     s_intervals = _support_intervals(info, r, profile)

@@ -329,7 +329,10 @@ def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> d
         for i in range(amb):
             v_field[:, a, i] = column(space.action.components[a][i], x, cache)
     vg = np.einsum("naj,njl->nal", v_field, metric)
-    gram_inv = np.linalg.inv(np.einsum("nal,nbl->nab", vg, v_field))
+    gram = np.einsum("nal,nbl->nab", vg, v_field)
+    # one generator: the reciprocal is LAPACK's 1x1 inverse bit for bit,
+    # without a LAPACK call per node
+    gram_inv = 1.0 / gram if gdim == 1 else np.linalg.inv(gram)
     return {
         "V": v_field,
         "metric": metric,
@@ -399,19 +402,23 @@ def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray)
     jac_t = jac.transpose(0, 2, 1)
     conn = _connection_at(space, x)
     omega_amb = np.asarray(space.omega_matrix.eval(x, {}), dtype=float)
-    # vertical generators in parameter coordinates: solve J v_u = V e_a
+    # vertical generators in parameter coordinates: J^T J v_u = J^T V e_a
     jtj = np.einsum("nik,nil->nkl", jac, jac)
-    jtv = np.einsum("nik,nai->nak", jac, conn["V"])
-    vert_u = np.einsum(
-        "nkl,nal->nak", np.linalg.inv(jtj), jtv
-    )
+    jtv = np.einsum("nik,nai->nka", jac, conn["V"])
+    vert_u = np.linalg.solve(jtj, jtv).transpose(0, 2, 1)
+    da_u = jac_t[:, None] @ conn["dA"] @ jac[:, None]
+    # abelian algebras: F is dA (same object), so its pullback is dA's
+    if conn["F"] is conn["dA"]:
+        f_u = da_u
+    else:
+        f_u = jac_t[:, None] @ conn["F"] @ jac[:, None]
     return {
         "x": x,
         "jac": jac,
         "omega_u": jac_t @ omega_amb @ jac,
         "a_u": np.einsum("nai,nik->nak", conn["A"], jac),
-        "da_u": jac_t[:, None] @ conn["dA"] @ jac[:, None],
-        "f_u": jac_t[:, None] @ conn["F"] @ jac[:, None],
+        "da_u": da_u,
+        "f_u": f_u,
         "vert_u": vert_u,
         "jtj": jtj,
         "conn": conn,
@@ -430,7 +437,11 @@ class ZeroLevelData:
     parameter coordinates on the mesh (``connection_param``,
     ``vertical_param``, ``omega_param``, ``da_param``, ``f_param``);
     ``cartan_map`` and ``kirwan_integral`` reuse them rather than rebuild
-    the connection at ``param_nodes``."""
+    the connection at ``param_nodes``.
+
+    Every stored array is read-only: some share memory (for an abelian
+    algebra ``f_param`` is ``da_param``, and ``param_nodes`` is the
+    chart's), so a write through one would silently change another."""
 
     __slots__ = (
         "space",
@@ -456,7 +467,10 @@ class ZeroLevelData:
 
     def __init__(self, **kw):
         for name in self.__slots__:
-            object.__setattr__(self, name, kw.pop(name))
+            value = kw.pop(name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if kw:
             raise InputError(f"unknown ZeroLevelData fields {sorted(kw)}")
 
@@ -541,11 +555,6 @@ def _validate_level_family(space: HamiltonianSpace) -> None:
             f"{space.name!r}"
         )
     weights = space.meta["weights"]
-    if any(w < 0 for w in weights) and any(w > 0 for w in weights):
-        raise InputError(
-            "mixed-sign weights give a noncompact zero level; "
-            "no parametrization registered"
-        )
     if all(w < 0 for w in weights):
         raise InputError("the zero level set is empty for negative weights")
     if len(weights) > 2:
@@ -559,6 +568,20 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
 
     ``mesh_density`` is the node count per parameter axis (the circle gets
     ``mesh_density`` nodes; the three-sphere ``mesh_density**3``).
+
+    Checks, each over the whole mesh:
+
+    * regularity: d mu is onto at every node.  Its smallest singular value
+      is read from the g x g Gram d mu d mu^T (the root of the smallest
+      eigenvalue) and must exceed 1e-6, else NotRegularError;
+    * the moment residual max |mu| on the nodes (reported);
+    * the normalization A(V e_b) = delta_ab, to 1e-10;
+    * for abelian groups with an action sampler, equivariance g*A = A at
+      four group elements, to 1e-8;
+    * orientation: the sign that makes the reduced Liouville volume
+      positive (AccuracyError when that volume is ~0).
+
+    The residuals land in ``regularity_report``.
     """
     _validate_level_family(space)
     if int(mesh_density) < 4:
@@ -579,8 +602,12 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     for b, pairing in enumerate(space.mu_pairing_exprs()):
         for k in range(space.ambient_dim):
             dmu[:, b, k] = column(pairing.diff(k), nodes, cache)
-    sigma = np.linalg.svd(dmu, compute_uv=False)
-    min_sigma = float(np.min(sigma[:, -1]))
+    # the smallest singular value of d mu is the root of the smallest
+    # eigenvalue of its g x g Gram d mu d mu^T (clamped: roundoff can push
+    # a zero eigenvalue below 0).  Gram roundoff ~1e-16 |d mu|^2 costs
+    # ~1e-8 |d mu| in the root, far under the 1e-6 threshold.
+    gram_eig = np.linalg.eigvalsh(dmu @ dmu.transpose(0, 2, 1))
+    min_sigma = math.sqrt(max(float(np.min(gram_eig[:, 0])), 0.0))
     if min_sigma <= 1e-6:
         raise NotRegularError(
             f"d mu is rank-deficient on the zero level "

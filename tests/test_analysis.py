@@ -6,7 +6,8 @@ the Kirwan integral of the reduced space; the weighted plane
 weighted_cn_u1(2,(1,2),1) gives exactly half of that, and on cn_u1(1,1)
 the polynomial part is 1.  On c2_su2 the level mu = 0 is the origin, not
 a regular level, so no polynomial + tail split exists and the fitter must
-refuse.
+refuse.  The r -> infinity check and the damping check are pinned on
+cn_u1 by the same Gaussian closed forms.
 """
 
 import math
@@ -18,12 +19,14 @@ from symloc.analysis import (
     DEFAULT_FIT_TOL,
     _lstsq,
     _split_poly_tail,
+    damping_check,
     default_poly_degree,
     epsilon_sweep,
     fit_poly_plus_tail,
+    global_convergence_check,
 )
 from symloc.forms import EquivariantForm
-from symloc.hamspace import catalog_from_string
+from symloc.hamspace import catalog, catalog_from_string
 from symloc.liealg import DecompositionError
 
 _SWEEPS: dict = {}
@@ -174,3 +177,44 @@ def test_batched_lstsq_matches_numpy_per_design():
         ref_resid = np.linalg.norm(vals - (x[k] / norms) @ ref)
         assert resid[k] == pytest.approx(ref_resid, rel=1e-6)
         assert sol[k, 0] == pytest.approx(ref[0] / norms[0], rel=1e-9)
+
+
+def _unit(space):
+    return EquivariantForm.scalar(
+        space.chart_id, space.ambient_dim, space.algebra.dim, 1.0
+    )
+
+
+def _Phi(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _phi(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def test_global_convergence_matches_the_closed_form():
+    # cn_u1(2,1), t = 0: with m = |mu| signed along the level (m = (s - 1)/2,
+    # s = |z|^2), BI(1, r, 0) = pi [Phi(m+/sig) - Phi(m-/sig)]
+    # + 2 pi sig [phi(m-/sig) - phi(m+/sig)], sig = sqrt(eps), on
+    # m+ = sqrt(r), m- = max(-sqrt(r), -1/2) (s >= 0 cuts the slab at -1/2)
+    eps = 0.05
+    sig = math.sqrt(eps)
+    sp = catalog("cn_u1", n=2, a=1.0)
+    rep = global_convergence_check(sp, _unit(sp), (0.36, 0.64, 1.0, 1.44), eps)
+    for r, (re, im) in zip(rep["r_grid"], rep["values"]):
+        hi, lo = math.sqrt(r) / sig, max(-math.sqrt(r), -0.5) / sig
+        exact = math.pi * (_Phi(hi) - _Phi(lo)) + 2 * math.pi * sig * (_phi(lo) - _phi(hi))
+        assert abs(re - exact) <= 1e-8 and im == 0.0
+    assert rep["divergent"] is False and rep["within_bound"] is True
+    # r -> infinity: m+ -> infinity
+    h = 0.5 / sig
+    limit = math.pi * (_Phi(h) + 2 * sig * _phi(h))
+    assert abs(rep["limit"][0] - limit) <= rep["limit_error"]
+
+
+def test_damping_check_meets_its_bound():
+    sp = catalog("cn_u1", n=1, a=1.0)
+    rep = damping_check(sp, _unit(sp), 0.36, 0.1)
+    assert rep["ok"] is True and rep["inconclusive"] is False
+    assert rep["slope"] <= rep["bound"] == -0.5 * 0.1 * (1.0 - rep["slack"])

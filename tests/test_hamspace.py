@@ -427,6 +427,20 @@ def test_catalog_errors():
         catalog("standard_model", preset="u1_w1", which="Q")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: catalog("weighted_cn_u1", n=2, weights=(1, -1), a=1.0),
+        lambda: catalog_from_string("weighted_cn_u1(2,(1,-1),1)"),
+        lambda: catalog_from_string("weighted_cn_u1(3,(2,1,-3),0.5)"),
+    ],
+    ids=["catalog", "string", "three-planes"],
+)
+def test_mixed_sign_weights_are_not_proper(build):
+    with pytest.raises(InputError, match="not proper"):
+        build()
+
+
 def test_space_construction_errors():
     sp = catalog("cn_u1", n=1, a=1.0)
     with pytest.raises(InputError):

@@ -586,6 +586,15 @@ def test_basic_integral_validation_paths():
     assert report["invariance_residual"] > 1e-3
 
 
+def test_basic_integral_refuses_three_planes():
+    # the typed refusal comes before the support scan, which would unpack
+    # two plane weights
+    sp = catalog("cn_u1", n=3, a=1.0)
+    req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16, epsilon=0.05)
+    with pytest.raises(InputError, match="1 or 2 planes, got 3"):
+        basic_integral(req)
+
+
 def _exp_x_dy(pts, cache=None):
     return {(1,): np.exp(5.0 * pts[:, 0]).astype(complex)}
 

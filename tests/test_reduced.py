@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from symloc import reduced as R
-from symloc.fields import const
+from symloc.fields import column, const
 from symloc.forms import EquivariantForm
 from symloc.hamspace import catalog
 from symloc.liealg import InputError, NotRegularError
@@ -237,6 +237,64 @@ def test_zero_level_errors():
         R.zero_level(catalog("standard_model", preset="u1_w1", which="G"))
     with pytest.raises(InputError):
         R.zero_level(catalog("cn_u1", n=1, a=1.0), mesh_density=2)
+
+
+_LEVEL_ARRAYS = (
+    "param_nodes", "param_weights", "nodes", "jacobians", "riemann_weights",
+    "connection_ambient", "connection_param", "vertical_param", "omega_param",
+    "da_param", "f_ambient", "f_param",
+)
+
+
+def test_level_arrays_are_read_only(circle, sphere):
+    for _, lv in (circle, sphere):
+        # u(1) is abelian: F = dA, so the level stores one pullback
+        assert lv.f_param is lv.da_param
+        stored = {
+            name for name in lv.__slots__
+            if isinstance(getattr(lv, name), np.ndarray)
+        }
+        assert stored == set(_LEVEL_ARRAYS)
+        for name in _LEVEL_ARRAYS:
+            arr = getattr(lv, name)
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0.0
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [("cn_u1", dict(n=2, a=1.0)), ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0))],
+)
+def test_zero_level_runs_no_per_node_lapack(name, kw, monkeypatch):
+    # per-node LAPACK on stacks of tiny matrices dominated zero_level: the
+    # regularity check reads the g x g Gram instead of an SVD, and a 1 x 1
+    # Gram is inverted by a reciprocal
+    sp = catalog(name, **kw)
+    svd, inv = np.linalg.svd, np.linalg.inv
+    svd_shapes, inv_shapes = [], []
+
+    def counted_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def counted_inv(a):
+        inv_shapes.append(np.shape(a)[-2:])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    lv = R.zero_level(sp)
+    assert svd_shapes == []
+    assert (1, 1) not in inv_shapes
+    # the Gram route gives the SVD's smallest singular value to roundoff
+    dmu = np.array(
+        [
+            [column(p.diff(k), lv.nodes, {}) for k in range(sp.ambient_dim)]
+            for p in sp.mu_pairing_exprs()
+        ]
+    ).transpose(2, 0, 1)
+    ref = float(np.min(svd(dmu, compute_uv=False)[:, -1]))
+    assert abs(lv.regularity_report["min_dmu_singular"] - ref) <= 4 * np.spacing(ref)
 
 
 def test_kirwan_requires_positive_eps(circle):
