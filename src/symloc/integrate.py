@@ -446,6 +446,8 @@ def _support_intervals(info, r, damp_profile):
 
 
 def _check_planes(info: _RadialInfo) -> None:
+    """The radial grids and level surfaces cover one or two planes; every
+    entry point that builds one calls this first."""
     if info.planes > 2:
         raise InputError(
             f"radial quadrature implemented for 1 or 2 planes, got {info.planes}"
@@ -467,7 +469,6 @@ def _radial_axes(
     With ``torus_invariant`` (only for an integrand that passed
     _torus_invariance) each angle axis is the single node 0 with weight
     2 pi, so the grid is the angle-0 rays times (2 pi)^planes."""
-    _check_planes(info)
     if s_intervals is None:
         s_intervals = [info.s_bounds(r)]
     if any(hi <= lo for lo, hi in s_intervals):
@@ -492,30 +493,29 @@ def _radial_axes(
             return pts, jac[i_s] * ang_w
 
         return axes, build
-    if info.planes == 2:
-        v_nodes, v_w = _gauss_legendre(n_v, 0.0, 1.0)
-        axes = (s_nodes, v_nodes, ang, ang)
-        w1, w2 = info.weights
-        # rho1 = s (1 - v)/w1, rho2 = s v / w2: d(rho1, rho2) = s/(w1 w2) ds dv
-        def build(idx):
-            i_s, i_v, i_t1, i_t2 = idx
-            s = s_nodes[i_s]
-            v = v_nodes[i_v]
-            r1 = np.sqrt(s * (1.0 - v) / w1)
-            r2 = np.sqrt(s * v / w2)
-            t1 = ang[i_t1]
-            t2 = ang[i_t2]
-            pts = np.stack(
-                [r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)],
-                axis=1,
-            )
-            wts = (
-                s_w[i_s] * v_w[i_v] * (ang_w * ang_w)
-                * s / (4.0 * w1 * w2)
-            )
-            return pts, wts
+    v_nodes, v_w = _gauss_legendre(n_v, 0.0, 1.0)
+    axes = (s_nodes, v_nodes, ang, ang)
+    w1, w2 = info.weights
+    # rho1 = s (1 - v)/w1, rho2 = s v / w2: d(rho1, rho2) = s/(w1 w2) ds dv
+    def build(idx):
+        i_s, i_v, i_t1, i_t2 = idx
+        s = s_nodes[i_s]
+        v = v_nodes[i_v]
+        r1 = np.sqrt(s * (1.0 - v) / w1)
+        r2 = np.sqrt(s * v / w2)
+        t1 = ang[i_t1]
+        t2 = ang[i_t2]
+        pts = np.stack(
+            [r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)],
+            axis=1,
+        )
+        wts = (
+            s_w[i_s] * v_w[i_v] * (ang_w * ang_w)
+            * s / (4.0 * w1 * w2)
+        )
+        return pts, wts
 
-        return axes, build
+    return axes, build
 
 
 def _product_chunks(axes, build, chunk: int):
@@ -538,6 +538,7 @@ def radial_grid(
             f"{space.name} does not advertise a radial moment norm; "
             "use the rejection scheme"
         )
+    _check_planes(info)
     check_regular_radius(space, r)
     axes, build = _radial_axes(info, r, level, scheme)
     total = int(np.prod([len(a) for a in axes]))
@@ -880,6 +881,7 @@ def _build_surface(info, s_value, level, scheme, outward):
     """Parametrize {s = s_value}.  One plane: a circle in theta.  Two
     planes: Hopf-style (psi, theta1, theta2) with rho1 = s cos^2 psi / w1,
     rho2 = s sin^2 psi / w2 -- smooth through the rho_j = 0 circles."""
+    _check_planes(info)
     if s_value <= 0:
         raise InputError("level surfaces require s > 0")
     n_psi, n_ang = _surface_counts(scheme, level)
@@ -894,7 +896,7 @@ def _build_surface(info, s_value, level, scheme, outward):
         jac[:, 0, 0] = -rad * sin
         jac[:, 1, 0] = rad * cos
         weights = np.full(n_ang, ang_w)
-    elif info.planes == 2:
+    else:
         w1, w2 = info.weights
         r1 = math.sqrt(s_value / w1)
         r2 = math.sqrt(s_value / w2)
@@ -923,8 +925,6 @@ def _build_surface(info, s_value, level, scheme, outward):
         # d/d theta2
         jac[:, 2, 2] = -r2 * sp * s2
         jac[:, 3, 2] = r2 * sp * c2
-    else:
-        raise InputError("surfaces implemented for 1 or 2 planes")
 
     orient_sign = 1.0
     if outward != 0:

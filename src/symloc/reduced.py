@@ -316,9 +316,18 @@ class _U1LevelChart:
 
 
 def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> dict:
-    """The generator fields V, the metric g, Vg, the inverse of the Gram
-    matrix G = <V e_a, V e_b>, and A = G^{-1} Vg at ambient points."""
+    """The generator field V, the metric g, Vg, the inverse of the Gram
+    G = <V e, V e>, and A = G^{-1} Vg at ambient points.
+
+    The level families are U(1): one generator, so G is 1 x 1 and its
+    inverse is a reciprocal (LAPACK's 1 x 1 inverse bit for bit, without a
+    LAPACK call per node).  A multi-generator family needs the g x g
+    inverse back."""
     gdim = space.algebra.dim
+    if gdim != 1:
+        raise InputError(
+            f"the level connection is implemented for one generator, got {gdim}"
+        )
     amb = space.ambient_dim
     n_pts = len(x)
     metric = np.asarray(space.metric.eval(x, cache), dtype=float)
@@ -329,10 +338,7 @@ def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> d
         for i in range(amb):
             v_field[:, a, i] = column(space.action.components[a][i], x, cache)
     vg = np.einsum("naj,njl->nal", v_field, metric)
-    gram = np.einsum("nal,nbl->nab", vg, v_field)
-    # one generator: the reciprocal is LAPACK's 1x1 inverse bit for bit,
-    # without a LAPACK call per node
-    gram_inv = 1.0 / gram if gdim == 1 else np.linalg.inv(gram)
+    gram_inv = 1.0 / np.einsum("nal,nbl->nab", vg, v_field)
     return {
         "V": v_field,
         "metric": metric,
@@ -343,8 +349,9 @@ def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> d
 
 
 def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
-    """A, dA, and F = dA + (1/2)[A, A] at ambient points, from symbolic
-    derivatives of the action and metric (no finite differences)."""
+    """A, dA, and the curvature F at ambient points, from symbolic
+    derivatives of the action and metric (no finite differences).  u(1) is
+    abelian, so F = dA: the same array."""
     cache: dict = {}
     gdim = space.algebra.dim
     amb = space.ambient_dim
@@ -380,17 +387,11 @@ def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
 
     # (dA)^a_{ij} = d_i A^a_j - d_j A^a_i
     da = np.einsum("niaj->naij", d_conn) - np.einsum("njai->naij", d_conn)
-    struct = space.algebra.structure_constants
-    if np.any(struct):
-        bracket = np.einsum("bca,nbi,ncj->naij", struct, conn, conn)
-        f_total = da + bracket
-    else:
-        f_total = da
     return {
         "V": v_field,
         "A": conn,
         "dA": da,
-        "F": f_total,
+        "F": da,
     }
 
 
@@ -407,18 +408,13 @@ def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray)
     jtv = np.einsum("nik,nai->nka", jac, conn["V"])
     vert_u = np.linalg.solve(jtj, jtv).transpose(0, 2, 1)
     da_u = jac_t[:, None] @ conn["dA"] @ jac[:, None]
-    # abelian algebras: F is dA (same object), so its pullback is dA's
-    if conn["F"] is conn["dA"]:
-        f_u = da_u
-    else:
-        f_u = jac_t[:, None] @ conn["F"] @ jac[:, None]
     return {
         "x": x,
         "jac": jac,
         "omega_u": jac_t @ omega_amb @ jac,
         "a_u": np.einsum("nai,nik->nak", conn["A"], jac),
         "da_u": da_u,
-        "f_u": f_u,
+        "f_u": da_u,  # F = dA
         "vert_u": vert_u,
         "jtj": jtj,
         "conn": conn,
@@ -439,9 +435,9 @@ class ZeroLevelData:
     ``cartan_map`` and ``kirwan_integral`` reuse them rather than rebuild
     the connection at ``param_nodes``.
 
-    Every stored array is read-only: some share memory (for an abelian
-    algebra ``f_param`` is ``da_param``, and ``param_nodes`` is the
-    chart's), so a write through one would silently change another."""
+    Every stored array is read-only: some share memory (u(1) is abelian,
+    so ``f_param`` is ``da_param``; ``param_nodes`` is the chart's), so a
+    write through one would silently change another."""
 
     __slots__ = (
         "space",
@@ -571,12 +567,12 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
 
     Checks, each over the whole mesh:
 
-    * regularity: d mu is onto at every node.  Its smallest singular value
-      is read from the g x g Gram d mu d mu^T (the root of the smallest
-      eigenvalue) and must exceed 1e-6, else NotRegularError;
+    * regularity: d mu is onto at every node.  With one generator d mu is
+      a single row, whose only singular value is its norm (the root of the
+      1 x 1 Gram d mu d mu^T); it must exceed 1e-6, else NotRegularError;
     * the moment residual max |mu| on the nodes (reported);
     * the normalization A(V e_b) = delta_ab, to 1e-10;
-    * for abelian groups with an action sampler, equivariance g*A = A at
+    * with an action sampler, equivariance g*A = A (u(1) is abelian) at
       four group elements, to 1e-8;
     * orientation: the sign that makes the reduced Liouville volume
       positive (AccuracyError when that volume is ~0).
@@ -602,12 +598,8 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     for b, pairing in enumerate(space.mu_pairing_exprs()):
         for k in range(space.ambient_dim):
             dmu[:, b, k] = column(pairing.diff(k), nodes, cache)
-    # the smallest singular value of d mu is the root of the smallest
-    # eigenvalue of its g x g Gram d mu d mu^T (clamped: roundoff can push
-    # a zero eigenvalue below 0).  Gram roundoff ~1e-16 |d mu|^2 costs
-    # ~1e-8 |d mu| in the root, far under the 1e-6 threshold.
-    gram_eig = np.linalg.eigvalsh(dmu @ dmu.transpose(0, 2, 1))
-    min_sigma = math.sqrt(max(float(np.min(gram_eig[:, 0])), 0.0))
+    # one generator: the singular value of the row d mu is its norm
+    min_sigma = math.sqrt(float(np.min(np.einsum("nbk,nbk->n", dmu, dmu))))
     if min_sigma <= 1e-6:
         raise NotRegularError(
             f"d mu is rank-deficient on the zero level "
@@ -629,9 +621,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
 
     # equivariance of A under sampled group elements (abelian: g*A = A)
     equiv = 0.0
-    if space.action_sampler is not None and not np.any(
-        space.algebra.structure_constants
-    ):
+    if space.action_sampler is not None:
         for t in (0.37, 1.19, 2.83, -0.61):
             moved, jac_g = space.action_sampler(t, nodes)
             a_moved = _metric_connection(space, moved, {})["A"]

@@ -586,13 +586,19 @@ def test_basic_integral_validation_paths():
     assert report["invariance_residual"] > 1e-3
 
 
-def test_basic_integral_refuses_three_planes():
+def test_radial_paths_refuse_three_planes():
     # the typed refusal comes before the support scan, which would unpack
-    # two plane weights
+    # two plane weights; grids and level surfaces share the same check
     sp = catalog("cn_u1", n=3, a=1.0)
     req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16, epsilon=0.05)
-    with pytest.raises(InputError, match="1 or 2 planes, got 3"):
-        basic_integral(req)
+    for build in (
+        lambda: basic_integral(req),
+        lambda: radial_grid(sp, 0.16),
+        lambda: level_surface(sp, 1.0),
+        lambda: boundary_surfaces(sp, 0.16),
+    ):
+        with pytest.raises(InputError, match="1 or 2 planes, got 3"):
+            build()
 
 
 def _exp_x_dy(pts, cache=None):

@@ -265,28 +265,37 @@ def test_level_arrays_are_read_only(circle, sphere):
     "name, kw",
     [("cn_u1", dict(n=2, a=1.0)), ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0))],
 )
-def test_zero_level_runs_no_per_node_lapack(name, kw, monkeypatch):
+def test_zero_level_skips_svd_eigvalsh_and_1x1_inv(name, kw, monkeypatch):
     # per-node LAPACK on stacks of tiny matrices dominated zero_level: the
-    # regularity check reads the g x g Gram instead of an SVD, and a 1 x 1
-    # Gram is inverted by a reciprocal
+    # regularity check takes the row norm of the one-generator d mu instead
+    # of an SVD or a Gram eigensolve, and the 1 x 1 Gram is inverted by a
+    # reciprocal.  (det and solve still run per node on the 3 x 3 J^T J.)
     sp = catalog(name, **kw)
-    svd, inv = np.linalg.svd, np.linalg.inv
-    svd_shapes, inv_shapes = [], []
+    svd, eigvalsh, inv = np.linalg.svd, np.linalg.eigvalsh, np.linalg.inv
+    svd_shapes, eig_shapes, inv_shapes = [], [], []
 
     def counted_svd(a, *args, **kwargs):
         svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        eig_shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
 
     def counted_inv(a):
         inv_shapes.append(np.shape(a)[-2:])
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     lv = R.zero_level(sp)
     assert svd_shapes == []
+    # the mesh's Gauss-Legendre rule solves one companion matrix; no
+    # per-node stack reaches eigvalsh
+    assert all(len(shape) == 2 for shape in eig_shapes)
     assert (1, 1) not in inv_shapes
-    # the Gram route gives the SVD's smallest singular value to roundoff
+    # the row norm gives the SVD's smallest singular value to roundoff
     dmu = np.array(
         [
             [column(p.diff(k), lv.nodes, {}) for k in range(sp.ambient_dim)]
@@ -295,6 +304,13 @@ def test_zero_level_runs_no_per_node_lapack(name, kw, monkeypatch):
     ).transpose(2, 0, 1)
     ref = float(np.min(svd(dmu, compute_uv=False)[:, -1]))
     assert abs(lv.regularity_report["min_dmu_singular"] - ref) <= 4 * np.spacing(ref)
+
+
+def test_level_connection_needs_one_generator():
+    # the level connection inverts a 1 x 1 Gram by a reciprocal
+    sp = catalog("c2_su2")
+    with pytest.raises(InputError, match="one generator, got 3"):
+        R._metric_connection(sp, np.ones((2, sp.ambient_dim)), {})
 
 
 def test_kirwan_requires_positive_eps(circle):
