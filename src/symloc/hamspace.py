@@ -421,13 +421,18 @@ def _weighted_cn_space(n: int, weights, a: float, name: str) -> HamiltonianSpace
     def action_sampler(xi, pts):
         t = float(np.asarray(xi).reshape(()))
         jac = np.zeros((dim, dim))
+        # rotate plane by plane: an (N, dim) x (dim, dim) gemm is too thin
+        # for threaded BLAS, which takes ~100x longer in some processes
+        new_pts = np.empty_like(pts, dtype=float)
         for j in range(n):
             cth, sth = math.cos(weights[j] * t), math.sin(weights[j] * t)
             jac[2 * j, 2 * j] = cth
             jac[2 * j, 2 * j + 1] = -sth
             jac[2 * j + 1, 2 * j] = sth
             jac[2 * j + 1, 2 * j + 1] = cth
-        new_pts = pts @ jac.T
+            x, y = pts[:, 2 * j], pts[:, 2 * j + 1]
+            new_pts[:, 2 * j] = cth * x - sth * y
+            new_pts[:, 2 * j + 1] = sth * x + cth * y
         return new_pts, np.broadcast_to(jac, (pts.shape[0], dim, dim))
 
     return HamiltonianSpace(

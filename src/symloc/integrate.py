@@ -428,21 +428,18 @@ def _support_intervals(info, r, damp_profile):
     if not keep.any() or keep.all():
         return [(s_lo, s_hi)]
     pad = 3
-    idx = np.nonzero(keep)[0]
-    runs = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i > prev + 8:  # merge runs separated by sub-resolution gaps
-            runs.append((start, prev))
-            start = i
-        prev = i
-    runs.append((start, prev))
-    out = []
-    for i0, i1 in runs:
-        lo = float(scan[max(i0 - pad, 0)])
-        hi = float(scan[min(i1 + pad, scan.size - 1)])
-        out.append((lo, hi))
-    return out
+    starts, ends = _index_runs(np.nonzero(keep)[0])
+    lo = scan[np.maximum(starts - pad, 0)]
+    hi = scan[np.minimum(ends + pad, scan.size - 1)]
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _index_runs(idx: np.ndarray):
+    """First and last entry of each run of the sorted, nonempty index
+    array ``idx``; runs separated by at most 8 missing indices merge
+    (sub-resolution gaps)."""
+    breaks = np.nonzero(np.diff(idx) > 8)[0]
+    return np.append(idx[0], idx[breaks + 1]), np.append(idx[breaks], idx[-1])
 
 
 def _check_planes(info: _RadialInfo) -> None:

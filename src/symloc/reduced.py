@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .fields import Expr, column  # noqa: F401  (Expr is re-exported for annotations)
+from .fields import Expr, MatConst, column  # noqa: F401  (Expr is re-exported for annotations)
 from .forms import EquivariantForm, _merge_sign, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
 from .integrate import _leggauss, check_alpha
@@ -267,30 +267,19 @@ class _U1LevelChart:
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
-    def embed(self, u: np.ndarray) -> np.ndarray:
+    def embed(self, u: np.ndarray):
+        """The ambient points x and the Jacobian dx/du at the (N,
+        param_dim) parameter points ``u``, node axis last: x is
+        (ambient_dim, N) and the Jacobian (ambient_dim, param_dim, N)."""
         u = np.asarray(u, dtype=float)
         if self.n == 1:
             r0 = self.radii[0]
             th = u[:, 0]
-            return np.stack([r0 * np.cos(th), r0 * np.sin(th)], axis=1)
-        eta, x1, x2 = u[:, 0], u[:, 1], u[:, 2]
-        r1 = self.radii[0] * np.cos(eta)
-        r2 = self.radii[1] * np.sin(eta)
-        return np.stack(
-            [r1 * np.cos(x1), r1 * np.sin(x1), r2 * np.cos(x2), r2 * np.sin(x2)],
-            axis=1,
-        )
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        n_pts = len(u)
-        if self.n == 1:
-            r0 = self.radii[0]
-            th = u[:, 0]
-            jac = np.zeros((n_pts, 2, 1))
-            jac[:, 0, 0] = -r0 * np.sin(th)
-            jac[:, 1, 0] = r0 * np.cos(th)
-            return jac
+            x = np.stack([r0 * np.cos(th), r0 * np.sin(th)])
+            jac = np.empty((2, 1, len(u)))
+            jac[0, 0] = -r0 * np.sin(th)
+            jac[1, 0] = x[0]
+            return x, jac
         eta, x1, x2 = u[:, 0], u[:, 1], u[:, 2]
         c1, s1 = np.cos(x1), np.sin(x1)
         c2, s2 = np.cos(x2), np.sin(x2)
@@ -298,95 +287,88 @@ class _U1LevelChart:
         r2 = self.radii[1] * np.sin(eta)
         dr1 = -self.radii[0] * np.sin(eta)
         dr2 = self.radii[1] * np.cos(eta)
-        jac = np.zeros((n_pts, 4, 3))
-        jac[:, 0, 0] = dr1 * c1
-        jac[:, 1, 0] = dr1 * s1
-        jac[:, 2, 0] = dr2 * c2
-        jac[:, 3, 0] = dr2 * s2
-        jac[:, 0, 1] = -r1 * s1
-        jac[:, 1, 1] = r1 * c1
-        jac[:, 2, 2] = -r2 * s2
-        jac[:, 3, 2] = r2 * c2
-        return jac
+        x = np.stack([r1 * c1, r1 * s1, r2 * c2, r2 * s2])
+        jac = np.zeros((4, 3, len(u)))
+        jac[0, 0] = dr1 * c1
+        jac[1, 0] = dr1 * s1
+        jac[2, 0] = dr2 * c2
+        jac[3, 0] = dr2 * s2
+        jac[0, 1] = -x[1]
+        jac[1, 1] = x[0]
+        jac[2, 2] = -x[3]
+        jac[3, 2] = x[2]
+        return x, jac
 
 
 # ---------------------------------------------------------------------------
 # the metric connection and its derivatives, from exact field expressions
+#
+# The level families are U(1) with a constant metric.  Inside this section
+# every per-node array has the node axis last and no generator axis (there
+# is one generator): V and A are (ambient_dim, N), dA is (ambient_dim,
+# ambient_dim, N), so each small-matrix product is a few vector operations
+# over the nodes.  _chart_conn_at and zero_level hand the data on in the
+# (N, dim g, ...) layout of ZeroLevelData.
 # ---------------------------------------------------------------------------
 
 
 def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> dict:
-    """The generator field V, the metric g, Vg, the inverse of the Gram
-    G = <V e, V e>, and A = G^{-1} Vg at ambient points.
+    """The generator field V, the constant metric g, Vg, the reciprocal of
+    the 1 x 1 Gram G = <V e, V e>, and A = G^{-1} Vg at the (N, ambient_dim)
+    points ``x``, node axis last.
 
-    The level families are U(1): one generator, so G is 1 x 1 and its
-    inverse is a reciprocal (LAPACK's 1 x 1 inverse bit for bit, without a
-    LAPACK call per node).  A multi-generator family needs the g x g
-    inverse back."""
+    Refuses more than one generator (a g x g Gram needs an inverse, not a
+    reciprocal) and a metric that is not a constant matrix field (its
+    derivatives would enter dA)."""
     gdim = space.algebra.dim
     if gdim != 1:
         raise InputError(
             f"the level connection is implemented for one generator, got {gdim}"
         )
-    amb = space.ambient_dim
-    n_pts = len(x)
-    metric = np.asarray(space.metric.eval(x, cache), dtype=float)
-    if metric.ndim == 2:
-        metric = np.broadcast_to(metric, (n_pts, amb, amb))
-    v_field = np.empty((n_pts, gdim, amb))
-    for a in range(gdim):
-        for i in range(amb):
-            v_field[:, a, i] = column(space.action.components[a][i], x, cache)
-    vg = np.einsum("naj,njl->nal", v_field, metric)
-    gram_inv = 1.0 / np.einsum("nal,nbl->nab", vg, v_field)
+    if not isinstance(space.metric, MatConst):
+        raise InputError(
+            "the level connection is implemented for a constant metric, got "
+            f"{type(space.metric).__name__}"
+        )
+    metric = space.metric.value
+    v_field = np.empty((space.ambient_dim, len(x)))
+    for i, comp in enumerate(space.action.components[0]):
+        v_field[i] = column(comp, x, cache)
+    vg = np.einsum("jn,jl->ln", v_field, metric)
+    gram_inv = 1.0 / np.einsum("ln,ln->n", vg, v_field)
     return {
         "V": v_field,
         "metric": metric,
         "vg": vg,
         "gram_inv": gram_inv,
-        "A": np.einsum("nab,nbi->nai", gram_inv, vg),
+        "A": gram_inv * vg,
     }
 
 
 def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
     """A, dA, and the curvature F at ambient points, from symbolic
-    derivatives of the action and metric (no finite differences).  u(1) is
-    abelian, so F = dA: the same array."""
+    derivatives of the action (no finite differences; the metric is
+    constant).  u(1) is abelian, so F = dA: the same array."""
     cache: dict = {}
-    gdim = space.algebra.dim
     amb = space.ambient_dim
-    n_pts = len(x)
     base = _metric_connection(space, x, cache)
     v_field, metric, vg = base["V"], base["metric"], base["vg"]
     gram_inv, conn = base["gram_inv"], base["A"]
-    dmetric = []
-    for k in range(amb):
-        mk = np.asarray(space.metric.diff(k).eval(x, cache), dtype=float)
-        if mk.ndim == 2:
-            mk = np.broadcast_to(mk, (n_pts, amb, amb))
-        dmetric.append(mk)
-
-    dv_field = np.empty((n_pts, amb, gdim, amb))
-    for a in range(gdim):
-        for i in range(amb):
-            comp = space.action.components[a][i]
-            for k in range(amb):
-                dv_field[:, k, a, i] = column(comp.diff(k), x, cache)
-
-    d_conn = np.empty((n_pts, amb, gdim, amb))
-    for k in range(amb):
-        dvg_k = np.einsum("naj,njl->nal", dv_field[:, k], metric) + np.einsum(
-            "naj,njl->nal", v_field, dmetric[k]
-        )
-        dgram_k = np.einsum("nal,nbl->nab", dvg_k, v_field) + np.einsum(
-            "nal,nbl->nab", vg, dv_field[:, k]
-        )
-        d_conn[:, k] = np.einsum(
-            "nab,nbi->nai", gram_inv, dvg_k
-        ) - gram_inv @ dgram_k @ gram_inv @ vg
-
-    # (dA)^a_{ij} = d_i A^a_j - d_j A^a_i
-    da = np.einsum("niaj->naij", d_conn) - np.einsum("njai->naij", d_conn)
+    # dv_field[k, i] = d_k V^i
+    dv_field = np.empty((amb, amb, len(x)))
+    for i, comp in enumerate(space.action.components[0]):
+        for k in range(amb):
+            dv_field[k, i] = column(comp.diff(k), x, cache)
+    dvg = np.einsum("kjn,jl->kln", dv_field, metric)
+    dgram = np.einsum("kln,ln->kn", dvg, v_field) + np.einsum(
+        "ln,kln->kn", vg, dv_field
+    )
+    # d_k A = G^{-1} (d_k Vg - (d_k G) A), in place over dvg, and
+    # (dA)_ij = d_i A_j - d_j A_i
+    d_conn = dvg
+    d_conn -= dgram[:, None] * conn
+    d_conn *= gram_inv
+    da = d_conn - d_conn.transpose(1, 0, 2)
     return {
         "V": v_field,
         "A": conn,
@@ -395,30 +377,73 @@ def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
     }
 
 
-def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray):
+def _gram_det_adjugate(jtj: np.ndarray):
+    """Determinant and adjugate of a stack of symmetric 1 x 1 or 3 x 3
+    Gram matrices (k, k, N), by cofactors rather than per-node LAPACK."""
+    if len(jtj) == 1:
+        return jtj[0, 0], np.ones_like(jtj)
+    (a, b, c), (_, d, e), (_, _, f) = jtj
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+    adj = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
+    return a * c00 + b * c01 + c * c02, adj
+
+
+def _pull_back_matrix(jac: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """J^T M J for node-last (amb, k, N) Jacobians and (amb, amb, N) M."""
+    return np.einsum(
+        "kjn,jln->kln", np.einsum("ikn,ijn->kjn", jac, mat), jac
+    )
+
+
+def _chart_conn_last(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray):
     """Connection data pulled back to parametrization coordinates at
-    arbitrary parameter points."""
-    x = chart.embed(u)
-    jac = chart.jacobian(u)
-    jac_t = jac.transpose(0, 2, 1)
-    conn = _connection_at(space, x)
-    omega_amb = np.asarray(space.omega_matrix.eval(x, {}), dtype=float)
-    # vertical generators in parameter coordinates: J^T J v_u = J^T V e_a
-    jtj = np.einsum("nik,nil->nkl", jac, jac)
-    jtv = np.einsum("nik,nai->nka", jac, conn["V"])
-    vert_u = np.linalg.solve(jtj, jtv).transpose(0, 2, 1)
-    da_u = jac_t[:, None] @ conn["dA"] @ jac[:, None]
+    arbitrary parameter points, node axis last, with det J^T J."""
+    x, jac = chart.embed(u)
+    conn = _connection_at(space, x.T)
+    omega_amb = np.moveaxis(
+        np.asarray(space.omega_matrix.eval(x.T, {}), dtype=float), 0, -1
+    )
+    # vertical generators in parameter coordinates: J^T J v_u = J^T V e
+    jtj = np.einsum("ikn,iln->kln", jac, jac)
+    jtj_det, adj = _gram_det_adjugate(jtj)
+    jtv = np.einsum("ikn,in->kn", jac, conn["V"])
     return {
         "x": x,
         "jac": jac,
-        "omega_u": jac_t @ omega_amb @ jac,
-        "a_u": np.einsum("nai,nik->nak", conn["A"], jac),
-        "da_u": da_u,
-        "f_u": da_u,  # F = dA
-        "vert_u": vert_u,
-        "jtj": jtj,
+        "omega_u": _pull_back_matrix(jac, omega_amb),
+        "a_u": np.einsum("in,ikn->kn", conn["A"], jac),
+        "da_u": _pull_back_matrix(jac, conn["dA"]),
+        "vert_u": np.einsum("kln,ln->kn", adj, jtv) / jtj_det,
+        "jtj_det": jtj_det,
         "conn": conn,
     }
+
+
+def _nodes_first(arr: np.ndarray) -> np.ndarray:
+    """A view with the node axis moved first (no copy)."""
+    return np.moveaxis(arr, -1, 0)
+
+
+def _pulled_back_first(data: dict) -> dict:
+    """_chart_conn_last's pullbacks as views in the (N, dim g, ...) shapes
+    that ZeroLevelData stores and the Cartan map reads."""
+    da_u = _nodes_first(data["da_u"][None])
+    return {
+        "x": _nodes_first(data["x"]),
+        "jac": _nodes_first(data["jac"]),
+        "omega_u": _nodes_first(data["omega_u"]),
+        "a_u": _nodes_first(data["a_u"][None]),
+        "da_u": da_u,
+        "f_u": da_u,  # F = dA
+        "vert_u": _nodes_first(data["vert_u"][None]),
+    }
+
+
+def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray):
+    """Connection data pulled back to parametrization coordinates at
+    arbitrary parameter points, in the (N, ...) layout."""
+    return _pulled_back_first(_chart_conn_last(space, chart, u))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +462,10 @@ class ZeroLevelData:
 
     Every stored array is read-only: some share memory (u(1) is abelian,
     so ``f_param`` is ``da_param``; ``param_nodes`` is the chart's), so a
-    write through one would silently change another."""
+    write through one would silently change another.  The arrays that
+    ``zero_level`` builds are (N, ...) views of node-last arrays, so their
+    node axis has the smallest stride: a per-node column such as
+    ``omega_param[:, i, j]`` is contiguous."""
 
     __slots__ = (
         "space",
@@ -565,13 +593,21 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     ``mesh_density`` is the node count per parameter axis (the circle gets
     ``mesh_density`` nodes; the three-sphere ``mesh_density**3``).
 
+    The connection is implemented for the catalog level families: one
+    generator (u(1)) and a constant metric (``MatConst``); anything else
+    raises InputError.  It is built with the node axis last, so each
+    small-matrix product and the 1 x 1 / 3 x 3 Gram algebra (cofactor
+    determinant and adjugate solve) is a few vector operations over the
+    nodes; ``ZeroLevelData`` stores node-first (N, ...) views of those
+    arrays, in the shapes it has always had.
+
     Checks, each over the whole mesh:
 
     * regularity: d mu is onto at every node.  With one generator d mu is
       a single row, whose only singular value is its norm (the root of the
       1 x 1 Gram d mu d mu^T); it must exceed 1e-6, else NotRegularError;
     * the moment residual max |mu| on the nodes (reported);
-    * the normalization A(V e_b) = delta_ab, to 1e-10;
+    * the normalization A(V e) = 1, to 1e-10;
     * with an action sampler, equivariance g*A = A (u(1) is abelian) at
       four group elements, to 1e-8;
     * orientation: the sign that makes the reduced Liouville volume
@@ -585,21 +621,20 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     weights = space.meta["weights"]
     a_level = space.meta["a"]
     chart = _U1LevelChart(weights, a_level, int(mesh_density))
-    data = _chart_conn_at(space, chart, chart.param_nodes)
-    nodes, jac = data["x"], data["jac"]
-    n_pts = len(nodes)
-    gdim = space.algebra.dim
+    data = _chart_conn_last(space, chart, chart.param_nodes)
+    conn = data["conn"]
+    pulled = _pulled_back_first(data)
+    nodes = pulled["x"]
+    riemann = chart.param_weights * np.sqrt(data["jtj_det"])
 
-    riemann = chart.param_weights * np.sqrt(np.linalg.det(data["jtj"]))
-
-    # regularity: d mu must be onto at every node
+    # regularity: d mu must be onto at every node; with one generator the
+    # singular value of the row d mu is its norm
     cache: dict = {}
-    dmu = np.empty((n_pts, gdim, space.ambient_dim))
-    for b, pairing in enumerate(space.mu_pairing_exprs()):
-        for k in range(space.ambient_dim):
-            dmu[:, b, k] = column(pairing.diff(k), nodes, cache)
-    # one generator: the singular value of the row d mu is its norm
-    min_sigma = math.sqrt(float(np.min(np.einsum("nbk,nbk->n", dmu, dmu))))
+    (pairing,) = space.mu_pairing_exprs()
+    dmu = np.empty((space.ambient_dim, len(nodes)))
+    for k in range(space.ambient_dim):
+        dmu[k] = column(pairing.diff(k), nodes, cache)
+    min_sigma = math.sqrt(float(np.min(np.einsum("kn,kn->n", dmu, dmu))))
     if min_sigma <= 1e-6:
         raise NotRegularError(
             f"d mu is rank-deficient on the zero level "
@@ -610,9 +645,9 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     mu_vals = space.eval_moment(nodes)
     level_residual = float(np.max(np.abs(mu_vals)))
 
-    # the defining normalization A(V e_b) = delta_ab
-    pair = np.einsum("nai,nbi->nab", data["conn"]["A"], data["conn"]["V"])
-    reproduce = float(np.max(np.abs(pair - np.eye(gdim))))
+    # the defining normalization A(V e) = 1
+    pair = np.einsum("in,in->n", conn["A"], conn["V"])
+    reproduce = float(np.max(np.abs(pair - 1.0)))
     if reproduce > 1e-10:
         raise AccuracyError(
             f"connection normalization A(V phi) = phi fails "
@@ -625,25 +660,19 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         for t in (0.37, 1.19, 2.83, -0.61):
             moved, jac_g = space.action_sampler(t, nodes)
             a_moved = _metric_connection(space, moved, {})["A"]
-            pulled = np.einsum("nai,nij->naj", a_moved, jac_g)
-            equiv = max(
-                equiv,
-                float(np.max(np.abs(pulled - data["conn"]["A"]))),
-            )
+            a_back = np.einsum("in,ijn->jn", a_moved, np.moveaxis(jac_g, 0, -1))
+            equiv = max(equiv, float(np.max(np.abs(a_back - conn["A"]))))
         if equiv > 1e-8:
             raise AccuracyError(
                 f"connection equivariance residual {equiv:.3e} exceeds 1e-8"
             )
 
     # orientation: fix the sign making the reduced Liouville volume positive
-    omega_parts = _matrix_to_parts(data["omega_u"])
-    a_param = data["a_u"]
-    vert_parts = {(): np.ones(n_pts, dtype=complex)}
-    for b in range(gdim):
-        vert_parts = _wedge(
-            vert_parts,
-            {(j,): a_param[:, b, j].astype(complex) for j in range(chart.param_dim)},
-        )
+    n_pts = len(nodes)
+    omega_parts = _matrix_to_parts(pulled["omega_u"])
+    vert_parts = {
+        (j,): pulled["a_u"][:, 0, j].astype(complex) for j in range(chart.param_dim)
+    }
     liouville = _wedge(
         _exp_parts(omega_parts, chart.param_dim, n_pts), vert_parts
     )
@@ -671,15 +700,15 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         param_weights=chart.param_weights,
         grid_shape=chart.grid_shape,
         nodes=nodes,
-        jacobians=jac,
+        jacobians=pulled["jac"],
         riemann_weights=riemann,
-        connection_ambient=data["conn"]["A"],
-        connection_param=a_param,
-        vertical_param=data["vert_u"],
-        omega_param=data["omega_u"],
-        da_param=data["da_u"],
-        f_ambient=data["conn"]["F"],
-        f_param=data["f_u"],
+        connection_ambient=_nodes_first(conn["A"][None]),
+        connection_param=pulled["a_u"],
+        vertical_param=pulled["vert_u"],
+        omega_param=pulled["omega_u"],
+        da_param=pulled["da_u"],
+        f_ambient=_nodes_first(conn["F"][None]),
+        f_param=pulled["f_u"],
         regularity_report=report,
         stabilizer_order=math.gcd(*(abs(w) for w in weights)),
         orient_sign=orient,
@@ -1078,15 +1107,14 @@ def normal_form_check(
         nondegenerate (capped at ``scan_cap``);
       * omega~ pulled back to the slice nu = 0 equals pi* omega_0.
     """
-    if np.any(space.algebra.structure_constants):
+    gdim = space.algebra.dim
+    if gdim != 1:
         raise InputError(
-            "the collar model is implemented for abelian symmetry "
-            "(no nonabelian catalog space has a regular zero level)"
+            f"the collar model is implemented for one generator, got {gdim}"
         )
     if collar_radius <= 0:
         raise InputError("collar_radius must be positive")
     rng = np.random.default_rng(seed)
-    gdim = space.algebra.dim
     k_dim = level.param_dim
     n_nodes = level.n_nodes
     idx = rng.integers(0, n_nodes, size=n_samples)
@@ -1184,11 +1212,7 @@ def normal_form_check(
     om_s = level.omega_param[scan_nodes]
     a_s = level.connection_param[scan_nodes]
     da_s = level.da_param[scan_nodes]
-    if gdim == 1:
-        directions = np.array([[1.0], [-1.0]])
-    else:
-        directions = rng.standard_normal((16, gdim))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions = np.array([[1.0], [-1.0]])
     radii = np.arange(scan_step, scan_cap + 0.5 * scan_step, scan_step)
     max_valid = float(scan_cap)
     scale_tol = 1e-8

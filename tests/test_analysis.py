@@ -87,6 +87,19 @@ def test_default_degree_fit_recovers_the_reduced_integral():
     assert abs(poly[0] - math.pi) <= DEFAULT_FIT_TOL * math.pi
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=DecompositionError,
+    reason="known defect: at r = 0.09 the tail decays at rate ~0.05, so "
+    "exp(-c/eps) is still ~0.8 at eps = 0.2 and the degree-0 coefficient "
+    "drifts by 2.94e-4 > fit_tol when the largest-eps points are dropped",
+)
+def test_degree_zero_split_at_a_narrow_region():
+    sweep = _sweep("cn_u1(2,1)", 0.09, 0.0)
+    (c0,) = sweep.poly_coeffs
+    assert abs(c0 - math.pi) <= DEFAULT_FIT_TOL * math.pi
+
+
 def _damped_split(eps, vals, dmax, tail0, n_iter, relax=0.5):
     """The plain damped alternation the accelerated split replaced, kept
     as the reference: same map, same stop rule, any iteration cap."""

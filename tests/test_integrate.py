@@ -43,6 +43,7 @@ from symloc.hamspace import (
 )
 from symloc.integrate import (
     BasicIntegralRequest,
+    _index_runs,
     _leggauss,
     _wsum,
     QuadratureScheme,
@@ -794,3 +795,52 @@ def test_leggauss_is_cached_and_read_only(n):
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def _index_runs_loop(idx):
+    """The run detection _index_runs replaced, kept as the reference."""
+    runs = []
+    start = prev = idx[0]
+    for i in idx[1:]:
+        if i > prev + 8:
+            runs.append((start, prev))
+            start = i
+        prev = i
+    runs.append((start, prev))
+    return runs
+
+
+def _masks():
+    rng = np.random.default_rng(20)
+    for density in (0.02, 0.1, 0.5, 0.9, 0.99):
+        for _ in range(8):
+            yield rng.random(2049) < density
+    for gap in (8, 9):
+        mask = np.zeros(2049, dtype=bool)
+        mask[100:200] = True
+        mask[199 + gap : 400] = True
+        yield mask
+    single = np.zeros(2049, dtype=bool)
+    single[1234] = True
+    yield single
+    edges = np.ones(2049, dtype=bool)
+    edges[[0, -1]] = False
+    yield edges
+
+
+def test_index_runs_match_the_loop():
+    n_masks = 0
+    for mask in _masks():
+        idx = np.nonzero(mask)[0]
+        if idx.size == 0:
+            continue
+        starts, ends = _index_runs(idx)
+        assert list(zip(starts.tolist(), ends.tolist())) == [
+            (int(a), int(b)) for a, b in _index_runs_loop(idx)
+        ]
+        n_masks += 1
+    assert n_masks == 44
+    # a gap of 8 indices merges two runs, a gap of 9 splits them
+    gap8, gap9 = list(_masks())[40:42]
+    assert len(_index_runs(np.nonzero(gap8)[0])[0]) == 1
+    assert len(_index_runs(np.nonzero(gap9)[0])[0]) == 2

@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from symloc import reduced as R
-from symloc.fields import column, const
+from symloc.fields import MatAffine, column, const
 from symloc.forms import EquivariantForm
-from symloc.hamspace import catalog
+from symloc.hamspace import HamiltonianSpace, catalog
 from symloc.liealg import InputError, NotRegularError
 
 
@@ -265,36 +265,33 @@ def test_level_arrays_are_read_only(circle, sphere):
     "name, kw",
     [("cn_u1", dict(n=2, a=1.0)), ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0))],
 )
-def test_zero_level_skips_svd_eigvalsh_and_1x1_inv(name, kw, monkeypatch):
+def test_zero_level_makes_no_per_node_lapack_call(name, kw, monkeypatch):
     # per-node LAPACK on stacks of tiny matrices dominated zero_level: the
     # regularity check takes the row norm of the one-generator d mu instead
-    # of an SVD or a Gram eigensolve, and the 1 x 1 Gram is inverted by a
-    # reciprocal.  (det and solve still run per node on the 3 x 3 J^T J.)
+    # of an SVD or a Gram eigensolve, the 1 x 1 Gram is inverted by a
+    # reciprocal, and det J^T J and the vertical-field solve come from
+    # cofactors and the adjugate
     sp = catalog(name, **kw)
-    svd, eigvalsh, inv = np.linalg.svd, np.linalg.eigvalsh, np.linalg.inv
-    svd_shapes, eig_shapes, inv_shapes = [], [], []
+    svd = np.linalg.svd
+    shapes = {fn: [] for fn in ("svd", "eigvalsh", "inv", "det", "solve")}
 
-    def counted_svd(a, *args, **kwargs):
-        svd_shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def counted(fn):
+        lapack = getattr(np.linalg, fn)
 
-    def counted_eigvalsh(a, *args, **kwargs):
-        eig_shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        def call(a, *args, **kwargs):
+            shapes[fn].append(np.shape(a))
+            return lapack(a, *args, **kwargs)
 
-    def counted_inv(a):
-        inv_shapes.append(np.shape(a)[-2:])
-        return inv(a)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    for fn in shapes:
+        monkeypatch.setattr(np.linalg, fn, counted(fn))
     lv = R.zero_level(sp)
-    assert svd_shapes == []
+    assert shapes["svd"] == []
     # the mesh's Gauss-Legendre rule solves one companion matrix; no
-    # per-node stack reaches eigvalsh
-    assert all(len(shape) == 2 for shape in eig_shapes)
-    assert (1, 1) not in inv_shapes
+    # per-node stack reaches LAPACK
+    for fn, seen in shapes.items():
+        assert all(len(shape) == 2 for shape in seen), (fn, seen)
     # the row norm gives the SVD's smallest singular value to roundoff
     dmu = np.array(
         [
@@ -376,6 +373,158 @@ def test_metric_connection_is_the_connection_form(sphere):
     for pts in (lv.nodes, moved):
         a_only = R._metric_connection(sp, pts, {})["A"]
         assert np.array_equal(a_only, R._connection_at(sp, pts)["A"])
+    # the connection is built with the node axis last and stored node-first
     assert np.array_equal(
-        R._metric_connection(sp, lv.nodes, {})["A"], lv.connection_ambient
+        R._metric_connection(sp, lv.nodes, {})["A"], lv.connection_ambient[:, 0].T
     )
+
+
+def test_level_connection_needs_a_constant_metric():
+    # dA reads no metric derivative: a position-dependent metric is refused
+    sp = catalog("cn_u1", n=1, a=1.0)
+    curved = HamiltonianSpace(
+        name="cn_u1(1,1) curved",
+        algebra=sp.algebra,
+        chart_id=sp.chart_id,
+        ambient_dim=sp.ambient_dim,
+        omega=sp.omega,
+        omega_matrix=sp.omega_matrix,
+        action=sp.action,
+        moment_star=sp.moment_star,
+        metric=MatAffine(np.eye(2), {0: 0.1 * np.eye(2)}),
+        sample_box=sp.sample_box,
+        action_sampler=sp.action_sampler,
+        meta=sp.meta,
+    )
+    with pytest.raises(InputError, match="constant metric, got MatAffine"):
+        R.zero_level(curved)
+
+
+def test_collar_model_needs_one_generator(circle):
+    _, lv = circle
+    with pytest.raises(InputError, match="one generator, got 3"):
+        R.normal_form_check(catalog("c2_su2"), lv)
+
+
+# ---------------------------------------------------------------------------
+# the (N, ...) pipeline the node-last level connection replaced, kept as the
+# reference: per-node einsums and matmuls, LAPACK det and solve
+# ---------------------------------------------------------------------------
+
+
+def _reference_embed(chart, u):
+    if chart.n == 1:
+        r0, th = chart.radii[0], u[:, 0]
+        x = np.stack([r0 * np.cos(th), r0 * np.sin(th)], axis=1)
+        return x, np.stack([-r0 * np.sin(th), r0 * np.cos(th)], axis=1)[:, :, None]
+    eta, x1, x2 = u.T
+    c1, s1, c2, s2 = np.cos(x1), np.sin(x1), np.cos(x2), np.sin(x2)
+    r1, r2 = chart.radii[0] * np.cos(eta), chart.radii[1] * np.sin(eta)
+    dr1, dr2 = -chart.radii[0] * np.sin(eta), chart.radii[1] * np.cos(eta)
+    zero = np.zeros_like(eta)
+    x = np.stack([r1 * c1, r1 * s1, r2 * c2, r2 * s2], axis=1)
+    jac = np.stack(
+        [
+            np.stack([dr1 * c1, -r1 * s1, zero], axis=1),
+            np.stack([dr1 * s1, r1 * c1, zero], axis=1),
+            np.stack([dr2 * c2, zero, -r2 * s2], axis=1),
+            np.stack([dr2 * s2, zero, r2 * c2], axis=1),
+        ],
+        axis=1,
+    )
+    return x, jac
+
+
+def _reference_connection_at(space, x):
+    cache = {}
+    n_pts, amb = x.shape
+    comps = space.action.components[0]
+    metric = np.broadcast_to(space.metric.value, (n_pts, amb, amb))
+    v_field = np.stack([column(c, x, cache) for c in comps], axis=1)[:, None]
+    dv_field = np.empty((n_pts, amb, 1, amb))
+    for i, comp in enumerate(comps):
+        for k in range(amb):
+            dv_field[:, k, 0, i] = column(comp.diff(k), x, cache)
+    vg = np.einsum("naj,njl->nal", v_field, metric)
+    gram_inv = 1.0 / np.einsum("nal,nbl->nab", vg, v_field)
+    d_conn = np.empty((n_pts, amb, 1, amb))
+    for k in range(amb):
+        dvg_k = np.einsum("naj,njl->nal", dv_field[:, k], metric)
+        dgram_k = np.einsum("nal,nbl->nab", dvg_k, v_field) + np.einsum(
+            "nal,nbl->nab", vg, dv_field[:, k]
+        )
+        d_conn[:, k] = np.einsum(
+            "nab,nbi->nai", gram_inv, dvg_k
+        ) - gram_inv @ dgram_k @ gram_inv @ vg
+    da = np.einsum("niaj->naij", d_conn) - np.einsum("njai->naij", d_conn)
+    return v_field, np.einsum("nab,nbi->nai", gram_inv, vg), da
+
+
+def _reference_level_arrays(space, chart):
+    x, jac = _reference_embed(chart, chart.param_nodes)
+    v_field, conn, da = _reference_connection_at(space, x)
+    jac_t = jac.transpose(0, 2, 1)
+    omega = np.broadcast_to(space.omega_matrix.value, (len(x),) + space.omega_matrix.value.shape)
+    jtj = np.einsum("nik,nil->nkl", jac, jac)
+    jtv = np.einsum("nik,nai->nka", jac, v_field)
+    da_u = jac_t[:, None] @ da @ jac[:, None]
+    return {
+        "param_nodes": chart.param_nodes,
+        "param_weights": chart.param_weights,
+        "nodes": x,
+        "jacobians": jac,
+        "riemann_weights": chart.param_weights * np.sqrt(np.linalg.det(jtj)),
+        "connection_ambient": conn,
+        "connection_param": np.einsum("nai,nik->nak", conn, jac),
+        "vertical_param": np.linalg.solve(jtj, jtv).transpose(0, 2, 1),
+        "omega_param": jac_t @ omega @ jac,
+        "da_param": da_u,
+        "f_ambient": da,
+        "f_param": da_u,
+    }
+
+
+# the largest move measured against the reference is 1.3e-15 (f_ambient of
+# weighted_cn_u1(2,(1,2),1), entries up to 4); nodes and Jacobians are exact
+_REFERENCE_TOL = 2e-15
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("cn_u1", dict(n=1, a=1.0)),
+        ("cn_u1", dict(n=2, a=1.0)),
+        ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0)),
+        ("weighted_cn_u1", dict(n=1, weights=(2,), a=1.0)),
+    ],
+    ids=lambda p: f"{p[0]}{tuple(p[1].values())}",
+)
+def level_and_reference(request):
+    name, kw = request.param
+    sp = catalog(name, **kw)
+    lv = R.zero_level(sp)
+    ref = _reference_level_arrays(sp, lv.chart)
+    fields = {slot: getattr(lv, slot) for slot in R.ZeroLevelData.__slots__}
+    return sp, lv, R.ZeroLevelData(**{**fields, **ref})
+
+
+def test_level_arrays_match_the_reference_pipeline(level_and_reference):
+    _, lv, ref = level_and_reference
+    for name in _LEVEL_ARRAYS:
+        got, want = getattr(lv, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        if name == "riemann_weights":
+            # weights are ~1e-3: compare the density sqrt det J^T J, ~1
+            got, want = got / lv.param_weights, want / ref.param_weights
+        if name in ("param_nodes", "param_weights", "nodes", "jacobians"):
+            assert np.array_equal(got, want), name
+        else:
+            assert np.max(np.abs(got - want)) <= _REFERENCE_TOL, name
+
+
+def test_kirwan_integrals_match_the_reference_pipeline(level_and_reference):
+    sp, lv, ref = level_and_reference
+    for alpha in (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j)):
+        got = R.kirwan_integral(alpha, lv, 0.05).coefficients
+        want = R.kirwan_integral(alpha, ref, 0.05).coefficients
+        assert max(abs(g - w) for g, w in zip(got, want)) <= _REFERENCE_TOL
