@@ -39,10 +39,9 @@ from .fields import column
 from .forms import EquivariantForm
 from .hamspace import HamiltonianSpace
 from .integrate import (
-    BasicIntegralRequest,
     QuadratureScheme,
     _radial_info,
-    basic_integral,
+    basic_integral_batch,
     boundary_surfaces,
     check_alpha,
     check_regular_radius,
@@ -53,6 +52,7 @@ from .liealg import (
     DecompositionError,
     InputError,
     NonConvergenceError,
+    NotRegularError,
 )
 
 __all__ = [
@@ -607,17 +607,14 @@ def _gate_alpha(space: HamiltonianSpace, alpha: EquivariantForm):
     return checks
 
 
-def _bi(space, alpha, r, eps, t, scheme):
-    """One Basic-Integral point; r=None means the empty region (exact 0)."""
-    if r is None:
-        return 0.0 + 0.0j, 0.0
-    res = basic_integral(
-        BasicIntegralRequest(
-            space=space, alpha=alpha, r=r, epsilon=eps, t=t, quadrature=scheme
-        ),
-        validate=False,
-    )
-    return res.value, res.error
+def _settled(out):
+    """(value, error) of one basic_integral_batch member; raises the
+    AccuracyError it ended with.  Callers take the members in the order a
+    one-point-at-a-time loop would have run them, so the error raised is
+    the one that loop raised first."""
+    if isinstance(out, AccuracyError):
+        raise out
+    return out.value, out.error
 
 
 def _ascending_grid(grid, what) -> np.ndarray:
@@ -706,11 +703,8 @@ def large_t_limit(
         check_regular_radius(space, r)
         _gate_alpha(space, alpha)
     pair_lo, pair_hi = _boundary_gauge_pairing(space, r, scheme)
-    vals, errs = [], []
-    for t in t_arr:
-        v, err = _bi(space, alpha, r, epsilon, float(t), scheme)
-        vals.append(v)
-        errs.append(err)
+    outs = basic_integral_batch(space, alpha, [(r, epsilon, float(t)) for t in t_arr], scheme)
+    vals, errs = zip(*map(_settled, outs))
     limit, diag = _plateau(vals, t_arr, rel_tol, abs_tol, 10.0 * max(errs))
     diag.update(
         values=[_reim(v) for v in vals],
@@ -780,10 +774,14 @@ def epsilon_sweep(
     values = np.empty(eps.size, complex)
     errors = np.empty(eps.size, float)
     t_diagnostics = []
-    for i, e in enumerate(eps):
-        if policy["kind"] == "fixed":
-            values[i], errors[i] = _bi(space, alpha, r, float(e), policy["t"], scheme)
-        else:
+    if policy["kind"] == "fixed":
+        outs = basic_integral_batch(
+            space, alpha, [(r, float(e), policy["t"]) for e in eps], scheme
+        )
+        for i, out in enumerate(outs):
+            values[i], errors[i] = _settled(out)
+    else:
+        for i, e in enumerate(eps):
             limit, diag = large_t_limit(
                 space, alpha, r, float(e), policy["t_grid"], scheme, validate=False
             )
@@ -903,11 +901,41 @@ def contribution(
     pair_lo = min(p[0] for p in pair)
     pair_hi = max(p[1] for p in pair)
 
-    def diff_across(e, lo, hi):
+    # the probes for the independence check at the largest epsilon
+    # (slowest plateau, largest magnitude): both probe offsets shrunk to
+    # 3/4.  Their Basic Integrals join the batch below; a non-regular
+    # perturbed probe is raised where the check would have run.
+    e_chk = float(eps_arr[-1])
+    below_alt = (
+        None if below is None else crit_value - 0.75 * (crit_value - below)
+    )
+    above_alt = crit_value + 0.75 * (above - crit_value)
+    try:
+        check_regular_radius(space, above_alt)
+        if below_alt is not None:
+            check_regular_radius(space, below_alt)
+        alt_refused = None
+    except NotRegularError as exc:
+        alt_refused = exc
+
+    # one batch, t-major per epsilon, the upper probe before the lower one
+    # (r = None is the empty region, exactly 0)
+    rows = [(float(e), below, above) for e in eps_arr]
+    if alt_refused is None:
+        rows.append((e_chk, below_alt, above_alt))
+    points = [
+        (rad, e, float(t))
+        for e, lo, hi in rows for t in t_arr for rad in (hi, lo) if rad is not None
+    ]
+    outs = iter(basic_integral_batch(space, alpha, points, scheme))
+
+    def diff_across(lo):
+        """BI(above) - BI(below) over the t grid: the next members of the
+        batch, taken in order."""
         vals, errs = [], []
-        for t in t_arr:
-            va, ea = _bi(space, alpha, hi, e, float(t), scheme)
-            vb, eb = _bi(space, alpha, lo, e, float(t), scheme)
+        for _ in t_arr:
+            va, ea = _settled(next(outs))
+            vb, eb = (0.0 + 0.0j, 0.0) if lo is None else _settled(next(outs))
             vals.append(va - vb)
             errs.append(ea + eb)
         return np.asarray(vals, complex), np.asarray(errs, float)
@@ -915,7 +943,7 @@ def contribution(
     values = np.empty(eps_arr.size, complex)
     diff_table, err_table, plateau_diags, gaps, betas = [], [], [], [], []
     for i, e in enumerate(eps_arr):
-        vals_t, errs_t = diff_across(float(e), below, above)
+        vals_t, errs_t = diff_across(below)
         limit, diag = _plateau(vals_t, t_arr, plateau_rel, plateau_abs,
                                10.0 * float(errs_t.max()))
         if limit is None:
@@ -949,17 +977,9 @@ def contribution(
             beta = float(sol[1])
         betas.append(beta)
 
-    # probe independence, checked at the largest epsilon (slowest plateau,
-    # largest magnitude): shrink both probe offsets to 3/4.
-    e_chk = float(eps_arr[-1])
-    below_alt = (
-        None if below is None else crit_value - 0.75 * (crit_value - below)
-    )
-    above_alt = crit_value + 0.75 * (above - crit_value)
-    check_regular_radius(space, above_alt)
-    if below_alt is not None:
-        check_regular_radius(space, below_alt)
-    vals_alt, errs_alt = diff_across(e_chk, below_alt, above_alt)
+    if alt_refused is not None:
+        raise alt_refused
+    vals_alt, errs_alt = diff_across(below_alt)
     limit_alt, diag_alt = _plateau(vals_alt, t_arr, plateau_rel, plateau_abs,
                                    10.0 * float(errs_alt.max()))
     if limit_alt is None:
@@ -1060,9 +1080,12 @@ def damping_check(
 
     diffs = np.empty(eps.size, float)
     floors = np.empty(eps.size, float)
-    for i, e in enumerate(eps):
-        v_r, err_r = _bi(space, alpha, r, float(e), 0.0, scheme)
-        v_s, err_s = _bi(space, alpha, s, float(e), 0.0, scheme)
+    outs = iter(basic_integral_batch(
+        space, alpha, [(rad, float(e), 0.0) for e in eps for rad in (r, s)], scheme
+    ))
+    for i in range(eps.size):
+        v_r, err_r = _settled(next(outs))
+        v_s, err_s = _settled(next(outs))
         diffs[i] = abs(v_r - v_s)
         floors[i] = 10.0 * (err_r + err_s) + 1e-15 * max(abs(v_r), abs(v_s))
     live = diffs > floors
@@ -1145,11 +1168,10 @@ def global_convergence_check(
         check_regular_radius(space, float(r))
     _gate_alpha(space, alpha)
 
-    values, errors = [], []
-    for r in r_arr:
-        v, err = _bi(space, alpha, float(r), float(epsilon), 0.0, scheme)
-        values.append(v)
-        errors.append(err)
+    outs = basic_integral_batch(
+        space, alpha, [(float(r), float(epsilon), 0.0) for r in r_arr], scheme
+    )
+    values, errors = zip(*map(_settled, outs))
     values = np.asarray(values, complex)
     inc = np.abs(np.diff(values))
     floors = 10.0 * (np.asarray(errors[:-1]) + np.asarray(errors[1:]))

@@ -287,24 +287,19 @@ def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int)
 def _dedupe(pts: np.ndarray, f: np.ndarray, resolution: float = 1e-7):
     """Collapse near-identical converged points (many seeds land on the
     same zero to machine precision), keeping the best residual of each
-    cell and its multiplicity."""
+    cell (the earliest point on ties) and its multiplicity.  Cells come in
+    the order of their first point."""
     keys = np.round(pts / resolution).astype(np.int64)
-    seen: dict[tuple, int] = {}
-    keep: list[int] = []
-    mult: list[int] = []
-    for i in range(len(pts)):
-        k = tuple(keys[i])
-        j = seen.get(k)
-        if j is None:
-            seen[k] = len(keep)
-            keep.append(i)
-            mult.append(1)
-        else:
-            mult[j] += 1
-            if f[i] < f[keep[j]]:
-                keep[j] = i
-    idx = np.array(keep)
-    return pts[idx], f[idx], np.array(mult)
+    _, first, cell, mult = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    cell = cell.reshape(-1)
+    # within each cell: smallest f, then smallest index
+    ranked = np.lexsort((np.arange(len(pts)), f, cell))
+    heads = np.flatnonzero(np.diff(cell[ranked], prepend=-1))
+    by_first = np.argsort(first)
+    idx = ranked[heads][by_first]
+    return pts[idx], f[idx], mult[by_first]
 
 
 def _mst_clusters(pts: np.ndarray, cluster_radius: float, jump: float = 4.0):

@@ -33,6 +33,14 @@ Quadrature over M_r comes in two flavours, chosen per space:
 Node evaluation is chunked (fixed chunk size, fixed order); each chunk
 is reduced with an exactly rounded math.fsum, and the chunk sums with
 another, so results are bit-identical across worker counts.
+
+Basic Integrals of one (space, alpha) at many (r, eps, t) -- a t plateau,
+a contribution's probes, an eps sweep -- share one integrand plan
+(_IntegrandPlan: the form part is a polynomial in t, the shift affine in
+t, and only the Gaussian moments depend on eps) and run as the members of
+one radial quadrature (basic_integral_batch): each keeps its own support
+scan, torus probe, grids and stopping rule, while the nodes of all open
+members are evaluated together, one Expr pass per block.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,6 +101,7 @@ __all__ = [
     "pairing_alpha",
     "check_alpha",
     "basic_integral",
+    "basic_integral_batch",
 ]
 
 
@@ -225,19 +234,7 @@ class BasicIntegralRequest:
     alpha_label: str = ""
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise InputError("region radius r must be positive")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
-        if self.t < 0:
-            raise InputError("deformation parameter t must be nonnegative")
-        a = self.alpha
-        if (
-            a.chart_id != self.space.chart_id
-            or a.ambient_dim != self.space.ambient_dim
-            or a.gdim != self.space.algebra.dim
-        ):
-            raise InputError("alpha does not live on the request's space")
+        _check_request(self.space, self.alpha, self.r, self.epsilon, self.t)
 
     def to_json_dict(self) -> dict:
         return {
@@ -248,6 +245,26 @@ class BasicIntegralRequest:
             "t": self.t,
             "quadrature": self.quadrature.to_json_dict(),
         }
+
+
+def _check_request(space, alpha, r, epsilon, t):
+    """The invariants of one Basic Integral evaluation."""
+    if r <= 0:
+        raise InputError("region radius r must be positive")
+    if epsilon <= 0:
+        raise InputError("epsilon must be positive")
+    if t < 0:
+        raise InputError("deformation parameter t must be nonnegative")
+    if not _lives_on(alpha, space):
+        raise InputError("alpha does not live on the request's space")
+
+
+def _lives_on(alpha: EquivariantForm, space: HamiltonianSpace) -> bool:
+    return (
+        alpha.chart_id == space.chart_id
+        and alpha.ambient_dim == space.ambient_dim
+        and alpha.gdim == space.algebra.dim
+    )
 
 
 @dataclass(frozen=True)
@@ -406,24 +423,30 @@ def _points_on_ray(info, s_arr, v) -> np.ndarray:
     return np.stack([r1, zero, r2, zero], axis=1)
 
 
-def _support_intervals(info, r, damp_profile):
+def _scan_points(info, r):
+    """The dense s-scan of the slab {|mu|^2 <= r}: 2049 values of s, and
+    the chart points at them on two cross-section positions, v = 0.25
+    then v = 0.75, stacked."""
+    s_lo, s_hi = info.s_bounds(r)
+    scan = np.linspace(s_lo, s_hi, 2049)
+    return scan, np.concatenate([_points_on_ray(info, scan, v) for v in (0.25, 0.75)])
+
+
+def _support_intervals(info, r, scan, damp):
     """Restrict the s-slab to the effective support of the integrand's
     Gaussian damping factor (it narrows -- and can disconnect -- as t
     grows, and Gauss-Legendre wastes its nodes on exponentially dead
-    stretches otherwise).  Support is read off a dense scan as the runs
-    where the profile exceeds 1e-18 of its peak (discarded mass is orders
-    of magnitude under the quadrature tolerance); each padded run becomes
-    its own panel."""
+    stretches otherwise).  ``damp`` is the factor at the points of
+    _scan_points (None when the integrand has none).  Support is read off
+    the scan as the runs where the upper envelope of the two
+    cross-sections (|m| depends only on s for the radial catalog
+    families; both are probed anyway) exceeds 1e-18 of its peak
+    (discarded mass is orders of magnitude under the quadrature
+    tolerance); each padded run becomes its own panel."""
     s_lo, s_hi = info.s_bounds(r)
-    if damp_profile is None:
+    if damp is None:
         return [(s_lo, s_hi)]
-    scan = np.linspace(s_lo, s_hi, 2049)
-    prof = np.zeros_like(scan)
-    # |m| depends only on s for the radial catalog families; probe two
-    # cross-section positions anyway and keep the upper envelope.
-    for v in (0.25, 0.75):
-        pts = _points_on_ray(info, scan, v)
-        prof = np.maximum(prof, np.asarray(damp_profile(pts), dtype=float))
+    prof = np.maximum(damp[: scan.size], damp[scan.size :])
     keep = prof >= 1e-18
     if not keep.any() or keep.all():
         return [(s_lo, s_hi)]
@@ -622,64 +645,109 @@ def _wsum(values, weights) -> complex:
     return complex(re, im)
 
 
-def _chunk_sums(f, chunks, top, workers: int):
-    """Per-chunk exact sums, reduced in chunk order with exact
-    accumulation.  Chunk boundaries are fixed by the scheme, so the
-    result is bit-identical for any worker count."""
+def _chunk_sums(values, chunks, workers: int):
+    """Per-chunk exact sums of ``values(pts)`` against the chunk weights,
+    reduced in chunk order with exact accumulation.  Chunk boundaries are
+    fixed by the scheme, so the result is bit-identical for any worker
+    count."""
 
     def one(args):
         pts, wts = args
-        return _wsum(_eval_top(f, pts, top), wts), pts.shape[0]
+        return _wsum(values(pts), wts), pts.shape[0]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, chunks))
-    else:
-        results = [one(c) for c in chunks]
+            return _reduce_chunks(list(pool.map(one, chunks)))
+    return _reduce_chunks([one(c) for c in chunks])
+
+
+def _reduce_chunks(results):
+    """(sum of the chunk sums, exactly rounded, nodes) of (sum, nodes) pairs."""
     re = math.fsum(v.real for v, _ in results)
     im = math.fsum(v.imag for v, _ in results)
     return complex(re, im), sum(n for _, n in results)
 
 
+class _Refinement:
+    """The stopping rule of one integral, fed one level at a time: it
+    settles at the first level whose value is within
+    max(rel_tol * |value|, abs_tol) of the previous level's."""
+
+    def __init__(self, scheme: QuadratureScheme):
+        self.scheme = scheme
+        self.prev = None
+        self.value = 0j
+        self.err = math.inf
+        self.nodes = 0
+        self.level = None  # the level it settled at
+
+    def add(self, level, value, nodes) -> bool:
+        """Take one level's value and node count; True once settled."""
+        self.value = value
+        self.nodes += nodes
+        if self.prev is not None:
+            self.err = abs(value - self.prev)
+            if self.err <= max(self.scheme.rel_tol * abs(value), self.scheme.abs_tol):
+                self.level = level
+                return True
+        self.prev = value
+        return False
+
+    def outcome(self, wall_time, failure, hint=""):
+        """The IntegralResult of the settled level, or the AccuracyError
+        carrying the last value and error estimate, with the message
+        ``failure`` followed by the estimate and ``hint``."""
+        if self.level is None:
+            return AccuracyError(
+                f"{failure} (last error estimate {self.err:g}){hint}",
+                partial=self.value,
+                estimate=self.err,
+            )
+        return IntegralResult(
+            value=self.value,
+            error=self.err,
+            n_nodes=self.nodes,
+            level=self.level,
+            wall_time=wall_time,
+            scheme=self.scheme,
+        )
+
+
 def _refine(levels, level_value, scheme, t0, failure, hint=""):
     """Evaluate ``level_value(level) -> (value, nodes)`` over ``levels``
-    until two consecutive values differ by at most
-    max(rel_tol * |value|, abs_tol).
-
-    Returns the IntegralResult of the first level that meets the scheme
-    tolerance; ``t0`` is the perf_counter reading its wall_time counts
-    from.  Raises AccuracyError carrying the last value and error
-    estimate when the levels run out, with the message ``failure``
-    followed by the estimate and ``hint``."""
-    prev = None
-    value = 0j
-    err = math.inf
-    nodes_total = 0
+    until the _Refinement rule settles; ``t0`` is the perf_counter
+    reading the result's wall_time counts from.  Raises the AccuracyError
+    of _Refinement.outcome when the levels run out."""
+    step = _Refinement(scheme)
     for level in levels:
-        value, n = level_value(level)
-        nodes_total += n
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(scheme.rel_tol * abs(value), scheme.abs_tol):
-                return IntegralResult(
-                    value=value,
-                    error=err,
-                    n_nodes=nodes_total,
-                    level=level,
-                    wall_time=time.perf_counter() - t0,
-                    scheme=scheme,
-                )
-        prev = value
-    raise AccuracyError(
-        f"{failure} (last error estimate {err:g}){hint}",
-        partial=value,
-        estimate=err,
-    )
+        if step.add(level, *level_value(level)):
+            break
+    out = step.outcome(time.perf_counter() - t0, failure, hint)
+    if isinstance(out, AccuracyError):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # integrate over M_r
 # ---------------------------------------------------------------------------
+
+
+def _radial_or_rejection(space: HamiltonianSpace, scheme: QuadratureScheme):
+    """The radial geometry the scheme integrates with, or None for the
+    rejection path."""
+    info = _radial_info(space)
+    kind = scheme.kind
+    if kind == "auto":
+        kind = "radial" if info is not None else "rejection"
+    if kind == "rejection":
+        return None
+    if info is None:
+        raise InputError(
+            f"{space.name} does not advertise a radial moment norm; "
+            "use kind='rejection'"
+        )
+    return info
 
 
 def integrate_over_Mr(
@@ -700,35 +768,58 @@ def integrate_over_Mr(
         raise InputError("region radius r must be positive")
     f = _as_integrand(space, form_field)
     _orientation_factor(space)
-    info = _radial_info(space)
-    kind = scheme.kind
-    if kind == "auto":
-        kind = "radial" if info is not None else "rejection"
-    if kind == "radial":
-        if info is None:
-            raise InputError(
-                f"{space.name} does not advertise a radial moment norm; "
-                "use kind='rejection'"
-            )
-        return _integrate_radial(space, f, r, info, scheme)
-    return _integrate_rejection(space, f, r, scheme)
+    info = _radial_or_rejection(space, scheme)
+    if info is None:
+        return _integrate_rejection(space, f, r, scheme)
+    (out,) = _integrate_radial(space, _FieldSource(f, space), [_Member(r)], info, scheme)
+    if isinstance(out, AccuracyError):
+        raise out
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Member:
+    """One integral of a radial batch: region radius r, and the (t, eps)
+    a plan is contracted at (unused by a _FieldSource)."""
+
+    r: float
+    t: float = 0.0
+    eps: float = 0.0
+
+
+class _FieldSource:
+    """The radial driver's view of one form field ``f(pts, cache) ->
+    {fmi: values}``: every member integrates its top-degree component."""
+
+    def __init__(self, f, space: HamiltonianSpace):
+        self.f = f
+        self.top = tuple(range(space.ambient_dim))
+        self.profile = getattr(f, "_damp_profile", None)
+        self.has_profile = self.profile is not None
+
+    def tops(self, pts, parts):
+        vals = _eval_top(self.f, pts, self.top)
+        return [vals[sl] for _, sl in parts]
+
+    def damps(self, pts, parts):
+        prof = np.asarray(self.profile(pts), dtype=float)
+        return [prof[sl] for _, sl in parts]
 
 
 _INVARIANCE_SAMPLES = 8  # per support interval
 _INVARIANCE_RTOL = 1e-12
+# Nodes evaluated in one go across members: about one support scan
+# (2 x 2049 points), raised to the largest member grid of a level.
+_BLOCK_NODES = 4096
 
 
-def _torus_invariance(f, info, s_intervals, top):
-    """Probe whether the top-degree coefficient of ``f`` is invariant
-    under independent rotations of each plane.
-
-    Draws _INVARIANCE_SAMPLES nodes per support interval on the angle-0
-    rays (fixed seed, s and v inside the interval) and rotates every plane
-    of each node by its own random angle; both sets go through ``f`` in
-    one call.  Returns (max |f(rotated) - f(base)|, max |f(base)|, number
-    of base nodes).  Rotations preserve Lebesgue measure, so when the
-    residual is at roundoff the angular integrals are exactly (2 pi)^planes
-    times the angle-0 value."""
+def _probe_points(info, s_intervals):
+    """Sample nodes of the torus-invariance probe: _INVARIANCE_SAMPLES
+    nodes per support interval on the angle-0 rays (fixed seed, s and v
+    inside the interval), followed by the same nodes with every plane
+    rotated by its own random angle.  Rotations preserve Lebesgue
+    measure, so when the integrand agrees on both halves to roundoff the
+    angular integrals are exactly (2 pi)^planes times the angle-0 value."""
     rng = np.random.default_rng(0)
     n = _INVARIANCE_SAMPLES
     base = np.concatenate([
@@ -739,44 +830,152 @@ def _torus_invariance(f, info, s_intervals, top):
     rotated = np.empty_like(base)
     rotated[:, 0::2] = base[:, 0::2] * np.cos(angles)  # y_j = 0 on the rays
     rotated[:, 1::2] = base[:, 0::2] * np.sin(angles)
-    vals = _eval_top(f, np.concatenate([base, rotated]), top)
-    ref, rot = vals[: base.shape[0]], vals[base.shape[0]:]
-    return (
-        float(np.max(np.abs(rot - ref))),
-        float(np.max(np.abs(ref))),
-        base.shape[0],
-    )
+    return np.concatenate([base, rotated])
 
 
-def _integrate_radial(space, f, r, info, scheme) -> IntegralResult:
+def _blocks(sizes, bound):
+    """Consecutive runs of indices whose sizes add up to at most
+    ``bound`` (an index larger than that is a run of its own)."""
+    block, total = [], 0
+    for i, n in enumerate(sizes):
+        if block and total + n > bound:
+            yield block
+            block, total = [], 0
+        block.append(i)
+        total += n
+    if block:
+        yield block
+
+
+def _blockwise(evaluate, members, sizes, points, bound=_BLOCK_NODES):
+    """Yield (index, values, points(index)) for every member, in order.
+
+    ``points(i)`` gives a tuple whose first entry is the (sizes[i], d)
+    node array of member i.  The node arrays of consecutive members are
+    stacked into blocks of at most ``bound`` nodes and each block goes
+    through ``evaluate(pts, [(member, slice), ...])`` in one call; a block
+    is consumed before the next one is built."""
+    for block in _blocks(sizes, bound):
+        built = [points(i) for i in block]
+        parts, start = [], 0
+        for i in block:
+            parts.append((members[i], slice(start, start + sizes[i])))
+            start += sizes[i]
+        pts = built[0][0] if len(built) == 1 else np.concatenate([b[0] for b in built])
+        yield from zip(block, evaluate(pts, parts), built)
+
+
+def _supports(info, source, members):
+    """The support panels of every member: one scan per distinct radius,
+    its damping factors taken per member from one evaluation."""
+    if not source.has_profile:
+        return [[info.s_bounds(m.r)] for m in members]
+    by_r: dict = {}
+    for i, m in enumerate(members):
+        by_r.setdefault(m.r, []).append(i)
+    out = [None] * len(members)
+    for r, idx in by_r.items():
+        scan, pts = _scan_points(info, r)
+        damps = source.damps(pts, [(members[i], slice(None)) for i in idx])
+        for i, damp in zip(idx, damps):
+            out[i] = _support_intervals(info, r, scan, damp)
+    return out
+
+
+def _torus_invariance(space, info, source, members, supports):
+    """Whether each member's top-degree integrand passed the
+    torus-invariance probe on its own support (see _probe_points)."""
+    probes = [_probe_points(info, s) for s in supports]
+    out = [False] * len(members)
+    for i, vals, _ in _blockwise(
+        source.tops, members, [len(p) for p in probes], lambda i: (probes[i],)
+    ):
+        n = len(vals) // 2
+        residual = float(np.max(np.abs(vals[n:] - vals[:n])))
+        scale = float(np.max(np.abs(vals[:n])))
+        # A zero scale proves nothing (the probe saw no integrand); a NaN
+        # residual fails the comparison and keeps the full grid.
+        out[i] = scale > 0.0 and residual <= _INVARIANCE_RTOL * scale
+        _log.debug(
+            "radial quadrature on %s: torus invariance residual %.3g (scale %.3g, "
+            "%d sample nodes) -> %s",
+            space.name, residual, scale, n,
+            "angles collapsed" if out[i] else "full angular grid",
+        )
+    return out
+
+
+def _level_sums(source, members, grids, scheme):
+    """(value, nodes) of every member on its grid of one refinement level.
+
+    A grid larger than scheme.chunk runs alone, chunk by chunk, with
+    scheme.workers threads.  The other grids are evaluated together, whole
+    grids per block, at most max(largest of them, _BLOCK_NODES) nodes at a
+    time; each is one chunk, reduced as _chunk_sums reduces it."""
+    sizes = [int(np.prod([len(a) for a in axes])) for axes, _ in grids]
+    sums = [None] * len(members)
+    small = []
+    for i, (axes, build) in enumerate(grids):
+        if sizes[i] <= scheme.chunk:
+            small.append(i)
+            continue
+        sums[i] = _chunk_sums(
+            functools.partial(_member_tops, source, members[i]),
+            _product_chunks(axes, build, scheme.chunk),
+            scheme.workers,
+        )
+    bound = max([_BLOCK_NODES] + [sizes[i] for i in small])
+    for j, vals, (_, wts) in _blockwise(
+        source.tops,
+        [members[i] for i in small],
+        [sizes[i] for i in small],
+        lambda j: next(_product_chunks(*grids[small[j]], scheme.chunk)),
+        bound,
+    ):
+        sums[small[j]] = _reduce_chunks([(_wsum(vals, wts), sizes[small[j]])])
+    return sums
+
+
+def _member_tops(source, member, pts):
+    return source.tops(pts, [(member, slice(None))])[0]
+
+
+def _integrate_radial(space, source, members, info, scheme) -> list:
+    """Integrate the top-degree integrand of ``source`` over
+    {|mu|^2 <= r} for every member, on the radial grids, all members in
+    step.  Returns one IntegralResult or AccuracyError per member.
+
+    Each member keeps the work of a one-at-a-time integral: its support
+    scan (_support_intervals), its torus-invariance probe (_probe_points),
+    its own grid per level and its own _Refinement rule, with the chunk
+    boundaries of its own grid.  What members share is the evaluation:
+    ``source.damps`` and ``source.tops`` take the stacked nodes of several
+    members with a slice per member, so a plan (_PlanSource) runs one
+    Expr pass per block and contracts it per member.  Members that settled
+    drop out of the later levels.  Every result's wall_time is the wall
+    time of the whole batch."""
     t0 = time.perf_counter()
     _check_planes(info)  # before the support scan, which assumes <= 2 planes
-    top = tuple(range(space.ambient_dim))
-    profile = getattr(f, "_damp_profile", None)
-    s_intervals = _support_intervals(info, r, profile)
-    residual, scale, n_samples = _torus_invariance(f, info, s_intervals, top)
-    # A zero scale proves nothing (the probe saw no integrand); a NaN
-    # residual fails the comparison and keeps the full grid.
-    invariant = scale > 0.0 and residual <= _INVARIANCE_RTOL * scale
-    _log.debug(
-        "radial quadrature on %s: torus invariance residual %.3g (scale %.3g, "
-        "%d sample nodes) -> %s",
-        space.name, residual, scale, n_samples,
-        "angles collapsed" if invariant else "full angular grid",
-    )
-
-    def level_value(level):
-        axes, build = _radial_axes(
-            info, r, level, scheme, s_intervals=s_intervals, torus_invariant=invariant
-        )
-        chunks = _product_chunks(axes, build, scheme.chunk)
-        return _chunk_sums(f, chunks, top, scheme.workers)
-
-    return _refine(
-        range(scheme.max_level + 1), level_value, scheme, t0,
+    supports = _supports(info, source, members)
+    invariant = _torus_invariance(space, info, source, members, supports)
+    steps = [_Refinement(scheme) for _ in members]
+    live = list(range(len(members)))
+    for level in range(scheme.max_level + 1):
+        grids = [
+            _radial_axes(info, members[i].r, level, scheme, s_intervals=supports[i],
+                         torus_invariant=invariant[i])
+            for i in live
+        ]
+        sums = _level_sums(source, [members[i] for i in live], grids, scheme)
+        live = [i for i, (value, n) in zip(live, sums) if not steps[i].add(level, value, n)]
+        if not live:
+            break
+    failure = (
         f"radial quadrature on {space.name} did not reach tolerance "
-        f"{scheme.rel_tol:g} within {scheme.max_level + 1} levels",
+        f"{scheme.rel_tol:g} within {scheme.max_level + 1} levels"
     )
+    wall = time.perf_counter() - t0
+    return [step.outcome(wall, failure) for step in steps]
 
 
 # -- rejection-refined fallback ---------------------------------------------
@@ -1098,28 +1297,6 @@ def sgi_values(
     return z * damp * acc
 
 
-def _shift_exprs(space: HamiltonianSpace, t: float):
-    """Coefficient expressions of the Gaussian shift m = mu* + t V*Vmu*
-    (the lambda-contraction dual, so that <m, phi> reproduces
-    i mu.phi + i t lambda(V_phi))."""
-    m_exprs = list(space.moment_star)
-    if t != 0.0:
-        qinv = np.linalg.inv(space.algebra.inner_product)
-        eta = eta_exprs(space)
-        g = space.algebra.dim
-        m_exprs = [
-            add(
-                m_exprs[a],
-                mul(
-                    const(t),
-                    _lincomb(qinv[a], eta),
-                ),
-            )
-            for a in range(g)
-        ]
-    return m_exprs
-
-
 def _lincomb(coeffs, exprs):
     total = None
     for c, e in zip(coeffs, exprs):
@@ -1128,6 +1305,165 @@ def _lincomb(coeffs, exprs):
         piece = mul(const(float(c)), e)
         total = piece if total is None else add(total, piece)
     return total if total is not None else const(0.0)
+
+
+def _term_order(forms) -> dict:
+    """{fmi: [nu, ...]} over the union of the forms' terms, sorted: the
+    order the contraction sums the Gaussian moments in."""
+    by_fmi: dict = {}
+    for fmi, nu in sorted(set().union(*(f.indexed_terms for f in forms))):
+        by_fmi.setdefault(fmi, []).append(nu)
+    return by_fmi
+
+
+class _IntegrandPlan:
+    """The phi-reduced integrand of one (space, alpha) with t and eps left
+    open.
+
+    omega and d lambda are 2-forms, so they commute and
+    exp(omega + t d lambda) = sum_k t^k exp(omega) (d lambda)^k / k!: the
+    form part is sum_k t^k P_k with P_k = alpha exp(omega) (d lambda)^k / k!
+    (k <= dim/2), and the Gaussian shift m(t) = m0 + t m1, with m0 = mu*
+    and m1 = Q^{-1} eta, is affine in t.  Only the Gaussian moments
+    (sgi_values) depend on eps.  So one Expr pass over a set of nodes
+    (``evaluate``) serves every (t, eps), and ``contract`` turns it into
+    the integrand at one (t, eps).
+
+    Without ``deformed`` the plan holds P_0 = wedge(alpha,
+    exp_form_part(omega)) and m0 only; at t = 0 only those enter, so a
+    t = 0 contraction is the integrand the undeformed trees give."""
+
+    def __init__(self, space: HamiltonianSpace, alpha: EquivariantForm, deformed: bool):
+        if not _lives_on(alpha, space):
+            raise InputError("alpha does not live on the given space")
+        self.algebra = space.algebra
+        form = wedge(alpha, exp_form_part(space.omega))
+        self.forms = [form]
+        self.shift = [tuple(space.moment_star)]
+        if deformed:
+            d_lambda = exterior_d(lambda_form(space))
+            for k in range(1, space.ambient_dim // 2 + 1):
+                form = wedge(form, d_lambda).scale(1.0 / k)
+                if form.is_zero:
+                    break
+                self.forms.append(form)
+            qinv = np.linalg.inv(space.algebra.inner_product)
+            eta = eta_exprs(space)
+            self.shift.append(
+                tuple(_lincomb(qinv[a], eta) for a in range(space.algebra.dim))
+            )
+        degree = max(f.max_phi_degree() for f in self.forms)
+        if degree > WICK_DEGREE_CAP:
+            raise InputError(
+                f"phi-degree {degree} after expansion exceeds "
+                f"the Wick cap {WICK_DEGREE_CAP}"
+            )
+        self.top = tuple(range(space.ambient_dim))
+        self.top_forms = [f.select_form_degree(space.ambient_dim) for f in self.forms]
+        # term orders keyed (top_only, deformed): P_0 alone at t = 0
+        self.order = {}
+        for deformed in (False, True):
+            by_fmi = _term_order(self.forms[: len(self.forms) if deformed else 1])
+            self.order[False, deformed] = list(by_fmi.items())
+            self.order[True, deformed] = [(self.top, by_fmi.get(self.top, []))]
+
+    def evaluate(self, pts, deformed, top_only, cache=None):
+        """The Expr pass at ``pts``: the term values of every P_k (P_0
+        only without ``deformed``), all form degrees or the top one, and
+        the shift parts as (N, dim g) arrays."""
+        cache = {} if cache is None else cache
+        shifts = self.shifts(pts, deformed, cache)
+        forms = self.top_forms if top_only else self.forms
+        terms = [f.eval_terms(pts, cache) for f in forms[: len(forms) if deformed else 1]]
+        return terms, shifts
+
+    def shifts(self, pts, deformed, cache=None):
+        cache = {} if cache is None else cache
+        parts = self.shift if deformed else self.shift[:1]
+        return [np.stack([column(e, pts, cache) for e in part], axis=1) for part in parts]
+
+    @staticmethod
+    def shift_at(shifts, sl, t):
+        """m(t) = m0 + t m1 on the rows ``sl``; m0 itself at t = 0."""
+        return shifts[0][sl] if t == 0.0 else shifts[0][sl] + t * shifts[1][sl]
+
+    def damp(self, shifts, sl, t, eps):
+        """The Gaussian damping factor exp(-|m(t)|^2 / (2 eps)) on the rows
+        ``sl``: where the integrand's mass is."""
+        m = self.shift_at(shifts, sl, t)
+        q = self.algebra.inner_product
+        return np.exp(-np.einsum("ng,gh,nh->n", m, q, m) / (2.0 * eps))
+
+    def contract(self, evaluated, sl, t, eps, top_only):
+        """{fmi: values} of the integrand at (t, eps) on the rows ``sl`` of
+        an ``evaluate`` pass: sum over phi monomials nu of the coefficient
+        sum_k t^k P_k[fmi, nu] times the Gaussian moment of nu."""
+        terms, shifts = evaluated
+        deformed = t != 0.0
+        m = self.shift_at(shifts, sl, t)
+        n = m.shape[0]
+        gauss: dict = {}
+        out: dict = {}
+        for fmi, nus in self.order[top_only, deformed]:
+            acc = np.zeros(n, dtype=complex)
+            for nu in nus:
+                if nu not in gauss:
+                    gauss[nu] = sgi_values(self.algebra, nu, m, eps)
+                acc += _coefficient(terms, (fmi, nu), sl, t) * gauss[nu]
+            out[fmi] = acc
+        return out
+
+    def integrand(self, t, eps):
+        """The integrand at one (t, eps) as ``f(pts, cache=None) ->
+        {fmi: values}``, every form degree, with its damping profile."""
+        deformed = t != 0.0
+
+        def integrand(pts, cache=None):
+            ev = self.evaluate(pts, deformed, top_only=False, cache=cache)
+            return self.contract(ev, slice(None), t, eps, top_only=False)
+
+        def damp_profile(pts):
+            return self.damp(self.shifts(pts, deformed), slice(None), t, eps)
+
+        # The quadrature driver uses this to place radial panels where the
+        # Gaussian mass is (it narrows as t grows).
+        integrand._damp_profile = damp_profile
+        return integrand
+
+
+def _coefficient(terms, key, sl, t):
+    """sum_k t^k (values of P_k at ``key``) on the rows ``sl``; P_0's
+    values themselves at t = 0."""
+    if t == 0.0:
+        return terms[0][key][sl]
+    total = None
+    for k, vals in enumerate(terms):
+        v = vals.get(key)
+        if v is None:
+            continue
+        piece = v[sl] if k == 0 else t**k * v[sl]
+        total = piece if total is None else total + piece
+    return total
+
+
+class _PlanSource:
+    """The radial driver's view of a plan: the members' (t, eps) contract
+    one evaluation of the stacked nodes."""
+
+    has_profile = True
+
+    def __init__(self, plan: _IntegrandPlan):
+        self.plan = plan
+
+    def tops(self, pts, parts):
+        plan = self.plan
+        ev = plan.evaluate(pts, any(m.t != 0.0 for m, _ in parts), top_only=True)
+        return [plan.contract(ev, sl, m.t, m.eps, top_only=True)[plan.top] for m, sl in parts]
+
+    def damps(self, pts, parts):
+        # one member's factor at a time: a scan is 2 x 2049 points per member
+        shifts = self.plan.shifts(pts, any(m.t != 0.0 for m, _ in parts))
+        return (self.plan.damp(shifts, sl, m.t, m.eps) for m, sl in parts)
 
 
 def phi_reduced_integrand(
@@ -1143,60 +1479,12 @@ def phi_reduced_integrand(
         int_g alpha exp(omega + i mu.phi - eps/2 |phi|^2 + t D lambda) dphi
 
     with every form degree retained (the top one feeds integrate_over_Mr,
-    the (d-1)-degree ones feed boundary integrals)."""
+    the (d-1)-degree ones feed boundary integrals).  It is an
+    _IntegrandPlan of (space, alpha) contracted at this (t, eps); its
+    ``_damp_profile`` attribute gives the Gaussian damping factor."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    if (
-        alpha.chart_id != space.chart_id
-        or alpha.ambient_dim != space.ambient_dim
-        or alpha.gdim != space.algebra.dim
-    ):
-        raise InputError("alpha does not live on the given space")
-    nil = space.omega
-    if t != 0.0:
-        nil = nil + exterior_d(lambda_form(space)).scale(t)
-    total = wedge(alpha, exp_form_part(nil))
-    if total.max_phi_degree() > WICK_DEGREE_CAP:
-        raise InputError(
-            f"phi-degree {total.max_phi_degree()} after expansion exceeds "
-            f"the Wick cap {WICK_DEGREE_CAP}"
-        )
-    m_exprs = _shift_exprs(space, t)
-    algebra = space.algebra
-    # Per form multi-index, the phi-exponents of its terms, in term order:
-    # the form is sum_nu (coefficient of phi^nu) * (Gaussian moment of nu).
-    by_fmi: dict = {}
-    for (fmi, nu), _ in sorted(total.indexed_terms.items()):
-        by_fmi.setdefault(fmi, []).append(nu)
-
-    def shift_values(pts, cache):
-        return np.stack([column(e, pts, cache) for e in m_exprs], axis=1)
-
-    def integrand(pts, cache=None):
-        cache = {} if cache is None else cache
-        m_arr = shift_values(pts, cache)
-        term_vals = total.eval_terms(pts, cache)
-        gauss: dict = {}
-        out: dict = {}
-        for fmi, nus in by_fmi.items():
-            acc = np.zeros(pts.shape[0], dtype=complex)
-            for nu in nus:
-                if nu not in gauss:
-                    gauss[nu] = sgi_values(algebra, nu, m_arr, eps)
-                acc += term_vals[(fmi, nu)] * gauss[nu]
-            out[fmi] = acc
-        return out
-
-    q = algebra.inner_product
-
-    def damp_profile(pts):
-        m_arr = shift_values(pts, {})
-        return np.exp(-np.einsum("ng,gh,nh->n", m_arr, q, m_arr) / (2.0 * eps))
-
-    # The quadrature driver uses this to place radial panels where the
-    # Gaussian mass is (it narrows as t grows).
-    integrand._damp_profile = damp_profile
-    return integrand
+    return _IntegrandPlan(space, alpha, deformed=t != 0.0).integrand(t, eps)
 
 
 def integrand_phi_reduce(
@@ -1269,7 +1557,8 @@ def basic_integral(
     req: BasicIntegralRequest, validate: bool = True
 ) -> BasicIntegralResult:
     """BI(alpha, r, t) at one (epsilon, t): phi-reduce, integrate over
-    M_r, divide by K = group_volume * (2 pi)^{dim g}.
+    M_r, divide by K = group_volume * (2 pi)^{dim g}.  A batch of one
+    (basic_integral_batch); raises its AccuracyError.
 
     ``validate`` runs the request invariants (regular r, closed and
     invariant alpha); sweeps that hold alpha fixed can validate once and
@@ -1287,17 +1576,60 @@ def basic_integral(
                 f"D-residual {a_checks['d_residual']:.3g}, "
                 f"invariance residual {a_checks['invariance_residual']:.3g}"
             )
-    f = phi_reduced_integrand(space, req.alpha, req.t, req.epsilon)
-    res = integrate_over_Mr(space, f, req.r, req.quadrature)
-    k_norm = space.algebra.group_volume * (2.0 * np.pi) ** space.algebra.dim
-    return BasicIntegralResult(
-        value=res.value / k_norm,
-        error=res.error / k_norm,
-        epsilon=req.epsilon,
-        t=req.t,
-        r=req.r,
-        n_nodes=res.n_nodes,
-        level=res.level,
-        wall_time=time.perf_counter() - t0,
-        checks=checks,
+    (out,) = basic_integral_batch(
+        space, req.alpha, [(req.r, req.epsilon, req.t)], req.quadrature
     )
+    if isinstance(out, AccuracyError):
+        raise out
+    return replace(out, wall_time=time.perf_counter() - t0, checks=checks)
+
+
+def basic_integral_batch(
+    space: HamiltonianSpace,
+    alpha: EquivariantForm,
+    points,
+    quadrature: QuadratureScheme = None,
+) -> list:
+    """BI(alpha, r, t) at every (r, epsilon, t) of ``points``, one
+    integrand plan for them all (no validation of r or alpha; see
+    basic_integral).
+
+    Returns, per point and in order, its BasicIntegralResult or the
+    AccuracyError its refinement ended with; the caller decides which to
+    raise.  On the radial path every point is a member of one
+    _integrate_radial run, so each result's wall_time is the wall time of
+    the whole batch; the rejection path integrates the points one after
+    the other."""
+    t0 = time.perf_counter()
+    scheme = quadrature or QuadratureScheme()
+    members = []
+    for r, eps, t in points:
+        _check_request(space, alpha, r, eps, t)
+        members.append(_Member(float(r), float(t), float(eps)))
+    plan = _IntegrandPlan(space, alpha, deformed=any(m.t != 0.0 for m in members))
+    _orientation_factor(space)
+    info = _radial_or_rejection(space, scheme)
+    if info is not None:
+        outs = _integrate_radial(space, _PlanSource(plan), members, info, scheme)
+    else:
+        outs = []
+        for m in members:
+            try:
+                outs.append(_integrate_rejection(space, plan.integrand(m.t, m.eps), m.r, scheme))
+            except AccuracyError as exc:
+                outs.append(exc)
+    wall = time.perf_counter() - t0
+    k_norm = space.algebra.group_volume * (2.0 * np.pi) ** space.algebra.dim
+    return [
+        out if isinstance(out, AccuracyError) else BasicIntegralResult(
+            value=out.value / k_norm,
+            error=out.error / k_norm,
+            epsilon=m.eps,
+            t=m.t,
+            r=m.r,
+            n_nodes=out.n_nodes,
+            level=out.level,
+            wall_time=wall,
+        )
+        for m, out in zip(members, outs)
+    ]

@@ -115,7 +115,8 @@ def _pullback(parts: dict, mats: np.ndarray, out_dim: int) -> dict:
 
     ``mats`` has shape (N, rows, cols); a p-form over row indices becomes a
     p-form over column indices via the minor determinants
-    (beta_*)_U = sum_W beta_W det(mats[W, U]).
+    (beta_*)_U = sum_W beta_W det(mats[W, U]).  1 x 1 and 2 x 2 minors are
+    written out (ad - bc) rather than sent node by node to LAPACK.
     """
     out: dict = {}
     for w_idx, coeff in parts.items():
@@ -126,7 +127,12 @@ def _pullback(parts: dict, mats: np.ndarray, out_dim: int) -> dict:
         rows = mats[:, list(w_idx), :]
         for u_idx in itertools.combinations(range(out_dim), p):
             sub = rows[:, :, list(u_idx)]
-            det = sub[:, 0, 0] if p == 1 else np.linalg.det(sub)
+            if p == 1:
+                det = sub[:, 0, 0]
+            elif p == 2:
+                det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+            else:
+                det = np.linalg.det(sub)
             term = coeff * det
             out[u_idx] = out[u_idx] + term if u_idx in out else term
     return out

@@ -15,19 +15,25 @@ import math
 import numpy as np
 import pytest
 
+from seed_path import seed_basic_integrals
 from symloc.analysis import (
     DEFAULT_FIT_TOL,
+    DEFAULT_T_GRID,
     _lstsq,
     _split_poly_tail,
+    contribution,
     damping_check,
     default_poly_degree,
     epsilon_sweep,
     fit_poly_plus_tail,
     global_convergence_check,
+    large_t_limit,
 )
+from symloc.critical import critical_values, find_critical_points
 from symloc.forms import EquivariantForm
 from symloc.hamspace import catalog, catalog_from_string
-from symloc.liealg import DecompositionError
+from symloc.integrate import QuadratureScheme
+from symloc.liealg import AccuracyError, DecompositionError
 
 _SWEEPS: dict = {}
 
@@ -231,3 +237,51 @@ def test_damping_check_meets_its_bound():
     rep = damping_check(sp, _unit(sp), 0.36, 0.1)
     assert rep["ok"] is True and rep["inconclusive"] is False
     assert rep["slope"] <= rep["bound"] == -0.5 * 0.1 * (1.0 - rep["slack"])
+
+
+# ---------------------------------------------------------------------------
+# batched Basic Integrals: the values and errors of a one-at-a-time loop
+# ---------------------------------------------------------------------------
+
+
+def test_fixed_t_sweep_points_are_the_one_at_a_time_values():
+    sweep = _sweep("cn_u1(2,1)", 0.16, 0.0)
+    sp = catalog("cn_u1", n=2, a=1.0)
+    ref = seed_basic_integrals(sp, _unit(sp), [(0.16, e, 0.0) for e in sweep.epsilon_grid],
+                               QuadratureScheme())
+    assert [complex(v) for v in sweep.values] == [r.value for r in ref]
+    assert sweep.provenance["point_errors"] == [r.error for r in ref]
+
+
+def _first_failure(outs):
+    return next(o for o in outs if isinstance(o, AccuracyError))
+
+
+_SHALLOW = QuadratureScheme(max_level=1)
+
+
+def test_large_t_limit_raises_the_first_failing_point():
+    sp = catalog("cn_u1", n=1, a=1.0)
+    ref = seed_basic_integrals(sp, _unit(sp), [(0.36, 0.1, t) for t in DEFAULT_T_GRID],
+                               _SHALLOW)
+    assert not isinstance(ref[0], AccuracyError)  # the failure is not the first point
+    with pytest.raises(AccuracyError) as exc:
+        large_t_limit(sp, _unit(sp), 0.36, 0.1, quadrature=_SHALLOW)
+    want = _first_failure(ref)
+    assert str(exc.value) == str(want)
+    assert (exc.value.partial, exc.value.estimate) == (want.partial, want.estimate)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_contribution_raises_the_first_failing_point(index):
+    # t-major at the first epsilon, the upper probe before the lower one
+    sp = catalog("cn_u1", n=1, a=1.0)
+    comps = find_critical_points(sp, 1.0)
+    below, above = critical_values(comps)[1][index]
+    points = [(rad, 0.05, t) for t in DEFAULT_T_GRID for rad in (above, below)
+              if rad is not None]
+    want = _first_failure(seed_basic_integrals(sp, _unit(sp), points, _SHALLOW))
+    with pytest.raises(AccuracyError) as exc:
+        contribution(sp, _unit(sp), index, [0.05, 0.1], components=comps,
+                     quadrature=_SHALLOW)
+    assert str(exc.value) == str(want)

@@ -19,6 +19,7 @@ import pytest
 import symloc
 from symloc.critical import (
     CriticalComponent,
+    _dedupe,
     _descend,
     _mst_clusters,
     _sobol_seeds,
@@ -312,6 +313,43 @@ def test_single_linkage_matches_prim_reference():
         assert (groups, cut_at) == _prim_clusters(pts, radius)
         n_cut += cut_at is not None
     assert n_cut > 20  # the cut path is exercised, not only the no-cut one
+
+
+def _dedupe_loop(pts, f, resolution=1e-7):
+    """The point-by-point _dedupe, kept as the reference."""
+    keys = np.round(pts / resolution).astype(np.int64)
+    seen, keep, mult = {}, [], []
+    for i in range(len(pts)):
+        k = tuple(keys[i])
+        j = seen.get(k)
+        if j is None:
+            seen[k] = len(keep)
+            keep.append(i)
+            mult.append(1)
+        else:
+            mult[j] += 1
+            if f[i] < f[keep[j]]:
+                keep[j] = i
+    idx = np.array(keep)
+    return pts[idx], f[idx], np.array(mult)
+
+
+def test_dedupe_matches_the_loop():
+    rng = np.random.default_rng(8)
+    n_tied = 0
+    for d in (1, 2, 4):
+        for n in (1, 7, 200):
+            # few distinct cells, jittered below the resolution, and
+            # residuals drawn from a few values so that ties occur
+            cells = rng.integers(-3, 4, size=(n, d)) * 1e-6
+            pts = cells + rng.uniform(-2e-8, 2e-8, size=(n, d))
+            f = rng.choice([1e-20, 2e-20, 3e-20], size=n)
+            got, want = _dedupe(pts, f), _dedupe_loop(pts, f)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            keys = np.round(pts / 1e-7).astype(np.int64)
+            n_tied += n - len({(tuple(k), x) for k, x in zip(keys, f)})
+    assert n_tied > 100  # tied residuals inside a cell are exercised
 
 
 def test_values_and_probes_annulus():

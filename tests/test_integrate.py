@@ -26,6 +26,8 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
+from seed_path import seed_basic_integrals, seed_integrand
+from symloc.analysis import DEFAULT_EPSILON_GRID, DEFAULT_T_GRID
 from symloc.fields import MatConst, add, const, coord, mul
 from symloc.forms import (
     EquivariantForm,
@@ -38,6 +40,7 @@ from symloc.forms import (
 from symloc.hamspace import (
     HamiltonianSpace,
     catalog,
+    catalog_from_string,
     eta_exprs,
     lambda_form,
 )
@@ -48,6 +51,7 @@ from symloc.integrate import (
     _wsum,
     QuadratureScheme,
     basic_integral,
+    basic_integral_batch,
     boundary_integral,
     boundary_surfaces,
     check_alpha,
@@ -263,27 +267,21 @@ def _torus2_space():
     )
 
 
-def _direct_phi_quadrature(space, alpha, t, eps, pts, n_axis):
-    """Tensor Gauss-Legendre phi-integral of the full integrand on the box
-    [-12/sqrt(eps), 12/sqrt(eps)]^g, top form component at each point.
-
-    Rebuilt from first principles: the phi-linear phase is
-    i <mu*, phi>_Q + i t sum_a phi^a eta_a with eta_a = <V mu*, V e_a>,
-    the form part is alpha wedge exp(omega + t d lambda), and the Gaussian
-    is exp(-(eps/2) <phi, phi>_Q).  No use of the closed-form reduction."""
+def _phi_degree_four_alpha(space):
+    """A phi-degree 4 test form (no invariance needed pointwise)."""
     g = space.algebra.dim
-    q = space.algebra.inner_product
-    box = 12.0 / math.sqrt(eps)
-    x, w = np.polynomial.legendre.leggauss(n_axis)
-    x = box * x
-    w = box * w
-    grids = np.meshgrid(*([x] * g), indexing="ij")
-    ph = np.stack([gr.ravel() for gr in grids], axis=1)
-    wg = np.ones(len(ph))
-    for axis in range(g):
-        wg = wg * np.meshgrid(*([w] * g), indexing="ij")[axis].ravel()
-    gauss = np.exp(-0.5 * eps * np.einsum("pg,gh,ph->p", ph, q, ph))
+    pp = PhiPolynomial(g, {tuple([0] * g): 1.0, tuple([2] + [0] * (g - 1)): 0.7,
+                           tuple([4] + [0] * (g - 1)): 0.25})
+    return EquivariantForm.scalar(space.chart_id, space.ambient_dim, g, 1.0, pp)
 
+
+def _direct_parts(space, alpha, t, pts):
+    """The pieces of the full integrand at ``pts``, rebuilt from first
+    principles: the top-degree terms {nu: values} of the form part
+    alpha wedge exp(omega + t d lambda), and the phi-linear phase
+    coefficients lin (phase i <phi, lin>), lin = Q mu* + t eta with
+    eta_a = <V mu*, V e_a>.  No use of the closed-form reduction."""
+    q = space.algebra.inner_product
     nil = space.omega
     if t != 0.0:
         nil = nil + exterior_d(lambda_form(space)).scale(t)
@@ -300,22 +298,84 @@ def _direct_phi_quadrature(space, alpha, t, eps, pts, n_axis):
     if t != 0.0:
         eta = np.stack([col(e) for e in eta_exprs(space)], axis=1)
         lin = lin + t * eta
-    term_vals = total.eval_terms(pts, cache)
     top = tuple(range(space.ambient_dim))
-    monos = {}
-    for (fmi, nu) in term_vals:
-        if fmi == top and nu not in monos:
-            monos[nu] = np.prod(ph ** np.asarray(nu, dtype=float), axis=1)
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
+    terms = {nu: vals for (fmi, nu), vals in total.eval_terms(pts, cache).items()
+             if fmi == top}
+    return terms, lin
+
+
+def _phi_box(space, eps, n_axis):
+    """Gauss-Legendre nodes and weights on [-12/sqrt(eps), 12/sqrt(eps)]."""
+    box = 12.0 / math.sqrt(eps)
+    x, w = np.polynomial.legendre.leggauss(n_axis)
+    return box * x, box * w
+
+
+def _direct_phi_full(space, alpha, t, eps, pts, n_axis):
+    """Tensor Gauss-Legendre phi-integral of the full integrand on the box
+    [-12/sqrt(eps), 12/sqrt(eps)]^g, top form component at each point,
+    summed over the whole product grid; the Gaussian is
+    exp(-(eps/2) <phi, phi>_Q)."""
+    g = space.algebra.dim
+    q = space.algebra.inner_product
+    x, w = _phi_box(space, eps, n_axis)
+    grids = np.meshgrid(*([x] * g), indexing="ij")
+    ph = np.stack([gr.ravel() for gr in grids], axis=1)
+    wg = np.ones(len(ph))
+    for axis in range(g):
+        wg = wg * np.meshgrid(*([w] * g), indexing="ij")[axis].ravel()
+    gauss = np.exp(-0.5 * eps * np.einsum("pg,gh,ph->p", ph, q, ph))
+    terms, lin = _direct_parts(space, alpha, t, pts)
+    monos = {nu: np.prod(ph ** np.asarray(nu, dtype=float), axis=1) for nu in terms}
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for k in range(pts.shape[0]):
         phase = np.exp(1j * (ph @ lin[k])) * gauss * wg
         acc = 0j
-        for (fmi, nu), vals in term_vals.items():
-            if fmi != top:
-                continue
+        for nu, vals in terms.items():
             acc = acc + vals[k] * np.sum(monos[nu] * phase)
         out[k] = acc
     return out
+
+
+def _direct_phi_quadrature(space, alpha, t, eps, pts, n_axis):
+    """_direct_phi_full summed axis by axis: with Q diagonal (every test
+    space has Q = I) the phase, the Gaussian, the monomials and the
+    weights of the product rule all factor over the phi axes, so by
+    Fubini the sum is a product of one-dimensional sums over the same
+    nodes and weights."""
+    q = space.algebra.inner_product
+    assert np.array_equal(q, np.diag(np.diag(q))), "the factorized sum needs a diagonal Q"
+    x, w = _phi_box(space, eps, n_axis)
+    terms, lin = _direct_parts(space, alpha, t, pts)
+    top_power = max(max(nu) for nu in terms)
+    axis_sums = []  # per axis: (points, power) -> sum_j x_j^e e^{i x_j lin_a} gauss_j w_j
+    for a in range(space.algebra.dim):
+        weighted = np.exp(-0.5 * eps * q[a, a] * x * x) * w
+        phase = np.exp(1j * np.multiply.outer(lin[:, a], x))
+        axis_sums.append(np.stack(
+            [phase @ (x**e * weighted) for e in range(top_power + 1)], axis=1))
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for nu, vals in terms.items():
+        prod = np.ones(pts.shape[0], dtype=complex)
+        for a, e in enumerate(nu):
+            prod = prod * axis_sums[a][:, e]
+        out = out + vals * prod
+    return out
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "space_builder,n_axis", [(annulus, 1024), (_torus2_space, 220)], ids=["dim1", "dim2"]
+)
+def test_factorized_direct_quadrature_is_the_full_sum(space_builder, n_axis, t):
+    space = space_builder()
+    rng = np.random.default_rng(29)
+    lo, hi = space.sample_box[:, 0], space.sample_box[:, 1]
+    pts = lo + (hi - lo) * rng.random((12, space.ambient_dim))
+    alpha = _phi_degree_four_alpha(space)
+    full = _direct_phi_full(space, alpha, t, 0.3, pts, n_axis)
+    fact = _direct_phi_quadrature(space, alpha, t, 0.3, pts, n_axis)
+    assert np.max(np.abs(fact - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize(
@@ -333,21 +393,11 @@ def _direct_phi_quadrature(space, alpha, t, eps, pts, n_axis):
 )
 def test_phi_exactness_against_direct_quadrature(space_builder, n_axis, t_values):
     space = space_builder()
-    g = space.algebra.dim
     eps = 0.3
     rng = np.random.default_rng(29)
     lo, hi = space.sample_box[:, 0], space.sample_box[:, 1]
     pts = lo + (hi - lo) * rng.random((50, space.ambient_dim))
-    # phi-degree 4 test form (no invariance needed pointwise)
-    pp = PhiPolynomial(
-        g,
-        {
-            tuple([0] * g): 1.0,
-            tuple([2] + [0] * (g - 1)): 0.7,
-            tuple([4] + [0] * (g - 1)): 0.25,
-        },
-    )
-    alpha = EquivariantForm.scalar(space.chart_id, space.ambient_dim, g, 1.0, pp)
+    alpha = _phi_degree_four_alpha(space)
     top = tuple(range(space.ambient_dim))
     for t in t_values:
         f = phi_reduced_integrand(space, alpha, t, eps)
@@ -560,6 +610,132 @@ def test_full_grid_deterministic_across_workers():
     ]
     assert runs[0].n_nodes == 626_688
     assert runs[0].value == runs[1].value == runs[2].value
+
+
+# ---------------------------------------------------------------------------
+# batches: one integrand plan, members evaluated together per level
+# ---------------------------------------------------------------------------
+
+_BATCH_SPACES = ["cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "c2_su2"]
+
+
+def _batch_points(name, kind):
+    r_out, r_in = (0.04, 0.02) if name == "c2_su2" else (0.36, 0.16)
+    if kind == "plateau":  # one large_t_limit
+        return [(r_out, 0.1, t) for t in DEFAULT_T_GRID]
+    if kind == "probes":  # contribution: t-major, upper probe first
+        return [(rad, e, t) for e in (0.05, 0.1) for t in DEFAULT_T_GRID
+                for rad in (r_out, r_in)]
+    if kind == "eps_grid":  # a fixed-t epsilon_sweep
+        return [(r_in, e, 0.0) for e in DEFAULT_EPSILON_GRID]
+    return [(r_in, 0.05, 4.0)]
+
+
+def _same_outcome(got, ref, t):
+    """A batch member ended as the one-at-a-time evaluation did: the same
+    AccuracyError message, or the same nodes and level and a value that is
+    bit-identical at t = 0 and within 1e-15 relative otherwise."""
+    assert isinstance(got, AccuracyError) == isinstance(ref, AccuracyError)
+    if isinstance(ref, AccuracyError):
+        assert str(got) == str(ref)
+        return
+    assert (got.n_nodes, got.level) == (ref.n_nodes, ref.level)
+    if t == 0.0:
+        assert [x.hex() for x in (got.value.real, got.value.imag, got.error)] == [
+            x.hex() for x in (ref.value.real, ref.value.imag, ref.error)
+        ]
+    else:
+        assert abs(got.value - ref.value) <= 1e-15 * abs(ref.value)
+
+
+@pytest.mark.parametrize("max_level", [3, 1], ids=["default", "forced_failures"])
+@pytest.mark.parametrize("kind", ["plateau", "probes", "eps_grid", "single_t"])
+@pytest.mark.parametrize("name", _BATCH_SPACES)
+def test_batch_matches_one_request_at_a_time(name, kind, max_level):
+    sp = catalog_from_string(name)
+    alpha = one_form(sp)
+    scheme = QuadratureScheme(max_level=max_level)
+    points = _batch_points(name, kind)
+    got = basic_integral_batch(sp, alpha, points, scheme)
+    ref = seed_basic_integrals(sp, alpha, points, scheme)
+    assert len(got) == len(points)
+    for (_, _, t), g, want in zip(points, got, ref):
+        _same_outcome(g, want, t)
+    settled = [g for g in got if not isinstance(g, AccuracyError)]
+    # one wall time for the whole batch
+    assert len({g.wall_time for g in settled}) <= 1
+
+
+def test_forced_failures_hit_some_members_only():
+    # max_level=1 leaves members on both sides, so the comparison above
+    # sees failures and results side by side
+    sp = catalog_from_string("cn_u1(1,1)")
+    got = basic_integral_batch(sp, one_form(sp), _batch_points("cn_u1(1,1)", "probes"),
+                               QuadratureScheme(max_level=1))
+    failed = sum(isinstance(g, AccuracyError) for g in got)
+    assert 0 < failed < len(got)
+
+
+def _torus_breaking_alpha(space):
+    """Re(z1 conj z2)^2 as a function: invariant under the diagonal circle
+    only, so the probe keeps the full angular grid."""
+    re = add(mul(coord(0), coord(2)), mul(coord(1), coord(3)))
+    return EquivariantForm.scalar(space.chart_id, space.ambient_dim, space.algebra.dim,
+                                  mul(re, re))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_members_beyond_one_chunk_run_alone(workers):
+    # level 1 of the full angular grid is 16 chunks of 1024 nodes: those
+    # members run chunk by chunk, the level-0 grids (one chunk) together
+    sp = two_planes()
+    alpha = _torus_breaking_alpha(sp)
+    scheme = QuadratureScheme(base_radial=4, base_angular=8, max_level=1, chunk=1024,
+                              rel_tol=1e-3, workers=workers)
+    points = [(0.16, 0.05, 0.0), (0.16, 0.1, 0.0), (0.36, 0.1, 1.0)]
+    got = basic_integral_batch(sp, alpha, points, scheme)
+    ref = seed_basic_integrals(sp, alpha, points, scheme)
+    for (_, _, t), g, want in zip(points, got, ref):
+        _same_outcome(g, want, t)
+    assert any(not isinstance(g, AccuracyError) and g.n_nodes == 1024 + 16384
+               for g in got)
+
+
+def test_batch_checks_every_point():
+    sp = annulus()
+    alpha = one_form(sp)
+    assert basic_integral_batch(sp, alpha, []) == []
+    with pytest.raises(InputError, match="epsilon must be positive"):
+        basic_integral_batch(sp, alpha, [(0.16, 0.05, 0.0), (0.16, 0.0, 0.0)])
+    with pytest.raises(InputError, match="nonnegative"):
+        basic_integral_batch(sp, alpha, [(0.16, 0.05, -1.0)])
+    with pytest.raises(InputError, match="request's space"):
+        basic_integral_batch(two_planes(), alpha, [(0.16, 0.05, 0.0)])
+
+
+@pytest.mark.parametrize("name", _BATCH_SPACES)
+def test_phi_reduced_integrand_at_t0_is_the_seed_integrand(name):
+    sp = catalog_from_string(name)
+    lo, hi = sp.sample_box[:, 0], sp.sample_box[:, 1]
+    pts = lo + (hi - lo) * np.random.default_rng(3).random((200, sp.ambient_dim))
+    beta = EquivariantForm.dx(sp.chart_id, sp.ambient_dim, sp.algebra.dim, 0, coord(1))
+    for alpha in (one_form(sp), _phi_degree_four_alpha(sp), pairing_alpha(sp, [1.0] * sp.algebra.dim),
+                  equivariant_D(beta, sp.action)):
+        for eps in (0.05, 0.3):
+            got = phi_reduced_integrand(sp, alpha, 0.0, eps)
+            want = seed_integrand(sp, alpha, 0.0, eps)
+            g, w = got(pts), want(pts)
+            assert list(g) == list(w)
+            for fmi in w:
+                assert np.array_equal(g[fmi], w[fmi]), fmi
+            assert np.array_equal(got._damp_profile(pts), want._damp_profile(pts))
+            # t > 0: the same forms and shift, summed in another order
+            g, w = (f(pts) for f in (phi_reduced_integrand(sp, alpha, 2.0, eps),
+                                     seed_integrand(sp, alpha, 2.0, eps)))
+            assert sorted(g) == sorted(w)
+            scale = max(float(np.max(np.abs(v))) for v in w.values())
+            for fmi in w:
+                assert np.max(np.abs(g[fmi] - w[fmi])) <= 1e-13 * scale
 
 
 def test_library_logger_is_silent_by_default():

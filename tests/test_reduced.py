@@ -263,14 +263,20 @@ def test_level_arrays_are_read_only(circle, sphere):
 
 @pytest.mark.parametrize(
     "name, kw",
-    [("cn_u1", dict(n=2, a=1.0)), ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0))],
+    [
+        ("cn_u1", dict(n=2, a=1.0)),
+        ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0)),
+        ("cn_u1", dict(n=1, a=1.0)),
+        ("weighted_cn_u1", dict(n=1, weights=(2,), a=1.0)),
+    ],
 )
 def test_zero_level_makes_no_per_node_lapack_call(name, kw, monkeypatch):
     # per-node LAPACK on stacks of tiny matrices dominated zero_level: the
     # regularity check takes the row norm of the one-generator d mu instead
     # of an SVD or a Gram eigensolve, the 1 x 1 Gram is inverted by a
     # reciprocal, and det J^T J and the vertical-field solve come from
-    # cofactors and the adjugate
+    # cofactors and the adjugate.  The Cartan map pulls forms back with
+    # written-out 2 x 2 minors.
     sp = catalog(name, **kw)
     svd = np.linalg.svd
     shapes = {fn: [] for fn in ("svd", "eigvalsh", "inv", "det", "solve")}
@@ -288,6 +294,11 @@ def test_zero_level_makes_no_per_node_lapack_call(name, kw, monkeypatch):
         monkeypatch.setattr(np.linalg, fn, counted(fn))
     lv = R.zero_level(sp)
     assert shapes["svd"] == []
+    forms = (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j))
+    for alpha in forms:
+        R.kirwan_integral(alpha, lv, 0.05)
+        R.cartan_map(alpha, lv)
+        R.cartan_d_residual(alpha, lv, n_samples=16)
     # the mesh's Gauss-Legendre rule solves one companion matrix; no
     # per-node stack reaches LAPACK
     for fn, seen in shapes.items():
