@@ -950,7 +950,7 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
     its own grid per level and its own _Refinement rule, with the chunk
     boundaries of its own grid.  What members share is the evaluation:
     ``source.damps`` and ``source.tops`` take the stacked nodes of several
-    members with a slice per member, so a plan (_PlanSource) runs one
+    members with a slice per member, so a plan (_IntegrandPlan) runs one
     Expr pass per block and contracts it per member.  Members that settled
     drop out of the later levels.  Every result's wall_time is the wall
     time of the whole batch."""
@@ -1413,6 +1413,21 @@ class _IntegrandPlan:
             out[fmi] = acc
         return out
 
+    # -- as a source of the radial driver (_integrate_radial) -------------
+
+    has_profile = True
+
+    def tops(self, pts, parts):
+        """Top-degree values of every (member, rows) of ``parts``, each
+        member's (t, eps) contracting one Expr pass at ``pts``."""
+        ev = self.evaluate(pts, any(m.t != 0.0 for m, _ in parts), top_only=True)
+        return [self.contract(ev, sl, m.t, m.eps, top_only=True)[self.top] for m, sl in parts]
+
+    def damps(self, pts, parts):
+        # one member's factor at a time: a scan is 2 x 2049 points per member
+        shifts = self.shifts(pts, any(m.t != 0.0 for m, _ in parts))
+        return (self.damp(shifts, sl, m.t, m.eps) for m, sl in parts)
+
     def integrand(self, t, eps):
         """The integrand at one (t, eps) as ``f(pts, cache=None) ->
         {fmi: values}``, every form degree, with its damping profile."""
@@ -1444,26 +1459,6 @@ def _coefficient(terms, key, sl, t):
         piece = v[sl] if k == 0 else t**k * v[sl]
         total = piece if total is None else total + piece
     return total
-
-
-class _PlanSource:
-    """The radial driver's view of a plan: the members' (t, eps) contract
-    one evaluation of the stacked nodes."""
-
-    has_profile = True
-
-    def __init__(self, plan: _IntegrandPlan):
-        self.plan = plan
-
-    def tops(self, pts, parts):
-        plan = self.plan
-        ev = plan.evaluate(pts, any(m.t != 0.0 for m, _ in parts), top_only=True)
-        return [plan.contract(ev, sl, m.t, m.eps, top_only=True)[plan.top] for m, sl in parts]
-
-    def damps(self, pts, parts):
-        # one member's factor at a time: a scan is 2 x 2049 points per member
-        shifts = self.plan.shifts(pts, any(m.t != 0.0 for m, _ in parts))
-        return (self.plan.damp(shifts, sl, m.t, m.eps) for m, sl in parts)
 
 
 def phi_reduced_integrand(
@@ -1610,7 +1605,7 @@ def basic_integral_batch(
     _orientation_factor(space)
     info = _radial_or_rejection(space, scheme)
     if info is not None:
-        outs = _integrate_radial(space, _PlanSource(plan), members, info, scheme)
+        outs = _integrate_radial(space, plan, members, info, scheme)
     else:
         outs = []
         for m in members:
