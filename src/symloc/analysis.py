@@ -40,7 +40,6 @@ from .forms import EquivariantForm
 from .hamspace import HamiltonianSpace
 from .integrate import (
     QuadratureScheme,
-    _radial_info,
     basic_integral_batch,
     boundary_surfaces,
     check_alpha,
@@ -1155,7 +1154,7 @@ def global_convergence_check(
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    if _radial_info(space) is None:
+    if space.radial is None:
         raise InputError(
             f"{space.name} does not document its radial volume growth; the "
             "global limit check needs the radial geometry"

@@ -26,6 +26,8 @@ checked numerically at sampled (point, phi) pairs by
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fields import Const, Expr, add, as_expr, const, mul
@@ -57,6 +59,36 @@ def _merge_sign(i_left: tuple, i_right: tuple):
     # sign = (-1)^inversions when concatenating left+right and sorting
     inversions = sum(1 for a in i_left for b in i_right if b < a)
     return merged, (-1) ** (inversions & 1)
+
+
+def _pullback(parts: dict, mats: np.ndarray, out_dim: int) -> dict:
+    """Pull a pointwise form back under the linear maps ``mats``.
+
+    A pointwise form is a dict {strictly increasing index tuple: (N,)
+    array}; the empty tuple holds the scalar part.  ``mats`` has shape
+    (N, rows, cols); a p-form over row indices becomes a p-form over
+    column indices via the minor determinants
+    (beta_*)_U = sum_W beta_W det(mats[W, U]).  1 x 1 and 2 x 2 minors are
+    written out (ad - bc) rather than sent node by node to LAPACK.
+    """
+    out: dict = {}
+    for w_idx, coeff in parts.items():
+        p = len(w_idx)
+        if p == 0:
+            out[()] = out[()] + coeff if () in out else coeff
+            continue
+        rows = mats[:, list(w_idx), :]
+        for u_idx in itertools.combinations(range(out_dim), p):
+            sub = rows[:, :, list(u_idx)]
+            if p == 1:
+                det = sub[:, 0, 0]
+            elif p == 2:
+                det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+            else:
+                det = np.linalg.det(sub)
+            term = coeff * det
+            out[u_idx] = out[u_idx] + term if u_idx in out else term
+    return out
 
 
 class VectorFieldFamily:

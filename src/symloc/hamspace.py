@@ -63,10 +63,18 @@ from .forms import (
     contract,
     exterior_d,
 )
-from .liealg import InputError, LieAlgebraSpec, PhiPolynomial, bracket, builtin_algebra
+from .liealg import (
+    InputError,
+    LieAlgebraSpec,
+    NotRegularError,
+    PhiPolynomial,
+    bracket,
+    builtin_algebra,
+)
 
 __all__ = [
     "HamiltonianSpace",
+    "RadialMoment",
     "StandardLocalModel",
     "StandardModelSpaces",
     "check_moment_condition",
@@ -86,8 +94,67 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RadialMoment:
+    """|mu| = |c s - a| / 2 with s = sum_j w_j |z_j|^2, every w_j > 0.
+
+    M_r = {|mu|^2 <= r} is the slab s_bounds(r).  Off mu^{-1}(0) the only
+    critical point of |mu|^2 is the origin, so the critical values are
+    a^2/4 and, when a > 0, 0.  mu^{-1}(0) is the level {c s = a} for
+    a > 0, the origin for a = 0 and empty for a < 0."""
+
+    weights: tuple
+    a: float
+    c: float = 1.0
+
+    @classmethod
+    def of_weights(cls, weights, a: float) -> "RadialMoment":
+        """|mu| = |sum_j w_j |z_j|^2 - a| / 2; negative weights fold into
+        |w_j| and the level -a, mixed signs raise InputError."""
+        if any(w > 0 for w in weights) and any(w < 0 for w in weights):
+            raise InputError(
+                f"weights {weights} have mixed signs, so the moment map is not "
+                "proper (|mu| stays bounded along an unbounded set); localization "
+                "needs a proper moment map"
+            )
+        if weights[0] < 0:
+            return cls(tuple(-w for w in weights), -float(a))
+        return cls(weights, float(a))
+
+    @property
+    def planes(self) -> int:
+        return len(self.weights)
+
+    @property
+    def critical_values(self) -> tuple:
+        top = self.a * self.a / 4.0
+        return (0.0, top) if self.a > 0 else (top,)
+
+    def s_bounds(self, r: float):
+        """The slab {|mu|^2 <= r} as (s_lo, s_hi); InputError when it is
+        empty (r below a^2/4 with a < 0)."""
+        half = 2.0 * math.sqrt(r)
+        lo, hi = max(self.a - half, 0.0) / self.c, (self.a + half) / self.c
+        if hi <= lo:
+            raise InputError(f"{{|mu|^2 <= {r}}} is empty")
+        return lo, hi
+
+    def check_zero_level(self, name: str) -> None:
+        """Raise unless mu^{-1}(0) is the level {c s = a}: NotRegularError
+        when it is the origin, InputError when it is empty."""
+        if self.a == 0:
+            raise NotRegularError(
+                f"the zero level of {name} is the single point at the origin, "
+                "where d mu has rank zero: 0 is not a regular value"
+            )
+        if self.a < 0:
+            raise InputError(f"the zero level set of {name} is empty")
+
+
 class HamiltonianSpace:
-    """Immutable bundle of (algebra, chart, omega, action, mu*, metric)."""
+    """Immutable bundle of (algebra, chart, omega, action, mu*, metric),
+    with ``radial`` the RadialMoment when |mu| depends on the plane radii
+    only (None otherwise)."""
 
     __slots__ = (
         "name",
@@ -102,6 +169,7 @@ class HamiltonianSpace:
         "chart_radius",
         "sample_box",
         "action_sampler",
+        "radial",
         "meta",
     )
 
@@ -119,6 +187,7 @@ class HamiltonianSpace:
         sample_box,
         chart_radius: float = math.inf,
         action_sampler=None,
+        radial: RadialMoment | None = None,
         meta: dict | None = None,
     ):
         object.__setattr__(self, "name", name)
@@ -133,6 +202,7 @@ class HamiltonianSpace:
         object.__setattr__(self, "chart_radius", float(chart_radius))
         object.__setattr__(self, "sample_box", np.asarray(sample_box, dtype=float))
         object.__setattr__(self, "action_sampler", action_sampler)
+        object.__setattr__(self, "radial", radial)
         object.__setattr__(self, "meta", dict(meta or {}))
         if len(self.moment_star) != algebra.dim:
             raise InputError("moment map must have one component per basis element")
@@ -379,12 +449,7 @@ def _weighted_cn_space(n: int, weights, a: float, name: str) -> HamiltonianSpace
     weights = tuple(int(w) for w in weights)
     if len(weights) != n or any(w == 0 for w in weights):
         raise InputError("weights must be n nonzero integers")
-    if any(w > 0 for w in weights) and any(w < 0 for w in weights):
-        raise InputError(
-            f"weights {weights} have mixed signs, so the moment map is not "
-            "proper (|mu| stays bounded along an unbounded set); localization "
-            "needs a proper moment map"
-        )
+    radial = RadialMoment.of_weights(weights, a)
     algebra = builtin_algebra("u1")
     chart = name
     dim = 2 * n
@@ -447,6 +512,7 @@ def _weighted_cn_space(n: int, weights, a: float, name: str) -> HamiltonianSpace
         metric=MatConst(np.eye(dim)),
         sample_box=sample_box,
         action_sampler=action_sampler,
+        radial=radial,
         meta={"family": "weighted_cn_u1", "n": n, "weights": weights, "a": a},
     )
 
@@ -534,6 +600,8 @@ def _c2_su2_space() -> HamiltonianSpace:
         metric=MatConst(np.eye(dim)),
         sample_box=sample_box,
         action_sampler=action_sampler,
+        # |mu| = (|z_1|^2 + |z_2|^2) / 4
+        radial=RadialMoment((1, 1), 0.0, 0.5),
         meta={"family": "c2_su2"},
     )
 

@@ -16,15 +16,16 @@ numerical.
 
 Quadrature over M_r comes in two flavours, chosen per space:
 
-* radial: for catalog families whose |mu| depends only on the plane radii
-  through s = sum_j w_j |z_j|^2, the region is a slab in s; tensor
-  Gauss-Legendre in the slab/simplex coordinates times uniform angular
-  grids (trapezoid is spectrally accurate on periodic directions), with
-  the order escalated until consecutive refinements agree.  When the
-  integrand's top-degree coefficient is verified invariant under the
-  torus of plane rotations (see _torus_invariance), every angular grid
-  collapses to the angle-0 ray weighted by 2 pi per plane
-  (Duistermaat-Heckman push-forward to the moment image).
+* radial: for a space with a RadialMoment (space.radial: |mu| depends
+  only on the plane radii, through s = sum_j w_j |z_j|^2), the region is
+  a slab in s; tensor Gauss-Legendre in the slab/simplex coordinates
+  times uniform angular grids (trapezoid is spectrally accurate on
+  periodic directions), with the order escalated until consecutive
+  refinements agree.  When the integrand's top-degree coefficient is
+  verified invariant under the torus of plane rotations (see
+  _torus_invariance), every angular grid collapses to the angle-0 ray
+  weighted by 2 pi per plane (Duistermaat-Heckman push-forward to the
+  moment image).
 * rejection-refined: for other spaces, dyadic subdivision of the sample
   box where cells straddling the cut {|mu|^2 = r} are refined and their
   leaf nodes indicator-weighted.  First-order accurate at the cut; meant
@@ -59,13 +60,14 @@ import numpy as np
 from .fields import add, column, const, mul
 from .forms import (
     EquivariantForm,
+    _pullback,
     equivariant_D,
     exp_form_part,
     exterior_d,
     invariance_residual,
     wedge,
 )
-from .hamspace import HamiltonianSpace, eta_exprs, lambda_form, sample_points
+from .hamspace import HamiltonianSpace, RadialMoment, eta_exprs, lambda_form, sample_points
 from .liealg import (
     WICK_DEGREE_CAP,
     AccuracyError,
@@ -297,70 +299,20 @@ class BasicIntegralResult:
 
 
 # ---------------------------------------------------------------------------
-# radial geometry of the catalog families
+# critical values and regular radii
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RadialInfo:
-    """|mu| is a function of s = sum_j w_j rho_j alone; M_r is the slab
-    s in [s_lo(r), s_hi(r)]."""
-
-    weights: np.ndarray
-    planes: int
-    s_zero: float  # s-value of the mu = 0 level (0.0 when absent)
-
-    def s_bounds(self, r: float):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _WeightedRadial(_RadialInfo):
-    a: float = 0.0
-
-    def s_bounds(self, r: float):
-        # |mu| = |s - a| / 2  =>  |mu|^2 <= r  <=>  |s - a| <= 2 sqrt(r)
-        half = 2.0 * math.sqrt(r)
-        return (max(self.a - half, 0.0), self.a + half)
-
-
-@dataclass(frozen=True)
-class _QuarticRadial(_RadialInfo):
-    def s_bounds(self, r: float):
-        # |mu| = s / 4  =>  s <= 4 sqrt(r)
-        return (0.0, 4.0 * math.sqrt(r))
-
-
-def _radial_info(space: HamiltonianSpace):
-    family = space.meta.get("family")
-    if family == "weighted_cn_u1":
-        w = np.asarray(space.meta["weights"], dtype=float)
-        return _WeightedRadial(
-            weights=w, planes=len(w), s_zero=float(space.meta["a"]),
-            a=float(space.meta["a"]),
-        )
-    if family == "c2_su2":
-        return _QuarticRadial(weights=np.array([1.0, 1.0]), planes=2, s_zero=0.0)
-    return None
-
-
 def known_critical_values(space: HamiltonianSpace):
-    """Critical values of |mu|^2 for the catalog families, or None when
-    the family is not recognized (the critical-point search can still
-    find them numerically)."""
-    family = space.meta.get("family")
-    if family == "weighted_cn_u1":
-        a = float(space.meta["a"])
-        return (0.0, a * a / 4.0)
-    if family == "c2_su2":
-        return (0.0,)
-    return None
+    """Critical values of |mu|^2 from the space's RadialMoment, or None
+    without one (the critical-point search can still find them)."""
+    return None if space.radial is None else space.radial.critical_values
 
 
 def check_regular_radius(space: HamiltonianSpace, r: float, margin: float = 1e-3):
     """Raise NotRegularError when r sits within ``margin`` of a known
-    critical value of |mu|^2.  Silent for spaces without a catalog of
-    critical values."""
+    critical value of |mu|^2 (known_critical_values).  Silent for spaces
+    without a RadialMoment."""
     if r <= 0:
         raise InputError("region radius r must be positive")
     crit = known_critical_values(space)
@@ -439,8 +391,8 @@ def _support_intervals(info, r, scan, damp):
     stretches otherwise).  ``damp`` is the factor at the points of
     _scan_points (None when the integrand has none).  Support is read off
     the scan as the runs where the upper envelope of the two
-    cross-sections (|m| depends only on s for the radial catalog
-    families; both are probed anyway) exceeds 1e-18 of its peak
+    cross-sections (|m| depends only on s for a RadialMoment; both are
+    probed anyway) exceeds 1e-18 of its peak
     (discarded mass is orders of magnitude under the quadrature
     tolerance); each padded run becomes its own panel."""
     s_lo, s_hi = info.s_bounds(r)
@@ -465,9 +417,18 @@ def _index_runs(idx: np.ndarray):
     return np.append(idx[0], idx[breaks + 1]), np.append(idx[breaks], idx[-1])
 
 
-def _check_planes(info: _RadialInfo) -> None:
-    """The radial grids and level surfaces cover one or two planes; every
-    entry point that builds one calls this first."""
+def _radial(space: HamiltonianSpace, hint: str = "") -> RadialMoment:
+    """The space's RadialMoment, checked by _check_planes; InputError for
+    a space without one.  Every radial grid and surface starts here."""
+    if space.radial is None:
+        raise InputError(f"{space.name} does not advertise a radial moment norm{hint}")
+    _check_planes(space.radial)
+    return space.radial
+
+
+def _check_planes(info: RadialMoment) -> None:
+    """The radial grids and level surfaces cover one or two planes (the
+    support scan unpacks two plane weights at most)."""
     if info.planes > 2:
         raise InputError(
             f"radial quadrature implemented for 1 or 2 planes, got {info.planes}"
@@ -475,7 +436,7 @@ def _check_planes(info: _RadialInfo) -> None:
 
 
 def _radial_axes(
-    info: _RadialInfo,
+    info: RadialMoment,
     r: float,
     level: int,
     scheme: QuadratureScheme,
@@ -552,13 +513,7 @@ def radial_grid(
 ) -> QuadratureGrid:
     """Materialize one refinement level of the radial M_r grid."""
     scheme = scheme or QuadratureScheme()
-    info = _radial_info(space)
-    if info is None:
-        raise InputError(
-            f"{space.name} does not advertise a radial moment norm; "
-            "use the rejection scheme"
-        )
-    _check_planes(info)
+    info = _radial(space, "; use the rejection scheme")
     check_regular_radius(space, r)
     axes, build = _radial_axes(info, r, level, scheme)
     total = int(np.prod([len(a) for a in axes]))
@@ -610,7 +565,7 @@ def _as_integrand(space: HamiltonianSpace, form_field):
     raise InputError("form_field must be an EquivariantForm or a callable")
 
 
-def _orientation_factor(space: HamiltonianSpace) -> float:
+def _check_orientation(space: HamiltonianSpace) -> None:
     """Assert the symplectic orientation agrees with the chart coordinate
     order: [exp(omega)]_top > 0 at the box center."""
     d = space.ambient_dim
@@ -623,7 +578,6 @@ def _orientation_factor(space: HamiltonianSpace) -> float:
             f"omega^n/n! is not positive on the chart coordinate order of "
             f"{space.name}; the symplectic orientation convention is violated"
         )
-    return 1.0
 
 
 def _eval_top(f, pts, top):
@@ -736,18 +690,9 @@ def _refine(levels, level_value, scheme, t0, failure, hint=""):
 def _radial_or_rejection(space: HamiltonianSpace, scheme: QuadratureScheme):
     """The radial geometry the scheme integrates with, or None for the
     rejection path."""
-    info = _radial_info(space)
-    kind = scheme.kind
-    if kind == "auto":
-        kind = "radial" if info is not None else "rejection"
-    if kind == "rejection":
+    if scheme.kind == "rejection" or (scheme.kind == "auto" and space.radial is None):
         return None
-    if info is None:
-        raise InputError(
-            f"{space.name} does not advertise a radial moment norm; "
-            "use kind='rejection'"
-        )
-    return info
+    return _radial(space, "; use kind='rejection'")
 
 
 def integrate_over_Mr(
@@ -767,7 +712,7 @@ def integrate_over_Mr(
     if r <= 0:
         raise InputError("region radius r must be positive")
     f = _as_integrand(space, form_field)
-    _orientation_factor(space)
+    _check_orientation(space)
     info = _radial_or_rejection(space, scheme)
     if info is None:
         return _integrate_rejection(space, f, r, scheme)
@@ -955,7 +900,6 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
     drop out of the later levels.  Every result's wall_time is the wall
     time of the whole batch."""
     t0 = time.perf_counter()
-    _check_planes(info)  # before the support scan, which assumes <= 2 planes
     supports = _supports(info, source, members)
     invariant = _torus_invariance(space, info, source, members, supports)
     steps = [_Refinement(scheme) for _ in members]
@@ -1063,7 +1007,7 @@ def _integrate_rejection(space, f, r, scheme) -> IntegralResult:
 
 
 # ---------------------------------------------------------------------------
-# boundary and level surfaces (radial families)
+# boundary and level surfaces (radial spaces)
 # ---------------------------------------------------------------------------
 
 
@@ -1077,7 +1021,6 @@ def _build_surface(info, s_value, level, scheme, outward):
     """Parametrize {s = s_value}.  One plane: a circle in theta.  Two
     planes: Hopf-style (psi, theta1, theta2) with rho1 = s cos^2 psi / w1,
     rho2 = s sin^2 psi / w2 -- smooth through the rho_j = 0 circles."""
-    _check_planes(info)
     if s_value <= 0:
         raise InputError("level surfaces require s > 0")
     n_psi, n_ang = _surface_counts(scheme, level)
@@ -1152,9 +1095,7 @@ def level_surface(
     """Quadrature grid on {s = s_value} with no boundary orientation
     attached (orient_sign fixed to +1)."""
     scheme = scheme or QuadratureScheme()
-    info = _radial_info(space)
-    if info is None:
-        raise InputError(f"{space.name} does not advertise a radial moment norm")
+    info = _radial(space)
     nodes, jac, weights, _ = _build_surface(info, s_value, level, scheme, outward=0)
     return SurfaceGrid(
         nodes=nodes, jac=jac, weights=weights, orient_sign=1.0,
@@ -1171,9 +1112,7 @@ def boundary_surfaces(
     """Oriented components of the boundary of {|mu|^2 <= r}: the outer
     shell always, the inner shell when the region is an annulus."""
     scheme = scheme or QuadratureScheme()
-    info = _radial_info(space)
-    if info is None:
-        raise InputError(f"{space.name} does not advertise a radial moment norm")
+    info = _radial(space)
     check_regular_radius(space, r)
     s_lo, s_hi = info.s_bounds(r)
     out = []
@@ -1203,14 +1142,15 @@ def surface_measure(grid: SurfaceGrid) -> np.ndarray:
 def integrate_form_on_surface(grid: SurfaceGrid, fmi_values: dict) -> complex:
     """Integrate a (d-1)-form given as {form multi-index: values at the
     grid nodes} via pullback: each component contributes
-    coeff * det(J[rows fmi]) against the parameter weights."""
+    coeff * det(J[rows fmi]) against the parameter weights, each summed
+    on its own."""
     d = grid.nodes.shape[1]
     total = 0j
     for fmi, vals in sorted(fmi_values.items()):
         if len(fmi) != d - 1:
             continue
-        minors = np.linalg.det(grid.jac[:, list(fmi), :])
-        total += _wsum(np.asarray(vals) * minors, grid.weights)
+        (pulled,) = _pullback({fmi: np.asarray(vals)}, grid.jac, d - 1).values()
+        total += _wsum(pulled, grid.weights)
     return grid.orient_sign * total
 
 
@@ -1602,7 +1542,7 @@ def basic_integral_batch(
         _check_request(space, alpha, r, eps, t)
         members.append(_Member(float(r), float(t), float(eps)))
     plan = _IntegrandPlan(space, alpha, deformed=any(m.t != 0.0 for m in members))
-    _orientation_factor(space)
+    _check_orientation(space)
     info = _radial_or_rejection(space, scheme)
     if info is not None:
         outs = _integrate_radial(space, plan, members, info, scheme)

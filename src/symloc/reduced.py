@@ -49,14 +49,13 @@ origin, where d mu has rank zero, so ``zero_level`` raises NotRegularError.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
 import numpy as np
 
 from .fields import Expr, MatConst, column  # noqa: F401  (Expr is re-exported for annotations)
-from .forms import EquivariantForm, _merge_sign, invariance_residual
+from .forms import EquivariantForm, _merge_sign, _pullback, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
 from .integrate import _leggauss, check_alpha
 from .liealg import AccuracyError, InputError, NotRegularError
@@ -107,34 +106,6 @@ def _add_parts(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
         out[k] = out[k] + v if k in out else v
-    return out
-
-
-def _pullback(parts: dict, mats: np.ndarray, out_dim: int) -> dict:
-    """Pull a pointwise form back under the linear maps ``mats``.
-
-    ``mats`` has shape (N, rows, cols); a p-form over row indices becomes a
-    p-form over column indices via the minor determinants
-    (beta_*)_U = sum_W beta_W det(mats[W, U]).  1 x 1 and 2 x 2 minors are
-    written out (ad - bc) rather than sent node by node to LAPACK.
-    """
-    out: dict = {}
-    for w_idx, coeff in parts.items():
-        p = len(w_idx)
-        if p == 0:
-            out[()] = out[()] + coeff if () in out else coeff
-            continue
-        rows = mats[:, list(w_idx), :]
-        for u_idx in itertools.combinations(range(out_dim), p):
-            sub = rows[:, :, list(u_idx)]
-            if p == 1:
-                det = sub[:, 0, 0]
-            elif p == 2:
-                det = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-            else:
-                det = np.linalg.det(sub)
-            term = coeff * det
-            out[u_idx] = out[u_idx] + term if u_idx in out else term
     return out
 
 
@@ -572,27 +543,6 @@ class ZeroLevelData:
         return json.dumps(self.to_json_dict(**kw), sort_keys=True)
 
 
-def _validate_level_family(space: HamiltonianSpace) -> None:
-    fam = space.meta.get("family")
-    if fam == "c2_su2":
-        raise NotRegularError(
-            "the zero level of c2_su2 is the single point at the origin, "
-            "where d mu has rank zero: 0 is not a regular value"
-        )
-    if fam != "weighted_cn_u1":
-        raise InputError(
-            f"no closed-form zero-level parametrization registered for "
-            f"{space.name!r}"
-        )
-    weights = space.meta["weights"]
-    if all(w < 0 for w in weights):
-        raise InputError("the zero level set is empty for negative weights")
-    if len(weights) > 2:
-        raise InputError(
-            "zero-level parametrization is registered for one or two planes"
-        )
-
-
 def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData:
     """Mesh mu^{-1}(0), build the metric connection, and verify regularity.
 
@@ -621,12 +571,21 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
 
     The residuals land in ``regularity_report``.
     """
-    _validate_level_family(space)
+    radial = space.radial
+    if radial is None:
+        raise InputError(
+            f"no closed-form zero-level parametrization registered for "
+            f"{space.name!r}"
+        )
+    radial.check_zero_level(space.name)
+    if radial.planes > 2:
+        raise InputError(
+            "zero-level parametrization is registered for one or two planes"
+        )
     if int(mesh_density) < 4:
         raise InputError("mesh_density must be at least 4")
-    weights = space.meta["weights"]
-    a_level = space.meta["a"]
-    chart = _U1LevelChart(weights, a_level, int(mesh_density))
+    weights = radial.weights
+    chart = _U1LevelChart(weights, radial.a / radial.c, int(mesh_density))
     data = _chart_conn_last(space, chart, chart.param_nodes)
     conn = data["conn"]
     pulled = _pulled_back_first(data)

@@ -22,7 +22,6 @@ from symloc.integrate import (
     _points_on_ray,
     _product_chunks,
     _radial_axes,
-    _radial_info,
     _wsum,
     sgi_values,
 )
@@ -117,7 +116,7 @@ def _torus_invariant(f, info, s_intervals, top):
 def seed_radial(space, f, r, scheme):
     """The radial quadrature of one integrand: IntegralResult or the
     AccuracyError it ends with (returned, not raised)."""
-    info = _radial_info(space)
+    info = space.radial
     _check_planes(info)
     top = tuple(range(space.ambient_dim))
     s_intervals = _support(info, r, f._damp_profile)

@@ -39,10 +39,12 @@ from symloc.forms import (
 )
 from symloc.hamspace import (
     HamiltonianSpace,
+    RadialMoment,
     catalog,
     catalog_from_string,
     eta_exprs,
     lambda_form,
+    with_corrupted_moment,
 )
 from symloc.integrate import (
     BasicIntegralRequest,
@@ -74,6 +76,7 @@ from symloc.liealg import (
     builtin_algebra,
     shifted_gaussian_integral,
 )
+from symloc.reduced import zero_level
 
 
 def annulus():
@@ -143,6 +146,73 @@ def test_known_critical_values():
     assert known_critical_values(catalog("c2_su2")) == (0.0,)
     sp = catalog("standard_model", preset="u1_w1")
     assert known_critical_values(sp) is None
+
+
+def _family_geometry(space):
+    """The per-family s-slab and critical values that RadialMoment
+    replaced, kept as the reference: |mu| = |s - a| / 2 on the weighted
+    planes, |mu| = s / 4 on c2_su2."""
+    if space.meta["family"] == "weighted_cn_u1":
+        a = float(space.meta["a"])
+
+        def s_bounds(r):
+            half = 2.0 * math.sqrt(r)
+            return (max(a - half, 0.0), a + half)
+
+        return s_bounds, (0.0, a * a / 4.0)
+    return (lambda r: (0.0, 4.0 * math.sqrt(r))), (0.0,)
+
+
+@pytest.mark.parametrize(
+    "name", ["cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "c2_su2"]
+)
+def test_radial_moment_matches_the_family_formulas(name):
+    sp = catalog_from_string(name)
+    s_bounds, crit = _family_geometry(sp)
+
+    def bits(xs):
+        return [float(x).hex() for x in xs]
+
+    assert bits(known_critical_values(sp)) == bits(crit)
+    for r in (0.01, 0.04, 0.16, 0.36, 1.0, 2.5):
+        assert bits(sp.radial.s_bounds(r)) == bits(s_bounds(r))
+
+
+def test_corrupted_moment_has_no_radial_geometry():
+    # the leaked x_0 term breaks |mu| = |s - a| / 2: the corrupted space
+    # must not be gridded, integrated or meshed with the clean geometry
+    sp = with_corrupted_moment(annulus(), 0.1)
+    assert sp.radial is None
+    assert known_critical_values(sp) is None
+    with pytest.raises(InputError, match="radial moment norm"):
+        radial_grid(sp, 0.36)
+    req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.36, epsilon=0.1,
+                               quadrature=QuadratureScheme(kind="radial"))
+    with pytest.raises(InputError, match="radial moment norm"):
+        basic_integral(req)
+    with pytest.raises(InputError, match="no closed-form zero-level"):
+        zero_level(sp)
+
+
+def test_negative_weights_fold_into_a_negative_level():
+    # mu = (-|z|^2 - 1)/2, so |mu| = (s + 1)/2 with s = |z|^2: M_r is the
+    # disk s <= 2 sqrt(r) - 1 (empty below r = 1/4), mu never vanishes,
+    # and BI(1, r, 0) = (erf((s_hi + 1)/c) - erf(1/c)) / 2, c = 2 sqrt(2 eps)
+    sp = catalog("weighted_cn_u1", n=1, weights=(-1,), a=1.0)
+    assert sp.radial == RadialMoment((1,), -1.0)
+    assert known_critical_values(sp) == (0.25,)
+    r, eps = 0.36, 0.1
+    s_hi = 2.0 * math.sqrt(r) - 1.0
+    c = 2.0 * math.sqrt(2.0 * eps)
+    exact = 0.5 * (math.erf((s_hi + 1.0) / c) - math.erf(1.0 / c))
+    res = basic_integral(BasicIntegralRequest(space=sp, alpha=one_form(sp), r=r,
+                                              epsilon=eps))
+    assert exact == pytest.approx(0.0280334, abs=1e-7)
+    assert abs(res.value - exact) < 1e-10
+    with pytest.raises(InputError, match="is empty"):
+        radial_grid(sp, 0.16)
+    with pytest.raises(InputError, match="zero level set .* is empty"):
+        zero_level(sp)
 
 
 # ---------------------------------------------------------------------------

@@ -405,7 +405,7 @@ def test_level_connection_needs_a_constant_metric():
         metric=MatAffine(np.eye(2), {0: 0.1 * np.eye(2)}),
         sample_box=sp.sample_box,
         action_sampler=sp.action_sampler,
-        meta=sp.meta,
+        radial=sp.radial,
     )
     with pytest.raises(InputError, match="constant metric, got MatAffine"):
         R.zero_level(curved)
