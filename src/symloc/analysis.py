@@ -861,8 +861,9 @@ def contribution(
     BI(alpha, above, t) - BI(alpha, below, t) across the value.
 
     ``epsilon`` may be a scalar or an ascending sequence.  Probes come
-    from critical_values over ``components`` (located inside M_{r_max}
-    when not supplied).  The result is checked for independence of the
+    from critical_values over ``components``.  Without ``components``
+    every call runs a full find_critical_points inside M_{r_max}; pass
+    the components of one search to serve several indices.  The result is checked for independence of the
     probe choice by recomputing at perturbed probes for the largest
     epsilon; disagreement raises AccuracyError, a missing plateau raises
     NonConvergenceError with conditioning data.

@@ -20,6 +20,7 @@ verifies both statements numerically.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ import numpy as np
 from .fields import Expr, column, const
 from .hamspace import HamiltonianSpace
 from .liealg import InputError, NonConvergenceError, NotRegularError
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "CriticalComponent",
@@ -43,6 +46,9 @@ DEFAULT_CLUSTER_RADIUS = 1e-2
 MIN_VALUE_GAP = 1e-4         # distinct critical values must be this far apart
 GD_HANDOFF = 0.5             # a gradient step keeping more of f than this
                              # share hands the seed to Gauss-Newton
+BOOST_RATIO_AGREE = 0.02     # a multiplicity step needs two step ratios
+BOOST_RATIO_WINDOW = (0.45, 0.95)  # this close, in this window, and a
+BOOST_F_FIT = 0.25           # drop of f within this of rho^(2p) in log
 
 
 @dataclass(frozen=True)
@@ -150,7 +156,7 @@ def _moment_gradients(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50):
+def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50, stats=None):
     """Vectorized descent of f = ||F||^2 from the rows of x.  Returns
     (points, f values).
 
@@ -170,7 +176,23 @@ def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50):
     degenerate zero, where J^T J shrinks like a power of the distance.  lam
     starts at 1e-6, falls 3x after a step that does not raise f (floor
     1e-14) and grows 10x after one that does; a step is retried up to 12
-    times per Jacobian."""
+    times per Jacobian.
+
+    Multiplicity steps.  Near a zero where F is homogeneous of degree p,
+    the Gauss-Newton step is -(x - x*)/p, so the accepted steps shrink by
+    the constant ratio rho = (p - 1)/p and f drops by rho^(2p) per step:
+    linear convergence.  A seed whose last two step ratios agree within
+    BOOST_RATIO_AGREE, lie in BOOST_RATIO_WINDOW, and whose last drop of f
+    fits rho^(2p) (log ratio within BOOST_F_FIT of 2p, p = round(1/(1 -
+    rho))) first tries Schroeder's step x + p dx with the same dx.  It
+    keeps that step when f does not rise (and resets its ratio history);
+    otherwise the plain step runs under the rules above.  Seeds that never
+    qualify take exactly the plain steps.
+
+    When ``stats`` is a dict, it receives "newton_iterations" (Jacobians
+    evaluated in the Gauss-Newton phase), "boosted_seeds" (seeds that kept
+    a multiplicity step) and "orders" (the sorted distinct p of those
+    steps)."""
     x = np.array(x, dtype=float)
     F = f_eval(x)
     f = np.sum(F * F, axis=1)
@@ -209,17 +231,26 @@ def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50):
 
     lam = np.full(len(x), 1e-6)
     eye = np.eye(x.shape[1])
+    # per seed: norm of the last accepted plain step, the ratio of the
+    # last two, and the order p of a qualifying seed (0: plain steps only)
+    step = np.full(len(x), np.nan)
+    ratio = np.full(len(x), np.nan)
+    order = np.zeros(len(x), dtype=int)
+    boosted = np.zeros(len(x), dtype=bool)
+    orders_kept: set[int] = set()
+    n_newton = 0
     for _ in range(max_newton):
         active = np.nonzero(f >= 1e-28)[0]
         if len(active) == 0:
             break
+        n_newton += 1
         J = j_eval(x[active])
         jtj = np.einsum("nji,njk->nik", J, J)
         rhs = -np.einsum("nji,nj->ni", J, F[active])
         scale = np.max(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
         scale[scale == 0.0] = 1.0  # J = 0: keep the damped system regular
         pending = np.arange(len(active))
-        for _ in range(12):
+        for attempt in range(12):
             idx = active[pending]
             damp = (lam[idx] * scale[pending])[:, None, None] * eye
             try:
@@ -229,11 +260,36 @@ def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50):
             except np.linalg.LinAlgError:
                 lam[idx] *= 10.0
                 continue
+            boost = np.flatnonzero(order[idx]) if attempt == 0 else ()
+            if len(boost):
+                rows = idx[boost]
+                trial = x[rows] + order[rows, None] * dx[boost]
+                Ft = f_eval(trial)
+                ft = np.sum(Ft * Ft, axis=1)
+                ok = ft <= f[rows]
+                new = rows[ok]
+                x[new] = trial[ok]
+                f[new] = ft[ok]
+                F[new] = Ft[ok]
+                lam[new] = np.maximum(lam[new] / 3.0, 1e-14)
+                orders_kept.update(order[new].tolist())
+                boosted[new] = True
+                step[new] = ratio[new] = np.nan
+                order[new] = 0
+                plain = np.ones(len(idx), dtype=bool)
+                plain[boost[ok]] = False
+                pending, idx, dx = pending[plain], idx[plain], dx[plain]
+                if len(pending) == 0:
+                    break
             trial = x[idx] + dx
             Ft = f_eval(trial)
             ft = np.sum(Ft * Ft, axis=1)
             ok = ft <= f[idx]
             new = idx[ok]
+            norm = np.sqrt(np.sum(dx[ok] ** 2, axis=1))
+            rho, order[new] = _multiplicity(norm, step[new], ratio[new],
+                                            f[new], ft[ok])
+            step[new], ratio[new] = norm, rho
             x[new] = trial[ok]
             f[new] = ft[ok]
             F[new] = Ft[ok]
@@ -242,7 +298,34 @@ def _descend(f_eval, j_eval, x, max_gd=120, max_newton=50):
             pending = pending[~ok]
             if len(pending) == 0:
                 break
+    if stats is not None:
+        stats.update(newton_iterations=n_newton,
+                     boosted_seeds=int(np.sum(boosted)),
+                     orders=sorted(orders_kept))
     return x, f
+
+
+def _multiplicity(norm, prev_norm, prev_ratio, f_old, f_new):
+    """For accepted plain steps of the given norms (the previous ones had
+    prev_norm and ratio prev_ratio, nan when unknown) that took f from
+    f_old > 0 to f_new: the step ratios rho (nan where undefined) and the
+    multiplicity p of each seed that now qualifies for a multiplicity
+    step, 0 elsewhere (see _descend).  Divides by no zero and takes no log
+    of zero."""
+    valid = (prev_norm > 0.0) & (f_new > 0.0)  # False where nan
+    rho = np.full(len(norm), np.nan)
+    rho[valid] = norm[valid] / prev_norm[valid]
+    lo, hi = BOOST_RATIO_WINDOW
+    steady = np.nonzero(
+        (np.abs(rho - prev_ratio) <= BOOST_RATIO_AGREE)
+        & (rho >= lo) & (rho <= hi)
+    )[0]
+    p = np.rint(1.0 / (1.0 - rho[steady]))
+    fit = np.log(f_new[steady] / f_old[steady]) / np.log(rho[steady])
+    fits = np.abs(fit - 2.0 * p) <= BOOST_F_FIT
+    order = np.zeros(len(norm), dtype=int)
+    order[steady[fits]] = p[fits]
+    return rho, order
 
 
 def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int):
@@ -361,14 +444,20 @@ def find_critical_points(
     backtracking gradient steps until a step no longer halves f, then
     Levenberg-Marquardt steps on V mu* = 0 with the damping scaled by the
     largest diagonal entry of J^T J, until f < 1e-28 (see _descend).  A
-    seed stops being evaluated as soon as it leaves a phase, so converged
-    seeds cost nothing.  Points with f < 1e-16 are grouped by critical
-    value, chained by chart distance (single linkage with a scale-jump
-    cut) into components, and sorted by critical value.
+    seed whose steps shrink by a steady ratio rho, with f dropping as a
+    degree-p zero predicts (rho = (p - 1)/p), first tries the
+    multiplicity-scaled step x + p dx, so the degenerate c2_su2 origin
+    needs 4 Gauss-Newton iterations.  A seed stops being evaluated as soon
+    as it leaves a phase, so converged seeds cost nothing.  Points with
+    f < 1e-16 are grouped by critical value, chained by chart distance
+    (single linkage with a scale-jump cut) into components, and sorted by
+    critical value.
 
     Raises NotRegularError when a located component sits within 1e-3 of
     r_max (r_max must be regular).  Returns [] with a warning when no
-    seed converges."""
+    seed converges.  One DEBUG record on the "symloc.critical" logger
+    gives the Gauss-Newton iterations, the seeds that kept a
+    multiplicity step and their orders p."""
     if r_max <= 0:
         raise InputError("r_max must be positive")
     if n_seeds is None:
@@ -385,7 +474,14 @@ def find_critical_points(
         return []
 
     f_eval, j_eval = _vfield_and_jacobian(space)
-    pts, f = _descend(f_eval, j_eval, starts)
+    stats: dict = {}
+    pts, f = _descend(f_eval, j_eval, starts, stats=stats)
+    _log.debug(
+        "critical search on %s (r_max=%g): %d seeds, %d Gauss-Newton "
+        "iterations, %d seeds took multiplicity steps (p in %s)",
+        space.name, r_max, len(starts), stats["newton_iterations"],
+        stats["boosted_seeds"], stats["orders"],
+    )
     conv = f < CONVERGED_F
     if not np.any(conv):
         warnings.warn(

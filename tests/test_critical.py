@@ -9,6 +9,7 @@ is bounded below by 1/4 on the unit sphere of the slice.
 """
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import symloc
+from symloc import critical
 from symloc.critical import (
     CriticalComponent,
     _dedupe,
@@ -80,8 +82,8 @@ def test_su2_origin_component():
     assert len(comps) == 1
     (comp,) = comps
     assert comp.critical_value == 0.0
-    # the field vanishes cubically at the origin, so converged points sit
-    # within the cube-root basin, not at machine epsilon
+    # the field vanishes cubically at the origin, so the residual target
+    # alone only bounds the points by its cube root
     assert np.max(np.linalg.norm(comp.representative_points, axis=1)) < 1e-2
     assert comp.beta_star == pytest.approx([0.0, 0.0, 0.0], abs=1e-6)
 
@@ -198,6 +200,193 @@ def test_degenerate_origin_reaches_the_newton_target():
     (comp,) = find_critical_points(catalog("c2_su2"), 1.0)
     assert comp.critical_value == 0.0
     assert comp.tolerance <= 1e-13
+
+
+def _descend_plain(f_eval, j_eval, x, max_gd=120, max_newton=50):
+    """Reference: _descend with plain Levenberg-Marquardt steps only, as it
+    was before the multiplicity steps."""
+    x = np.array(x, dtype=float)
+    F = f_eval(x)
+    f = np.sum(F * F, axis=1)
+
+    alpha = np.full(len(x), 0.1)
+    active = np.nonzero(f >= 1e-18)[0]
+    for _ in range(max_gd):
+        if len(active) == 0:
+            break
+        J = j_eval(x[active])
+        grad = 2.0 * np.einsum("nji,nj->ni", J, F[active])
+        g2 = np.sum(grad * grad, axis=1)
+        move = g2 > 1e-30
+        rows, grad, g2 = active[move], grad[move], g2[move]
+        f_before = f[rows]
+        accepted = np.zeros(len(rows), dtype=bool)
+        for _ in range(30):
+            todo = np.nonzero(~accepted)[0]
+            if len(todo) == 0:
+                break
+            idx = rows[todo]
+            trial = x[idx] - alpha[idx, None] * grad[todo]
+            Ft = f_eval(trial)
+            ft = np.sum(Ft * Ft, axis=1)
+            ok = ft <= f[idx] - 1e-4 * alpha[idx] * g2[todo]
+            new = idx[ok]
+            x[new] = trial[ok]
+            f[new] = ft[ok]
+            F[new] = Ft[ok]
+            accepted[todo[ok]] = True
+            alpha[idx[~ok]] *= 0.5
+        moved = rows[accepted]
+        alpha[moved] = np.minimum(alpha[moved] * 1.5, 1.0)
+        fast = f[moved] <= critical.GD_HANDOFF * f_before[accepted]
+        active = moved[fast & (f[moved] >= 1e-18)]
+
+    lam = np.full(len(x), 1e-6)
+    eye = np.eye(x.shape[1])
+    for _ in range(max_newton):
+        active = np.nonzero(f >= 1e-28)[0]
+        if len(active) == 0:
+            break
+        J = j_eval(x[active])
+        jtj = np.einsum("nji,njk->nik", J, J)
+        rhs = -np.einsum("nji,nj->ni", J, F[active])
+        scale = np.max(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
+        scale[scale == 0.0] = 1.0
+        pending = np.arange(len(active))
+        for _ in range(12):
+            idx = active[pending]
+            damp = (lam[idx] * scale[pending])[:, None, None] * eye
+            try:
+                dx = np.linalg.solve(
+                    jtj[pending] + damp, rhs[pending][..., None]
+                )[..., 0]
+            except np.linalg.LinAlgError:
+                lam[idx] *= 10.0
+                continue
+            trial = x[idx] + dx
+            Ft = f_eval(trial)
+            ft = np.sum(Ft * Ft, axis=1)
+            ok = ft <= f[idx]
+            new = idx[ok]
+            x[new] = trial[ok]
+            f[new] = ft[ok]
+            F[new] = Ft[ok]
+            lam[new] = np.maximum(lam[new] / 3.0, 1e-14)
+            lam[idx[~ok]] *= 10.0
+            pending = pending[~ok]
+            if len(pending) == 0:
+                break
+    return x, f
+
+
+# Sobol seed 5 holds a cn_u1(1,1) start whose steps shrink by a steady
+# ratio although its zero is simple: without the drop-of-f gate it takes a
+# multiplicity step
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("r_max", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "name,kw",
+    [("cn_u1", dict(n=1, a=1.0)), ("cn_u1", dict(n=2, a=1.0)),
+     ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0))],
+    ids=["cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)"],
+)
+def test_descent_at_simple_zeros_matches_plain_reference(name, kw, r_max, seed):
+    # no seed qualifies for a multiplicity step, so every bit is the plain
+    # Levenberg-Marquardt one
+    sp = catalog(name, **kw)
+    f_eval, j_eval = _vfield_and_jacobian(sp)
+    starts = _sobol_seeds(sp, r_max, 256 * sp.ambient_dim, seed)
+    stats = {}
+    pts, f = _descend(f_eval, j_eval, starts, stats=stats)
+    ref_pts, ref_f = _descend_plain(f_eval, j_eval, starts)
+    assert stats["boosted_seeds"] == 0
+    assert np.array_equal(pts, ref_pts) and np.array_equal(f, ref_f)
+
+
+def _newton_phase_jacobians(descend, f_eval, j_eval, starts):
+    """Jacobian calls of the Gauss-Newton phase alone: the gradient phase
+    runs first, and the second call starts where it handed off (the
+    Gauss-Newton state starts afresh either way)."""
+    handoff, _ = descend(f_eval, j_eval, starts, max_newton=0)
+    calls = []
+
+    def j_counted(pts):
+        calls.append(len(pts))
+        return j_eval(pts)
+
+    _, f = descend(f_eval, j_counted, handoff, max_gd=0)
+    return len(calls), f
+
+
+def test_degenerate_origin_takes_multiplicity_steps():
+    # V mu* is a homogeneous cubic at the c2_su2 origin: plain steps shrink
+    # the point by 2/3 each, the multiplicity step x + 3 dx lands on it
+    sp = catalog("c2_su2")
+    f_eval, j_eval = _vfield_and_jacobian(sp)
+    starts = _sobol_seeds(sp, 1.0, 256 * sp.ambient_dim, 0)
+    n_plain, _ = _newton_phase_jacobians(_descend_plain, f_eval, j_eval, starts)
+    n_boost, f = _newton_phase_jacobians(_descend, f_eval, j_eval, starts)
+    assert n_plain > 20
+    assert n_boost <= 8
+    assert np.all(f < 1e-28)
+
+
+def _cubic(x):
+    return np.sum(x * x, axis=1)[:, None] * x
+
+
+def _cubic_jacobian(x):
+    r2 = np.sum(x * x, axis=1)
+    return r2[:, None, None] * np.eye(2) + 2.0 * x[:, :, None] * x[:, None, :]
+
+
+def test_multiplicity_steps_on_a_triple_zero():
+    # F(x) = |x|^2 x in R^2 vanishes to order p = 3 at the origin
+    starts = np.random.default_rng(4).uniform(-1.0, 1.0, (64, 2))
+    stats = {}
+    _, f = _descend(_cubic, _cubic_jacobian, starts, stats=stats)
+    assert stats["boosted_seeds"] == 64 and stats["orders"] == [3]
+    assert stats["newton_iterations"] <= 8
+    assert np.all(f < 1e-28)
+    _, f_plain = _descend_plain(_cubic, _cubic_jacobian, starts)
+    assert np.all(f_plain < 1e-28)
+
+
+def test_no_multiplicity_steps_on_a_linear_field(monkeypatch):
+    # F(x) = A x - b with a singular value of 1e-7: once lam reaches its
+    # floor the damped steps shrink by a steady ratio of about 1/2, yet f
+    # drops like rho^2, not rho^4, so the zero is simple and no seed
+    # qualifies
+    a = np.diag([1.0, 1e-7])
+    b = a @ np.array([0.3, -0.2])
+
+    def f_eval(x):
+        return x @ a.T - b
+
+    def j_eval(x):
+        return np.broadcast_to(a, (len(x), 2, 2)).copy()
+
+    starts = np.random.default_rng(4).uniform(-1.0, 1.0, (64, 2))
+    stats = {}
+    pts, f = _descend(f_eval, j_eval, starts, stats=stats)
+    assert stats["boosted_seeds"] == 0
+    ref_pts, ref_f = _descend_plain(f_eval, j_eval, starts)
+    assert np.array_equal(pts, ref_pts) and np.array_equal(f, ref_f)
+    # the steady ratio alone would qualify them: the drop of f decides
+    monkeypatch.setattr(critical, "BOOST_F_FIT", np.inf)
+    stats = {}
+    _descend(f_eval, j_eval, starts, stats=stats)
+    assert stats["boosted_seeds"] > 0
+
+
+def test_search_logs_its_multiplicity_steps(caplog):
+    with caplog.at_level(logging.DEBUG, logger="symloc.critical"):
+        find_critical_points(catalog("c2_su2"), 1.0)
+    (rec,) = [r for r in caplog.records if r.name == "symloc.critical"]
+    assert rec.levelno == logging.DEBUG
+    msg = rec.getMessage()
+    assert "4 Gauss-Newton iterations" in msg
+    assert "1024 seeds took multiplicity steps (p in [3])" in msg
 
 
 # (critical values, number of components) on every validation space; the
