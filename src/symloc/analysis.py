@@ -40,9 +40,9 @@ from .forms import EquivariantForm
 from .hamspace import HamiltonianSpace
 from .integrate import (
     QuadratureScheme,
+    _gate_alpha,
     basic_integral_batch,
     boundary_surfaces,
-    check_alpha,
     check_regular_radius,
     known_critical_values,
 )
@@ -595,17 +595,6 @@ def fit_poly_plus_tail(
 # ---------------------------------------------------------------------------
 
 
-def _gate_alpha(space: HamiltonianSpace, alpha: EquivariantForm):
-    checks = check_alpha(space, alpha)
-    if not checks["ok"]:
-        raise InputError(
-            "alpha is not an admissible integrand: "
-            f"D-residual {checks['d_residual']:.3g}, "
-            f"invariance residual {checks['invariance_residual']:.3g}"
-        )
-    return checks
-
-
 def _settled(out):
     """(value, error) of one basic_integral_batch member; raises the
     AccuracyError it ended with.  Callers take the members in the order a
@@ -623,6 +612,17 @@ def _ascending_grid(grid, what) -> np.ndarray:
     if arr.size > 1 and np.any(np.diff(arr) <= 0):
         raise InputError(f"{what} must be strictly ascending")
     return arr
+
+
+def _plateau_t_grid(t_grid) -> np.ndarray:
+    """The t grid of a plateau search (DEFAULT_T_GRID for None): at least
+    three values, nonnegative and strictly ascending."""
+    t_arr = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, float)
+    if t_arr.size < 3:
+        raise InputError("plateau detection needs at least three t values")
+    if np.any(np.diff(t_arr) <= 0) or t_arr[0] < 0:
+        raise InputError("t grid must be nonnegative and strictly ascending")
+    return t_arr
 
 
 def _boundary_gauge_pairing(space, r, scheme):
@@ -693,11 +693,7 @@ def large_t_limit(
     the report carries the conditioning data (Gaussian shift magnitude
     and the boundary pairing bounds) needed to size a longer grid."""
     scheme = quadrature or QuadratureScheme()
-    t_arr = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, float)
-    if t_arr.size < 3:
-        raise InputError("plateau detection needs at least three t values")
-    if np.any(np.diff(t_arr) <= 0) or t_arr[0] < 0:
-        raise InputError("t grid must be nonnegative and strictly ascending")
+    t_arr = _plateau_t_grid(t_grid)
     if validate:
         check_regular_radius(space, r)
         _gate_alpha(space, alpha)
@@ -870,11 +866,7 @@ def contribution(
     """
     scheme = quadrature or QuadratureScheme()
     eps_arr = _ascending_grid(epsilon, "epsilon")
-    t_arr = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, float)
-    if t_arr.size < 3:
-        raise InputError("plateau detection needs at least three t values")
-    if np.any(np.diff(t_arr) <= 0) or t_arr[0] < 0:
-        raise InputError("t grid must be nonnegative and strictly ascending")
+    t_arr = _plateau_t_grid(t_grid)
     _gate_alpha(space, alpha)
 
     if components is None:

@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class CriticalComponent:
     beta_star: np.ndarray
     tolerance: float
     n_converged: int = 0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.critical_value < 0 and self.critical_value > -1e-12:
@@ -329,8 +328,8 @@ def _multiplicity(norm, prev_norm, prev_ratio, f_old, f_new):
 
 
 def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int):
-    """Low-discrepancy starts inside M_{r_max} (rejection against the
-    sample box)."""
+    """Low-discrepancy starts inside M_{r_max}: Sobol' points of the
+    sample box, kept where |mu|^2 <= r_max."""
     # imported here, not at module load: scipy.stats is slow to import and
     # only the seed sampler needs it
     from scipy.stats import qmc
@@ -508,7 +507,7 @@ def find_critical_points(
         sub, subf, mult = _dedupe(pts[chunk], f[chunk])
         cache = {}
         subv = column(space.mu_norm2_expr(), sub, cache)
-        clusters, cut_at = _mst_clusters(sub, cluster_radius)
+        clusters, _ = _mst_clusters(sub, cluster_radius)
         for idx in clusters:
             idx = np.array(idx)
             cpts, cf, cv = sub[idx], subf[idx], subv[idx]
@@ -540,8 +539,6 @@ def find_critical_points(
                     beta_star=beta,
                     tolerance=max(resid, spread / 10.0, 1e-14),
                     n_converged=int(np.sum(mult[idx])),
-                    meta={"space": space.name, "seed": seed,
-                          "mst_cut": cut_at},
                 )
             )
 

@@ -170,7 +170,6 @@ class HamiltonianSpace:
         "sample_box",
         "action_sampler",
         "radial",
-        "meta",
     )
 
     def __init__(
@@ -188,7 +187,6 @@ class HamiltonianSpace:
         chart_radius: float = math.inf,
         action_sampler=None,
         radial: RadialMoment | None = None,
-        meta: dict | None = None,
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "algebra", algebra)
@@ -203,7 +201,6 @@ class HamiltonianSpace:
         object.__setattr__(self, "sample_box", np.asarray(sample_box, dtype=float))
         object.__setattr__(self, "action_sampler", action_sampler)
         object.__setattr__(self, "radial", radial)
-        object.__setattr__(self, "meta", dict(meta or {}))
         if len(self.moment_star) != algebra.dim:
             raise InputError("moment map must have one component per basis element")
         if omega.gdim != algebra.dim or action.gdim != algebra.dim:
@@ -424,7 +421,6 @@ def with_corrupted_moment(space: HamiltonianSpace, magnitude: float = 0.1):
         sample_box=space.sample_box,
         chart_radius=space.chart_radius,
         action_sampler=space.action_sampler,
-        meta={**space.meta, "corrupted": float(magnitude)},
     )
 
 
@@ -513,7 +509,6 @@ def _weighted_cn_space(n: int, weights, a: float, name: str) -> HamiltonianSpace
         sample_box=sample_box,
         action_sampler=action_sampler,
         radial=radial,
-        meta={"family": "weighted_cn_u1", "n": n, "weights": weights, "a": a},
     )
 
 
@@ -602,7 +597,6 @@ def _c2_su2_space() -> HamiltonianSpace:
         action_sampler=action_sampler,
         # |mu| = (|z_1|^2 + |z_2|^2) / 4
         radial=RadialMoment((1, 1), 0.0, 0.5),
-        meta={"family": "c2_su2"},
     )
 
 
@@ -841,7 +835,6 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
         sample_box=sample_box,
         chart_radius=chart_radius,
         action_sampler=action_sampler_G,
-        meta={"family": "standard_model", "side": "G", "model": m},
     )
 
     # ---- H-structure: diagonal action --------------------------------------
@@ -977,7 +970,6 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
             sample_box=sample_box,
             chart_radius=chart_radius,
             action_sampler=action_sampler_H,
-            meta={"family": "standard_model", "side": "H", "model": m},
         )
 
     return StandardModelSpaces(space_G, space_H, m)

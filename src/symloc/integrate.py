@@ -14,22 +14,17 @@ alpha * exp(form part) reduces to a shifted Gaussian moment evaluated in
 closed form through the Wick table.  Only the manifold integral is
 numerical.
 
-Quadrature over M_r comes in two flavours, chosen per space:
-
-* radial: for a space with a RadialMoment (space.radial: |mu| depends
-  only on the plane radii, through s = sum_j w_j |z_j|^2), the region is
-  a slab in s; tensor Gauss-Legendre in the slab/simplex coordinates
-  times uniform angular grids (trapezoid is spectrally accurate on
-  periodic directions), with the order escalated until consecutive
-  refinements agree.  When the integrand's top-degree coefficient is
-  verified invariant under the torus of plane rotations (see
-  _torus_invariance), every angular grid collapses to the angle-0 ray
-  weighted by 2 pi per plane (Duistermaat-Heckman push-forward to the
-  moment image).
-* rejection-refined: for other spaces, dyadic subdivision of the sample
-  box where cells straddling the cut {|mu|^2 = r} are refined and their
-  leaf nodes indicator-weighted.  First-order accurate at the cut; meant
-  for smoke checks, not tight tolerances.
+Quadrature over M_r is radial: it needs a space with a RadialMoment
+(space.radial: |mu| depends only on the plane radii, through
+s = sum_j w_j |z_j|^2), and refuses any other space with InputError.
+The region is a slab in s; tensor Gauss-Legendre in the slab/simplex
+coordinates times uniform angular grids (trapezoid is spectrally
+accurate on periodic directions), with the order escalated until
+consecutive refinements agree.  When the integrand's top-degree
+coefficient is verified invariant under the torus of plane rotations
+(see _torus_invariance), every angular grid collapses to the angle-0 ray
+weighted by 2 pi per plane (Duistermaat-Heckman push-forward to the
+moment image).
 
 Node evaluation is chunked (fixed chunk size, fixed order); each chunk
 is reduced with an exactly rounded math.fsum, and the chunk sums with
@@ -114,15 +109,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Descriptor for the M_r quadrature.
+    """Descriptor for the radial M_r quadrature and the surface rules.
 
-    ``kind`` is "auto" (radial when the space advertises a radial moment
-    norm, rejection otherwise), "radial", or "rejection".  Refinement
-    stops when consecutive levels differ by less than
-    max(rel_tol * |value|, abs_tol).
+    Refinement runs levels 0..max_level and stops when consecutive levels
+    differ by less than max(rel_tol * |value|, abs_tol).
     """
 
-    kind: str = "auto"
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     base_radial: int = 12
@@ -130,12 +122,8 @@ class QuadratureScheme:
     max_level: int = 3
     chunk: int = 131072
     workers: int = 1
-    min_depth: int | None = None  # rejection path only
-    max_depth: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("auto", "radial", "rejection"):
-            raise InputError(f"unknown quadrature kind {self.kind!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InputError("tolerances must be positive")
         if self.base_radial < 2 or self.base_angular < 4:
@@ -147,7 +135,6 @@ class QuadratureScheme:
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
             "rel_tol": self.rel_tol,
             "abs_tol": self.abs_tol,
             "base_radial": self.base_radial,
@@ -155,8 +142,6 @@ class QuadratureScheme:
             "max_level": self.max_level,
             "chunk": self.chunk,
             "workers": self.workers,
-            "min_depth": self.min_depth,
-            "max_depth": self.max_depth,
         }
 
 
@@ -172,7 +157,6 @@ class QuadratureGrid:
     weights: np.ndarray
     region: str
     level: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -195,7 +179,6 @@ class SurfaceGrid:
     orient_sign: float
     s_value: float
     level: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -417,11 +400,12 @@ def _index_runs(idx: np.ndarray):
     return np.append(idx[0], idx[breaks + 1]), np.append(idx[breaks], idx[-1])
 
 
-def _radial(space: HamiltonianSpace, hint: str = "") -> RadialMoment:
+def _radial(space: HamiltonianSpace) -> RadialMoment:
     """The space's RadialMoment, checked by _check_planes; InputError for
-    a space without one.  Every radial grid and surface starts here."""
+    a space without one.  Every radial grid, surface and integral over
+    M_r starts here."""
     if space.radial is None:
-        raise InputError(f"{space.name} does not advertise a radial moment norm{hint}")
+        raise InputError(f"{space.name} does not advertise a radial moment norm")
     _check_planes(space.radial)
     return space.radial
 
@@ -511,9 +495,10 @@ def _product_chunks(axes, build, chunk: int):
 def radial_grid(
     space: HamiltonianSpace, r: float, level: int = 0, scheme: QuadratureScheme = None
 ) -> QuadratureGrid:
-    """Materialize one refinement level of the radial M_r grid."""
+    """Materialize one refinement level of the radial M_r grid, at most
+    4,000,000 nodes.  InputError for a space without a RadialMoment."""
     scheme = scheme or QuadratureScheme()
-    info = _radial(space, "; use the rejection scheme")
+    info = _radial(space)
     check_regular_radius(space, r)
     axes, build = _radial_axes(info, r, level, scheme)
     total = int(np.prod([len(a) for a in axes]))
@@ -527,13 +512,11 @@ def radial_grid(
         wts_list.append(wts)
     nodes = np.concatenate(pts_list, axis=0)
     weights = np.concatenate(wts_list, axis=0)
-    s_lo, s_hi = info.s_bounds(r)
     return QuadratureGrid(
         nodes=nodes,
         weights=weights,
         region=f"{{|mu|^2 <= {r}}} on {space.name}",
         level=level,
-        meta={"s_bounds": (s_lo, s_hi), "counts": _level_counts(scheme, level)},
     )
 
 
@@ -647,13 +630,13 @@ class _Refinement:
         self.prev = value
         return False
 
-    def outcome(self, wall_time, failure, hint=""):
+    def outcome(self, wall_time, failure):
         """The IntegralResult of the settled level, or the AccuracyError
         carrying the last value and error estimate, with the message
-        ``failure`` followed by the estimate and ``hint``."""
+        ``failure`` followed by the estimate."""
         if self.level is None:
             return AccuracyError(
-                f"{failure} (last error estimate {self.err:g}){hint}",
+                f"{failure} (last error estimate {self.err:g})",
                 partial=self.value,
                 estimate=self.err,
             )
@@ -667,16 +650,16 @@ class _Refinement:
         )
 
 
-def _refine(levels, level_value, scheme, t0, failure, hint=""):
-    """Evaluate ``level_value(level) -> (value, nodes)`` over ``levels``
-    until the _Refinement rule settles; ``t0`` is the perf_counter
-    reading the result's wall_time counts from.  Raises the AccuracyError
-    of _Refinement.outcome when the levels run out."""
+def _refine(level_value, scheme, t0, failure):
+    """Evaluate ``level_value(level) -> (value, nodes)`` over the levels
+    0..scheme.max_level until the _Refinement rule settles; ``t0`` is the
+    perf_counter reading the result's wall_time counts from.  Raises the
+    AccuracyError of _Refinement.outcome when the levels run out."""
     step = _Refinement(scheme)
-    for level in levels:
+    for level in range(scheme.max_level + 1):
         if step.add(level, *level_value(level)):
             break
-    out = step.outcome(time.perf_counter() - t0, failure, hint)
+    out = step.outcome(time.perf_counter() - t0, failure)
     if isinstance(out, AccuracyError):
         raise out
     return out
@@ -687,14 +670,6 @@ def _refine(levels, level_value, scheme, t0, failure, hint=""):
 # ---------------------------------------------------------------------------
 
 
-def _radial_or_rejection(space: HamiltonianSpace, scheme: QuadratureScheme):
-    """The radial geometry the scheme integrates with, or None for the
-    rejection path."""
-    if scheme.kind == "rejection" or (scheme.kind == "auto" and space.radial is None):
-        return None
-    return _radial(space, "; use kind='rejection'")
-
-
 def integrate_over_Mr(
     space: HamiltonianSpace,
     form_field,
@@ -702,20 +677,19 @@ def integrate_over_Mr(
     quadrature: QuadratureScheme = None,
 ) -> IntegralResult:
     """Integrate the top-degree component of ``form_field`` over
-    {|mu|^2 <= r} with the symplectic orientation, escalating the
-    quadrature until the consecutive-level error estimate meets the
-    scheme tolerance.
+    {|mu|^2 <= r} with the symplectic orientation on the radial grids,
+    escalating the quadrature until the consecutive-level error estimate
+    meets the scheme tolerance.
 
-    Raises AccuracyError (carrying the partial value) when refinement is
+    Raises InputError for a space without a RadialMoment, and
+    AccuracyError (carrying the partial value) when refinement is
     exhausted first."""
     scheme = quadrature or QuadratureScheme()
     if r <= 0:
         raise InputError("region radius r must be positive")
     f = _as_integrand(space, form_field)
     _check_orientation(space)
-    info = _radial_or_rejection(space, scheme)
-    if info is None:
-        return _integrate_rejection(space, f, r, scheme)
+    info = _radial(space)
     (out,) = _integrate_radial(space, _FieldSource(f, space), [_Member(r)], info, scheme)
     if isinstance(out, AccuracyError):
         raise out
@@ -922,90 +896,6 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
     return [step.outcome(wall, failure) for step in steps]
 
 
-# -- rejection-refined fallback ---------------------------------------------
-
-
-def _mu_norm2_values(space, pts, cache):
-    mom = space.eval_moment(pts, cache)
-    q = space.algebra.inner_product
-    return np.einsum("ng,gh,nh->n", mom, q, mom)
-
-
-def _rejection_depth_value(space, f, r, depth, min_depth):
-    """One full rejection pass: dyadic descent, interior cells integrated
-    with a fixed-order tensor rule, straddling cells refined to ``depth``
-    and then indicator-weighted.  Deterministic DFS order."""
-    d = space.ambient_dim
-    if d > 4:
-        raise InputError(
-            f"rejection quadrature limited to ambient dimension <= 4, got {d}"
-        )
-    box = np.asarray(space.sample_box, dtype=float)
-    p = 4  # leaf tensor order
-    x1, w1 = _leggauss(p)
-    x1 = 0.5 * (x1 + 1.0)  # on [0, 1]
-    w1 = 0.5 * w1
-    grids = np.meshgrid(*([x1] * d), indexing="ij")
-    unit_nodes = np.stack([g.ravel() for g in grids], axis=1)  # (p^d, d)
-    unit_w = np.ones(p**d)
-    for axis in range(d):
-        wg = np.meshgrid(*([w1] * d), indexing="ij")[axis].ravel()
-        unit_w *= wg
-
-    re_parts, im_parts = [], []
-    n_evals = 0
-    top = tuple(range(d))
-    # LIFO stack, children pushed in reverse lexicographic order -> the
-    # traversal visits cells lexicographically (deterministic).
-    stack = [(box[:, 0].copy(), box[:, 1].copy(), 0)]
-    budget = 2_000_000
-    while stack:
-        lo, hi, lvl = stack.pop()
-        pts = lo + unit_nodes * (hi - lo)
-        cache: dict = {}
-        inside = _mu_norm2_values(space, pts, cache) <= r
-        if not inside.any() and lvl >= min_depth:
-            continue
-        vol = float(np.prod(hi - lo))
-        if lvl >= depth or (inside.all() and lvl >= min_depth):
-            vals = _eval_top(f, pts, top)
-            n_evals += pts.shape[0]
-            if n_evals > budget:
-                raise AccuracyError(
-                    "rejection quadrature exceeded its node budget",
-                    partial=None,
-                    estimate=math.inf,
-                )
-            wts = unit_w * vol
-            if not inside.all():
-                wts = wts * inside
-            s = _wsum(vals, wts)
-            re_parts.append(s.real)
-            im_parts.append(s.imag)
-            continue
-        mid = 0.5 * (lo + hi)
-        for corner in reversed(list(itertools.product((0, 1), repeat=d))):
-            c_lo = np.where(np.array(corner, dtype=bool), mid, lo)
-            c_hi = np.where(np.array(corner, dtype=bool), hi, mid)
-            stack.append((c_lo, c_hi, lvl + 1))
-    return complex(math.fsum(re_parts), math.fsum(im_parts)), n_evals
-
-
-def _integrate_rejection(space, f, r, scheme) -> IntegralResult:
-    t0 = time.perf_counter()
-    d = space.ambient_dim
-    min_depth = scheme.min_depth if scheme.min_depth is not None else (4 if d <= 2 else 2)
-    max_depth = scheme.max_depth if scheme.max_depth is not None else (12 if d <= 2 else 6)
-    return _refine(
-        range(min_depth + 2, max_depth + 1),
-        lambda depth: _rejection_depth_value(space, f, r, depth, min_depth),
-        scheme, t0,
-        f"rejection quadrature on {space.name} did not reach tolerance "
-        f"{scheme.rel_tol:g} by depth {max_depth}",
-        hint="; the cut handling is first-order -- loosen the tolerance",
-    )
-
-
 # ---------------------------------------------------------------------------
 # boundary and level surfaces (radial spaces)
 # ---------------------------------------------------------------------------
@@ -1099,7 +989,7 @@ def level_surface(
     nodes, jac, weights, _ = _build_surface(info, s_value, level, scheme, outward=0)
     return SurfaceGrid(
         nodes=nodes, jac=jac, weights=weights, orient_sign=1.0,
-        s_value=s_value, level=level, meta={"space": space.name},
+        s_value=s_value, level=level,
     )
 
 
@@ -1126,7 +1016,6 @@ def boundary_surfaces(
             SurfaceGrid(
                 nodes=nodes, jac=jac, weights=weights, orient_sign=sign,
                 s_value=s_value, level=level,
-                meta={"space": space.name, "outward": outward},
             )
         )
     return out
@@ -1175,7 +1064,7 @@ def boundary_integral(
         return value, nodes
 
     return _refine(
-        range(scheme.max_level + 1), level_value, scheme, t0,
+        level_value, scheme, t0,
         f"boundary quadrature on {space.name} did not reach tolerance "
         f"{scheme.rel_tol:g} within {scheme.max_level + 1} levels",
     )
@@ -1483,6 +1372,19 @@ def check_alpha(
     }
 
 
+def _gate_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
+    """check_alpha's record, or InputError naming both residuals when
+    alpha is not closed and invariant."""
+    checks = check_alpha(space, alpha)
+    if not checks["ok"]:
+        raise InputError(
+            "alpha is not an admissible integrand: "
+            f"D-residual {checks['d_residual']:.3g}, "
+            f"invariance residual {checks['invariance_residual']:.3g}"
+        )
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # the Basic Integral
 # ---------------------------------------------------------------------------
@@ -1503,14 +1405,7 @@ def basic_integral(
     checks: dict = {}
     if validate:
         check_regular_radius(space, req.r)
-        a_checks = check_alpha(space, req.alpha)
-        checks.update(a_checks)
-        if not a_checks["ok"]:
-            raise InputError(
-                "alpha is not an admissible integrand: "
-                f"D-residual {a_checks['d_residual']:.3g}, "
-                f"invariance residual {a_checks['invariance_residual']:.3g}"
-            )
+        checks.update(_gate_alpha(space, req.alpha))
     (out,) = basic_integral_batch(
         space, req.alpha, [(req.r, req.epsilon, req.t)], req.quadrature
     )
@@ -1531,10 +1426,10 @@ def basic_integral_batch(
 
     Returns, per point and in order, its BasicIntegralResult or the
     AccuracyError its refinement ended with; the caller decides which to
-    raise.  On the radial path every point is a member of one
-    _integrate_radial run, so each result's wall_time is the wall time of
-    the whole batch; the rejection path integrates the points one after
-    the other."""
+    raise.  Every point is a member of one _integrate_radial run, so each
+    result's wall_time is the wall time of the whole batch.  Raises
+    InputError for a space whose chart order is anti-symplectic or that
+    has no RadialMoment."""
     t0 = time.perf_counter()
     scheme = quadrature or QuadratureScheme()
     members = []
@@ -1543,16 +1438,7 @@ def basic_integral_batch(
         members.append(_Member(float(r), float(t), float(eps)))
     plan = _IntegrandPlan(space, alpha, deformed=any(m.t != 0.0 for m in members))
     _check_orientation(space)
-    info = _radial_or_rejection(space, scheme)
-    if info is not None:
-        outs = _integrate_radial(space, plan, members, info, scheme)
-    else:
-        outs = []
-        for m in members:
-            try:
-                outs.append(_integrate_rejection(space, plan.integrand(m.t, m.eps), m.r, scheme))
-            except AccuracyError as exc:
-                outs.append(exc)
+    outs = _integrate_radial(space, plan, members, _radial(space), scheme)
     wall = time.perf_counter() - t0
     k_norm = space.algebra.group_volume * (2.0 * np.pi) ** space.algebra.dim
     return [

@@ -125,7 +125,6 @@ def test_no_seeds_in_region_warns_and_returns_empty():
         sample_box=np.array([[2.0, 3.0], [2.0, 3.0]]),
         chart_radius=sp.chart_radius,
         action_sampler=sp.action_sampler,
-        meta=sp.meta,
     )
     with pytest.warns(UserWarning):
         assert find_critical_points(displaced, 0.1) == []

@@ -406,9 +406,9 @@ def test_su2_hopf_chart_radius():
 def test_catalog_from_string_forms():
     assert catalog_from_string("cn_u1(2, 1.0)").ambient_dim == 4
     sp = catalog_from_string("weighted_cn_u1(2, (1,2), 1.0)")
-    assert sp.meta["weights"] == (1, 2)
+    assert sp.radial.weights == (1, 2)
     assert catalog_from_string("c2_su2").algebra.dim == 3
-    assert catalog_from_string("standard_model(u1_w1, H)").meta["side"] == "H"
+    assert catalog_from_string("standard_model(u1_w1, H)").name == "u1_w1:H"
     assert catalog_from_string(" c2_su2 ").name == "c2_su2"
 
 

@@ -42,12 +42,14 @@ from symloc.hamspace import (
     RadialMoment,
     catalog,
     catalog_from_string,
+    catalog_names_for_validation,
     eta_exprs,
     lambda_form,
     with_corrupted_moment,
 )
 from symloc.integrate import (
     BasicIntegralRequest,
+    BasicIntegralResult,
     _index_runs,
     _leggauss,
     _wsum,
@@ -148,12 +150,18 @@ def test_known_critical_values():
     assert known_critical_values(sp) is None
 
 
-def _family_geometry(space):
+# the level a of each weighted-plane space; None for c2_su2
+_FAMILY_LEVEL = {
+    "cn_u1(1,1)": 1.0, "cn_u1(2,1)": 1.0, "weighted_cn_u1(2,(1,2),1)": 1.0, "c2_su2": None,
+}
+
+
+def _family_geometry(name):
     """The per-family s-slab and critical values that RadialMoment
     replaced, kept as the reference: |mu| = |s - a| / 2 on the weighted
     planes, |mu| = s / 4 on c2_su2."""
-    if space.meta["family"] == "weighted_cn_u1":
-        a = float(space.meta["a"])
+    a = _FAMILY_LEVEL[name]
+    if a is not None:
 
         def s_bounds(r):
             half = 2.0 * math.sqrt(r)
@@ -163,12 +171,10 @@ def _family_geometry(space):
     return (lambda r: (0.0, 4.0 * math.sqrt(r))), (0.0,)
 
 
-@pytest.mark.parametrize(
-    "name", ["cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "c2_su2"]
-)
+@pytest.mark.parametrize("name", list(_FAMILY_LEVEL))
 def test_radial_moment_matches_the_family_formulas(name):
     sp = catalog_from_string(name)
-    s_bounds, crit = _family_geometry(sp)
+    s_bounds, crit = _family_geometry(name)
 
     def bits(xs):
         return [float(x).hex() for x in xs]
@@ -186,12 +192,29 @@ def test_corrupted_moment_has_no_radial_geometry():
     assert known_critical_values(sp) is None
     with pytest.raises(InputError, match="radial moment norm"):
         radial_grid(sp, 0.36)
-    req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.36, epsilon=0.1,
-                               quadrature=QuadratureScheme(kind="radial"))
+    req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.36, epsilon=0.1)
     with pytest.raises(InputError, match="radial moment norm"):
         basic_integral(req)
     with pytest.raises(InputError, match="no closed-form zero-level"):
         zero_level(sp)
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    [pytest.param(name, build, id=name)
+     for name, build in catalog_names_for_validation()],
+)
+def test_validation_space_integrates_or_names_its_refusal(name, build):
+    # every validation space gives a Basic Integral, or a typed refusal
+    # that names why; a space with radial geometry never refuses
+    sp = build()
+    try:
+        (out,) = basic_integral_batch(sp, one_form(sp), [(0.1, 0.1, 0.0)])
+    except InputError as exc:
+        assert sp.radial is None
+        assert "orientation" in str(exc) or "radial moment norm" in str(exc), str(exc)
+        return
+    assert isinstance(out, BasicIntegralResult)
 
 
 def test_negative_weights_fold_into_a_negative_level():
@@ -852,15 +875,11 @@ def _exp_x_dy(pts, cache=None):
     return {(1,): np.exp(5.0 * pts[:, 0]).astype(complex)}
 
 
-@pytest.mark.parametrize("path", ["radial", "rejection", "boundary"])
+@pytest.mark.parametrize("path", ["radial", "boundary"])
 def test_accuracy_error_carries_partial_value(path):
-    # A tolerance no level can meet uses up every level of each path; the
-    # depths (4 and 5) are read by the rejection path only.
+    # A tolerance no level can meet uses up every level of each path.
     sp = annulus()
-    scheme = QuadratureScheme(
-        kind="rejection" if path == "rejection" else "auto",
-        rel_tol=1e-16, abs_tol=1e-300, max_level=1, min_depth=2, max_depth=5,
-    )
+    scheme = QuadratureScheme(rel_tol=1e-16, abs_tol=1e-300, max_level=1)
     with pytest.raises(AccuracyError) as exc:
         if path == "boundary":
             boundary_integral(sp, _exp_x_dy, 0.16, scheme)
@@ -886,7 +905,6 @@ def test_accuracy_error_carries_partial_value(path):
     assert math.isfinite(err.estimate) and err.estimate > 0.0
     assert f"last error estimate {err.estimate:g}" in str(err)
     assert str(err).startswith(f"{path} quadrature on cn_u1(1,1)")
-    assert ("first-order" in str(err)) == (path == "rejection")
 
 
 def test_wsum_is_exactly_rounded_and_order_free():
@@ -918,12 +936,6 @@ def test_request_and_result_serialize():
                                epsilon=0.05, alpha_label="1")
     blob = json.dumps(req.to_json_dict(), sort_keys=True)
     assert "cn_u1(1,1)" in blob
-    # rejection schemes that differ only in their depths serialize apart
-    shallow = QuadratureScheme(kind="rejection", min_depth=2, max_depth=6)
-    deep = QuadratureScheme(kind="rejection", min_depth=3, max_depth=8)
-    rec = shallow.to_json_dict()
-    assert (rec["min_depth"], rec["max_depth"]) == (2, 6)
-    assert rec != deep.to_json_dict()
     res = basic_integral(req)
     rec = json.loads(res.to_json())
     assert rec["value"][0] == res.value.real
@@ -998,36 +1010,6 @@ def test_surface_form_integration_orientation():
     y = outer.nodes[:, 1]
     val = integrate_form_on_surface(outer, {(1,): x, (0,): -y})
     assert val == pytest.approx(2.0 * math.pi * 1.8, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# rejection-refined fallback
-# ---------------------------------------------------------------------------
-
-
-def test_rejection_scheme_agrees_with_radial():
-    sp = annulus()
-    scheme = QuadratureScheme(kind="rejection", rel_tol=0.02)
-    res = basic_integral(
-        BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16,
-                             epsilon=0.05, quadrature=scheme)
-    )
-    oracle = math.erf(math.sqrt(0.16 / 0.1))
-    assert abs(res.value.real - oracle) < 0.05 * oracle
-    assert res.value.imag == pytest.approx(0.0, abs=1e-10)
-
-
-def test_rejection_volume_of_region():
-    # Sum of indicator-weighted cell quadrature = Lebesgue area of the
-    # annulus, to first order at the cut
-    sp = annulus()
-
-    def unit(pts, cache=None):
-        return {(0, 1): np.ones(pts.shape[0], dtype=complex)}
-
-    scheme = QuadratureScheme(kind="rejection", rel_tol=5e-3)
-    res = integrate_over_Mr(sp, unit, 0.16, scheme)
-    assert res.value.real == pytest.approx(1.6 * math.pi, rel=2e-3)
 
 
 @pytest.mark.parametrize("n", [1, 4, 17, 96])
