@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .critical import critical_values, find_critical_points
+from .critical import critical_probes, critical_values, find_critical_points
 from .fields import column
 from .forms import EquivariantForm
 from .hamspace import HamiltonianSpace
@@ -828,17 +828,6 @@ def epsilon_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _default_search_radius(space: HamiltonianSpace) -> float:
-    known = known_critical_values(space)
-    if known is None:
-        raise InputError(
-            f"{space.name} has no catalog critical values; pass r_max or "
-            "precomputed components"
-        )
-    top = max(known)
-    return 1.0 if top <= 0.6 else 2.5 * top
-
-
 def contribution(
     space: HamiltonianSpace,
     alpha: EquivariantForm,
@@ -856,26 +845,36 @@ def contribution(
     0-based) at each epsilon: the large-t limit of
     BI(alpha, above, t) - BI(alpha, below, t) across the value.
 
-    ``epsilon`` may be a scalar or an ascending sequence.  Probes come
-    from critical_values over ``components``.  Without ``components``
-    every call runs a full find_critical_points inside M_{r_max}; pass
-    the components of one search to serve several indices.  The result is checked for independence of the
-    probe choice by recomputing at perturbed probes for the largest
-    epsilon; disagreement raises AccuracyError, a missing plateau raises
-    NonConvergenceError with conditioning data.
+    ``epsilon`` may be a scalar or an ascending sequence.  The critical
+    values come from ``components`` (critical_values), or, with
+    ``r_max``, from a find_critical_points search inside M_{r_max}; with
+    neither they are the space's catalog values (known_critical_values,
+    InputError for a space without them) and no search runs.  The probes
+    straddle them by critical_probes either way.  The result is checked
+    for independence of the probe choice by recomputing at perturbed
+    probes for the largest epsilon; disagreement raises AccuracyError, a
+    missing plateau raises NonConvergenceError with conditioning data.
     """
     scheme = quadrature or QuadratureScheme()
     eps_arr = _ascending_grid(epsilon, "epsilon")
     t_arr = _plateau_t_grid(t_grid)
     _gate_alpha(space, alpha)
 
-    if components is None:
-        if r_max is None:
-            r_max = _default_search_radius(space)
-        components = find_critical_points(space, r_max)
-    if not components:
-        raise InputError("no critical components to take contributions from")
-    values_list, probes_list = critical_values(components)
+    if components is None and r_max is None:
+        known = known_critical_values(space)
+        if known is None:
+            raise InputError(
+                f"{space.name} has no catalog critical values; pass r_max or "
+                "precomputed components"
+            )
+        values_list = sorted(float(v) for v in known)
+        probes_list = critical_probes(values_list)
+    else:
+        if components is None:
+            components = find_critical_points(space, r_max)
+        if not components:
+            raise InputError("no critical components to take contributions from")
+        values_list, probes_list = critical_values(components)
     if not 0 <= index < len(values_list):
         raise InputError(
             f"component index {index} out of range: {len(values_list)} "

@@ -36,6 +36,7 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "CriticalComponent",
     "find_critical_points",
+    "critical_probes",
     "critical_values",
     "local_model_check",
 ]
@@ -556,11 +557,9 @@ def critical_values(components, min_gap: float = MIN_VALUE_GAP):
     """Deduplicated ascending critical values with suggested regular
     probes.
 
-    Returns (values, probes) where probes[i] = (below_i, above_i)
-    straddles values[i] at 0.4 of the neighboring gaps (below_0 is None
-    when the smallest value is 0; the last upper probe extends to 1.6x
-    the top value).  Raises NonConvergenceError when two clusters sit
-    closer than min_gap but are not identical within 1e-6."""
+    Returns (values, probes) with the probes of critical_probes(values).
+    Raises NonConvergenceError when two clusters sit closer than min_gap
+    but are not identical within 1e-6."""
     vals = sorted(c.critical_value for c in components)
     dedup: list[float] = []
     for v in vals:
@@ -574,16 +573,25 @@ def critical_values(components, min_gap: float = MIN_VALUE_GAP):
                 f"{min_gap:g}; refine the clustering tolerance",
                 report={"values": dedup},
             )
+    return dedup, critical_probes(dedup)
+
+
+def critical_probes(values) -> list:
+    """Regular probe radii (below_i, above_i) straddling each of the
+    distinct ascending critical values ``values`` at 0.4 of the
+    neighboring gaps: below_0 is None when the smallest value is 0, and
+    the last upper probe extends to 1.6x the top value (0.1 above a top
+    value of 0)."""
     probes = []
-    for i, v in enumerate(dedup):
-        gap_below = v - dedup[i - 1] if i > 0 else v
+    for i, v in enumerate(values):
+        gap_below = v - values[i - 1] if i > 0 else v
         below = v - 0.4 * gap_below if gap_below > 0 else None
-        if i + 1 < len(dedup):
-            above = v + 0.4 * (dedup[i + 1] - v)
+        if i + 1 < len(values):
+            above = v + 0.4 * (values[i + 1] - v)
         else:
             above = 1.6 * v if v > 0 else 0.1
         probes.append((below, above))
-    return dedup, probes
+    return probes
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,10 @@ a contribution's probes, an eps sweep -- share one integrand plan
 (_IntegrandPlan: the form part is a polynomial in t, the shift affine in
 t, and only the Gaussian moments depend on eps) and run as the members of
 one radial quadrature (basic_integral_batch): each keeps its own support
-scan, torus probe, grids and stopping rule, while the nodes of all open
-members are evaluated together, one Expr pass per block.
+panels, torus verdict, grids and stopping rule, while the work runs per
+block of members: one support scan per distinct r, one torus probe for
+all members, and per level one stacked grid, one Expr pass and one
+contraction (with per-node t and eps) per block.
 """
 
 from __future__ import annotations
@@ -371,25 +373,32 @@ def _support_intervals(info, r, scan, damp):
     """Restrict the s-slab to the effective support of the integrand's
     Gaussian damping factor (it narrows -- and can disconnect -- as t
     grows, and Gauss-Legendre wastes its nodes on exponentially dead
-    stretches otherwise).  ``damp`` is the factor at the points of
-    _scan_points (None when the integrand has none).  Support is read off
-    the scan as the runs where the upper envelope of the two
-    cross-sections (|m| depends only on s for a RadialMoment; both are
-    probed anyway) exceeds 1e-18 of its peak
-    (discarded mass is orders of magnitude under the quadrature
-    tolerance); each padded run becomes its own panel."""
+    stretches otherwise).  ``damp`` holds, one row per member, the factor
+    at the points of _scan_points.  Support is read off the scan as the
+    runs where the upper envelope of the two cross-sections (|m| depends
+    only on s for a RadialMoment; both are probed anyway) exceeds 1e-18
+    of its peak (discarded mass is orders of magnitude under the
+    quadrature tolerance); each padded run becomes its own panel, and a
+    row that keeps all of the scan or none of it gets the whole slab.
+    Returns one panel list per row."""
     s_lo, s_hi = info.s_bounds(r)
-    if damp is None:
-        return [(s_lo, s_hi)]
-    prof = np.maximum(damp[: scan.size], damp[scan.size :])
-    keep = prof >= 1e-18
-    if not keep.any() or keep.all():
-        return [(s_lo, s_hi)]
-    pad = 3
-    starts, ends = _index_runs(np.nonzero(keep)[0])
-    lo = scan[np.maximum(starts - pad, 0)]
-    hi = scan[np.minimum(ends + pad, scan.size - 1)]
-    return list(zip(lo.tolist(), hi.tolist()))
+    n = scan.size
+    keep = np.maximum(damp[:, :n], damp[:, n:]) >= 1e-18
+    whole = ~keep.any(axis=1) | keep.all(axis=1)
+    out = [[(s_lo, s_hi)] if w else [] for w in whole.tolist()]
+    # one index line for all rows, each row past a gap no run bridges
+    stride = n + 9
+    keep &= ~whole[:, None]
+    idx = np.flatnonzero(keep)
+    idx += idx // n * (stride - n)
+    if idx.size:
+        pad = 3
+        starts, ends = _index_runs(idx)
+        lo = scan[np.maximum(starts % stride - pad, 0)]
+        hi = scan[np.minimum(ends % stride + pad, n - 1)]
+        for row, a, b in zip((starts // stride).tolist(), lo.tolist(), hi.tolist()):
+            out[row].append((a, b))
+    return out
 
 
 def _index_runs(idx: np.ndarray):
@@ -419,77 +428,104 @@ def _check_planes(info: RadialMoment) -> None:
         )
 
 
-def _radial_axes(
-    info: RadialMoment,
-    r: float,
-    level: int,
-    scheme: QuadratureScheme,
-    s_intervals=None,
-    torus_invariant=False,
-):
-    """1-D node/weight arrays whose product grid covers the slab
-    {s_lo <= s <= s_hi} in polar coordinates.  Lebesgue measure is
-    prod_j (1/2) drho_j dtheta_j.
-
-    With ``torus_invariant`` (only for an integrand that passed
-    _torus_invariance) each angle axis is the single node 0 with weight
-    2 pi, so the grid is the angle-0 rays times (2 pi)^planes."""
-    if s_intervals is None:
-        s_intervals = [info.s_bounds(r)]
-    if any(hi <= lo for lo, hi in s_intervals):
-        raise InputError("empty integration region")
+def _grid_size(info, scheme, level, s_intervals, torus_invariant) -> int:
+    """Node count of one member's level-``level`` grid (_stacked_grids)."""
     n_s, n_v, n_ang = _level_counts(scheme, level, torus_invariant)
-    s_parts = [_gauss_legendre(n_s, lo, hi) for lo, hi in s_intervals]
-    s_nodes = np.concatenate([x for x, _ in s_parts])
-    s_w = np.concatenate([w for _, w in s_parts])
-    ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    ang_w = 2.0 * np.pi / n_ang
     if info.planes == 1:
-        axes = (s_nodes, ang)
+        return len(s_intervals) * n_s * n_ang
+    return len(s_intervals) * n_s * n_v * n_ang * n_ang
+
+
+def _stacked_grids(info, scheme, level, supports, invariant, span=None):
+    """(nodes, weights) of the level-``level`` grids of several members,
+    given their support panels and torus verdicts, stacked in member
+    order.  A member's grid is the tensor product of Gauss-Legendre
+    panels in s (and, on two planes, a Gauss-Legendre rule in the
+    cross-section position v) with uniform angle grids, in C order;
+    Lebesgue measure is prod_j (1/2) drho_j dtheta_j with rho = s / w1 on
+    one plane and rho1 = s (1 - v)/w1, rho2 = s v / w2 on two.  A member
+    that passed _torus_invariance has the single angle 0 with weight
+    2 pi per plane: the grid is the angle-0 rays times (2 pi)^planes.
+
+    All members are built by one set of array operations: the panels by
+    broadcasting, each radial row (an s, or an (s, v) pair) once,
+    repeated over its angle nodes, whose cosines and sines come from one
+    table of the level's angles.  With ``span`` = (start, stop) there is
+    one member and only its nodes start..stop-1 are built: one chunk of a
+    grid too large to stack."""
+    n_s, n_v, n_ang = _level_counts(scheme, level)
+    panels = np.array([p for s in supports for p in s], dtype=float)
+    lo, hi = panels[:, 0], panels[:, 1]
+    if np.any(hi <= lo):
+        raise InputError("empty integration region")
+    x, w = _leggauss(n_s)
+    half = 0.5 * (hi - lo)
+    s = (lo[:, None] + half[:, None] * (x + 1.0)).ravel()
+    s_w = (half[:, None] * w).ravel()
+    angles = np.where(invariant, 1, n_ang)  # per member
+    ang_w = np.repeat(2.0 * np.pi / angles, [len(p) * n_s for p in supports])  # per s
+    n_v = n_v if info.planes == 2 else 1  # radial rows per s
+    rows = [len(p) * n_s * n_v for p in supports]
+    if span is not None:  # one member: the s values whose rows meet the span
+        per_row = int(angles[0]) ** info.planes
+        first, last = span[0] // per_row, -(-span[1] // per_row)
+        s0, s1 = first // n_v, -(-last // n_v)
+        s, s_w, ang_w = s[s0:s1], s_w[s0:s1], ang_w[s0:s1]
+    if info.planes == 1:
         (w1,) = info.weights
-        jac = s_w / (2.0 * w1)  # (1/2) drho dtheta, rho = s / w1
+        radii = [np.sqrt(s / w1)]
+        row_w = s_w / (2.0 * w1) * ang_w
+    else:
+        w1, w2 = info.weights
+        v, v_w = _gauss_legendre(n_v, 0.0, 1.0)
+        sv = s[:, None]
+        # rho1 = s (1 - v)/w1, rho2 = s v / w2: d(rho1, rho2) = s/(w1 w2) ds dv
+        radii = [np.sqrt(sv * (1.0 - v) / w1).ravel(), np.sqrt(sv * v / w2).ravel()]
+        row_w = (s_w[:, None] * v_w * (ang_w * ang_w)[:, None] * sv / (4.0 * w1 * w2)).ravel()
+    if span is not None:
+        keep = slice(first - s0 * n_v, last - s0 * n_v)
+        radii, row_w, rows = [r[keep] for r in radii], row_w[keep], [last - first]
+    ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    cos, sin = np.cos(ang), np.sin(ang)
+    if all(invariant):  # one node per row, at angle 0
+        cols = [c for rad in radii for c in (rad * cos[0], rad * sin[0])]
+        pts = np.stack(cols, axis=1)
+    else:
+        # angle nodes per row, and each node's place among its row's nodes
+        row_ang = np.repeat(angles, rows)
+        per_row = row_ang ** info.planes
+        local = np.arange(int(per_row.sum())) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        if info.planes == 1:
+            ang_idx = [local]
+        else:
+            node_ang = np.repeat(row_ang, per_row)
+            ang_idx = [local // node_ang, local % node_ang]
+        cols = []
+        for rad, i in zip(radii, ang_idx):
+            rad = np.repeat(rad, per_row)
+            cols += [rad * cos[i], rad * sin[i]]
+        pts, row_w = np.stack(cols, axis=1), np.repeat(row_w, per_row)
+    if span is None:
+        return pts, row_w
+    skip = span[0] - first * int(angles[0]) ** info.planes
+    keep = slice(skip, skip + span[1] - span[0])
+    return pts[keep], row_w[keep]
 
-        def build(idx):
-            i_s, i_t = idx
-            s = s_nodes[i_s]
-            rad = np.sqrt(s / w1)
-            th = ang[i_t]
-            pts = np.stack([rad * np.cos(th), rad * np.sin(th)], axis=1)
-            return pts, jac[i_s] * ang_w
 
-        return axes, build
-    v_nodes, v_w = _gauss_legendre(n_v, 0.0, 1.0)
-    axes = (s_nodes, v_nodes, ang, ang)
-    w1, w2 = info.weights
-    # rho1 = s (1 - v)/w1, rho2 = s v / w2: d(rho1, rho2) = s/(w1 w2) ds dv
-    def build(idx):
-        i_s, i_v, i_t1, i_t2 = idx
-        s = s_nodes[i_s]
-        v = v_nodes[i_v]
-        r1 = np.sqrt(s * (1.0 - v) / w1)
-        r2 = np.sqrt(s * v / w2)
-        t1 = ang[i_t1]
-        t2 = ang[i_t2]
-        pts = np.stack(
-            [r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)],
-            axis=1,
-        )
-        wts = (
-            s_w[i_s] * v_w[i_v] * (ang_w * ang_w)
-            * s / (4.0 * w1 * w2)
-        )
-        return pts, wts
-
-    return axes, build
-
-
-def _product_chunks(axes, build, chunk: int):
-    """Deterministic chunked traversal of a product grid, C order."""
-    sizes = tuple(len(a) for a in axes)
-    total = int(np.prod(sizes))
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        yield build(np.unravel_index(flat, sizes))
+def _product_chunks(info, scheme, level, supports, invariant):
+    """The level-``level`` grids of the members with ``supports`` and
+    ``invariant`` as (nodes, weights) chunks (_stacked_grids): all of
+    them as one stacked chunk, or, for a single grid of more than
+    scheme.chunk nodes, that grid in consecutive chunks of scheme.chunk
+    nodes.  The chunks are fixed by the scheme, so their exact sums do
+    not depend on the worker count."""
+    total = sum(_grid_size(info, scheme, level, s, inv) for s, inv in zip(supports, invariant))
+    if len(supports) > 1 or total <= scheme.chunk:
+        yield _stacked_grids(info, scheme, level, supports, invariant)
+        return
+    for start in range(0, total, scheme.chunk):
+        span = (start, min(start + scheme.chunk, total))
+        yield _stacked_grids(info, scheme, level, supports, invariant, span)
 
 
 def radial_grid(
@@ -500,18 +536,13 @@ def radial_grid(
     scheme = scheme or QuadratureScheme()
     info = _radial(space)
     check_regular_radius(space, r)
-    axes, build = _radial_axes(info, r, level, scheme)
-    total = int(np.prod([len(a) for a in axes]))
+    slab = [info.s_bounds(r)]
+    total = _grid_size(info, scheme, level, slab, False)
     if total > 4_000_000:
         raise InputError(
             f"level-{level} grid has {total} nodes; too large to materialize"
         )
-    pts_list, wts_list = [], []
-    for pts, wts in _product_chunks(axes, build, scheme.chunk):
-        pts_list.append(pts)
-        wts_list.append(wts)
-    nodes = np.concatenate(pts_list, axis=0)
-    weights = np.concatenate(wts_list, axis=0)
+    nodes, weights = _stacked_grids(info, scheme, level, [slab], [False])
     return QuadratureGrid(
         nodes=nodes,
         weights=weights,
@@ -575,11 +606,21 @@ def _wsum(values, weights) -> complex:
     """sum_n values[n] * weights[n], with the real and imaginary sums of
     the products each exactly rounded (math.fsum), so the result does not
     depend on the order of the nodes."""
+    (total,) = _wsums(values, weights, [len(weights)])
+    return total
+
+
+def _wsums(values, weights, counts) -> list:
+    """_wsum over each of the consecutive slices of ``counts`` nodes."""
     values = np.asarray(values, dtype=np.complex128)
     weights = np.asarray(weights, dtype=np.float64)
-    re = math.fsum((values.real * weights).tolist())
-    im = math.fsum((values.imag * weights).tolist())
-    return complex(re, im)
+    re = (values.real * weights).tolist()
+    im = (values.imag * weights).tolist()
+    out, start = [], 0
+    for n in counts:
+        out.append(complex(math.fsum(re[start : start + n]), math.fsum(im[start : start + n])))
+        start += n
+    return out
 
 
 def _chunk_sums(values, chunks, workers: int):
@@ -716,13 +757,12 @@ class _FieldSource:
         self.profile = getattr(f, "_damp_profile", None)
         self.has_profile = self.profile is not None
 
-    def tops(self, pts, parts):
-        vals = _eval_top(self.f, pts, self.top)
-        return [vals[sl] for _, sl in parts]
+    def tops(self, pts, members, counts):
+        return _eval_top(self.f, pts, self.top)
 
-    def damps(self, pts, parts):
+    def damps(self, pts, members):
         prof = np.asarray(self.profile(pts), dtype=float)
-        return [prof[sl] for _, sl in parts]
+        return np.broadcast_to(prof, (len(members), prof.size))
 
 
 _INVARIANCE_SAMPLES = 8  # per support interval
@@ -732,24 +772,41 @@ _INVARIANCE_RTOL = 1e-12
 _BLOCK_NODES = 4096
 
 
-def _probe_points(info, s_intervals):
-    """Sample nodes of the torus-invariance probe: _INVARIANCE_SAMPLES
-    nodes per support interval on the angle-0 rays (fixed seed, s and v
-    inside the interval), followed by the same nodes with every plane
-    rotated by its own random angle.  Rotations preserve Lebesgue
-    measure, so when the integrand agrees on both halves to roundoff the
-    angular integrals are exactly (2 pi)^planes times the angle-0 value."""
-    rng = np.random.default_rng(0)
+def _probe_points(info, supports):
+    """Sample nodes of the torus-invariance probe of every member, given
+    its support intervals: (base, rotated, counts), the members' nodes
+    stacked in member order, counts[i] of them for member i.
+
+    A member's base nodes are _INVARIANCE_SAMPLES per support interval on
+    the angle-0 rays (s and v inside the interval); its rotated nodes are
+    the same with every plane rotated by its own random angle.  Each
+    member draws from its own generator seeded 0 -- the s, v and angle
+    draws of every member with as many intervals are the same uniforms,
+    so they are drawn once per interval count.  Rotations preserve
+    Lebesgue measure, so when the integrand agrees on both halves to
+    roundoff the angular integrals are exactly (2 pi)^planes times the
+    angle-0 value."""
     n = _INVARIANCE_SAMPLES
-    base = np.concatenate([
-        _points_on_ray(info, rng.uniform(lo, hi, n), rng.uniform(0.0, 1.0, n))
-        for lo, hi in s_intervals
-    ])
-    angles = rng.uniform(0.0, 2.0 * np.pi, (base.shape[0], info.planes))
+    counts = [n * len(s) for s in supports]
+    offsets = np.cumsum([0] + counts)
+    base = np.empty((offsets[-1], 2 * info.planes))
     rotated = np.empty_like(base)
-    rotated[:, 0::2] = base[:, 0::2] * np.cos(angles)  # y_j = 0 on the rays
-    rotated[:, 1::2] = base[:, 0::2] * np.sin(angles)
-    return np.concatenate([base, rotated])
+    for p in sorted({len(s) for s in supports}):
+        idx = [i for i, s in enumerate(supports) if len(s) == p]
+        u = np.random.default_rng(0).random(n * p * (2 + info.planes))
+        draws = u[: 2 * n * p].reshape(p, 2, n)  # per interval: n of s, n of v
+        lo, hi = np.array([supports[i] for i in idx], dtype=float).transpose(2, 0, 1)
+        s = lo[..., None] + (hi - lo)[..., None] * draws[:, 0]
+        v = np.broadcast_to(draws[:, 1], s.shape)
+        pts = _points_on_ray(info, s.ravel(), v.ravel()).reshape(len(idx), n * p, -1)
+        angles = 2.0 * np.pi * u[2 * n * p :].reshape(n * p, info.planes)
+        rot = np.empty_like(pts)
+        rot[..., 0::2] = pts[..., 0::2] * np.cos(angles)  # y_j = 0 on the rays
+        rot[..., 1::2] = pts[..., 0::2] * np.sin(angles)
+        rows = (offsets[idx][:, None] + np.arange(n * p)).ravel()
+        base[rows] = pts.reshape(rows.size, -1)
+        rotated[rows] = rot.reshape(rows.size, -1)
+    return base, rotated, counts
 
 
 def _blocks(sizes, bound):
@@ -766,27 +823,9 @@ def _blocks(sizes, bound):
         yield block
 
 
-def _blockwise(evaluate, members, sizes, points, bound=_BLOCK_NODES):
-    """Yield (index, values, points(index)) for every member, in order.
-
-    ``points(i)`` gives a tuple whose first entry is the (sizes[i], d)
-    node array of member i.  The node arrays of consecutive members are
-    stacked into blocks of at most ``bound`` nodes and each block goes
-    through ``evaluate(pts, [(member, slice), ...])`` in one call; a block
-    is consumed before the next one is built."""
-    for block in _blocks(sizes, bound):
-        built = [points(i) for i in block]
-        parts, start = [], 0
-        for i in block:
-            parts.append((members[i], slice(start, start + sizes[i])))
-            start += sizes[i]
-        pts = built[0][0] if len(built) == 1 else np.concatenate([b[0] for b in built])
-        yield from zip(block, evaluate(pts, parts), built)
-
-
 def _supports(info, source, members):
     """The support panels of every member: one scan per distinct radius,
-    its damping factors taken per member from one evaluation."""
+    the damping factors of all its members taken from one evaluation."""
     if not source.has_profile:
         return [[info.s_bounds(m.r)] for m in members]
     by_r: dict = {}
@@ -795,68 +834,77 @@ def _supports(info, source, members):
     out = [None] * len(members)
     for r, idx in by_r.items():
         scan, pts = _scan_points(info, r)
-        damps = source.damps(pts, [(members[i], slice(None)) for i in idx])
-        for i, damp in zip(idx, damps):
-            out[i] = _support_intervals(info, r, scan, damp)
+        damps = source.damps(pts, [members[i] for i in idx])
+        for i, panels in zip(idx, _support_intervals(info, r, scan, damps)):
+            out[i] = panels
     return out
 
 
 def _torus_invariance(space, info, source, members, supports):
     """Whether each member's top-degree integrand passed the
-    torus-invariance probe on its own support (see _probe_points)."""
-    probes = [_probe_points(info, s) for s in supports]
-    out = [False] * len(members)
-    for i, vals, _ in _blockwise(
-        source.tops, members, [len(p) for p in probes], lambda i: (probes[i],)
-    ):
-        n = len(vals) // 2
-        residual = float(np.max(np.abs(vals[n:] - vals[:n])))
-        scale = float(np.max(np.abs(vals[:n])))
-        # A zero scale proves nothing (the probe saw no integrand); a NaN
-        # residual fails the comparison and keeps the full grid.
-        out[i] = scale > 0.0 and residual <= _INVARIANCE_RTOL * scale
-        _log.debug(
-            "radial quadrature on %s: torus invariance residual %.3g (scale %.3g, "
-            "%d sample nodes) -> %s",
-            space.name, residual, scale, n,
-            "angles collapsed" if out[i] else "full angular grid",
-        )
+    torus-invariance probe on its own support (see _probe_points).  The
+    probes of all members are evaluated together, _BLOCK_NODES at a time."""
+    base, rotated, counts = _probe_points(info, supports)
+    offsets = np.cumsum([0] + counts)
+    out = []
+    for block in _blocks([2 * c for c in counts], _BLOCK_NODES):
+        a, b = offsets[block[0]], offsets[block[-1] + 1]
+        part = [members[i] for i in block]
+        cnt = [counts[i] for i in block]
+        vals = source.tops(np.concatenate([base[a:b], rotated[a:b]]), part + part, cnt + cnt)
+        ref, rot = vals[: b - a], vals[b - a :]
+        starts = offsets[block] - a
+        residuals = np.maximum.reduceat(np.abs(rot - ref), starts).tolist()
+        scales = np.maximum.reduceat(np.abs(ref), starts).tolist()
+        for residual, scale, n in zip(residuals, scales, cnt):
+            # A zero scale proves nothing (the probe saw no integrand); a NaN
+            # residual fails the comparison and keeps the full grid.
+            out.append(scale > 0.0 and residual <= _INVARIANCE_RTOL * scale)
+            _log.debug(
+                "radial quadrature on %s: torus invariance residual %.3g (scale %.3g, "
+                "%d sample nodes) -> %s",
+                space.name, residual, scale, n,
+                "angles collapsed" if out[-1] else "full angular grid",
+            )
     return out
 
 
-def _level_sums(source, members, grids, scheme):
+def _level_sums(info, source, members, supports, invariant, level, scheme):
     """(value, nodes) of every member on its grid of one refinement level.
 
-    A grid larger than scheme.chunk runs alone, chunk by chunk, with
-    scheme.workers threads.  The other grids are evaluated together, whole
-    grids per block, at most max(largest of them, _BLOCK_NODES) nodes at a
-    time; each is one chunk, reduced as _chunk_sums reduces it."""
-    sizes = [int(np.prod([len(a) for a in axes])) for axes, _ in grids]
+    A grid larger than scheme.chunk runs alone, chunk by chunk
+    (_product_chunks), with scheme.workers threads.  The other grids are
+    evaluated together, whole grids per block, at most max(largest of
+    them, _BLOCK_NODES) nodes at a time: one stacked grid
+    (_stacked_grids), one source.tops call and one exact sum per member
+    over its own slice (math.fsum never returns -0.0, so the exact sum of
+    that single chunk sum, as _chunk_sums would take it, is itself)."""
+    sizes = [_grid_size(info, scheme, level, s, inv) for s, inv in zip(supports, invariant)]
     sums = [None] * len(members)
     small = []
-    for i, (axes, build) in enumerate(grids):
-        if sizes[i] <= scheme.chunk:
+    for i, size in enumerate(sizes):
+        if size <= scheme.chunk:
             small.append(i)
             continue
         sums[i] = _chunk_sums(
             functools.partial(_member_tops, source, members[i]),
-            _product_chunks(axes, build, scheme.chunk),
+            _product_chunks(info, scheme, level, [supports[i]], [invariant[i]]),
             scheme.workers,
         )
     bound = max([_BLOCK_NODES] + [sizes[i] for i in small])
-    for j, vals, (_, wts) in _blockwise(
-        source.tops,
-        [members[i] for i in small],
-        [sizes[i] for i in small],
-        lambda j: next(_product_chunks(*grids[small[j]], scheme.chunk)),
-        bound,
-    ):
-        sums[small[j]] = _reduce_chunks([(_wsum(vals, wts), sizes[small[j]])])
+    for block in _blocks([sizes[i] for i in small], bound):
+        idx = [small[j] for j in block]
+        counts = [sizes[i] for i in idx]
+        pts, wts = next(_product_chunks(info, scheme, level, [supports[i] for i in idx],
+                                        [invariant[i] for i in idx]))
+        vals = source.tops(pts, [members[i] for i in idx], counts)
+        for i, value, n in zip(idx, _wsums(vals, wts, counts), counts):
+            sums[i] = value, n
     return sums
 
 
 def _member_tops(source, member, pts):
-    return source.tops(pts, [(member, slice(None))])[0]
+    return source.tops(pts, [member], [pts.shape[0]])
 
 
 def _integrate_radial(space, source, members, info, scheme) -> list:
@@ -864,27 +912,27 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
     {|mu|^2 <= r} for every member, on the radial grids, all members in
     step.  Returns one IntegralResult or AccuracyError per member.
 
-    Each member keeps the work of a one-at-a-time integral: its support
-    scan (_support_intervals), its torus-invariance probe (_probe_points),
-    its own grid per level and its own _Refinement rule, with the chunk
-    boundaries of its own grid.  What members share is the evaluation:
-    ``source.damps`` and ``source.tops`` take the stacked nodes of several
-    members with a slice per member, so a plan (_IntegrandPlan) runs one
-    Expr pass per block and contracts it per member.  Members that settled
-    drop out of the later levels.  Every result's wall_time is the wall
-    time of the whole batch."""
+    Each member keeps what makes its result: its support panels
+    (_support_intervals), its torus-invariance verdict (_probe_points),
+    its own grid per level with the chunk boundaries of that grid, and its
+    own _Refinement rule, so every result is the one a batch of one
+    gives.  The work is shared: one support scan per distinct r, one
+    probe evaluation for all members, and per level one stacked grid per
+    block of members.  ``source.damps`` takes a scan and the members at
+    that r; ``source.tops`` takes the stacked nodes of several members
+    with the node count of each, so a plan (_IntegrandPlan) runs one Expr
+    pass and one contraction, at per-node t and eps, per block.  Members
+    that settled drop out of the later levels.  Every result's wall_time
+    is the wall time of the whole batch."""
     t0 = time.perf_counter()
     supports = _supports(info, source, members)
     invariant = _torus_invariance(space, info, source, members, supports)
     steps = [_Refinement(scheme) for _ in members]
     live = list(range(len(members)))
     for level in range(scheme.max_level + 1):
-        grids = [
-            _radial_axes(info, members[i].r, level, scheme, s_intervals=supports[i],
-                         torus_invariant=invariant[i])
-            for i in live
-        ]
-        sums = _level_sums(source, [members[i] for i in live], grids, scheme)
+        sums = _level_sums(info, source, [members[i] for i in live],
+                           [supports[i] for i in live], [invariant[i] for i in live],
+                           level, scheme)
         live = [i for i, (value, n) in zip(live, sums) if not steps[i].add(level, value, n)]
         if not live:
             break
@@ -1076,17 +1124,20 @@ def boundary_integral(
 
 
 def sgi_values(
-    algebra: LieAlgebraSpec, nu: tuple, m_arr: np.ndarray, eps: float
+    algebra: LieAlgebraSpec, nu: tuple, m_arr: np.ndarray, eps
 ) -> np.ndarray:
     """Vectorized shifted Gaussian integral of the monomial phi^nu:
 
         int phi^nu exp(i<m, phi> - eps/2 |phi|^2) dphi
 
-    per row of ``m_arr`` (shape (N, dim)).  Same completing-the-square
-    reduction as shifted_gaussian_integral, with the binomial expansion
-    of (phi + i m/eps)^nu evaluated against the Wick table once per
-    exponent pattern instead of once per point."""
-    if eps <= 0:
+    per row of ``m_arr`` (shape (N, dim)), at one eps or at the row's own
+    entry of an (N,) eps array.  Same completing-the-square reduction as
+    shifted_gaussian_integral, with the binomial expansion of
+    (phi + i m/eps)^nu evaluated against the Wick table once per exponent
+    pattern instead of once per point.  The factors that depend on eps
+    alone are computed once per distinct eps with scalar arithmetic, so
+    each row is bit-identical to a call at that row's eps."""
+    if np.any(np.asarray(eps) <= 0):
         raise InputError("eps must be positive")
     nu = tuple(int(e) for e in nu)
     g = algebra.dim
@@ -1099,13 +1150,17 @@ def sgi_values(
     m_arr = np.asarray(m_arr, dtype=float)
     if m_arr.ndim != 2 or m_arr.shape[1] != g:
         raise InputError("shift array must have shape (n_points, dim)")
+    if np.ndim(eps) != 0 and np.shape(eps) != m_arr.shape[:1]:
+        raise InputError("eps must be a scalar or have shape (n_points,)")
     q = algebra.inner_product
     table = _wick_table(algebra)
     logdet = _logdet(q.tobytes(), g)
-    z = (2.0 * np.pi / eps) ** (g / 2.0) * math.exp(-0.5 * logdet)
+    at = _per_row(eps)
+    z = at(lambda e: (2.0 * np.pi / e) ** (g / 2.0) * math.exp(-0.5 * logdet))
     norm2 = np.einsum("ng,gh,nh->n", m_arr, q, m_arr)
-    damp = np.exp(-norm2 / (2.0 * eps))
-    c = (1j / eps) * m_arr  # the completed-square shift
+    damp = np.exp(-norm2 / at(lambda e: 2.0 * e))
+    c = at(lambda e: 1j / e)  # the completed-square shift
+    c = c * m_arr if np.ndim(c) == 0 else c[:, None] * m_arr
     acc = np.zeros(m_arr.shape[0], dtype=complex)
     for kappa in itertools.product(*(range(e + 1) for e in nu)):
         k_tot = sum(kappa)
@@ -1122,8 +1177,19 @@ def sgi_values(
             p = e - k
             if p:
                 mono = mono * c[:, b] ** p
-        acc += (comb * mom * eps ** (-k_tot / 2.0)) * mono
+        acc += at(lambda e: comb * mom * e ** (-k_tot / 2.0)) * mono
     return z * damp * acc
+
+
+def _per_row(param):
+    """For a scalar ``param``, the map f -> f(param); for an (N,) array,
+    f -> the (N,) array of f at each row's value, with f evaluated once
+    per distinct value (scalar arithmetic)."""
+    if np.ndim(param) == 0:
+        return lambda f: f(param)
+    values, rows = np.unique(param, return_inverse=True)
+    values = values.tolist()
+    return lambda f: np.asarray([f(v) for v in values])[rows]
 
 
 def _lincomb(coeffs, exprs):
@@ -1156,7 +1222,7 @@ class _IntegrandPlan:
     and m1 = Q^{-1} eta, is affine in t.  Only the Gaussian moments
     (sgi_values) depend on eps.  So one Expr pass over a set of nodes
     (``evaluate``) serves every (t, eps), and ``contract`` turns it into
-    the integrand at one (t, eps).
+    the integrand at one (t, eps), or at each node's own (t, eps).
 
     Without ``deformed`` the plan holds P_0 = wedge(alpha,
     exp_form_part(omega)) and m0 only; at t = 0 only those enter, so a
@@ -1212,33 +1278,69 @@ class _IntegrandPlan:
         return [np.stack([column(e, pts, cache) for e in part], axis=1) for part in parts]
 
     @staticmethod
-    def shift_at(shifts, sl, t):
-        """m(t) = m0 + t m1 on the rows ``sl``; m0 itself at t = 0."""
-        return shifts[0][sl] if t == 0.0 else shifts[0][sl] + t * shifts[1][sl]
+    def shift_at(shifts, t):
+        """m(t) = m0 + t m1, t a scalar or one value per row; m0 itself
+        at t = 0 (on every row where t = 0)."""
+        if not np.any(t != 0.0):
+            return shifts[0]
+        if np.ndim(t) == 0:
+            return shifts[0] + t * shifts[1]
+        m = shifts[0] + t[:, None] * shifts[1]
+        return np.where((t == 0.0)[:, None], shifts[0], m)
 
-    def damp(self, shifts, sl, t, eps):
-        """The Gaussian damping factor exp(-|m(t)|^2 / (2 eps)) on the rows
-        ``sl``: where the integrand's mass is."""
-        m = self.shift_at(shifts, sl, t)
+    def damping(self, pts, ts, epss):
+        """The Gaussian damping factors exp(-|m(t)|^2 / (2 eps)) at ``pts``,
+        one row per (t, eps) of ``ts`` and ``epss``: where the integrand's
+        mass is."""
+        shifts = self.shifts(pts, any(t != 0.0 for t in ts))
         q = self.algebra.inner_product
-        return np.exp(-np.einsum("ng,gh,nh->n", m, q, m) / (2.0 * eps))
+        times = list(dict.fromkeys(ts))  # |m(t)|^2 once per distinct t
+        norm2 = []
+        for t in times:
+            m = shifts[0] if t == 0.0 else shifts[0] + t * shifts[1]
+            norm2.append(np.einsum("ng,gh,nh->n", m, q, m))
+        # one (members, N) array, worked in place: -|m|^2 / (2 eps), then exp
+        x = np.stack(norm2)[[times.index(t) for t in ts]]
+        np.divide(x, np.array([-2.0 * e for e in epss])[:, None], out=x)
+        # exp(x) is exactly 0.0 for x <= -750 (below half the least
+        # subnormal), and those arguments take the vector exp's slow path
+        dead = x <= -750.0
+        np.exp(x, out=x, where=~dead)
+        x[dead] = 0.0
+        return x
 
-    def contract(self, evaluated, sl, t, eps, top_only):
-        """{fmi: values} of the integrand at (t, eps) on the rows ``sl`` of
-        an ``evaluate`` pass: sum over phi monomials nu of the coefficient
-        sum_k t^k P_k[fmi, nu] times the Gaussian moment of nu."""
+    def contract(self, evaluated, t, eps, top_only):
+        """{fmi: values} of the integrand on the rows of an ``evaluate``
+        pass, at one (t, eps) or at per-row arrays of them: sum over phi
+        monomials nu of the coefficient sum_k t^k P_k[fmi, nu] times the
+        Gaussian moment of nu.  A row at t = 0 sums P_0's monomials only,
+        as a contraction at its own (t, eps) would."""
         terms, shifts = evaluated
-        deformed = t != 0.0
-        m = self.shift_at(shifts, sl, t)
-        n = m.shape[0]
+        deformed = bool(np.any(t != 0.0))
+        m = self.shift_at(shifts, t)
+        # rows left at t = 0 in a deformed contraction
+        at_zero = t == 0.0 if deformed and np.ndim(t) else None
+        if at_zero is not None and not at_zero.any():
+            at_zero = None
+        powers = None
+        if deformed:
+            at = _per_row(t)
+            powers = [None] + [at(lambda x, k=k: x**k) for k in range(1, len(terms))]
         gauss: dict = {}
         out: dict = {}
         for fmi, nus in self.order[top_only, deformed]:
-            acc = np.zeros(n, dtype=complex)
+            acc = np.zeros(m.shape[0], dtype=complex)
             for nu in nus:
                 if nu not in gauss:
                     gauss[nu] = sgi_values(self.algebra, nu, m, eps)
-                acc += _coefficient(terms, (fmi, nu), sl, t) * gauss[nu]
+                key = (fmi, nu)
+                coeff = _coefficient(terms, key, powers)
+                if at_zero is None:
+                    acc += coeff * gauss[nu]
+                elif key in terms[0]:
+                    acc += np.where(at_zero, terms[0][key], coeff) * gauss[nu]
+                else:  # not a monomial of P_0: the rows at t = 0 skip it
+                    np.add(acc, coeff * gauss[nu], out=acc, where=~at_zero)
             out[fmi] = acc
         return out
 
@@ -1246,16 +1348,20 @@ class _IntegrandPlan:
 
     has_profile = True
 
-    def tops(self, pts, parts):
-        """Top-degree values of every (member, rows) of ``parts``, each
-        member's (t, eps) contracting one Expr pass at ``pts``."""
-        ev = self.evaluate(pts, any(m.t != 0.0 for m, _ in parts), top_only=True)
-        return [self.contract(ev, sl, m.t, m.eps, top_only=True)[self.top] for m, sl in parts]
+    def tops(self, pts, members, counts):
+        """Top-degree values at the stacked nodes ``pts`` of ``members``
+        (counts[i] consecutive nodes each, at that member's (t, eps)): one
+        Expr pass and one contraction."""
+        ev = self.evaluate(pts, any(m.t != 0.0 for m in members), top_only=True)
+        if len({(m.t, m.eps) for m in members}) == 1:
+            t, eps = members[0].t, members[0].eps
+        else:
+            t = np.repeat([m.t for m in members], counts)
+            eps = np.repeat([m.eps for m in members], counts)
+        return self.contract(ev, t, eps, top_only=True)[self.top]
 
-    def damps(self, pts, parts):
-        # one member's factor at a time: a scan is 2 x 2049 points per member
-        shifts = self.shifts(pts, any(m.t != 0.0 for m, _ in parts))
-        return (self.damp(shifts, sl, m.t, m.eps) for m, sl in parts)
+    def damps(self, pts, members):
+        return self.damping(pts, [m.t for m in members], [m.eps for m in members])
 
     def integrand(self, t, eps):
         """The integrand at one (t, eps) as ``f(pts, cache=None) ->
@@ -1264,10 +1370,10 @@ class _IntegrandPlan:
 
         def integrand(pts, cache=None):
             ev = self.evaluate(pts, deformed, top_only=False, cache=cache)
-            return self.contract(ev, slice(None), t, eps, top_only=False)
+            return self.contract(ev, t, eps, top_only=False)
 
         def damp_profile(pts):
-            return self.damp(self.shifts(pts, deformed), slice(None), t, eps)
+            return self.damping(pts, [t], [eps])[0]
 
         # The quadrature driver uses this to place radial panels where the
         # Gaussian mass is (it narrows as t grows).
@@ -1275,17 +1381,18 @@ class _IntegrandPlan:
         return integrand
 
 
-def _coefficient(terms, key, sl, t):
-    """sum_k t^k (values of P_k at ``key``) on the rows ``sl``; P_0's
-    values themselves at t = 0."""
-    if t == 0.0:
-        return terms[0][key][sl]
+def _coefficient(terms, key, powers):
+    """sum_k t^k (values of P_k at ``key``), with powers[k] = t^k (a
+    scalar, or one value per row); P_0's values themselves without
+    ``powers`` (t = 0)."""
+    if powers is None:
+        return terms[0][key]
     total = None
     for k, vals in enumerate(terms):
         v = vals.get(key)
         if v is None:
             continue
-        piece = v[sl] if k == 0 else t**k * v[sl]
+        piece = v if k == 0 else powers[k] * v
         total = piece if total is None else total + piece
     return total
 

@@ -201,6 +201,7 @@ class _U1LevelChart:
         "param_weights",
         "angle_axes",
         "angle_steps",
+        "axes",
     )
 
     def __init__(self, weights, a: float, mesh_density: int):
@@ -224,6 +225,7 @@ class _U1LevelChart:
             # grid step corresponds to the group element exp((2 pi / (m w)) e)
             object.__setattr__(self, "angle_axes", (0,))
             object.__setattr__(self, "angle_steps", (self.weights[0],))
+            object.__setattr__(self, "axes", (theta,))
             return
         # two planes
         gl_x, gl_w = _leggauss(m)
@@ -240,6 +242,7 @@ class _U1LevelChart:
         object.__setattr__(self, "param_weights", wts.reshape(-1))
         object.__setattr__(self, "angle_axes", (1, 2))
         object.__setattr__(self, "angle_steps", tuple(self.weights))
+        object.__setattr__(self, "axes", (eta, ang, ang))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -275,6 +278,28 @@ class _U1LevelChart:
         jac[2, 2] = -x[3]
         jac[3, 2] = x[2]
         return x, jac
+
+    def embed_nodes(self):
+        """embed(param_nodes), built from the tensor axes: cos and sin are
+        taken on each axis's m values and broadcast over the m^3 mesh, each
+        node getting the same products embed forms from them."""
+        if self.n == 1:
+            return self.embed(self.param_nodes)
+        eta, x1, x2 = self.axes
+        m = eta.size
+        ce, se = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
+        c1, s1 = np.cos(x1)[None, :, None], np.sin(x1)[None, :, None]
+        c2, s2 = np.cos(x2)[None, None, :], np.sin(x2)[None, None, :]
+        r1, r2 = self.radii[0] * ce, self.radii[1] * se
+        dr1, dr2 = -self.radii[0] * se, self.radii[1] * ce
+        x = np.empty((4, m, m, m))
+        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
+        jac = np.zeros((4, 3, m, m, m))
+        jac[0, 0], jac[1, 0] = dr1 * c1, dr1 * s1
+        jac[2, 0], jac[3, 0] = dr2 * c2, dr2 * s2
+        jac[0, 1], jac[1, 1] = -x[1], x[0]
+        jac[2, 2], jac[3, 2] = -x[3], x[2]
+        return x.reshape(4, -1), jac.reshape(4, 3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +398,10 @@ def _pull_back_matrix(jac: np.ndarray, mat: np.ndarray) -> np.ndarray:
     )
 
 
-def _chart_conn_last(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray):
-    """Connection data pulled back to parametrization coordinates at
-    arbitrary parameter points, node axis last, with det J^T J."""
-    x, jac = chart.embed(u)
+def _chart_conn_last(space: HamiltonianSpace, x: np.ndarray, jac: np.ndarray):
+    """Connection data pulled back to parametrization coordinates at the
+    chart points ``x`` with Jacobian ``jac`` (_U1LevelChart.embed), node
+    axis last, with det J^T J."""
     conn = _connection_at(space, x.T)
     omega_amb = np.moveaxis(
         np.asarray(space.omega_matrix.eval(x.T, {}), dtype=float), 0, -1
@@ -420,7 +445,7 @@ def _pulled_back_first(data: dict) -> dict:
 def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray):
     """Connection data pulled back to parametrization coordinates at
     arbitrary parameter points, in the (N, ...) layout."""
-    return _pulled_back_first(_chart_conn_last(space, chart, u))
+    return _pulled_back_first(_chart_conn_last(space, *chart.embed(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +611,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         raise InputError("mesh_density must be at least 4")
     weights = radial.weights
     chart = _U1LevelChart(weights, radial.a / radial.c, int(mesh_density))
-    data = _chart_conn_last(space, chart, chart.param_nodes)
+    data = _chart_conn_last(space, *chart.embed_nodes())
     conn = data["conn"]
     pulled = _pulled_back_first(data)
     nodes = pulled["x"]

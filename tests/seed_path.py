@@ -18,10 +18,10 @@ from symloc.hamspace import eta_exprs, lambda_form
 from symloc.integrate import (
     IntegralResult,
     _check_planes,
+    _gauss_legendre,
     _index_runs,
+    _level_counts,
     _points_on_ray,
-    _product_chunks,
-    _radial_axes,
     _wsum,
     sgi_values,
 )
@@ -113,6 +113,39 @@ def _torus_invariant(f, info, s_intervals, top):
     return scale > 0.0 and float(np.max(np.abs(rot - ref))) <= 1e-12 * scale
 
 
+def radial_chunks(info, level, scheme, s_intervals, torus_invariant, chunk):
+    """One member's level grid, chunk by chunk in C order, every node
+    built from its unravelled (s, [v,] angle, [angle]) index: the
+    per-member construction the stacked grids replaced."""
+    n_s, n_v, n_ang = _level_counts(scheme, level, torus_invariant)
+    s_parts = [_gauss_legendre(n_s, lo, hi) for lo, hi in s_intervals]
+    s_nodes = np.concatenate([x for x, _ in s_parts])
+    s_w = np.concatenate([w for _, w in s_parts])
+    ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    ang_w = 2.0 * np.pi / n_ang
+    if info.planes == 1:
+        (w1,) = info.weights
+        sizes = (s_nodes.size, n_ang)
+    else:
+        w1, w2 = info.weights
+        v_nodes, v_w = _gauss_legendre(n_v, 0.0, 1.0)
+        sizes = (s_nodes.size, n_v, n_ang, n_ang)
+    total = int(np.prod(sizes))
+    for start in range(0, total, chunk):
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
+        s = s_nodes[idx[0]]
+        if info.planes == 1:
+            rad, th = np.sqrt(s / w1), ang[idx[1]]
+            yield (np.stack([rad * np.cos(th), rad * np.sin(th)], axis=1),
+                   s_w[idx[0]] / (2.0 * w1) * ang_w)
+            continue
+        v, t1, t2 = v_nodes[idx[1]], ang[idx[2]], ang[idx[3]]
+        r1, r2 = np.sqrt(s * (1.0 - v) / w1), np.sqrt(s * v / w2)
+        pts = np.stack([r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)],
+                       axis=1)
+        yield pts, s_w[idx[0]] * v_w[idx[1]] * (ang_w * ang_w) * s / (4.0 * w1 * w2)
+
+
 def seed_radial(space, f, r, scheme):
     """The radial quadrature of one integrand: IntegralResult or the
     AccuracyError it ends with (returned, not raised)."""
@@ -123,10 +156,9 @@ def seed_radial(space, f, r, scheme):
     invariant = _torus_invariant(f, info, s_intervals, top)
     prev, value, err, nodes = None, 0j, math.inf, 0
     for level in range(scheme.max_level + 1):
-        axes, build = _radial_axes(info, r, level, scheme, s_intervals=s_intervals,
-                                   torus_invariant=invariant)
         sums = [(_wsum(_top(f, pts, top), wts), len(pts))
-                for pts, wts in _product_chunks(axes, build, scheme.chunk)]
+                for pts, wts in radial_chunks(info, level, scheme, s_intervals, invariant,
+                                              scheme.chunk)]
         value = complex(math.fsum(v.real for v, _ in sums),
                         math.fsum(v.imag for v, _ in sums))
         nodes += sum(n for _, n in sums)

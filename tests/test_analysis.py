@@ -285,3 +285,67 @@ def test_contribution_raises_the_first_failing_point(index):
         contribution(sp, _unit(sp), index, [0.05, 0.1], components=comps,
                      quadrature=_SHALLOW)
     assert str(exc.value) == str(want)
+
+
+# ---------------------------------------------------------------------------
+# where a contribution takes its critical values from
+# ---------------------------------------------------------------------------
+
+_CONTRIBUTION_SPACES = ["cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)"]
+_SHORT_T = (0.0, 1.0, 4.0, 16.0, 64.0)
+
+
+def _outcome(call):
+    """What a contribution call ended with, exactly: the record's numbers
+    and diagnostics, or the error's type, message and carried data."""
+    import json
+
+    from symloc.liealg import NonConvergenceError
+
+    try:
+        rec = call()
+    except (AccuracyError, NonConvergenceError) as exc:
+        data = getattr(exc, "report", None) or [getattr(exc, "partial", None),
+                                                getattr(exc, "estimate", None)]
+        return type(exc).__name__, str(exc), repr(data)
+    return (
+        [(complex(v).real.hex(), complex(v).imag.hex()) for v in rec.values],
+        rec.critical_value, rec.probes,
+        json.dumps(rec.diagnostics, sort_keys=True, default=repr),
+        json.dumps(rec.provenance, sort_keys=True),
+    )
+
+
+def _counted_search(monkeypatch):
+    import symloc.analysis as A
+
+    calls = []
+    search = A.find_critical_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(A, "find_critical_points", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", _CONTRIBUTION_SPACES)
+def test_default_contribution_takes_the_catalog_values(name, monkeypatch):
+    # no search, and the same outcome, bit for bit, as the search's values
+    sp = catalog_from_string(name)
+    calls = _counted_search(monkeypatch)
+    got = _outcome(lambda: contribution(sp, _unit(sp), 0, [0.05, 0.1], t_grid=_SHORT_T))
+    assert calls == []
+    comps = find_critical_points(sp, 1.0)
+    assert got == _outcome(lambda: contribution(sp, _unit(sp), 0, [0.05, 0.1],
+                                                t_grid=_SHORT_T, components=comps))
+
+
+def test_contribution_with_r_max_runs_the_search(monkeypatch):
+    sp = catalog_from_string("cn_u1(1,1)")
+    calls = _counted_search(monkeypatch)
+    rec = contribution(sp, _unit(sp), 0, [0.05, 0.1], t_grid=_SHORT_T, r_max=1.0)
+    assert len(calls) == 1
+    assert rec.provenance["r_max"] == 1.0
+    assert rec.provenance["critical_values"] == [0.0, 0.25]

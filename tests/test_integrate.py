@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from seed_path import seed_basic_integrals, seed_integrand
+from seed_path import radial_chunks, seed_basic_integrals, seed_integrand
 from symloc.analysis import DEFAULT_EPSILON_GRID, DEFAULT_T_GRID
 from symloc.fields import MatConst, add, const, coord, mul
 from symloc.forms import (
@@ -52,6 +52,9 @@ from symloc.integrate import (
     BasicIntegralResult,
     _index_runs,
     _leggauss,
+    _points_on_ray,
+    _probe_points,
+    _stacked_grids,
     _wsum,
     QuadratureScheme,
     basic_integral,
@@ -313,6 +316,27 @@ def test_sgi_values_input_errors():
         sgi_values(a, (18,), np.zeros((3, 1)), 0.1)
     with pytest.raises(InputError):
         sgi_values(a, (2,), np.zeros((3, 1)), -0.1)
+    with pytest.raises(InputError, match="positive"):
+        sgi_values(a, (2,), np.zeros((3, 1)), np.array([0.1, 0.0, 0.2]))
+    with pytest.raises(InputError, match="shape"):
+        sgi_values(a, (2,), np.zeros((3, 1)), np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("name", ["u1", "su2"])
+def test_sgi_values_at_per_row_eps_is_each_row_at_its_own_eps(name):
+    # the eps-only factors are taken per distinct eps with scalar
+    # arithmetic, so every row is bit-identical to a call at its eps
+    a = builtin_algebra(name)
+    rng = np.random.default_rng(5)
+    m_arr = rng.standard_normal((40, a.dim))
+    eps = rng.choice([0.05, 0.1, 0.3, 1.7], size=40)
+    for total in range(5):
+        for nu in _multi_indices(a.dim, total):
+            got = sgi_values(a, nu, m_arr, eps)
+            for k in range(len(eps)):
+                want = sgi_values(a, nu, m_arr[k : k + 1], float(eps[k]))[0]
+                assert got[k].real.hex() == want.real.hex(), (nu, k)
+                assert got[k].imag.hex() == want.imag.hex(), (nu, k)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +736,34 @@ def test_full_grid_deterministic_across_workers():
 _BATCH_SPACES = ["cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "c2_su2"]
 
 
+def _contribution_points():
+    """The exact point list that contribution(cn_u1(1,1), 1, [0.05, 0.1],
+    t <= 64, max_level=6) -- a benchmark operation -- hands to
+    basic_integral_batch: 54 members."""
+    import symloc.analysis as A
+
+    class Seen(Exception):
+        pass
+
+    def record(space, alpha, points, quadrature=None):
+        raise Seen(list(points))
+
+    sp = catalog_from_string("cn_u1(1,1)")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "basic_integral_batch", record)
+        with pytest.raises(Seen) as seen:
+            A.contribution(sp, one_form(sp), 1, [0.05, 0.1], t_grid=_T_TO_64,
+                           quadrature=QuadratureScheme(max_level=6))
+    (points,) = seen.value.args
+    return points
+
+
+_T_TO_64 = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+
 def _batch_points(name, kind):
+    if kind == "contribution":
+        return _contribution_points()
     r_out, r_in = (0.04, 0.02) if name == "c2_su2" else (0.36, 0.16)
     if kind == "plateau":  # one large_t_limit
         return [(r_out, 0.1, t) for t in DEFAULT_T_GRID]
@@ -741,9 +792,20 @@ def _same_outcome(got, ref, t):
         assert abs(got.value - ref.value) <= 1e-15 * abs(ref.value)
 
 
-@pytest.mark.parametrize("max_level", [3, 1], ids=["default", "forced_failures"])
-@pytest.mark.parametrize("kind", ["plateau", "probes", "eps_grid", "single_t"])
-@pytest.mark.parametrize("name", _BATCH_SPACES)
+_BATCH_CASES = [
+    pytest.param(name, kind, max_level, id=f"{name}-{kind}-{label}")
+    for name in _BATCH_SPACES
+    for kind in ["plateau", "probes", "eps_grid", "single_t"]
+    for max_level, label in [(3, "default"), (1, "forced_failures")]
+] + [
+    # the batch of a benchmark contribution, at its max_level and forced short
+    pytest.param("cn_u1(1,1)", "contribution", max_level,
+                 id=f"cn_u1(1,1)-contribution-{label}")
+    for max_level, label in [(6, "max_level_6"), (1, "forced_failures")]
+]
+
+
+@pytest.mark.parametrize("name, kind, max_level", _BATCH_CASES)
 def test_batch_matches_one_request_at_a_time(name, kind, max_level):
     sp = catalog_from_string(name)
     alpha = one_form(sp)
@@ -792,6 +854,98 @@ def test_batch_members_beyond_one_chunk_run_alone(workers):
         _same_outcome(g, want, t)
     assert any(not isinstance(g, AccuracyError) and g.n_nodes == 1024 + 16384
                for g in got)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_batch_of_chunked_and_small_members(workers):
+    # alpha = 1 + 3e-12 Re(z1 conj z2)^2 puts the torus probe's relative
+    # residual near its 1e-12 bound: members whose support reaches large
+    # radii keep the full angular grid, 4 chunks of 1024 nodes at level 0
+    # and 64 at level 1, while the others collapse it and share one block
+    sp = two_planes()
+    re = add(mul(coord(0), coord(2)), mul(coord(1), coord(3)))
+    alpha = EquivariantForm.scalar(sp.chart_id, sp.ambient_dim, sp.algebra.dim,
+                                   add(const(1.0), mul(const(3e-12), mul(re, re))))
+    scheme = QuadratureScheme(base_radial=8, base_angular=8, max_level=2, chunk=1024,
+                              rel_tol=1e-3, workers=workers)
+    points = [(0.36, e, t) for t in (0.0, 1.0, 4.0, 16.0) for e in (0.05, 0.2)]
+    got = basic_integral_batch(sp, alpha, points, scheme)
+    ref = seed_basic_integrals(sp, alpha, points, scheme)
+    for (_, _, t), g, want in zip(points, got, ref):
+        _same_outcome(g, want, t)
+    nodes = [g.n_nodes for g in got if not isinstance(g, AccuracyError)]
+    assert 4096 + 65536 in nodes and 64 + 256 + 1024 in nodes
+
+
+@pytest.mark.parametrize("space", [annulus(), two_planes(), catalog_from_string("c2_su2")],
+                         ids=["one_plane", "two_planes", "c2_su2"])
+@pytest.mark.parametrize("level", [0, 2])
+def test_stacked_grids_are_the_member_grids_node_for_node(space, level):
+    info = space.radial
+    s_lo, s_hi = info.s_bounds(0.16 if space.ambient_dim == 2 else 0.04)
+    mid = 0.5 * (s_lo + s_hi)
+    supports = [[(s_lo, s_hi)], [(s_lo, mid - 0.01), (mid + 0.01, s_hi)], [(s_lo, mid)]]
+    invariant = [True, False, False]
+    scheme = QuadratureScheme(base_radial=4, base_angular=8)
+    pts, wts = _stacked_grids(info, scheme, level, supports, invariant)
+    want = [next(radial_chunks(info, level, scheme, sup, inv, 1 << 40))
+            for sup, inv in zip(supports, invariant)]
+    assert np.array_equal(pts, np.concatenate([p for p, _ in want]))
+    assert np.array_equal(wts, np.concatenate([w for _, w in want]))
+    # a span of one member's grid, its ends inside radial rows
+    for (p_ref, w_ref), sup, inv in zip(want, supports, invariant):
+        n = len(w_ref)
+        for start, stop in [(0, n), (3, n - 5), (n // 3 + 1, n // 2 + 7)]:
+            p, w = _stacked_grids(info, scheme, level, [sup], [inv], (start, stop))
+            assert np.array_equal(p, p_ref[start:stop]) and np.array_equal(w, w_ref[start:stop])
+    with pytest.raises(InputError, match="empty integration region"):
+        _stacked_grids(info, scheme, level, [[(s_lo, s_hi)], [(mid, mid)]], [True, True])
+
+
+def _probe_points_loop(info, s_intervals):
+    """One member's torus probe as the per-member loop drew it, kept as the
+    reference for the batched _probe_points."""
+    rng = np.random.default_rng(0)
+    base = np.concatenate([
+        _points_on_ray(info, rng.uniform(lo, hi, 8), rng.uniform(0.0, 1.0, 8))
+        for lo, hi in s_intervals
+    ])
+    angles = rng.uniform(0.0, 2.0 * np.pi, (base.shape[0], info.planes))
+    rotated = np.empty_like(base)
+    rotated[:, 0::2] = base[:, 0::2] * np.cos(angles)
+    rotated[:, 1::2] = base[:, 0::2] * np.sin(angles)
+    return base, rotated
+
+
+@pytest.mark.parametrize("space", [annulus(), two_planes()], ids=["one_plane", "two_planes"])
+def test_probe_points_are_each_members_own_draws(space):
+    info = space.radial
+    supports = [[(0.2, 1.8)], [(0.2, 0.7), (1.1, 1.8)], [(0.5, 0.9)], [(0.1, 0.3), (0.4, 0.5)]]
+    base, rotated, counts = _probe_points(info, supports)
+    assert counts == [8, 16, 8, 16]
+    want = [_probe_points_loop(info, sup) for sup in supports]
+    assert np.array_equal(base, np.concatenate([b for b, _ in want]))
+    assert np.array_equal(rotated, np.concatenate([r for _, r in want]))
+
+
+def test_plan_contracts_once_per_block_not_per_member(monkeypatch):
+    # every member of a plateau lives through both levels, and each level's
+    # grids (and the torus probes) fit one block: the Gaussian moments are
+    # taken as often for eighteen members as for one
+    import symloc.integrate as I
+
+    calls = []
+    sgi = I.sgi_values
+    monkeypatch.setattr(I, "sgi_values", lambda *a: calls.append(a) or sgi(*a))
+    sp = annulus()
+    scheme = QuadratureScheme(max_level=1)
+    counts = []
+    for points in ([(0.36, 0.1, 4.0)],
+                   [(0.36, e, t) for e in (0.05, 0.1) for t in DEFAULT_T_GRID]):
+        calls.clear()
+        basic_integral_batch(sp, one_form(sp), points, scheme)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_batch_checks_every_point():

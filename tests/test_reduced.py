@@ -519,6 +519,15 @@ def level_and_reference(request):
     return sp, lv, R.ZeroLevelData(**{**fields, **ref})
 
 
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("mesh", [4, 7, 32])
+def test_chart_nodes_from_the_axes_are_the_per_node_embedding(weights, mesh):
+    chart = R._U1LevelChart(weights, 1.0, mesh)
+    got, want = chart.embed_nodes(), chart.embed(chart.param_nodes)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
 def test_level_arrays_match_the_reference_pipeline(level_and_reference):
     _, lv, ref = level_and_reference
     for name in _LEVEL_ARRAYS:
