@@ -279,12 +279,16 @@ class ContributionRecord:
 #
 # The refinement stage re-solves jointly: polynomial columns plus
 # exp(-c/eps) * eps^(j/2) for a small window of half-integer powers j,
-# with c tuned on the least-squares residual -- 25 rates scored in one
-# batched solve, then a golden-section search that keeps one interior
-# point and its residual per step (37 solves for 36 bracket shrinks).
-# The window is centered on the prefactor power the split stage saw; a
-# wider window is tried only when the residual floor (25n eps_mach) is
-# missed.
+# with c tuned on the least-squares residual.  The windows are the two
+# 4-power ones around the prefactor power the split stage saw, plus the
+# 5-power wide one; the wide one is picked only when the best centered
+# window misses the residual floor (25n eps_mach) and it cuts that
+# residual 3x.  Every (dataset, window) search -- the full grid and the
+# stability refit, fitted together -- runs in lockstep on designs
+# zero-padded to one shape: one stacked solve scores 25 rates per search,
+# one the two first golden points, one per golden step the new interior
+# point of every search, and one the final rates -- 38 solves for any
+# number of searches.
 
 
 def _polyval(coeffs, e):
@@ -375,15 +379,19 @@ def _split_hierarchy(eps, vals, dmax):
 
 
 def _lstsq(x, vals):
-    """Least squares of vals against each design in the (..., n, p) stack,
-    columns scaled to unit norm, singular values cut as np.linalg.lstsq
-    cuts them.  Returns (solutions (..., p), residual norms (...))."""
+    """Least squares of vals against each design in the (..., n, p) stack
+    (vals (..., n), broadcast against the stack), columns scaled to unit
+    norm, singular values cut as np.linalg.lstsq cuts them.  An all-zero
+    column is cut and gets coefficient 0, and all-zero rows in x and vals
+    add nothing to the residual, so designs of different shapes share one
+    stack when zero-padded; the solutions then agree with the unpadded
+    ones to roundoff.  Returns (solutions (..., p), residual norms (...))."""
     norms = np.linalg.norm(x, axis=-2, keepdims=True)
     norms[norms == 0] = 1.0
     xn = x / norms
     u, s, vt = np.linalg.svd(xn, full_matrices=False)
     keep = s > np.finfo(float).eps * max(x.shape[-2:]) * s[..., :1]
-    coef = (np.swapaxes(u, -1, -2) @ vals[:, None])[..., 0] * keep / np.where(keep, s, 1.0)
+    coef = (np.swapaxes(u, -1, -2) @ vals[..., None])[..., 0] * keep / np.where(keep, s, 1.0)
     sol = (np.swapaxes(vt, -1, -2) @ coef[..., None])[..., 0]
     resid = vals - (xn @ sol[..., None])[..., 0]
     return sol / norms[..., 0, :], np.linalg.norm(resid, axis=-1)
@@ -392,85 +400,108 @@ def _lstsq(x, vals):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _fit_decomposition(eps, vals, dmax) -> dict:
-    """Full fit: split stage for an initial (c, prefactor power), then a
-    golden-section refinement of c under a joint linear solve."""
-    eps = np.asarray(eps, float)
-    vals = np.asarray(vals, complex)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    base = _split_hierarchy(eps, vals, dmax)
-    split = dict(iterations=base["iterations"], converged=base["converged"])
-    powers = np.vander(eps, dmax + 1, increasing=True)
-    tail_mag = float(np.max(np.abs(base["tail"])))
-    if base["c"] <= 0 or tail_mag < 1e-12 * scale:
-        # no discernible tail: plain polynomial fit on everything
-        poly, *_ = np.linalg.lstsq(powers, vals, rcond=None)
-        resid = vals - powers @ poly
-        return dict(
-            poly=poly, c=0.0, jpow=(), amps=np.zeros(0, complex),
-            resid=float(np.max(np.abs(resid))), c_init=base["c"], q_init=base["q"],
-            split=split,
-        )
-    j0 = int(round(2 * base["q"]))
-    j0 = min(max(j0, -1), 3)
-    c_lo, c_hi = base["c"] / 1.6, base["c"] * 1.6
+def _refine_in_lockstep(searches, dmax):
+    """Golden-section refinement of the rate c for every search at once.
 
-    def solve_window(jpow):
-        half = np.column_stack([eps ** (j / 2.0) for j in jpow])
+    Each search is (eps, vals, jpow, c_init): minimize over c the residual
+    of vals against [eps^k | exp(-c/eps) eps^(j/2), j in jpow], the design
+    zero-padded to the largest (rows, cols) of all searches.  Returns
+    ([(c, solution, residual)] per search, the number of stacked solves)."""
+    n_rows = max(len(eps) for eps, *_ in searches)
+    n_tail = max(len(jpow) for _, _, jpow, _ in searches)
+    n_s = len(searches)
+    eps_pad = np.ones((n_s, n_rows))  # any positive value: its rows are zero
+    powers = np.zeros((n_s, n_rows, dmax + 1))
+    half = np.zeros((n_s, n_rows, n_tail))
+    vals_pad = np.zeros((n_s, 1, n_rows), complex)
+    c_init = np.empty(n_s)
+    for s, (eps, vals, jpow, c0) in enumerate(searches):
+        n = len(eps)
+        eps_pad[s, :n] = eps
+        powers[s, :n] = np.vander(eps, dmax + 1, increasing=True)
+        half[s, :n, : len(jpow)] = np.column_stack([eps ** (j / 2.0) for j in jpow])
+        vals_pad[s, 0, :n] = vals
+        c_init[s] = c0
+    solves = 0
 
-        def design(c):
-            """[eps^k | exp(-c/eps) eps^(j/2)]; an array of c gives a stack."""
-            tail = np.exp(-np.divide.outer(c, eps))[..., None] * half
-            poly = np.broadcast_to(powers, tail.shape[:-1] + powers.shape[-1:])
-            return np.concatenate([poly, tail], axis=-1)
+    def solve(c):
+        """The (n_s, k) rates c scored in one stacked solve."""
+        nonlocal solves
+        solves += 1
+        tail = np.exp(-c[..., None] / eps_pad[:, None, :])[..., None] * half[:, None]
+        poly = np.broadcast_to(powers[:, None], tail.shape[:-1] + (dmax + 1,))
+        return _lstsq(np.concatenate([poly, tail], axis=-1), vals_pad)
 
-        def resid(c):
-            return float(_lstsq(design(c), vals)[1])
+    c_lo, c_hi = c_init / 1.6, c_init * 1.6
+    cands = np.geomspace(c_lo, c_hi, 25, axis=-1)
+    best = cands[np.arange(n_s), np.argmin(solve(cands)[1], axis=-1)]
+    lo, hi = np.maximum(best / 1.2, c_lo), np.minimum(best * 1.2, c_hi)
+    # golden section: each step keeps one interior point and its value
+    m1, m2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    r1, r2 = solve(np.stack([m1, m2], axis=-1))[1].T
+    for _ in range(35):
+        left = r1 < r2  # the minimum lies in [lo, m2]
+        hi, lo = np.where(left, m2, hi), np.where(left, lo, m1)
+        new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        m1, m2 = np.where(left, new, m2), np.where(left, m1, new)
+        r_new = solve(new[:, None])[1][:, 0]
+        r1, r2 = np.where(left, r_new, r2), np.where(left, r1, r_new)
+    # the last shrink needs no new interior point
+    left = r1 < r2
+    c = 0.5 * (np.where(left, lo, m1) + np.where(left, m2, hi))
+    sol, r = solve(c[:, None])
+    return [(float(c[s]), sol[s, 0], float(r[s, 0])) for s in range(n_s)], solves
 
-        cands = np.geomspace(c_lo, c_hi, 25)
-        best = cands[int(np.argmin(_lstsq(design(cands), vals)[1]))]
-        lo, hi = max(best / 1.2, c_lo), min(best * 1.2, c_hi)
-        # golden section: each step keeps one interior point and its value
-        m1, m2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-        r1, r2 = resid(m1), resid(m2)
-        for _ in range(35):
-            if r1 < r2:
-                hi, m2, r2 = m2, m1, r1
-                m1 = hi - _GOLDEN * (hi - lo)
-                r1 = resid(m1)
-            else:
-                lo, m1, r1 = m1, m2, r2
-                m2 = lo + _GOLDEN * (hi - lo)
-                r2 = resid(m2)
-        # the 36th shrink needs no new interior point
-        if r1 < r2:
-            hi = m2
-        else:
-            lo = m1
-        c = 0.5 * (lo + hi)
-        sol, r = _lstsq(design(c), vals)
-        return c, sol, float(r)
 
-    windows = []
-    for lo_j in (j0, max(j0 - 1, -1)):
-        w = tuple(range(lo_j, lo_j + 4))
-        if w not in windows:
-            windows.append(w)
-    picked = None
-    for w in windows:
-        c, sol, r = solve_window(w)
-        if picked is None or r < picked[3]:
-            picked = (w, c, sol, r)
-    wide = tuple(range(max(j0 - 1, -1), j0 + 4))
-    if len(wide) > 4 and picked[3] > 25 * len(eps) * 1e-15 * scale:
-        c, sol, r = solve_window(wide)
-        if r < picked[3] / 3.0:
-            picked = (wide, c, sol, r)
-    jpow, c, sol, r = picked
-    return dict(
-        poly=sol[: dmax + 1], c=c, jpow=jpow, amps=sol[dmax + 1 :],
-        resid=r, c_init=base["c"], q_init=base["q"], split=split,
-    )
+def _fit_decompositions(datasets, dmax):
+    """Fit polynomial + tail to each (eps, vals) dataset: the split stage
+    per dataset for an initial (c, prefactor power), then the golden-section
+    refinements of all datasets and all tail windows in lockstep.  Returns
+    (one fit dict per dataset, {"searches", "stacked_solves"})."""
+    fits, searches, plans = [], [], []
+    for eps, vals in datasets:
+        eps = np.asarray(eps, float)
+        vals = np.asarray(vals, complex)
+        base = _split_hierarchy(eps, vals, dmax)
+        fit = dict(c_init=base["c"], q_init=base["q"],
+                   split=dict(iterations=base["iterations"], converged=base["converged"]))
+        fits.append(fit)
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if base["c"] <= 0 or float(np.max(np.abs(base["tail"]))) < 1e-12 * scale:
+            # no discernible tail: plain polynomial fit on everything
+            powers = np.vander(eps, dmax + 1, increasing=True)
+            poly, *_ = np.linalg.lstsq(powers, vals, rcond=None)
+            fit.update(poly=poly, c=0.0, jpow=(), amps=np.zeros(0, complex))
+            plans.append(None)
+            continue
+        j0 = min(max(int(round(2 * base["q"])), -1), 3)
+        windows = list(dict.fromkeys(tuple(range(lo_j, lo_j + 4))
+                                     for lo_j in (j0, max(j0 - 1, -1))))
+        wide = tuple(range(max(j0 - 1, -1), j0 + 4))
+        if len(wide) > 4:
+            windows.append(wide)
+        first = len(searches)
+        searches += [(eps, vals, w, base["c"]) for w in windows]
+        plans.append((first, windows, 25 * len(eps) * 1e-15 * scale))
+
+    refined, solves = _refine_in_lockstep(searches, dmax) if searches else ([], 0)
+    for fit, plan in zip(fits, plans):
+        if plan is None:
+            continue
+        first, windows, floor = plan
+        # the centered windows compete on the residual; the wide one is
+        # taken only when the floor is missed and it cuts the residual 3x
+        picked = None
+        for k, w in enumerate(windows):
+            c, sol, r = refined[first + k]
+            if len(w) > 4:
+                if picked[3] > floor and r < picked[3] / 3.0:
+                    picked = (w, c, sol, r)
+            elif picked is None or r < picked[3]:
+                picked = (w, c, sol, r)
+        jpow, c, sol, _ = picked
+        fit.update(poly=sol[: dmax + 1], c=c, jpow=jpow, amps=sol[dmax + 1 : dmax + 1 + len(jpow)])
+    return fits, {"searches": len(searches), "stacked_solves": solves}
 
 
 def _tail_values(fit, eps):
@@ -499,7 +530,13 @@ def fit_poly_plus_tail(
     Returns (poly_coeffs, tail_rate, report).  poly_coeffs are ascending
     complex coefficients, tail_rate is c >= 0.  The report carries the
     residual profile, the declared bound, the stability drift under
-    dropping the largest-eps points, and the damping guard data.
+    dropping the largest-eps points, the damping guard data, and the
+    refinement's size: {"searches", "stacked_solves"}.
+
+    The full grid and the grid without its largest-eps points are fitted
+    in one pass: the split stage runs per grid, then the rate searches of
+    both grids and all their tail windows refine in lockstep, one stacked
+    least-squares solve per golden-section step.
 
     Raises DecompositionError when the combined model misses the declared
     tolerance, when the polynomial coefficients are not stable under
@@ -526,7 +563,10 @@ def fit_poly_plus_tail(
     noise_floor = max(1e-13 * max(scale, 1.0), 10.0 * max(point_errors))
     residual_bound = fit_tol * scale if scale > 1e-8 else fit_tol
 
-    fit = _fit_decomposition(eps, vals, poly_degree_max)
+    n_drop = max(2, eps.size // 6)
+    (fit, refit), refinement = _fit_decompositions(
+        [(eps, vals), (eps[:-n_drop], vals[:-n_drop])], poly_degree_max
+    )
     model = _polyval(fit["poly"], eps) + _tail_values(fit, eps)
     residuals = vals - model
     worst = float(np.max(np.abs(residuals)))
@@ -535,8 +575,6 @@ def fit_poly_plus_tail(
     tail_significant = tail_max > max(residual_bound, noise_floor)
     rate_floor = 1.5 * float(eps[0])
 
-    n_drop = max(2, eps.size // 6)
-    refit = _fit_decomposition(eps[:-n_drop], vals[:-n_drop], poly_degree_max)
     drift = float(np.max(np.abs(refit["poly"] - fit["poly"]))) / max(scale, 1e-8)
 
     report = {
@@ -563,6 +601,7 @@ def fit_poly_plus_tail(
             "coefficient_drift": drift,
             "refit_poly": [_reim(c) for c in refit["poly"]],
         },
+        "refinement": refinement,
     }
 
     if worst > residual_bound:
@@ -760,7 +799,7 @@ def epsilon_sweep(
                 f"unknown t policy {t_policy!r}: pass a number or 'extrapolated'"
             )
         policy = {"kind": "extrapolated",
-                  "t_grid": [float(t) for t in (t_grid or DEFAULT_T_GRID)]}
+                  "t_grid": [float(t) for t in _plateau_t_grid(t_grid)]}
     else:
         policy = {"kind": "fixed", "t": float(t_policy)}
         if policy["t"] < 0:
