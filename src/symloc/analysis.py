@@ -14,15 +14,20 @@ Everything here is plain least squares plus reported residual profiles;
 nothing certifies a-posteriori error bounds.  The reports carry the
 numbers, judging them is the caller's business.
 
-Plateau detection and the t grid interact: the boundary term killed by
-the deformation shrinks like exp(-t^2 q / (2 eps)) where q is the
-smallest squared pairing <V_a, V_mustar> on the probe boundary, so a
-grid topping out at t=16 settles small eps long before eps ~ 0.2.  When
-the plateau tolerance is unreachable within the given t grid the
-operation refuses (NonConvergenceError) rather than extrapolating; pass
-a longer grid.  The default grid keeps the Gaussian shift t*|pairing|/eps
-within ~1e3, where the closed-form moment evaluation stays comfortably
-conditioned; the shift actually reached is reported.
+Every large-t limit -- large_t_limit, the extrapolated epsilon_sweep and
+contribution -- runs as one Basic Integral batch per call, t-major per
+epsilon, and reads its limit off one plateau rule: the last successive
+difference on the t grid must sit below max(PLATEAU_REL_TOL * the
+largest value, PLATEAU_ABS_TOL, 10 * the largest point error).  The
+boundary term killed by the deformation shrinks like exp(-t^2 q / (2 eps))
+where q is the smallest squared pairing <V_a, V_mustar> on the probe
+boundary, so a grid topping out at t=16 settles small eps long before
+eps ~ 0.2.  When the plateau is unreachable within the given t grid the
+operation refuses (NonConvergenceError, its report carrying that rate
+bound) rather than extrapolating; pass a longer grid.  The default grid
+keeps the Gaussian shift t*|pairing|/eps within ~1e3, where the
+closed-form moment evaluation stays comfortably conditioned; the shift
+actually reached is reported.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ __all__ = [
     "DEFAULT_EPSILON_GRID",
     "DEFAULT_T_GRID",
     "DEFAULT_FIT_TOL",
+    "PLATEAU_REL_TOL",
+    "PLATEAU_ABS_TOL",
     "CSV_HEADER",
     "SweepResult",
     "ContributionRecord",
@@ -75,6 +82,13 @@ __all__ = [
 DEFAULT_EPSILON_GRID = tuple(np.geomspace(0.02, 0.2, 25))
 
 DEFAULT_T_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+# The plateau tolerance of every large-t limit: relative to the largest
+# value on the t grid, absolute, and never below 10x the largest point error.
+PLATEAU_REL_TOL = 1e-7
+PLATEAU_ABS_TOL = 1e-11
+# the plateau fields of a limit's diagnostics (contribution keeps these)
+_PLATEAU_KEYS = ("differences", "tolerance", "plateau_from", "plateau_gap", "t_grid")
 
 # Declared combined-fit tolerance, relative to the sweep's value scale
 # (absolute once the whole sweep sits below 1e-8).  The fitter lands
@@ -646,8 +660,8 @@ def _settled(out):
 
 def _ascending_grid(grid, what) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(grid, float))
-    if arr.size == 0 or np.any(arr <= 0):
-        raise InputError(f"{what} must be positive")
+    if arr.size == 0 or not np.all((arr > 0) & (arr < np.inf)):
+        raise InputError(f"{what} must be positive and finite")
     if arr.size > 1 and np.any(np.diff(arr) <= 0):
         raise InputError(f"{what} must be strictly ascending")
     return arr
@@ -655,12 +669,12 @@ def _ascending_grid(grid, what) -> np.ndarray:
 
 def _plateau_t_grid(t_grid) -> np.ndarray:
     """The t grid of a plateau search (DEFAULT_T_GRID for None): at least
-    three values, nonnegative and strictly ascending."""
+    three values, nonnegative, finite and strictly ascending."""
     t_arr = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, float)
     if t_arr.size < 3:
         raise InputError("plateau detection needs at least three t values")
-    if np.any(np.diff(t_arr) <= 0) or t_arr[0] < 0:
-        raise InputError("t grid must be nonnegative and strictly ascending")
+    if not np.all((t_arr >= 0) & (t_arr < np.inf)) or np.any(np.diff(t_arr) <= 0):
+        raise InputError("t grid must be nonnegative, finite and strictly ascending")
     return t_arr
 
 
@@ -691,27 +705,66 @@ def _boundary_gauge_pairing(space, r, scheme):
     return lo, hi
 
 
-def _plateau(values, t_grid, rel, abs_tol, err_floor):
-    """Large-t plateau of a value sequence: settled once the last
-    successive difference sits below tolerance.  Returns (limit | None,
-    diagnostics); with super-exponential decay the final gap bounds the
-    truncation, and it is reported as the error estimate."""
-    v = np.asarray(values, complex)
-    diffs = np.abs(np.diff(v))
-    scale = float(np.max(np.abs(v))) if v.size else 0.0
-    tol = max(rel * scale, abs_tol, err_floor)
-    settled = bool(diffs.size) and diffs[-1] < tol
-    start = diffs.size
-    while start > 0 and diffs[start - 1] < tol:
-        start -= 1
-    diag = {
-        "differences": [float(d) for d in diffs],
-        "tolerance": tol,
-        "plateau_from": int(start) if settled else None,
-        "plateau_gap": float(diffs[-1]) if diffs.size else 0.0,
-        "t_grid": [float(t) for t in t_grid],
-    }
-    return (v[-1] if settled else None), diag
+def _limits(space, alpha, rows, t_arr, scheme):
+    """lim_{t->inf} of BI(alpha, above, t) - BI(alpha, below, t) for each
+    row (name, epsilon, below, above) of ``rows``; below is None for the
+    empty region, whose integral is exactly 0.
+
+    Every row runs in one basic_integral_batch, t-major per row with the
+    upper probe first, and the boundary pairing is measured once, on the
+    probes of the first row.  Rows settle in order, so the error raised is
+    the one a row-by-row loop raised first: a member's AccuracyError, or a
+    NonConvergenceError naming the row when its last successive
+    difference is not below max(PLATEAU_REL_TOL * max|value|,
+    PLATEAU_ABS_TOL, 10 * largest point error).  The decay is
+    super-exponential, so that last gap bounds the truncation.  Returns
+    per row (limit, values, point errors, diagnostics); the diagnostics
+    are the NonConvergenceError report."""
+    _, _, below, above = rows[0]
+    pairs = [_boundary_gauge_pairing(space, rad, scheme) for rad in (above, below)
+             if rad is not None]
+    pair_lo, pair_hi = min(p[0] for p in pairs), max(p[1] for p in pairs)
+    points = [(rad, e, float(t)) for _, e, lo, hi in rows
+              for t in t_arr for rad in (hi, lo) if rad is not None]
+    outs = iter(basic_integral_batch(space, alpha, points, scheme))
+    results = []
+    for name, e, lo, _ in rows:
+        vals = np.empty(t_arr.size, complex)
+        errs = np.empty(t_arr.size)
+        for k in range(t_arr.size):
+            va, ea = _settled(next(outs))
+            vb, eb = (0.0 + 0.0j, 0.0) if lo is None else _settled(next(outs))
+            vals[k], errs[k] = va - vb, ea + eb
+        diffs = np.abs(np.diff(vals))
+        tol = max(PLATEAU_REL_TOL * float(np.max(np.abs(vals))), PLATEAU_ABS_TOL,
+                  10.0 * float(errs.max()))
+        settled = diffs[-1] < tol
+        start = diffs.size
+        while start > 0 and diffs[start - 1] < tol:
+            start -= 1
+        diag = {
+            "differences": [float(d) for d in diffs],
+            "tolerance": tol,
+            "plateau_from": int(start) if settled else None,
+            "plateau_gap": float(diffs[-1]),
+            "t_grid": [float(t) for t in t_arr],
+            "values": [_reim(v) for v in vals],
+            "point_errors": [float(x) for x in errs],
+            "epsilon": float(e),
+            "gauge_pairing": {"min": pair_lo, "max": pair_hi},
+            "shift_magnitude": float(t_arr[-1]) * pair_hi / float(e),
+            "rate_bound": pair_lo**2 / (2.0 * float(e)),
+        }
+        if not settled:
+            raise NonConvergenceError(
+                f"{name} has not reached its large-t plateau by t={t_arr[-1]:g} "
+                f"at eps={e:g}: last difference {diffs[-1]:.3g} vs tolerance "
+                f"{tol:.3g}. The boundary term decays like "
+                f"exp(-t^2 {diag['rate_bound']:.3g}); extend the t grid",
+                report=diag,
+            )
+        results.append((vals[-1], vals, errs, diag))
+    return results
 
 
 def large_t_limit(
@@ -721,44 +774,24 @@ def large_t_limit(
     epsilon: float,
     t_grid=None,
     quadrature: QuadratureScheme | None = None,
-    rel_tol: float = 1e-7,
-    abs_tol: float = 1e-11,
-    validate: bool = True,
 ):
-    """lim_{t->inf} BI(alpha, r, t) at one epsilon, by plateau detection
-    on an ascending t grid.  Returns (limit, diagnostics).
+    """lim_{t->inf} BI(alpha, r, t) at one epsilon: the value at the end
+    of the t grid (DEFAULT_T_GRID for None) once the last successive
+    difference sits below the plateau tolerance (PLATEAU_REL_TOL
+    relative, PLATEAU_ABS_TOL absolute, 10x the largest point error).
+    One batch over the grid.  Returns (limit, diagnostics).
 
     Raises NonConvergenceError when the grid ends before the plateau;
-    the report carries the conditioning data (Gaussian shift magnitude
-    and the boundary pairing bounds) needed to size a longer grid."""
+    the report carries the conditioning data (Gaussian shift magnitude,
+    the boundary pairing bounds and the t^2 rate bound) needed to size a
+    longer grid."""
     scheme = quadrature or QuadratureScheme()
     t_arr = _plateau_t_grid(t_grid)
-    if validate:
-        check_regular_radius(space, r)
-        _gate_alpha(space, alpha)
-    pair_lo, pair_hi = _boundary_gauge_pairing(space, r, scheme)
-    outs = basic_integral_batch(space, alpha, [(r, epsilon, float(t)) for t in t_arr], scheme)
-    vals, errs = zip(*map(_settled, outs))
-    limit, diag = _plateau(vals, t_arr, rel_tol, abs_tol, 10.0 * max(errs))
-    diag.update(
-        values=[_reim(v) for v in vals],
-        point_errors=[float(e) for e in errs],
-        epsilon=float(epsilon),
-        r=float(r),
-        gauge_pairing={"min": pair_lo, "max": pair_hi},
-        shift_magnitude=float(t_arr[-1]) * pair_hi / float(epsilon),
-        rate_bound=pair_lo**2 / (2.0 * float(epsilon)),
-    )
-    if limit is None:
-        raise NonConvergenceError(
-            f"BI(r={r:g}) has not reached its large-t plateau by "
-            f"t={t_arr[-1]:g} at eps={epsilon:g}: last difference "
-            f"{diag['differences'][-1]:.3g} vs tolerance {diag['tolerance']:.3g}. "
-            f"The boundary term decays like exp(-t^2 {diag['rate_bound']:.3g}); "
-            "extend the t grid",
-            report=diag,
-        )
-    return limit, diag
+    check_regular_radius(space, r)
+    _gate_alpha(space, alpha)
+    ((limit, _, _, diag),) = _limits(space, alpha, [(f"BI(r={r:g})", epsilon, None, r)],
+                                     t_arr, scheme)
+    return limit, {**diag, "r": float(r)}
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +814,13 @@ def epsilon_sweep(
     """Evaluate BI(alpha, r, .) on an ascending epsilon grid and fit the
     polynomial + tail decomposition.
 
-    ``t_policy`` is either a number (BI evaluated at that fixed t) or the
-    string "extrapolated" (each grid point is the large-t plateau over
-    ``t_grid``).  The fit is skipped, with a warning, when the grid is
-    shorter than poly_degree_max + 4 points.
+    ``t_policy`` is either a finite number (BI evaluated at that fixed t)
+    or the string "extrapolated": each grid point is then large_t_limit
+    over ``t_grid`` at that eps, value, diagnostics and all, with the
+    plateau gap plus the largest point error as its error.  Either way
+    every eps runs in one Basic Integral batch, and a failing point raises
+    what a one-eps-at-a-time loop raised first.  The fit is skipped, with a
+    warning, when the grid is shorter than poly_degree_max + 4 points.
     """
     scheme = quadrature or QuadratureScheme()
     eps = _ascending_grid(DEFAULT_EPSILON_GRID if grid is None else grid, "epsilon grid")
@@ -798,12 +834,12 @@ def epsilon_sweep(
             raise InputError(
                 f"unknown t policy {t_policy!r}: pass a number or 'extrapolated'"
             )
-        policy = {"kind": "extrapolated",
-                  "t_grid": [float(t) for t in _plateau_t_grid(t_grid)]}
+        t_arr = _plateau_t_grid(t_grid)
+        policy = {"kind": "extrapolated", "t_grid": [float(t) for t in t_arr]}
     else:
         policy = {"kind": "fixed", "t": float(t_policy)}
-        if policy["t"] < 0:
-            raise InputError("fixed t must be nonnegative")
+        if not 0 <= policy["t"] < math.inf:
+            raise InputError("fixed t must be nonnegative and finite")
 
     values = np.empty(eps.size, complex)
     errors = np.empty(eps.size, float)
@@ -815,13 +851,11 @@ def epsilon_sweep(
         for i, out in enumerate(outs):
             values[i], errors[i] = _settled(out)
     else:
-        for i, e in enumerate(eps):
-            limit, diag = large_t_limit(
-                space, alpha, r, float(e), policy["t_grid"], scheme, validate=False
-            )
+        rows = [(f"BI(r={r:g})", float(e), None, r) for e in eps]
+        for i, (limit, _, _, diag) in enumerate(_limits(space, alpha, rows, t_arr, scheme)):
             values[i] = limit
             errors[i] = diag["plateau_gap"] + max(diag["point_errors"])
-            t_diagnostics.append(diag)
+            t_diagnostics.append({**diag, "r": float(r)})
 
     provenance = {
         "space": space.name,
@@ -877,8 +911,6 @@ def contribution(
     r_max: float | None = None,
     quadrature: QuadratureScheme | None = None,
     alpha_label: str = "",
-    plateau_rel: float = 1e-7,
-    plateau_abs: float = 1e-11,
 ) -> ContributionRecord:
     """The contribution of the ``index``-th critical value (ascending,
     0-based) at each epsilon: the large-t limit of
@@ -891,8 +923,13 @@ def contribution(
     InputError for a space without them) and no search runs.  The probes
     straddle them by critical_probes either way.  The result is checked
     for independence of the probe choice by recomputing at perturbed
-    probes for the largest epsilon; disagreement raises AccuracyError, a
-    missing plateau raises NonConvergenceError with conditioning data.
+    probes (both offsets shrunk to 3/4) for the largest epsilon;
+    disagreement raises AccuracyError.  Every epsilon and the perturbed
+    probes run in one Basic Integral batch under the plateau rule of
+    large_t_limit; a missing plateau raises NonConvergenceError naming
+    the epsilon (and the perturbed probes, for the check) with the
+    conditioning data.  ``diagnostics`` adds, per epsilon, a log-fit of
+    the successive differences against the Gaussian rate bound.
     """
     scheme = quadrature or QuadratureScheme()
     eps_arr = _ascending_grid(epsilon, "epsilon")
@@ -925,12 +962,6 @@ def contribution(
     if below is not None:
         check_regular_radius(space, below)
 
-    pair = [_boundary_gauge_pairing(space, above, scheme)]
-    if below is not None:
-        pair.append(_boundary_gauge_pairing(space, below, scheme))
-    pair_lo = min(p[0] for p in pair)
-    pair_hi = max(p[1] for p in pair)
-
     # the probes for the independence check at the largest epsilon
     # (slowest plateau, largest magnitude): both probe offsets shrunk to
     # 3/4.  Their Basic Integrals join the batch below; a non-regular
@@ -948,51 +979,21 @@ def contribution(
     except NotRegularError as exc:
         alt_refused = exc
 
-    # one batch, t-major per epsilon, the upper probe before the lower one
-    # (r = None is the empty region, exactly 0)
-    rows = [(float(e), below, above) for e in eps_arr]
+    rows = [(f"contribution {index}", float(e), below, above) for e in eps_arr]
     if alt_refused is None:
-        rows.append((e_chk, below_alt, above_alt))
-    points = [
-        (rad, e, float(t))
-        for e, lo, hi in rows for t in t_arr for rad in (hi, lo) if rad is not None
-    ]
-    outs = iter(basic_integral_batch(space, alpha, points, scheme))
-
-    def diff_across(lo):
-        """BI(above) - BI(below) over the t grid: the next members of the
-        batch, taken in order."""
-        vals, errs = [], []
-        for _ in t_arr:
-            va, ea = _settled(next(outs))
-            vb, eb = (0.0 + 0.0j, 0.0) if lo is None else _settled(next(outs))
-            vals.append(va - vb)
-            errs.append(ea + eb)
-        return np.asarray(vals, complex), np.asarray(errs, float)
-
-    values = np.empty(eps_arr.size, complex)
-    diff_table, err_table, plateau_diags, gaps, betas = [], [], [], [], []
-    for i, e in enumerate(eps_arr):
-        vals_t, errs_t = diff_across(below)
-        limit, diag = _plateau(vals_t, t_arr, plateau_rel, plateau_abs,
-                               10.0 * float(errs_t.max()))
-        if limit is None:
-            raise NonConvergenceError(
-                f"contribution {index} has not reached its plateau by "
-                f"t={t_arr[-1]:g} at eps={e:g}: last difference "
-                f"{diag['differences'][-1]:.3g} vs tolerance "
-                f"{diag['tolerance']:.3g}; the slowest boundary mode decays "
-                f"like exp(-t^2 * {pair_lo**2 / (2 * float(e)):.3g}) -- "
-                "extend the t grid",
-                report={**diag, "epsilon": float(e),
-                        "shift_magnitude": float(t_arr[-1]) * pair_hi / float(e),
-                        "gauge_pairing": {"min": pair_lo, "max": pair_hi}},
-            )
-        values[i] = limit
-        diff_table.append([_reim(v) for v in vals_t])
-        err_table.append([float(x) for x in errs_t])
-        plateau_diags.append(diag)
-        gaps.append(diag["plateau_gap"])
+        probes_alt = ", ".join(f"r={p:g}" for p in (below_alt, above_alt) if p is not None)
+        rows.append((f"contribution {index} at the perturbed probes {probes_alt}",
+                     e_chk, below_alt, above_alt))
+    limits = _limits(space, alpha, rows, t_arr, scheme)
+    if alt_refused is not None:
+        raise alt_refused
+    limit_alt, *_, diag_alt = limits.pop()
+    values = np.array([lim for lim, *_ in limits])
+    diags = [diag for *_, diag in limits]
+    pairing = diags[0]["gauge_pairing"]
+    pair_lo = pairing["min"]
+    betas = []
+    for e, (_, vals_t, errs_t, _) in zip(eps_arr, limits):
         # log-fit of the successive differences against the Gaussian
         # rate bound t^2 * pair_min^2 / (2 eps): slope >= 1 means the
         # plateau is approached at least at the boundary-mode rate.
@@ -1007,24 +1008,13 @@ def contribution(
             beta = float(sol[1])
         betas.append(beta)
 
-    if alt_refused is not None:
-        raise alt_refused
-    vals_alt, errs_alt = diff_across(below_alt)
-    limit_alt, diag_alt = _plateau(vals_alt, t_arr, plateau_rel, plateau_abs,
-                                   10.0 * float(errs_alt.max()))
-    if limit_alt is None:
-        raise NonConvergenceError(
-            "perturbed-probe recomputation lost its plateau; the probe "
-            "independence check needs a longer t grid",
-            report={**diag_alt, "epsilon": e_chk},
-        )
     ref = values[-1]
     scale_chk = max(abs(ref), abs(limit_alt), 1.0)
     tol_ind = max(
-        50.0 * (float(err_table[-1][-1]) + float(errs_alt[-1])),
-        10.0 * (gaps[-1] + diag_alt["plateau_gap"]),
+        50.0 * (diags[-1]["point_errors"][-1] + diag_alt["point_errors"][-1]),
+        10.0 * (diags[-1]["plateau_gap"] + diag_alt["plateau_gap"]),
         1e-8 * scale_chk,
-        plateau_abs,
+        PLATEAU_ABS_TOL,
     )
     probe_shift = abs(limit_alt - ref)
     if probe_shift > tol_ind:
@@ -1039,16 +1029,16 @@ def contribution(
 
     diagnostics = {
         "t_grid": [float(t) for t in t_arr],
-        "differences": diff_table,
-        "point_errors": err_table,
-        "plateau": plateau_diags,
-        "plateau_gaps": [float(g) for g in gaps],
+        "differences": [diag["values"] for diag in diags],
+        "point_errors": [diag["point_errors"] for diag in diags],
+        "plateau": [{k: diag[k] for k in _PLATEAU_KEYS} for diag in diags],
+        "plateau_gaps": [diag["plateau_gap"] for diag in diags],
         "gaussian_rate": {
             "bound_coefficient": pair_lo**2 / 2.0,
             "fitted_slope_ratio": betas,
         },
-        "gauge_pairing": {"min": pair_lo, "max": pair_hi},
-        "shift_magnitude": float(t_arr[-1]) * pair_hi / float(eps_arr[0]),
+        "gauge_pairing": pairing,
+        "shift_magnitude": float(t_arr[-1]) * pairing["max"] / float(eps_arr[0]),
         "probe_independence": {
             "epsilon": e_chk,
             "perturbed_probes": [below_alt, above_alt],

@@ -458,8 +458,8 @@ def find_critical_points(
     seed converges.  One DEBUG record on the "symloc.critical" logger
     gives the Gauss-Newton iterations, the seeds that kept a
     multiplicity step and their orders p."""
-    if r_max <= 0:
-        raise InputError("r_max must be positive")
+    if not 0 < r_max < math.inf:
+        raise InputError("r_max must be positive and finite")
     if n_seeds is None:
         n_seeds = 256 * space.ambient_dim
     if n_seeds < 1:

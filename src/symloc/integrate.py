@@ -236,12 +236,12 @@ class BasicIntegralRequest:
 
 def _check_request(space, alpha, r, epsilon, t):
     """The invariants of one Basic Integral evaluation."""
-    if r <= 0:
-        raise InputError("region radius r must be positive")
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    if t < 0:
-        raise InputError("deformation parameter t must be nonnegative")
+    if not 0 < r < math.inf:
+        raise InputError("region radius r must be positive and finite")
+    if not 0 < epsilon < math.inf:
+        raise InputError("epsilon must be positive and finite")
+    if not 0 <= t < math.inf:
+        raise InputError("deformation parameter t must be nonnegative and finite")
     if not _lives_on(alpha, space):
         raise InputError("alpha does not live on the request's space")
 
@@ -298,8 +298,8 @@ def check_regular_radius(space: HamiltonianSpace, r: float, margin: float = 1e-3
     """Raise NotRegularError when r sits within ``margin`` of a known
     critical value of |mu|^2 (known_critical_values).  Silent for spaces
     without a RadialMoment."""
-    if r <= 0:
-        raise InputError("region radius r must be positive")
+    if not 0 < r < math.inf:
+        raise InputError("region radius r must be positive and finite")
     crit = known_critical_values(space)
     if crit is None:
         return
@@ -726,8 +726,8 @@ def integrate_over_Mr(
     AccuracyError (carrying the partial value) when refinement is
     exhausted first."""
     scheme = quadrature or QuadratureScheme()
-    if r <= 0:
-        raise InputError("region radius r must be positive")
+    if not 0 < r < math.inf:
+        raise InputError("region radius r must be positive and finite")
     f = _as_integrand(space, form_field)
     _check_orientation(space)
     info = _radial(space)
@@ -1137,8 +1137,9 @@ def sgi_values(
     pattern instead of once per point.  The factors that depend on eps
     alone are computed once per distinct eps with scalar arithmetic, so
     each row is bit-identical to a call at that row's eps."""
-    if np.any(np.asarray(eps) <= 0):
-        raise InputError("eps must be positive")
+    eps_arr = np.asarray(eps)
+    if not np.all((eps_arr > 0) & (eps_arr < np.inf)):
+        raise InputError("eps must be positive and finite")
     nu = tuple(int(e) for e in nu)
     g = algebra.dim
     if len(nu) != g:

@@ -1006,8 +1006,8 @@ def kirwan_integral(
     <F_A ^ F_A>_g, so the result is the polynomial  sum_k c_k eps^k  with
     4k <= dim(M_red); the coefficient vector is returned alongside the
     evaluation."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
     space = level.space
     gate = check_alpha(space, alpha)
     if not gate["ok"]:

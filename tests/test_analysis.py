@@ -37,7 +37,7 @@ from symloc.critical import critical_values, find_critical_points
 from symloc.forms import EquivariantForm
 from symloc.hamspace import catalog, catalog_from_string
 from symloc.integrate import QuadratureScheme
-from symloc.liealg import AccuracyError, DecompositionError, InputError
+from symloc.liealg import AccuracyError, DecompositionError, InputError, NonConvergenceError
 
 _SWEEPS: dict = {}
 
@@ -625,3 +625,191 @@ def test_annulus_contributions_are_the_closed_forms(index):
     assert len(rec.values) == 2
     for v, x in zip(rec.values, exact):
         assert abs(complex(v) - x) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# every large-t limit is one batch under one plateau rule
+# ---------------------------------------------------------------------------
+
+_SWEEP_T = (0.0, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("call,passes", [
+    (lambda sp: large_t_limit(sp, _unit(sp), 0.36, 0.1, _LONG_T, _DEEP), 1),
+    (lambda sp: contribution(sp, _unit(sp), 0, [0.05, 0.1], t_grid=_LONG_T, quadrature=_DEEP), 1),
+    (lambda sp: contribution(sp, _unit(sp), 1, [0.05, 0.1], t_grid=_LONG_T, quadrature=_DEEP), 2),
+    (lambda sp: epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", t_grid=_SWEEP_T), 1),
+], ids=["large_t_limit", "contribution-0", "contribution-1", "extrapolated-sweep"])
+def test_each_large_t_call_is_one_batch(call, passes):
+    # one boundary-pairing pass per probe radius (two across a positive
+    # critical value), whatever the number of epsilons
+    sp = catalog_from_string("cn_u1(1,1)")
+    batch = mock.patch.object(A, "basic_integral_batch", wraps=A.basic_integral_batch)
+    pairing = mock.patch.object(A, "_boundary_gauge_pairing", wraps=A._boundary_gauge_pairing)
+    with batch as batches, pairing as pairings:
+        call(sp)
+    assert (batches.call_count, pairings.call_count) == (1, passes)
+
+
+def test_extrapolated_sweep_points_are_the_large_t_limits():
+    sp = catalog_from_string("cn_u1(1,1)")
+    sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", t_grid=_SWEEP_T)
+    assert sweep.n_points == len(A.DEFAULT_EPSILON_GRID)
+    for e, v, err, diag in zip(sweep.epsilon_grid, sweep.values,
+                               sweep.provenance["point_errors"],
+                               sweep.provenance["t_diagnostics"]):
+        limit, want = large_t_limit(sp, _unit(sp), 0.36, e, _SWEEP_T)
+        assert (complex(v).real.hex(), complex(v).imag.hex()) == (
+            complex(limit).real.hex(), complex(limit).imag.hex())
+        assert err == want["plateau_gap"] + max(want["point_errors"])
+        assert json.dumps(diag, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_extrapolated_sweep_raises_the_first_failing_point():
+    # eps-major, t-major: the order of a one-eps-at-a-time loop
+    sp = catalog_from_string("cn_u1(1,1)")
+    grid = (0.1, 0.15, 0.2)
+    ref = seed_basic_integrals(sp, _unit(sp), [(0.36, e, t) for e in grid for t in DEFAULT_T_GRID],
+                               _SHALLOW)
+    assert not isinstance(ref[0], AccuracyError)  # the failure is not the first point
+    with pytest.raises(AccuracyError) as exc:
+        epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid, quadrature=_SHALLOW)
+    want = _first_failure(ref)
+    assert str(exc.value) == str(want)
+    assert (exc.value.partial, exc.value.estimate) == (want.partial, want.estimate)
+
+
+_LIMIT_REPORT_KEYS = {"differences", "tolerance", "plateau_from", "plateau_gap", "t_grid",
+                      "values", "point_errors", "epsilon", "gauge_pairing",
+                      "shift_magnitude", "rate_bound"}
+
+
+_MISSING_PLATEAUS = {
+    "large_t_limit": (
+        "cn_u1(2,1)", lambda sp: large_t_limit(sp, _unit(sp), 0.16, 0.1, (0.0, 0.5, 1.0)),
+        "BI(r=0.16) has not reached its large-t plateau by t=1 at eps=0.1: "),
+    "contribution": (
+        "cn_u1(1,1)", lambda sp: contribution(sp, _unit(sp), 0, [0.05, 0.1]),
+        "contribution 0 has not reached its large-t plateau by t=16 at eps=0.1: "),
+    "perturbed-probes": (
+        "cn_u1(1,1)",
+        lambda sp: contribution(sp, _unit(sp), 1, [0.05, 0.1], t_grid=_SHORT_T, quadrature=_DEEP),
+        "contribution 1 at the perturbed probes r=0.175, r=0.3625 has not reached "
+        "its large-t plateau by t=64 at eps=0.1: "),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSING_PLATEAUS))
+def test_every_missing_plateau_raises_one_error_format(case):
+    name, call, prefix = _MISSING_PLATEAUS[case]
+    with pytest.raises(NonConvergenceError) as exc:
+        call(catalog_from_string(name))
+    report = exc.value.report
+    assert set(report) == _LIMIT_REPORT_KEYS
+    assert str(exc.value) == (
+        f"{prefix}last difference {report['differences'][-1]:.3g} vs tolerance "
+        f"{report['tolerance']:.3g}. The boundary term decays like "
+        f"exp(-t^2 {report['rate_bound']:.3g}); extend the t grid")
+    assert report["plateau_from"] is None
+    assert report["plateau_gap"] == report["differences"][-1] >= report["tolerance"]
+    assert report["epsilon"] == 0.1
+
+
+# ---------------------------------------------------------------------------
+# CSV export
+# ---------------------------------------------------------------------------
+
+
+def _csv_rows(text):
+    lines = text.splitlines()
+    assert lines[0] == A.CSV_HEADER == "epsilon,t,value_re,value_im,error_estimate"
+    return [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+
+
+def test_fixed_t_sweep_csv_is_one_row_per_epsilon():
+    sweep = _sweep("cn_u1(2,1)", 0.16, 0.0)
+    rows = _csv_rows(sweep.to_csv())
+    assert rows == [(e, 0.0, complex(v).real, complex(v).imag, err)
+                    for e, v, err in zip(sweep.epsilon_grid, sweep.values,
+                                         sweep.provenance["point_errors"])]
+
+
+def test_extrapolated_sweep_csv_puts_each_limit_at_t_inf():
+    sp = catalog_from_string("cn_u1(1,1)")
+    grid = (0.05, 0.1)
+    with pytest.warns(UserWarning, match="fit skipped"):
+        sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid, t_grid=_SWEEP_T)
+    rows = _csv_rows(sweep.to_csv())
+    assert rows == [(e, math.inf, complex(v).real, complex(v).imag, err)
+                    for e, v, err in zip(grid, sweep.values, sweep.provenance["point_errors"])]
+
+
+def test_contribution_csv_is_the_t_table_then_the_limit_per_epsilon():
+    sp = catalog_from_string("cn_u1(1,1)")
+    rec = contribution(sp, _unit(sp), 1, [0.05, 0.1], t_grid=_LONG_T, quadrature=_DEEP)
+    rows = _csv_rows(rec.to_csv())
+    diag = rec.diagnostics
+    want = []
+    for i, e in enumerate(rec.epsilon_grid):
+        want += [(e, t, re, im, err) for t, (re, im), err
+                 in zip(_LONG_T, diag["differences"][i], diag["point_errors"][i])]
+        want.append((e, math.inf, complex(rec.values[i]).real, complex(rec.values[i]).imag,
+                     diag["plateau_gaps"][i]))
+    assert rows == want
+    assert len(rows) == len(rec.epsilon_grid) * (len(_LONG_T) + 1)
+    # each limit is the last difference of its t table, its error the plateau gap
+    for i in range(len(rec.epsilon_grid)):
+        assert diag["differences"][i][-1] == A._reim(rec.values[i])
+        assert diag["plateau_gaps"][i] == diag["plateau"][i]["plateau_gap"]
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+
+def _non_finite_calls():
+    from symloc.integrate import (
+        BasicIntegralRequest,
+        basic_integral,
+        check_regular_radius,
+        radial_grid,
+        sgi_values,
+    )
+    from symloc.reduced import kirwan_integral, zero_level
+
+    nan, inf = math.nan, math.inf
+    sp = catalog_from_string("cn_u1(1,1)")
+    one = _unit(sp)
+
+    def bi(r=0.36, epsilon=0.05, t=0.0):
+        return lambda: basic_integral(BasicIntegralRequest(space=sp, alpha=one, r=r,
+                                                           epsilon=epsilon, t=t))
+
+    return {
+        "basic_integral r=nan": bi(r=nan),
+        "basic_integral r=inf": bi(r=inf),
+        "basic_integral eps=nan": bi(epsilon=nan),
+        "basic_integral eps=inf": bi(epsilon=inf),
+        "basic_integral t=nan": bi(t=nan),
+        "basic_integral t=inf": bi(t=inf),
+        "check_regular_radius nan": lambda: check_regular_radius(sp, nan),
+        "radial_grid nan": lambda: radial_grid(sp, nan),
+        "sgi_values eps=nan": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)), nan),
+        "sgi_values eps row inf": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)),
+                                                     np.array([0.1, inf])),
+        "kirwan_integral eps=nan": lambda: kirwan_integral(one, zero_level(sp), nan),
+        "contribution eps=inf": lambda: contribution(sp, one, 0, [0.05, inf]),
+        "find_critical_points nan": lambda: find_critical_points(sp, nan),
+        "plateau t grid nan": lambda: A._plateau_t_grid([0.0, nan, 1.0]),
+        "plateau t grid inf": lambda: A._plateau_t_grid([0.0, 1.0, inf]),
+        "ascending grid nan": lambda: A._ascending_grid([0.02, nan, 0.1], "epsilon grid"),
+        "fixed-t sweep t=nan": lambda: epsilon_sweep(sp, one, 0.36, nan),
+        "fixed-t sweep t=inf": lambda: epsilon_sweep(sp, one, 0.36, inf),
+    }
+
+
+@pytest.mark.parametrize("case", list(_non_finite_calls()))
+def test_non_finite_inputs_are_refused(case):
+    with pytest.raises(InputError, match="finite"):
+        _non_finite_calls()[case]()
