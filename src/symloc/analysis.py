@@ -137,11 +137,9 @@ class SweepResult:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon_grid, float)
-        if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0):
-            raise InputError("epsilon grid must be a nonempty list of positive reals")
-        if np.any(np.diff(eps) <= 0):
-            raise InputError("epsilon grid must be strictly ascending")
+        if np.ndim(self.epsilon_grid) != 1:
+            raise InputError("epsilon grid must be a flat list of reals")
+        eps = _ascending_grid(self.epsilon_grid, "epsilon grid")
         if len(self.values) != eps.size:
             raise InputError("need exactly one value per epsilon grid point")
         if self.poly_coeffs is None:
@@ -226,16 +224,20 @@ class ContributionRecord:
     def __post_init__(self):
         if self.index < 0:
             raise InputError("component index must be nonnegative")
-        if self.critical_value < 0:
-            raise InputError("critical values are squares, hence nonnegative")
+        if not 0 <= self.critical_value < math.inf:
+            raise InputError(
+                "critical values are squares, hence nonnegative and finite"
+            )
         below, above = self.probes
+        if not all(p is None or 0 <= p < math.inf for p in (below, above)):
+            raise InputError("probe radii must be nonnegative and finite")
         if above <= self.critical_value:
             raise InputError("upper probe must exceed the critical value")
         if below is not None and not (0 <= below < self.critical_value):
             raise InputError("lower probe must sit below the critical value")
-        eps = np.asarray(self.epsilon_grid, float)
-        if eps.size == 0 or np.any(eps <= 0):
-            raise InputError("epsilon grid must be positive")
+        eps = np.atleast_1d(np.asarray(self.epsilon_grid, float))
+        if eps.size == 0 or not np.all((eps > 0) & (eps < math.inf)):
+            raise InputError("epsilon grid must be positive and finite")
         if len(self.values) != eps.size:
             raise InputError("need exactly one contribution value per epsilon")
 

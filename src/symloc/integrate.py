@@ -1414,8 +1414,10 @@ def phi_reduced_integrand(
     the (d-1)-degree ones feed boundary integrals).  It is an
     _IntegrandPlan of (space, alpha) contracted at this (t, eps); its
     ``_damp_profile`` attribute gives the Gaussian damping factor."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
+    if not 0 <= t < math.inf:
+        raise InputError("t must be nonnegative and finite")
     return _IntegrandPlan(space, alpha, deformed=t != 0.0).integrand(t, eps)
 
 

@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .fields import Expr, MatConst, column  # noqa: F401  (Expr is re-exported for annotations)
+from .fields import Const, Expr, MatConst, column  # noqa: F401  (Expr is re-exported for annotations)
 from .forms import EquivariantForm, _merge_sign, _pullback, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
 from .integrate import _leggauss, check_alpha
@@ -247,16 +247,24 @@ class _U1LevelChart:
     def __setattr__(self, *a):
         raise AttributeError("immutable")
 
-    def embed(self, u: np.ndarray):
+    def _outputs(self, n: int, out):
+        """The (x, jac) arrays an embedding fills: ``out``, C-contiguous,
+        or new ones."""
+        if out is not None:
+            return out
+        return np.empty((2 * self.n, n)), np.empty((2 * self.n, self.param_dim, n))
+
+    def embed(self, u: np.ndarray, out=None):
         """The ambient points x and the Jacobian dx/du at the (N,
         param_dim) parameter points ``u``, node axis last: x is
-        (ambient_dim, N) and the Jacobian (ambient_dim, param_dim, N)."""
+        (ambient_dim, N) and the Jacobian (ambient_dim, param_dim, N),
+        written into ``out`` = (x, jac) when given."""
         u = np.asarray(u, dtype=float)
+        x, jac = self._outputs(len(u), out)
         if self.n == 1:
             r0 = self.radii[0]
             th = u[:, 0]
-            x = np.stack([r0 * np.cos(th), r0 * np.sin(th)])
-            jac = np.empty((2, 1, len(u)))
+            x[0], x[1] = r0 * np.cos(th), r0 * np.sin(th)
             jac[0, 0] = -r0 * np.sin(th)
             jac[1, 0] = x[0]
             return x, jac
@@ -267,24 +275,26 @@ class _U1LevelChart:
         r2 = self.radii[1] * np.sin(eta)
         dr1 = -self.radii[0] * np.sin(eta)
         dr2 = self.radii[1] * np.cos(eta)
-        x = np.stack([r1 * c1, r1 * s1, r2 * c2, r2 * s2])
-        jac = np.zeros((4, 3, len(u)))
-        jac[0, 0] = dr1 * c1
-        jac[1, 0] = dr1 * s1
-        jac[2, 0] = dr2 * c2
-        jac[3, 0] = dr2 * s2
-        jac[0, 1] = -x[1]
-        jac[1, 1] = x[0]
-        jac[2, 2] = -x[3]
-        jac[3, 2] = x[2]
+        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
+        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
         return x, jac
 
-    def embed_nodes(self):
+    @staticmethod
+    def _fill_jacobian(jac, x, d_eta):
+        """The two-plane Jacobian: d/d eta, then the two angle generators,
+        each zero off its own plane."""
+        jac[0, 0], jac[1, 0], jac[2, 0], jac[3, 0] = d_eta
+        jac[0, 1], jac[1, 1] = -x[1], x[0]
+        jac[2, 2], jac[3, 2] = -x[3], x[2]
+        jac[2:, 1] = 0.0
+        jac[:2, 2] = 0.0
+
+    def embed_nodes(self, out=None):
         """embed(param_nodes), built from the tensor axes: cos and sin are
         taken on each axis's m values and broadcast over the m^3 mesh, each
         node getting the same products embed forms from them."""
         if self.n == 1:
-            return self.embed(self.param_nodes)
+            return self.embed(self.param_nodes, out)
         eta, x1, x2 = self.axes
         m = eta.size
         ce, se = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
@@ -292,131 +302,278 @@ class _U1LevelChart:
         c2, s2 = np.cos(x2)[None, None, :], np.sin(x2)[None, None, :]
         r1, r2 = self.radii[0] * ce, self.radii[1] * se
         dr1, dr2 = -self.radii[0] * se, self.radii[1] * ce
-        x = np.empty((4, m, m, m))
+        x_out, jac_out = self._outputs(m**3, out)
+        x, jac = x_out.reshape(4, m, m, m), jac_out.reshape(4, 3, m, m, m)
         x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
-        jac = np.zeros((4, 3, m, m, m))
-        jac[0, 0], jac[1, 0] = dr1 * c1, dr1 * s1
-        jac[2, 0], jac[3, 0] = dr2 * c2, dr2 * s2
-        jac[0, 1], jac[1, 1] = -x[1], x[0]
-        jac[2, 2], jac[3, 2] = -x[3], x[2]
-        return x.reshape(4, -1), jac.reshape(4, 3, -1)
+        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
+        return x_out, jac_out
 
 
 # ---------------------------------------------------------------------------
-# the metric connection and its derivatives, from exact field expressions
+# the metric connection and its derivatives, from the constant structure
 #
-# The level families are U(1) with a constant metric.  Inside this section
-# every per-node array has the node axis last and no generator axis (there
+# The level families are U(1) acting linearly on flat space: the generator
+# Jacobian D[k, i] = d_k V^i, the metric g and the symplectic matrix Omega
+# are constant matrices, read once from the exact field expressions.  Then
+# V = D^T x, G = <V, V>_g and A = G^{-1} g V are row arithmetic over the
+# nodes, and dA has the rank-2 form
+#
+#     dA_kl = G^{-1} (S_kl - dG_k A_l + A_k dG_l),   S = Dg - (Dg)^T,
+#
+# with dG = 2 D g V.  Through the chart Jacobian J it pulls back as
+# J^T dA J = G^{-1} (J^T S J - p a^T + a p^T), p = J^T dG, a = J^T A.
+#
+# Every per-node array has the node axis last and no generator axis (there
 # is one generator): V and A are (ambient_dim, N), dA is (ambient_dim,
-# ambient_dim, N), so each small-matrix product is a few vector operations
-# over the nodes.  _chart_conn_at and zero_level hand the data on in the
-# (N, dim g, ...) layout of ZeroLevelData.
+# ambient_dim, N).  Each entry is a sum of scaled (N,) rows, written into
+# preallocated outputs: no per-node matrix product and no BLAS call on a
+# node-sized operand.  A sum skips the rows that are zero at every node (a
+# chart's Jacobian has some, and so do products with the sparse constant
+# matrices), which changes no bit of it.  _chart_conn_at and zero_level
+# hand the data on in the (N, dim g, ...) layout of ZeroLevelData.
 # ---------------------------------------------------------------------------
 
 
-def _metric_connection(space: HamiltonianSpace, x: np.ndarray, cache: dict) -> dict:
-    """The generator field V, the constant metric g, Vg, the reciprocal of
-    the 1 x 1 Gram G = <V e, V e>, and A = G^{-1} Vg at the (N, ambient_dim)
-    points ``x``, node axis last.
+def _constant_structure(space: HamiltonianSpace) -> dict:
+    """The constant matrices the level connection is built from: the
+    metric g, the generator Jacobian D[k, i] = d_k V^i, S = Dg - (Dg)^T
+    and Omega.
 
-    Refuses more than one generator (a g x g Gram needs an inverse, not a
-    reciprocal) and a metric that is not a constant matrix field (its
-    derivatives would enter dA)."""
+    Refuses more than one generator (the 1 x 1 Gram is inverted by a
+    reciprocal), a metric or an omega_matrix that is not constant, and an
+    action that is not linear (V = D^T x needs a constant D and V(0) = 0):
+    no derivative of any of them enters dA or the pullbacks."""
     gdim = space.algebra.dim
     if gdim != 1:
         raise InputError(
             f"the level connection is implemented for one generator, got {gdim}"
         )
-    if not isinstance(space.metric, MatConst):
+    for what, field in (("metric", space.metric), ("omega_matrix", space.omega_matrix)):
+        if not isinstance(field, MatConst):
+            raise InputError(
+                f"the level connection is implemented for a constant {what}, "
+                f"got {type(field).__name__}"
+            )
+    amb = space.ambient_dim
+    comps = space.action.components[0]
+    d_jac = np.empty((amb, amb))
+    for i, comp in enumerate(comps):
+        for k in range(amb):
+            d_ki = comp.diff(k)
+            if not isinstance(d_ki, Const):
+                raise InputError(
+                    "the level connection is implemented for a linear action, "
+                    f"got a non-constant generator Jacobian: d_{k} V^{i} = "
+                    f"{type(d_ki).__name__}"
+                )
+            d_jac[k, i] = d_ki.value
+    origin = np.zeros((1, amb))
+    offset = [float(column(comp, origin, {})[0]) for comp in comps]
+    if any(offset):
         raise InputError(
-            "the level connection is implemented for a constant metric, got "
-            f"{type(space.metric).__name__}"
+            "the level connection is implemented for a linear action, "
+            f"got V(0) = {offset}"
         )
     metric = space.metric.value
-    v_field = np.empty((space.ambient_dim, len(x)))
-    for i, comp in enumerate(space.action.components[0]):
-        v_field[i] = column(comp, x, cache)
-    vg = np.einsum("jn,jl->ln", v_field, metric)
-    gram_inv = 1.0 / np.einsum("ln,ln->n", vg, v_field)
+    dg = np.einsum("ki,il->kl", d_jac, metric)
+    return {
+        "metric": metric,
+        "D": d_jac,
+        "S": dg - dg.T,
+        "omega": space.omega_matrix.value,
+    }
+
+
+def _live_rows(arr: np.ndarray) -> dict:
+    """The rows of a node-last (m, N) array that are not zero at every node,
+    by index: the only ones a sum over its rows needs."""
+    return {i: row for i, row in enumerate(arr) if row.any()}
+
+
+def _combine(mat: np.ndarray, rows: dict, out: np.ndarray, tmp: np.ndarray) -> dict:
+    """out[l] = sum_j mat[j, l] rows[j] for a small constant matrix ``mat``,
+    one scaled row per nonzero term, accumulated in j order.  A row of
+    ``out`` without a term is zeroed; the others are returned by l."""
+    live = {}
+    for l, row_out in enumerate(out):
+        terms = [(mat[j, l], row) for j, row in rows.items() if mat[j, l] != 0.0]
+        if not terms:
+            row_out[...] = 0.0
+            continue
+        np.multiply(terms[0][1], terms[0][0], out=row_out)
+        for c, row in terms[1:]:
+            row_out += np.multiply(row, c, out=tmp)
+        live[l] = row_out
+    return live
+
+
+def _dot(a: dict, b: dict, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum_i a[i] b[i] over the rows both hold, in i order."""
+    common = [i for i in a if i in b]
+    if not common:
+        out[...] = 0.0
+        return out
+    np.multiply(a[common[0]], b[common[0]], out=out)
+    for i in common[1:]:
+        out += np.multiply(a[i], b[i], out=tmp)
+    return out
+
+
+def _rank_two_update(
+    out: np.ndarray, scale, p: np.ndarray, a: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """out[k, l] <- scale (out[k, l] - p_k a_l + a_k p_l) on the upper
+    triangle k < l of an (m, m, N) array."""
+    for k in range(len(out)):
+        for l in range(k + 1, len(out)):
+            entry = out[k, l]
+            entry -= np.multiply(p[k], a[l], out=tmp)
+            entry += np.multiply(a[k], p[l], out=tmp)
+            entry *= scale
+    return out
+
+
+def _antisymmetrize(out: np.ndarray) -> np.ndarray:
+    """Zero the diagonal of an (m, m, N) array and set its lower triangle
+    to minus the upper one."""
+    for k in range(len(out)):
+        out[k, k] = 0.0
+        for l in range(k + 1, len(out)):
+            np.negative(out[k, l], out=out[l, k])
+    return out
+
+
+def _pull_back_upper(
+    cols: list, mat: np.ndarray, out: np.ndarray, row: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """The upper triangle k < l of J^T M J into ``out`` for a constant M,
+    from the live rows of J's columns: the row (J^T M)[k] into ``row``
+    (amb, N), then its dot with each later column."""
+    for k, col in enumerate(cols[:-1]):
+        jtm = _combine(mat, col, row, tmp)
+        for l in range(k + 1, len(cols)):
+            _dot(jtm, cols[l], out[k, l], tmp)
+    return out
+
+
+def _node_last_arrays(n: int, *shapes) -> list:
+    """Node-last arrays with the given leading shapes, carved from one
+    (rows, n) allocation: the arrays a level keeps live and die together,
+    so they cost the allocator one block, not one each."""
+    block = np.empty((sum(math.prod(s) for s in shapes), n))
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(block[start:stop].reshape(shape + (n,)))
+        start = stop
+    return views
+
+
+def _metric_connection(struct: dict, x: np.ndarray, a_out: np.ndarray) -> dict:
+    """The generator field V = D^T x, g V, the reciprocal of the 1 x 1 Gram
+    G = <V, V>_g and A = G^{-1} g V (into ``a_out``) at the (N,
+    ambient_dim) points ``x``, node axis last."""
+    n, amb = x.shape
+    tmp = np.empty(n)
+    v_field = np.empty((amb, n))
+    _combine(struct["D"], dict(enumerate(x.T)), v_field, tmp)
+    vg = np.empty_like(v_field)
+    _combine(struct["metric"], dict(enumerate(v_field)), vg, tmp)
+    gram_inv = _dot(dict(enumerate(vg)), dict(enumerate(v_field)), np.empty(n), tmp)
+    np.divide(1.0, gram_inv, out=gram_inv)
     return {
         "V": v_field,
-        "metric": metric,
         "vg": vg,
         "gram_inv": gram_inv,
-        "A": gram_inv * vg,
+        "A": np.multiply(vg, gram_inv, out=a_out),
     }
 
 
-def _connection_at(space: HamiltonianSpace, x: np.ndarray) -> dict:
-    """A, dA, and the curvature F at ambient points, from symbolic
-    derivatives of the action (no finite differences; the metric is
-    constant).  u(1) is abelian, so F = dA: the same array."""
-    cache: dict = {}
-    amb = space.ambient_dim
-    base = _metric_connection(space, x, cache)
-    v_field, metric, vg = base["V"], base["metric"], base["vg"]
-    gram_inv, conn = base["gram_inv"], base["A"]
-    # dv_field[k, i] = d_k V^i
-    dv_field = np.empty((amb, amb, len(x)))
-    for i, comp in enumerate(space.action.components[0]):
-        for k in range(amb):
-            dv_field[k, i] = column(comp.diff(k), x, cache)
-    dvg = np.einsum("kjn,jl->kln", dv_field, metric)
-    dgram = np.einsum("kln,ln->kn", dvg, v_field) + np.einsum(
-        "ln,kln->kn", vg, dv_field
-    )
-    # d_k A = G^{-1} (d_k Vg - (d_k G) A), in place over dvg, and
-    # (dA)_ij = d_i A_j - d_j A_i
-    d_conn = dvg
-    d_conn -= dgram[:, None] * conn
-    d_conn *= gram_inv
-    da = d_conn - d_conn.transpose(1, 0, 2)
+def _connection_at(
+    struct: dict, x: np.ndarray, a_out: np.ndarray, f_out: np.ndarray
+) -> dict:
+    """A and dA = F (u(1) is abelian: one array) at the (N, ambient_dim)
+    points ``x``, into ``a_out`` and ``f_out``, with V, dG and G^{-1} for
+    the pullbacks."""
+    base = _metric_connection(struct, x, a_out)
+    conn, gram_inv = base["A"], base["gram_inv"]
+    tmp = np.empty(len(x))
+    # dG = 2 D g V (g is symmetric)
+    dgram = np.empty_like(conn)
+    _combine(2.0 * struct["D"].T, dict(enumerate(base["vg"])), dgram, tmp)
+    for k in range(len(f_out)):
+        for l in range(k + 1, len(f_out)):
+            f_out[k, l] = struct["S"][k, l]
+    _antisymmetrize(_rank_two_update(f_out, gram_inv, dgram, conn, tmp))
     return {
-        "V": v_field,
+        "V": base["V"],
         "A": conn,
-        "dA": da,
-        "F": da,
+        "F": f_out,
+        "dgram": dgram,
+        "gram_inv": gram_inv,
     }
 
 
-def _gram_det_adjugate(jtj: np.ndarray):
-    """Determinant and adjugate of a stack of symmetric 1 x 1 or 3 x 3
-    Gram matrices (k, k, N), by cofactors rather than per-node LAPACK."""
-    if len(jtj) == 1:
-        return jtj[0, 0], np.ones_like(jtj)
-    (a, b, c), (_, d, e), (_, _, f) = jtj
+def _gram_det_solve(
+    cols: list, rhs: np.ndarray, out: np.ndarray, det: np.ndarray, tmp: np.ndarray
+):
+    """det J^T J into ``det`` and the solution of J^T J v = rhs (k, N) into
+    ``out``, from the live rows of J's 1 or 3 columns, by cofactors and the
+    adjugate rather than per-node LAPACK."""
+    if len(cols) == 1:
+        _dot(cols[0], cols[0], det, tmp)
+        np.divide(rhs, det, out=out)
+        return
+    (a, b, c), (d, e), (f,) = (
+        [_dot(cols[k], cols[l], np.empty_like(det), tmp) for l in range(k, 3)]
+        for k in range(3)
+    )
     c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
     c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
-    adj = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
-    return a * c00 + b * c01 + c * c02, adj
+    _dot({0: a, 1: b, 2: c}, {0: c00, 1: c01, 2: c02}, det, tmp)
+    rows = dict(enumerate(rhs))
+    for v, cof in zip(out, ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22))):
+        _dot(dict(enumerate(cof)), rows, v, tmp)
+        v /= det
 
 
-def _pull_back_matrix(jac: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """J^T M J for node-last (amb, k, N) Jacobians and (amb, amb, N) M."""
-    return np.einsum(
-        "kjn,jln->kln", np.einsum("ikn,ijn->kjn", jac, mat), jac
-    )
-
-
-def _chart_conn_last(space: HamiltonianSpace, x: np.ndarray, jac: np.ndarray):
+def _chart_conn_last(struct: dict, chart: _U1LevelChart, u=None):
     """Connection data pulled back to parametrization coordinates at the
-    chart points ``x`` with Jacobian ``jac`` (_U1LevelChart.embed), node
-    axis last, with det J^T J."""
-    conn = _connection_at(space, x.T)
-    omega_amb = np.moveaxis(
-        np.asarray(space.omega_matrix.eval(x.T, {}), dtype=float), 0, -1
+    (N, param_dim) parameter points ``u`` (the mesh nodes when None), node
+    axis last, with det J^T J.  The arrays a level keeps, the embedding
+    included, share one allocation."""
+    n = len(chart.param_nodes if u is None else u)
+    amb, k_dim = len(struct["D"]), chart.param_dim
+    x, jac, jtj_det, a_amb, f_amb, a_u, vert_u, omega_u, da_u = _node_last_arrays(
+        n, (amb,), (amb, k_dim), (), (amb,), (amb, amb),
+        (k_dim,), (k_dim,), (k_dim, k_dim), (k_dim, k_dim),
     )
-    # vertical generators in parameter coordinates: J^T J v_u = J^T V e
-    jtj = np.einsum("ikn,iln->kln", jac, jac)
-    jtj_det, adj = _gram_det_adjugate(jtj)
-    jtv = np.einsum("ikn,in->kn", jac, conn["V"])
+    if u is None:
+        chart.embed_nodes((x, jac))
+    else:
+        chart.embed(u, (x, jac))
+    conn = _connection_at(struct, x.T, a_amb, f_amb)
+    tmp = np.empty(n)
+    row = np.empty((amb, n))
+    cols = [_live_rows(jac[:, k]) for k in range(k_dim)]
+    _antisymmetrize(_pull_back_upper(cols, struct["omega"], omega_u, row, tmp))
+    # a = J^T A, p = J^T dG and the vertical generators v_u, J^T J v_u = J^T V
+    p_u, jtv = np.empty((k_dim, n)), np.empty((k_dim, n))
+    dense = {name: dict(enumerate(conn[name])) for name in ("A", "dgram", "V")}
+    for k, col in enumerate(cols):
+        _dot(dense["A"], col, a_u[k], tmp)
+        _dot(dense["dgram"], col, p_u[k], tmp)
+        _dot(col, dense["V"], jtv[k], tmp)
+    _pull_back_upper(cols, struct["S"], da_u, row, tmp)
+    _antisymmetrize(_rank_two_update(da_u, conn["gram_inv"], p_u, a_u, tmp))
+    _gram_det_solve(cols, jtv, vert_u, jtj_det, tmp)
     return {
         "x": x,
         "jac": jac,
-        "omega_u": _pull_back_matrix(jac, omega_amb),
-        "a_u": np.einsum("in,ikn->kn", conn["A"], jac),
-        "da_u": _pull_back_matrix(jac, conn["dA"]),
-        "vert_u": np.einsum("kln,ln->kn", adj, jtv) / jtj_det,
+        "omega_u": omega_u,
+        "a_u": a_u,
+        "da_u": da_u,
+        "vert_u": vert_u,
         "jtj_det": jtj_det,
         "conn": conn,
     }
@@ -445,7 +602,7 @@ def _pulled_back_first(data: dict) -> dict:
 def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray):
     """Connection data pulled back to parametrization coordinates at
     arbitrary parameter points, in the (N, ...) layout."""
-    return _pulled_back_first(_chart_conn_last(space, *chart.embed(u)))
+    return _pulled_back_first(_chart_conn_last(_constant_structure(space), chart, u))
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +622,9 @@ class ZeroLevelData:
     Every stored array is read-only: some share memory (u(1) is abelian,
     so ``f_param`` is ``da_param``; ``param_nodes`` is the chart's), so a
     write through one would silently change another.  The arrays that
-    ``zero_level`` builds are (N, ...) views of node-last arrays, so their
-    node axis has the smallest stride: a per-node column such as
-    ``omega_param[:, i, j]`` is contiguous."""
+    ``zero_level`` builds are (N, ...) views of node-last arrays carved
+    from one allocation, so their node axis has the smallest stride: a
+    per-node column such as ``omega_param[:, i, j]`` is contiguous."""
 
     __slots__ = (
         "space",
@@ -568,6 +725,36 @@ class ZeroLevelData:
         return json.dumps(self.to_json_dict(**kw), sort_keys=True)
 
 
+def _min_dmu_norm(space: HamiltonianSpace, nodes: np.ndarray) -> float:
+    """The smallest singular value of d mu over the (N, ambient_dim) nodes:
+    with one generator d mu is a single row, whose only singular value is
+    its norm."""
+    cache: dict = {}
+    (pairing,) = space.mu_pairing_exprs()
+    rows = {k: column(pairing.diff(k), nodes, cache) for k in range(space.ambient_dim)}
+    norm2 = _dot(rows, rows, np.empty(len(nodes)), np.empty(len(nodes)))
+    return math.sqrt(float(np.min(norm2)))
+
+
+def _equivariance_residual(
+    space: HamiltonianSpace, struct: dict, nodes: np.ndarray, conn: np.ndarray
+) -> float:
+    """max |g*A - A| over the (N, ambient_dim) nodes at four sampled group
+    elements (u(1) is abelian, so g*A = A), for the node-last A ``conn``.
+    A linear action moves every point by one constant matrix, so the
+    pullback is row arithmetic with the sampler's first Jacobian."""
+    tmp = np.empty(len(nodes))
+    back, a_moved = np.empty_like(conn), np.empty_like(conn)
+    residual = 0.0
+    for t in (0.37, 1.19, 2.83, -0.61):
+        moved, jac_g = space.action_sampler(t, nodes)
+        _metric_connection(struct, moved, a_moved)
+        _combine(jac_g[0], dict(enumerate(a_moved)), back, tmp)
+        back -= conn
+        residual = max(residual, float(np.max(np.abs(back, out=back))))
+    return residual
+
+
 def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData:
     """Mesh mu^{-1}(0), build the metric connection, and verify regularity.
 
@@ -575,12 +762,16 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     ``mesh_density`` nodes; the three-sphere ``mesh_density**3``).
 
     The connection is implemented for the catalog level families: one
-    generator (u(1)) and a constant metric (``MatConst``); anything else
-    raises InputError.  It is built with the node axis last, so each
-    small-matrix product and the 1 x 1 / 3 x 3 Gram algebra (cofactor
-    determinant and adjugate solve) is a few vector operations over the
-    nodes; ``ZeroLevelData`` stores node-first (N, ...) views of those
-    arrays, in the shapes it has always had.
+    generator (u(1)) acting with a constant generator Jacobian D, a
+    constant metric g and a constant omega_matrix (``MatConst``); anything
+    else raises InputError.  These constants are read once, and the rest
+    is row arithmetic over the nodes with the node axis last: V = D^T x,
+    A = G^{-1} g V, dA in its rank-2 form G^{-1} (S - dG A^T + A dG^T)
+    with S = Dg - (Dg)^T, its pullback G^{-1} (J^T S J - p a^T + a p^T),
+    and the 1 x 1 / 3 x 3 Gram algebra by cofactors.  No per-node matrix
+    product is formed.  The arrays the level keeps share one allocation;
+    ``ZeroLevelData`` stores node-first (N, ...) views of them, in the
+    shapes it has always had.
 
     Checks, each over the whole mesh:
 
@@ -611,20 +802,16 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         raise InputError("mesh_density must be at least 4")
     weights = radial.weights
     chart = _U1LevelChart(weights, radial.a / radial.c, int(mesh_density))
-    data = _chart_conn_last(space, *chart.embed_nodes())
-    conn = data["conn"]
+    struct = _constant_structure(space)
+    data = _chart_conn_last(struct, chart)
+    conn = data.pop("conn")
     pulled = _pulled_back_first(data)
     nodes = pulled["x"]
-    riemann = chart.param_weights * np.sqrt(data["jtj_det"])
+    riemann = np.sqrt(data["jtj_det"], out=data["jtj_det"])
+    riemann *= chart.param_weights
 
-    # regularity: d mu must be onto at every node; with one generator the
-    # singular value of the row d mu is its norm
-    cache: dict = {}
-    (pairing,) = space.mu_pairing_exprs()
-    dmu = np.empty((space.ambient_dim, len(nodes)))
-    for k in range(space.ambient_dim):
-        dmu[k] = column(pairing.diff(k), nodes, cache)
-    min_sigma = math.sqrt(float(np.min(np.einsum("kn,kn->n", dmu, dmu))))
+    # regularity: d mu must be onto at every node
+    min_sigma = _min_dmu_norm(space, nodes)
     if min_sigma <= 1e-6:
         raise NotRegularError(
             f"d mu is rank-deficient on the zero level "
@@ -632,12 +819,15 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         )
 
     # moment residual: the level really is mu = 0
-    mu_vals = space.eval_moment(nodes)
-    level_residual = float(np.max(np.abs(mu_vals)))
+    level_residual = float(np.max(np.abs(space.eval_moment(nodes))))
 
     # the defining normalization A(V e) = 1
-    pair = np.einsum("in,in->n", conn["A"], conn["V"])
-    reproduce = float(np.max(np.abs(pair - 1.0)))
+    pair = _dot(
+        dict(enumerate(conn["A"])), dict(enumerate(conn["V"])),
+        np.empty(len(nodes)), np.empty(len(nodes)),
+    )
+    pair -= 1.0
+    reproduce = float(np.max(np.abs(pair, out=pair)))
     if reproduce > 1e-10:
         raise AccuracyError(
             f"connection normalization A(V phi) = phi fails "
@@ -647,30 +837,24 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     # equivariance of A under sampled group elements (abelian: g*A = A)
     equiv = 0.0
     if space.action_sampler is not None:
-        for t in (0.37, 1.19, 2.83, -0.61):
-            moved, jac_g = space.action_sampler(t, nodes)
-            a_moved = _metric_connection(space, moved, {})["A"]
-            a_back = np.einsum("in,ijn->jn", a_moved, np.moveaxis(jac_g, 0, -1))
-            equiv = max(equiv, float(np.max(np.abs(a_back - conn["A"]))))
+        equiv = _equivariance_residual(space, struct, nodes, conn["A"])
         if equiv > 1e-8:
             raise AccuracyError(
                 f"connection equivariance residual {equiv:.3e} exceeds 1e-8"
             )
 
     # orientation: fix the sign making the reduced Liouville volume positive
-    n_pts = len(nodes)
-    omega_parts = _matrix_to_parts(pulled["omega_u"])
-    vert_parts = {
-        (j,): pulled["a_u"][:, 0, j].astype(complex) for j in range(chart.param_dim)
+    dim = chart.param_dim
+    omega_parts = {
+        (i, j): data["omega_u"][i, j] for i in range(dim) for j in range(i + 1, dim)
     }
-    liouville = _wedge(
-        _exp_parts(omega_parts, chart.param_dim, n_pts), vert_parts
-    )
-    top = tuple(range(chart.param_dim))
-    raw = complex(np.sum(chart.param_weights * liouville.get(top, 0.0)))
-    if abs(raw.real) < 1e-12:
+    vert_parts = {(j,): data["a_u"][j] for j in range(dim)}
+    liouville = _wedge(_exp_parts(omega_parts, dim, len(nodes)), vert_parts)
+    top = tuple(range(dim))
+    raw = float(np.sum(chart.param_weights * liouville.get(top, 0.0)))
+    if abs(raw) < 1e-12:
         raise AccuracyError("could not orient the level set: Liouville ~ 0")
-    orient = 1.0 if raw.real > 0 else -1.0
+    orient = 1.0 if raw > 0 else -1.0
 
     report = {
         "min_dmu_singular": min_sigma,
@@ -711,7 +895,7 @@ def _exp_parts(two_form: dict, top_dim: int, n_nodes: int | None = None) -> dict
         if not two_form:
             raise InputError("cannot exponentiate an empty form of unknown size")
         n_nodes = next(iter(two_form.values())).shape[0]
-    out = {(): np.ones(n_nodes, dtype=complex)}
+    out = {(): np.ones(n_nodes)}
     power = dict(out)
     k = 0
     while two_form and (k + 1) * 2 <= top_dim:

@@ -773,6 +773,7 @@ def _non_finite_calls():
         BasicIntegralRequest,
         basic_integral,
         check_regular_radius,
+        phi_reduced_integrand,
         radial_grid,
         sgi_values,
     )
@@ -806,6 +807,22 @@ def _non_finite_calls():
         "ascending grid nan": lambda: A._ascending_grid([0.02, nan, 0.1], "epsilon grid"),
         "fixed-t sweep t=nan": lambda: epsilon_sweep(sp, one, 0.36, nan),
         "fixed-t sweep t=inf": lambda: epsilon_sweep(sp, one, 0.36, inf),
+        "SweepResult eps=nan": lambda: A.SweepResult(epsilon_grid=(nan,), values=[1.0]),
+        "SweepResult eps=inf": lambda: A.SweepResult(epsilon_grid=(0.05, inf),
+                                                     values=[1.0, 1.0]),
+        "ContributionRecord probe inf": lambda: A.ContributionRecord(
+            index=0, critical_value=0.0, probes=(None, inf), epsilon_grid=(0.05,),
+            values=[1.0]),
+        "ContributionRecord critical value nan": lambda: A.ContributionRecord(
+            index=0, critical_value=nan, probes=(None, 0.1), epsilon_grid=(0.05,),
+            values=[1.0]),
+        "ContributionRecord eps=nan": lambda: A.ContributionRecord(
+            index=0, critical_value=0.0, probes=(None, 0.1), epsilon_grid=(nan,),
+            values=[1.0]),
+        "phi_reduced_integrand eps=nan": lambda: phi_reduced_integrand(sp, one, 0.0, nan),
+        "phi_reduced_integrand eps=inf": lambda: phi_reduced_integrand(sp, one, 0.0, inf),
+        "phi_reduced_integrand t=nan": lambda: phi_reduced_integrand(sp, one, nan, 0.05),
+        "phi_reduced_integrand t=inf": lambda: phi_reduced_integrand(sp, one, inf, 0.05),
     }
 
 

@@ -23,10 +23,12 @@ import numpy as np
 import pytest
 
 from symloc import reduced as R
-from symloc.fields import MatAffine, column, const
-from symloc.forms import EquivariantForm
+from symloc.fields import MatAffine, add, column, const, coord, mul
+from symloc.forms import EquivariantForm, VectorFieldFamily
 from symloc.hamspace import HamiltonianSpace, catalog
 from symloc.liealg import InputError, NotRegularError
+
+from seed_level import seed_level_arrays
 
 
 @pytest.fixture(scope="module")
@@ -318,7 +320,7 @@ def test_level_connection_needs_one_generator():
     # the level connection inverts a 1 x 1 Gram by a reciprocal
     sp = catalog("c2_su2")
     with pytest.raises(InputError, match="one generator, got 3"):
-        R._metric_connection(sp, np.ones((2, sp.ambient_dim)), {})
+        R._constant_structure(sp)
 
 
 def test_kirwan_requires_positive_eps(circle):
@@ -380,35 +382,106 @@ def test_cartan_and_kirwan_reuse_the_level(name, kw, monkeypatch):
 
 def test_metric_connection_is_the_connection_form(sphere):
     sp, lv = sphere
+    struct = R._constant_structure(sp)
     moved, _ = sp.action_sampler(0.37, lv.nodes)
+    amb, n = sp.ambient_dim, lv.n_nodes
     for pts in (lv.nodes, moved):
-        a_only = R._metric_connection(sp, pts, {})["A"]
-        assert np.array_equal(a_only, R._connection_at(sp, pts)["A"])
+        a_only = R._metric_connection(struct, pts, np.empty((amb, n)))["A"]
+        full = R._connection_at(struct, pts, np.empty((amb, n)), np.empty((amb, amb, n)))
+        assert np.array_equal(a_only, full["A"])
     # the connection is built with the node axis last and stored node-first
     assert np.array_equal(
-        R._metric_connection(sp, lv.nodes, {})["A"], lv.connection_ambient[:, 0].T
+        R._metric_connection(struct, lv.nodes, np.empty((amb, n)))["A"],
+        lv.connection_ambient[:, 0].T,
     )
+
+
+def _replaced(space, **fields):
+    """``space`` with some of its constructor fields replaced."""
+    names = (
+        "name", "algebra", "chart_id", "ambient_dim", "omega", "omega_matrix",
+        "action", "moment_star", "metric", "sample_box", "action_sampler", "radial",
+    )
+    return HamiltonianSpace(**{n: fields.get(n, getattr(space, n)) for n in names})
 
 
 def test_level_connection_needs_a_constant_metric():
     # dA reads no metric derivative: a position-dependent metric is refused
     sp = catalog("cn_u1", n=1, a=1.0)
-    curved = HamiltonianSpace(
-        name="cn_u1(1,1) curved",
-        algebra=sp.algebra,
-        chart_id=sp.chart_id,
-        ambient_dim=sp.ambient_dim,
-        omega=sp.omega,
-        omega_matrix=sp.omega_matrix,
-        action=sp.action,
-        moment_star=sp.moment_star,
-        metric=MatAffine(np.eye(2), {0: 0.1 * np.eye(2)}),
-        sample_box=sp.sample_box,
-        action_sampler=sp.action_sampler,
-        radial=sp.radial,
+    curved = _replaced(
+        sp, name="cn_u1(1,1) curved", metric=MatAffine(np.eye(2), {0: 0.1 * np.eye(2)})
     )
     with pytest.raises(InputError, match="constant metric, got MatAffine"):
         R.zero_level(curved)
+
+
+def test_level_connection_needs_a_linear_action():
+    # V = D^T x and dA's rank-2 form read D once: a nonlinear action is refused
+    sp = catalog("cn_u1", n=1, a=1.0)
+    x, y = coord(0), coord(1)
+    bent = _replaced(
+        sp,
+        name="cn_u1(1,1) bent",
+        action=VectorFieldFamily(sp.chart_id, [[mul(const(-1.0), y, x), x]]),
+    )
+    with pytest.raises(InputError, match=r"non-constant generator Jacobian: d_0 V\^0 = Mul"):
+        R.zero_level(bent)
+    # a translation part has a constant Jacobian but V(0) != 0
+    shifted = _replaced(
+        sp,
+        name="cn_u1(1,1) shifted",
+        action=VectorFieldFamily(sp.chart_id, [[add(const(0.5), mul(const(-1.0), y)), x]]),
+    )
+    with pytest.raises(InputError, match=r"linear action, got V\(0\) = \[0.5, 0.0\]"):
+        R.zero_level(shifted)
+
+
+def test_level_connection_needs_a_constant_omega_matrix():
+    # Omega is pulled back through the chart as one constant matrix
+    sp = catalog("cn_u1", n=2, a=1.0)
+    flat = sp.omega_matrix.value
+    varying = _replaced(
+        sp, name="cn_u1(2,1) varying", omega_matrix=MatAffine(flat, {0: 0.1 * flat})
+    )
+    with pytest.raises(InputError, match="constant omega_matrix, got MatAffine"):
+        R.zero_level(varying)
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("cn_u1", dict(n=1, a=1.0)),
+        ("cn_u1", dict(n=2, a=1.0)),
+        ("weighted_cn_u1", dict(n=1, weights=(2,), a=1.0)),
+        ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0)),
+    ],
+)
+def test_zero_level_makes_no_per_node_matrix_product(name, kw, monkeypatch):
+    # the level is built by row arithmetic over the nodes: no einsum,
+    # matmul or dot sees a node-sized operand, so none multiplies an
+    # (amb, amb, N) or (N, amb, amb) stack of per-node matrices
+    sp = catalog(name, **kw)
+    shapes = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            shapes.append(
+                (fn.__name__, [np.shape(a) for a in args if isinstance(a, np.ndarray)])
+            )
+            return fn(*args, **kwargs)
+
+        return call
+
+    for fn in ("einsum", "matmul", "dot"):
+        monkeypatch.setattr(np, fn, recorded(getattr(np, fn)))
+    lv = R.zero_level(sp)
+    monkeypatch.undo()
+    n = lv.n_nodes
+    per_node = [(fn, s) for fn, seen in shapes for s in seen if n in s]
+    assert per_node == [], per_node
+    # the recording is live: it saw the one product of constants, D g
+    amb = sp.ambient_dim
+    assert shapes == [("einsum", [(amb, amb), (amb, amb)])]
 
 
 def test_collar_model_needs_one_generator(circle):
@@ -548,3 +621,64 @@ def test_kirwan_integrals_match_the_reference_pipeline(level_and_reference):
         got = R.kirwan_integral(alpha, lv, 0.05).coefficients
         want = R.kirwan_integral(alpha, ref, 0.05).coefficients
         assert max(abs(g - w) for g, w in zip(got, want)) <= _REFERENCE_TOL
+
+
+# ---------------------------------------------------------------------------
+# the einsum level connection (tests/seed_level.py) as the reference for the
+# row-arithmetic build from the constant structure
+# ---------------------------------------------------------------------------
+
+# dA's rank-2 form rounds differently from the einsum dA and its J^T dA J
+# pullback, whose diagonal and lower triangle also carry ~3e-16 of roundoff
+_RANK_TWO_TOL = 1e-15
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (name, kw, mesh)
+        for name, kw in (
+            ("cn_u1", dict(n=1, a=1.0)),
+            ("cn_u1", dict(n=2, a=1.0)),
+            ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0)),
+            ("weighted_cn_u1", dict(n=1, weights=(2,), a=1.0)),
+        )
+        for mesh in (12, 32)
+    ],
+    ids=lambda p: f"{p[0]}{tuple(p[1].values())}-mesh{p[2]}",
+)
+def level_and_seed(request):
+    name, kw, mesh = request.param
+    sp = catalog(name, **kw)
+    lv = R.zero_level(sp, mesh)
+    fields = {slot: getattr(lv, slot) for slot in R.ZeroLevelData.__slots__}
+    return sp, lv, R.ZeroLevelData(**{**fields, **seed_level_arrays(sp, lv.chart)})
+
+
+def test_level_arrays_match_the_einsum_connection(level_and_seed):
+    _, lv, seed = level_and_seed
+    for name in _LEVEL_ARRAYS:
+        got, want = getattr(lv, name), getattr(seed, name)
+        assert got.shape == want.shape, name
+        if name in ("da_param", "f_param", "f_ambient"):
+            assert np.max(np.abs(got - want)) <= _RANK_TWO_TOL, name
+        else:
+            assert np.array_equal(got, want), name
+
+
+def test_kirwan_and_chern_match_the_einsum_connection(level_and_seed):
+    sp, lv, seed = level_and_seed
+    for alpha in (_unit(sp), sp.omega + sp.mu_phi_form().scale(1j)):
+        got = R.kirwan_integral(alpha, lv, 0.05).coefficients
+        assert got == R.kirwan_integral(alpha, seed, 0.05).coefficients
+    # the phi-linear integral and the Chern number integrate F alone: they
+    # are bit-identical on the 32-node mesh and move by at most one unit in
+    # the last place on the 12-node one
+    got = R.kirwan_integral(_phi_linear(sp), lv, 0.05).coefficients
+    want = R.kirwan_integral(_phi_linear(sp), seed, 0.05).coefficients
+    for g, w in zip(got, want):
+        assert abs(g - w) <= (lv.mesh_density < 32) * np.spacing(abs(w))
+    if lv.horizontal_dim == 2:
+        got, want = R.chern_numbers(lv), R.chern_numbers(seed)
+        tol = (lv.mesh_density < 32) * np.spacing(np.abs(want))
+        assert np.all(np.abs(got - want) <= tol)
