@@ -168,10 +168,11 @@ class QuadratureGrid:
 @dataclass(frozen=True)
 class SurfaceGrid:
     """Quadrature on one connected component of a level set {s = s0} of
-    the radial coordinate s = sum_j w_j |z_j|^2.
+    the radial coordinate s = sum_j w_j |z_j|^2, in the level chart the
+    zero level also uses (_LevelChart).
 
-    ``jac`` holds the parametrization Jacobian (d x (d-1)) per node;
-    ``weights`` are parameter-space weights.  ``orient_sign`` converts the
+    ``jac`` holds the chart Jacobian (d x (d-1)) per node; ``weights`` are
+    the chart's parameter-space weights.  ``orient_sign`` converts the
     parametrization orientation to outward-normal-first (Stokes) when the
     grid was built as a boundary component."""
 
@@ -420,11 +421,12 @@ def _radial(space: HamiltonianSpace) -> RadialMoment:
 
 
 def _check_planes(info: RadialMoment) -> None:
-    """The radial grids and level surfaces cover one or two planes (the
+    """The radial grids and the level chart cover one or two planes (the
     support scan unpacks two plane weights at most)."""
     if info.planes > 2:
         raise InputError(
-            f"radial quadrature implemented for 1 or 2 planes, got {info.planes}"
+            "radial grids and level charts are implemented for 1 or 2 planes, "
+            f"got {info.planes}"
         )
 
 
@@ -945,71 +947,161 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
 
 
 # ---------------------------------------------------------------------------
-# boundary and level surfaces (radial spaces)
+# level sets of s: one chart for the zero level and the boundary surfaces
 # ---------------------------------------------------------------------------
 
 
-def _surface_counts(scheme: QuadratureScheme, level: int):
-    n_psi = scheme.base_radial * (1 << level)
-    n_ang = scheme.base_angular * (1 << min(level, 2))
-    return n_psi, n_ang
+class _LevelChart:
+    """Parametrization of the level set {sum_j w_j |z_j|^2 = s} for one or
+    two planes, shared by the zero level (s = a/c, reduced.zero_level) and
+    the surfaces {s = s0} (level_surface, boundary_surfaces).
 
+    One plane: the circle of radius sqrt(s/w), angle theta in [0, 2 pi).
+    Two planes: Hopf-style coordinates (eta, xi1, xi2) with
+    |z_1| = sqrt(s/w_1) cos eta, |z_2| = sqrt(s/w_2) sin eta,
+    eta in (0, pi/2) at ``n_eta`` Gauss-Legendre nodes (the open interval
+    avoids the coordinate degeneracy at the poles), angles on uniform
+    periodic grids of ``n_angle`` nodes.  One plane has no eta axis.
+    """
 
-def _build_surface(info, s_value, level, scheme, outward):
-    """Parametrize {s = s_value}.  One plane: a circle in theta.  Two
-    planes: Hopf-style (psi, theta1, theta2) with rho1 = s cos^2 psi / w1,
-    rho2 = s sin^2 psi / w2 -- smooth through the rho_j = 0 circles."""
-    if s_value <= 0:
-        raise InputError("level surfaces require s > 0")
-    n_psi, n_ang = _surface_counts(scheme, level)
-    ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    ang_w = 2.0 * np.pi / n_ang
-    if info.planes == 1:
-        (w1,) = info.weights
-        rad = math.sqrt(s_value / w1)
-        cos, sin = np.cos(ang), np.sin(ang)
-        nodes = np.stack([rad * cos, rad * sin], axis=1)
-        jac = np.zeros((n_ang, 2, 1))
-        jac[:, 0, 0] = -rad * sin
-        jac[:, 1, 0] = rad * cos
-        weights = np.full(n_ang, ang_w)
-    else:
-        w1, w2 = info.weights
-        r1 = math.sqrt(s_value / w1)
-        r2 = math.sqrt(s_value / w2)
-        psi, psi_w = _gauss_legendre(n_psi, 0.0, 0.5 * np.pi)
-        grid = np.meshgrid(psi, ang, ang, indexing="ij")
-        ps, t1, t2 = (g.ravel() for g in grid)
-        wts = np.meshgrid(psi_w, np.full(n_ang, ang_w), np.full(n_ang, ang_w),
-                          indexing="ij")
-        weights = (wts[0] * wts[1] * wts[2]).ravel()
-        cp, sp = np.cos(ps), np.sin(ps)
-        c1, s1 = np.cos(t1), np.sin(t1)
-        c2, s2 = np.cos(t2), np.sin(t2)
-        nodes = np.stack(
-            [r1 * cp * c1, r1 * cp * s1, r2 * sp * c2, r2 * sp * s2], axis=1
+    __slots__ = (
+        "n",
+        "weights",
+        "radii",
+        "param_dim",
+        "grid_shape",
+        "param_nodes",
+        "param_weights",
+        "angle_axes",
+        "angle_steps",
+        "axes",
+    )
+
+    def __init__(self, weights, s_value: float, n_eta: int, n_angle: int):
+        if not 0 < s_value < math.inf:
+            raise InputError(
+                f"a level set of s needs s positive and finite, got {s_value}"
+            )
+        n = len(weights)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
+        object.__setattr__(
+            self, "radii", tuple(math.sqrt(s_value / w) for w in weights)
         )
-        n = nodes.shape[0]
-        jac = np.zeros((n, 4, 3))
-        # d/d psi
-        jac[:, 0, 0] = -r1 * sp * c1
-        jac[:, 1, 0] = -r1 * sp * s1
-        jac[:, 2, 0] = r2 * cp * c2
-        jac[:, 3, 0] = r2 * cp * s2
-        # d/d theta1
-        jac[:, 0, 1] = -r1 * cp * s1
-        jac[:, 1, 1] = r1 * cp * c1
-        # d/d theta2
-        jac[:, 2, 2] = -r2 * sp * s2
-        jac[:, 3, 2] = r2 * sp * c2
+        ang = np.arange(n_angle) * (2.0 * math.pi / n_angle)
+        ang_w = 2.0 * math.pi / n_angle
+        if n == 1:
+            object.__setattr__(self, "param_dim", 1)
+            object.__setattr__(self, "grid_shape", (n_angle,))
+            object.__setattr__(self, "param_nodes", ang[:, None].copy())
+            object.__setattr__(self, "param_weights", np.full(n_angle, ang_w))
+            # the generator advances theta by w per unit time; one angular
+            # grid step is the group element exp((2 pi / (n_angle w)) e)
+            object.__setattr__(self, "angle_axes", (0,))
+            object.__setattr__(self, "angle_steps", (self.weights[0],))
+            object.__setattr__(self, "axes", (ang,))
+            return
+        gl_x, gl_w = _leggauss(n_eta)
+        eta = 0.25 * math.pi * (gl_x + 1.0)
+        eta_w = 0.25 * math.pi * gl_w
+        shape = (n_eta, n_angle, n_angle)
+        grids = np.meshgrid(eta, ang, ang, indexing="ij")
+        wts = (eta_w[:, None, None] * ang_w * ang_w) * np.ones(shape)
+        object.__setattr__(self, "param_dim", 3)
+        object.__setattr__(self, "grid_shape", shape)
+        object.__setattr__(
+            self, "param_nodes", np.stack([g.reshape(-1) for g in grids], axis=1)
+        )
+        object.__setattr__(self, "param_weights", wts.reshape(-1))
+        object.__setattr__(self, "angle_axes", (1, 2))
+        object.__setattr__(self, "angle_steps", tuple(self.weights))
+        object.__setattr__(self, "axes", (eta, ang, ang))
 
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
+
+    def _outputs(self, n: int, out):
+        """The (x, jac) arrays an embedding fills: ``out``, C-contiguous,
+        or new ones."""
+        if out is not None:
+            return out
+        return np.empty((2 * self.n, n)), np.empty((2 * self.n, self.param_dim, n))
+
+    def embed(self, u: np.ndarray, out=None):
+        """The ambient points x and the Jacobian dx/du at the (N,
+        param_dim) parameter points ``u``, node axis last: x is
+        (ambient_dim, N) and the Jacobian (ambient_dim, param_dim, N),
+        written into ``out`` = (x, jac) when given."""
+        u = np.asarray(u, dtype=float)
+        x, jac = self._outputs(len(u), out)
+        if self.n == 1:
+            r0 = self.radii[0]
+            th = u[:, 0]
+            x[0], x[1] = r0 * np.cos(th), r0 * np.sin(th)
+            jac[0, 0] = -r0 * np.sin(th)
+            jac[1, 0] = x[0]
+            return x, jac
+        eta, x1, x2 = u[:, 0], u[:, 1], u[:, 2]
+        c1, s1 = np.cos(x1), np.sin(x1)
+        c2, s2 = np.cos(x2), np.sin(x2)
+        r1 = self.radii[0] * np.cos(eta)
+        r2 = self.radii[1] * np.sin(eta)
+        dr1 = -self.radii[0] * np.sin(eta)
+        dr2 = self.radii[1] * np.cos(eta)
+        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
+        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
+        return x, jac
+
+    @staticmethod
+    def _fill_jacobian(jac, x, d_eta):
+        """The two-plane Jacobian: d/d eta, then the two angle generators,
+        each zero off its own plane."""
+        jac[0, 0], jac[1, 0], jac[2, 0], jac[3, 0] = d_eta
+        jac[0, 1], jac[1, 1] = -x[1], x[0]
+        jac[2, 2], jac[3, 2] = -x[3], x[2]
+        jac[2:, 1] = 0.0
+        jac[:2, 2] = 0.0
+
+    def embed_nodes(self, out=None):
+        """embed(param_nodes), built from the tensor axes: cos and sin are
+        taken on each axis's values and broadcast over the mesh, each node
+        getting the same products embed forms from them."""
+        if self.n == 1:
+            return self.embed(self.param_nodes, out)
+        eta, x1, x2 = self.axes
+        ce, se = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
+        c1, s1 = np.cos(x1)[None, :, None], np.sin(x1)[None, :, None]
+        c2, s2 = np.cos(x2)[None, None, :], np.sin(x2)[None, None, :]
+        r1, r2 = self.radii[0] * ce, self.radii[1] * se
+        dr1, dr2 = -self.radii[0] * se, self.radii[1] * ce
+        x_out, jac_out = self._outputs(len(self.param_nodes), out)
+        x = x_out.reshape((4,) + self.grid_shape)
+        jac = jac_out.reshape((4, 3) + self.grid_shape)
+        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
+        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
+        return x_out, jac_out
+
+
+def _surface_counts(scheme: QuadratureScheme, level: int):
+    """The (eta, angle) node counts of a level-``level`` surface chart."""
+    n_eta = scheme.base_radial * (1 << level)
+    n_ang = scheme.base_angular * (1 << min(level, 2))
+    return n_eta, n_ang
+
+
+def _build_surface(info, s_value, level, scheme, outward) -> SurfaceGrid:
+    """The SurfaceGrid of {s = s_value} on the level chart at the counts of
+    ``level``, oriented as the outer (``outward`` = +1) or inner (-1) shell
+    of a boundary, or not at all (0: orient_sign +1)."""
+    chart = _LevelChart(info.weights, s_value, *_surface_counts(scheme, level))
+    x, jac = chart.embed_nodes()
+    nodes, jac = x.T, np.moveaxis(jac, -1, 0)
     orient_sign = 1.0
     if outward != 0:
         # Outward normal is +grad(s) at the outer shell, -grad(s) at the
         # inner one; the Stokes orientation of the surface parametrization
         # is the sign of det[normal | jacobian].  Constant over these
         # product parametrizations -- probe a few nodes and insist on it.
-        d = nodes.shape[1]
         w_full = np.repeat(info.weights, 2)
         signs = set()
         for idx in range(0, nodes.shape[0], max(1, nodes.shape[0] // 7)):
@@ -1021,7 +1113,10 @@ def _build_surface(info, s_value, level, scheme, outward):
         if len(signs) != 1:
             raise InputError("surface parametrization orientation is not constant")
         orient_sign = signs.pop()
-    return nodes, jac, weights, orient_sign
+    return SurfaceGrid(
+        nodes=nodes, jac=jac, weights=chart.param_weights,
+        orient_sign=orient_sign, s_value=s_value, level=level,
+    )
 
 
 def level_surface(
@@ -1030,15 +1125,12 @@ def level_surface(
     level: int = 0,
     scheme: QuadratureScheme = None,
 ) -> SurfaceGrid:
-    """Quadrature grid on {s = s_value} with no boundary orientation
-    attached (orient_sign fixed to +1)."""
+    """Quadrature grid on {s = s_value} in the level chart the zero level
+    also uses, at the surface counts of ``level``, with no boundary
+    orientation attached (orient_sign fixed to +1).  InputError unless
+    s_value is positive and finite."""
     scheme = scheme or QuadratureScheme()
-    info = _radial(space)
-    nodes, jac, weights, _ = _build_surface(info, s_value, level, scheme, outward=0)
-    return SurfaceGrid(
-        nodes=nodes, jac=jac, weights=weights, orient_sign=1.0,
-        s_value=s_value, level=level,
-    )
+    return _build_surface(_radial(space), s_value, level, scheme, outward=0)
 
 
 def boundary_surfaces(
@@ -1047,26 +1139,18 @@ def boundary_surfaces(
     level: int = 0,
     scheme: QuadratureScheme = None,
 ):
-    """Oriented components of the boundary of {|mu|^2 <= r}: the outer
-    shell always, the inner shell when the region is an annulus."""
+    """Oriented components of the boundary of {|mu|^2 <= r}, in the level
+    chart: the outer shell always, the inner shell when the region is an
+    annulus."""
     scheme = scheme or QuadratureScheme()
     info = _radial(space)
     check_regular_radius(space, r)
     s_lo, s_hi = info.s_bounds(r)
-    out = []
-    for s_value, outward in ((s_hi, +1), (s_lo, -1)):
-        if s_value <= 0:
-            continue
-        nodes, jac, weights, sign = _build_surface(
-            info, s_value, level, scheme, outward
-        )
-        out.append(
-            SurfaceGrid(
-                nodes=nodes, jac=jac, weights=weights, orient_sign=sign,
-                s_value=s_value, level=level,
-            )
-        )
-    return out
+    return [
+        _build_surface(info, s_value, level, scheme, outward)
+        for s_value, outward in ((s_hi, +1), (s_lo, -1))
+        if s_value > 0
+    ]
 
 
 def surface_measure(grid: SurfaceGrid) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 When the symmetry group acts with finite stabilizers on mu^{-1}(0), the
 level set is a compact manifold carrying an orbifold principal bundle
-pi: mu^{-1}(0) -> M_red.  For the catalog families with a closed-form
-level parametrization (the u(1) circle and Hopf-sphere families) this
-module realizes:
+pi: mu^{-1}(0) -> M_red.  For the catalog families with a radial moment
+(the u(1) circle and Hopf-sphere families) the zero level is the level
+set {c s = a} of s = sum_j w_j |z_j|^2, and it is meshed by the same
+chart (integrate._LevelChart) as the boundary surfaces {s = s_pm} of the
+deformation's boundary term.  On it this module realizes:
 
 * ``zero_level``        -- mesh + induced measure + the metric connection
                            A = G(p)^{-1} <V ., .>  with  G_ab = <V e_a, V e_b>,
@@ -57,7 +59,7 @@ import numpy as np
 from .fields import Const, Expr, MatConst, column  # noqa: F401  (Expr is re-exported for annotations)
 from .forms import EquivariantForm, _merge_sign, _pullback, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
-from .integrate import _leggauss, check_alpha
+from .integrate import _check_planes, _LevelChart, check_alpha
 from .liealg import AccuracyError, InputError, NotRegularError
 
 __all__ = [
@@ -172,141 +174,6 @@ class LevelForm:
 
     def max_abs(self) -> float:
         return _max_abs(self.parts)
-
-
-# ---------------------------------------------------------------------------
-# closed-form parametrizations of the u(1) zero levels
-# ---------------------------------------------------------------------------
-
-
-class _U1LevelChart:
-    """Parametrization of {sum_j w_j |z_j|^2 = a} for one or two planes.
-
-    One plane: the circle of radius sqrt(a/w), angle theta in [0, 2 pi).
-    Two planes: Hopf-style coordinates (eta, xi1, xi2) with
-    |z_1| = sqrt(a/w_1) cos eta, |z_2| = sqrt(a/w_2) sin eta,
-    eta in (0, pi/2) sampled at Gauss-Legendre nodes (the open interval
-    avoids the coordinate degeneracy at the poles), angles on uniform
-    periodic grids.
-    """
-
-    __slots__ = (
-        "n",
-        "weights",
-        "level_a",
-        "radii",
-        "param_dim",
-        "grid_shape",
-        "param_nodes",
-        "param_weights",
-        "angle_axes",
-        "angle_steps",
-        "axes",
-    )
-
-    def __init__(self, weights, a: float, mesh_density: int):
-        n = len(weights)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
-        object.__setattr__(self, "level_a", float(a))
-        object.__setattr__(
-            self, "radii", tuple(math.sqrt(a / w) for w in weights)
-        )
-        m = int(mesh_density)
-        if n == 1:
-            theta = np.arange(m) * (2.0 * math.pi / m)
-            object.__setattr__(self, "param_dim", 1)
-            object.__setattr__(self, "grid_shape", (m,))
-            object.__setattr__(self, "param_nodes", theta[:, None].copy())
-            object.__setattr__(
-                self, "param_weights", np.full(m, 2.0 * math.pi / m)
-            )
-            # the generator advances theta by w per unit time; one angular
-            # grid step corresponds to the group element exp((2 pi / (m w)) e)
-            object.__setattr__(self, "angle_axes", (0,))
-            object.__setattr__(self, "angle_steps", (self.weights[0],))
-            object.__setattr__(self, "axes", (theta,))
-            return
-        # two planes
-        gl_x, gl_w = _leggauss(m)
-        eta = 0.25 * math.pi * (gl_x + 1.0)
-        eta_w = 0.25 * math.pi * gl_w
-        ang = np.arange(m) * (2.0 * math.pi / m)
-        ang_w = 2.0 * math.pi / m
-        grids = np.meshgrid(eta, ang, ang, indexing="ij")
-        nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-        wts = (eta_w[:, None, None] * ang_w * ang_w) * np.ones((m, m, m))
-        object.__setattr__(self, "param_dim", 3)
-        object.__setattr__(self, "grid_shape", (m, m, m))
-        object.__setattr__(self, "param_nodes", nodes)
-        object.__setattr__(self, "param_weights", wts.reshape(-1))
-        object.__setattr__(self, "angle_axes", (1, 2))
-        object.__setattr__(self, "angle_steps", tuple(self.weights))
-        object.__setattr__(self, "axes", (eta, ang, ang))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def _outputs(self, n: int, out):
-        """The (x, jac) arrays an embedding fills: ``out``, C-contiguous,
-        or new ones."""
-        if out is not None:
-            return out
-        return np.empty((2 * self.n, n)), np.empty((2 * self.n, self.param_dim, n))
-
-    def embed(self, u: np.ndarray, out=None):
-        """The ambient points x and the Jacobian dx/du at the (N,
-        param_dim) parameter points ``u``, node axis last: x is
-        (ambient_dim, N) and the Jacobian (ambient_dim, param_dim, N),
-        written into ``out`` = (x, jac) when given."""
-        u = np.asarray(u, dtype=float)
-        x, jac = self._outputs(len(u), out)
-        if self.n == 1:
-            r0 = self.radii[0]
-            th = u[:, 0]
-            x[0], x[1] = r0 * np.cos(th), r0 * np.sin(th)
-            jac[0, 0] = -r0 * np.sin(th)
-            jac[1, 0] = x[0]
-            return x, jac
-        eta, x1, x2 = u[:, 0], u[:, 1], u[:, 2]
-        c1, s1 = np.cos(x1), np.sin(x1)
-        c2, s2 = np.cos(x2), np.sin(x2)
-        r1 = self.radii[0] * np.cos(eta)
-        r2 = self.radii[1] * np.sin(eta)
-        dr1 = -self.radii[0] * np.sin(eta)
-        dr2 = self.radii[1] * np.cos(eta)
-        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
-        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
-        return x, jac
-
-    @staticmethod
-    def _fill_jacobian(jac, x, d_eta):
-        """The two-plane Jacobian: d/d eta, then the two angle generators,
-        each zero off its own plane."""
-        jac[0, 0], jac[1, 0], jac[2, 0], jac[3, 0] = d_eta
-        jac[0, 1], jac[1, 1] = -x[1], x[0]
-        jac[2, 2], jac[3, 2] = -x[3], x[2]
-        jac[2:, 1] = 0.0
-        jac[:2, 2] = 0.0
-
-    def embed_nodes(self, out=None):
-        """embed(param_nodes), built from the tensor axes: cos and sin are
-        taken on each axis's m values and broadcast over the m^3 mesh, each
-        node getting the same products embed forms from them."""
-        if self.n == 1:
-            return self.embed(self.param_nodes, out)
-        eta, x1, x2 = self.axes
-        m = eta.size
-        ce, se = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
-        c1, s1 = np.cos(x1)[None, :, None], np.sin(x1)[None, :, None]
-        c2, s2 = np.cos(x2)[None, None, :], np.sin(x2)[None, None, :]
-        r1, r2 = self.radii[0] * ce, self.radii[1] * se
-        dr1, dr2 = -self.radii[0] * se, self.radii[1] * ce
-        x_out, jac_out = self._outputs(m**3, out)
-        x, jac = x_out.reshape(4, m, m, m), jac_out.reshape(4, 3, m, m, m)
-        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
-        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
-        return x_out, jac_out
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +404,7 @@ def _gram_det_solve(
         v /= det
 
 
-def _chart_conn_last(struct: dict, chart: _U1LevelChart, u=None):
+def _chart_conn_last(struct: dict, chart: _LevelChart, u=None):
     """Connection data pulled back to parametrization coordinates at the
     (N, param_dim) parameter points ``u`` (the mesh nodes when None), node
     axis last, with det J^T J.  The arrays a level keeps, the embedding
@@ -599,7 +466,7 @@ def _pulled_back_first(data: dict) -> dict:
     }
 
 
-def _chart_conn_at(space: HamiltonianSpace, chart: _U1LevelChart, u: np.ndarray):
+def _chart_conn_at(space: HamiltonianSpace, chart: _LevelChart, u: np.ndarray):
     """Connection data pulled back to parametrization coordinates at
     arbitrary parameter points, in the (N, ...) layout."""
     return _pulled_back_first(_chart_conn_last(_constant_structure(space), chart, u))
@@ -758,8 +625,11 @@ def _equivariance_residual(
 def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData:
     """Mesh mu^{-1}(0), build the metric connection, and verify regularity.
 
-    ``mesh_density`` is the node count per parameter axis (the circle gets
-    ``mesh_density`` nodes; the three-sphere ``mesh_density**3``).
+    The level is {c s = a} of the space's RadialMoment, meshed by the
+    level chart the surfaces {s = s0} also use (integrate._LevelChart, at
+    s = a/c); ``mesh_density`` is its node count per parameter axis (the
+    circle gets ``mesh_density`` nodes; the three-sphere
+    ``mesh_density**3``).  One or two planes, as for every radial grid.
 
     The connection is implemented for the catalog level families: one
     generator (u(1)) acting with a constant generator Jacobian D, a
@@ -794,14 +664,12 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
             f"{space.name!r}"
         )
     radial.check_zero_level(space.name)
-    if radial.planes > 2:
-        raise InputError(
-            "zero-level parametrization is registered for one or two planes"
-        )
-    if int(mesh_density) < 4:
-        raise InputError("mesh_density must be at least 4")
+    _check_planes(radial)
+    if not 4 <= mesh_density < math.inf:
+        raise InputError("mesh_density must be finite and at least 4")
     weights = radial.weights
-    chart = _U1LevelChart(weights, radial.a / radial.c, int(mesh_density))
+    m = int(mesh_density)
+    chart = _LevelChart(weights, radial.a / radial.c, m, m)
     struct = _constant_structure(space)
     data = _chart_conn_last(struct, chart)
     conn = data.pop("conn")
@@ -869,7 +737,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     return ZeroLevelData(
         space=space,
         chart=chart,
-        mesh_density=int(mesh_density),
+        mesh_density=m,
         param_nodes=chart.param_nodes,
         param_weights=chart.param_weights,
         grid_shape=chart.grid_shape,
@@ -1093,7 +961,12 @@ def cartan_d_residual(
 
     For closed invariant alpha the Cartan image is closed (it represents a
     class on the reduced space), so this must vanish to finite-difference
-    accuracy."""
+    accuracy.  InputError unless ``n_samples`` >= 1 and ``h`` is positive
+    and finite."""
+    if not n_samples >= 1:
+        raise InputError("n_samples must be at least 1")
+    if not 0 < h < math.inf:
+        raise InputError("the difference step h must be positive and finite")
     rng = np.random.default_rng(seed)
     chart = level.chart
     k_dim = chart.param_dim
@@ -1280,14 +1153,25 @@ def normal_form_check(
         outward scan reporting the largest radius at which omega~ stays
         nondegenerate (capped at ``scan_cap``);
       * omega~ pulled back to the slice nu = 0 equals pi* omega_0.
+
+    InputError unless ``n_samples`` >= 1, ``collar_radius`` is positive
+    and finite, and 0 < ``scan_step`` <= ``scan_cap`` < inf (so the scan
+    visits at least one radius).
     """
     gdim = space.algebra.dim
     if gdim != 1:
         raise InputError(
             f"the collar model is implemented for one generator, got {gdim}"
         )
-    if collar_radius <= 0:
-        raise InputError("collar_radius must be positive")
+    if not n_samples >= 1:
+        raise InputError("n_samples must be at least 1")
+    if not 0 < collar_radius < math.inf:
+        raise InputError("collar_radius must be positive and finite")
+    if not 0 < scan_step <= scan_cap < math.inf:
+        raise InputError(
+            "scan_step and scan_cap must be positive and finite, "
+            "with scan_step <= scan_cap"
+        )
     rng = np.random.default_rng(seed)
     k_dim = level.param_dim
     n_nodes = level.n_nodes
@@ -1302,15 +1186,15 @@ def normal_form_check(
     da_u = level.da_param[idx]
     vert_u = level.vertical_param[idx]
 
-    def tilde_matrix(nu_arr, om, conn):
+    def tilde_matrix(nu_arr, om, conn, da):
         n = len(nu_arr)
         mat = np.zeros((n, k_dim + gdim, k_dim + gdim))
-        mat[:, :k_dim, :k_dim] = om + np.einsum("na,nakl->nkl", nu_arr, da_u)
+        mat[:, :k_dim, :k_dim] = om + np.einsum("na,nakl->nkl", nu_arr, da)
         mat[:, :k_dim, k_dim:] = -np.einsum("nak->nka", conn)
-        mat[:, k_dim:, :k_dim] = np.einsum("nak->nak", conn)
+        mat[:, k_dim:, :k_dim] = conn
         return mat
 
-    omega_tilde = tilde_matrix(nu, omega_u, a_u)
+    omega_tilde = tilde_matrix(nu, omega_u, a_u, da_u)
 
     # moment condition residual over the basis of g
     moment_res = 0.0
@@ -1333,7 +1217,7 @@ def normal_form_check(
     nondegenerate_within = bool(min_sigma_within > 1e-10)
 
     # restriction to nu = 0 equals the pulled-back reduced form
-    at_zero = tilde_matrix(np.zeros_like(nu), omega_u, a_u)
+    at_zero = tilde_matrix(np.zeros_like(nu), omega_u, a_u, da_u)
     restrict_res = float(
         np.max(np.abs(at_zero[:, :k_dim, :k_dim] - omega_u))
     )
@@ -1369,16 +1253,14 @@ def normal_form_check(
                     res = max(res, float(np.max(np.abs(val))))
         return res
 
-    closed_res = _three_form_residual(d_omega.transpose(0, 1, 2, 3))
+    closed_res = _three_form_residual(d_omega)
     for a in range(gdim):
         closed_res = max(
             closed_res, _three_form_residual(d_da[:, a])
         )
         # pullback commutes with d: dA_u must equal d_u(A_u)
         exact = base["da_u"][:, a]
-        fd_da = np.einsum("njk->njk", d_a[:, a]) - np.einsum(
-            "nkj->njk", d_a[:, a]
-        )
+        fd_da = d_a[:, a] - np.einsum("nkj->njk", d_a[:, a])
         closed_res = max(closed_res, float(np.max(np.abs(exact - fd_da))))
 
     # outward scan for the largest nondegenerate radius
@@ -1394,12 +1276,7 @@ def normal_form_check(
     for r in radii:
         for direction in directions:
             nu_r = np.broadcast_to(r * direction, (48, gdim))
-            mat = np.zeros((48, k_dim + gdim, k_dim + gdim))
-            mat[:, :k_dim, :k_dim] = om_s + np.einsum(
-                "na,nakl->nkl", nu_r, da_s
-            )
-            mat[:, :k_dim, k_dim:] = -np.einsum("nak->nka", a_s)
-            mat[:, k_dim:, :k_dim] = a_s
+            mat = tilde_matrix(nu_r, om_s, a_s, da_s)
             sig = np.linalg.svd(mat, compute_uv=False)
             if float(np.min(sig[:, -1])) <= scale_tol * (1.0 + r):
                 max_valid = float(r - scan_step)

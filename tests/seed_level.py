@@ -1,4 +1,5 @@
-"""The einsum level connection, kept as a reference.
+"""The einsum level connection and the own-parametrization surfaces,
+kept as references.
 
 Before the zero level was built from its constant structure, every node
 evaluated the generator derivatives into an (ambient_dim, ambient_dim, N)
@@ -6,7 +7,15 @@ array, formed the Gram derivative and dA by per-node einsums, and pulled
 Omega and dA back through the chart Jacobian with two einsums each.  The
 row-arithmetic build (reduced._chart_conn_last) must give every level array
 bit for bit, except dA and its pullback, which may move by roundoff.
+
+Before the surfaces {s = s0} were built on the zero level's chart
+(integrate._LevelChart), they had their own cos/sin/meshgrid
+parametrization (seed_build_surface).  The chart must give its nodes,
+Jacobians, weights and orientation bit for bit wherever the angle count is
+a power of two.
 """
+
+import math
 
 import numpy as np
 
@@ -114,3 +123,62 @@ def seed_level_arrays(space, chart):
         "f_param": first(da_u),
     }
 
+
+
+def seed_build_surface(info, s_value, level, scheme, outward):
+    """(nodes, jac, weights, orient_sign) of {s = s_value} at refinement
+    ``level`` of ``scheme``: one plane, a circle in theta; two planes,
+    (psi, theta1, theta2) with rho1 = s cos^2 psi / w1,
+    rho2 = s sin^2 psi / w2."""
+    n_psi = scheme.base_radial * (1 << level)
+    n_ang = scheme.base_angular * (1 << min(level, 2))
+    ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    ang_w = 2.0 * np.pi / n_ang
+    if info.planes == 1:
+        (w1,) = info.weights
+        rad = math.sqrt(s_value / w1)
+        cos, sin = np.cos(ang), np.sin(ang)
+        nodes = np.stack([rad * cos, rad * sin], axis=1)
+        jac = np.zeros((n_ang, 2, 1))
+        jac[:, 0, 0] = -rad * sin
+        jac[:, 1, 0] = rad * cos
+        weights = np.full(n_ang, ang_w)
+    else:
+        w1, w2 = info.weights
+        r1 = math.sqrt(s_value / w1)
+        r2 = math.sqrt(s_value / w2)
+        gl_x, gl_w = np.polynomial.legendre.leggauss(n_psi)
+        half = 0.5 * (0.5 * np.pi)
+        psi, psi_w = half * (gl_x + 1.0), half * gl_w
+        grid = np.meshgrid(psi, ang, ang, indexing="ij")
+        ps, t1, t2 = (g.ravel() for g in grid)
+        wts = np.meshgrid(psi_w, np.full(n_ang, ang_w), np.full(n_ang, ang_w),
+                          indexing="ij")
+        weights = (wts[0] * wts[1] * wts[2]).ravel()
+        cp, sp = np.cos(ps), np.sin(ps)
+        c1, s1 = np.cos(t1), np.sin(t1)
+        c2, s2 = np.cos(t2), np.sin(t2)
+        nodes = np.stack(
+            [r1 * cp * c1, r1 * cp * s1, r2 * sp * c2, r2 * sp * s2], axis=1
+        )
+        jac = np.zeros((nodes.shape[0], 4, 3))
+        jac[:, 0, 0] = -r1 * sp * c1
+        jac[:, 1, 0] = -r1 * sp * s1
+        jac[:, 2, 0] = r2 * cp * c2
+        jac[:, 3, 0] = r2 * cp * s2
+        jac[:, 0, 1] = -r1 * cp * s1
+        jac[:, 1, 1] = r1 * cp * c1
+        jac[:, 2, 2] = -r2 * sp * s2
+        jac[:, 3, 2] = r2 * sp * c2
+    orient_sign = 1.0
+    if outward != 0:
+        w_full = np.repeat(info.weights, 2)
+        signs = set()
+        for idx in range(0, nodes.shape[0], max(1, nodes.shape[0] // 7)):
+            normal = outward * 2.0 * w_full * nodes[idx]
+            det = np.linalg.det(np.column_stack([normal, jac[idx]]))
+            if abs(det) > 1e-12:
+                signs.add(1.0 if det > 0 else -1.0)
+        assert len(signs) == 1
+        orient_sign = signs.pop()
+    return nodes, jac, weights, orient_sign

@@ -773,6 +773,7 @@ def _non_finite_calls():
         BasicIntegralRequest,
         basic_integral,
         check_regular_radius,
+        level_surface,
         phi_reduced_integrand,
         radial_grid,
         sgi_values,
@@ -796,6 +797,8 @@ def _non_finite_calls():
         "basic_integral t=inf": bi(t=inf),
         "check_regular_radius nan": lambda: check_regular_radius(sp, nan),
         "radial_grid nan": lambda: radial_grid(sp, nan),
+        "level_surface s=nan": lambda: level_surface(sp, nan),
+        "level_surface s=inf": lambda: level_surface(sp, inf),
         "sgi_values eps=nan": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)), nan),
         "sgi_values eps row inf": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)),
                                                      np.array([0.1, inf])),

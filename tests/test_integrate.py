@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
+from seed_level import seed_build_surface
 from seed_path import radial_chunks, seed_basic_integrals, seed_integrand
 from symloc.analysis import DEFAULT_EPSILON_GRID, DEFAULT_T_GRID
 from symloc.fields import MatConst, add, const, coord, mul
@@ -52,6 +53,7 @@ from symloc.integrate import (
     BasicIntegralResult,
     _index_runs,
     _leggauss,
+    _LevelChart,
     _points_on_ray,
     _probe_points,
     _stacked_grids,
@@ -1012,7 +1014,8 @@ def test_basic_integral_validation_paths():
 
 def test_radial_paths_refuse_three_planes():
     # the typed refusal comes before the support scan, which would unpack
-    # two plane weights; grids and level surfaces share the same check
+    # two plane weights; grids, level surfaces and the zero level share the
+    # same check
     sp = catalog("cn_u1", n=3, a=1.0)
     req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16, epsilon=0.05)
     for build in (
@@ -1020,6 +1023,7 @@ def test_radial_paths_refuse_three_planes():
         lambda: radial_grid(sp, 0.16),
         lambda: level_surface(sp, 1.0),
         lambda: boundary_surfaces(sp, 0.16),
+        lambda: zero_level(sp),
     ):
         with pytest.raises(InputError, match="1 or 2 planes, got 3"):
             build()
@@ -1164,6 +1168,69 @@ def test_surface_form_integration_orientation():
     y = outer.nodes[:, 1]
     val = integrate_form_on_surface(outer, {(1,): x, (0,): -y})
     assert val == pytest.approx(2.0 * math.pi * 1.8, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the surfaces on the level chart against their own former parametrization
+# (tests/seed_level.py)
+# ---------------------------------------------------------------------------
+
+_SURFACE_SPACES = [
+    "cn_u1(1,1)",
+    "weighted_cn_u1(1,(2,),1)",
+    "cn_u1(2,1)",
+    "weighted_cn_u1(2,(1,2),1)",
+]
+
+
+def _surface_pairs(space, level, scheme):
+    """(SurfaceGrid, seed surface) on {s = 1} and on both shells of the
+    annulus r = 0.16 (s = 1.8 outward, s = 0.2 inward)."""
+    info = space.radial
+    grid = level_surface(space, 1.0, level, scheme)
+    yield grid, seed_build_surface(info, 1.0, level, scheme, 0)
+    for grid, outward in zip(boundary_surfaces(space, 0.16, level, scheme), (1, -1)):
+        yield grid, seed_build_surface(info, grid.s_value, level, scheme, outward)
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("spec", _SURFACE_SPACES)
+def test_surfaces_match_their_former_parametrization(spec, level):
+    # the default angle counts 16 * 2^k are powers of two, where the
+    # chart's k * (2 pi / n) and the former 2 pi * k / n agree exactly
+    sp = catalog_from_string(spec)
+    pairs = list(_surface_pairs(sp, level, QuadratureScheme()))
+    assert len(pairs) == 3
+    for grid, (nodes, jac, weights, sign) in pairs:
+        assert np.array_equal(grid.nodes, nodes)
+        assert np.array_equal(grid.jac, jac)
+        assert np.array_equal(grid.weights, weights)
+        assert grid.orient_sign == sign
+
+
+@pytest.mark.parametrize("spec", _SURFACE_SPACES)
+def test_surfaces_at_twelve_angles_move_by_one_angle_ulp(spec):
+    # at n = 12, 24, 48 angles k * (2 pi / n) and 2 pi * k / n differ on a
+    # few nodes by one unit in the last place of the angle (at n = 12 on 2
+    # of the 12 nodes, by at most 8.9e-16); nodes and Jacobian entries move
+    # by at most the radius times that, plus their own rounding
+    sp = catalog_from_string(spec)
+    scheme = QuadratureScheme(base_angular=12)
+    for level in range(3):
+        n_ang = 12 * (1 << level)
+        ang = _LevelChart((1, 1), 1.0, 4, n_ang).axes[1]
+        former = 2.0 * np.pi * np.arange(n_ang) / n_ang
+        shift = np.abs(ang - former)
+        assert np.all(shift <= np.spacing(former))
+        if level == 0:
+            assert np.count_nonzero(shift) == 2 and shift.max() <= 8.9e-16
+        for grid, (nodes, jac, weights, sign) in _surface_pairs(sp, level, scheme):
+            radius = math.sqrt(grid.s_value / min(sp.radial.weights))
+            bound = radius * (shift.max() + 4.0 * np.finfo(float).eps)
+            assert np.max(np.abs(grid.nodes - nodes)) <= bound
+            assert np.max(np.abs(grid.jac - jac)) <= bound
+            assert np.array_equal(grid.weights, weights)
+            assert grid.orient_sign == sign
 
 
 @pytest.mark.parametrize("n", [1, 4, 17, 96])

@@ -26,6 +26,7 @@ from symloc import reduced as R
 from symloc.fields import MatAffine, add, column, const, coord, mul
 from symloc.forms import EquivariantForm, VectorFieldFamily
 from symloc.hamspace import HamiltonianSpace, catalog
+from symloc.integrate import _LevelChart
 from symloc.liealg import InputError, NotRegularError
 
 from seed_level import seed_level_arrays
@@ -239,6 +240,48 @@ def test_zero_level_errors():
         R.zero_level(catalog("standard_model", preset="u1_w1", which="G"))
     with pytest.raises(InputError):
         R.zero_level(catalog("cn_u1", n=1, a=1.0), mesh_density=2)
+
+
+def _normal_form(**kw):
+    return lambda sp, lv: R.normal_form_check(sp, lv, **kw)
+
+
+_BAD_LEVEL_OP_CALLS = {
+    # nan mesh_density raised ValueError
+    "zero_level mesh_density=nan": lambda sp, lv: R.zero_level(sp, math.nan),
+    "zero_level mesh_density=inf": lambda sp, lv: R.zero_level(sp, math.inf),
+    # h = 0 or nan returned nan; n_samples = 0 raised ValueError
+    "cartan_d_residual n_samples=0":
+        lambda sp, lv: R.cartan_d_residual(_unit(sp), lv, n_samples=0),
+    **{
+        f"cartan_d_residual h={h}":
+            lambda sp, lv, h=h: R.cartan_d_residual(_unit(sp), lv, h=h)
+        for h in (0.0, -1e-5, math.nan, math.inf)
+    },
+    # a negative step scanned nothing and reported ok at the cap; a zero
+    # step raised ZeroDivisionError, a nan collar LinAlgError and
+    # n_samples = 0 ValueError
+    **{
+        "normal_form_check " + ",".join(f"{k}={v}" for k, v in kw.items()):
+            _normal_form(**kw)
+        for kw in (
+            dict(scan_step=-0.01),
+            dict(scan_step=0.0),
+            dict(scan_step=math.nan),
+            dict(scan_step=2.0),
+            dict(scan_cap=math.inf),
+            dict(collar_radius=math.nan),
+            dict(collar_radius=math.inf),
+            dict(n_samples=0),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_LEVEL_OP_CALLS))
+def test_level_ops_refuse_bad_sizes_and_steps(sphere, case):
+    with pytest.raises(InputError, match="finite|at least 1"):
+        _BAD_LEVEL_OP_CALLS[case](*sphere)
 
 
 _LEVEL_ARRAYS = (
@@ -593,9 +636,14 @@ def level_and_reference(request):
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2)])
-@pytest.mark.parametrize("mesh", [4, 7, 32])
-def test_chart_nodes_from_the_axes_are_the_per_node_embedding(weights, mesh):
-    chart = R._U1LevelChart(weights, 1.0, mesh)
+@pytest.mark.parametrize(
+    "n_eta, n_angle",
+    [pytest.param(e, a, id=str(e) if e == a else f"{e}x{a}")
+     for e, a in ((4, 4), (7, 7), (32, 32), (5, 12), (24, 16))],
+)
+def test_chart_nodes_from_the_axes_are_the_per_node_embedding(weights, n_eta, n_angle):
+    chart = _LevelChart(weights, 1.0, n_eta, n_angle)
+    assert chart.grid_shape == (n_eta, n_angle, n_angle)
     got, want = chart.embed_nodes(), chart.embed(chart.param_nodes)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
