@@ -19,6 +19,7 @@ verifies both statements numerically.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -29,7 +30,7 @@ import numpy as np
 
 from .fields import Expr, column, const
 from .hamspace import HamiltonianSpace
-from .liealg import InputError, NonConvergenceError, NotRegularError
+from .liealg import InputError, NonConvergenceError, NotRegularError, _check_count
 
 _log = logging.getLogger(__name__)
 
@@ -328,16 +329,125 @@ def _multiplicity(norm, prev_norm, prev_ratio, f_old, f_new):
     return rho, order
 
 
-def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int):
-    """Low-discrepancy starts inside M_{r_max}: Sobol' points of the
-    sample box, kept where |mu|^2 <= r_max."""
-    # imported here, not at module load: scipy.stats is slow to import and
-    # only the seed sampler needs it
-    from scipy.stats import qmc
+# ---------------------------------------------------------------------------
+# Sobol' seeds
+# ---------------------------------------------------------------------------
 
+# Joe-Kuo direction numbers (new-joe-kuo-6.21201, the table SciPy's
+# scipy.stats.qmc.Sobol reads) for dimensions 2..32: the primitive
+# polynomial as a bit mask, leading and trailing coefficients included
+# (degree s = bit length - 1), and the initial numbers m_1..m_s.  The
+# first dimension is van der Corput's: every m_j is 1.
+_SOBOL_TABLE = (
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+SOBOL_MAX_DIM = len(_SOBOL_TABLE) + 1
+_SOBOL_BITS = 30
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, 30) direction numbers v_j = m_j 2^(30 - j), j = 1..30, of
+    the first d dimensions (Bratley-Fox recurrence).  Read-only."""
+    bits = _SOBOL_BITS
+    m = np.ones((d, bits), dtype=np.int64)
+    for k, (poly, init) in enumerate(_SOBOL_TABLE[: d - 1], start=1):
+        s = len(init)
+        m[k, :s] = init
+        for j in range(s, bits):
+            new = m[k, j - s]
+            for i in range(1, s + 1):
+                if (poly >> (s - i)) & 1:
+                    new ^= m[k, j - i] << i
+            m[k, j] = new
+    v = m << (bits - 1 - np.arange(bits))
+    v.flags.writeable = False
+    return v
+
+
+class _Sobol:
+    """Scrambled Sobol' points in [0, 1)^d, bit for bit those of SciPy's
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)`` drawn with
+    ``random_base2``: 30-bit Joe-Kuo directions, a random lower-triangular
+    linear matrix scramble of each dimension's direction numbers and a
+    random digital shift, drawn from ``np.random.default_rng(seed)`` in
+    SciPy's order (shift bits first).  Successive draws continue the
+    sequence in Gray-code order."""
+
+    def __init__(self, d: int, seed: int):
+        if not 1 <= d <= SOBOL_MAX_DIM:
+            raise InputError(
+                f"Sobol' seeds need 1 <= dimension <= {SOBOL_MAX_DIM}, got {d}"
+            )
+        bits = _SOBOL_BITS
+        rng = np.random.default_rng(seed)
+        shift = rng.integers(2, size=(d, bits), dtype=np.uint32)
+        ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+        ltm[:, np.arange(bits), np.arange(bits)] = 1
+        # one GF(2) product: bit p (from the top) of each scrambled
+        # direction number is sum_i ltm[p, i] * bit i of the direction
+        top = bits - 1 - np.arange(bits)
+        vbits = (_sobol_directions(d)[:, None, :] >> top[:, None]) & 1
+        sbits = (ltm.astype(np.int64) @ vbits) & 1
+        self._v = np.sum(sbits << top[:, None], axis=1)          # (d, bits)
+        self._point = shift.astype(np.int64) @ (1 << np.arange(bits))
+        self._n = 0
+
+    def random_base2(self, m: int) -> np.ndarray:
+        """The next 2^m points, (2^m, d)."""
+        n = 1 << m
+        if self._n + n > 1 << _SOBOL_BITS:
+            raise InputError(f"at most 2^{_SOBOL_BITS} Sobol' points")
+        # point k is point k - 1 xor the direction of the lowest set bit of
+        # k; a fresh sequence starts at the shift (point 0)
+        k = np.arange(max(self._n, 1), self._n + n)
+        low = np.frexp(k & -k)[1] - 1
+        steps = np.concatenate([self._point[None, :], self._v[:, low].T])
+        pts = np.bitwise_xor.accumulate(steps, axis=0)
+        if self._n:
+            pts = pts[1:]
+        self._point = pts[-1]
+        self._n += n
+        return pts * 2.0 ** -_SOBOL_BITS
+
+
+def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int):
+    """Low-discrepancy starts inside M_{r_max}: scrambled Sobol' points of
+    the sample box (_Sobol, SciPy's sequence; at most SOBOL_MAX_DIM = 32
+    dimensions), kept where |mu|^2 <= r_max."""
     d = space.ambient_dim
     lo, hi = space.sample_box[:, 0], space.sample_box[:, 1]
-    sampler = qmc.Sobol(d, scramble=True, seed=seed)
+    sampler = _Sobol(d, seed)
     mu2 = space.mu_norm2_expr()
     kept = []
     n_kept = 0
@@ -453,17 +563,23 @@ def find_critical_points(
     (single linkage with a scale-jump cut) into components, and sorted by
     critical value.
 
-    Raises NotRegularError when a located component sits within 1e-3 of
-    r_max (r_max must be regular).  Returns [] with a warning when no
-    seed converges.  One DEBUG record on the "symloc.critical" logger
-    gives the Gauss-Newton iterations, the seeds that kept a
-    multiplicity step and their orders p."""
+    Raises InputError unless r_max and cluster_radius are positive and
+    finite, n_seeds and max_representatives are integers >= 1 and seed is
+    an integer >= 0, and when the chart has more than SOBOL_MAX_DIM = 32
+    coordinates.  Raises NotRegularError when a located component sits
+    within 1e-3 of r_max (r_max must be regular).  Returns [] with a
+    warning when no seed converges.  One DEBUG record on the
+    "symloc.critical" logger gives the Gauss-Newton iterations, the seeds
+    that kept a multiplicity step and their orders p."""
     if not 0 < r_max < math.inf:
         raise InputError("r_max must be positive and finite")
     if n_seeds is None:
         n_seeds = 256 * space.ambient_dim
-    if n_seeds < 1:
-        raise InputError("n_seeds must be at least 1")
+    _check_count("n_seeds", n_seeds, 1)
+    _check_count("seed", seed, 0)
+    _check_count("max_representatives", max_representatives, 1)
+    if not 0 < cluster_radius < math.inf:
+        raise InputError("cluster_radius must be positive and finite")
 
     starts = _sobol_seeds(space, r_max, n_seeds, seed)
     if len(starts) == 0:

@@ -819,12 +819,74 @@ class _SqrtmFrechet(MatrixField):
         )
 
 
-def _batched_expm(a: np.ndarray) -> np.ndarray:
-    # imported here, not at module load: scipy.linalg is slow to import and
-    # only the Expm fields need it
-    from scipy.linalg import expm
+# Scaling and squaring with diagonal Pade approximants (Higham 2005,
+# "The scaling and squaring method for the matrix exponential revisited",
+# Table 2.3 and Algorithm 2.3): the degrees m, the largest 1-norm each
+# handles unscaled in double precision, and the coefficients b_0..b_m.
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_PADE_THETA_13 = 5.371920351148152e0
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
 
-    return np.asarray(expm(a))
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant of exp at each matrix of the stack a:
+    (V - U)^-1 (V + U), U the odd and V the even part of the numerator."""
+    b = _PADE_B[m]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]
+        for _ in range(2, (m + 1) // 2):
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
+
+
+def _batched_expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the (N, k, k) stack a, by scaling and
+    squaring (Higham 2005).  The whole stack takes the lowest Pade degree
+    its largest 1-norm allows (a higher degree than a matrix needs is no
+    less accurate), or degree 13, each matrix scaled by 2^-s into its
+    range and squared s times.  A matrix with a non-finite entry gives
+    nan."""
+    a = np.asarray(a, dtype=float)
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    bad = ~np.isfinite(norm)
+    if bad.any():
+        a = np.where(bad[:, None, None], 0.0, a)
+        norm[bad] = 0.0
+    top = norm.max(initial=0.0)
+    m = next((m for m, theta in _PADE_THETA if top <= theta), 13)
+    if m < 13:
+        out = _pade(a, m)
+    else:
+        s = np.ceil(np.log2(np.maximum(norm / _PADE_THETA_13, 1.0)))
+        out = _pade(a * np.exp2(-s)[:, None, None], 13)
+        for j in range(int(s.max())):
+            sq = np.flatnonzero(s > j)
+            out[sq] = out[sq] @ out[sq]
+    out[bad] = np.nan
+    return out
 
 
 def texp(ad: MatrixField) -> MatrixField:

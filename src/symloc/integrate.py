@@ -72,6 +72,7 @@ from .liealg import (
     LieAlgebraSpec,
     NotRegularError,
     PhiPolynomial,
+    _check_count,
     _logdet,
     _wick_table,
 )
@@ -126,14 +127,15 @@ class QuadratureScheme:
     workers: int = 1
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InputError("tolerances must be positive")
-        if self.base_radial < 2 or self.base_angular < 4:
-            raise InputError("quadrature base orders too small")
-        if self.max_level < 1:
-            raise InputError("need at least two refinement levels (max_level >= 1)")
-        if self.chunk < 1024:
-            raise InputError("chunk size below 1024 defeats vectorization")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise InputError("tolerances must be positive and finite")
+        _check_count("base_radial", self.base_radial, 2)
+        _check_count("base_angular", self.base_angular, 4)
+        # at least two refinement levels
+        _check_count("max_level", self.max_level, 1)
+        # smaller chunks defeat vectorization
+        _check_count("chunk", self.chunk, 1024)
+        _check_count("workers", self.workers, 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -1083,7 +1085,9 @@ class _LevelChart:
 
 
 def _surface_counts(scheme: QuadratureScheme, level: int):
-    """The (eta, angle) node counts of a level-``level`` surface chart."""
+    """The (eta, angle) node counts of a level-``level`` surface chart.
+    InputError unless ``level`` is an integer >= 0."""
+    _check_count("level", level, 0)
     n_eta = scheme.base_radial * (1 << level)
     n_ang = scheme.base_angular * (1 << min(level, 2))
     return n_eta, n_ang

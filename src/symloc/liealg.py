@@ -24,6 +24,7 @@ making the group the round 3-sphere of radius 2, vol = 16*pi^2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -49,6 +50,14 @@ WICK_DEGREE_CAP = 16
 
 class InputError(ValueError):
     """Invalid input data for an algebra operation."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """InputError unless ``value`` is an integer (a bool is not) of at
+    least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class NotRegularError(RuntimeError):

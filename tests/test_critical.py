@@ -20,17 +20,25 @@ import pytest
 import symloc
 from symloc import critical
 from symloc.critical import (
+    SOBOL_MAX_DIM,
+    _SOBOL_TABLE,
     CriticalComponent,
     _dedupe,
     _descend,
     _mst_clusters,
+    _Sobol,
     _sobol_seeds,
     _vfield_and_jacobian,
     critical_values,
     find_critical_points,
     local_model_check,
 )
-from symloc.hamspace import HamiltonianSpace, catalog, catalog_names_for_validation
+from symloc.hamspace import (
+    HamiltonianSpace,
+    catalog,
+    catalog_from_string,
+    catalog_names_for_validation,
+)
 from symloc.liealg import InputError, NonConvergenceError, NotRegularError
 
 
@@ -405,6 +413,77 @@ _VALIDATION_COMPONENTS = {
 
 
 @pytest.mark.parametrize(
+    "name,expected",
+    [("cn_u1(2,1)", (925, 99)), ("c2_su2", (1024,))],
+)
+def test_seed_counts_are_pinned(name, expected):
+    # any drift in the Sobol' seeds moves these counts
+    comps = find_critical_points(catalog_from_string(name), 1.0)
+    assert tuple(c.n_converged for c in comps) == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_seeds": 40.5},
+        {"n_seeds": 0},
+        {"n_seeds": True},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"cluster_radius": -1.0},
+        {"cluster_radius": 0.0},
+        {"cluster_radius": float("nan")},
+        {"cluster_radius": float("inf")},
+        {"max_representatives": 0},
+        {"max_representatives": 2.0},
+    ],
+    ids=repr,
+)
+def test_bad_search_arguments_are_refused(kwargs):
+    sp = catalog("cn_u1", n=1, a=1.0)
+    with pytest.raises(InputError, match=next(iter(kwargs))):
+        find_critical_points(sp, 1.0, **kwargs)
+
+
+def test_sobol_table_is_scipys():
+    from scipy import stats
+
+    table = np.load(os.path.join(os.path.dirname(stats.__file__),
+                                 "_sobol_direction_numbers.npz"))
+    poly, vinit = table["poly"], table["vinit"]
+    assert len(_SOBOL_TABLE) + 1 == SOBOL_MAX_DIM == 32
+    assert poly[0] == 1 and vinit[0, 0] == 1  # van der Corput
+    for k, (p, init) in enumerate(_SOBOL_TABLE, start=1):
+        assert p == poly[k]
+        assert len(init) == int(p).bit_length() - 1
+        assert list(init) == vinit[k, :len(init)].tolist()
+
+
+@pytest.mark.parametrize("d", list(range(1, 9)) + [32])
+def test_sobol_points_match_scipy_bit_for_bit(d):
+    from scipy.stats import qmc
+
+    for seed in (0, 1, 7):
+        for m in (0, 3, 9):
+            ref = qmc.Sobol(d, scramble=True, seed=seed)
+            ours = _Sobol(d, seed)
+            for draw in (m, m, m + 1):
+                want = ref.random_base2(draw)
+                got = ours.random_base2(draw)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (seed, m, draw)
+
+
+def test_sobol_refuses_more_than_32_dimensions_or_2_to_the_30_points():
+    with pytest.raises(InputError, match="dimension"):
+        _Sobol(SOBOL_MAX_DIM + 1, 0)
+    sampler = _Sobol(1, 0)
+    sampler.random_base2(2)
+    with pytest.raises(InputError, match="2\\^30"):
+        sampler.random_base2(30)
+
+
+@pytest.mark.parametrize(
     "name,build",
     [pytest.param(name, build, id=name)
      for name, build in catalog_names_for_validation()],
@@ -644,17 +723,31 @@ def test_local_model_requires_representatives():
         local_model_check(sp, empty)
 
 
-def test_scipy_stats_is_imported_only_by_the_seed_sampler():
+def _fresh_interpreter(code: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(symloc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy_stats_cluster_or_linalg():
     probe = (
         "import sys, symloc.analysis, symloc.reduced; "
         "print('scipy.stats' in sys.modules, 'scipy.cluster' in sys.modules, "
         "'scipy.linalg' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
+    assert _fresh_interpreter(probe) == "False False False"
+
+
+def test_critical_search_loads_no_scipy_stats():
+    probe = (
+        "import sys; from symloc.critical import find_critical_points; "
+        "from symloc.hamspace import catalog_from_string; "
+        "comps = find_critical_points(catalog_from_string('cn_u1(2,1)'), 1.0); "
+        "print([c.n_converged for c in comps], 'scipy.stats' in sys.modules)"
     )
-    assert out.stdout.strip() == "False False False"
+    assert _fresh_interpreter(probe) == "[925, 99] False"

@@ -216,3 +216,45 @@ class TestMatrixFields:
         d = F.Expm(ad).diff(0)
         with pytest.raises(NotImplementedError):
             d.diff(1)
+
+
+def _expm_deviation(out, want):
+    """Per matrix: largest entry error relative to the largest entry."""
+    return np.max(np.abs(out - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 12])
+def test_batched_expm_matches_scipy_on_every_pade_branch(k):
+    # 1-norms from 1e-6 to 12 take every Pade degree (3, 5, 7, 9) and the
+    # scaled degree-13 branch with up to 2 squarings: alone, and in one
+    # stack that takes the degree of its largest norm.  These random
+    # matrices are far from normal, so at norm ~10 the two algorithms
+    # differ by up to ~1e-12 of the largest entry (exp's own conditioning)
+    rng = np.random.default_rng(k)
+    norms = np.geomspace(1e-6, 12.0, 60)
+    a = rng.standard_normal((len(norms), k, k))
+    a *= (norms / np.max(np.sum(np.abs(a), axis=1), axis=1))[:, None, None]
+    for stack in [a] + [a[i:i + 1] for i in (0, 20, 35, 45, 59)]:
+        assert np.all(_expm_deviation(F._batched_expm(stack), expm(stack)) <= 1e-11)
+
+
+def test_batched_expm_matches_scipy_on_the_field_stacks(monkeypatch):
+    # the stacks the su(2) fields build: ad matrices (3x3), the texp block
+    # (6x6) and the augmented Frechet blocks of both (6x6, 12x12)
+    ad = TestMatrixFields().su2_ad()
+    fields = [F.Expm(ad), F.Expm(ad).diff(1), F.texp(ad), F.texp(ad).diff(2)]
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(200, 3))
+    ours = [f.eval(pts) for f in fields]
+    monkeypatch.setattr(F, "_batched_expm", lambda a: expm(a))
+    for f, out in zip(fields, ours):
+        assert np.all(_expm_deviation(out, f.eval(pts)) <= 1e-12)
+
+
+def test_batched_expm_edge_stacks():
+    assert F._batched_expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    a = np.zeros((3, 2, 2))
+    a[0, 0, 1] = np.nan
+    a[1, 1, 0] = np.inf
+    out = F._batched_expm(a)
+    assert np.all(np.isnan(out[:2]))
+    np.testing.assert_array_equal(out[2], np.eye(2))

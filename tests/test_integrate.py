@@ -1029,6 +1029,35 @@ def test_radial_paths_refuse_three_planes():
             build()
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rel_tol": math.nan},
+        {"abs_tol": math.inf},
+        {"rel_tol": 0.0},
+        {"base_angular": math.nan},
+        {"base_radial": 2.5},
+        {"base_radial": 1},
+        {"max_level": 2.0},
+        {"chunk": 512},
+        {"workers": 0},
+    ],
+    ids=repr,
+)
+def test_bad_quadrature_schemes_are_refused(kwargs):
+    with pytest.raises(InputError):
+        QuadratureScheme(**kwargs)
+
+
+@pytest.mark.parametrize("level", [-1, 2.5, True])
+def test_bad_surface_levels_are_refused(level):
+    sp = catalog("cn_u1", n=2, a=1.0)
+    with pytest.raises(InputError, match="level must be an integer"):
+        level_surface(sp, 1.0, level)
+    with pytest.raises(InputError, match="level must be an integer"):
+        boundary_surfaces(sp, 0.36, level)
+
+
 def _exp_x_dy(pts, cache=None):
     return {(1,): np.exp(5.0 * pts[:, 0]).astype(complex)}
 
