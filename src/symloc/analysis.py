@@ -536,6 +536,12 @@ def default_poly_degree(space: HamiltonianSpace) -> int:
     return math.ceil(red / 2)
 
 
+def _check_fit_tol(fit_tol) -> None:
+    # a nan or infinite tolerance would pass every fit, a negative one none
+    if not 0 < fit_tol < math.inf:
+        raise InputError(f"fit_tol must be positive and finite, got {fit_tol!r}")
+
+
 def fit_poly_plus_tail(
     sweep: SweepResult,
     poly_degree_max: int | None = None,
@@ -563,6 +569,7 @@ def fit_poly_plus_tail(
     the signature of a non-regular zero level (fractional powers the
     polynomial cannot absorb).
     """
+    _check_fit_tol(fit_tol)
     if poly_degree_max is None:
         poly_degree_max = int(sweep.provenance.get("poly_degree_max", 0))
     if poly_degree_max < 0:
@@ -825,6 +832,7 @@ def epsilon_sweep(
     warning, when the grid is shorter than poly_degree_max + 4 points.
     """
     scheme = quadrature or QuadratureScheme()
+    _check_fit_tol(fit_tol)
     eps = _ascending_grid(DEFAULT_EPSILON_GRID if grid is None else grid, "epsilon grid")
     check_regular_radius(space, r)
     _gate_alpha(space, alpha)
@@ -1091,6 +1099,9 @@ def damping_check(
     """
     if not 0 < s < r:
         raise InputError("need radii 0 < s < r")
+    # slack >= 1 makes the bound >= 0, which any decaying difference meets
+    if not 0 <= slack < 1:
+        raise InputError(f"slack must lie in [0, 1), got {slack!r}")
     scheme = quadrature or QuadratureScheme()
     check_regular_radius(space, r)
     check_regular_radius(space, s)
@@ -1177,6 +1188,10 @@ def global_convergence_check(
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    if not 0 <= growth_constant < math.inf:
+        raise InputError(
+            f"growth_constant must be nonnegative and finite, got {growth_constant!r}"
+        )
     if space.radial is None:
         raise InputError(
             f"{space.name} does not document its radial volume growth; the "

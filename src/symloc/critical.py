@@ -676,6 +676,8 @@ def critical_values(components, min_gap: float = MIN_VALUE_GAP):
     Returns (values, probes) with the probes of critical_probes(values).
     Raises NonConvergenceError when two clusters sit closer than min_gap
     but are not identical within 1e-6."""
+    if not 0 < min_gap < math.inf:
+        raise InputError(f"min_gap must be positive and finite, got {min_gap!r}")
     vals = sorted(c.critical_value for c in components)
     dedup: list[float] = []
     for v in vals:

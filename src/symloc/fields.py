@@ -14,6 +14,12 @@ immutable expression trees with those two capabilities:
   (the exponential's derivative uses the augmented-block identity
   expm([[A, E], [0, A]]) = [[e^A, D_E e^A], [0, e^A]]).
 
+Both derive from one node base, ``_Node``, which alone holds the
+per-sweep evaluation cache (``eval``) and the derivative memo (``diff``);
+a node class supplies only ``_eval`` and ``_diff``.  ``_Node`` derives
+from ``_Frozen``, the single immutability guard, which the other value
+classes of the package (forms, spaces, level data) share.
+
 Evaluation signature: ``eval(pts, cache)`` with ``pts`` of shape
 (N, chart_dim); results are (N,) scalars or (N, k, k) matrices, except
 that a ``Const`` evaluates to its plain value (it broadcasts; ``column``
@@ -65,16 +71,29 @@ ZERO_TOL = 0.0  # exact structural zero only; no numeric pruning of coefficients
 
 
 # ---------------------------------------------------------------------------
-# scalar expressions
+# node base
 # ---------------------------------------------------------------------------
 
 
-class Expr:
-    """Immutable scalar field on a chart."""
+class _Frozen:
+    """Base of every immutable value class: its slots are set once, through
+    object.__setattr__ in __init__, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
+
+
+class _Node(_Frozen):
+    """A node of a field tree (Expr or MatrixField): evaluated through the
+    per-sweep cache and differentiated through a memo."""
 
     __slots__ = ("_dmemo",)
 
-    def eval(self, pts: np.ndarray, cache: dict | None = None) -> np.ndarray:
+    def eval(self, pts: np.ndarray, cache: dict | None = None):
+        """The field at the (N, chart_dim) points; ``cache`` (keyed by node
+        id) makes shared subtrees evaluate once per sweep."""
         if cache is None:
             cache = {}
         key = id(self)
@@ -84,10 +103,13 @@ class Expr:
             cache[key] = hit
         return hit
 
-    def _eval(self, pts: np.ndarray, cache: dict) -> np.ndarray:
+    def _eval(self, pts: np.ndarray, cache: dict):
         raise NotImplementedError
 
-    def diff(self, i: int) -> "Expr":
+    def diff(self, i: int):
+        """The exact partial derivative in chart coordinate i, memoized so
+        repeated derivatives share one subtree (and therefore one slot in
+        the evaluation cache)."""
         try:
             memo = self._dmemo
         except AttributeError:
@@ -99,8 +121,19 @@ class Expr:
             memo[i] = hit
         return hit
 
-    def _diff(self, i: int) -> "Expr":
+    def _diff(self, i: int):
         raise NotImplementedError
+
+
+# ---------------------------------------------------------------------------
+# scalar expressions
+# ---------------------------------------------------------------------------
+
+
+class Expr(_Node):
+    """Immutable scalar field on a chart."""
+
+    __slots__ = ()
 
     # -- structure helpers --------------------------------------------------
     @property
@@ -144,9 +177,6 @@ class Const(Expr):
         )
         object.__setattr__(self, "value", complex(value) if is_complex else float(value))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def _eval(self, pts, cache):
         # a scalar: it broadcasts against the arrays it is combined with;
         # consumers that need an (N,) array go through ``column``
@@ -165,9 +195,6 @@ class Coord(Expr):
     def __init__(self, index: int):
         object.__setattr__(self, "index", int(index))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def _eval(self, pts, cache):
         return pts[:, self.index].copy()
 
@@ -183,9 +210,6 @@ class Add(Expr):
 
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def _eval(self, pts, cache):
         out = self.terms[0].eval(pts, cache)
@@ -205,9 +229,6 @@ class Mul(Expr):
 
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def _eval(self, pts, cache):
         out = self.factors[0].eval(pts, cache)
@@ -238,9 +259,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "p", float(p))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def _eval(self, pts, cache):
         b = self.base.eval(pts, cache)
         if self.p == int(self.p) and self.p >= 0:
@@ -264,9 +282,6 @@ class ExpNode(Expr):
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def _eval(self, pts, cache):
         return np.exp(self.arg.eval(pts, cache))
 
@@ -287,9 +302,6 @@ class MatEntry(Expr):
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "i", int(i))
         object.__setattr__(self, "j", int(j))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def _eval(self, pts, cache):
         return self.mat.eval(pts, cache)[:, self.i, self.j].copy()
@@ -403,42 +415,12 @@ def mat_entry(mat: "MatrixField", i: int, j: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-class MatrixField:
+class MatrixField(_Node):
     """Immutable (k x k)-matrix-valued field on a chart."""
 
-    __slots__ = ("_dmemo",)
+    __slots__ = ()
 
     k: int  # set by subclasses via property
-
-    def eval(self, pts: np.ndarray, cache: dict | None = None) -> np.ndarray:
-        if cache is None:
-            cache = {}
-        key = id(self)
-        hit = cache.get(key)
-        if hit is None:
-            hit = self._eval(pts, cache)
-            cache[key] = hit
-        return hit
-
-    def _eval(self, pts, cache):
-        raise NotImplementedError
-
-    def diff(self, i: int) -> "MatrixField":
-        # memoized so repeated entry-derivatives share one subtree (and
-        # therefore one slot in the evaluation cache)
-        try:
-            memo = self._dmemo
-        except AttributeError:
-            memo = {}
-            object.__setattr__(self, "_dmemo", memo)
-        hit = memo.get(i)
-        if hit is None:
-            hit = self._diff(i)
-            memo[i] = hit
-        return hit
-
-    def _diff(self, i: int) -> "MatrixField":
-        raise NotImplementedError
 
 
 class MatConst(MatrixField):
@@ -446,9 +428,6 @@ class MatConst(MatrixField):
 
     def __init__(self, value):
         object.__setattr__(self, "value", np.asarray(value, dtype=float))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def k(self):
@@ -472,9 +451,6 @@ class MatAffine(MatrixField):
         object.__setattr__(
             self, "coeffs", {int(c): np.asarray(m, dtype=float) for c, m in coeffs.items()}
         )
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def k(self):
@@ -502,9 +478,6 @@ class ExprMatrix(MatrixField):
     def __init__(self, entries):
         rows = tuple(tuple(as_expr(e) for e in row) for row in entries)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def k(self):
@@ -538,9 +511,6 @@ class MatAdd(MatrixField):
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     @property
     def k(self):
         return self.terms[0].k
@@ -562,9 +532,6 @@ class MatScale(MatrixField):
         object.__setattr__(self, "c", float(c))
         object.__setattr__(self, "mat", mat)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     @property
     def k(self):
         return self.mat.k
@@ -583,9 +550,6 @@ class MatMul(MatrixField):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     @property
     def k(self):
         return self.a.k
@@ -602,9 +566,6 @@ class MatTranspose(MatrixField):
 
     def __init__(self, mat: MatrixField):
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def k(self):
@@ -635,9 +596,6 @@ class BlockMat(MatrixField):
                     sub = b.k
         object.__setattr__(self, "_sub_k", sub)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     @property
     def k(self):
         return 2 * self._sub_k
@@ -667,9 +625,6 @@ class BlockUR(MatrixField):
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_k", int(k))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     @property
     def k(self):
         return self._k
@@ -689,9 +644,6 @@ class Inv(MatrixField):
     def __init__(self, mat: MatrixField):
         object.__setattr__(self, "mat", mat)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     @property
     def k(self):
         return self.mat.k
@@ -709,9 +661,6 @@ class Expm(MatrixField):
 
     def __init__(self, mat: MatrixField):
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def k(self):
@@ -732,9 +681,6 @@ class _ExpmFrechet(MatrixField):
     def __init__(self, a: MatrixField, e: MatrixField):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "e", e)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def k(self):
@@ -764,9 +710,6 @@ class Sqrtm(MatrixField):
     def __init__(self, mat: MatrixField):
         object.__setattr__(self, "mat", mat)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     @property
     def k(self):
         return self.mat.k
@@ -793,9 +736,6 @@ class _SqrtmFrechet(MatrixField):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "root", root)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def k(self):

@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .fields import Const, Expr, add, as_expr, const, mul
+from .fields import Const, Expr, _Frozen, add, as_expr, const, mul
 from .liealg import InputError, LieAlgebraSpec, PhiPolynomial
 
 __all__ = [
@@ -91,7 +91,7 @@ def _pullback(parts: dict, mats: np.ndarray, out_dim: int) -> dict:
     return out
 
 
-class VectorFieldFamily:
+class VectorFieldFamily(_Frozen):
     """One vector field per algebra basis element; phi enters linearly as
     V_phi = sum_a phi_a V_a."""
 
@@ -108,9 +108,6 @@ class VectorFieldFamily:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "gdim", len(comps))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def eval(self, a: int, pts: np.ndarray, cache=None) -> np.ndarray:
         """Components of V_{e_a} at pts, shape (n_pts, ambient_dim)."""
@@ -130,7 +127,7 @@ class VectorFieldFamily:
         return out
 
 
-class EquivariantForm:
+class EquivariantForm(_Frozen):
     """Canonical term list: one entry per (form multi-index, phi monomial)."""
 
     __slots__ = ("chart_id", "ambient_dim", "gdim", "_terms")
@@ -158,9 +155,6 @@ class EquivariantForm:
         object.__setattr__(
             self, "_terms", {k: v for k, v in canon.items() if not _is_zero(v)}
         )
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     # -- views ------------------------------------------------------------
     @property

@@ -48,6 +48,7 @@ from .fields import (
     MatTranspose,
     MatrixField,
     Sqrtm,
+    _Frozen,
     add,
     as_expr,
     column,
@@ -151,7 +152,7 @@ class RadialMoment:
             raise InputError(f"the zero level set of {name} is empty")
 
 
-class HamiltonianSpace:
+class HamiltonianSpace(_Frozen):
     """Immutable bundle of (algebra, chart, omega, action, mu*, metric),
     with ``radial`` the RadialMoment when |mu| depends on the plane radii
     only (None otherwise)."""
@@ -209,9 +210,6 @@ class HamiltonianSpace:
             raise InputError("chart dimension mismatch in omega/action")
         if self.sample_box.shape != (ambient_dim, 2):
             raise InputError("sample_box must be (ambient_dim, 2) low/high pairs")
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     # -- derived scalar fields ------------------------------------------------
     def mu_pairing_exprs(self):
@@ -681,7 +679,7 @@ class StandardLocalModel:
         return self.h_basis.shape[0]
 
 
-class StandardModelSpaces:
+class StandardModelSpaces(_Frozen):
     """The two Hamiltonian structures on one model space: the (left)
     G-action and the diagonal H-action."""
 
@@ -691,9 +689,6 @@ class StandardModelSpaces:
         object.__setattr__(self, "space_G", space_G)
         object.__setattr__(self, "space_H", space_H)
         object.__setattr__(self, "model", model)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 def _vec_as_first_column(vec: np.ndarray, k: int) -> np.ndarray:

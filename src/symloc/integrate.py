@@ -26,9 +26,11 @@ coefficient is verified invariant under the torus of plane rotations
 weighted by 2 pi per plane (Duistermaat-Heckman push-forward to the
 moment image).
 
-Node evaluation is chunked (fixed chunk size, fixed order); each chunk
-is reduced with an exactly rounded math.fsum, and the chunk sums with
-another, so results are bit-identical across worker counts.
+Each refinement level is one pass over a stream of pieces: blocks of
+whole member grids, or the fixed-size chunks of a grid too large for one
+block (_level_sums).  Each piece is evaluated once and reduced per member
+with an exactly rounded math.fsum, and a member's piece sums with
+another, in order, so results are bit-identical across worker counts.
 
 Basic Integrals of one (space, alpha) at many (r, eps, t) -- a t plateau,
 a contribution's probes, an eps sweep -- share one integrand plan
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import add, column, const, mul
+from .fields import _Frozen, add, column, const, mul
 from .forms import (
     EquivariantForm,
     _pullback,
@@ -115,7 +117,12 @@ class QuadratureScheme:
     """Descriptor for the radial M_r quadrature and the surface rules.
 
     Refinement runs levels 0..max_level and stops when consecutive levels
-    differ by less than max(rel_tol * |value|, abs_tol).
+    differ by less than max(rel_tol * |value|, abs_tol).  base_radial and
+    base_angular are the level-0 orders of the radial and the angular
+    rules, which later levels raise.  ``chunk`` caps the nodes a grid is
+    evaluated in at once (a larger grid runs chunk by chunk) and
+    ``workers`` is the number of threads a level's pieces run on: neither
+    changes a value, only the memory and the wall time a level takes.
     """
 
     rel_tol: float = 1e-8
@@ -627,29 +634,6 @@ def _wsums(values, weights, counts) -> list:
     return out
 
 
-def _chunk_sums(values, chunks, workers: int):
-    """Per-chunk exact sums of ``values(pts)`` against the chunk weights,
-    reduced in chunk order with exact accumulation.  Chunk boundaries are
-    fixed by the scheme, so the result is bit-identical for any worker
-    count."""
-
-    def one(args):
-        pts, wts = args
-        return _wsum(values(pts), wts), pts.shape[0]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _reduce_chunks(list(pool.map(one, chunks)))
-    return _reduce_chunks([one(c) for c in chunks])
-
-
-def _reduce_chunks(results):
-    """(sum of the chunk sums, exactly rounded, nodes) of (sum, nodes) pairs."""
-    re = math.fsum(v.real for v, _ in results)
-    im = math.fsum(v.imag for v, _ in results)
-    return complex(re, im), sum(n for _, n in results)
-
-
 class _Refinement:
     """The stopping rule of one integral, fed one level at a time: it
     settles at the first level whose value is within
@@ -876,39 +860,43 @@ def _torus_invariance(space, info, source, members, supports):
 def _level_sums(info, source, members, supports, invariant, level, scheme):
     """(value, nodes) of every member on its grid of one refinement level.
 
-    A grid larger than scheme.chunk runs alone, chunk by chunk
-    (_product_chunks), with scheme.workers threads.  The other grids are
-    evaluated together, whole grids per block, at most max(largest of
-    them, _BLOCK_NODES) nodes at a time: one stacked grid
-    (_stacked_grids), one source.tops call and one exact sum per member
-    over its own slice (math.fsum never returns -0.0, so the exact sum of
-    that single chunk sum, as _chunk_sums would take it, is itself)."""
+    The level runs as a stream of pieces: the blocks of consecutive
+    members whose grids add up to at most max(largest grid of at most
+    scheme.chunk nodes, _BLOCK_NODES) nodes (_blocks), each expanded by
+    _product_chunks into one stacked grid of its members, or, for a
+    single grid of more than scheme.chunk nodes, that grid's chunks.
+    Each piece makes one source.tops call and one exact sum per member
+    over its own slice (_wsums); scheme.workers threads share the pieces.
+    A member's value is the exact sum of its pieces' sums in order, which
+    for a grid in one piece is that piece's sum (math.fsum never returns
+    -0.0), so it depends on neither the blocking nor the worker count."""
     sizes = [_grid_size(info, scheme, level, s, inv) for s, inv in zip(supports, invariant)]
-    sums = [None] * len(members)
-    small = []
-    for i, size in enumerate(sizes):
-        if size <= scheme.chunk:
-            small.append(i)
-            continue
-        sums[i] = _chunk_sums(
-            functools.partial(_member_tops, source, members[i]),
-            _product_chunks(info, scheme, level, [supports[i]], [invariant[i]]),
-            scheme.workers,
-        )
-    bound = max([_BLOCK_NODES] + [sizes[i] for i in small])
-    for block in _blocks([sizes[i] for i in small], bound):
-        idx = [small[j] for j in block]
-        counts = [sizes[i] for i in idx]
-        pts, wts = next(_product_chunks(info, scheme, level, [supports[i] for i in idx],
-                                        [invariant[i] for i in idx]))
-        vals = source.tops(pts, [members[i] for i in idx], counts)
-        for i, value, n in zip(idx, _wsums(vals, wts, counts), counts):
-            sums[i] = value, n
-    return sums
+    # at most scheme.chunk, so a grid larger than that is a block of its own
+    bound = max([min(_BLOCK_NODES, scheme.chunk)] + [n for n in sizes if n <= scheme.chunk])
 
+    def pieces():
+        for block in _blocks(sizes, bound):
+            for pts, wts in _product_chunks(info, scheme, level, [supports[i] for i in block],
+                                            [invariant[i] for i in block]):
+                yield block, pts, wts
 
-def _member_tops(source, member, pts):
-    return source.tops(pts, [member], [pts.shape[0]])
+    def piece_sums(piece):
+        block, pts, wts = piece
+        counts = [sizes[i] for i in block] if len(block) > 1 else [len(wts)]
+        vals = source.tops(pts, [members[i] for i in block], counts)
+        return block, _wsums(vals, wts, counts), counts
+
+    if scheme.workers > 1:
+        with ThreadPoolExecutor(max_workers=scheme.workers) as pool:
+            results = list(pool.map(piece_sums, pieces()))
+    else:
+        results = map(piece_sums, pieces())
+    parts = [[] for _ in members]
+    for block, values, counts in results:
+        for i, value, n in zip(block, values, counts):
+            parts[i].append((value, n))
+    return [(complex(math.fsum(v.real for v, _ in p), math.fsum(v.imag for v, _ in p)),
+             sum(n for _, n in p)) for p in parts]
 
 
 def _integrate_radial(space, source, members, info, scheme) -> list:
@@ -953,7 +941,7 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
 # ---------------------------------------------------------------------------
 
 
-class _LevelChart:
+class _LevelChart(_Frozen):
     """Parametrization of the level set {sum_j w_j |z_j|^2 = s} for one or
     two planes, shared by the zero level (s = a/c, reduced.zero_level) and
     the surfaces {s = s0} (level_surface, boundary_surfaces).
@@ -1018,9 +1006,6 @@ class _LevelChart:
         object.__setattr__(self, "angle_axes", (1, 2))
         object.__setattr__(self, "angle_steps", tuple(self.weights))
         object.__setattr__(self, "axes", (eta, ang, ang))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def _outputs(self, n: int, out):
         """The (x, jac) arrays an embedding fills: ``out``, C-contiguous,
@@ -1369,13 +1354,10 @@ class _IntegrandPlan:
     @staticmethod
     def shift_at(shifts, t):
         """m(t) = m0 + t m1, t a scalar or one value per row; m0 itself
-        at t = 0 (on every row where t = 0)."""
+        when t = 0 on every row."""
         if not np.any(t != 0.0):
             return shifts[0]
-        if np.ndim(t) == 0:
-            return shifts[0] + t * shifts[1]
-        m = shifts[0] + t[:, None] * shifts[1]
-        return np.where((t == 0.0)[:, None], shifts[0], m)
+        return shifts[0] + (t if np.ndim(t) == 0 else t[:, None]) * shifts[1]
 
     def damping(self, pts, ts, epss):
         """The Gaussian damping factors exp(-|m(t)|^2 / (2 eps)) at ``pts``,
@@ -1402,15 +1384,13 @@ class _IntegrandPlan:
         """{fmi: values} of the integrand on the rows of an ``evaluate``
         pass, at one (t, eps) or at per-row arrays of them: sum over phi
         monomials nu of the coefficient sum_k t^k P_k[fmi, nu] times the
-        Gaussian moment of nu.  A row at t = 0 sums P_0's monomials only,
-        as a contraction at its own (t, eps) would."""
+        Gaussian moment of nu.  Every row takes the same rule: on a row
+        at t = 0 of a deformed contraction, t^k P_k (k >= 1) and t m1 are
+        exact zeros, so the row can differ from a contraction at t = 0
+        alone only in the sign of an exact zero."""
         terms, shifts = evaluated
         deformed = bool(np.any(t != 0.0))
         m = self.shift_at(shifts, t)
-        # rows left at t = 0 in a deformed contraction
-        at_zero = t == 0.0 if deformed and np.ndim(t) else None
-        if at_zero is not None and not at_zero.any():
-            at_zero = None
         powers = None
         if deformed:
             at = _per_row(t)
@@ -1422,14 +1402,7 @@ class _IntegrandPlan:
             for nu in nus:
                 if nu not in gauss:
                     gauss[nu] = sgi_values(self.algebra, nu, m, eps)
-                key = (fmi, nu)
-                coeff = _coefficient(terms, key, powers)
-                if at_zero is None:
-                    acc += coeff * gauss[nu]
-                elif key in terms[0]:
-                    acc += np.where(at_zero, terms[0][key], coeff) * gauss[nu]
-                else:  # not a monomial of P_0: the rows at t = 0 skip it
-                    np.add(acc, coeff * gauss[nu], out=acc, where=~at_zero)
+                acc += _coefficient(terms, (fmi, nu), powers) * gauss[nu]
             out[fmi] = acc
         return out
 

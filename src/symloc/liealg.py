@@ -30,6 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fields import _Frozen
+
 __all__ = [
     "LieAlgebraSpec",
     "PhiPolynomial",
@@ -99,7 +101,7 @@ class DecompositionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class PhiPolynomial:
+class PhiPolynomial(_Frozen):
     """Polynomial in the algebra dummy variable phi, stored as a map from
     exponent multi-indices (tuples, one slot per basis element) to complex
     coefficients.  Immutable; zero coefficients are never stored."""
@@ -119,9 +121,6 @@ class PhiPolynomial:
             if c != 0:
                 clean[mi] = clean.get(mi, 0) + c
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     # -- constructors ---------------------------------------------------
     @staticmethod

@@ -56,11 +56,11 @@ import math
 
 import numpy as np
 
-from .fields import Const, Expr, MatConst, column  # noqa: F401  (Expr is re-exported for annotations)
+from .fields import Const, Expr, MatConst, _Frozen, column  # noqa: F401  (Expr is re-exported for annotations)
 from .forms import EquivariantForm, _merge_sign, _pullback, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
 from .integrate import _check_planes, _LevelChart, check_alpha
-from .liealg import AccuracyError, InputError, NotRegularError
+from .liealg import AccuracyError, InputError, NotRegularError, _check_count
 
 __all__ = [
     "ZeroLevelData",
@@ -140,7 +140,7 @@ def _max_abs(parts: dict) -> float:
     return max((float(np.max(np.abs(v))) for v in parts.values()), default=0.0)
 
 
-class LevelForm:
+class LevelForm(_Frozen):
     """An ordinary differential form on the zero level set, stored pointwise
     on the level mesh in parametrization coordinates."""
 
@@ -159,9 +159,6 @@ class LevelForm:
                 coeff = np.broadcast_to(coeff, (n_nodes,)).copy()
             clean[idx] = coeff
         object.__setattr__(self, "parts", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def degrees(self) -> set:
         return {len(idx) for idx in self.parts}
@@ -477,7 +474,7 @@ def _chart_conn_at(space: HamiltonianSpace, chart: _LevelChart, u: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-class ZeroLevelData:
+class ZeroLevelData(_Frozen):
     """mu^{-1}(0) with induced measure, metric connection, and curvature.
 
     Besides the ambient connection it carries the data pulled back to
@@ -523,9 +520,6 @@ class ZeroLevelData:
             object.__setattr__(self, name, value)
         if kw:
             raise InputError(f"unknown ZeroLevelData fields {sorted(kw)}")
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     @property
     def n_nodes(self) -> int:
@@ -667,6 +661,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     _check_planes(radial)
     if not 4 <= mesh_density < math.inf:
         raise InputError("mesh_density must be finite and at least 4")
+    _check_count("mesh_density", mesh_density, 4)
     weights = radial.weights
     m = int(mesh_density)
     chart = _LevelChart(weights, radial.a / radial.c, m, m)
@@ -780,7 +775,7 @@ def _exp_parts(two_form: dict, top_dim: int, n_nodes: int | None = None) -> dict
 # ---------------------------------------------------------------------------
 
 
-class CurvatureData:
+class CurvatureData(_Frozen):
     """F_A = dA + (1/2)[A, A] on the level mesh, with residual diagnostics."""
 
     __slots__ = (
@@ -800,9 +795,6 @@ class CurvatureData:
         object.__setattr__(
             self, "invariance_residual", float(invariance_residual)
         )
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def component_parts(self, a: int) -> dict:
         return _matrix_to_parts(self.values_param[:, a])
@@ -1016,7 +1008,7 @@ def cartan_d_residual(
 # ---------------------------------------------------------------------------
 
 
-class KirwanResult:
+class KirwanResult(_Frozen):
     """Polynomial-in-eps reduced integral with its coefficient vector."""
 
     __slots__ = ("value", "coefficients", "epsilon", "meta")
@@ -1028,9 +1020,6 @@ class KirwanResult:
         )
         object.__setattr__(self, "epsilon", float(epsilon))
         object.__setattr__(self, "meta", dict(meta))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
     def __complex__(self):
         return self.value

@@ -258,3 +258,49 @@ def test_batched_expm_edge_stacks():
     out = F._batched_expm(a)
     assert np.all(np.isnan(out[:2]))
     np.testing.assert_array_equal(out[2], np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# immutability: one guard, shared by every value class
+# ---------------------------------------------------------------------------
+
+
+def _frozen_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_subclasses(sub)
+
+
+def test_every_value_class_takes_the_one_guard():
+    import symloc.analysis  # noqa: F401  (loads every module of the package)
+    import symloc.reduced  # noqa: F401
+
+    classes = list(_frozen_subclasses(F._Frozen))
+    assert {"Expr", "MatrixField", "HamiltonianSpace", "ZeroLevelData"} <= {
+        c.__name__ for c in classes}
+    assert [c.__name__ for c in classes if "__setattr__" in vars(c)] == []
+    # the evaluation and derivative memo live on the node base alone, and
+    # are still reached through both field kinds
+    for cls in (F.Expr, F.MatrixField):
+        assert "eval" not in vars(cls) and "diff" not in vars(cls)
+        assert callable(cls.eval) and callable(cls.diff)
+
+
+def test_value_objects_refuse_assignment():
+    from symloc.forms import EquivariantForm
+    from symloc.hamspace import catalog_from_string
+    from symloc.liealg import PhiPolynomial
+    from symloc.reduced import kirwan_integral, zero_level
+
+    sp = catalog_from_string("cn_u1(2,1)")
+    level = zero_level(sp, 8)
+    one = EquivariantForm.scalar(sp.chart_id, sp.ambient_dim, sp.algebra.dim, 1.0)
+    values = [F.Const(1.0), F.MatConst(np.eye(2)), sp.omega, sp.action, sp,
+              PhiPolynomial.constant(sp.algebra.dim), level,
+              kirwan_integral(one, level, 0.05)]
+    for obj in values:
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        name = type(obj).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))

@@ -821,6 +821,18 @@ def test_batch_matches_one_request_at_a_time(name, kind, max_level):
     settled = [g for g in got if not isinstance(g, AccuracyError)]
     # one wall time for the whole batch
     assert len({g.wall_time for g in settled}) <= 1
+    # the blocks of a level run on worker threads with the same bits
+    threaded = basic_integral_batch(sp, alpha, points, QuadratureScheme(max_level=max_level,
+                                                                        workers=2))
+    assert [_bits(g) for g in threaded] == [_bits(g) for g in got]
+
+
+def _bits(res):
+    """Everything of a batch member but its wall time, floats as hex."""
+    if isinstance(res, AccuracyError):
+        return str(res)
+    return (res.value.real.hex(), res.value.imag.hex(), res.error.hex(), res.n_nodes,
+            res.level)
 
 
 def test_forced_failures_hit_some_members_only():

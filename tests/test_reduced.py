@@ -250,6 +250,8 @@ _BAD_LEVEL_OP_CALLS = {
     # nan mesh_density raised ValueError
     "zero_level mesh_density=nan": lambda sp, lv: R.zero_level(sp, math.nan),
     "zero_level mesh_density=inf": lambda sp, lv: R.zero_level(sp, math.inf),
+    # a non-integer mesh_density was truncated to an integer without a word
+    "zero_level mesh_density=4.5": lambda sp, lv: R.zero_level(sp, 4.5),
     # h = 0 or nan returned nan; n_samples = 0 raised ValueError
     "cartan_d_residual n_samples=0":
         lambda sp, lv: R.cartan_d_residual(_unit(sp), lv, n_samples=0),
@@ -280,7 +282,7 @@ _BAD_LEVEL_OP_CALLS = {
 
 @pytest.mark.parametrize("case", list(_BAD_LEVEL_OP_CALLS))
 def test_level_ops_refuse_bad_sizes_and_steps(sphere, case):
-    with pytest.raises(InputError, match="finite|at least 1"):
+    with pytest.raises(InputError, match="finite|at least 1|integer"):
         _BAD_LEVEL_OP_CALLS[case](*sphere)
 
 
