@@ -42,7 +42,7 @@ import numpy as np
 from .critical import critical_probes, critical_values, find_critical_points
 from .fields import column
 from .forms import EquivariantForm
-from .hamspace import HamiltonianSpace
+from .hamspace import HamiltonianSpace, eta_exprs
 from .integrate import (
     QuadratureScheme,
     _gate_alpha,
@@ -57,6 +57,7 @@ from .liealg import (
     InputError,
     NonConvergenceError,
     NotRegularError,
+    _check_count,
 )
 
 __all__ = [
@@ -94,6 +95,11 @@ _PLATEAU_KEYS = ("differences", "tolerance", "plateau_from", "plateau_gap", "t_g
 # (absolute once the whole sweep sits below 1e-8).  The fitter lands
 # around 5e-7 relative on erf-type data, so this carries ~200x margin.
 DEFAULT_FIT_TOL = 1e-4
+
+# damping_check: the fitted decay rate may fall this share short of s/2.
+DAMPING_SLACK = 0.15
+# global_convergence_check: c in the shell bound exp(-r/(2 eps) + 2 c sqrt(r)).
+GROWTH_CONSTANT = 1.0
 
 CSV_HEADER = "epsilon,t,value_re,value_im,error_estimate"
 
@@ -536,18 +542,9 @@ def default_poly_degree(space: HamiltonianSpace) -> int:
     return math.ceil(red / 2)
 
 
-def _check_fit_tol(fit_tol) -> None:
-    # a nan or infinite tolerance would pass every fit, a negative one none
-    if not 0 < fit_tol < math.inf:
-        raise InputError(f"fit_tol must be positive and finite, got {fit_tol!r}")
-
-
-def fit_poly_plus_tail(
-    sweep: SweepResult,
-    poly_degree_max: int | None = None,
-    fit_tol: float = DEFAULT_FIT_TOL,
-):
-    """Split sweep values into polynomial + exp(-c/eps) tail.
+def fit_poly_plus_tail(sweep: SweepResult, poly_degree_max: int | None = None):
+    """Split sweep values into polynomial + exp(-c/eps) tail, to
+    DEFAULT_FIT_TOL relative to the sweep's value scale.
 
     Returns (poly_coeffs, tail_rate, report).  poly_coeffs are ascending
     complex coefficients, tail_rate is c >= 0.  The report carries the
@@ -569,11 +566,9 @@ def fit_poly_plus_tail(
     the signature of a non-regular zero level (fractional powers the
     polynomial cannot absorb).
     """
-    _check_fit_tol(fit_tol)
     if poly_degree_max is None:
         poly_degree_max = int(sweep.provenance.get("poly_degree_max", 0))
-    if poly_degree_max < 0:
-        raise InputError("poly_degree_max must be nonnegative")
+    _check_count("poly_degree_max", poly_degree_max, 0)
     eps = np.asarray(sweep.epsilon_grid, float)
     vals = np.asarray(sweep.values, complex)
     if eps.size < poly_degree_max + 4:
@@ -584,7 +579,7 @@ def fit_poly_plus_tail(
     scale = float(np.max(np.abs(vals)))
     point_errors = sweep.provenance.get("point_errors") or [0.0]
     noise_floor = max(1e-13 * max(scale, 1.0), 10.0 * max(point_errors))
-    residual_bound = fit_tol * scale if scale > 1e-8 else fit_tol
+    residual_bound = DEFAULT_FIT_TOL * scale if scale > 1e-8 else DEFAULT_FIT_TOL
 
     n_drop = max(2, eps.size // 6)
     (fit, refit), refinement = _fit_decompositions(
@@ -602,7 +597,7 @@ def fit_poly_plus_tail(
 
     report = {
         "degree": poly_degree_max,
-        "tolerance": fit_tol,
+        "tolerance": DEFAULT_FIT_TOL,
         "residual_bound": residual_bound,
         "residual_max": worst,
         "residual_profile": [float(abs(r)) for r in residuals],
@@ -642,7 +637,7 @@ def fit_poly_plus_tail(
             "level, or a grid that needs to extend to smaller eps",
             report=report,
         )
-    if drift > fit_tol:
+    if drift > DEFAULT_FIT_TOL:
         raise DecompositionError(
             f"polynomial coefficients drift by {drift:.3g} (relative) when the "
             f"{n_drop} largest-eps points are dropped; the split is unique, so "
@@ -692,20 +687,11 @@ def _boundary_gauge_pairing(space, r, scheme):
     squared min divided by 2 eps is the t^2 rate at which the deformation
     kills the boundary term; t * max / eps is the Gaussian shift the
     closed-form moment evaluation has to absorb."""
-    gdim = space.algebra.dim
+    eta = eta_exprs(space)
     lo, hi = math.inf, 0.0
     for grid in boundary_surfaces(space, r, scheme=scheme):
-        pts = grid.nodes
         cache: dict = {}
-        vmu = np.stack([column(c, pts, cache) for c in space.v_mu_star_exprs()], axis=1)
-        act = np.stack(
-            [
-                np.stack([column(c, pts, cache) for c in space.action.components[a]], axis=1)
-                for a in range(gdim)
-            ],
-            axis=2,
-        )
-        pair = np.einsum("ndg,nd->ng", act, vmu)
+        pair = np.stack([column(e, grid.nodes, cache) for e in eta], axis=1)
         norm = np.sqrt(np.einsum("ng,ng->n", pair, pair))
         lo = min(lo, float(norm.min()))
         hi = max(hi, float(norm.max()))
@@ -817,8 +803,6 @@ def epsilon_sweep(
     quadrature: QuadratureScheme | None = None,
     t_grid=None,
     poly_degree_max: int | None = None,
-    fit_tol: float = DEFAULT_FIT_TOL,
-    alpha_label: str = "",
 ) -> SweepResult:
     """Evaluate BI(alpha, r, .) on an ascending epsilon grid and fit the
     polynomial + tail decomposition.
@@ -832,12 +816,12 @@ def epsilon_sweep(
     warning, when the grid is shorter than poly_degree_max + 4 points.
     """
     scheme = quadrature or QuadratureScheme()
-    _check_fit_tol(fit_tol)
+    if poly_degree_max is None:
+        poly_degree_max = default_poly_degree(space)
+    _check_count("poly_degree_max", poly_degree_max, 0)
     eps = _ascending_grid(DEFAULT_EPSILON_GRID if grid is None else grid, "epsilon grid")
     check_regular_radius(space, r)
     _gate_alpha(space, alpha)
-    if poly_degree_max is None:
-        poly_degree_max = default_poly_degree(space)
 
     if isinstance(t_policy, str):
         if t_policy != "extrapolated":
@@ -869,7 +853,7 @@ def epsilon_sweep(
 
     provenance = {
         "space": space.name,
-        "alpha": alpha_label or repr(alpha),
+        "alpha": repr(alpha),
         "r": float(r),
         "t_policy": policy,
         "quadrature": scheme.to_json_dict(),
@@ -890,7 +874,7 @@ def epsilon_sweep(
             stacklevel=2,
         )
         return base
-    poly, rate, report = fit_poly_plus_tail(base, poly_degree_max, fit_tol)
+    poly, rate, report = fit_poly_plus_tail(base, poly_degree_max)
     residuals = values - _polyval(poly, eps) - _tail_values(
         {"poly": poly, "c": rate,
          "jpow": tuple(report["tail_powers"]),
@@ -920,7 +904,6 @@ def contribution(
     components=None,
     r_max: float | None = None,
     quadrature: QuadratureScheme | None = None,
-    alpha_label: str = "",
 ) -> ContributionRecord:
     """The contribution of the ``index``-th critical value (ascending,
     0-based) at each epsilon: the large-t limit of
@@ -941,6 +924,7 @@ def contribution(
     conditioning data.  ``diagnostics`` adds, per epsilon, a log-fit of
     the successive differences against the Gaussian rate bound.
     """
+    _check_count("index", index, 0)
     scheme = quadrature or QuadratureScheme()
     eps_arr = _ascending_grid(epsilon, "epsilon")
     t_arr = _plateau_t_grid(t_grid)
@@ -961,7 +945,7 @@ def contribution(
         if not components:
             raise InputError("no critical components to take contributions from")
         values_list, probes_list = critical_values(components)
-    if not 0 <= index < len(values_list):
+    if index >= len(values_list):
         raise InputError(
             f"component index {index} out of range: {len(values_list)} "
             "critical values located"
@@ -1059,7 +1043,7 @@ def contribution(
     }
     provenance = {
         "space": space.name,
-        "alpha": alpha_label or repr(alpha),
+        "alpha": repr(alpha),
         "quadrature": scheme.to_json_dict(),
         "r_max": None if r_max is None else float(r_max),
         "critical_values": [float(v) for v in values_list],
@@ -1087,11 +1071,10 @@ def damping_check(
     s: float,
     epsilon_grid=None,
     quadrature: QuadratureScheme | None = None,
-    slack: float = 0.15,
 ) -> dict:
     """Verify that enlarging the region from s to r changes BI(alpha, ., 0)
     only by an exponentially damped amount: the fitted slope of
-    log|BI(r) - BI(s)| against 1/eps must be <= -s/2 * (1 - slack).
+    log|BI(r) - BI(s)| against 1/eps must be <= -s/2 * (1 - DAMPING_SLACK).
 
     Returns the rate report.  When every difference sits below the
     quadrature noise floor the check is inconclusive (reported, not an
@@ -1099,9 +1082,6 @@ def damping_check(
     """
     if not 0 < s < r:
         raise InputError("need radii 0 < s < r")
-    # slack >= 1 makes the bound >= 0, which any decaying difference meets
-    if not 0 <= slack < 1:
-        raise InputError(f"slack must lie in [0, 1), got {slack!r}")
     scheme = quadrature or QuadratureScheme()
     check_regular_radius(space, r)
     check_regular_radius(space, s)
@@ -1129,8 +1109,8 @@ def damping_check(
         "differences": [float(d) for d in diffs],
         "noise_floor": [float(f) for f in floors],
         "n_used": int(np.sum(live)),
-        "slack": slack,
-        "bound": -0.5 * s * (1.0 - slack),
+        "slack": DAMPING_SLACK,
+        "bound": -0.5 * s * (1.0 - DAMPING_SLACK),
     }
     if int(np.sum(live)) < 3:
         report.update(
@@ -1154,7 +1134,7 @@ def damping_check(
     if not report["ok"]:
         raise AccuracyError(
             f"damping slope {slope:.4g} misses the bound {report['bound']:.4g} "
-            f"(-s/2 with {slack:.0%} slack): the tail beyond radius s is not "
+            f"(-s/2 with {DAMPING_SLACK:.0%} slack): the tail beyond radius s is not "
             "exponentially damped at the guaranteed rate",
             partial=slope,
             estimate=slope - report["bound"],
@@ -1173,11 +1153,10 @@ def global_convergence_check(
     r_grid,
     epsilon: float,
     quadrature: QuadratureScheme | None = None,
-    growth_constant: float = 1.0,
 ) -> dict:
     """Check that BI(alpha, r, 0) settles as r grows: increments between
     consecutive radii must decay, staying under the shell bound
-    exp(-r/(2 eps) + 2 c sqrt(r)) (c = ``growth_constant``, the sqrt term
+    exp(-r/(2 eps) + 2 c sqrt(r)) (c = GROWTH_CONSTANT, the sqrt term
     paying for the polynomial volume growth of the shells).
 
     Returns a report with the extrapolated limit (the last value, its
@@ -1188,10 +1167,6 @@ def global_convergence_check(
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    if not 0 <= growth_constant < math.inf:
-        raise InputError(
-            f"growth_constant must be nonnegative and finite, got {growth_constant!r}"
-        )
     if space.radial is None:
         raise InputError(
             f"{space.name} does not document its radial volume growth; the "
@@ -1214,7 +1189,7 @@ def global_convergence_check(
     floors = 10.0 * (np.asarray(errors[:-1]) + np.asarray(errors[1:]))
     bounds = np.exp(
         -r_arr[:-1] / (2.0 * epsilon)
-        + 2.0 * growth_constant * np.sqrt(r_arr[:-1])
+        + 2.0 * GROWTH_CONSTANT * np.sqrt(r_arr[:-1])
     )
     ratios = inc / bounds
     live = inc > floors
@@ -1230,7 +1205,7 @@ def global_convergence_check(
 
     report = {
         "epsilon": float(epsilon),
-        "growth_constant": float(growth_constant),
+        "growth_constant": GROWTH_CONSTANT,
         "r_grid": [float(r) for r in r_arr],
         "values": [_reim(v) for v in values],
         "point_errors": [float(e) for e in errors],

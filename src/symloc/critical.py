@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import Expr, column, const
 from .hamspace import HamiltonianSpace
-from .liealg import InputError, NonConvergenceError, NotRegularError, _check_count
+from .liealg import REGULAR_MARGIN, InputError, NonConvergenceError, NotRegularError
 
 _log = logging.getLogger(__name__)
 
@@ -44,13 +44,16 @@ __all__ = [
 
 CONVERGED_F = 1e-16          # ||V mu*||^2 below this counts as critical
 VALUE_GROUP_TOL = 1e-6       # critical values closer than this are equal
-DEFAULT_CLUSTER_RADIUS = 1e-2
+CLUSTER_RADIUS = 1e-2        # chart distance that chains a component
+MAX_REPRESENTATIVES = 16     # representative points kept per component
 MIN_VALUE_GAP = 1e-4         # distinct critical values must be this far apart
 GD_HANDOFF = 0.5             # a gradient step keeping more of f than this
                              # share hands the seed to Gauss-Newton
 BOOST_RATIO_AGREE = 0.02     # a multiplicity step needs two step ratios
 BOOST_RATIO_WINDOW = (0.45, 0.95)  # this close, in this window, and a
 BOOST_F_FIT = 0.25           # drop of f within this of rho^(2p) in log
+LOCAL_RADIUS = 0.2           # local_model_check: representatives this near p
+LOCAL_MODEL_TOL = 1e-6       # local_model_check: its residual floor
 
 
 @dataclass(frozen=True)
@@ -540,48 +543,32 @@ def _mst_clusters(pts: np.ndarray, cluster_radius: float, jump: float = 4.0):
 # ---------------------------------------------------------------------------
 
 
-def find_critical_points(
-    space: HamiltonianSpace,
-    r_max: float,
-    n_seeds: int | None = None,
-    seed: int = 0,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-    max_representatives: int = 16,
-) -> list[CriticalComponent]:
+def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[CriticalComponent]:
     """Locate the critical components of |mu|^2 inside M_{r_max}.
 
-    Quasi-random starts descend f = ||V mu*||^2 in two per-seed phases:
-    backtracking gradient steps until a step no longer halves f, then
-    Levenberg-Marquardt steps on V mu* = 0 with the damping scaled by the
-    largest diagonal entry of J^T J, until f < 1e-28 (see _descend).  A
-    seed whose steps shrink by a steady ratio rho, with f dropping as a
-    degree-p zero predicts (rho = (p - 1)/p), first tries the
-    multiplicity-scaled step x + p dx, so the degenerate c2_su2 origin
-    needs 4 Gauss-Newton iterations.  A seed stops being evaluated as soon
+    256 quasi-random starts per chart coordinate descend f = ||V mu*||^2
+    in two per-seed phases: backtracking gradient steps until a step no
+    longer halves f, then Levenberg-Marquardt steps on V mu* = 0 with the
+    damping scaled by the largest diagonal entry of J^T J, until
+    f < 1e-28 (see _descend).  A seed whose steps shrink by a steady
+    ratio rho, with f dropping as a degree-p zero predicts
+    (rho = (p - 1)/p), first tries the multiplicity-scaled step x + p dx,
+    so the degenerate c2_su2 origin needs 4 Gauss-Newton iterations.  A seed stops being evaluated as soon
     as it leaves a phase, so converged seeds cost nothing.  Points with
     f < 1e-16 are grouped by critical value, chained by chart distance
     (single linkage with a scale-jump cut) into components, and sorted by
     critical value.
 
-    Raises InputError unless r_max and cluster_radius are positive and
-    finite, n_seeds and max_representatives are integers >= 1 and seed is
-    an integer >= 0, and when the chart has more than SOBOL_MAX_DIM = 32
-    coordinates.  Raises NotRegularError when a located component sits
-    within 1e-3 of r_max (r_max must be regular).  Returns [] with a
-    warning when no seed converges.  One DEBUG record on the
-    "symloc.critical" logger gives the Gauss-Newton iterations, the seeds
-    that kept a multiplicity step and their orders p."""
+    Raises InputError unless r_max is positive and finite, and when the
+    chart has more than SOBOL_MAX_DIM = 32 coordinates.  Raises
+    NotRegularError when a located component sits within REGULAR_MARGIN
+    of r_max (r_max must be regular).  Returns [] with a warning when no
+    seed converges.  One DEBUG record on the "symloc.critical" logger
+    gives the Gauss-Newton iterations, the seeds that kept a multiplicity
+    step and their orders p."""
     if not 0 < r_max < math.inf:
         raise InputError("r_max must be positive and finite")
-    if n_seeds is None:
-        n_seeds = 256 * space.ambient_dim
-    _check_count("n_seeds", n_seeds, 1)
-    _check_count("seed", seed, 0)
-    _check_count("max_representatives", max_representatives, 1)
-    if not 0 < cluster_radius < math.inf:
-        raise InputError("cluster_radius must be positive and finite")
-
-    starts = _sobol_seeds(space, r_max, n_seeds, seed)
+    starts = _sobol_seeds(space, r_max, 256 * space.ambient_dim, 0)
     if len(starts) == 0:
         warnings.warn(
             f"no seeds landed in M_r(r_max={r_max:g}) of {space.name}; "
@@ -624,7 +611,7 @@ def find_critical_points(
         sub, subf, mult = _dedupe(pts[chunk], f[chunk])
         cache = {}
         subv = column(space.mu_norm2_expr(), sub, cache)
-        clusters, _ = _mst_clusters(sub, cluster_radius)
+        clusters, _ = _mst_clusters(sub, CLUSTER_RADIUS)
         for idx in clusters:
             idx = np.array(idx)
             cpts, cf, cv = sub[idx], subf[idx], subv[idx]
@@ -638,7 +625,7 @@ def find_critical_points(
                 thin = np.unique(
                     np.linspace(
                         0, len(lex) - 1,
-                        min(max_representatives - 1, len(lex)),
+                        min(MAX_REPRESENTATIVES - 1, len(lex)),
                     ).astype(int)
                 )
                 take += lex[thin].tolist()
@@ -661,23 +648,21 @@ def find_critical_points(
 
     components.sort(key=lambda c: c.critical_value)
     for c in components:
-        if abs(c.critical_value - r_max) < 1e-3:
+        if abs(c.critical_value - r_max) < REGULAR_MARGIN:
             raise NotRegularError(
-                f"critical value {c.critical_value:.6g} lies within 1e-3 of "
-                f"r_max = {r_max:g}; choose a regular r_max"
+                f"critical value {c.critical_value:.6g} lies within "
+                f"{REGULAR_MARGIN:g} of r_max = {r_max:g}; choose a regular r_max"
             )
     return components
 
 
-def critical_values(components, min_gap: float = MIN_VALUE_GAP):
+def critical_values(components):
     """Deduplicated ascending critical values with suggested regular
     probes.
 
     Returns (values, probes) with the probes of critical_probes(values).
-    Raises NonConvergenceError when two clusters sit closer than min_gap
-    but are not identical within 1e-6."""
-    if not 0 < min_gap < math.inf:
-        raise InputError(f"min_gap must be positive and finite, got {min_gap!r}")
+    Raises NonConvergenceError when two clusters sit closer than
+    MIN_VALUE_GAP but are not identical within 1e-6."""
     vals = sorted(c.critical_value for c in components)
     dedup: list[float] = []
     for v in vals:
@@ -685,10 +670,10 @@ def critical_values(components, min_gap: float = MIN_VALUE_GAP):
             dedup.append(v)
         # identical within grouping tolerance: merged silently
     for lo, hi in zip(dedup, dedup[1:]):
-        if hi - lo < min_gap:
+        if hi - lo < MIN_VALUE_GAP:
             raise NonConvergenceError(
                 f"critical values {lo:.8g} and {hi:.8g} are closer than "
-                f"{min_gap:g}; refine the clustering tolerance",
+                f"{MIN_VALUE_GAP:g}; refine the clustering tolerance",
                 report={"values": dedup},
             )
     return dedup, critical_probes(dedup)
@@ -741,14 +726,7 @@ def _position_uncertainty(space, pts: np.ndarray, f_eval, j_eval) -> float:
     return worst
 
 
-def local_model_check(
-    space: HamiltonianSpace,
-    component: CriticalComponent,
-    n_samples: int = 64,
-    seed: int = 0,
-    tol: float = 1e-6,
-    local_radius: float = 0.2,
-) -> dict:
+def local_model_check(space: HamiltonianSpace, component: CriticalComponent) -> dict:
     """Verify the local description of a critical component around its
     base representative.
 
@@ -756,11 +734,15 @@ def local_model_check(
     algebra h = {phi : V_phi(p) = 0}:
 
     * beta lies in h (V_beta(p) = 0);
-    * representatives within local_radius of p project into
+    * representatives within LOCAL_RADIUS of p project into
       Z = {x in slice : beta x = 0, Q_x = 0};
     * every sampled other solution of (beta + Q_x) x = 0 on the slice
       keeps |Q_x| >= min_alpha beta_alpha, the smallest positive singular
-      value of the beta-action (skipped when beta acts trivially).
+      value of the beta-action (skipped when beta acts trivially), over
+      64 sampled Newton solves.
+
+    A residual passes below LOCAL_MODEL_TOL, or below a bound scaled by
+    the representatives' position uncertainty when that is larger.
     """
     reps = np.asarray(component.representative_points, dtype=float)
     if reps.size == 0:
@@ -793,8 +775,7 @@ def local_model_check(
 
     A = _action_jacobians(space, p0)                   # (g, d, d)
     A_h = np.einsum("ga,gjk->ajk", h_basis, A)         # (h_dim, d, d)
-    omega_p = space.omega_matrix.eval(p0.reshape(1, -1))[0] \
-        if hasattr(space.omega_matrix, "eval") else np.asarray(space.omega_matrix.mat)
+    omega_p = space.omega_matrix.eval(p0.reshape(1, -1))[0]
 
     # does the h-action preserve the slice?
     proj = X @ X.T
@@ -829,7 +810,7 @@ def local_model_check(
     x_max = 0.0
     for rep in reps:
         delta = rep - p0
-        if np.linalg.norm(delta) > local_radius:
+        if np.linalg.norm(delta) > LOCAL_RADIUS:
             continue
         x = X.T @ delta
         n_checked += 1
@@ -837,8 +818,8 @@ def local_model_check(
         max_beta_x = max(max_beta_x, float(np.linalg.norm(B @ x)))
         max_qx = max(max_qx, q_norm(x))
     b_scale = float(np.linalg.norm(B)) if slice_dim else 0.0
-    beta_x_tol = max(tol, 10.0 * b_scale * pos_unc)
-    qx_tol = max(tol, 10.0 * pos_unc * (pos_unc + x_max))
+    beta_x_tol = max(LOCAL_MODEL_TOL, 10.0 * b_scale * pos_unc)
+    qx_tol = max(LOCAL_MODEL_TOL, 10.0 * pos_unc * (pos_unc + x_max))
 
     # dimension probe of Z = {beta x = 0, Q_x = 0}: on the unit sphere of
     # ker(beta action), the smallest |Q_x| is 0 exactly when Z extends
@@ -847,7 +828,7 @@ def local_model_check(
     if slice_dim:
         kerB = _orthonormal_null(B, slice_dim, rank_cut)
         if kerB.shape[1] and h_dim:
-            rng_probe = np.random.default_rng(seed + 7)
+            rng_probe = np.random.default_rng(7)
             probe = rng_probe.standard_normal((64, kerB.shape[1]))
             probe /= np.linalg.norm(probe, axis=1, keepdims=True)
             z_min_q = min(q_norm(kerB @ v) for v in probe)
@@ -870,10 +851,10 @@ def local_model_check(
             act = B + np.einsum("b,bjk->jk", coeff, A_h_slice)
             return act @ x
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         scale = float(np.max(np.abs(space.sample_box)))
         found = []
-        for _ in range(n_samples):
+        for _ in range(64):
             x = rng.standard_normal(slice_dim)
             x *= scale * rng.random() / max(np.linalg.norm(x), 1e-12)
             for _ in range(60):
@@ -912,8 +893,8 @@ def local_model_check(
         }
 
     ok = (
-        beta_in_h < max(tol, 10.0 * pos_unc)
-        and inv_resid < tol
+        beta_in_h < max(LOCAL_MODEL_TOL, 10.0 * pos_unc)
+        and inv_resid < LOCAL_MODEL_TOL
         and max_beta_x < beta_x_tol
         and max_qx < qx_tol
         and (separation is None or separation["ok"])

@@ -400,12 +400,12 @@ def validate_space(
     return report
 
 
-def with_corrupted_moment(space: HamiltonianSpace, magnitude: float = 0.1):
-    """Negative control: leak `magnitude * x_0` into the first moment
-    component so the moment condition acquires a position-dependent
-    violation (a constant shift would die under d and go undetected)."""
+def with_corrupted_moment(space: HamiltonianSpace):
+    """Negative control: leak `0.1 * x_0` into the first moment component
+    so the moment condition acquires a position-dependent violation (a
+    constant shift would die under d and go undetected)."""
     bad = list(space.moment_star)
-    bad[0] = add(bad[0], mul(const(float(magnitude)), coord(0)))
+    bad[0] = add(bad[0], mul(const(0.1), coord(0)))
     return HamiltonianSpace(
         name=space.name + ":corrupted",
         algebra=space.algebra,

@@ -29,8 +29,8 @@ moment image).
 Each refinement level is one pass over a stream of pieces: blocks of
 whole member grids, or the fixed-size chunks of a grid too large for one
 block (_level_sums).  Each piece is evaluated once and reduced per member
-with an exactly rounded math.fsum, and a member's piece sums with
-another, in order, so results are bit-identical across worker counts.
+with an exactly rounded math.fsum, and a member's piece sums are added in
+order.
 
 Basic Integrals of one (space, alpha) at many (r, eps, t) -- a t plateau,
 a contribution's probes, an eps sweep -- share one integrand plan
@@ -51,7 +51,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +67,7 @@ from .forms import (
 )
 from .hamspace import HamiltonianSpace, RadialMoment, eta_exprs, lambda_form, sample_points
 from .liealg import (
+    REGULAR_MARGIN,
     WICK_DEGREE_CAP,
     AccuracyError,
     InputError,
@@ -99,7 +99,6 @@ __all__ = [
     "boundary_integral",
     "sgi_values",
     "phi_reduced_integrand",
-    "integrand_phi_reduce",
     "pairing_alpha",
     "check_alpha",
     "basic_integral",
@@ -119,10 +118,9 @@ class QuadratureScheme:
     Refinement runs levels 0..max_level and stops when consecutive levels
     differ by less than max(rel_tol * |value|, abs_tol).  base_radial and
     base_angular are the level-0 orders of the radial and the angular
-    rules, which later levels raise.  ``chunk`` caps the nodes a grid is
-    evaluated in at once (a larger grid runs chunk by chunk) and
-    ``workers`` is the number of threads a level's pieces run on: neither
-    changes a value, only the memory and the wall time a level takes.
+    rules, which later levels raise.  A grid of more than _CHUNK_NODES
+    nodes is evaluated chunk by chunk, which bounds the memory a level
+    takes and changes no value.
     """
 
     rel_tol: float = 1e-8
@@ -130,8 +128,6 @@ class QuadratureScheme:
     base_radial: int = 12
     base_angular: int = 16
     max_level: int = 3
-    chunk: int = 131072
-    workers: int = 1
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
@@ -140,9 +136,6 @@ class QuadratureScheme:
         _check_count("base_angular", self.base_angular, 4)
         # at least two refinement levels
         _check_count("max_level", self.max_level, 1)
-        # smaller chunks defeat vectorization
-        _check_count("chunk", self.chunk, 1024)
-        _check_count("workers", self.workers, 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,8 +144,6 @@ class QuadratureScheme:
             "base_radial": self.base_radial,
             "base_angular": self.base_angular,
             "max_level": self.max_level,
-            "chunk": self.chunk,
-            "workers": self.workers,
         }
 
 
@@ -304,8 +295,8 @@ def known_critical_values(space: HamiltonianSpace):
     return None if space.radial is None else space.radial.critical_values
 
 
-def check_regular_radius(space: HamiltonianSpace, r: float, margin: float = 1e-3):
-    """Raise NotRegularError when r sits within ``margin`` of a known
+def check_regular_radius(space: HamiltonianSpace, r: float):
+    """Raise NotRegularError when r sits within REGULAR_MARGIN of a known
     critical value of |mu|^2 (known_critical_values).  Silent for spaces
     without a RadialMoment."""
     if not 0 < r < math.inf:
@@ -314,9 +305,9 @@ def check_regular_radius(space: HamiltonianSpace, r: float, margin: float = 1e-3
     if crit is None:
         return
     for c in crit:
-        if abs(r - c) <= margin:
+        if abs(r - c) <= REGULAR_MARGIN:
             raise NotRegularError(
-                f"r = {r} is within {margin} of the critical value {c} "
+                f"r = {r} is within {REGULAR_MARGIN} of the critical value {c} "
                 f"of |mu|^2 on {space.name}"
             )
 
@@ -527,15 +518,14 @@ def _product_chunks(info, scheme, level, supports, invariant):
     """The level-``level`` grids of the members with ``supports`` and
     ``invariant`` as (nodes, weights) chunks (_stacked_grids): all of
     them as one stacked chunk, or, for a single grid of more than
-    scheme.chunk nodes, that grid in consecutive chunks of scheme.chunk
-    nodes.  The chunks are fixed by the scheme, so their exact sums do
-    not depend on the worker count."""
+    _CHUNK_NODES nodes, that grid in consecutive chunks of _CHUNK_NODES
+    nodes."""
     total = sum(_grid_size(info, scheme, level, s, inv) for s, inv in zip(supports, invariant))
-    if len(supports) > 1 or total <= scheme.chunk:
+    if len(supports) > 1 or total <= _CHUNK_NODES:
         yield _stacked_grids(info, scheme, level, supports, invariant)
         return
-    for start in range(0, total, scheme.chunk):
-        span = (start, min(start + scheme.chunk, total))
+    for start in range(0, total, _CHUNK_NODES):
+        span = (start, min(start + _CHUNK_NODES, total))
         yield _stacked_grids(info, scheme, level, supports, invariant, span)
 
 
@@ -758,6 +748,10 @@ _INVARIANCE_RTOL = 1e-12
 # Nodes evaluated in one go across members: about one support scan
 # (2 x 2049 points), raised to the largest member grid of a level.
 _BLOCK_NODES = 4096
+# A grid larger than this is evaluated in chunks of this many nodes;
+# smaller chunks defeat vectorization.  Read at call time, so it can be
+# lowered to run the chunked path on small grids.
+_CHUNK_NODES = 131072
 
 
 def _probe_points(info, supports):
@@ -862,39 +856,25 @@ def _level_sums(info, source, members, supports, invariant, level, scheme):
 
     The level runs as a stream of pieces: the blocks of consecutive
     members whose grids add up to at most max(largest grid of at most
-    scheme.chunk nodes, _BLOCK_NODES) nodes (_blocks), each expanded by
+    _CHUNK_NODES nodes, _BLOCK_NODES) nodes (_blocks), each expanded by
     _product_chunks into one stacked grid of its members, or, for a
-    single grid of more than scheme.chunk nodes, that grid's chunks.
+    single grid of more than _CHUNK_NODES nodes, that grid's chunks.
     Each piece makes one source.tops call and one exact sum per member
-    over its own slice (_wsums); scheme.workers threads share the pieces.
-    A member's value is the exact sum of its pieces' sums in order, which
-    for a grid in one piece is that piece's sum (math.fsum never returns
-    -0.0), so it depends on neither the blocking nor the worker count."""
+    over its own slice (_wsums).  A member's value is the exact sum of
+    its pieces' sums in order, which for a grid in one piece is that
+    piece's sum (math.fsum never returns -0.0), so it does not depend on
+    the blocking."""
     sizes = [_grid_size(info, scheme, level, s, inv) for s, inv in zip(supports, invariant)]
-    # at most scheme.chunk, so a grid larger than that is a block of its own
-    bound = max([min(_BLOCK_NODES, scheme.chunk)] + [n for n in sizes if n <= scheme.chunk])
-
-    def pieces():
-        for block in _blocks(sizes, bound):
-            for pts, wts in _product_chunks(info, scheme, level, [supports[i] for i in block],
-                                            [invariant[i] for i in block]):
-                yield block, pts, wts
-
-    def piece_sums(piece):
-        block, pts, wts = piece
-        counts = [sizes[i] for i in block] if len(block) > 1 else [len(wts)]
-        vals = source.tops(pts, [members[i] for i in block], counts)
-        return block, _wsums(vals, wts, counts), counts
-
-    if scheme.workers > 1:
-        with ThreadPoolExecutor(max_workers=scheme.workers) as pool:
-            results = list(pool.map(piece_sums, pieces()))
-    else:
-        results = map(piece_sums, pieces())
+    # at most _CHUNK_NODES, so a grid larger than that is a block of its own
+    bound = max([min(_BLOCK_NODES, _CHUNK_NODES)] + [n for n in sizes if n <= _CHUNK_NODES])
     parts = [[] for _ in members]
-    for block, values, counts in results:
-        for i, value, n in zip(block, values, counts):
-            parts[i].append((value, n))
+    for block in _blocks(sizes, bound):
+        for pts, wts in _product_chunks(info, scheme, level, [supports[i] for i in block],
+                                        [invariant[i] for i in block]):
+            counts = [sizes[i] for i in block] if len(block) > 1 else [len(wts)]
+            vals = source.tops(pts, [members[i] for i in block], counts)
+            for i, value, n in zip(block, _wsums(vals, wts, counts), counts):
+                parts[i].append((value, n))
     return [(complex(math.fsum(v.real for v, _ in p), math.fsum(v.imag for v, _ in p)),
              sum(n for _, n in p)) for p in parts]
 
@@ -1482,20 +1462,6 @@ def phi_reduced_integrand(
     return _IntegrandPlan(space, alpha, deformed=t != 0.0).integrand(t, eps)
 
 
-def integrand_phi_reduce(
-    space: HamiltonianSpace,
-    alpha: EquivariantForm,
-    t: float,
-    eps: float,
-    point,
-) -> dict:
-    """Exact phi-integral of the Basic Integral's integrand at one chart
-    point: {form multi-index: complex}.  No sampling over the algebra."""
-    pts = np.asarray(point, dtype=float).reshape(1, space.ambient_dim)
-    f = phi_reduced_integrand(space, alpha, t, eps)
-    return {fmi: complex(v[0]) for fmi, v in f(pts).items()}
-
-
 def pairing_alpha(space: HamiltonianSpace, vec) -> EquivariantForm:
     """The phi-linear scalar <phi, vec> (inner-product pairing) as an
     equivariant form -- closed, and invariant when vec is central."""
@@ -1515,18 +1481,12 @@ def pairing_alpha(space: HamiltonianSpace, vec) -> EquivariantForm:
     )
 
 
-def check_alpha(
-    space: HamiltonianSpace,
-    alpha: EquivariantForm,
-    n_samples: int = 40,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> dict:
+def check_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
     """Verify the Basic Integral's standing hypotheses on alpha:
     equivariant closedness (D alpha = 0) and invariance, both pointwise
-    at samples."""
-    pts = sample_points(space, n_samples, seed)
-    rng = np.random.default_rng(seed + 1)
+    at 40 samples, each residual below 1e-8."""
+    pts = sample_points(space, 40, 0)
+    rng = np.random.default_rng(1)
     phis = rng.standard_normal((4, space.algebra.dim))
     d_alpha = equivariant_D(alpha, space.action)
     closed = 0.0
@@ -1539,7 +1499,7 @@ def check_alpha(
     return {
         "d_residual": closed,
         "invariance_residual": inv,
-        "ok": bool(closed < tol and inv < tol),
+        "ok": bool(closed < 1e-8 and inv < 1e-8),
     }
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "WICK_DEGREE_CAP",
     "InputError",
     "NotRegularError",
+    "REGULAR_MARGIN",
     "AccuracyError",
     "NonConvergenceError",
     "DecompositionError",
@@ -65,6 +66,10 @@ def _check_count(name: str, value, minimum: int) -> None:
 class NotRegularError(RuntimeError):
     """A level or radius touches a critical value of the moment-map square,
     so the requested region/quotient is not well defined."""
+
+
+# A radius or r_max this close to a critical value of |mu|^2 is not regular.
+REGULAR_MARGIN = 1e-3
 
 
 class AccuracyError(RuntimeError):

@@ -59,7 +59,7 @@ import numpy as np
 from .fields import Const, Expr, MatConst, _Frozen, column  # noqa: F401  (Expr is re-exported for annotations)
 from .forms import EquivariantForm, _merge_sign, _pullback, invariance_residual
 from .hamspace import HamiltonianSpace, sample_points
-from .integrate import _check_planes, _LevelChart, check_alpha
+from .integrate import _check_planes, _gate_alpha, _LevelChart
 from .liealg import AccuracyError, InputError, NotRegularError, _check_count
 
 __all__ = [
@@ -76,6 +76,9 @@ __all__ = [
     "chern_numbers",
     "normal_form_check",
 ]
+
+# the central-difference step of cartan_d_residual and normal_form_check
+_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +561,9 @@ class ZeroLevelData(_Frozen):
             "f_u": self.f_param,
         }
 
-    def to_json_dict(self, stride: int = 1, include_mesh: bool = True) -> dict:
-        out = {
+    def to_json_dict(self, stride: int = 1) -> dict:
+        sl = slice(None, None, max(1, int(stride)))
+        return {
             "space": self.space.name,
             "n_nodes": self.n_nodes,
             "param_dim": self.param_dim,
@@ -571,16 +575,13 @@ class ZeroLevelData(_Frozen):
                 k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                 for k, v in self.regularity_report.items()
             },
-        }
-        if include_mesh:
-            sl = slice(None, None, max(1, int(stride)))
-            out["mesh"] = {
+            "mesh": {
                 "nodes": self.nodes[sl].tolist(),
                 "weights": self.riemann_weights[sl].tolist(),
                 "param_nodes": self.param_nodes[sl].tolist(),
                 "connection": self.connection_ambient[sl].tolist(),
-            }
-        return out
+            },
+        }
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_json_dict(**kw), sort_keys=True)
@@ -942,24 +943,18 @@ def basic_residual(level: ZeroLevelData, form: LevelForm) -> dict:
 
 
 def cartan_d_residual(
-    alpha: EquivariantForm,
-    level: ZeroLevelData,
-    n_samples: int = 120,
-    seed: int = 0,
-    h: float = 1e-5,
+    alpha: EquivariantForm, level: ZeroLevelData, n_samples: int = 120
 ) -> float:
     """Residual of d(kappa(alpha)) at random interior parameter points,
-    by central differences along each parameter axis.
+    by central differences of step _FD_STEP along each parameter axis.
 
     For closed invariant alpha the Cartan image is closed (it represents a
     class on the reduced space), so this must vanish to finite-difference
-    accuracy.  InputError unless ``n_samples`` >= 1 and ``h`` is positive
-    and finite."""
+    accuracy.  InputError unless ``n_samples`` >= 1."""
     if not n_samples >= 1:
         raise InputError("n_samples must be at least 1")
-    if not 0 < h < math.inf:
-        raise InputError("the difference step h must be positive and finite")
-    rng = np.random.default_rng(seed)
+    h = _FD_STEP
+    rng = np.random.default_rng(0)
     chart = level.chart
     k_dim = chart.param_dim
     if chart.n == 1:
@@ -1055,13 +1050,7 @@ def kirwan_integral(
     if not 0 < eps < math.inf:
         raise InputError("eps must be positive and finite")
     space = level.space
-    gate = check_alpha(space, alpha)
-    if not gate["ok"]:
-        raise InputError(
-            "kirwan_integral requires a closed invariant alpha "
-            f"(D residual {gate['d_residual']:.3e}, "
-            f"invariance residual {gate['invariance_residual']:.3e})"
-        )
+    _gate_alpha(space, alpha)
     kappa = _kappa_parts(space, alpha, level._pulled_back())
     omega_parts = level.omega_parts()
     exp_omega = _exp_parts(omega_parts, level.param_dim, level.n_nodes)
@@ -1121,16 +1110,15 @@ def kirwan_integral(
 # the collar normal form
 # ---------------------------------------------------------------------------
 
+# normal_form_check samples the collar |nu| <= _COLLAR_RADIUS at
+# _COLLAR_SAMPLES points and scans outward to _SCAN_CAP in _SCAN_STEP steps.
+_COLLAR_RADIUS = 0.2
+_COLLAR_SAMPLES = 500
+_SCAN_CAP = 1.0
+_SCAN_STEP = 0.0025
 
-def normal_form_check(
-    space: HamiltonianSpace,
-    level: ZeroLevelData,
-    collar_radius: float = 0.2,
-    n_samples: int = 500,
-    seed: int = 0,
-    scan_cap: float = 1.0,
-    scan_step: float = 0.0025,
-) -> dict:
+
+def normal_form_check(space: HamiltonianSpace, level: ZeroLevelData) -> dict:
     """Verify the collar model omega~ = pi* omega_0 + d<nu, A>, mu~ = nu
     on mu^{-1}(0) x g near nu = 0.
 
@@ -1138,37 +1126,27 @@ def normal_form_check(
       * the moment condition  iota_{V phi} omega~ = -d<nu, phi>;
       * closedness of omega~ (via central differences of the pulled-back
         connection data along the parameter axes);
-      * nondegeneracy of omega~ inside |nu| <= collar_radius, plus an
-        outward scan reporting the largest radius at which omega~ stays
-        nondegenerate (capped at ``scan_cap``);
+      * nondegeneracy of omega~ inside |nu| <= _COLLAR_RADIUS, plus an
+        outward scan in steps of _SCAN_STEP reporting the largest radius
+        at which omega~ stays nondegenerate (capped at _SCAN_CAP);
       * omega~ pulled back to the slice nu = 0 equals pi* omega_0.
 
-    InputError unless ``n_samples`` >= 1, ``collar_radius`` is positive
-    and finite, and 0 < ``scan_step`` <= ``scan_cap`` < inf (so the scan
-    visits at least one radius).
+    The collar is sampled at _COLLAR_SAMPLES points.
     """
     gdim = space.algebra.dim
     if gdim != 1:
         raise InputError(
             f"the collar model is implemented for one generator, got {gdim}"
         )
-    if not n_samples >= 1:
-        raise InputError("n_samples must be at least 1")
-    if not 0 < collar_radius < math.inf:
-        raise InputError("collar_radius must be positive and finite")
-    if not 0 < scan_step <= scan_cap < math.inf:
-        raise InputError(
-            "scan_step and scan_cap must be positive and finite, "
-            "with scan_step <= scan_cap"
-        )
-    rng = np.random.default_rng(seed)
+    n_samples = _COLLAR_SAMPLES
+    rng = np.random.default_rng(0)
     k_dim = level.param_dim
     n_nodes = level.n_nodes
     idx = rng.integers(0, n_nodes, size=n_samples)
     nu = rng.standard_normal((n_samples, gdim))
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
     nu *= (rng.uniform(0.0, 1.0, size=n_samples) ** (1.0 / gdim))[:, None]
-    nu *= collar_radius
+    nu *= _COLLAR_RADIUS
 
     omega_u = level.omega_param[idx]
     a_u = level.connection_param[idx]
@@ -1212,10 +1190,10 @@ def normal_form_check(
     )
 
     # closedness via central differences at a smaller sample
-    n_fd = min(48, n_samples)
+    n_fd = 48
     fd_idx = rng.integers(0, n_nodes, size=n_fd)
     u0 = level.param_nodes[fd_idx]
-    h = 1e-5
+    h = _FD_STEP
     base = _chart_conn_at(space, level.chart, u0)
     d_omega = np.zeros((n_fd, k_dim, k_dim, k_dim))
     d_da = np.zeros((n_fd, gdim, k_dim, k_dim, k_dim))
@@ -1258,8 +1236,8 @@ def normal_form_check(
     a_s = level.connection_param[scan_nodes]
     da_s = level.da_param[scan_nodes]
     directions = np.array([[1.0], [-1.0]])
-    radii = np.arange(scan_step, scan_cap + 0.5 * scan_step, scan_step)
-    max_valid = float(scan_cap)
+    radii = np.arange(_SCAN_STEP, _SCAN_CAP + 0.5 * _SCAN_STEP, _SCAN_STEP)
+    max_valid = float(_SCAN_CAP)
     scale_tol = 1e-8
     done = False
     for r in radii:
@@ -1268,7 +1246,7 @@ def normal_form_check(
             mat = tilde_matrix(nu_r, om_s, a_s, da_s)
             sig = np.linalg.svd(mat, compute_uv=False)
             if float(np.min(sig[:, -1])) <= scale_tol * (1.0 + r):
-                max_valid = float(r - scan_step)
+                max_valid = float(r - _SCAN_STEP)
                 done = True
                 break
         if done:
@@ -1279,7 +1257,7 @@ def normal_form_check(
         and nondegenerate_within
         and restrict_res < 1e-12
         and closed_res < 1e-6
-        and max_valid >= collar_radius
+        and max_valid >= _COLLAR_RADIUS
     )
     return {
         "ok": ok,
@@ -1288,7 +1266,7 @@ def normal_form_check(
         "restriction_residual": restrict_res,
         "nondegenerate_within": nondegenerate_within,
         "min_sigma_within": min_sigma_within,
-        "declared_radius": float(collar_radius),
+        "declared_radius": _COLLAR_RADIUS,
         "max_valid_radius": max_valid,
         "n_samples": int(n_samples),
     }

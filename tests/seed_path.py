@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from symloc import integrate
 from symloc.fields import add, column, const, mul
 from symloc.forms import exp_form_part, exterior_d, wedge
 from symloc.hamspace import eta_exprs, lambda_form
@@ -158,7 +159,7 @@ def seed_radial(space, f, r, scheme):
     for level in range(scheme.max_level + 1):
         sums = [(_wsum(_top(f, pts, top), wts), len(pts))
                 for pts, wts in radial_chunks(info, level, scheme, s_intervals, invariant,
-                                              scheme.chunk)]
+                                              integrate._CHUNK_NODES)]
         value = complex(math.fsum(v.real for v, _ in sums),
                         math.fsum(v.imag for v, _ in sums))
         nodes += sum(n for _, n in sums)

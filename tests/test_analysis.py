@@ -835,39 +835,30 @@ def test_non_finite_inputs_are_refused(case):
         _non_finite_calls()[case]()
 
 
-def _bad_tolerance_calls():
-    """Tolerance arguments that switched off their own check: a nan or
-    infinite fit_tol passed a fit the default refuses, slack >= 1 passed
-    any slope, a nan growth_constant failed the bound without a reason and
-    a nan or negative min_gap skipped the closeness check."""
-    nan, inf = math.nan, math.inf
+def _bad_count_calls():
+    """Counts that are checked before any Basic Integral runs: a float
+    index raised a bare TypeError from a list lookup and True ran as
+    index 1; a float poly_degree_max raised TypeError from np.vander only
+    after every Basic Integral of the sweep had run."""
     sp = catalog_from_string("cn_u1(2,1)")
     one = _unit(sp)
     sweep = A.SweepResult(epsilon_grid=(0.05,), values=[1.0])
     return {
-        **{f"fit_poly_plus_tail fit_tol={v}": (
-            "fit_tol", lambda v=v: fit_poly_plus_tail(sweep, 1, fit_tol=v))
-           for v in (nan, inf, -1.0, 0.0)},
-        **{f"epsilon_sweep fit_tol={v}": (
-            "fit_tol", lambda v=v: epsilon_sweep(sp, one, 0.16, fit_tol=v))
-           for v in (nan, inf, -1.0)},
-        **{f"damping_check slack={v}": (
-            "slack", lambda v=v: A.damping_check(sp, one, 0.16, 0.09, slack=v))
-           for v in (nan, 1.0, 2.0, -0.1)},
-        **{f"global_convergence_check growth_constant={v}": (
-            "growth_constant",
-            lambda v=v: A.global_convergence_check(sp, one, [0.09, 0.16, 0.2], 0.05,
-                                                   growth_constant=v))
-           for v in (nan, inf, -1.0)},
-        **{f"critical_values min_gap={v}": (
-            "min_gap", lambda v=v: critical_values([], min_gap=v))
-           for v in (nan, inf, -1.0, 0.0)},
+        **{f"contribution index={v}": (
+            "index", lambda v=v: contribution(sp, one, v, 0.05))
+           for v in (1.5, True, -1)},
+        **{f"epsilon_sweep poly_degree_max={v}": (
+            "poly_degree_max", lambda v=v: epsilon_sweep(sp, one, 0.16, poly_degree_max=v))
+           for v in (1.5, True, -1)},
+        **{f"fit_poly_plus_tail poly_degree_max={v}": (
+            "poly_degree_max", lambda v=v: fit_poly_plus_tail(sweep, v))
+           for v in (1.5, True, -1)},
     }
 
 
-@pytest.mark.parametrize("case", list(_bad_tolerance_calls()))
-def test_bad_tolerances_are_refused_before_integrating(case):
-    name, call = _bad_tolerance_calls()[case]
+@pytest.mark.parametrize("case", list(_bad_count_calls()))
+def test_bad_counts_are_refused_before_integrating(case):
+    name, call = _bad_count_calls()[case]
     with mock.patch.object(A, "basic_integral_batch") as batch, \
             pytest.raises(InputError, match=name):
         call()

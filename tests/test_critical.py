@@ -39,6 +39,7 @@ from symloc.hamspace import (
     catalog_from_string,
     catalog_names_for_validation,
 )
+from symloc.integrate import check_regular_radius
 from symloc.liealg import InputError, NonConvergenceError, NotRegularError
 
 
@@ -111,9 +112,17 @@ def test_r_max_below_first_positive_value():
 
 
 def test_r_max_near_critical_value_rejected():
+    # cn_u1(1,1) has the critical value 0.25: the catalog check on r and the
+    # search's check on r_max share REGULAR_MARGIN = 1e-3, so both refuse a
+    # radius 5e-4 from it and accept one 1.5e-3 from it
     sp = catalog("cn_u1", n=1, a=1.0)
     with pytest.raises(NotRegularError):
+        check_regular_radius(sp, 0.2505)
+    with pytest.raises(NotRegularError):
         find_critical_points(sp, 0.2505)
+    check_regular_radius(sp, 0.2515)
+    values, _ = critical_values(find_critical_points(sp, 0.2515))
+    assert values == pytest.approx([0.0, 0.25], abs=1e-9)
     with pytest.raises(InputError):
         find_critical_points(sp, -1.0)
 
@@ -420,29 +429,6 @@ def test_seed_counts_are_pinned(name, expected):
     # any drift in the Sobol' seeds moves these counts
     comps = find_critical_points(catalog_from_string(name), 1.0)
     assert tuple(c.n_converged for c in comps) == expected
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"n_seeds": 40.5},
-        {"n_seeds": 0},
-        {"n_seeds": True},
-        {"seed": -1},
-        {"seed": 1.5},
-        {"cluster_radius": -1.0},
-        {"cluster_radius": 0.0},
-        {"cluster_radius": float("nan")},
-        {"cluster_radius": float("inf")},
-        {"max_representatives": 0},
-        {"max_representatives": 2.0},
-    ],
-    ids=repr,
-)
-def test_bad_search_arguments_are_refused(kwargs):
-    sp = catalog("cn_u1", n=1, a=1.0)
-    with pytest.raises(InputError, match=next(iter(kwargs))):
-        find_critical_points(sp, 1.0, **kwargs)
 
 
 def test_sobol_table_is_scipys():

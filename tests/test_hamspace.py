@@ -113,7 +113,7 @@ def test_moment_condition_c2_su2():
 
 
 def test_moment_condition_catches_corruption():
-    sp = with_corrupted_moment(catalog("cn_u1", n=1, a=1.0), 0.1)
+    sp = with_corrupted_moment(catalog("cn_u1", n=1, a=1.0))
     rep = check_moment_condition(sp, 200, seed=1)
     assert not rep["accepted"]
     assert rep["max_residual"] > 1e-3

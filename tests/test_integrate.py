@@ -28,6 +28,7 @@ from scipy.special import iv
 
 from seed_level import seed_build_surface
 from seed_path import radial_chunks, seed_basic_integrals, seed_integrand
+from symloc import integrate
 from symloc.analysis import DEFAULT_EPSILON_GRID, DEFAULT_T_GRID
 from symloc.fields import MatConst, add, const, coord, mul
 from symloc.forms import (
@@ -64,7 +65,6 @@ from symloc.integrate import (
     boundary_integral,
     boundary_surfaces,
     check_alpha,
-    integrand_phi_reduce,
     integrate_form_on_surface,
     integrate_over_Mr,
     known_critical_values,
@@ -192,7 +192,7 @@ def test_radial_moment_matches_the_family_formulas(name):
 def test_corrupted_moment_has_no_radial_geometry():
     # the leaked x_0 term breaks |mu| = |s - a| / 2: the corrupted space
     # must not be gridded, integrated or meshed with the clean geometry
-    sp = with_corrupted_moment(annulus(), 0.1)
+    sp = with_corrupted_moment(annulus())
     assert sp.radial is None
     assert known_critical_values(sp) is None
     with pytest.raises(InputError, match="radial moment norm"):
@@ -538,17 +538,17 @@ def test_integrand_point_values_single_plane():
     sp = annulus()
     eps = 0.05
     z = math.sqrt(2.0 * math.pi / eps)
-    vals = integrand_phi_reduce(sp, one_form(sp), 0.0, eps, [1.0, 0.0])
-    assert vals[()] == pytest.approx(z, rel=1e-13)
-    assert vals[(0, 1)] == pytest.approx(z, rel=1e-13)
+    vals = phi_reduced_integrand(sp, one_form(sp), 0.0, eps)(np.array([[1.0, 0.0]]))
+    assert vals[()][0] == pytest.approx(z, rel=1e-13)
+    assert vals[(0, 1)][0] == pytest.approx(z, rel=1e-13)
     # general point: damped by exp(-mu^2 / (2 eps))
-    pt = [1.2, 0.0]
+    pt = np.array([[1.2, 0.0]])
     mu = 0.5 * (1.44 - 1.0)
-    vals = integrand_phi_reduce(sp, one_form(sp), 0.0, eps, pt)
-    assert vals[()] == pytest.approx(z * math.exp(-mu**2 / (2 * eps)), rel=1e-13)
+    vals = phi_reduced_integrand(sp, one_form(sp), 0.0, eps)(pt)
+    assert vals[()][0] == pytest.approx(z * math.exp(-mu**2 / (2 * eps)), rel=1e-13)
     # alpha = <phi, e>: first-moment shift i mu / eps times the alpha = 1 value
-    vals_phi = integrand_phi_reduce(sp, pairing_alpha(sp, [1.0]), 0.0, eps, pt)
-    assert vals_phi[()] == pytest.approx(vals[()] * 1j * mu / eps, rel=1e-12)
+    vals_phi = phi_reduced_integrand(sp, pairing_alpha(sp, [1.0]), 0.0, eps)(pt)
+    assert vals_phi[()][0] == pytest.approx(vals[()][0] * 1j * mu / eps, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -654,20 +654,6 @@ def test_basic_integral_monotone_convergence():
     assert abs(tight.value - loose.value) <= max(loose.error, 1e-12)
 
 
-def test_basic_integral_deterministic_across_workers():
-    sp = two_planes()
-    runs = [
-        basic_integral(
-            BasicIntegralRequest(
-                space=sp, alpha=one_form(sp), r=0.16, epsilon=0.05,
-                quadrature=QuadratureScheme(workers=w),
-            )
-        )
-        for w in (1, 4, 1)
-    ]
-    assert runs[0].value == runs[1].value == runs[2].value
-
-
 # ---------------------------------------------------------------------------
 # torus collapse of the radial angles
 # ---------------------------------------------------------------------------
@@ -716,19 +702,6 @@ def test_non_invariant_integrand_keeps_angular_grid(coord_index, caplog):
         math.pi**2 * (1.8**3 - 0.2**3) / 12.0, abs=1e-12
     )
     assert "full angular grid" in caplog.text
-
-
-def test_full_grid_deterministic_across_workers():
-    # the full level-1 grid spans 5 chunks of the default size
-    sp = two_planes()
-    runs = [
-        integrate_over_Mr(
-            sp, x_squared_top_form(sp, 0), 0.16, QuadratureScheme(workers=w)
-        )
-        for w in (1, 4, 1)
-    ]
-    assert runs[0].n_nodes == 626_688
-    assert runs[0].value == runs[1].value == runs[2].value
 
 
 # ---------------------------------------------------------------------------
@@ -821,18 +794,6 @@ def test_batch_matches_one_request_at_a_time(name, kind, max_level):
     settled = [g for g in got if not isinstance(g, AccuracyError)]
     # one wall time for the whole batch
     assert len({g.wall_time for g in settled}) <= 1
-    # the blocks of a level run on worker threads with the same bits
-    threaded = basic_integral_batch(sp, alpha, points, QuadratureScheme(max_level=max_level,
-                                                                        workers=2))
-    assert [_bits(g) for g in threaded] == [_bits(g) for g in got]
-
-
-def _bits(res):
-    """Everything of a batch member but its wall time, floats as hex."""
-    if isinstance(res, AccuracyError):
-        return str(res)
-    return (res.value.real.hex(), res.value.imag.hex(), res.error.hex(), res.n_nodes,
-            res.level)
 
 
 def test_forced_failures_hit_some_members_only():
@@ -853,14 +814,13 @@ def _torus_breaking_alpha(space):
                                   mul(re, re))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_batch_members_beyond_one_chunk_run_alone(workers):
+def test_batch_members_beyond_one_chunk_run_alone(monkeypatch):
     # level 1 of the full angular grid is 16 chunks of 1024 nodes: those
     # members run chunk by chunk, the level-0 grids (one chunk) together
+    monkeypatch.setattr(integrate, "_CHUNK_NODES", 1024)
     sp = two_planes()
     alpha = _torus_breaking_alpha(sp)
-    scheme = QuadratureScheme(base_radial=4, base_angular=8, max_level=1, chunk=1024,
-                              rel_tol=1e-3, workers=workers)
+    scheme = QuadratureScheme(base_radial=4, base_angular=8, max_level=1, rel_tol=1e-3)
     points = [(0.16, 0.05, 0.0), (0.16, 0.1, 0.0), (0.36, 0.1, 1.0)]
     got = basic_integral_batch(sp, alpha, points, scheme)
     ref = seed_basic_integrals(sp, alpha, points, scheme)
@@ -870,18 +830,17 @@ def test_batch_members_beyond_one_chunk_run_alone(workers):
                for g in got)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_mixed_batch_of_chunked_and_small_members(workers):
+def test_mixed_batch_of_chunked_and_small_members(monkeypatch):
     # alpha = 1 + 3e-12 Re(z1 conj z2)^2 puts the torus probe's relative
     # residual near its 1e-12 bound: members whose support reaches large
     # radii keep the full angular grid, 4 chunks of 1024 nodes at level 0
     # and 64 at level 1, while the others collapse it and share one block
+    monkeypatch.setattr(integrate, "_CHUNK_NODES", 1024)
     sp = two_planes()
     re = add(mul(coord(0), coord(2)), mul(coord(1), coord(3)))
     alpha = EquivariantForm.scalar(sp.chart_id, sp.ambient_dim, sp.algebra.dim,
                                    add(const(1.0), mul(const(3e-12), mul(re, re))))
-    scheme = QuadratureScheme(base_radial=8, base_angular=8, max_level=2, chunk=1024,
-                              rel_tol=1e-3, workers=workers)
+    scheme = QuadratureScheme(base_radial=8, base_angular=8, max_level=2, rel_tol=1e-3)
     points = [(0.36, e, t) for t in (0.0, 1.0, 4.0, 16.0) for e in (0.05, 0.2)]
     got = basic_integral_batch(sp, alpha, points, scheme)
     ref = seed_basic_integrals(sp, alpha, points, scheme)
@@ -1051,8 +1010,6 @@ def test_radial_paths_refuse_three_planes():
         {"base_radial": 2.5},
         {"base_radial": 1},
         {"max_level": 2.0},
-        {"chunk": 512},
-        {"workers": 0},
     ],
     ids=repr,
 )
