@@ -950,9 +950,8 @@ def cartan_d_residual(
 
     For closed invariant alpha the Cartan image is closed (it represents a
     class on the reduced space), so this must vanish to finite-difference
-    accuracy.  InputError unless ``n_samples`` >= 1."""
-    if not n_samples >= 1:
-        raise InputError("n_samples must be at least 1")
+    accuracy.  InputError unless ``n_samples`` is an integer >= 1."""
+    _check_count("n_samples", n_samples, 1)
     h = _FD_STEP
     rng = np.random.default_rng(0)
     chart = level.chart

@@ -39,8 +39,13 @@ from symloc.hamspace import (
     catalog_from_string,
     catalog_names_for_validation,
 )
-from symloc.integrate import check_regular_radius
-from symloc.liealg import InputError, NonConvergenceError, NotRegularError
+from symloc.integrate import check_regular_radius, known_critical_values
+from symloc.liealg import (
+    REGULAR_MARGIN,
+    InputError,
+    NonConvergenceError,
+    NotRegularError,
+)
 
 
 def _residual_norms(space, pts):
@@ -125,6 +130,29 @@ def test_r_max_near_critical_value_rejected():
     assert values == pytest.approx([0.0, 0.25], abs=1e-9)
     with pytest.raises(InputError):
         find_critical_points(sp, -1.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "cn_u1(1,0.5)", "cn_u1(3,1)"]
+)
+def test_regular_margin_is_shared_above_the_critical_value(name):
+    # the search only sees components inside M_{r_max}, so it is compared
+    # with check_regular_radius on radii just above the positive value c
+    sp = catalog_from_string(name)
+    c = known_critical_values(sp)[-1]
+    with pytest.raises(NotRegularError):
+        check_regular_radius(sp, c + 0.5 * REGULAR_MARGIN)
+    with pytest.raises(NotRegularError):
+        find_critical_points(sp, c + 0.5 * REGULAR_MARGIN)
+    check_regular_radius(sp, c + 1.5 * REGULAR_MARGIN)
+    values, _ = critical_values(find_critical_points(sp, c + 1.5 * REGULAR_MARGIN))
+    assert values == pytest.approx([0.0, c], abs=1e-9)
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_r_max_is_refused(r_max):
+    with pytest.raises(InputError, match="r_max must be positive and finite"):
+        find_critical_points(catalog("cn_u1", n=1, a=1.0), r_max)
 
 
 def test_no_seeds_in_region_warns_and_returns_empty():

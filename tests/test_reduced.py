@@ -251,6 +251,12 @@ _BAD_LEVEL_OP_CALLS = {
     # n_samples = 0 raised ValueError
     "cartan_d_residual n_samples=0":
         lambda sp, lv: R.cartan_d_residual(_unit(sp), lv, n_samples=0),
+    # a float or bool n_samples raised TypeError from the sampler
+    **{
+        f"cartan_d_residual n_samples={v}":
+            lambda sp, lv, v=v: R.cartan_d_residual(_unit(sp), lv, n_samples=v)
+        for v in (1.5, True, -1)
+    },
 }
 
 
