@@ -168,13 +168,6 @@ class SweepResult:
     def n_points(self) -> int:
         return len(self.epsilon_grid)
 
-    def poly_at(self, eps) -> np.ndarray:
-        """Evaluate the fitted polynomial part (ascending powers)."""
-        if self.poly_coeffs is None:
-            raise InputError("sweep has no fitted polynomial")
-        e = np.asarray(eps, float)
-        return sum(c * e**k for k, c in enumerate(self.poly_coeffs))
-
     def to_csv(self) -> str:
         policy = self.provenance.get("t_policy", {})
         t_col = (
@@ -417,6 +410,13 @@ def _lstsq(x, vals):
     sol = (np.swapaxes(vt, -1, -2) @ coef[..., None])[..., 0]
     resid = vals - (xn @ sol[..., None])[..., 0]
     return sol / norms[..., 0, :], np.linalg.norm(resid, axis=-1)
+
+
+def _log_linear_fit(x, values) -> tuple:
+    """Least-squares (intercept, slope) of log(values) against x."""
+    design = np.column_stack([np.ones(x.size), x])
+    sol, *_ = np.linalg.lstsq(design, np.log(values), rcond=None)
+    return float(sol[0]), float(sol[1])
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -996,10 +996,7 @@ def contribution(
         beta = None
         if pair_lo > 0 and int(np.sum(live)) >= 3:
             x = t_arr[:-1][live] ** 2 * pair_lo**2 / (2.0 * float(e))
-            y = np.log(d[live])
-            design = np.column_stack([np.ones(x.size), -x])
-            sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-            beta = float(sol[1])
+            _, beta = _log_linear_fit(-x, d[live])
         betas.append(beta)
 
     ref = values[-1]
@@ -1119,15 +1116,11 @@ def damping_check(
                    "damping is too strong to measure on this grid",
         )
         return report
-    x = 1.0 / eps[live]
-    y = np.log(diffs[live])
-    design = np.column_stack([np.ones(x.size), x])
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope = float(sol[1])
+    intercept, slope = _log_linear_fit(1.0 / eps[live], diffs[live])
     report.update(
         inconclusive=False,
         slope=slope,
-        intercept=float(sol[0]),
+        intercept=intercept,
         rate=-slope,
         ok=bool(slope <= report["bound"]),
     )

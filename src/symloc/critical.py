@@ -98,61 +98,29 @@ class CriticalComponent:
 # ---------------------------------------------------------------------------
 
 
+def _eval_grid(grid, pts: np.ndarray) -> np.ndarray:
+    """The R x C nested sequence of Exprs ``grid`` at the (N, d) points,
+    as an (N, R, C) array, with one evaluation cache."""
+    cache: dict = {}
+    out = np.empty((len(pts), len(grid), len(grid[0])))
+    for r, row in enumerate(grid):
+        for c, expr in enumerate(row):
+            out[:, r, c] = column(expr, pts, cache)
+    return out
+
+
 def _vfield_and_jacobian(space: HamiltonianSpace):
     comps = space.v_mu_star_exprs()
     d = space.ambient_dim
     jac = [[comps[j].diff(i) for i in range(d)] for j in range(d)]
 
     def f_eval(pts):
-        cache: dict = {}
-        return np.stack([column(c, pts, cache) for c in comps], axis=1)
+        return _eval_grid((comps,), pts)[:, 0]
 
     def j_eval(pts):
-        cache: dict = {}
-        out = np.empty((len(pts), d, d))
-        for j in range(d):
-            for i in range(d):
-                out[:, j, i] = column(jac[j][i], pts, cache)
-        return out
+        return _eval_grid(jac, pts)
 
     return f_eval, j_eval
-
-
-def _action_matrix(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
-    """Columns V_{e_a}(p): the infinitesimal action at p."""
-    pts = p.reshape(1, -1)
-    cache: dict = {}
-    cols = []
-    for a in range(space.algebra.dim):
-        col = [float(column(c, pts, cache)[0]) for c in space.action.components[a]]
-        cols.append(col)
-    return np.array(cols).T  # (d, g)
-
-
-def _action_jacobians(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
-    """A_a[j, i] = d V_{e_a}^j / d x_i at p, for each generator a."""
-    d = space.ambient_dim
-    pts = p.reshape(1, -1)
-    cache: dict = {}
-    out = np.empty((space.algebra.dim, d, d))
-    for a in range(space.algebra.dim):
-        for j in range(d):
-            cj = space.action.components[a][j]
-            for i in range(d):
-                out[a, j, i] = float(column(cj.diff(i), pts, cache)[0])
-    return out
-
-
-def _moment_gradients(space: HamiltonianSpace, p: np.ndarray) -> np.ndarray:
-    """Rows grad mu_a at p, mu_a = <mu, e_a> the pairing components."""
-    d = space.ambient_dim
-    pts = p.reshape(1, -1)
-    cache: dict = {}
-    rows = np.empty((space.algebra.dim, d))
-    for a, expr in enumerate(space.mu_pairing_exprs()):
-        for i in range(d):
-            rows[a, i] = float(column(expr.diff(i), pts, cache)[0])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +529,11 @@ def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[Critical
 
     Raises InputError unless r_max is positive and finite, and when the
     chart has more than SOBOL_MAX_DIM = 32 coordinates.  Raises
-    NotRegularError when a located component sits within REGULAR_MARGIN
-    of r_max (r_max must be regular).  Returns [] with a warning when no
-    seed converges.  One DEBUG record on the "symloc.critical" logger
-    gives the Gauss-Newton iterations, the seeds that kept a multiplicity
-    step and their orders p."""
+    NotRegularError when a seed converges to a critical value within
+    REGULAR_MARGIN of r_max, below or above it (r_max must be regular).
+    Returns [] with a warning when no seed converges.  One DEBUG record
+    on the "symloc.critical" logger gives the Gauss-Newton iterations,
+    the seeds that kept a multiplicity step and their orders p."""
     if not 0 < r_max < math.inf:
         raise InputError("r_max must be positive and finite")
     starts = _sobol_seeds(space, r_max, 256 * space.ambient_dim, 0)
@@ -596,6 +564,15 @@ def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[Critical
 
     cache: dict = {}
     mu2 = column(space.mu_norm2_expr(), pts, cache)
+    # r_max must be regular on both sides: the margin is checked before the
+    # points above r_max leave
+    near = np.abs(mu2 - r_max) < REGULAR_MARGIN
+    if np.any(near):
+        value = float(np.min(mu2[near]))
+        raise NotRegularError(
+            f"critical value {value if value >= 1e-9 else 0.0:.6g} lies within "
+            f"{REGULAR_MARGIN:g} of r_max = {r_max:g}; choose a regular r_max"
+        )
     inside = mu2 <= r_max + 1e-9
     pts, f, mu2 = pts[inside], f[inside], mu2[inside]
     if len(pts) == 0:
@@ -647,12 +624,6 @@ def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[Critical
             )
 
     components.sort(key=lambda c: c.critical_value)
-    for c in components:
-        if abs(c.critical_value - r_max) < REGULAR_MARGIN:
-            raise NotRegularError(
-                f"critical value {c.critical_value:.6g} lies within "
-                f"{REGULAR_MARGIN:g} of r_max = {r_max:g}; choose a regular r_max"
-            )
     return components
 
 
@@ -761,21 +732,26 @@ def local_model_check(space: HamiltonianSpace, component: CriticalComponent) -> 
     pos_unc = _position_uncertainty(space, reps, f_eval, j_eval)
     rank_cut = max(1e-8, 50.0 * pos_unc)
 
-    S = _action_matrix(space, p0)                      # (d, g)
+    # the action, its Jacobians and d mu at p
+    g_rows = space.action.components
+    p_pt = p0.reshape(1, -1)
+    S = _eval_grid(g_rows, p_pt)[0].T                  # (d, g): columns V_{e_a}(p)
     h_basis = _orthonormal_null(S, g, rank_cut)        # (g, h_dim)
     h_dim = h_basis.shape[1]
     beta = np.asarray(component.beta_star, dtype=float)
     beta_in_h = float(np.linalg.norm(S @ beta))
 
     # symplectic slice: kernel of d mu, orthogonal to the orbit directions
-    dM = _moment_gradients(space, p0)                  # (g, d)
+    dM = _eval_grid([[m.diff(i) for i in range(d)]
+                     for m in space.mu_pairing_exprs()], p_pt)[0]  # (g, d)
     stack = np.vstack([dM, S.T])                       # null of both
     X = _orthonormal_null(stack, d, rank_cut)          # (d, slice_dim)
     slice_dim = X.shape[1]
 
-    A = _action_jacobians(space, p0)                   # (g, d, d)
+    A = _eval_grid([[cj.diff(i) for i in range(d)] for row in g_rows for cj in row],
+                   p_pt)[0].reshape(g, d, d)           # A[a, j, i] = d_i V_{e_a}^j
     A_h = np.einsum("ga,gjk->ajk", h_basis, A)         # (h_dim, d, d)
-    omega_p = space.omega_matrix.eval(p0.reshape(1, -1))[0]
+    omega_p = space.omega_matrix.eval(p_pt)[0]
 
     # does the h-action preserve the slice?
     proj = X @ X.T

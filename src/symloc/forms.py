@@ -117,15 +117,6 @@ class VectorFieldFamily(_Frozen):
             [np.broadcast_to(col, (pts.shape[0],)) for col in cols], axis=1
         )
 
-    def eval_phi(self, phi, pts: np.ndarray, cache=None) -> np.ndarray:
-        phi = np.asarray(phi)
-        out = np.zeros((pts.shape[0], self.ambient_dim), dtype=complex)
-        cache = {} if cache is None else cache
-        for a in range(self.gdim):
-            if phi[a] != 0:
-                out += phi[a] * self.eval(a, pts, cache)
-        return out
-
 
 class EquivariantForm(_Frozen):
     """Canonical term list: one entry per (form multi-index, phi monomial)."""
@@ -417,9 +408,17 @@ def invariance_residual(
         resid = lie_derivative(alpha, V.components[a]) + _phi_rotation(
             alpha, algebra, a
         )
-        cache: dict = {}
-        for phi in phis:
-            for vals in resid.eval_at_phi(pts, phi, cache).values():
-                if vals.size:
-                    worst = max(worst, float(np.max(np.abs(vals))))
+        worst = max(worst, _sampled_sup(resid, pts, phis))
+    return worst
+
+
+def _sampled_sup(form: EquivariantForm, pts: np.ndarray, phis, cache=None) -> float:
+    """max |coefficient| of ``form`` over the sample points and each phi
+    of ``phis`` (0.0 for the zero form)."""
+    cache = {} if cache is None else cache
+    worst = 0.0
+    for phi in phis:
+        for vals in form.eval_at_phi(pts, phi, cache).values():
+            if vals.size:
+                worst = max(worst, float(np.max(np.abs(vals))))
     return worst

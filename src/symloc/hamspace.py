@@ -61,6 +61,7 @@ from .fields import (
 from .forms import (
     EquivariantForm,
     VectorFieldFamily,
+    _sampled_sup,
     contract,
     exterior_d,
 )
@@ -293,12 +294,7 @@ def check_moment_condition(
     for _ in range(4):
         v = rng.standard_normal(g)
         phis.append(v / np.linalg.norm(v))
-    worst = 0.0
-    cache: dict = {}
-    for phi in phis:
-        for vals in residual.eval_at_phi(pts, phi, cache).values():
-            if vals.size:
-                worst = max(worst, float(np.max(np.abs(vals))))
+    worst = _sampled_sup(residual, pts, phis)
     return {
         "max_residual": worst,
         "n_samples": int(n_samples),
@@ -354,13 +350,10 @@ def validate_space(
     cache: dict = {}
     report: dict = {}
 
-    # closedness of omega
-    domega = exterior_d(space.omega)
-    worst = 0.0
-    for vals in domega.eval_terms(pts, cache).values():
-        if vals.size:
-            worst = max(worst, float(np.max(np.abs(vals))))
-    report["d_omega"] = worst
+    # closedness of omega (phi-independent: one phi sample)
+    report["d_omega"] = _sampled_sup(
+        exterior_d(space.omega), pts, [np.zeros(space.algebra.dim)], cache
+    )
 
     # matrix/form consistency
     om = np.asarray(space.omega_matrix.eval(pts, cache), dtype=float)

@@ -59,6 +59,7 @@ from .fields import _Frozen, add, column, const, mul
 from .forms import (
     EquivariantForm,
     _pullback,
+    _sampled_sup,
     equivariant_D,
     exp_form_part,
     exterior_d,
@@ -219,7 +220,6 @@ class BasicIntegralRequest:
     epsilon: float
     t: float = 0.0
     quadrature: QuadratureScheme = QuadratureScheme()
-    alpha_label: str = ""
 
     def __post_init__(self):
         _check_request(self.space, self.alpha, self.r, self.epsilon, self.t)
@@ -227,7 +227,7 @@ class BasicIntegralRequest:
     def to_json_dict(self) -> dict:
         return {
             "space": self.space.name,
-            "alpha": self.alpha_label or repr(self.alpha),
+            "alpha": repr(self.alpha),
             "r": self.r,
             "epsilon": self.epsilon,
             "t": self.t,
@@ -1488,13 +1488,7 @@ def check_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
     pts = sample_points(space, 40, 0)
     rng = np.random.default_rng(1)
     phis = rng.standard_normal((4, space.algebra.dim))
-    d_alpha = equivariant_D(alpha, space.action)
-    closed = 0.0
-    cache: dict = {}
-    for phi in phis:
-        for vals in d_alpha.eval_at_phi(pts, phi, cache).values():
-            if vals.size:
-                closed = max(closed, float(np.max(np.abs(vals))))
+    closed = _sampled_sup(equivariant_D(alpha, space.action), pts, phis)
     inv = invariance_residual(alpha, space.action, space.algebra, pts, phis)
     return {
         "d_residual": closed,
@@ -1529,8 +1523,10 @@ def basic_integral(
     (basic_integral_batch); raises its AccuracyError.
 
     ``validate`` runs the request invariants (regular r, closed and
-    invariant alpha); sweeps that hold alpha fixed can validate once and
-    pass False afterwards."""
+    invariant alpha) and records alpha's residuals in ``checks``; False
+    skips them for a request whose r and alpha were checked before.  The
+    sweeps do not come here: they check r and alpha once and call
+    basic_integral_batch."""
     t0 = time.perf_counter()
     space = req.space
     checks: dict = {}

@@ -275,13 +275,6 @@ class LieAlgebraSpec:
         xi = np.asarray(xi, dtype=float)
         return np.einsum("i,ijk->kj", xi, self.structure_constants)
 
-    def ad_coefficient_matrices(self) -> dict:
-        """Per-coordinate matrices B_a with ad_theta = sum_a theta_a B_a."""
-        return {
-            a: np.einsum("jk->kj", self.structure_constants[a]).copy()
-            for a in range(self.dim)
-        }
-
     def norm2(self, xi) -> float:
         xi = np.asarray(xi)
         return float(np.real(xi @ self.inner_product @ xi))

@@ -127,13 +127,13 @@ def _contract_parts(parts: dict, vec: np.ndarray) -> dict:
     return out
 
 
-def _matrix_to_parts(mat: np.ndarray) -> dict:
-    """Antisymmetric (N, k, k) matrix -> two-form dict."""
+def _matrix_to_parts(mat: np.ndarray, dtype=complex) -> dict:
+    """Antisymmetric (N, k, k) matrix -> two-form dict of ``dtype`` columns."""
     k = mat.shape[-1]
     out = {}
     for i in range(k):
         for j in range(i + 1, k):
-            col = np.ascontiguousarray(mat[:, i, j]).astype(complex)
+            col = np.ascontiguousarray(mat[:, i, j]).astype(dtype, copy=False)
             if np.any(col):
                 out[(i, j)] = col
     return out
@@ -141,6 +141,41 @@ def _matrix_to_parts(mat: np.ndarray) -> dict:
 
 def _max_abs(parts: dict) -> float:
     return max((float(np.max(np.abs(v))) for v in parts.values()), default=0.0)
+
+
+def _vertical_volume(conn: np.ndarray) -> dict:
+    """The vertical volume form A^1 ^ ... ^ A^d as a pointwise form, from
+    the (N, dim g, param_dim) connection in parameter coordinates."""
+    parts = {(): np.ones(len(conn), dtype=conn.dtype)}
+    for a in range(conn.shape[1]):
+        parts = _wedge(parts, {(j,): conn[:, a, j] for j in range(conn.shape[2])})
+    return parts
+
+
+def _fiber_integral(parts: dict, vert: dict, weights: np.ndarray, dim: int):
+    """The integral of parts ^ vert over the level: its top coefficient in
+    the ``dim`` parameter coordinates summed against the mesh ``weights``
+    (0.0 when parts ^ vert has no top part)."""
+    return np.sum(weights * _wedge(parts, vert).get(tuple(range(dim)), 0.0))
+
+
+def _fd_exterior_d(plus: list, minus: list, h: float) -> dict:
+    """d of a pointwise form by central differences: ``plus[j]`` and
+    ``minus[j]`` are the form at u + h e_j and u - h e_j, and
+    d beta = sum_j dx_j ^ (beta(u + h e_j) - beta(u - h e_j)) / 2h."""
+    keys: set = set()
+    for p in plus + minus:
+        keys |= set(p.keys())
+    d_acc: dict = {}
+    for idx in keys:
+        for j in range(len(plus)):
+            merged, sign = _merge_sign((j,), idx)
+            if merged is None:
+                continue
+            deriv = (plus[j].get(idx, 0.0) - minus[j].get(idx, 0.0)) / (2.0 * h)
+            term = sign * deriv
+            d_acc[merged] = d_acc[merged] + term if merged in d_acc else term
+    return d_acc
 
 
 class LevelForm(_Frozen):
@@ -536,17 +571,6 @@ class ZeroLevelData(_Frozen):
     def horizontal_dim(self) -> int:
         return self.chart.param_dim - self.space.algebra.dim
 
-    def vertical_volume_parts(self) -> dict:
-        """The vertical volume form A^1 ^ ... ^ A^d as a pointwise form."""
-        parts = {(): np.ones(self.n_nodes, dtype=complex)}
-        for a in range(self.space.algebra.dim):
-            one_form = {
-                (j,): self.connection_param[:, a, j].astype(complex)
-                for j in range(self.param_dim)
-            }
-            parts = _wedge(parts, one_form)
-        return parts
-
     def omega_parts(self) -> dict:
         return _matrix_to_parts(self.omega_param)
 
@@ -709,13 +733,10 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
 
     # orientation: fix the sign making the reduced Liouville volume positive
     dim = chart.param_dim
-    omega_parts = {
-        (i, j): data["omega_u"][i, j] for i in range(dim) for j in range(i + 1, dim)
-    }
-    vert_parts = {(j,): data["a_u"][j] for j in range(dim)}
-    liouville = _wedge(_exp_parts(omega_parts, dim, len(nodes)), vert_parts)
-    top = tuple(range(dim))
-    raw = float(np.sum(chart.param_weights * liouville.get(top, 0.0)))
+    raw = float(_fiber_integral(
+        _exp_parts(_matrix_to_parts(pulled["omega_u"], float), dim, len(nodes)),
+        _vertical_volume(pulled["a_u"]), chart.param_weights, dim,
+    ))
     if abs(raw) < 1e-12:
         raise AccuracyError("could not orient the level set: Liouville ~ 0")
     orient = 1.0 if raw > 0 else -1.0
@@ -797,9 +818,6 @@ class CurvatureData(_Frozen):
             self, "invariance_residual", float(invariance_residual)
         )
 
-    def component_parts(self, a: int) -> dict:
-        return _matrix_to_parts(self.values_param[:, a])
-
 
 def curvature(level: ZeroLevelData) -> CurvatureData:
     """The g-valued curvature two-form of the metric connection.
@@ -811,16 +829,31 @@ def curvature(level: ZeroLevelData) -> CurvatureData:
     f_param = level.f_param
     f_amb = level.f_ambient
     scale = max(1.0, float(np.max(np.abs(f_amb))))
-    # contraction with the vertical generators, in parameter coordinates
-    contr = np.einsum("nakl,nbk->nabl", f_param, level.vertical_param)
-    horiz = float(np.max(np.abs(contr))) / scale if contr.size else 0.0
-    inv = _grid_roll_residual(level, f_param)
+    horiz, inv = np.max([
+        _basic_residuals(level, _matrix_to_parts(f_param[:, a]))
+        for a in range(level.space.algebra.dim)
+    ], axis=0)
     return CurvatureData(
         values_param=f_param,
         values_ambient=f_amb,
-        horizontality_residual=horiz,
+        horizontality_residual=horiz / scale,
         invariance_residual=inv,
     )
+
+
+def _basic_residuals(level: ZeroLevelData, parts: dict) -> tuple:
+    """(max contraction of the pointwise form ``parts`` with the vertical
+    generator fields, max grid-step invariance residual of its
+    coefficients), unnormalized."""
+    contr = max(
+        _max_abs(_contract_parts(parts, level.vertical_param[:, a]))
+        for a in range(level.space.algebra.dim)
+    )
+    inv = max(
+        (_grid_roll_residual(level, coeff[:, None]) for coeff in parts.values()),
+        default=0.0,
+    )
+    return contr, inv
 
 
 def _grid_roll_residual(level: ZeroLevelData, values: np.ndarray) -> float:
@@ -845,17 +878,13 @@ def chern_numbers(level: ZeroLevelData) -> np.ndarray:
             "Chern numbers are defined for a two-dimensional reduced space"
         )
     vol_g = level.space.algebra.group_volume
-    vert = level.vertical_volume_parts()
-    top = tuple(range(level.param_dim))
+    vert = _vertical_volume(level.connection_param)
     out = []
     for a in range(level.space.algebra.dim):
-        f_parts = _matrix_to_parts(level.f_param[:, a])
-        integrand = _wedge(f_parts, vert).get(top)
-        raw = (
-            complex(np.sum(level.param_weights * integrand))
-            if integrand is not None
-            else 0.0
-        )
+        raw = complex(_fiber_integral(
+            _matrix_to_parts(level.f_param[:, a]), vert,
+            level.param_weights, level.param_dim,
+        ))
         pushed = level.orient_sign * raw / vol_g
         out.append(-pushed / (2.0 * math.pi))
     arr = np.asarray(out, dtype=complex)
@@ -929,13 +958,7 @@ def basic_residual(level: ZeroLevelData, form: LevelForm) -> dict:
     """How far a level form is from being basic: max contraction against
     the generator fields, and the exact grid-step invariance residual."""
     scale = max(1.0, form.max_abs())
-    contr = 0.0
-    for a in range(level.space.algebra.dim):
-        c = _contract_parts(form.parts, level.vertical_param[:, a])
-        contr = max(contr, _max_abs(c))
-    inv = 0.0
-    for idx, coeff in form.parts.items():
-        inv = max(inv, _grid_roll_residual(level, coeff[:, None]))
+    contr, inv = _basic_residuals(level, form.parts)
     return {
         "contraction_residual": contr / scale,
         "invariance_residual": inv / scale,
@@ -976,25 +999,7 @@ def cartan_d_residual(
         for u, out in ((u0 + shift, plus), (u0 - shift, minus)):
             out.append(_kappa_parts(space, alpha, _chart_conn_at(space, chart, u)))
     scale = max(1.0, max((_max_abs(p) for p in plus), default=1.0))
-    keys: set = set()
-    for p in plus + minus:
-        keys |= set(p.keys())
-    d_acc: dict = {}
-    zero = np.zeros(n_samples, dtype=complex)
-    for idx in keys:
-        for j in range(k_dim):
-            merged, sign = _merge_sign((j,), idx)
-            if merged is None:
-                continue
-            deriv = (plus[j].get(idx, zero) - minus[j].get(idx, zero)) / (
-                2.0 * h
-            )
-            term = sign * deriv
-            d_acc[merged] = d_acc[merged] + term if merged in d_acc else term
-    residual = max(
-        (float(np.max(np.abs(v))) for v in d_acc.values()), default=0.0
-    )
-    return residual / scale
+    return _max_abs(_fd_exterior_d(plus, minus, h)) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +1058,7 @@ def kirwan_integral(
     kappa = _kappa_parts(space, alpha, level._pulled_back())
     omega_parts = level.omega_parts()
     exp_omega = _exp_parts(omega_parts, level.param_dim, level.n_nodes)
-    vert = level.vertical_volume_parts()
+    vert = _vertical_volume(level.connection_param)
     gdim = space.algebra.dim
     # <F ^ F>_g with the algebra inner product
     q_mat = space.algebra.inner_product
@@ -1068,7 +1073,6 @@ def kirwan_integral(
             s_parts = _add_parts(
                 s_parts, _scale_parts(_wedge(f_parts[a], f_parts[b]), q_mat[a, b])
             )
-    top = tuple(range(level.param_dim))
     max_k = max(0, level.horizontal_dim // 4)
     vol_g = space.algebra.group_volume
     push = level.orient_sign / vol_g
@@ -1077,12 +1081,9 @@ def kirwan_integral(
     s_power = {(): np.ones(level.n_nodes, dtype=complex)}
     factor = 1.0
     for k in range(max_k + 1):
-        integrand = _wedge(_wedge(base, s_power), vert).get(top)
-        raw = (
-            complex(np.sum(level.param_weights * integrand))
-            if integrand is not None
-            else 0.0 + 0.0j
-        )
+        raw = complex(_fiber_integral(
+            _wedge(base, s_power), vert, level.param_weights, level.param_dim
+        ))
         coeffs.append(push * factor * raw)
         if k < max_k:
             s_power = _wedge(s_power, s_parts)
@@ -1189,45 +1190,32 @@ def normal_form_check(space: HamiltonianSpace, level: ZeroLevelData) -> dict:
     )
 
     # closedness via central differences at a smaller sample
-    n_fd = 48
-    fd_idx = rng.integers(0, n_nodes, size=n_fd)
+    fd_idx = rng.integers(0, n_nodes, size=48)
     u0 = level.param_nodes[fd_idx]
-    h = _FD_STEP
     base = _chart_conn_at(space, level.chart, u0)
-    d_omega = np.zeros((n_fd, k_dim, k_dim, k_dim))
-    d_da = np.zeros((n_fd, gdim, k_dim, k_dim, k_dim))
-    d_a = np.zeros((n_fd, gdim, k_dim, k_dim))
+    up, dn = [], []
     for j in range(k_dim):
         shift = np.zeros(k_dim)
-        shift[j] = h
-        up = _chart_conn_at(space, level.chart, u0 + shift)
-        dn = _chart_conn_at(space, level.chart, u0 - shift)
-        d_omega[:, j] = (up["omega_u"] - dn["omega_u"]) / (2 * h)
-        d_da[:, :, j] = (up["da_u"] - dn["da_u"]) / (2 * h)
-        d_a[:, :, j] = (up["a_u"] - dn["a_u"]) / (2 * h)
-    # (d beta)_{jkl} = cyclic sum of partial_j beta_{kl}
-    def _three_form_residual(partials):
-        res = 0.0
-        for j in range(k_dim):
-            for k in range(j + 1, k_dim):
-                for l in range(k + 1, k_dim):
-                    val = (
-                        partials[:, j, k, l]
-                        + partials[:, k, l, j]
-                        + partials[:, l, j, k]
-                    )
-                    res = max(res, float(np.max(np.abs(val))))
-        return res
+        shift[j] = _FD_STEP
+        up.append(_chart_conn_at(space, level.chart, u0 + shift))
+        dn.append(_chart_conn_at(space, level.chart, u0 - shift))
 
-    closed_res = _three_form_residual(d_omega)
+    def fd_d(parts_of):
+        return _fd_exterior_d(
+            [parts_of(c) for c in up], [parts_of(c) for c in dn], _FD_STEP
+        )
+
+    closed_res = _max_abs(fd_d(lambda c: _matrix_to_parts(c["omega_u"], float)))
     for a in range(gdim):
         closed_res = max(
-            closed_res, _three_form_residual(d_da[:, a])
+            closed_res, _max_abs(fd_d(lambda c: _matrix_to_parts(c["da_u"][:, a], float)))
         )
         # pullback commutes with d: dA_u must equal d_u(A_u)
-        exact = base["da_u"][:, a]
-        fd_da = d_a[:, a] - np.einsum("nkj->njk", d_a[:, a])
-        closed_res = max(closed_res, float(np.max(np.abs(exact - fd_da))))
+        fd_da = fd_d(lambda c: {(k,): c["a_u"][:, a, k] for k in range(k_dim)})
+        exact = _matrix_to_parts(base["da_u"][:, a], float)
+        closed_res = max(
+            closed_res, _max_abs(_add_parts(exact, _scale_parts(fd_da, -1.0)))
+        )
 
     # outward scan for the largest nondegenerate radius
     scan_nodes = rng.integers(0, n_nodes, size=48)

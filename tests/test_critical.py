@@ -133,17 +133,20 @@ def test_r_max_near_critical_value_rejected():
 
 
 @pytest.mark.parametrize(
-    "name", ["cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "cn_u1(1,0.5)", "cn_u1(3,1)"]
+    "name",
+    ["cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "cn_u1(1,0.5)", "cn_u1(3,1)"],
 )
-def test_regular_margin_is_shared_above_the_critical_value(name):
-    # the search only sees components inside M_{r_max}, so it is compared
-    # with check_regular_radius on radii just above the positive value c
+def test_regular_margin_is_shared_around_the_critical_value(name):
+    # the search and check_regular_radius share REGULAR_MARGIN on both sides
+    # of the positive value c: below it the seeds that reach c lie outside
+    # M_{r_max}, and the search still refuses r_max
     sp = catalog_from_string(name)
     c = known_critical_values(sp)[-1]
-    with pytest.raises(NotRegularError):
-        check_regular_radius(sp, c + 0.5 * REGULAR_MARGIN)
-    with pytest.raises(NotRegularError):
-        find_critical_points(sp, c + 0.5 * REGULAR_MARGIN)
+    for r_max in (c - 0.5 * REGULAR_MARGIN, c + 0.5 * REGULAR_MARGIN):
+        with pytest.raises(NotRegularError):
+            check_regular_radius(sp, r_max)
+        with pytest.raises(NotRegularError, match=f"critical value {c:g} lies within"):
+            find_critical_points(sp, r_max)
     check_regular_radius(sp, c + 1.5 * REGULAR_MARGIN)
     values, _ = critical_values(find_critical_points(sp, c + 1.5 * REGULAR_MARGIN))
     assert values == pytest.approx([0.0, c], abs=1e-9)

@@ -1088,8 +1088,7 @@ def test_phi_degree_cap_enforced():
 
 def test_request_and_result_serialize():
     sp = annulus()
-    req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16,
-                               epsilon=0.05, alpha_label="1")
+    req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16, epsilon=0.05)
     blob = json.dumps(req.to_json_dict(), sort_keys=True)
     assert "cn_u1(1,1)" in blob
     res = basic_integral(req)

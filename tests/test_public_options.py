@@ -24,6 +24,7 @@ def _load_script():
 
 
 _REMOVED = [
+    (integrate.BasicIntegralRequest, "alpha_label"),
     (integrate.QuadratureScheme, "workers"),
     (integrate.QuadratureScheme, "chunk"),
     (integrate.check_regular_radius, "margin"),

@@ -183,6 +183,64 @@ def test_cartan_closedness_descends(sphere):
     assert R.cartan_d_residual(_phi_linear(sp), lv) < 1e-8
 
 
+def _fd_parts(form, u):
+    """The pointwise form ``form(u)`` at u + h e_j and u - h e_j for each
+    axis j, h the step of cartan_d_residual and normal_form_check."""
+    plus, minus = [], []
+    for j in range(u.shape[1]):
+        shift = np.zeros(u.shape[1])
+        shift[j] = R._FD_STEP
+        plus.append(form(u + shift))
+        minus.append(form(u - shift))
+    return plus, minus
+
+
+@pytest.mark.parametrize(
+    "form, exact",
+    [
+        # u0 du1 -> du0 ^ du1
+        (lambda u: {(1,): u[:, 0]}, lambda u: {(0, 1): np.ones(len(u))}),
+        # sin(u0) u2 du1 -> cos(u0) u2 du0 ^ du1 - sin(u0) du1 ^ du2
+        (
+            lambda u: {(1,): np.sin(u[:, 0]) * u[:, 2]},
+            lambda u: {(0, 1): np.cos(u[:, 0]) * u[:, 2], (1, 2): -np.sin(u[:, 0])},
+        ),
+        # u1 du0 ^ du2 -> du1 ^ du0 ^ du2 = -du0 ^ du1 ^ du2
+        (lambda u: {(0, 2): u[:, 1]}, lambda u: {(0, 1, 2): -np.ones(len(u))}),
+        # d(u0 u1 u2) is closed
+        (
+            lambda u: {(0,): u[:, 1] * u[:, 2], (1,): u[:, 0] * u[:, 2], (2,): u[:, 0] * u[:, 1]},
+            lambda u: {},
+        ),
+    ],
+    ids=["u0 du1", "sin(u0) u2 du1", "u1 du0^du2", "closed"],
+)
+def test_fd_exterior_d_returns_d_of_a_form(form, exact):
+    # negative control for the d that cartan_d_residual and the closedness
+    # part of normal_form_check share: on the 3-parameter chart it returns d
+    # to finite-difference accuracy, nonzero where the form is not closed
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50, 3))
+    got = R._fd_exterior_d(*_fd_parts(form, u), R._FD_STEP)
+    want = exact(u)
+    for idx in set(got) | set(want):
+        err = got.get(idx, 0.0) - want.get(idx, 0.0)
+        assert np.max(np.abs(err)) < 1e-9, idx
+    assert bool(want) == (R._max_abs(got) > 0.5)
+
+
+def test_cartan_d_residual_detects_a_form_that_is_not_closed(sphere):
+    # x0 dx1 - x1 dx0 is invariant under the diagonal circle but not closed,
+    # and neither is its Cartan image; omega is closed
+    sp, lv = sphere
+    x0, x1 = coord(0), coord(1)
+    angular = EquivariantForm(
+        sp.chart_id, 4, 1,
+        [((1,), x0, (0,)), ((0,), mul(const(-1.0), x1), (0,))],
+    )
+    assert R.cartan_d_residual(angular, lv, n_samples=16) > 0.1
+    assert R.cartan_d_residual(sp.omega, lv, n_samples=16) < 1e-8
+
+
 def test_cartan_rejects_non_invariant(sphere):
     sp, lv = sphere
     dx = EquivariantForm.dx(sp.chart_id, 4, 1, 0)
