@@ -4,9 +4,12 @@ Record (one JSON object on stdout) with the tree under test on the path:
 
     PYTHONPATH=<tree>/src python scripts/check_reports.py
 
-On cn_u1(1,1), cn_u1(2,1), weighted_cn_u1(2,(1,2),1) and c2_su2 it runs
-each public check op once and keeps every field of its report, or the
-error it raised (type and message):
+On cn_u1(1,1), cn_u1(2,1), weighted_cn_u1(2,(1,2),1) and c2_su2 it keeps
+the space's definition: the repr of every Expr of omega, the action and
+mu*, omega_matrix and the metric at the origin, the radial descriptor, the
+sample box, and the action sampler's image of 8 fixed points at a fixed
+xi.  Then it runs each public check op once and keeps every field of its
+report, or the error it raised (type and message):
 
     check_alpha, invariance_residual, check_moment_condition,
     validate_space, find_critical_points + local_model_check (and the
@@ -28,6 +31,7 @@ The comparison only reports; it exits 0 either way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -93,6 +97,25 @@ def _alphas(space):
     return alphas
 
 
+def _definition(space) -> dict:
+    from symloc.hamspace import sample_points
+
+    origin = np.zeros((1, space.ambient_dim))
+    xi = np.linspace(-0.61, 0.37, space.algebra.dim)
+    image, jac = space.action_sampler(xi, sample_points(space, 8, 2))
+    return {
+        "omega": {f"{fmi} {nu}": repr(c)
+                  for (fmi, nu), c in sorted(space.omega.indexed_terms.items())},
+        "action": [[repr(c) for c in row] for row in space.action.components],
+        "moment_star": [repr(m) for m in space.moment_star],
+        "omega_matrix": space.omega_matrix.eval(origin)[0],
+        "metric": space.metric.eval(origin)[0],
+        "radial": dataclasses.asdict(space.radial) if space.radial else None,
+        "sample_box": space.sample_box,
+        "sampler": {"image": image, "jacobian": jac[0]},
+    }
+
+
 def record_space(name: str) -> dict:
     from symloc import analysis, critical, hamspace, integrate, reduced
     from symloc.forms import invariance_residual
@@ -101,6 +124,7 @@ def record_space(name: str) -> dict:
     space = hamspace.catalog_from_string(name)
     alphas = _alphas(space)
     out: dict = {}
+    _run(out, "definition", lambda: _definition(space))
     pts = hamspace.sample_points(space, 40, 0)
     phis = np.random.default_rng(1).standard_normal((4, space.algebra.dim))
     for label, alpha in alphas.items():

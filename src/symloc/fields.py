@@ -803,17 +803,17 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def _batched_expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of the (N, k, k) stack a, by scaling and
-    squaring (Higham 2005).  The whole stack takes the lowest Pade degree
-    its largest 1-norm allows (a higher degree than a matrix needs is no
-    less accurate), or degree 13, each matrix scaled by 2^-s into its
-    range and squared s times.  A matrix with a non-finite entry gives
-    nan."""
+    """exp of each matrix of the (..., k, k) stack a (one matrix when a
+    is (k, k)), by scaling and squaring (Higham 2005).  The whole stack
+    takes the lowest Pade degree its largest 1-norm allows (a higher
+    degree than a matrix needs is no less accurate), or degree 13, each
+    matrix scaled by 2^-s into its range and squared s times.  A matrix
+    with a non-finite entry gives nan."""
     a = np.asarray(a, dtype=float)
-    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    norm = np.asarray(np.max(np.sum(np.abs(a), axis=-2), axis=-1))
     bad = ~np.isfinite(norm)
     if bad.any():
-        a = np.where(bad[:, None, None], 0.0, a)
+        a = np.where(bad[..., None, None], 0.0, a)
         norm[bad] = 0.0
     top = norm.max(initial=0.0)
     m = next((m for m, theta in _PADE_THETA if top <= theta), 13)
@@ -821,9 +821,9 @@ def _batched_expm(a: np.ndarray) -> np.ndarray:
         out = _pade(a, m)
     else:
         s = np.ceil(np.log2(np.maximum(norm / _PADE_THETA_13, 1.0)))
-        out = _pade(a * np.exp2(-s)[:, None, None], 13)
+        out = _pade(a * np.exp2(-s)[..., None, None], 13)
         for j in range(int(s.max())):
-            sq = np.flatnonzero(s > j)
+            sq = s > j
             out[sq] = out[sq] @ out[sq]
     out[bad] = np.nan
     return out

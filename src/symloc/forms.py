@@ -109,14 +109,6 @@ class VectorFieldFamily(_Frozen):
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "gdim", len(comps))
 
-    def eval(self, a: int, pts: np.ndarray, cache=None) -> np.ndarray:
-        """Components of V_{e_a} at pts, shape (n_pts, ambient_dim)."""
-        cache = {} if cache is None else cache
-        cols = [c.eval(pts, cache) for c in self.components[a]]
-        return np.stack(
-            [np.broadcast_to(col, (pts.shape[0],)) for col in cols], axis=1
-        )
-
 
 class EquivariantForm(_Frozen):
     """Canonical term list: one entry per (form multi-index, phi monomial)."""

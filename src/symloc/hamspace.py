@@ -11,10 +11,18 @@ points, closedness and nondegeneracy of omega, the moment condition
 
 and metric compatibility via J = -Omega^{-1} g with J^2 = -1.
 
-Sign conventions, fixed here and used consistently everywhere:
-U(1)-type rotations are counterclockwise in each (x_j, y_j) plane with
-integer weights, and mu* = (sum_j w_j |z_j|^2 - a)/2, which satisfies
-the moment condition above for omega = sum_j dx_j ^ dy_j.  Critical
+Sign conventions, fixed here and used consistently everywhere: every
+non-model catalog space is a linear action on C^n = R^{2n} with
+omega = sum_j dx_j ^ dy_j and the flat metric, built from its real
+generator matrices X_a (``_linear_space``).  Its moment map is the
+quadratic form with
+
+    d mu*_a = -iota_{X_a x} omega,   i.e.  mu*_a = 1/2 x^T S_a x + level_a,
+    S_a = -X_a^T Omega,
+
+with the algebra inner product Q = I, so mu* is the moment pairing
+itself.  U(1)-type rotations are counterclockwise in each (x_j, y_j)
+plane with integer weights, so mu* = (sum_j w_j |z_j|^2 - a)/2.  Critical
 values of |mu*|^2 for these spaces are {0, a^2/4} and all derived
 constants follow from this normalization.
 
@@ -31,6 +39,8 @@ adjoint on k, module action on X).
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,6 +59,7 @@ from .fields import (
     MatrixField,
     Sqrtm,
     _Frozen,
+    _batched_expm,
     add,
     as_expr,
     column,
@@ -416,90 +427,113 @@ def with_corrupted_moment(space: HamiltonianSpace):
 
 
 # ---------------------------------------------------------------------------
-# flat U(1)/torus-type and SU(2) catalog spaces
+# linear catalog spaces
 # ---------------------------------------------------------------------------
 
 
-def _flat_omega_matrix(n: int) -> np.ndarray:
-    om = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        om[2 * j, 2 * j + 1] = 1.0
-        om[2 * j + 1, 2 * j] = -1.0
-    return om
+def _realify(h) -> np.ndarray:
+    """Real matrix of z -> h z on (x_1, y_1, ..., x_n, y_n), z_j = x_j + i y_j."""
+    h = np.asarray(h, dtype=complex)
+    out = np.zeros((2 * len(h), 2 * len(h)))
+    out[0::2, 0::2] = out[1::2, 1::2] = h.real
+    out[0::2, 1::2] = -h.imag
+    out[1::2, 0::2] = h.imag
+    return out
 
 
-def _weighted_cn_space(n: int, weights, a: float, name: str) -> HamiltonianSpace:
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if a <= 0:
-        raise InputError("the moment level shift a must be positive")
-    weights = tuple(int(w) for w in weights)
-    if len(weights) != n or any(w == 0 for w in weights):
-        raise InputError("weights must be n nonzero integers")
-    radial = RadialMoment.of_weights(weights, a)
-    algebra = builtin_algebra("u1")
-    chart = name
-    dim = 2 * n
-    gdim = 1
-    # omega = sum dx_j ^ dy_j
-    omega = EquivariantForm(
-        chart,
-        dim,
-        gdim,
-        [((2 * j, 2 * j + 1), 1.0, PhiPolynomial.constant(gdim)) for j in range(n)],
-    )
-    # counterclockwise rotation with weight w_j in each plane
-    comps = []
-    for j in range(n):
-        comps.extend(
-            [mul(const(-float(weights[j])), coord(2 * j + 1)),
-             mul(const(float(weights[j])), coord(2 * j))]
-        )
-    action = VectorFieldFamily(chart, [comps])
-    # mu* = (sum w_j |z_j|^2 - a)/2
-    mu = add(
-        *[
-            mul(const(weights[j] / 2.0), coord(c), coord(c))
-            for j in range(n)
-            for c in (2 * j, 2 * j + 1)
-        ],
-        const(-a / 2.0),
-    )
-    box_half = np.repeat(
-        [math.sqrt(max(2.0 * a, 2.0) / abs(w)) for w in weights], 2
-    )
-    sample_box = np.stack([-box_half, box_half], axis=1)
+def _linear_space(
+    name: str, algebra: LieAlgebraSpec, generators, level, radial, sample_box
+) -> HamiltonianSpace:
+    """The linear action x -> exp(sum_a xi_a X_a) x on C^n = R^{2n} with
+    omega = sum_j dx_j ^ dy_j and the flat metric, built from the real
+    generator matrices X_a alone: V_a = X_a x and
+
+        mu*_a = 1/2 x^T S_a x + level_a,   S_a = -X_a^T Omega,
+
+    so that d mu*_a = -iota_{X_a x} omega.  InputError unless every X_a
+    preserves omega (X^T Omega + Omega X = 0), the X_a represent the
+    algebra ([X_a, X_b] = sum_c c_ab^c X_c) and its inner product is the
+    identity (then mu* is the pairing)."""
+    xs = [np.asarray(x, dtype=float) for x in generators]
+    gdim, dim = algebra.dim, len(xs[0])
+    om = np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    if len(xs) != gdim or len(level) != gdim:
+        raise InputError(f"{name}: one generator and one level per basis element")
+    if not np.array_equal(algebra.inner_product, np.eye(gdim)):
+        raise InputError(f"{name}: the algebra inner product must be the identity")
+    for x in xs:
+        if x.shape != om.shape or np.max(np.abs(x.T @ om + om @ x)) > 1e-12:
+            raise InputError(f"{name}: a generator does not preserve omega")
+    for a in range(gdim):
+        for b in range(gdim):
+            rep = np.tensordot(algebra.structure_constants[a, b], xs, axes=1)
+            if np.max(np.abs(xs[a] @ xs[b] - xs[b] @ xs[a] - rep)) > 1e-12:
+                raise InputError(f"{name}: the generators do not represent {algebra.name}")
+    omega = EquivariantForm(name, dim, gdim, [
+        ((i, j), float(om[i, j]), PhiPolynomial.constant(gdim))
+        for i in range(dim) for j in range(i + 1, dim) if om[i, j] != 0
+    ])
+    # one node per coordinate, so that a sweep evaluates each column once
+    cs = [coord(i) for i in range(dim)]
+    action = VectorFieldFamily(name, [
+        [add(*[mul(const(float(x[r, c])), cs[c]) for c in range(dim) if x[r, c] != 0])
+         for r in range(dim)]
+        for x in xs
+    ])
+    moment = []
+    for x, lv in zip(xs, level):
+        s = -x.T @ om
+        moment.append(add(*[
+            mul(const(float(s[i, j]) * (0.5 if i == j else 1.0)), cs[i], cs[j])
+            for i in range(dim) for j in range(i, dim) if s[i, j] != 0
+        ], const(lv)))
+
+    flat = np.reshape(xs, (gdim, dim * dim))
 
     def action_sampler(xi, pts):
-        t = float(np.asarray(xi).reshape(()))
-        jac = np.zeros((dim, dim))
-        # rotate plane by plane: an (N, dim) x (dim, dim) gemm is too thin
-        # for threaded BLAS, which takes ~100x longer in some processes
-        new_pts = np.empty_like(pts, dtype=float)
-        for j in range(n):
-            cth, sth = math.cos(weights[j] * t), math.sin(weights[j] * t)
-            jac[2 * j, 2 * j] = cth
-            jac[2 * j, 2 * j + 1] = -sth
-            jac[2 * j + 1, 2 * j] = sth
-            jac[2 * j + 1, 2 * j + 1] = cth
-            x, y = pts[:, 2 * j], pts[:, 2 * j + 1]
-            new_pts[:, 2 * j] = cth * x - sth * y
-            new_pts[:, 2 * j + 1] = sth * x + cth * y
-        return new_pts, np.broadcast_to(jac, (pts.shape[0], dim, dim))
+        xi = np.asarray(xi, dtype=float).reshape(gdim)
+        jac = _batched_expm((xi @ flat).reshape(dim, dim))
+        # row arithmetic over the node columns: an (N, dim) x (dim, dim)
+        # gemm is too thin for threaded BLAS, which takes ~100x longer in
+        # some processes.  The image is the transpose of a (dim, N) array,
+        # so its node columns stay contiguous for the caller.
+        cols, out, tmp = pts.T, np.empty((dim, len(pts))), np.empty(len(pts))
+        for r, row in enumerate(jac):
+            first, *rest = np.flatnonzero(row)
+            np.multiply(cols[first], row[first], out=out[r])
+            for c in rest:
+                out[r] += np.multiply(cols[c], row[c], out=tmp)
+        return out.T, np.broadcast_to(jac, (len(pts), dim, dim))
 
     return HamiltonianSpace(
         name=name,
         algebra=algebra,
-        chart_id=chart,
+        chart_id=name,
         ambient_dim=dim,
         omega=omega,
-        omega_matrix=MatConst(_flat_omega_matrix(n)),
+        omega_matrix=MatConst(om),
         action=action,
-        moment_star=(mu,),
+        moment_star=moment,
         metric=MatConst(np.eye(dim)),
         sample_box=sample_box,
         action_sampler=action_sampler,
         radial=radial,
+    )
+
+
+def _weighted_cn_u1(n: int, weights, a: float, name: str) -> HamiltonianSpace:
+    """U(1) on C^n with integer weights w_j: counterclockwise rotation with
+    weight w_j in each plane, mu* = (sum_j w_j |z_j|^2 - a)/2."""
+    if n < 1:
+        raise InputError("n must be >= 1")
+    if a <= 0:
+        raise InputError("the moment level shift a must be positive")
+    if len(weights) != n or any(w == 0 for w in weights):
+        raise InputError("weights must be n nonzero integers")
+    half = np.repeat([math.sqrt(max(2.0 * a, 2.0) / abs(w)) for w in weights], 2)
+    return _linear_space(
+        name, builtin_algebra("u1"), [_realify(np.diag(1j * np.array(weights)))],
+        (-a / 2.0,), RadialMoment.of_weights(weights, a), np.stack([-half, half], axis=1),
     )
 
 
@@ -510,84 +544,14 @@ _PAULI = (
 )
 
 
-def _su2_rep(a: int) -> np.ndarray:
-    return -0.5j * _PAULI[a]
-
-
-def _complex_to_real_4x4(u: np.ndarray) -> np.ndarray:
-    """Real matrix of z -> U z on (x1, y1, x2, y2)."""
-    out = np.zeros((4, 4))
-    for bi in range(2):
-        for bj in range(2):
-            out[2 * bi, 2 * bj] = u[bi, bj].real
-            out[2 * bi, 2 * bj + 1] = -u[bi, bj].imag
-            out[2 * bi + 1, 2 * bj] = u[bi, bj].imag
-            out[2 * bi + 1, 2 * bj + 1] = u[bi, bj].real
-    return out
-
-
-def _c2_su2_space() -> HamiltonianSpace:
-    algebra = builtin_algebra("su2")
-    chart = "c2_su2"
-    dim, gdim = 4, 3
-    omega = EquivariantForm(
-        chart,
-        dim,
-        gdim,
-        [
-            ((0, 1), 1.0, PhiPolynomial.constant(gdim)),
-            ((2, 3), 1.0, PhiPolynomial.constant(gdim)),
-        ],
-    )
-    comp_rows = []
-    for a in range(3):
-        rmat = _complex_to_real_4x4(_su2_rep(a))
-        row = []
-        for r in range(4):
-            row.append(
-                add(
-                    *[
-                        mul(const(rmat[r, c]), coord(c))
-                        for c in range(4)
-                        if rmat[r, c] != 0
-                    ]
-                )
-            )
-        comp_rows.append(row)
-    action = VectorFieldFamily(chart, comp_rows)
-    x1, y1, x2, y2 = (coord(j) for j in range(4))
-    mu = (
-        add(mul(const(-0.5), x1, x2), mul(const(-0.5), y1, y2)),
-        add(mul(const(-0.5), x1, y2), mul(const(0.5), y1, x2)),
-        add(
-            mul(const(-0.25), x1, x1),
-            mul(const(-0.25), y1, y1),
-            mul(const(0.25), x2, x2),
-            mul(const(0.25), y2, y2),
-        ),
-    )
-    sample_box = np.stack([-1.5 * np.ones(4), 1.5 * np.ones(4)], axis=1)
-
-    def action_sampler(xi, pts):
-        xi = np.asarray(xi, dtype=float)
-        u = _expm_dense(sum(xi[a] * _su2_rep(a) for a in range(3)))
-        jac = _complex_to_real_4x4(u)
-        return pts @ jac.T, np.broadcast_to(jac, (pts.shape[0], 4, 4))
-
-    return HamiltonianSpace(
-        name="c2_su2",
-        algebra=algebra,
-        chart_id=chart,
-        ambient_dim=dim,
-        omega=omega,
-        omega_matrix=MatConst(_flat_omega_matrix(2)),
-        action=action,
-        moment_star=mu,
-        metric=MatConst(np.eye(dim)),
-        sample_box=sample_box,
-        action_sampler=action_sampler,
+def _c2_su2() -> HamiltonianSpace:
+    """SU(2) on C^2 through the generators -i sigma_a / 2."""
+    return _linear_space(
+        "c2_su2", builtin_algebra("su2"), [_realify(-0.5j * p) for p in _PAULI],
+        (0.0,) * 3,
         # |mu| = (|z_1|^2 + |z_2|^2) / 4
-        radial=RadialMoment((1, 1), 0.0, 0.5),
+        RadialMoment((1, 1), 0.0, 0.5),
+        np.stack([-1.5 * np.ones(4), 1.5 * np.ones(4)], axis=1),
     )
 
 
@@ -972,8 +936,7 @@ def _ad_to_vector(lmat: np.ndarray, admats) -> np.ndarray:
 
 
 # The dense helpers import scipy.linalg when called, not at module load: it
-# is slow to import and only the standard local models and the c2_su2
-# action sampler need it.
+# is slow to import and only the standard local models need it.
 def _expm_dense(a: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm
 
@@ -1048,99 +1011,116 @@ def _standard_preset(preset: str) -> StandardLocalModel:
     return m
 
 
+def _weighted_family(n: int, weights, a: float) -> HamiltonianSpace:
+    weights = (1,) * n if weights is None else weights
+    wtag = ",".join(str(w) for w in weights)
+    return _weighted_cn_u1(n, weights, a, f"weighted_cn_u1({n},({wtag}),{a:g})")
+
+
+def _standard_model(preset: str, which: str) -> HamiltonianSpace:
+    spaces = build_standard_model(_standard_preset(preset))
+    if which.upper() == "G":
+        return spaces.space_G
+    if which.upper() == "H":
+        if spaces.space_H is None:
+            raise InputError(f"preset {preset!r} has a trivial H")
+        return spaces.space_H
+    raise InputError("which must be 'G' or 'H'")
+
+
+_KINDS = {int: "an integer", float: "a finite number", tuple: "a tuple of integers",
+          str: "a name"}
+
+
+def _convert(family: str, param: str, kind: type, value):
+    """``value`` as a catalog parameter of ``kind`` (a key of _KINDS);
+    InputError naming the parameter otherwise."""
+    if kind is tuple and isinstance(value, (tuple, list, np.ndarray)):
+        return tuple(_convert(family, param, int, v) for v in value)
+    if kind is str and isinstance(value, str):
+        return value
+    if kind in (int, float):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = math.nan
+        if math.isfinite(x) and (kind is float or x == int(x)):
+            return kind(x)
+    raise InputError(f"{family}: {param} must be {_KINDS[kind]}, got {value!r}")
+
+
+# family: (builder, its parameters in order as (name, kind, default), the
+# instances every structural test sweeps over)
+_FAMILIES = {
+    "cn_u1": (
+        lambda n, a: _weighted_cn_u1(n, (1,) * n, a, f"cn_u1({n},{a:g})"),
+        (("n", int, 1), ("a", float, 1.0)),
+        ("cn_u1(1,1)", "cn_u1(2,1)"),
+    ),
+    "weighted_cn_u1": (
+        _weighted_family,
+        (("n", int, 2), ("weights", tuple, None), ("a", float, 1.0)),
+        ("weighted_cn_u1(2,(1,2),1)",),
+    ),
+    "c2_su2": (_c2_su2, (), ("c2_su2",)),
+    "standard_model": (
+        _standard_model,
+        (("preset", str, "u1_w1"), ("which", str, "G")),
+        ("standard_model(u1_w1,G)", "standard_model(u1_w1,H)",
+         "standard_model(u1_beta,G)", "standard_model(su2_hopf,G)",
+         "standard_model(su2_hopf,H)"),
+    ),
+}
+
+
 def catalog(name: str, **params) -> HamiltonianSpace:
     """Named example spaces:
     cn_u1(n, a), weighted_cn_u1(n, weights, a), c2_su2,
-    standard_model(preset, which='G'|'H')."""
-    if name == "cn_u1":
-        n = int(params.get("n", 1))
-        a = float(params.get("a", 1.0))
-        return _weighted_cn_space(n, (1,) * n, a, f"cn_u1({n},{a:g})")
-    if name == "weighted_cn_u1":
-        n = int(params.get("n", 2))
-        weights = tuple(params.get("weights", (1,) * n))
-        a = float(params.get("a", 1.0))
-        wtag = ",".join(str(w) for w in weights)
-        return _weighted_cn_space(
-            n, weights, a, f"weighted_cn_u1({n},({wtag}),{a:g})"
-        )
-    if name == "c2_su2":
-        return _c2_su2_space()
-    if name == "standard_model":
-        preset = params.get("preset", "u1_w1")
-        which = params.get("which", "G").upper()
-        spaces = build_standard_model(_standard_preset(preset))
-        if which == "G":
-            return spaces.space_G
-        if which == "H":
-            if spaces.space_H is None:
-                raise InputError(f"preset {preset!r} has a trivial H")
-            return spaces.space_H
-        raise InputError("which must be 'G' or 'H'")
-    raise InputError(f"unknown catalog space {name!r}")
+    standard_model(preset, which='G'|'H').  A parameter left out takes its
+    default; InputError for an unknown name, a parameter the family does
+    not take, or a value of the wrong kind."""
+    if name not in _FAMILIES:
+        raise InputError(f"unknown catalog space {name!r}")
+    build, spec, _ = _FAMILIES[name]
+    names = [p for p, _, _ in spec]
+    for p in params:
+        if p not in names:
+            raise InputError(f"{name} takes no parameter {p!r}")
+    return build(*[
+        _convert(name, p, kind, params[p]) if p in params else default
+        for p, kind, default in spec
+    ])
 
 
 def catalog_from_string(text: str) -> HamiltonianSpace:
     """Parse forms like cn_u1(2, 1.0), weighted_cn_u1(2, (1,2), 1.0),
-    c2_su2, standard_model(u1_w1, G)."""
-    text = text.strip()
-    if "(" not in text:
-        return catalog(text)
-    head, _, rest = text.partition("(")
-    if not rest.endswith(")"):
-        raise InputError(f"malformed catalog name {text!r}")
-    body = rest[:-1].strip()
-    head = head.strip()
-    if head == "cn_u1":
-        parts = [p.strip() for p in body.split(",")]
-        if len(parts) != 2:
-            raise InputError("cn_u1 takes (n, a)")
-        return catalog("cn_u1", n=int(parts[0]), a=float(parts[1]))
-    if head == "weighted_cn_u1":
-        lpar = body.index("(")
-        rpar = body.index(")", lpar)
-        weights = tuple(
-            int(w) for w in body[lpar + 1 : rpar].split(",") if w.strip()
+    c2_su2, standard_model(u1_w1, G): the family's parameters in order (a
+    bare word is a name), trailing ones left out take their defaults."""
+    try:
+        tree = ast.parse(text.strip(), mode="eval").body
+        if isinstance(tree, ast.Call) and isinstance(tree.func, ast.Name) and not tree.keywords:
+            args = [a.id if isinstance(a, ast.Name) else ast.literal_eval(a) for a in tree.args]
+        elif not isinstance(tree, ast.Name):
+            raise ValueError
+    except (SyntaxError, ValueError):
+        raise InputError(f"malformed catalog name {text!r}") from None
+    if isinstance(tree, ast.Name):
+        return catalog(tree.id)
+    head = tree.func.id
+    if head not in _FAMILIES:
+        raise InputError(f"unknown catalog space {text!r}")
+    spec = _FAMILIES[head][1]
+    if len(args) > len(spec):
+        raise InputError(
+            f"{head} takes ({', '.join(p for p, _, _ in spec)}), got {len(args)} arguments"
         )
-        outer = (body[:lpar] + body[rpar + 1 :]).split(",")
-        outer = [p.strip() for p in outer if p.strip()]
-        if len(outer) != 2:
-            raise InputError("weighted_cn_u1 takes (n, (w1,...), a)")
-        return catalog(
-            "weighted_cn_u1", n=int(outer[0]), weights=weights, a=float(outer[1])
-        )
-    if head == "standard_model":
-        parts = [p.strip() for p in body.split(",") if p.strip()]
-        preset = parts[0] if parts else "u1_w1"
-        which = parts[1] if len(parts) > 1 else "G"
-        return catalog("standard_model", preset=preset, which=which)
-    if head == "c2_su2":
-        return catalog("c2_su2")
-    raise InputError(f"unknown catalog space {text!r}")
+    return catalog(head, **{p: v for (p, _, _), v in zip(spec, args)})
 
 
 def catalog_names_for_validation():
-    """The instances every structural test sweeps over."""
+    """The instances every structural test sweeps over, as (name, builder)."""
     return [
-        ("cn_u1(1,1)", lambda: catalog("cn_u1", n=1, a=1.0)),
-        ("cn_u1(2,1)", lambda: catalog("cn_u1", n=2, a=1.0)),
-        ("weighted_cn_u1(2,(1,2),1)", lambda: catalog(
-            "weighted_cn_u1", n=2, weights=(1, 2), a=1.0
-        )),
-        ("c2_su2", lambda: catalog("c2_su2")),
-        ("standard_model(u1_w1,G)", lambda: catalog(
-            "standard_model", preset="u1_w1", which="G"
-        )),
-        ("standard_model(u1_w1,H)", lambda: catalog(
-            "standard_model", preset="u1_w1", which="H"
-        )),
-        ("standard_model(u1_beta,G)", lambda: catalog(
-            "standard_model", preset="u1_beta", which="G"
-        )),
-        ("standard_model(su2_hopf,G)", lambda: catalog(
-            "standard_model", preset="su2_hopf", which="G"
-        )),
-        ("standard_model(su2_hopf,H)", lambda: catalog(
-            "standard_model", preset="su2_hopf", which="H"
-        )),
+        (text, functools.partial(catalog_from_string, text))
+        for _, _, instances in _FAMILIES.values()
+        for text in instances
     ]

@@ -1,4 +1,5 @@
-"""scripts/check_reports.py --compare prints every field that differs."""
+"""scripts/check_reports.py records a space's definition, and --compare
+prints every field that differs."""
 
 import importlib.util
 import json
@@ -34,3 +35,22 @@ def test_compare_prints_each_differing_field_with_its_move(tmp_path):
     ]
     assert lines[1].endswith("(1 ulp)")
     assert "|move|" not in lines[0]
+
+
+def test_definition_records_each_part_of_the_space():
+    from symloc.hamspace import catalog
+
+    mod = _load_script()
+    flat: dict = {}
+    definition = mod._definition(catalog("cn_u1", n=1, a=1.0))
+    mod._flatten("cn_u1(1,1) definition", mod._plain(definition), flat)
+    assert flat["cn_u1(1,1) definition.omega.(0, 1) (0,)"] == "Const(1.0)"
+    assert flat["cn_u1(1,1) definition.action"] == [["Mul(Const(-1.0), Coord(1))", "Coord(0)"]]
+    assert flat["cn_u1(1,1) definition.moment_star"] == [
+        "Add(Mul(Const(0.5), Coord(0), Coord(0)), Mul(Const(0.5), Coord(1), Coord(1)), Const(-0.5))"]
+    assert flat["cn_u1(1,1) definition.omega_matrix"] == [[0.0, 1.0], [-1.0, 0.0]]
+    assert flat["cn_u1(1,1) definition.metric"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert flat["cn_u1(1,1) definition.radial.weights"] == [1]
+    assert flat["cn_u1(1,1) definition.sample_box"] == [[-2 ** 0.5, 2 ** 0.5]] * 2
+    assert len(flat["cn_u1(1,1) definition.sampler.image"]) == 8
+    assert len(flat["cn_u1(1,1) definition.sampler.jacobian"]) == 2

@@ -236,6 +236,9 @@ def test_batched_expm_matches_scipy_on_every_pade_branch(k):
     a *= (norms / np.max(np.sum(np.abs(a), axis=1), axis=1))[:, None, None]
     for stack in [a] + [a[i:i + 1] for i in (0, 20, 35, 45, 59)]:
         assert np.all(_expm_deviation(F._batched_expm(stack), expm(stack)) <= 1e-11)
+    # a single (k, k) matrix is exponentiated as a one-matrix stack
+    for i in (0, 20, 35, 45, 59):
+        np.testing.assert_array_equal(F._batched_expm(a[i]), F._batched_expm(a[i:i + 1])[0])
 
 
 def test_batched_expm_matches_scipy_on_the_field_stacks(monkeypatch):
@@ -258,6 +261,8 @@ def test_batched_expm_edge_stacks():
     out = F._batched_expm(a)
     assert np.all(np.isnan(out[:2]))
     np.testing.assert_array_equal(out[2], np.eye(2))
+    assert np.all(np.isnan(F._batched_expm(a[0])))
+    np.testing.assert_array_equal(F._batched_expm(a[2]), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

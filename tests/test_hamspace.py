@@ -7,16 +7,21 @@ each test; structural identities (moment condition, closedness,
 compatibility, pullback invariance) are checked against tolerances.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import seed_linear
 from symloc.fields import add, const, coord, mul
 from symloc.forms import contract, exterior_d
 from symloc.hamspace import (
+    _PAULI,
     HamiltonianSpace,
     StandardLocalModel,
+    _linear_space,
+    _realify,
     build_standard_model,
     catalog,
     catalog_from_string,
@@ -412,19 +417,38 @@ def test_catalog_from_string_forms():
     assert catalog_from_string(" c2_su2 ").name == "c2_su2"
 
 
-def test_catalog_errors():
-    with pytest.raises(InputError):
-        catalog("cn_u1", n=1, a=-1.0)
-    with pytest.raises(InputError):
-        catalog("weighted_cn_u1", n=2, weights=(1, 0), a=1.0)
-    with pytest.raises(InputError):
-        catalog("no_such_space")
-    with pytest.raises(InputError):
-        catalog_from_string("cn_u1(1")
-    with pytest.raises(InputError):
-        catalog("standard_model", preset="u1_beta", which="H")
-    with pytest.raises(InputError):
-        catalog("standard_model", preset="u1_w1", which="Q")
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: catalog("cn_u1", n=1, a=-1.0), "level shift a"),
+        (lambda: catalog("weighted_cn_u1", n=2, weights=(1, 0), a=1.0), "nonzero"),
+        (lambda: catalog("no_such_space"), "unknown"),
+        (lambda: catalog_from_string("no_such_space"), "unknown"),
+        (lambda: catalog_from_string("no_such_space(1)"), "unknown"),
+        (lambda: catalog_from_string("cn_u1(1"), "malformed"),
+        (lambda: catalog("standard_model", preset="u1_beta", which="H"), "trivial H"),
+        (lambda: catalog("standard_model", preset="u1_w1", which="Q"), "which"),
+        # each of these built a space before the family table
+        (lambda: catalog("cn_u1", n=2, a=1.0, weights=(1, 5)), "no parameter 'weights'"),
+        (lambda: catalog("cn_u1", n=2.7, a=1.0), "n must be an integer, got 2.7"),
+        (lambda: catalog("c2_su2", n=5), "no parameter 'n'"),
+        (lambda: catalog_from_string("c2_su2(3, 4)"), r"c2_su2 takes \(\), got 2"),
+        (lambda: catalog_from_string("standard_model(u1_w1, G, extra)"),
+         r"standard_model takes \(preset, which\), got 3"),
+        (lambda: catalog("weighted_cn_u1", n=2, weights=(1, 1.5), a=1.0),
+         "weights must be an integer, got 1.5"),
+        (lambda: catalog_from_string("cn_u1(1, nan)"), "a must be a finite number"),
+        # and these raised a TypeError, a ValueError or an error not naming
+        # the parameter
+        (lambda: catalog("weighted_cn_u1", n=1, weights=2, a=1.0),
+         "weights must be a tuple of integers"),
+        (lambda: catalog("standard_model", preset=1), "preset must be a name"),
+        (lambda: catalog_from_string("cn_u1(n=1, a=1)"), "malformed"),
+    ],
+)
+def test_catalog_errors(build, match):
+    with pytest.raises(InputError, match=match):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -439,6 +463,60 @@ def test_catalog_errors():
 def test_mixed_sign_weights_are_not_proper(build):
     with pytest.raises(InputError, match="not proper"):
         build()
+
+
+# ---------------------------------------------------------------------------
+# linear spaces from their generators, against the hand-written builders
+# (tests/seed_linear.py)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,seed_build",
+    [
+        ("cn_u1(1,1)", lambda: seed_linear._weighted_cn_space(1, (1,), 1.0, "cn_u1(1,1)")),
+        ("cn_u1(2,1)", lambda: seed_linear._weighted_cn_space(2, (1, 1), 1.0, "cn_u1(2,1)")),
+        ("cn_u1(3,1)", lambda: seed_linear._weighted_cn_space(3, (1,) * 3, 1.0, "cn_u1(3,1)")),
+        ("weighted_cn_u1(2,(1,2),0.5)", lambda: seed_linear._weighted_cn_space(
+            2, (1, 2), 0.5, "weighted_cn_u1(2,(1,2),0.5)")),
+        ("weighted_cn_u1(3,(2,1,3),0.5)", lambda: seed_linear._weighted_cn_space(
+            3, (2, 1, 3), 0.5, "weighted_cn_u1(3,(2,1,3),0.5)")),
+        ("c2_su2", seed_linear._c2_su2_space),
+    ],
+)
+def test_linear_space_is_the_hand_written_one(text, seed_build):
+    new, old = catalog_from_string(text), seed_build()
+    assert (new.name, new.chart_id) == (old.name, old.chart_id)
+    assert seed_linear.expr_reprs(new) == seed_linear.expr_reprs(old)
+    assert np.array_equal(new.omega_matrix.value, old.omega_matrix.value)
+    assert np.array_equal(new.metric.value, old.metric.value)
+    assert new.radial == old.radial
+    assert np.array_equal(new.sample_box, old.sample_box)
+    # the sampler now exponentiates the generator matrix (Pade), not cos/sin
+    # or a complex 2 x 2: it may move by roundoff
+    xi = np.linspace(-2.83, 1.19, new.algebra.dim)
+    pts = sample_points(new, 64, seed=31)
+    (x_new, j_new), (x_old, j_old) = new.action_sampler(xi, pts), old.action_sampler(xi, pts)
+    assert np.max(np.abs(x_new - x_old)) <= 1e-14
+    assert np.max(np.abs(j_new - j_old)) <= 1e-14
+
+
+def test_linear_space_refusals():
+    u1, box = builtin_algebra("u1"), np.array([[-1.0, 1.0]] * 2)
+    rot = _realify(np.array([[1j]]))
+    assert _linear_space("rot", u1, [rot], (0.0,), None, box).ambient_dim == 2
+    with pytest.raises(InputError, match="does not preserve omega"):
+        _linear_space("squeeze", u1, [np.diag([1.0, 2.0])], (0.0,), None, box)
+    scaled = dataclasses.replace(u1, inner_product=np.array([[2.0]]))
+    with pytest.raises(InputError, match="inner product must be the identity"):
+        _linear_space("scaled", scaled, [rot], (0.0,), None, box)
+    with pytest.raises(InputError, match="one generator and one level"):
+        _linear_space("short", builtin_algebra("su2"), [rot], (0.0,), None, box)
+    # +i sigma_a / 2 satisfy [X_1, X_2] = -X_3, the su(2) of the opposite sign
+    flipped = [_realify(0.5j * p) for p in _PAULI]
+    box4 = np.array([[-1.0, 1.0]] * 4)
+    with pytest.raises(InputError, match="do not represent su2"):
+        _linear_space("flipped", builtin_algebra("su2"), flipped, (0.0,) * 3, None, box4)
 
 
 def test_space_construction_errors():

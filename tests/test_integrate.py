@@ -27,21 +27,22 @@ import pytest
 from scipy.special import iv
 
 from seed_level import seed_build_surface
+from seed_linear import expr_reprs, seed_torus2_space
 from seed_path import radial_chunks, seed_basic_integrals, seed_integrand
 from symloc import integrate
 from symloc.analysis import DEFAULT_EPSILON_GRID, DEFAULT_T_GRID
-from symloc.fields import MatConst, add, const, coord, mul
+from symloc.fields import add, const, coord, mul
 from symloc.forms import (
     EquivariantForm,
-    VectorFieldFamily,
     equivariant_D,
     exp_form_part,
     exterior_d,
     wedge,
 )
 from symloc.hamspace import (
-    HamiltonianSpace,
     RadialMoment,
+    _linear_space,
+    _realify,
     catalog,
     catalog_from_string,
     catalog_names_for_validation,
@@ -348,42 +349,21 @@ def test_sgi_values_at_per_row_eps_is_each_row_at_its_own_eps(name):
 
 def _torus2_space():
     """T^2 acting on C^2 by independent rotations; mu_j = (|z_j|^2 - a_j)/2."""
-    algebra = builtin_algebra("torus(2)")
-    chart = "t2_c2"
-    omega = EquivariantForm(
-        chart, 4, 2,
-        [((0, 1), 1.0, PhiPolynomial.constant(2)),
-         ((2, 3), 1.0, PhiPolynomial.constant(2))],
+    return _linear_space(
+        "t2_c2", builtin_algebra("torus(2)"),
+        [_realify(np.diag([1j, 0])), _realify(np.diag([0, 1j]))],
+        (-0.45, -0.55), None, np.array([[-1.2, 1.2]] * 4),
     )
-    zero = const(0.0)
-    action = VectorFieldFamily(
-        chart,
-        [
-            [mul(const(-1.0), coord(1)), coord(0), zero, zero],
-            [zero, zero, mul(const(-1.0), coord(3)), coord(2)],
-        ],
-    )
-    mus = [
-        add(mul(const(0.5), coord(0), coord(0)),
-            mul(const(0.5), coord(1), coord(1)), const(-0.45)),
-        add(mul(const(0.5), coord(2), coord(2)),
-            mul(const(0.5), coord(3), coord(3)), const(-0.55)),
-    ]
-    om = np.zeros((4, 4))
-    om[0, 1] = om[2, 3] = 1.0
-    om[1, 0] = om[3, 2] = -1.0
-    return HamiltonianSpace(
-        name="t2_c2",
-        algebra=algebra,
-        chart_id=chart,
-        ambient_dim=4,
-        omega=omega,
-        omega_matrix=MatConst(om),
-        action=action,
-        moment_star=mus,
-        metric=MatConst(np.eye(4)),
-        sample_box=np.array([[-1.2, 1.2]] * 4),
-    )
+
+
+def test_torus2_space_is_the_hand_written_one():
+    new, old = _torus2_space(), seed_torus2_space()
+    for sp in (new, old):
+        assert sp.chart_id == "t2_c2" and sp.radial is None
+    assert expr_reprs(new) == expr_reprs(old)
+    assert np.array_equal(new.omega_matrix.value, old.omega_matrix.value)
+    assert np.array_equal(new.metric.value, old.metric.value)
+    assert np.array_equal(new.sample_box, old.sample_box)
 
 
 def _phi_degree_four_alpha(space):
