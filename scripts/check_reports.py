@@ -20,6 +20,11 @@ report, or the error it raised (type and message):
 
 The level ops run on zero_level(space) and are skipped where it raises.
 
+On the five standard_model(...) spaces it keeps only the definition, by
+value (their Exprs reach MatrixField nodes, which have no repr): every
+Expr of omega, the action and mu*, omega_matrix and the metric at the 8
+sample points, and the sampler's image of them with all 8 Jacobians.
+
 Compare two records and print every field that differs, with the size of
 a numeric move:
 
@@ -38,6 +43,8 @@ import sys
 import numpy as np
 
 SPACES = ("cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "c2_su2")
+MODELS = ("standard_model(u1_w1,G)", "standard_model(u1_w1,H)", "standard_model(u1_beta,G)",
+          "standard_model(su2_hopf,G)", "standard_model(su2_hopf,H)")
 R_MAX = 1.0                       # the critical search radius
 DAMPING_RADII = (0.36, 0.1)       # damping_check(r, s)
 GLOBAL_RADII = (0.36, 0.64, 1.0, 1.44)
@@ -116,6 +123,30 @@ def _definition(space) -> dict:
     }
 
 
+def _model_definition(space) -> dict:
+    from symloc.fields import column
+    from symloc.hamspace import sample_points
+
+    pts = sample_points(space, 8, 2)
+    xi = np.linspace(-0.61, 0.37, space.algebra.dim)
+    image, jac = space.action_sampler(xi, pts)
+    cache: dict = {}
+
+    def values(exprs):
+        return [column(e, pts, cache) for e in exprs]
+
+    return {
+        "omega": {f"{fmi} {nu}": column(c, pts, cache)
+                  for (fmi, nu), c in sorted(space.omega.indexed_terms.items())},
+        "action": [values(row) for row in space.action.components],
+        "moment_star": values(space.moment_star),
+        "omega_matrix": space.omega_matrix.eval(pts, cache),
+        "metric": space.metric.eval(pts, cache),
+        "sample_box": space.sample_box,
+        "sampler": {"image": image, "jacobian": jac},
+    }
+
+
 def record_space(name: str) -> dict:
     from symloc import analysis, critical, hamspace, integrate, reduced
     from symloc.forms import invariance_residual
@@ -169,11 +200,15 @@ def record_space(name: str) -> dict:
     return out
 
 
-def record(spaces=SPACES) -> dict:
+def record(spaces=SPACES, models=MODELS) -> dict:
+    from symloc.hamspace import catalog_from_string
+
     out = {}
     for name in spaces:
         for key, value in record_space(name).items():
             out[f"{name} {key}"] = value
+    for name in models:
+        _run(out, f"{name} definition", lambda: _model_definition(catalog_from_string(name)))
     return out
 
 

@@ -6,8 +6,8 @@ differentiated *exactly* — finite differences would wreck the 1e-10
 closedness/moment-condition tolerances.  This module provides small
 immutable expression trees with those two capabilities:
 
-* ``Expr`` — scalar fields: constants, coordinates, sums, products, real
-  powers, exponentials, and entries of matrix fields.
+* ``Expr`` — scalar fields: constants, coordinates, sums, products, and
+  entries of matrix fields.
 * ``MatrixField`` — square-matrix-valued fields: constant/affine
   matrices, block assembly, products, inverses, matrix exponentials, and
   SPD square roots, each with first-order directional derivatives
@@ -39,15 +39,11 @@ __all__ = [
     "Coord",
     "Add",
     "Mul",
-    "Pow",
-    "ExpNode",
     "MatEntry",
     "const",
     "coord",
     "add",
     "mul",
-    "powx",
-    "expx",
     "as_expr",
     "MatrixField",
     "MatConst",
@@ -164,9 +160,6 @@ class Expr(_Node):
     def __neg__(self):
         return mul(const(-1), self)
 
-    def __pow__(self, p):
-        return powx(self, p)
-
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -248,51 +241,6 @@ class Mul(Expr):
 
     def __repr__(self):
         return "Mul(%s)" % ", ".join(map(repr, self.factors))
-
-
-class Pow(Expr):
-    """base ** p for a fixed real exponent p."""
-
-    __slots__ = ("base", "p")
-
-    def __init__(self, base: Expr, p: float):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "p", float(p))
-
-    def _eval(self, pts, cache):
-        b = self.base.eval(pts, cache)
-        if self.p == int(self.p) and self.p >= 0:
-            return b ** int(self.p)
-        b = np.asarray(b, dtype=complex) if np.iscomplexobj(b) else b
-        return np.power(b, self.p)
-
-    def _diff(self, i):
-        db = self.base.diff(i)
-        if db.is_zero:
-            return Const(0.0)
-        return mul(const(self.p), powx(self.base, self.p - 1), db)
-
-    def __repr__(self):
-        return f"Pow({self.base!r}, {self.p})"
-
-
-class ExpNode(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def _eval(self, pts, cache):
-        return np.exp(self.arg.eval(pts, cache))
-
-    def _diff(self, i):
-        da = self.arg.diff(i)
-        if da.is_zero:
-            return Const(0.0)
-        return mul(self, da)
-
-    def __repr__(self):
-        return f"Exp({self.arg!r})"
 
 
 class MatEntry(Expr):
@@ -385,23 +333,6 @@ def mul(*factors: Expr) -> Expr:
     if len(flat) == 1:
         return flat[0]
     return Mul(flat)
-
-
-def powx(base: Expr, p: float) -> Expr:
-    p = float(p)
-    if p == 1.0:
-        return base
-    if p == 0.0:
-        return Const(1.0)
-    if isinstance(base, Const):
-        return Const(complex(base.value) ** p if (isinstance(base.value, complex) or base.value < 0) else base.value**p)
-    return Pow(base, p)
-
-
-def expx(arg: Expr) -> Expr:
-    if isinstance(arg, Const):
-        return Const(np.exp(arg.value))
-    return ExpNode(arg)
 
 
 def mat_entry(mat: "MatrixField", i: int, j: int) -> Expr:

@@ -34,7 +34,10 @@ G x (k + X) with exponential coordinates theta on G: the two-form
 the G-moment Ad_g(beta + nu), and the H-moment <nu, .> + 1/2 x _| omega_X _| rho(.) x,
 realized through exact matrix-field calculus (Texp(ad_theta) blocks),
 with the left G-action and the diagonal H-action (right-inverse on G,
-adjoint on k, module action on X).
+adjoint on k, module action on X).  Both action samplers are one chart
+composition on the group factor, e^theta -> e^L e^theta e^R with
+(L, R) = (xi, 0) for G and (0, sum_i xi_i h_i) for H, evaluated for all
+points at once through the same Expm and Texp fields as omega and mu*.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import numpy as np
 from .fields import (
     Const,
     Expr,
+    Expm,
     ExprMatrix,
     Inv,
     MatAffine,
@@ -81,6 +85,7 @@ from .liealg import (
     LieAlgebraSpec,
     NotRegularError,
     PhiPolynomial,
+    _check_count,
     bracket,
     builtin_algebra,
 )
@@ -284,6 +289,8 @@ class HamiltonianSpace(_Frozen):
 
 
 def sample_points(space: HamiltonianSpace, n: int, seed: int = 0) -> np.ndarray:
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     lo = space.sample_box[:, 0]
     hi = space.sample_box[:, 1]
@@ -295,8 +302,8 @@ def check_moment_condition(
 ) -> dict:
     """Max pointwise norm of iota_{V phi} omega + d<mu*, phi> over sampled
     points and unit phi (algebra basis directions plus random units)."""
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     residual = contract(space.omega, space.action) + exterior_d(space.mu_phi_form())
     pts = sample_points(space, n_samples, seed)
     g = space.algebra.dim
@@ -357,6 +364,8 @@ def validate_space(
     space: HamiltonianSpace, n_samples: int = 300, seed: int = 0
 ) -> dict:
     """Sampled-point verification of all structural invariants."""
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     pts = sample_points(space, n_samples, seed)
     cache: dict = {}
     report: dict = {}
@@ -740,39 +749,54 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
         g_rows.append(row)
     action_G = VectorFieldFamily(chart, g_rows)
 
-    from .fields import Expm as _Expm
-
     vec_pencil = MatAffine(
         _vec_as_first_column(m.beta, dg),
         {dg + i: _vec_as_first_column(kmat[:, i], dg) for i in range(dk)},
     )
-    mu_g_mat = MatMul(_Expm(ad_theta), vec_pencil)
+    exp_ad = Expm(ad_theta)
+    mu_g_mat = MatMul(exp_ad, vec_pencil)
     mu_G = tuple(mat_entry(mu_g_mat, a, 0) for a in range(dg))
 
-    # group element exp(xi) acting on the left; theta' = log(e^xi e^theta),
-    # d theta' = Texp(ad_theta')^{-1} Texp(ad_theta) d theta
-    def action_sampler_G(xi, pts):
-        xi = np.asarray(xi, dtype=float).reshape(dg)
-        new_pts = pts.copy()
-        n_pts = pts.shape[0]
-        jac = np.zeros((n_pts, n, n))
-        jac[:, dg:, dg:] = np.eye(dk + dx)
-        for row in range(n_pts):
-            theta = pts[row, :dg]
-            ad_t = sum(theta[c] * admats[c] for c in range(dg))
-            ad_x = sum(xi[c] * admats[c] for c in range(dg))
-            if dg == 1:
-                theta_new = theta + xi  # abelian chart composition
-                jac_t = np.eye(1)
+    ad_stack = np.asarray(admats)
+    ad_pinv = np.linalg.pinv(ad_stack.reshape(dg, dg * dg).T)
+
+    def chart_composition(left, right, rho):
+        """The sampler of the action of exp(xi) that moves the group factor
+        e^theta -> e^L e^theta e^R, with L = xi @ left and R = xi @ right
+        in g, fixes nu and moves x by exp(sum_i xi_i rho_i):
+
+            theta' = log(e^{ad L} e^{ad theta} e^{ad R}),
+            d theta' = Texp(ad theta')^{-1} e^{-ad R} Texp(ad theta) d theta."""
+
+        def sampler(xi, pts):
+            xi = np.asarray(xi, dtype=float).reshape(len(left))
+            lv, rv = xi @ left, xi @ right
+            new_pts, jac = pts.copy(), np.zeros((len(pts), n, n))
+            jac[:, dg : dg + dk, dg : dg + dk] = np.eye(dk)
+            if not ad_stack.any():
+                new_pts[:, :dg] = pts[:, :dg] + lv + rv
+                jac[:, :dg, :dg] = np.eye(dg)
             else:
-                gmat = _expm_dense(ad_x) @ _expm_dense(ad_t)
-                lmat = np.real(_logm_dense(gmat))
-                theta_new = _ad_to_vector(lmat, admats)
-                ad_tn = sum(theta_new[c] * admats[c] for c in range(dg))
-                jac_t = np.linalg.solve(_texp_dense(ad_tn), _texp_dense(ad_t))
-            new_pts[row, :dg] = theta_new
-            jac[row, :dg, :dg] = jac_t
-        return new_pts, jac
+                # not at module load: SciPy is slow to import, and only a
+                # nonabelian group factor needs the matrix log
+                from scipy.linalg import logm
+
+                ad_l, ad_r = np.tensordot([lv, rv], ad_stack, axes=1)
+                e_l, e_r, e_neg_r = _batched_expm(np.stack([ad_l, ad_r, -ad_r]))
+                cache: dict = {}
+                moved = e_l @ exp_ad.eval(pts, cache) @ e_r
+                logs = np.real(np.stack([logm(a) for a in moved]))
+                new_pts[:, :dg] = logs.reshape(len(pts), dg * dg) @ ad_pinv.T
+                jac[:, :dg, :dg] = np.linalg.solve(
+                    big_t.eval(new_pts), e_neg_r @ big_t.eval(pts, cache)
+                )
+            if dx:
+                x_rot = _batched_expm(np.tensordot(xi, rho, axes=1))
+                new_pts[:, dg + dk :] = pts[:, dg + dk :] @ x_rot.T
+                jac[:, dg + dk :, dg + dk :] = x_rot
+            return new_pts, jac
+
+        return sampler
 
     space_G = HamiltonianSpace(
         name=f"{m.name}:G",
@@ -786,7 +810,9 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
         metric=metric,
         sample_box=sample_box,
         chart_radius=chart_radius,
-        action_sampler=action_sampler_G,
+        action_sampler=chart_composition(
+            np.eye(dg), np.zeros((dg, dg)), np.zeros((dg, dx, dx))
+        ),
     )
 
     # ---- H-structure: diagonal action --------------------------------------
@@ -874,41 +900,6 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
             for i in range(dh)
         )
 
-        def action_sampler_H(xi, pts):
-            xi = np.asarray(xi, dtype=float).reshape(dh)
-            zeta = hmat @ xi  # in g
-            ad_z = sum(zeta[c] * admats[c] for c in range(dg))
-            x_rot = (
-                _expm_dense(sum(xi[i] * m.rho[i] for i in range(dh)))
-                if dx
-                else np.zeros((0, 0))
-            )
-            n_pts = pts.shape[0]
-            new_pts = pts.copy()
-            jac = np.zeros((n_pts, n, n))
-            for row in range(n_pts):
-                theta = pts[row, :dg]
-                ad_t = sum(theta[c] * admats[c] for c in range(dg))
-                if dg == 1:
-                    theta_new = theta + zeta
-                    jac_t = np.eye(1)
-                else:
-                    gmat = _expm_dense(ad_t) @ _expm_dense(ad_z)
-                    theta_new = _ad_to_vector(np.real(_logm_dense(gmat)), admats)
-                    ad_tn = sum(theta_new[c] * admats[c] for c in range(dg))
-                    jac_t = np.linalg.solve(
-                        _texp_dense(ad_tn),
-                        _expm_dense(-ad_z) @ _texp_dense(ad_t),
-                    )
-                new_pts[row, :dg] = theta_new
-                jac[row, :dg, :dg] = jac_t
-                new_pts[row, dg : dg + dk] = pts[row, dg : dg + dk]
-                jac[row, dg : dg + dk, dg : dg + dk] = np.eye(dk)
-                if dx:
-                    new_pts[row, dg + dk :] = x_rot @ pts[row, dg + dk :]
-                    jac[row, dg + dk :, dg + dk :] = x_rot
-            return new_pts, jac
-
         space_H = HamiltonianSpace(
             name=f"{m.name}:H",
             algebra=algebra_H,
@@ -921,41 +912,10 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
             metric=metric,
             sample_box=sample_box,
             chart_radius=chart_radius,
-            action_sampler=action_sampler_H,
+            action_sampler=chart_composition(np.zeros((dh, dg)), m.h_basis, m.rho),
         )
 
     return StandardModelSpaces(space_G, space_H, m)
-
-
-def _ad_to_vector(lmat: np.ndarray, admats) -> np.ndarray:
-    """Solve sum_c v_c admats[c] = lmat for v (least squares, exact for
-    points in the chart)."""
-    basis = np.stack([b.ravel() for b in admats], axis=1)
-    sol, *_ = np.linalg.lstsq(basis, lmat.ravel(), rcond=None)
-    return sol
-
-
-# The dense helpers import scipy.linalg when called, not at module load: it
-# is slow to import and only the standard local models need it.
-def _expm_dense(a: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
-
-    return expm(a)
-
-
-def _logm_dense(a: np.ndarray) -> np.ndarray:
-    from scipy.linalg import logm
-
-    return logm(a)
-
-
-def _texp_dense(a: np.ndarray) -> np.ndarray:
-    """(1 - e^{-A}) / A via the augmented-block identity (dense, pointwise)."""
-    k = a.shape[0]
-    aug = np.zeros((2 * k, 2 * k))
-    aug[:k, :k] = -a
-    aug[:k, k:] = np.eye(k)
-    return _expm_dense(aug)[:k, k:]
 
 
 # ---------------------------------------------------------------------------

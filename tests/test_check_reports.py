@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 
+import numpy as np
+
 _SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "check_reports.py")
 
 
@@ -54,3 +56,31 @@ def test_definition_records_each_part_of_the_space():
     assert flat["cn_u1(1,1) definition.sample_box"] == [[-2 ** 0.5, 2 ** 0.5]] * 2
     assert len(flat["cn_u1(1,1) definition.sampler.image"]) == 8
     assert len(flat["cn_u1(1,1) definition.sampler.jacobian"]) == 2
+
+
+def test_model_definition_records_values_at_the_sample_points():
+    from symloc.hamspace import catalog
+
+    mod = _load_script()
+    flat: dict = {}
+    space = catalog("standard_model", preset="su2_hopf", which="H")
+    mod._flatten("m definition", mod._plain(mod._model_definition(space)), flat)
+    n = space.ambient_dim
+    # values, never a repr (a MatrixField node prints its address)
+    assert not any(isinstance(v, str) for v in flat.values())
+    omega = [v for k, v in flat.items() if k.startswith("m definition.omega.")]
+    assert len(omega) == len(space.omega.indexed_terms)
+    assert all(len(v) == 8 for v in omega)
+    assert np.shape(flat["m definition.action"]) == (1, n, 8)
+    assert np.shape(flat["m definition.moment_star"]) == (1, 8)
+    assert np.shape(flat["m definition.omega_matrix"]) == (8, n, n)
+    assert np.shape(flat["m definition.metric"]) == (8, n, n)
+    assert np.shape(flat["m definition.sampler.image"]) == (8, n)
+    assert np.shape(flat["m definition.sampler.jacobian"]) == (8, n, n)
+
+
+def test_record_keeps_only_the_definition_of_each_model():
+    mod = _load_script()
+    out = mod.record(spaces=(), models=("standard_model(u1_beta,G)",))
+    assert {k.split(".")[0] for k in out} == {"standard_model(u1_beta,G) definition"}
+    assert out["standard_model(u1_beta,G) definition.moment_star"][0][0] != 0.0

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import seed_linear
+import seed_model
 from symloc.fields import add, const, coord, mul
 from symloc.forms import contract, exterior_d
 from symloc.hamspace import (
@@ -22,6 +23,7 @@ from symloc.hamspace import (
     StandardLocalModel,
     _linear_space,
     _realify,
+    _standard_preset,
     build_standard_model,
     catalog,
     catalog_from_string,
@@ -130,6 +132,25 @@ def test_full_validation_all_catalog_spaces():
     for name, make in catalog_names_for_validation():
         rep = validate_space(make(), n_samples=120, seed=7)
         assert rep["ok"], f"{name}: {rep}"
+
+
+@pytest.mark.parametrize("op,param,value", [
+    (sample_points, "n", 2.5),      # was TypeError from rng.random
+    (sample_points, "n", -1),       # was ValueError: negative dimensions
+    (sample_points, "n", 0),
+    (sample_points, "seed", -1),
+    (check_moment_condition, "n_samples", True),  # was TypeError
+    (check_moment_condition, "n_samples", 0),
+    (check_moment_condition, "seed", 1.5),
+    (validate_space, "n_samples", 0),  # was ValueError: zero-size array
+    (validate_space, "n_samples", 2.5),
+    (validate_space, "seed", -2),
+])
+def test_bad_counts_are_refused(op, param, value):
+    sp = catalog("cn_u1", n=1, a=1.0)
+    count, seed = (value, 0) if param != "seed" else (8, value)
+    with pytest.raises(InputError, match=f"{param} must be an integer"):
+        op(sp, count, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +322,49 @@ def test_lambda_pullback_on_orthogonal_actions():
         assert np.max(np.abs(pulled - lam_matrix(pts))) < 1e-9, sp.name
 
 
+_MODEL_SPACES = [
+    (preset, which)
+    for preset, whiches in (("u1_w1", "GH"), ("u1_beta", "G"), ("su2_hopf", "GH"))
+    for which in whiches
+]
+
+
+def _model_xi(sp, scale):
+    return scale * np.linspace(1.0, -0.75, sp.algebra.dim)
+
+
 def test_sampler_jacobians_match_finite_differences():
-    # the analytic chart Jacobians of the group-factor samplers agree with
-    # central finite differences
-    for sp, xi in [
-        (catalog("standard_model", preset="su2_hopf", which="G"),
-         np.array([0.2, -0.15, 0.1])),
-        (catalog("standard_model", preset="su2_hopf", which="H"), np.array([0.3])),
-    ]:
+    # the analytic chart Jacobians of the shared chart composition agree
+    # with central finite differences, on the abelian (u(1)) and the
+    # nonabelian (su(2)) group factor alike
+    for preset, which in _MODEL_SPACES:
+        sp = catalog("standard_model", preset=preset, which=which)
         pts = sample_points(sp, 6, seed=29)
-        _, jac = sp.action_sampler(xi, pts)
-        h = 1e-6
-        for j in range(sp.ambient_dim):
-            dp = np.zeros(sp.ambient_dim)
-            dp[j] = h
-            plus, _ = sp.action_sampler(xi, pts + dp)
-            minus, _ = sp.action_sampler(xi, pts - dp)
-            fd = (plus - minus) / (2 * h)
-            assert np.max(np.abs(fd - jac[:, :, j])) < 1e-6
+        for xi in (_model_xi(sp, 0.3), np.array([0.2, -0.15, 0.1])[: sp.algebra.dim]):
+            _, jac = sp.action_sampler(xi, pts)
+            h = 1e-6
+            for j in range(sp.ambient_dim):
+                dp = np.zeros(sp.ambient_dim)
+                dp[j] = h
+                plus, _ = sp.action_sampler(xi, pts + dp)
+                minus, _ = sp.action_sampler(xi, pts - dp)
+                fd = (plus - minus) / (2 * h)
+                assert np.max(np.abs(fd - jac[:, :, j])) < 1e-6, sp.name
+
+
+@pytest.mark.parametrize("preset,which", _MODEL_SPACES)
+def test_chart_composition_is_the_per_row_sampler(preset, which):
+    # tests/seed_model.py keeps the per-row SciPy samplers that the one
+    # batched chart composition replaced; it may move by roundoff
+    sp = catalog("standard_model", preset=preset, which=which)
+    ref = dict(zip("GH", seed_model.samplers(_standard_preset(preset))))[which]
+    for seed in (13, 29):
+        pts = sample_points(sp, 25, seed)
+        for scale in (0.3, -1.1, 2.0):
+            xi = _model_xi(sp, scale)
+            (x_new, j_new), (x_old, j_old) = sp.action_sampler(xi, pts), ref(xi, pts)
+            assert np.max(np.abs(x_new - x_old)) <= 1e-14
+            assert np.max(np.abs(j_new - j_old)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
