@@ -14,11 +14,8 @@ report, or the error it raised (type and message):
     check_alpha, invariance_residual, check_moment_condition,
     validate_space, find_critical_points + local_model_check (and the
     search at c -/+ REGULAR_MARGIN/2 for the top critical value c),
-    curvature, basic_residual of cartan_map, cartan_d_residual,
-    normal_form_check, chern_numbers, damping_check and
+    zero_level's regularity report, damping_check and
     global_convergence_check.
-
-The level ops run on zero_level(space) and are skipped where it raises.
 
 On the five standard_model(...) spaces it keeps only the definition, by
 value (their Exprs reach MatrixField nodes, which have no repr): every
@@ -178,20 +175,8 @@ def record_space(name: str) -> dict:
             _run(out, f"find_critical_points(c{side:+g}*margin)", lambda: [
                 c.critical_value for c in critical.find_critical_points(space, r)])
 
-    level = _run(out, "zero_level", lambda: reduced.zero_level(space),
-                 view=lambda lv: lv.regularity_report)
-    if level is not None:
-        _run(out, "curvature", lambda: reduced.curvature(level), view=lambda cv: {
-            "horizontality_residual": cv.horizontality_residual,
-            "invariance_residual": cv.invariance_residual,
-        })
-        for label, alpha in alphas.items():
-            _run(out, f"basic_residual(cartan_map({label}))", lambda: reduced.basic_residual(
-                level, reduced.cartan_map(alpha, level)))
-            _run(out, f"cartan_d_residual({label})", lambda: reduced.cartan_d_residual(
-                alpha, level))
-        _run(out, "normal_form_check", lambda: reduced.normal_form_check(space, level))
-        _run(out, "chern_numbers", lambda: reduced.chern_numbers(level))
+    _run(out, "zero_level", lambda: reduced.zero_level(space),
+         view=lambda lv: lv.regularity_report)
 
     unit = alphas["1"]
     _run(out, "damping_check", lambda: analysis.damping_check(space, unit, *DAMPING_RADII))

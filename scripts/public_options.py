@@ -1,17 +1,20 @@
-"""List the settable options of symloc's public API, or how they changed.
+"""List the public names and settable options of symloc's public API, or
+how they changed.
 
-An option is a parameter with a default of a public function or method
-(``__init__`` included), or a public field with a default of a public
-dataclass.  Names that start with an underscore are private, and so is
-everything defined inside a function body.  The sources are read with
-``ast``; nothing is imported.
+A public name is one a module lists in ``__all__``.  An option is a
+parameter with a default of a public function or method (``__init__``
+included), or a public field with a default of a public dataclass.  Names
+that start with an underscore are private, and so is everything defined
+inside a function body.  The sources are read with ``ast``; nothing is
+imported.
 
     python scripts/public_options.py             # this checkout's src/symloc
-    python scripts/public_options.py --diff REV  # options added or removed since REV
+    python scripts/public_options.py --diff REV  # names and options added or removed since REV
 
-One option per line, ``module:qualname param=default``, sorted.  A changed
-default shows as one removed and one added line.  The diff only reports;
-it exits 0 either way.
+One line each, sorted: ``module:__all__ name`` for a public name and
+``module:qualname param=default`` for an option.  A changed default shows
+as one removed and one added line.  The diff only reports; it exits 0
+either way.
 """
 
 from __future__ import annotations
@@ -59,11 +62,21 @@ def _body_options(body, prefix, in_dataclass=False):
             yield f"{prefix.rstrip('.')} {node.target.id}={ast.unparse(node.value)}"
 
 
+def _exported(body):
+    """The names a module body assigns to ``__all__``."""
+    for node in body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from (f"__all__ {name}" for name in ast.literal_eval(node.value))
+
+
 def options(sources: dict) -> list:
-    """Every option of the modules ``sources`` ({module name: source text})."""
+    """Every public name and option of the modules ``sources`` ({module
+    name: source text})."""
     out = []
     for module, text in sorted(sources.items()):
-        out += [f"{module}:{line}" for line in _body_options(ast.parse(text).body, "")]
+        body = ast.parse(text).body
+        out += [f"{module}:{line}" for line in (*_exported(body), *_body_options(body, ""))]
     return sorted(out)
 
 
@@ -91,7 +104,8 @@ def _revision_sources(rev: str) -> dict:
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--diff", metavar="REV", help="print the options added or removed since REV")
+    p.add_argument("--diff", metavar="REV",
+                   help="print the names and options added or removed since REV")
     args = p.parse_args(argv)
     head = options(_checkout_sources())
     if args.diff is None:
@@ -101,8 +115,9 @@ def main(argv=None):
     removed = sorted(set(base) - set(head))
     added = sorted(set(head) - set(base))
     lines = [f"- {o}" for o in removed] + [f"+ {o}" for o in added]
-    print("\n".join(lines) if lines else "no option added or removed")
-    print(f"{len(base)} options at {args.diff}, {len(head)} in this checkout", file=sys.stderr)
+    print("\n".join(lines) if lines else "no name or option added or removed")
+    print(f"{len(base)} names and options at {args.diff}, {len(head)} in this checkout",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -942,8 +942,6 @@ class _LevelChart(_Frozen):
         "grid_shape",
         "param_nodes",
         "param_weights",
-        "angle_axes",
-        "angle_steps",
         "axes",
     )
 
@@ -965,10 +963,6 @@ class _LevelChart(_Frozen):
             object.__setattr__(self, "grid_shape", (n_angle,))
             object.__setattr__(self, "param_nodes", ang[:, None].copy())
             object.__setattr__(self, "param_weights", np.full(n_angle, ang_w))
-            # the generator advances theta by w per unit time; one angular
-            # grid step is the group element exp((2 pi / (n_angle w)) e)
-            object.__setattr__(self, "angle_axes", (0,))
-            object.__setattr__(self, "angle_steps", (self.weights[0],))
             object.__setattr__(self, "axes", (ang,))
             return
         gl_x, gl_w = _leggauss(n_eta)
@@ -983,8 +977,6 @@ class _LevelChart(_Frozen):
             self, "param_nodes", np.stack([g.reshape(-1) for g in grids], axis=1)
         )
         object.__setattr__(self, "param_weights", wts.reshape(-1))
-        object.__setattr__(self, "angle_axes", (1, 2))
-        object.__setattr__(self, "angle_steps", tuple(self.weights))
         object.__setattr__(self, "axes", (eta, ang, ang))
 
     def _outputs(self, n: int, out):

@@ -6,44 +6,36 @@ pi: mu^{-1}(0) -> M_red.  For the catalog families with a radial moment
 (the u(1) circle and Hopf-sphere families) the zero level is the level
 set {c s = a} of s = sum_j w_j |z_j|^2, and it is meshed by the same
 chart (integrate._LevelChart) as the boundary surfaces {s = s_pm} of the
-deformation's boundary term.  On it this module realizes:
+deformation's boundary term.  The Kirwan side of Witten's formula is two
+ops on it:
 
 * ``zero_level``        -- mesh + induced measure + the metric connection
                            A = G(p)^{-1} <V ., .>  with  G_ab = <V e_a, V e_b>,
                            the unique connection whose horizontal space is the
                            metric orthogonal complement of the orbit; it is
                            normalized so that A(V phi) = phi pointwise.
-                           The level keeps A, dA, F, omega and the vertical
-                           generators pulled back to parameter coordinates;
-                           ``cartan_map`` and ``kirwan_integral`` read them
-                           from it instead of recomputing them.
-* ``curvature``         -- F_A = dA + (1/2)[A, A], horizontal by construction.
-* ``cartan_map``        -- restrict an equivariant form to the level set,
-                           substitute phi -> i F_A, and project horizontally;
-                           the output is basic (invariant + horizontal) and
-                           descends to M_red.
+                           The level keeps A, its curvature F = dA (u(1) is
+                           abelian), omega and the vertical generators pulled
+                           back to parameter coordinates; ``kirwan_integral``
+                           reads them from it instead of recomputing them.
 * ``kirwan_integral``   -- int_{M_red} kappa(alpha) exp(omega_0 + (eps/2)|F_A|^2)
-                           computed upstairs: wedge with the vertical volume
-                           form A^1 ^ ... ^ A^d (which kills every non-horizontal
-                           component), integrate over mu^{-1}(0), divide by
-                           vol(G).  Because each orbit carries vertical volume
-                           vol(G)/|Gamma| in the A-normalized measure, this is
-                           the *orbifold* integral over M_red -- the quantity the
-                           small-eps limit of the Basic Integral actually
-                           produces (for the weight-2 circle it is 1/2, not 1).
-                           The result is an explicit polynomial in eps of degree
+                           computed upstairs.  The Cartan map kappa restricts
+                           alpha to the level set, substitutes phi -> i F_A and
+                           projects horizontally; the result is wedged with the
+                           vertical volume form A^1 ^ ... ^ A^d (which kills
+                           every non-horizontal component), integrated over
+                           mu^{-1}(0) and divided by vol(G).  Because each orbit
+                           carries vertical volume vol(G)/|Gamma| in the
+                           A-normalized measure, this is the *orbifold* integral
+                           over M_red -- the quantity the small-eps limit of
+                           the Basic Integral actually produces (for the
+                           weight-2 circle it is 1/2, not 1).  The result is an
+                           explicit polynomial in eps of degree
                            <= dim(M_red)/4, returned with its coefficient vector.
-* ``normal_form_check`` -- the collar model on mu^{-1}(0) x g with
-                           omega~ = pi* omega_0 + d<nu, A> and mu~ = nu,
-                           verified closed, nondegenerate out to a scanned
-                           collar radius, and satisfying the moment condition
-                           iota_{V phi} omega~ = -d<nu, phi> at sampled points.
 
 Orientation convention: the level set is oriented so that the reduced
 Liouville volume int_{M_red} exp(omega_0) comes out positive; every reduced
-integral is reported in that orientation.  Chern numbers follow the complex
-convention: the u(1) generator acts as multiplication by i, so the
-anti-Hermitian curvature is i F and c_1 integrates -F/(2 pi).
+integral is reported in that orientation.
 
 c2_su2 deliberately fails here: its zero level is the single point at the
 origin, where d mu has rank zero, so ``zero_level`` raises NotRegularError.
@@ -57,28 +49,17 @@ import math
 import numpy as np
 
 from .fields import Const, Expr, MatConst, _Frozen, column  # noqa: F401  (Expr is re-exported for annotations)
-from .forms import EquivariantForm, _merge_sign, _pullback, invariance_residual
-from .hamspace import HamiltonianSpace, sample_points
+from .forms import EquivariantForm, _merge_sign, _pullback
+from .hamspace import HamiltonianSpace
 from .integrate import _check_planes, _gate_alpha, _LevelChart
 from .liealg import AccuracyError, InputError, NotRegularError, _check_count
 
 __all__ = [
     "ZeroLevelData",
-    "CurvatureData",
-    "LevelForm",
     "KirwanResult",
     "zero_level",
-    "curvature",
-    "cartan_map",
-    "cartan_d_residual",
-    "basic_residual",
     "kirwan_integral",
-    "chern_numbers",
-    "normal_form_check",
 ]
-
-# the central-difference step of cartan_d_residual and normal_form_check
-_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +95,6 @@ def _add_parts(a: dict, b: dict) -> dict:
     return out
 
 
-def _contract_parts(parts: dict, vec: np.ndarray) -> dict:
-    """Interior product with a pointwise vector field (N, dim)."""
-    out: dict = {}
-    for idx, coeff in parts.items():
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = coeff * vec[:, i]
-            if pos % 2:
-                term = -term
-            out[rest] = out[rest] + term if rest in out else term
-    return out
-
-
 def _matrix_to_parts(mat: np.ndarray, dtype=complex) -> dict:
     """Antisymmetric (N, k, k) matrix -> two-form dict of ``dtype`` columns."""
     k = mat.shape[-1]
@@ -137,10 +105,6 @@ def _matrix_to_parts(mat: np.ndarray, dtype=complex) -> dict:
             if np.any(col):
                 out[(i, j)] = col
     return out
-
-
-def _max_abs(parts: dict) -> float:
-    return max((float(np.max(np.abs(v))) for v in parts.values()), default=0.0)
 
 
 def _vertical_volume(conn: np.ndarray) -> dict:
@@ -159,58 +123,6 @@ def _fiber_integral(parts: dict, vert: dict, weights: np.ndarray, dim: int):
     return np.sum(weights * _wedge(parts, vert).get(tuple(range(dim)), 0.0))
 
 
-def _fd_exterior_d(plus: list, minus: list, h: float) -> dict:
-    """d of a pointwise form by central differences: ``plus[j]`` and
-    ``minus[j]`` are the form at u + h e_j and u - h e_j, and
-    d beta = sum_j dx_j ^ (beta(u + h e_j) - beta(u - h e_j)) / 2h."""
-    keys: set = set()
-    for p in plus + minus:
-        keys |= set(p.keys())
-    d_acc: dict = {}
-    for idx in keys:
-        for j in range(len(plus)):
-            merged, sign = _merge_sign((j,), idx)
-            if merged is None:
-                continue
-            deriv = (plus[j].get(idx, 0.0) - minus[j].get(idx, 0.0)) / (2.0 * h)
-            term = sign * deriv
-            d_acc[merged] = d_acc[merged] + term if merged in d_acc else term
-    return d_acc
-
-
-class LevelForm(_Frozen):
-    """An ordinary differential form on the zero level set, stored pointwise
-    on the level mesh in parametrization coordinates."""
-
-    __slots__ = ("param_dim", "n_nodes", "parts")
-
-    def __init__(self, param_dim: int, n_nodes: int, parts: dict):
-        object.__setattr__(self, "param_dim", int(param_dim))
-        object.__setattr__(self, "n_nodes", int(n_nodes))
-        clean = {}
-        for idx, coeff in parts.items():
-            idx = tuple(int(i) for i in idx)
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise InputError("form index tuples must be strictly increasing")
-            coeff = np.asarray(coeff, dtype=complex)
-            if coeff.shape != (n_nodes,):
-                coeff = np.broadcast_to(coeff, (n_nodes,)).copy()
-            clean[idx] = coeff
-        object.__setattr__(self, "parts", clean)
-
-    def degrees(self) -> set:
-        return {len(idx) for idx in self.parts}
-
-    def coefficient(self, idx) -> np.ndarray:
-        idx = tuple(int(i) for i in idx)
-        if idx in self.parts:
-            return self.parts[idx]
-        return np.zeros(self.n_nodes, dtype=complex)
-
-    def max_abs(self) -> float:
-        return _max_abs(self.parts)
-
-
 # ---------------------------------------------------------------------------
 # the metric connection and its derivatives, from the constant structure
 #
@@ -222,17 +134,17 @@ class LevelForm(_Frozen):
 #
 #     dA_kl = G^{-1} (S_kl - dG_k A_l + A_k dG_l),   S = Dg - (Dg)^T,
 #
-# with dG = 2 D g V.  Through the chart Jacobian J it pulls back as
-# J^T dA J = G^{-1} (J^T S J - p a^T + a p^T), p = J^T dG, a = J^T A.
+# with dG = 2 D g V.  Only its pullback through the chart Jacobian J is
+# formed: J^T dA J = G^{-1} (J^T S J - p a^T + a p^T), p = J^T dG, a = J^T A.
 #
 # Every per-node array has the node axis last and no generator axis (there
-# is one generator): V and A are (ambient_dim, N), dA is (ambient_dim,
-# ambient_dim, N).  Each entry is a sum of scaled (N,) rows, written into
-# preallocated outputs: no per-node matrix product and no BLAS call on a
-# node-sized operand.  A sum skips the rows that are zero at every node (a
+# is one generator): V, A and dG are (ambient_dim, N), J^T dA J is
+# (param_dim, param_dim, N).  Each entry is a sum of scaled (N,) rows,
+# written into preallocated outputs: no per-node matrix product and no BLAS
+# call on a node-sized operand.  A sum skips the rows that are zero at every node (a
 # chart's Jacobian has some, and so do products with the sparse constant
-# matrices), which changes no bit of it.  _chart_conn_at and zero_level
-# hand the data on in the (N, dim g, ...) layout of ZeroLevelData.
+# matrices), which changes no bit of it.  zero_level hands the data on in
+# the (N, dim g, ...) layout of ZeroLevelData.
 # ---------------------------------------------------------------------------
 
 
@@ -391,28 +303,18 @@ def _metric_connection(struct: dict, x: np.ndarray, a_out: np.ndarray) -> dict:
     }
 
 
-def _connection_at(
-    struct: dict, x: np.ndarray, a_out: np.ndarray, f_out: np.ndarray
-) -> dict:
-    """A and dA = F (u(1) is abelian: one array) at the (N, ambient_dim)
-    points ``x``, into ``a_out`` and ``f_out``, with V, dG and G^{-1} for
-    the pullbacks."""
+def _connection_at(struct: dict, x: np.ndarray, a_out: np.ndarray) -> dict:
+    """A at the (N, ambient_dim) points ``x``, into ``a_out``, with V, dG
+    and G^{-1} for the pullback of dA."""
     base = _metric_connection(struct, x, a_out)
-    conn, gram_inv = base["A"], base["gram_inv"]
-    tmp = np.empty(len(x))
     # dG = 2 D g V (g is symmetric)
-    dgram = np.empty_like(conn)
-    _combine(2.0 * struct["D"].T, dict(enumerate(base["vg"])), dgram, tmp)
-    for k in range(len(f_out)):
-        for l in range(k + 1, len(f_out)):
-            f_out[k, l] = struct["S"][k, l]
-    _antisymmetrize(_rank_two_update(f_out, gram_inv, dgram, conn, tmp))
+    dgram = np.empty_like(base["A"])
+    _combine(2.0 * struct["D"].T, dict(enumerate(base["vg"])), dgram, np.empty(len(x)))
     return {
         "V": base["V"],
-        "A": conn,
-        "F": f_out,
+        "A": base["A"],
         "dgram": dgram,
-        "gram_inv": gram_inv,
+        "gram_inv": base["gram_inv"],
     }
 
 
@@ -439,22 +341,18 @@ def _gram_det_solve(
         v /= det
 
 
-def _chart_conn_last(struct: dict, chart: _LevelChart, u=None):
+def _chart_conn_last(struct: dict, chart: _LevelChart):
     """Connection data pulled back to parametrization coordinates at the
-    (N, param_dim) parameter points ``u`` (the mesh nodes when None), node
-    axis last, with det J^T J.  The arrays a level keeps, the embedding
-    included, share one allocation."""
-    n = len(chart.param_nodes if u is None else u)
+    mesh nodes, node axis last, with det J^T J.  The arrays a level keeps,
+    the embedding included, share one allocation."""
+    n = len(chart.param_nodes)
     amb, k_dim = len(struct["D"]), chart.param_dim
-    x, jac, jtj_det, a_amb, f_amb, a_u, vert_u, omega_u, da_u = _node_last_arrays(
-        n, (amb,), (amb, k_dim), (), (amb,), (amb, amb),
+    x, jac, jtj_det, a_amb, a_u, vert_u, omega_u, da_u = _node_last_arrays(
+        n, (amb,), (amb, k_dim), (), (amb,),
         (k_dim,), (k_dim,), (k_dim, k_dim), (k_dim, k_dim),
     )
-    if u is None:
-        chart.embed_nodes((x, jac))
-    else:
-        chart.embed(u, (x, jac))
-    conn = _connection_at(struct, x.T, a_amb, f_amb)
+    chart.embed_nodes((x, jac))
+    conn = _connection_at(struct, x.T, a_amb)
     tmp = np.empty(n)
     row = np.empty((amb, n))
     cols = [_live_rows(jac[:, k]) for k in range(k_dim)]
@@ -489,22 +387,14 @@ def _nodes_first(arr: np.ndarray) -> np.ndarray:
 def _pulled_back_first(data: dict) -> dict:
     """_chart_conn_last's pullbacks as views in the (N, dim g, ...) shapes
     that ZeroLevelData stores and the Cartan map reads."""
-    da_u = _nodes_first(data["da_u"][None])
     return {
         "x": _nodes_first(data["x"]),
         "jac": _nodes_first(data["jac"]),
         "omega_u": _nodes_first(data["omega_u"]),
         "a_u": _nodes_first(data["a_u"][None]),
-        "da_u": da_u,
-        "f_u": da_u,  # F = dA
+        "f_u": _nodes_first(data["da_u"][None]),  # F = dA
         "vert_u": _nodes_first(data["vert_u"][None]),
     }
-
-
-def _chart_conn_at(space: HamiltonianSpace, chart: _LevelChart, u: np.ndarray):
-    """Connection data pulled back to parametrization coordinates at
-    arbitrary parameter points, in the (N, ...) layout."""
-    return _pulled_back_first(_chart_conn_last(_constant_structure(space), chart, u))
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +407,16 @@ class ZeroLevelData(_Frozen):
 
     Besides the ambient connection it carries the data pulled back to
     parameter coordinates on the mesh (``connection_param``,
-    ``vertical_param``, ``omega_param``, ``da_param``, ``f_param``);
-    ``cartan_map`` and ``kirwan_integral`` reuse them rather than rebuild
+    ``vertical_param``, ``omega_param``, and ``f_param``, which is dA since
+    u(1) is abelian); ``kirwan_integral`` reads them rather than rebuild
     the connection at ``param_nodes``.
 
-    Every stored array is read-only: some share memory (u(1) is abelian,
-    so ``f_param`` is ``da_param``; ``param_nodes`` is the chart's), so a
-    write through one would silently change another.  The arrays that
-    ``zero_level`` builds are (N, ...) views of node-last arrays carved
-    from one allocation, so their node axis has the smallest stride: a
-    per-node column such as ``omega_param[:, i, j]`` is contiguous."""
+    Every stored array is read-only: some share memory (``param_nodes`` is
+    the chart's), so a write through one would silently change another.
+    The arrays that ``zero_level`` builds are (N, ...) views of node-last
+    arrays carved from one allocation, so their node axis has the smallest
+    stride: a per-node column such as ``omega_param[:, i, j]`` is
+    contiguous."""
 
     __slots__ = (
         "space",
@@ -542,8 +432,6 @@ class ZeroLevelData(_Frozen):
         "connection_param",
         "vertical_param",
         "omega_param",
-        "da_param",
-        "f_ambient",
         "f_param",
         "regularity_report",
         "stabilizer_order",
@@ -575,8 +463,8 @@ class ZeroLevelData(_Frozen):
         return _matrix_to_parts(self.omega_param)
 
     def _pulled_back(self) -> dict:
-        """The stored connection data on the mesh, keyed as _chart_conn_at
-        keys it, so the Cartan map reads it instead of recomputing it."""
+        """The stored connection data on the mesh, keyed as _kappa_parts
+        reads it."""
         return {
             "x": self.nodes,
             "jac": self.jacobians,
@@ -586,7 +474,10 @@ class ZeroLevelData(_Frozen):
         }
 
     def to_json_dict(self, stride: int = 1) -> dict:
-        sl = slice(None, None, max(1, int(stride)))
+        """The level as JSON values, the mesh at every ``stride``-th node.
+        InputError unless ``stride`` is an integer >= 1."""
+        _check_count("stride", stride, 1)
+        sl = slice(None, None, stride)
         return {
             "space": self.space.name,
             "n_nodes": self.n_nodes,
@@ -684,8 +575,6 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         )
     radial.check_zero_level(space.name)
     _check_planes(radial)
-    if not 4 <= mesh_density < math.inf:
-        raise InputError("mesh_density must be finite and at least 4")
     _check_count("mesh_density", mesh_density, 4)
     weights = radial.weights
     m = int(mesh_density)
@@ -765,8 +654,6 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         connection_param=pulled["a_u"],
         vertical_param=pulled["vert_u"],
         omega_param=pulled["omega_u"],
-        da_param=pulled["da_u"],
-        f_ambient=_nodes_first(conn["F"][None]),
         f_param=pulled["f_u"],
         regularity_report=report,
         stabilizer_order=math.gcd(*(abs(w) for w in weights)),
@@ -774,12 +661,9 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     )
 
 
-def _exp_parts(two_form: dict, top_dim: int, n_nodes: int | None = None) -> dict:
-    """exp of a pointwise two-form, truncated at the top degree."""
-    if n_nodes is None:
-        if not two_form:
-            raise InputError("cannot exponentiate an empty form of unknown size")
-        n_nodes = next(iter(two_form.values())).shape[0]
+def _exp_parts(two_form: dict, top_dim: int, n_nodes: int) -> dict:
+    """exp of a pointwise two-form on ``n_nodes`` nodes, truncated at the
+    top degree."""
     out = {(): np.ones(n_nodes)}
     power = dict(out)
     k = 0
@@ -793,107 +677,6 @@ def _exp_parts(two_form: dict, top_dim: int, n_nodes: int | None = None) -> dict
 
 
 # ---------------------------------------------------------------------------
-# curvature
-# ---------------------------------------------------------------------------
-
-
-class CurvatureData(_Frozen):
-    """F_A = dA + (1/2)[A, A] on the level mesh, with residual diagnostics."""
-
-    __slots__ = (
-        "values_param",
-        "values_ambient",
-        "horizontality_residual",
-        "invariance_residual",
-    )
-
-    def __init__(self, values_param, values_ambient, horizontality_residual,
-                 invariance_residual):
-        object.__setattr__(self, "values_param", values_param)
-        object.__setattr__(self, "values_ambient", values_ambient)
-        object.__setattr__(
-            self, "horizontality_residual", float(horizontality_residual)
-        )
-        object.__setattr__(
-            self, "invariance_residual", float(invariance_residual)
-        )
-
-
-def curvature(level: ZeroLevelData) -> CurvatureData:
-    """The g-valued curvature two-form of the metric connection.
-
-    Horizontal by construction: the contraction with every generator field
-    is reported (and must stay below 1e-8); invariance is checked by moving
-    the mesh one angular grid step, which is an exact symmetry of the node
-    set."""
-    f_param = level.f_param
-    f_amb = level.f_ambient
-    scale = max(1.0, float(np.max(np.abs(f_amb))))
-    horiz, inv = np.max([
-        _basic_residuals(level, _matrix_to_parts(f_param[:, a]))
-        for a in range(level.space.algebra.dim)
-    ], axis=0)
-    return CurvatureData(
-        values_param=f_param,
-        values_ambient=f_amb,
-        horizontality_residual=horiz / scale,
-        invariance_residual=inv,
-    )
-
-
-def _basic_residuals(level: ZeroLevelData, parts: dict) -> tuple:
-    """(max contraction of the pointwise form ``parts`` with the vertical
-    generator fields, max grid-step invariance residual of its
-    coefficients), unnormalized."""
-    contr = max(
-        _max_abs(_contract_parts(parts, level.vertical_param[:, a]))
-        for a in range(level.space.algebra.dim)
-    )
-    inv = max(
-        (_grid_roll_residual(level, coeff[:, None]) for coeff in parts.values()),
-        default=0.0,
-    )
-    return contr, inv
-
-
-def _grid_roll_residual(level: ZeroLevelData, values: np.ndarray) -> float:
-    """Residual of invariance under the group element that advances every
-    angular coordinate by one grid step (an exact permutation of nodes)."""
-    chart = level.chart
-    grid = values.reshape(level.grid_shape + values.shape[1:])
-    rolled = grid
-    for axis, step in zip(chart.angle_axes, chart.angle_steps):
-        rolled = np.roll(rolled, -int(step), axis=axis)
-    return float(np.max(np.abs(rolled - grid)))
-
-
-def chern_numbers(level: ZeroLevelData) -> np.ndarray:
-    """First Chern numbers of the orbifold bundle over the reduced surface.
-
-    Defined when M_red is two-dimensional: the generator acts as
-    multiplication by i in the complex picture, so the anti-Hermitian
-    curvature is i F_real and c_1 integrates to -(1/2 pi) int_{M_red} F^a."""
-    if level.horizontal_dim != 2:
-        raise InputError(
-            "Chern numbers are defined for a two-dimensional reduced space"
-        )
-    vol_g = level.space.algebra.group_volume
-    vert = _vertical_volume(level.connection_param)
-    out = []
-    for a in range(level.space.algebra.dim):
-        raw = complex(_fiber_integral(
-            _matrix_to_parts(level.f_param[:, a]), vert,
-            level.param_weights, level.param_dim,
-        ))
-        pushed = level.orient_sign * raw / vol_g
-        out.append(-pushed / (2.0 * math.pi))
-    arr = np.asarray(out, dtype=complex)
-    if np.max(np.abs(arr.imag)) > 1e-10:
-        raise AccuracyError("Chern integrals came out non-real")
-    return arr.real
-
-
-# ---------------------------------------------------------------------------
 # the Cartan map
 # ---------------------------------------------------------------------------
 
@@ -902,8 +685,9 @@ def _kappa_parts(
     space: HamiltonianSpace, alpha: EquivariantForm, data: dict
 ) -> dict:
     """kappa(alpha) = P_A^* (alpha|_{level}, phi -> i F_A) as a pointwise
-    form dict, from pulled-back connection data: _chart_conn_at at chosen
-    parameter points, or ZeroLevelData._pulled_back() on the level mesh."""
+    form dict, from the pulled-back connection data on the level mesh
+    (ZeroLevelData._pulled_back()).  For closed invariant alpha the output
+    is basic (invariant and horizontal), so it descends to M_red."""
     n_pts, k_dim = data["jac"].shape[0], data["jac"].shape[2]
     gdim = space.algebra.dim
     # horizontal projection in parameter coordinates
@@ -932,74 +716,6 @@ def _kappa_parts(
                     break
         total = _add_parts(total, base)
     return total
-
-
-def cartan_map(alpha: EquivariantForm, level: ZeroLevelData) -> LevelForm:
-    """Restrict, substitute phi -> i F_A, and project horizontally.
-
-    The output is basic: it contracts to zero against the generator fields
-    and is invariant, so it descends to the reduced space."""
-    space = level.space
-    if alpha.ambient_dim != space.ambient_dim or alpha.gdim != space.algebra.dim:
-        raise InputError("alpha does not live on this space")
-    pts = sample_points(space, 40, seed=11)
-    phis = np.random.default_rng(12).standard_normal((4, space.algebra.dim))
-    inv = invariance_residual(alpha, space.action, space.algebra, pts, phis)
-    if inv > 1e-8:
-        raise InputError(
-            f"cartan_map requires an invariant form "
-            f"(invariance residual {inv:.3e})"
-        )
-    parts = _kappa_parts(space, alpha, level._pulled_back())
-    return LevelForm(level.param_dim, level.n_nodes, parts)
-
-
-def basic_residual(level: ZeroLevelData, form: LevelForm) -> dict:
-    """How far a level form is from being basic: max contraction against
-    the generator fields, and the exact grid-step invariance residual."""
-    scale = max(1.0, form.max_abs())
-    contr, inv = _basic_residuals(level, form.parts)
-    return {
-        "contraction_residual": contr / scale,
-        "invariance_residual": inv / scale,
-    }
-
-
-def cartan_d_residual(
-    alpha: EquivariantForm, level: ZeroLevelData, n_samples: int = 120
-) -> float:
-    """Residual of d(kappa(alpha)) at random interior parameter points,
-    by central differences of step _FD_STEP along each parameter axis.
-
-    For closed invariant alpha the Cartan image is closed (it represents a
-    class on the reduced space), so this must vanish to finite-difference
-    accuracy.  InputError unless ``n_samples`` is an integer >= 1."""
-    _check_count("n_samples", n_samples, 1)
-    h = _FD_STEP
-    rng = np.random.default_rng(0)
-    chart = level.chart
-    k_dim = chart.param_dim
-    if chart.n == 1:
-        u0 = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, 1))
-    else:
-        u0 = np.stack(
-            [
-                rng.uniform(0.2, math.pi / 2 - 0.2, size=n_samples),
-                rng.uniform(0.0, 2.0 * math.pi, size=n_samples),
-                rng.uniform(0.0, 2.0 * math.pi, size=n_samples),
-            ],
-            axis=1,
-        )
-    space = level.space
-    plus: list = []
-    minus: list = []
-    for j in range(k_dim):
-        shift = np.zeros(k_dim)
-        shift[j] = h
-        for u, out in ((u0 + shift, plus), (u0 - shift, minus)):
-            out.append(_kappa_parts(space, alpha, _chart_conn_at(space, chart, u)))
-    scale = max(1.0, max((_max_abs(p) for p in plus), default=1.0))
-    return _max_abs(_fd_exterior_d(plus, minus, h)) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -1105,155 +821,3 @@ def kirwan_integral(
         },
     )
 
-
-# ---------------------------------------------------------------------------
-# the collar normal form
-# ---------------------------------------------------------------------------
-
-# normal_form_check samples the collar |nu| <= _COLLAR_RADIUS at
-# _COLLAR_SAMPLES points and scans outward to _SCAN_CAP in _SCAN_STEP steps.
-_COLLAR_RADIUS = 0.2
-_COLLAR_SAMPLES = 500
-_SCAN_CAP = 1.0
-_SCAN_STEP = 0.0025
-
-
-def normal_form_check(space: HamiltonianSpace, level: ZeroLevelData) -> dict:
-    """Verify the collar model omega~ = pi* omega_0 + d<nu, A>, mu~ = nu
-    on mu^{-1}(0) x g near nu = 0.
-
-    Checks, pointwise at sampled (node, nu):
-      * the moment condition  iota_{V phi} omega~ = -d<nu, phi>;
-      * closedness of omega~ (via central differences of the pulled-back
-        connection data along the parameter axes);
-      * nondegeneracy of omega~ inside |nu| <= _COLLAR_RADIUS, plus an
-        outward scan in steps of _SCAN_STEP reporting the largest radius
-        at which omega~ stays nondegenerate (capped at _SCAN_CAP);
-      * omega~ pulled back to the slice nu = 0 equals pi* omega_0.
-
-    The collar is sampled at _COLLAR_SAMPLES points.
-    """
-    gdim = space.algebra.dim
-    if gdim != 1:
-        raise InputError(
-            f"the collar model is implemented for one generator, got {gdim}"
-        )
-    n_samples = _COLLAR_SAMPLES
-    rng = np.random.default_rng(0)
-    k_dim = level.param_dim
-    n_nodes = level.n_nodes
-    idx = rng.integers(0, n_nodes, size=n_samples)
-    nu = rng.standard_normal((n_samples, gdim))
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    nu *= (rng.uniform(0.0, 1.0, size=n_samples) ** (1.0 / gdim))[:, None]
-    nu *= _COLLAR_RADIUS
-
-    omega_u = level.omega_param[idx]
-    a_u = level.connection_param[idx]
-    da_u = level.da_param[idx]
-    vert_u = level.vertical_param[idx]
-
-    def tilde_matrix(nu_arr, om, conn, da):
-        n = len(nu_arr)
-        mat = np.zeros((n, k_dim + gdim, k_dim + gdim))
-        mat[:, :k_dim, :k_dim] = om + np.einsum("na,nakl->nkl", nu_arr, da)
-        mat[:, :k_dim, k_dim:] = -np.einsum("nak->nka", conn)
-        mat[:, k_dim:, :k_dim] = conn
-        return mat
-
-    omega_tilde = tilde_matrix(nu, omega_u, a_u, da_u)
-
-    # moment condition residual over the basis of g
-    moment_res = 0.0
-    u_block = omega_tilde[:, :k_dim, :k_dim]
-    for b in range(gdim):
-        v_b = vert_u[:, b]
-        r_u = np.einsum("nk,nkl->nl", v_b, u_block)
-        r_nu = np.einsum("nk,nka->na", v_b, omega_tilde[:, :k_dim, k_dim:])
-        unit = np.zeros(gdim)
-        unit[b] = 1.0
-        moment_res = max(
-            moment_res,
-            float(np.max(np.abs(r_u))),
-            float(np.max(np.abs(r_nu + unit[None, :]))),
-        )
-
-    # nondegeneracy inside the declared collar
-    sigma = np.linalg.svd(omega_tilde, compute_uv=False)
-    min_sigma_within = float(np.min(sigma[:, -1]))
-    nondegenerate_within = bool(min_sigma_within > 1e-10)
-
-    # restriction to nu = 0 equals the pulled-back reduced form
-    at_zero = tilde_matrix(np.zeros_like(nu), omega_u, a_u, da_u)
-    restrict_res = float(
-        np.max(np.abs(at_zero[:, :k_dim, :k_dim] - omega_u))
-    )
-
-    # closedness via central differences at a smaller sample
-    fd_idx = rng.integers(0, n_nodes, size=48)
-    u0 = level.param_nodes[fd_idx]
-    base = _chart_conn_at(space, level.chart, u0)
-    up, dn = [], []
-    for j in range(k_dim):
-        shift = np.zeros(k_dim)
-        shift[j] = _FD_STEP
-        up.append(_chart_conn_at(space, level.chart, u0 + shift))
-        dn.append(_chart_conn_at(space, level.chart, u0 - shift))
-
-    def fd_d(parts_of):
-        return _fd_exterior_d(
-            [parts_of(c) for c in up], [parts_of(c) for c in dn], _FD_STEP
-        )
-
-    closed_res = _max_abs(fd_d(lambda c: _matrix_to_parts(c["omega_u"], float)))
-    for a in range(gdim):
-        closed_res = max(
-            closed_res, _max_abs(fd_d(lambda c: _matrix_to_parts(c["da_u"][:, a], float)))
-        )
-        # pullback commutes with d: dA_u must equal d_u(A_u)
-        fd_da = fd_d(lambda c: {(k,): c["a_u"][:, a, k] for k in range(k_dim)})
-        exact = _matrix_to_parts(base["da_u"][:, a], float)
-        closed_res = max(
-            closed_res, _max_abs(_add_parts(exact, _scale_parts(fd_da, -1.0)))
-        )
-
-    # outward scan for the largest nondegenerate radius
-    scan_nodes = rng.integers(0, n_nodes, size=48)
-    om_s = level.omega_param[scan_nodes]
-    a_s = level.connection_param[scan_nodes]
-    da_s = level.da_param[scan_nodes]
-    directions = np.array([[1.0], [-1.0]])
-    radii = np.arange(_SCAN_STEP, _SCAN_CAP + 0.5 * _SCAN_STEP, _SCAN_STEP)
-    max_valid = float(_SCAN_CAP)
-    scale_tol = 1e-8
-    done = False
-    for r in radii:
-        for direction in directions:
-            nu_r = np.broadcast_to(r * direction, (48, gdim))
-            mat = tilde_matrix(nu_r, om_s, a_s, da_s)
-            sig = np.linalg.svd(mat, compute_uv=False)
-            if float(np.min(sig[:, -1])) <= scale_tol * (1.0 + r):
-                max_valid = float(r - _SCAN_STEP)
-                done = True
-                break
-        if done:
-            break
-
-    ok = bool(
-        moment_res < 1e-10
-        and nondegenerate_within
-        and restrict_res < 1e-12
-        and closed_res < 1e-6
-        and max_valid >= _COLLAR_RADIUS
-    )
-    return {
-        "ok": ok,
-        "moment_residual": moment_res,
-        "closedness_residual": closed_res,
-        "restriction_residual": restrict_res,
-        "nondegenerate_within": nondegenerate_within,
-        "min_sigma_within": min_sigma_within,
-        "declared_radius": _COLLAR_RADIUS,
-        "max_valid_radius": max_valid,
-        "n_samples": int(n_samples),
-    }

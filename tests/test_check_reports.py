@@ -1,5 +1,5 @@
-"""scripts/check_reports.py records a space's definition, and --compare
-prints every field that differs."""
+"""scripts/check_reports.py records a space's definition and the reports of
+the public check ops, and --compare prints every field that differs."""
 
 import importlib.util
 import json
@@ -84,3 +84,18 @@ def test_record_keeps_only_the_definition_of_each_model():
     out = mod.record(spaces=(), models=("standard_model(u1_beta,G)",))
     assert {k.split(".")[0] for k in out} == {"standard_model(u1_beta,G) definition"}
     assert out["standard_model(u1_beta,G) definition.moment_star"][0][0] != 0.0
+
+
+def test_record_space_keeps_the_level_report_and_calls_only_ops_that_exist():
+    mod = _load_script()
+    out = mod.record_space("cn_u1(1,1)")
+    assert sorted(k for k in out if k.startswith("zero_level")) == [
+        "zero_level.connection_reproduces_generators",
+        "zero_level.equivariance_residual",
+        "zero_level.level_moment_residual",
+        "zero_level.min_dmu_singular",
+        "zero_level.stratum_orders",
+    ]
+    # a refusal is recorded as its message; an op the package no longer
+    # has would be recorded as an AttributeError
+    assert [k for k, v in out.items() if str(v).startswith("AttributeError")] == []

@@ -1,5 +1,6 @@
 """The public options: the parameters that run only at a fixed value stay
-removed, and scripts/public_options.py lists what can still be set.
+removed, and scripts/public_options.py lists what can still be set and
+each module's public names.
 
 Each removed option is now the constant its default was, so passing it is a
 TypeError at the call instead of a value the op silently accepts.
@@ -46,13 +47,6 @@ _REMOVED = [
     (critical.local_model_check, "seed"),
     (critical.local_model_check, "tol"),
     (critical.local_model_check, "local_radius"),
-    (reduced.cartan_d_residual, "seed"),
-    (reduced.cartan_d_residual, "h"),
-    (reduced.normal_form_check, "collar_radius"),
-    (reduced.normal_form_check, "n_samples"),
-    (reduced.normal_form_check, "seed"),
-    (reduced.normal_form_check, "scan_cap"),
-    (reduced.normal_form_check, "scan_step"),
     (reduced.ZeroLevelData.to_json_dict, "include_mesh"),
     (hamspace.with_corrupted_moment, "magnitude"),
 ]
@@ -124,6 +118,31 @@ class Plain:
         pass
 '''
     assert _load_script().options({"mod": src}) == []
+
+
+def test_options_lists_each_name_in_all():
+    src = '''
+__all__ = ["op", "Thing"]
+
+def op(a, b=2):
+    pass
+
+class Thing:
+    pass
+
+def helper(c=3):
+    pass
+'''
+    assert _load_script().options({"mod": src}) == [
+        "mod:__all__ Thing",
+        "mod:__all__ op",
+        "mod:helper c=3",
+        "mod:op b=2",
+    ]
+
+
+def test_reduced_exports_only_the_kirwan_side():
+    assert reduced.__all__ == ["ZeroLevelData", "KirwanResult", "zero_level", "kirwan_integral"]
 
 
 def test_checkout_keeps_the_shared_accuracy_inputs():

@@ -1,13 +1,11 @@
-"""Zero level set, metric connection, Cartan map, and reduced integrals.
+"""Zero level set, metric connection, and reduced (Kirwan) integrals.
 
 Frozen expectations, all derived in closed form:
 
 * circle |z|^2 = 1: length 2 pi, A = -y dx + x dy with A(V) = 1, the
   reduced space is a point and the unit-class integral is 1;
 * three-sphere in C^2 at level a: volume 2 pi^2 a^{3/2}, reduced sphere of
-  symplectic area pi a, curvature integral gives first Chern number -1
-  (the tautological-bundle sign under the positive-Liouville orientation),
-  and kappa(<phi, e>) integrates to 2 pi i;
+  symplectic area pi a, and kappa(<phi, e>) integrates to 2 pi i;
 * weight-2 circle: every point has a Z_2 stabilizer, the vertical measure
   halves, and the orbifold unit integral is 1/2 -- exactly the small-eps
   constant of the Basic Integral (erf closed form);
@@ -111,143 +109,21 @@ def test_sphere_phi_linear(sphere):
     assert res.value == pytest.approx(2j * math.pi, abs=1e-10)
 
 
-def test_chern_number_is_minus_one(sphere):
-    sp, lv = sphere
-    chern = R.chern_numbers(lv)
-    assert chern.shape == (1,)
-    assert abs(chern[0] - round(chern[0])) < 1e-6
-    assert round(chern[0]) == -1
-
-
-def test_chern_number_weighted_equal_weights():
-    sp = catalog("weighted_cn_u1", n=2, weights=(1, 1), a=1.0)
-    lv = R.zero_level(sp, 16)
-    chern = R.chern_numbers(lv)
-    assert abs(chern[0] - round(chern[0])) < 1e-6
-
-
-def test_chern_requires_reduced_surface(circle):
-    sp, lv = circle
-    with pytest.raises(InputError):
-        R.chern_numbers(lv)
-
-
-def test_curvature_horizontal_and_abelian(sphere):
-    sp, lv = sphere
-    cv = R.curvature(lv)
-    assert cv.horizontality_residual < 1e-8
-    assert cv.invariance_residual < 1e-8
-    # abelian algebra: the bracket term vanishes and F = dA
-    assert np.max(np.abs(lv.f_param - lv.da_param)) == 0.0
-
-
-def test_cartan_map_constant(sphere):
-    sp, lv = sphere
-    km = R.cartan_map(_unit(sp), lv)
-    assert km.degrees() == {0}
-    assert np.max(np.abs(km.coefficient(()) - 1.0)) < 1e-14
-
-
-def test_cartan_map_phi_linear_is_curvature(sphere):
-    sp, lv = sphere
-    km = R.cartan_map(_phi_linear(sp), lv)
-    assert km.degrees() == {2}
-    f = lv.f_param[:, 0]
-    for (i, j), coeff in km.parts.items():
-        assert np.max(np.abs(coeff - 1j * f[:, i, j])) < 1e-12
-    rep = R.basic_residual(lv, km)
-    assert rep["contraction_residual"] < 1e-8
-    assert rep["invariance_residual"] < 1e-8
-
-
-def test_cartan_map_of_omega_term(sphere):
-    # kappa(omega + i mu.phi) restricted to mu^{-1}(0) is the pullback of
-    # the reduced symplectic form: mu vanishes on the level, the projection
-    # leaves omega untouched (iota_V omega = -d mu_phi = 0 there)
-    sp, lv = sphere
-    alpha = sp.omega + sp.mu_phi_form().scale(1j)
-    km = R.cartan_map(alpha, lv)
-    expected = lv.omega_parts()
-    keys = set(km.parts) | set(expected)
-    for key in keys:
-        got = km.coefficient(key)
-        want = expected.get(key, np.zeros(lv.n_nodes, dtype=complex))
-        assert np.max(np.abs(got - want)) < 1e-10
-    rep = R.basic_residual(lv, km)
-    assert rep["contraction_residual"] < 1e-8
-
-
-def test_cartan_closedness_descends(sphere):
-    sp, lv = sphere
-    assert R.cartan_d_residual(_unit(sp), lv) < 1e-8
-    assert R.cartan_d_residual(_phi_linear(sp), lv) < 1e-8
-
-
-def _fd_parts(form, u):
-    """The pointwise form ``form(u)`` at u + h e_j and u - h e_j for each
-    axis j, h the step of cartan_d_residual and normal_form_check."""
-    plus, minus = [], []
-    for j in range(u.shape[1]):
-        shift = np.zeros(u.shape[1])
-        shift[j] = R._FD_STEP
-        plus.append(form(u + shift))
-        minus.append(form(u - shift))
-    return plus, minus
-
-
-@pytest.mark.parametrize(
-    "form, exact",
-    [
-        # u0 du1 -> du0 ^ du1
-        (lambda u: {(1,): u[:, 0]}, lambda u: {(0, 1): np.ones(len(u))}),
-        # sin(u0) u2 du1 -> cos(u0) u2 du0 ^ du1 - sin(u0) du1 ^ du2
-        (
-            lambda u: {(1,): np.sin(u[:, 0]) * u[:, 2]},
-            lambda u: {(0, 1): np.cos(u[:, 0]) * u[:, 2], (1, 2): -np.sin(u[:, 0])},
-        ),
-        # u1 du0 ^ du2 -> du1 ^ du0 ^ du2 = -du0 ^ du1 ^ du2
-        (lambda u: {(0, 2): u[:, 1]}, lambda u: {(0, 1, 2): -np.ones(len(u))}),
-        # d(u0 u1 u2) is closed
-        (
-            lambda u: {(0,): u[:, 1] * u[:, 2], (1,): u[:, 0] * u[:, 2], (2,): u[:, 0] * u[:, 1]},
-            lambda u: {},
-        ),
-    ],
-    ids=["u0 du1", "sin(u0) u2 du1", "u1 du0^du2", "closed"],
-)
-def test_fd_exterior_d_returns_d_of_a_form(form, exact):
-    # negative control for the d that cartan_d_residual and the closedness
-    # part of normal_form_check share: on the 3-parameter chart it returns d
-    # to finite-difference accuracy, nonzero where the form is not closed
-    u = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50, 3))
-    got = R._fd_exterior_d(*_fd_parts(form, u), R._FD_STEP)
-    want = exact(u)
-    for idx in set(got) | set(want):
-        err = got.get(idx, 0.0) - want.get(idx, 0.0)
-        assert np.max(np.abs(err)) < 1e-9, idx
-    assert bool(want) == (R._max_abs(got) > 0.5)
-
-
-def test_cartan_d_residual_detects_a_form_that_is_not_closed(sphere):
-    # x0 dx1 - x1 dx0 is invariant under the diagonal circle but not closed,
-    # and neither is its Cartan image; omega is closed
-    sp, lv = sphere
-    x0, x1 = coord(0), coord(1)
-    angular = EquivariantForm(
-        sp.chart_id, 4, 1,
-        [((1,), x0, (0,)), ((0,), mul(const(-1.0), x1), (0,))],
-    )
-    assert R.cartan_d_residual(angular, lv, n_samples=16) > 0.1
-    assert R.cartan_d_residual(sp.omega, lv, n_samples=16) < 1e-8
-
-
-def test_cartan_rejects_non_invariant(sphere):
+def test_kirwan_refuses_a_non_invariant_alpha(sphere):
     sp, lv = sphere
     dx = EquivariantForm.dx(sp.chart_id, 4, 1, 0)
-    with pytest.raises(InputError):
-        R.cartan_map(dx, lv)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not an admissible integrand"):
         R.kirwan_integral(dx, lv, 0.1)
+
+
+def test_kirwan_refuses_a_non_closed_alpha(circle):
+    # mu* is invariant but d mu* != 0, so it is not equivariantly closed
+    sp, lv = circle
+    mu = EquivariantForm.scalar(sp.chart_id, sp.ambient_dim, 1, sp.moment_star[0])
+    with pytest.raises(
+        InputError, match=r"D-residual 1\.41, invariance residual 0$"
+    ):
+        R.kirwan_integral(mu, lv, 0.1)
 
 
 def test_orbifold_circle_halves():
@@ -269,28 +145,6 @@ def test_weighted_sphere_teardrop_area():
     assert res.value == pytest.approx(math.pi / 2, abs=1e-10)
 
 
-def test_normal_form_circle(circle):
-    sp, lv = circle
-    rep = R.normal_form_check(sp, lv)
-    assert rep["ok"]
-    assert rep["moment_residual"] < 1e-10
-    assert rep["closedness_residual"] < 1e-8
-    assert rep["restriction_residual"] == 0.0
-    # A(d/dtheta) = 1 everywhere: omega~ never degenerates on the scan
-    assert rep["max_valid_radius"] == pytest.approx(1.0)
-
-
-def test_normal_form_sphere(sphere):
-    sp, lv = sphere
-    rep = R.normal_form_check(sp, lv)
-    assert rep["ok"]
-    assert rep["moment_residual"] < 1e-10
-    assert rep["closedness_residual"] < 1e-7
-    assert rep["nondegenerate_within"]
-    # the u-block is (1 + 2 nu) omega_u: degeneration exactly at nu = -1/2
-    assert 0.45 <= rep["max_valid_radius"] <= 0.5
-
-
 def test_zero_level_errors():
     with pytest.raises(NotRegularError):
         R.zero_level(catalog("c2_su2"))
@@ -306,14 +160,11 @@ _BAD_LEVEL_OP_CALLS = {
     "zero_level mesh_density=inf": lambda sp, lv: R.zero_level(sp, math.inf),
     # a non-integer mesh_density was truncated to an integer without a word
     "zero_level mesh_density=4.5": lambda sp, lv: R.zero_level(sp, 4.5),
-    # n_samples = 0 raised ValueError
-    "cartan_d_residual n_samples=0":
-        lambda sp, lv: R.cartan_d_residual(_unit(sp), lv, n_samples=0),
-    # a float or bool n_samples raised TypeError from the sampler
+    # a stride of 0 or -3 wrote every node, 2.7 every second one, True acted
+    # as 1 and nan raised an untyped ValueError
     **{
-        f"cartan_d_residual n_samples={v}":
-            lambda sp, lv, v=v: R.cartan_d_residual(_unit(sp), lv, n_samples=v)
-        for v in (1.5, True, -1)
+        f"to_json_dict stride={v}": lambda sp, lv, v=v: lv.to_json_dict(v)
+        for v in (0, -3, 2.7, True, math.nan)
     },
 }
 
@@ -327,14 +178,12 @@ def test_level_ops_refuse_bad_sizes_and_steps(sphere, case):
 _LEVEL_ARRAYS = (
     "param_nodes", "param_weights", "nodes", "jacobians", "riemann_weights",
     "connection_ambient", "connection_param", "vertical_param", "omega_param",
-    "da_param", "f_ambient", "f_param",
+    "f_param",
 )
 
 
 def test_level_arrays_are_read_only(circle, sphere):
     for _, lv in (circle, sphere):
-        # u(1) is abelian: F = dA, so the level stores one pullback
-        assert lv.f_param is lv.da_param
         stored = {
             name for name in lv.__slots__
             if isinstance(getattr(lv, name), np.ndarray)
@@ -360,8 +209,8 @@ def test_zero_level_makes_no_per_node_lapack_call(name, kw, monkeypatch):
     # regularity check takes the row norm of the one-generator d mu instead
     # of an SVD or a Gram eigensolve, the 1 x 1 Gram is inverted by a
     # reciprocal, and det J^T J and the vertical-field solve come from
-    # cofactors and the adjugate.  The Cartan map pulls forms back with
-    # written-out 2 x 2 minors.
+    # cofactors and the adjugate.  The Kirwan integral pulls forms back
+    # with written-out 2 x 2 minors.
     sp = catalog(name, **kw)
     svd = np.linalg.svd
     shapes = {fn: [] for fn in ("svd", "eigvalsh", "inv", "det", "solve")}
@@ -382,8 +231,6 @@ def test_zero_level_makes_no_per_node_lapack_call(name, kw, monkeypatch):
     forms = (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j))
     for alpha in forms:
         R.kirwan_integral(alpha, lv, 0.05)
-        R.cartan_map(alpha, lv)
-        R.cartan_d_residual(alpha, lv, n_samples=16)
     # the mesh's Gauss-Legendre rule solves one companion matrix; no
     # per-node stack reaches LAPACK
     for fn, seen in shapes.items():
@@ -429,40 +276,6 @@ def test_determinism_and_json(circle):
     assert kb["meta"]["space"] == "cn_u1(1,1)"
 
 
-@pytest.mark.parametrize(
-    "name, kw",
-    [("cn_u1", dict(n=2, a=1.0)), ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0))],
-)
-def test_cartan_and_kirwan_reuse_the_level(name, kw, monkeypatch):
-    sp = catalog(name, **kw)
-    lv = R.zero_level(sp, 12)
-    forms = (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j))
-    calls = []
-    recompute = R._chart_conn_at
-
-    def counted(*args):
-        calls.append(args)
-        return recompute(*args)
-
-    monkeypatch.setattr(R, "_chart_conn_at", counted)
-    kappas = [R.cartan_map(alpha, lv) for alpha in forms]
-    kirwans = [R.kirwan_integral(alpha, lv, 0.05) for alpha in forms]
-    assert calls == []
-    # the stored level data is what a recomputation at the mesh gives, so
-    # reading it changes no bit of either result
-    monkeypatch.setattr(
-        R.ZeroLevelData,
-        "_pulled_back",
-        lambda level: recompute(level.space, level.chart, level.param_nodes),
-    )
-    for alpha, kappa, kirwan in zip(forms, kappas, kirwans):
-        old = R.cartan_map(alpha, lv)
-        assert kappa.parts.keys() == old.parts.keys()
-        for idx, coeff in kappa.parts.items():
-            assert np.array_equal(coeff, old.parts[idx])
-        assert kirwan.coefficients == R.kirwan_integral(alpha, lv, 0.05).coefficients
-
-
 def test_metric_connection_is_the_connection_form(sphere):
     sp, lv = sphere
     struct = R._constant_structure(sp)
@@ -470,7 +283,7 @@ def test_metric_connection_is_the_connection_form(sphere):
     amb, n = sp.ambient_dim, lv.n_nodes
     for pts in (lv.nodes, moved):
         a_only = R._metric_connection(struct, pts, np.empty((amb, n)))["A"]
-        full = R._connection_at(struct, pts, np.empty((amb, n)), np.empty((amb, amb, n)))
+        full = R._connection_at(struct, pts, np.empty((amb, n)))
         assert np.array_equal(a_only, full["A"])
     # the connection is built with the node axis last and stored node-first
     assert np.array_equal(
@@ -567,12 +380,6 @@ def test_zero_level_makes_no_per_node_matrix_product(name, kw, monkeypatch):
     assert shapes == [("einsum", [(amb, amb), (amb, amb)])]
 
 
-def test_collar_model_needs_one_generator(circle):
-    _, lv = circle
-    with pytest.raises(InputError, match="one generator, got 3"):
-        R.normal_form_check(catalog("c2_su2"), lv)
-
-
 # ---------------------------------------------------------------------------
 # the (N, ...) pipeline the node-last level connection replaced, kept as the
 # reference: per-node einsums and matmuls, LAPACK det and solve
@@ -634,7 +441,6 @@ def _reference_level_arrays(space, chart):
     omega = np.broadcast_to(space.omega_matrix.value, (len(x),) + space.omega_matrix.value.shape)
     jtj = np.einsum("nik,nil->nkl", jac, jac)
     jtv = np.einsum("nik,nai->nka", jac, v_field)
-    da_u = jac_t[:, None] @ da @ jac[:, None]
     return {
         "param_nodes": chart.param_nodes,
         "param_weights": chart.param_weights,
@@ -645,14 +451,12 @@ def _reference_level_arrays(space, chart):
         "connection_param": np.einsum("nai,nik->nak", conn, jac),
         "vertical_param": np.linalg.solve(jtj, jtv).transpose(0, 2, 1),
         "omega_param": jac_t @ omega @ jac,
-        "da_param": da_u,
-        "f_ambient": da,
-        "f_param": da_u,
+        "f_param": jac_t[:, None] @ da @ jac[:, None],
     }
 
 
-# the largest move measured against the reference is 1.3e-15 (f_ambient of
-# weighted_cn_u1(2,(1,2),1), entries up to 4); nodes and Jacobians are exact
+# the largest move measured against the reference is 8.9e-16 (f_param of
+# weighted_cn_u1(2,(1,2),1), entries up to 1.1); nodes and Jacobians are exact
 _REFERENCE_TOL = 2e-15
 
 
@@ -740,7 +544,9 @@ def level_and_seed(request):
     sp = catalog(name, **kw)
     lv = R.zero_level(sp, mesh)
     fields = {slot: getattr(lv, slot) for slot in R.ZeroLevelData.__slots__}
-    return sp, lv, R.ZeroLevelData(**{**fields, **seed_level_arrays(sp, lv.chart)})
+    seed = seed_level_arrays(sp, lv.chart)
+    fields.update((slot, seed[slot]) for slot in fields if slot in seed)
+    return sp, lv, R.ZeroLevelData(**fields)
 
 
 def test_level_arrays_match_the_einsum_connection(level_and_seed):
@@ -748,7 +554,7 @@ def test_level_arrays_match_the_einsum_connection(level_and_seed):
     for name in _LEVEL_ARRAYS:
         got, want = getattr(lv, name), getattr(seed, name)
         assert got.shape == want.shape, name
-        if name in ("da_param", "f_param", "f_ambient"):
+        if name == "f_param":
             assert np.max(np.abs(got - want)) <= _RANK_TWO_TOL, name
         else:
             assert np.array_equal(got, want), name
@@ -759,14 +565,11 @@ def test_kirwan_and_chern_match_the_einsum_connection(level_and_seed):
     for alpha in (_unit(sp), sp.omega + sp.mu_phi_form().scale(1j)):
         got = R.kirwan_integral(alpha, lv, 0.05).coefficients
         assert got == R.kirwan_integral(alpha, seed, 0.05).coefficients
-    # the phi-linear integral and the Chern number integrate F alone: they
-    # are bit-identical on the 32-node mesh and move by at most one unit in
-    # the last place on the 12-node one
+    # the phi-linear integral integrates F alone (on a reduced surface it is
+    # -2 pi i times the first Chern number): it is bit-identical on the
+    # 32-node mesh and moves by at most one unit in the last place on the
+    # 12-node one
     got = R.kirwan_integral(_phi_linear(sp), lv, 0.05).coefficients
     want = R.kirwan_integral(_phi_linear(sp), seed, 0.05).coefficients
     for g, w in zip(got, want):
         assert abs(g - w) <= (lv.mesh_density < 32) * np.spacing(abs(w))
-    if lv.horizontal_dim == 2:
-        got, want = R.chern_numbers(lv), R.chern_numbers(seed)
-        tol = (lv.mesh_density < 32) * np.spacing(np.abs(want))
-        assert np.all(np.abs(got - want) <= tol)
