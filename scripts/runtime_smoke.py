@@ -1,0 +1,69 @@
+"""Run one call of each runtime op family and report what the process loaded.
+
+    PYTHONPATH=src python scripts/runtime_smoke.py
+
+Runs, on the catalog spaces the benchmark uses:
+
+* the critical search on cn_u1(2,1) and on c2_su2 (critical);
+* zero_level + kirwan_integral on cn_u1(2,1) (reduced);
+* one t > 0 Basic Integral on cn_u1(1,1) (integrate);
+* the degree-0 epsilon sweep on cn_u1(2,1) and one large_t_limit on
+  cn_u1(1,1) (analysis);
+* the G and H action samplers of the su2_hopf standard model (hamspace).
+
+Prints one line per op, then the peak RSS and the scipy modules loaded.
+symloc needs only NumPy at runtime, so the list must be empty: the script
+exits 1 when it is not.
+"""
+
+from __future__ import annotations
+
+import resource
+import sys
+
+import numpy as np
+
+
+def main() -> int:
+    from symloc import analysis, critical, integrate, reduced
+    from symloc.forms import EquivariantForm
+    from symloc.hamspace import catalog, catalog_from_string, sample_points
+
+    def space_and_one(text):
+        space = catalog_from_string(text)
+        return space, EquivariantForm.scalar(
+            space.chart_id, space.ambient_dim, space.algebra.dim, 1.0
+        )
+
+    cn2, one2 = space_and_one("cn_u1(2,1)")
+    cn1, one1 = space_and_one("cn_u1(1,1)")
+    for space in (cn2, catalog_from_string("c2_su2")):
+        comps = critical.find_critical_points(space, 1.0)
+        print(f"find_critical_points {space.name}: n_converged",
+              [c.n_converged for c in comps])
+    level = reduced.zero_level(cn2)
+    print(f"zero_level + kirwan_integral {cn2.name}: "
+          f"{reduced.kirwan_integral(one2, level, 0.05).value.real:.12f}")
+    bi = integrate.basic_integral(
+        integrate.BasicIntegralRequest(space=cn1, alpha=one1, r=0.16, epsilon=0.05, t=4.0)
+    )
+    print(f"basic_integral {cn1.name} t=4: {bi.value.real:.12f}")
+    sweep = analysis.epsilon_sweep(cn2, one2, r=0.16, t_policy=0.0, poly_degree_max=0)
+    print(f"epsilon_sweep {cn2.name} degree 0: poly part {sweep.poly_coeffs[0].real:.9f}")
+    limit, _ = analysis.large_t_limit(cn1, one1, 0.36, 0.1)
+    print(f"large_t_limit {cn1.name}: {limit.real:.12f}")
+    for which in "GH":
+        space = catalog("standard_model", preset="su2_hopf", which=which)
+        pts = sample_points(space, 64, 0)
+        new_pts, jac = space.action_sampler(np.full(space.algebra.dim, 0.3), pts)
+        print(f"action_sampler {space.name}: finite", bool(
+            np.all(np.isfinite(new_pts)) and np.all(np.isfinite(jac))))
+
+    print("ru_maxrss: %.1f MB" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print("scipy modules:", loaded)
+    return 1 if loaded else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

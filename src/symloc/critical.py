@@ -451,8 +451,9 @@ def _sobol_seeds(space: HamiltonianSpace, r_max: float, n_seeds: int, seed: int)
 def _dedupe(pts: np.ndarray, f: np.ndarray, resolution: float = 1e-7):
     """Collapse near-identical converged points (many seeds land on the
     same zero to machine precision), keeping the best residual of each
-    cell (the earliest point on ties) and its multiplicity.  Cells come in
-    the order of their first point."""
+    cell (the earliest point on ties) and its multiplicity.  Returns the
+    kept rows of pts and f, their multiplicities and their indices into
+    pts.  Cells come in the order of their first point."""
     keys = np.round(pts / resolution).astype(np.int64)
     _, first, cell, mult = np.unique(
         keys, axis=0, return_index=True, return_inverse=True, return_counts=True
@@ -463,7 +464,57 @@ def _dedupe(pts: np.ndarray, f: np.ndarray, resolution: float = 1e-7):
     heads = np.flatnonzero(np.diff(cell[ranked], prepend=-1))
     by_first = np.argsort(first)
     idx = ranked[heads][by_first]
-    return pts[idx], f[idx], mult[by_first]
+    return pts[idx], f[idx], mult[by_first], idx
+
+
+_BLOCK_ENTRIES = 1 << 15     # distance-matrix entries built per row block
+
+
+def _distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """The (n, n) Euclidean distances between the rows of pts, with
+    SciPy pdist's arithmetic (the square root of the per-coordinate
+    squares summed in coordinate order).  Built in row blocks of about
+    _BLOCK_ENTRIES entries, each from the diagonal rightwards and copied
+    below the diagonal: (x_i - x_j)^2 = (x_j - x_i)^2 bit for bit."""
+    n, d = pts.shape
+    cols = np.ascontiguousarray(pts.T)
+    dist = np.empty((n, n))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    tmp = np.empty(rows * n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = dist[lo:hi, lo:]
+        t = tmp[: block.size].reshape(block.shape)
+        for k in range(d):
+            np.subtract(cols[k, lo:hi, None], cols[k, None, lo:], out=t)
+            if k == 0:
+                np.multiply(t, t, out=block)
+            else:
+                np.multiply(t, t, out=t)
+                block += t
+        np.sqrt(block, out=block)
+        dist[lo:, lo:hi] = block.T
+    return dist
+
+
+def _mst_lengths(dist: np.ndarray) -> np.ndarray:
+    """The edge lengths of a minimum spanning tree of the complete graph
+    with edge lengths dist, ascending: Prim's algorithm, which keeps the
+    vertices not yet in the tree in the first m slots of ``rest`` and
+    their distances to the tree in ``best``."""
+    n = len(dist)
+    rest = np.arange(1, n)
+    best = dist[0, 1:].copy()
+    lengths = np.empty(n - 1)
+    for m in range(n - 2, -1, -1):
+        j = best[: m + 1].argmin()
+        lengths[m] = best[j]
+        v = rest[j]
+        rest[j] = rest[m]   # the last slot fills the one that leaves
+        best[j] = best[m]
+        np.minimum(best[:m], dist[v].take(rest[:m]), out=best[:m])
+    lengths.sort()
+    return lengths
 
 
 def _mst_clusters(pts: np.ndarray, cluster_radius: float, jump: float = 4.0):
@@ -480,30 +531,30 @@ def _mst_clusters(pts: np.ndarray, cluster_radius: float, jump: float = 4.0):
 
     The single-linkage merge heights are the MST edge lengths, and every
     MST has the same lengths and the same components below any cut, so
-    ties between distances do not change the groups."""
+    ties between distances do not change the groups: a group is a
+    connected component of the graph of the distances below the cut."""
     n = len(pts)
     if n == 1:
         return [[0]], None
-    # imported here, not at module load: only the clustering needs it
-    from scipy.cluster.hierarchy import fcluster, linkage
-    from scipy.spatial.distance import pdist
-
-    tree = linkage(pdist(pts), "single")
-    cut_at = None
-    prev = cluster_radius
-    for ln in tree[:, 2]:
-        if ln > cluster_radius and ln > jump * prev:
-            cut_at = float(ln)
-            break
-        prev = max(prev, ln)
-    if cut_at is None:
+    dist = _distance_matrix(pts)
+    lengths = _mst_lengths(dist)
+    # sorted lengths: the previous scale is the last length below, or the radius
+    prev = np.maximum(np.concatenate([[cluster_radius], lengths[:-1]]), cluster_radius)
+    fires = np.flatnonzero((lengths > cluster_radius) & (lengths > jump * prev))
+    if len(fires) == 0:
         return [list(range(n))], None
-    # merges strictly below the cut: heights <= the next float down
-    labels = fcluster(tree, np.nextafter(cut_at, 0.0), criterion="distance")
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-    return list(groups.values()), cut_at
+    cut_at = float(lengths[fires[0]])
+    group = np.full(n, -1)
+    groups = []
+    while (free := np.flatnonzero(group < 0)).size:
+        frontier = free[:1]
+        group[frontier] = len(groups)
+        while frontier.size:
+            near = (dist[frontier] < cut_at).any(axis=0) & (group < 0)
+            frontier = np.flatnonzero(near)
+            group[frontier] = len(groups)
+        groups.append(np.flatnonzero(group == len(groups)).tolist())
+    return groups, cut_at
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +636,8 @@ def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[Critical
     breaks = np.nonzero(np.diff(mu2) > VALUE_GROUP_TOL)[0] + 1
     components = []
     for chunk in np.split(np.arange(len(pts)), breaks):
-        sub, subf, mult = _dedupe(pts[chunk], f[chunk])
-        cache = {}
-        subv = column(space.mu_norm2_expr(), sub, cache)
+        sub, subf, mult, kept = _dedupe(pts[chunk], f[chunk])
+        subv = mu2[chunk][kept]
         clusters, _ = _mst_clusters(sub, CLUSTER_RADIUS)
         for idx in clusters:
             idx = np.array(idx)

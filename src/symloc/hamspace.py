@@ -38,6 +38,9 @@ adjoint on k, module action on X).  Both action samplers are one chart
 composition on the group factor, e^theta -> e^L e^theta e^R with
 (L, R) = (xi, 0) for G and (0, sum_i xi_i h_i) for H, evaluated for all
 points at once through the same Expm and Texp fields as omega and mu*.
+The log of the composed e^{ad theta} is the closed-form axis-angle log of
+SO(3), the adjoint group of su2; a nonabelian group factor whose ad
+matrices are not antisymmetric 3 x 3 is refused.
 """
 
 from __future__ import annotations
@@ -663,6 +666,40 @@ def _vec_as_first_column(vec: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
+def _so3_log(rot: np.ndarray) -> np.ndarray:
+    """The principal logarithm of each rotation in the (N, 3, 3) stack
+    rot, as the axial vector phi n of log R = phi [n]_x (phi in [0, pi]),
+    by the axis-angle formula.  With cos phi = (tr R - 1)/2 and a the
+    axial vector of (R - R^T)/2, a = sin(phi) n:
+
+    * cos phi > 0: phi n = (phi / sin phi) a, where phi / sin phi =
+      asin(s)/s, s = |a|, comes from its series below s = 1e-3;
+    * cos phi <= 0: a loses n as phi -> pi, so n comes from the
+      symmetric part, (R + R^T)/2 - cos(phi) I = (1 - cos phi) n n^T,
+      by its column of largest diagonal entry, signed along a."""
+    a = 0.5 * np.stack(
+        [rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0],
+         rot[:, 1, 0] - rot[:, 0, 1]], axis=1,
+    )
+    s = np.sqrt(np.sum(a * a, axis=1))
+    c = 0.5 * (np.trace(rot, axis1=1, axis2=2) - 1.0)
+    phi = np.arctan2(s, c)
+    ratio = 1.0 + s * s / 6.0 + 3.0 * s**4 / 40.0
+    bulk = s >= 1e-3
+    ratio[bulk] = phi[bulk] / s[bulk]
+    out = ratio[:, None] * a
+    wide = np.flatnonzero(c <= 0.0)
+    if len(wide):
+        sym = 0.5 * (rot[wide] + np.swapaxes(rot[wide], 1, 2))
+        sym -= c[wide, None, None] * np.eye(3)
+        k = np.argmax(np.diagonal(sym, axis1=1, axis2=2), axis=1)
+        rows = np.arange(len(wide))
+        n = sym[rows, :, k] / np.sqrt((1.0 - c[wide]) * sym[rows, k, k])[:, None]
+        n[np.sum(n * a[wide], axis=1) < 0.0] *= -1.0
+        out[wide] = phi[wide, None] * n
+    return out
+
+
 def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
     g = m.algebra_G
     dg, dk, dx = g.dim, m.dim_k, m.x_dim
@@ -757,8 +794,18 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
     mu_g_mat = MatMul(exp_ad, vec_pencil)
     mu_G = tuple(mat_entry(mu_g_mat, a, 0) for a in range(dg))
 
+    # the sampler takes logs on the group factor in closed form, which
+    # needs Ad(G) to be abelian or SO(3): a nonabelian ad_c must be
+    # antisymmetric 3 x 3, ad_c = [w_c]_x, and theta' = log @ inv(w)
     ad_stack = np.asarray(admats)
-    ad_pinv = np.linalg.pinv(ad_stack.reshape(dg, dg * dg).T)
+    abelian = not ad_stack.any()
+    if not abelian:
+        if dg != 3 or np.max(np.abs(ad_stack + np.swapaxes(ad_stack, 1, 2))) > 1e-12:
+            raise InputError(
+                f"{m.name}: a nonabelian group factor must have the adjoint "
+                "action of su2 (antisymmetric 3 x 3 ad matrices)"
+            )
+        axial_to_theta = np.linalg.inv(ad_stack[:, [2, 0, 1], [1, 2, 0]])
 
     def chart_composition(left, right, rho):
         """The sampler of the action of exp(xi) that moves the group factor
@@ -773,20 +820,15 @@ def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
             lv, rv = xi @ left, xi @ right
             new_pts, jac = pts.copy(), np.zeros((len(pts), n, n))
             jac[:, dg : dg + dk, dg : dg + dk] = np.eye(dk)
-            if not ad_stack.any():
+            if abelian:
                 new_pts[:, :dg] = pts[:, :dg] + lv + rv
                 jac[:, :dg, :dg] = np.eye(dg)
             else:
-                # not at module load: SciPy is slow to import, and only a
-                # nonabelian group factor needs the matrix log
-                from scipy.linalg import logm
-
                 ad_l, ad_r = np.tensordot([lv, rv], ad_stack, axes=1)
                 e_l, e_r, e_neg_r = _batched_expm(np.stack([ad_l, ad_r, -ad_r]))
                 cache: dict = {}
                 moved = e_l @ exp_ad.eval(pts, cache) @ e_r
-                logs = np.real(np.stack([logm(a) for a in moved]))
-                new_pts[:, :dg] = logs.reshape(len(pts), dg * dg) @ ad_pinv.T
+                new_pts[:, :dg] = _so3_log(moved) @ axial_to_theta
                 jac[:, :dg, :dg] = np.linalg.solve(
                     big_t.eval(new_pts), e_neg_r @ big_t.eval(pts, cache)
                 )

@@ -118,8 +118,6 @@ def seed_level_arrays(space, chart):
         "connection_param": first(np.einsum("in,ikn->kn", conn, jac)[None]),
         "vertical_param": first((np.einsum("kln,ln->kn", adj, jtv) / jtj_det)[None]),
         "omega_param": first(seed_pull_back_matrix(jac, omega_amb)),
-        "da_param": first(da_u),
-        "f_ambient": first(da[None]),
         "f_param": first(da_u),
     }
 

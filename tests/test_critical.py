@@ -528,8 +528,9 @@ def _prim_clusters(pts, cluster_radius, jump=4.0):
     n = len(pts)
     if n == 1:
         return [[0]], None
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+    # squares summed in coordinate order, one (n, n) term at a time
+    dist = np.sqrt(sum((pts[:, None, k] - pts[None, :, k]) ** 2
+                       for k in range(pts.shape[1])))
     best = dist[0].copy()
     best_from = np.zeros(n, dtype=int)
     in_tree = np.zeros(n, dtype=bool)
@@ -588,6 +589,12 @@ def _clustering_cases():
         for pts in (grid, np.concatenate([grid, grid + 20.0])):
             for radius in (0.1, 0.3, 1.0, 2.0):
                 yield pts, radius
+    # a 900-point sample of the unit S^3, one component at the search's
+    # radius, alone and with a far copy that the cut separates
+    sphere = rng.standard_normal((900, 4))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    yield sphere, critical.CLUSTER_RADIUS
+    yield np.concatenate([sphere, sphere + 10.0]), critical.CLUSTER_RADIUS
 
 
 def test_single_linkage_matches_prim_reference():
@@ -597,6 +604,29 @@ def test_single_linkage_matches_prim_reference():
         assert (groups, cut_at) == _prim_clusters(pts, radius)
         n_cut += cut_at is not None
     assert n_cut > 20  # the cut path is exercised, not only the no-cut one
+
+
+def test_single_linkage_keeps_a_sampled_three_sphere_whole():
+    *_, (sphere, radius), (pair, _) = _clustering_cases()
+    assert _mst_clusters(sphere, radius) == ([list(range(900))], None)
+    groups, cut_at = _mst_clusters(pair, radius)
+    assert groups == [list(range(900)), list(range(900, 1800))]
+    assert cut_at > 9.0
+
+
+def test_distances_and_mst_lengths_are_scipys_bit_for_bit():
+    # SciPy is the oracle of the NumPy single linkage: pdist's distances
+    # and the merge heights of linkage(..., "single")
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist, squareform
+
+    for pts, _ in _clustering_cases():
+        if len(pts) == 1:
+            continue
+        dist = critical._distance_matrix(pts)
+        assert np.array_equal(dist, squareform(pdist(pts)))
+        heights = linkage(pdist(pts), "single")[:, 2]
+        assert np.array_equal(critical._mst_lengths(dist), heights)
 
 
 def _dedupe_loop(pts, f, resolution=1e-7):
@@ -615,7 +645,7 @@ def _dedupe_loop(pts, f, resolution=1e-7):
             if f[i] < f[keep[j]]:
                 keep[j] = i
     idx = np.array(keep)
-    return pts[idx], f[idx], np.array(mult)
+    return pts[idx], f[idx], np.array(mult), idx
 
 
 def test_dedupe_matches_the_loop():
@@ -740,12 +770,12 @@ def test_local_model_requires_representatives():
         local_model_check(sp, empty)
 
 
-def _fresh_interpreter(code: str) -> str:
+def _fresh_interpreter(code: str, *args: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(symloc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
     return out.stdout.strip()
@@ -758,6 +788,44 @@ def test_import_loads_no_scipy_stats_cluster_or_linalg():
         "'scipy.linalg' in sys.modules)"
     )
     assert _fresh_interpreter(probe) == "False False False"
+
+
+_NO_SCIPY = """
+import runpy, sys
+
+class NoScipy:
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            NoScipy.tried.append(name)
+            raise ImportError(f"{name} is blocked: symloc must run on NumPy alone")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    runpy.run_path(sys.argv[1], run_name="__main__")
+except SystemExit as stop:
+    print("exit", stop.code)
+print("blocked imports:", NoScipy.tried)
+"""
+
+
+def test_runtime_ops_run_with_every_scipy_import_refused():
+    # scripts/runtime_smoke.py runs both critical searches, zero_level +
+    # kirwan_integral, a t > 0 Basic Integral, the degree-0 epsilon sweep,
+    # large_t_limit and the su2_hopf G/H samplers; a meta-path finder
+    # refuses every scipy import, and records it in case it is caught
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "runtime_smoke.py")
+    out = _fresh_interpreter(_NO_SCIPY, script).splitlines()
+    assert out[0] == "find_critical_points cn_u1(2,1): n_converged [925, 99]"
+    assert [line.split(":")[0] for line in out[1:8]] == [
+        "find_critical_points c2_su2", "zero_level + kirwan_integral cn_u1(2,1)",
+        "basic_integral cn_u1(1,1) t=4", "epsilon_sweep cn_u1(2,1) degree 0",
+        "large_t_limit cn_u1(1,1)", "action_sampler su2_hopf", "action_sampler su2_hopf",
+    ]
+    assert all(line.endswith("finite True") for line in out[6:8])
+    assert out[-3:] == ["scipy modules: []", "exit 0", "blocked imports: []"]
 
 
 def test_critical_search_loads_no_scipy_stats():

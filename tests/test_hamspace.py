@@ -23,6 +23,7 @@ from symloc.hamspace import (
     StandardLocalModel,
     _linear_space,
     _realify,
+    _so3_log,
     _standard_preset,
     build_standard_model,
     catalog,
@@ -34,7 +35,7 @@ from symloc.hamspace import (
     validate_space,
     with_corrupted_moment,
 )
-from symloc.liealg import InputError, builtin_algebra
+from symloc.liealg import InputError, LieAlgebraSpec, builtin_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +368,69 @@ def test_chart_composition_is_the_per_row_sampler(preset, which):
             assert np.max(np.abs(j_new - j_old)) <= 1e-14
 
 
+def _theta_composing_to(which, xi, rotvec):
+    """The group coordinate theta whose chart composition with the action
+    of exp(xi) on su2_hopf is the rotation exp([rotvec]_x): ad of su(2) is
+    [.]_x, so e^{ad theta} is the rotation by the vector theta."""
+    from scipy.spatial.transform import Rotation
+
+    target = Rotation.from_rotvec(rotvec)
+    if which == "G":  # e^{ad xi} e^{ad theta}
+        return (Rotation.from_rotvec(-xi) * target).as_rotvec()
+    return (target * Rotation.from_rotvec([0.0, 0.0, -xi[0]])).as_rotvec()
+
+
+# rotation angles of the composition: at and near 0 (the series), in the
+# bulk on both sides of the branch switch at pi/2, and within 1e-6 of pi
+_LOG_ANGLES = (0.0, 1e-12, 1e-9, 1e-5, 9.9e-4, 1.01e-3, 0.7, 1.5, 1.65, 2.5,
+               math.pi - 1e-6, math.pi - 1e-7)
+
+
+@pytest.mark.parametrize("which", "GH")
+def test_closed_form_log_is_the_per_row_sampler_at_every_angle(which):
+    sp = catalog("standard_model", preset="su2_hopf", which=which)
+    ref = dict(zip("GH", seed_model.samplers(_standard_preset("su2_hopf"))))[which]
+    rng = np.random.default_rng(37)
+    xi = _model_xi(sp, 0.3)
+    pts = sample_points(sp, 4 * len(_LOG_ANGLES), 41)
+    axes = rng.standard_normal((len(pts), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.repeat(_LOG_ANGLES, 4)
+    for row, (angle, axis) in enumerate(zip(angles, axes)):
+        pts[row, :3] = _theta_composing_to(which, xi, angle * axis)
+    (x_new, j_new), (x_old, j_old) = sp.action_sampler(xi, pts), ref(xi, pts)
+    assert np.max(np.abs(x_new - x_old)) <= 1e-14
+    assert np.max(np.abs(j_new - j_old)) <= 1e-14
+    # the new group coordinate is the composed rotation vector
+    assert np.max(np.abs(x_new[:, :3] - angles[:, None] * axes)) <= 1e-14
+
+
+def _rodrigues(rotvec):
+    angle = np.linalg.norm(rotvec, axis=1)
+    n = rotvec / np.where(angle > 0, angle, 1.0)[:, None]
+    k = np.zeros((len(n), 3, 3))
+    k[:, 2, 1], k[:, 0, 2], k[:, 1, 0] = n.T
+    k -= np.swapaxes(k, 1, 2)
+    return (np.eye(3) + np.sin(angle)[:, None, None] * k
+            + (1.0 - np.cos(angle))[:, None, None] * (k @ k))
+
+
+def test_so3_log_recovers_the_rotation_vector():
+    # where SciPy's logm loses digits too (within 1e-9 of pi and at pi),
+    # the symmetric-part branch keeps the axis; at pi either sign is right
+    rng = np.random.default_rng(43)
+    angles = np.repeat(_LOG_ANGLES + (math.pi - 1e-10, math.pi), 8)
+    axes = rng.standard_normal((len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    want = angles[:, None] * axes
+    got = _so3_log(_rodrigues(want))
+    at_pi = angles == math.pi
+    assert np.max(np.abs(got[~at_pi] - want[~at_pi])) <= 2e-15
+    flip = np.minimum(np.abs(got[at_pi] - want[at_pi]).max(axis=1),
+                      np.abs(got[at_pi] + want[at_pi]).max(axis=1))
+    assert np.max(flip) <= 2e-15
+
+
 # ---------------------------------------------------------------------------
 # standard-model construction and validation errors
 # ---------------------------------------------------------------------------
@@ -424,6 +488,48 @@ def test_standard_model_rejects_non_centralizing_h():
     )
     with pytest.raises(InputError):
         build_standard_model(model)
+
+
+def _su2_plus_u1():
+    c = np.zeros((4, 4, 4))
+    c[:3, :3, :3] = builtin_algebra("su2").structure_constants
+    return LieAlgebraSpec(dim=4, basis_labels=("e1", "e2", "e3", "u"),
+                          structure_constants=c, inner_product=np.eye(4),
+                          group_volume=32 * math.pi**3, name="su2+u1")
+
+
+def _scaled_su2(scale):
+    su2 = builtin_algebra("su2")
+    return dataclasses.replace(su2, structure_constants=scale * su2.structure_constants,
+                               name=f"{scale:g} su2")
+
+
+def _beta_zero_model(algebra):
+    return StandardLocalModel(
+        algebra_G=algebra, k_basis=np.eye(algebra.dim)[-1:],
+        h_basis=np.zeros((0, algebra.dim)), beta=np.zeros(algebra.dim), x_dim=0,
+        omega_X=np.zeros((0, 0)), rho=np.zeros((0, 0, 0)), name="beta_zero",
+    )
+
+
+def test_standard_model_refuses_a_nonabelian_adjoint_other_than_so3():
+    # the sampler's closed-form log needs Ad(G) abelian or SO(3): su2 + u1
+    # is a valid compact algebra, but its ad matrices are 4 x 4
+    with pytest.raises(InputError, match="adjoint action of su2"):
+        build_standard_model(_beta_zero_model(_su2_plus_u1()))
+
+
+def test_scaled_su2_basis_samples_as_the_per_row_sampler():
+    # [e_i, e_j] = 2 eps_ijk e_k: ad e_c = 2 [e_c]_x, so theta' is half
+    # the rotation vector of the composition
+    model = _beta_zero_model(_scaled_su2(2.0))
+    sp = build_standard_model(model).space_G
+    ref, _ = seed_model.samplers(model)
+    pts = sample_points(sp, 25, 13)
+    xi = np.array([0.4, -0.2, 0.3])
+    (x_new, j_new), (x_old, j_old) = sp.action_sampler(xi, pts), ref(xi, pts)
+    assert np.max(np.abs(x_new - x_old)) <= 1e-14
+    assert np.max(np.abs(j_new - j_old)) <= 1e-14
 
 
 def test_trivial_h_gives_no_h_space():

@@ -545,7 +545,7 @@ def level_and_seed(request):
     lv = R.zero_level(sp, mesh)
     fields = {slot: getattr(lv, slot) for slot in R.ZeroLevelData.__slots__}
     seed = seed_level_arrays(sp, lv.chart)
-    fields.update((slot, seed[slot]) for slot in fields if slot in seed)
+    fields.update(seed)
     return sp, lv, R.ZeroLevelData(**fields)
 
 
