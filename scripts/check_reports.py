@@ -14,8 +14,8 @@ report, or the error it raised (type and message):
     check_alpha, invariance_residual, check_moment_condition,
     validate_space, find_critical_points + local_model_check (and the
     search at c -/+ REGULAR_MARGIN/2 for the top critical value c),
-    zero_level's regularity report, damping_check and
-    global_convergence_check.
+    zero_level's regularity report (with its phase probe residual), grid
+    shape and node count, damping_check and global_convergence_check.
 
 On the five standard_model(...) spaces it keeps only the definition, by
 value (their Exprs reach MatrixField nodes, which have no repr): every
@@ -176,7 +176,8 @@ def record_space(name: str) -> dict:
                 c.critical_value for c in critical.find_critical_points(space, r)])
 
     _run(out, "zero_level", lambda: reduced.zero_level(space),
-         view=lambda lv: lv.regularity_report)
+         view=lambda lv: {**lv.regularity_report, "grid_shape": lv.grid_shape,
+                          "n_nodes": lv.n_nodes})
 
     unit = alphas["1"]
     _run(out, "damping_check", lambda: analysis.damping_check(space, unit, *DAMPING_RADII))

@@ -822,6 +822,14 @@ def _supports(info, source, members):
     return out
 
 
+def _invariant(residual: float, scale: float) -> bool:
+    """The torus-invariance rule: the probe's largest move under rotation,
+    ``residual``, is within _INVARIANCE_RTOL of its largest base value,
+    ``scale``.  A zero scale proves nothing (the probe saw no integrand),
+    and a NaN fails the comparison: both keep the full angular grid."""
+    return scale > 0.0 and residual <= _INVARIANCE_RTOL * scale
+
+
 def _torus_invariance(space, info, source, members, supports):
     """Whether each member's top-degree integrand passed the
     torus-invariance probe on its own support (see _probe_points).  The
@@ -839,9 +847,7 @@ def _torus_invariance(space, info, source, members, supports):
         residuals = np.maximum.reduceat(np.abs(rot - ref), starts).tolist()
         scales = np.maximum.reduceat(np.abs(ref), starts).tolist()
         for residual, scale, n in zip(residuals, scales, cnt):
-            # A zero scale proves nothing (the probe saw no integrand); a NaN
-            # residual fails the comparison and keeps the full grid.
-            out.append(scale > 0.0 and residual <= _INVARIANCE_RTOL * scale)
+            out.append(_invariant(residual, scale))
             _log.debug(
                 "radial quadrature on %s: torus invariance residual %.3g (scale %.3g, "
                 "%d sample nodes) -> %s",
@@ -932,6 +938,15 @@ class _LevelChart(_Frozen):
     eta in (0, pi/2) at ``n_eta`` Gauss-Legendre nodes (the open interval
     avoids the coordinate degeneracy at the poles), angles on uniform
     periodic grids of ``n_angle`` nodes.  One plane has no eta axis.
+    ``n_angle`` = 1 is the angle-0 line (the single angle 0, weight 2 pi
+    per plane).
+
+    ``n_probe`` probe nodes follow the tensor mesh, with weight 0: probe k
+    sits at the k-th eta node (cycling; on one plane, on the circle) with
+    every plane turned by its own random angle, seeded 0.  Its base node,
+    ``probe_base[k]``, is the mesh node at the same eta and angle 0, so
+    comparing an integrand at the two (phase_probe) tells whether it
+    depends on the angles.
     """
 
     __slots__ = (
@@ -943,9 +958,11 @@ class _LevelChart(_Frozen):
         "param_nodes",
         "param_weights",
         "axes",
+        "n_probe",
+        "probe_base",
     )
 
-    def __init__(self, weights, s_value: float, n_eta: int, n_angle: int):
+    def __init__(self, weights, s_value: float, n_eta: int, n_angle: int, n_probe: int = 0):
         if not 0 < s_value < math.inf:
             raise InputError(
                 f"a level set of s needs s positive and finite, got {s_value}"
@@ -958,26 +975,43 @@ class _LevelChart(_Frozen):
         )
         ang = np.arange(n_angle) * (2.0 * math.pi / n_angle)
         ang_w = 2.0 * math.pi / n_angle
+        turns = np.empty((0, n))
+        if n_probe:
+            turns = 2.0 * math.pi * np.random.default_rng(0).random((n_probe, n))
         if n == 1:
-            object.__setattr__(self, "param_dim", 1)
-            object.__setattr__(self, "grid_shape", (n_angle,))
-            object.__setattr__(self, "param_nodes", ang[:, None].copy())
-            object.__setattr__(self, "param_weights", np.full(n_angle, ang_w))
-            object.__setattr__(self, "axes", (ang,))
-            return
-        gl_x, gl_w = _leggauss(n_eta)
-        eta = 0.25 * math.pi * (gl_x + 1.0)
-        eta_w = 0.25 * math.pi * gl_w
-        shape = (n_eta, n_angle, n_angle)
-        grids = np.meshgrid(eta, ang, ang, indexing="ij")
-        wts = (eta_w[:, None, None] * ang_w * ang_w) * np.ones(shape)
-        object.__setattr__(self, "param_dim", 3)
+            shape, axes = (n_angle,), (ang,)
+            nodes, wts = ang[:, None], np.full(n_angle, ang_w)
+            probes, base = turns, np.zeros(n_probe, dtype=int)
+        else:
+            gl_x, gl_w = _leggauss(n_eta)
+            eta = 0.25 * math.pi * (gl_x + 1.0)
+            eta_w = 0.25 * math.pi * gl_w
+            shape, axes = (n_eta, n_angle, n_angle), (eta, ang, ang)
+            grids = np.meshgrid(eta, ang, ang, indexing="ij")
+            nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
+            wts = ((eta_w[:, None, None] * ang_w * ang_w) * np.ones(shape)).reshape(-1)
+            row = np.arange(n_probe) % n_eta
+            probes = np.column_stack([eta[row], turns])
+            base = row * (n_angle * n_angle)
+        object.__setattr__(self, "param_dim", 1 if n == 1 else 3)
         object.__setattr__(self, "grid_shape", shape)
-        object.__setattr__(
-            self, "param_nodes", np.stack([g.reshape(-1) for g in grids], axis=1)
-        )
-        object.__setattr__(self, "param_weights", wts.reshape(-1))
-        object.__setattr__(self, "axes", (eta, ang, ang))
+        object.__setattr__(self, "param_nodes", np.concatenate([nodes, probes]))
+        object.__setattr__(self, "param_weights", np.concatenate([wts, np.zeros(n_probe)]))
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "n_probe", n_probe)
+        object.__setattr__(self, "probe_base", base)
+
+    def phase_probe(self, values: np.ndarray) -> tuple:
+        """Whether per-node ``values`` on this mesh (the probe nodes
+        included) do not depend on the phase angles: their values at the
+        probe nodes against those at the base nodes, by the radial driver's
+        torus-invariance rule (_invariant).  Returns the verdict and the
+        residual relative to the largest base value (inf when that is 0 or
+        NaN)."""
+        ref = values[self.probe_base]
+        residual = float(np.max(np.abs(values[len(values) - self.n_probe :] - ref)))
+        scale = float(np.max(np.abs(ref)))
+        return _invariant(residual, scale), residual / scale if scale > 0.0 else math.inf
 
     def _outputs(self, n: int, out):
         """The (x, jac) arrays an embedding fills: ``out``, C-contiguous,
@@ -1022,20 +1056,25 @@ class _LevelChart(_Frozen):
         jac[:2, 2] = 0.0
 
     def embed_nodes(self, out=None):
-        """embed(param_nodes), built from the tensor axes: cos and sin are
-        taken on each axis's values and broadcast over the mesh, each node
-        getting the same products embed forms from them."""
+        """embed(param_nodes), the two-plane tensor mesh built from its
+        axes: cos and sin are taken on each axis's values and broadcast over
+        the mesh, each node getting the same products embed forms from
+        them.  The probe nodes after it are embedded node by node."""
         if self.n == 1:
             return self.embed(self.param_nodes, out)
+        x_out, jac_out = self._outputs(len(self.param_nodes), out)
+        n_mesh = len(self.param_nodes) - self.n_probe
+        if self.n_probe:
+            self.embed(self.param_nodes[n_mesh:], (x_out[:, n_mesh:], jac_out[..., n_mesh:]))
         eta, x1, x2 = self.axes
         ce, se = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
         c1, s1 = np.cos(x1)[None, :, None], np.sin(x1)[None, :, None]
         c2, s2 = np.cos(x2)[None, None, :], np.sin(x2)[None, None, :]
         r1, r2 = self.radii[0] * ce, self.radii[1] * se
         dr1, dr2 = -self.radii[0] * se, self.radii[1] * ce
-        x_out, jac_out = self._outputs(len(self.param_nodes), out)
-        x = x_out.reshape((4,) + self.grid_shape)
-        jac = jac_out.reshape((4, 3) + self.grid_shape)
+        # the mesh's node axis is contiguous, so these reshapes are views
+        x = x_out[:, :n_mesh].reshape((4,) + self.grid_shape)
+        jac = jac_out[..., :n_mesh].reshape((4, 3) + self.grid_shape)
         x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
         self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
         return x_out, jac_out

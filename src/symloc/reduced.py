@@ -4,10 +4,15 @@ When the symmetry group acts with finite stabilizers on mu^{-1}(0), the
 level set is a compact manifold carrying an orbifold principal bundle
 pi: mu^{-1}(0) -> M_red.  For the catalog families with a radial moment
 (the u(1) circle and Hopf-sphere families) the zero level is the level
-set {c s = a} of s = sum_j w_j |z_j|^2, and it is meshed by the same
-chart (integrate._LevelChart) as the boundary surfaces {s = s_pm} of the
-deformation's boundary term.  The Kirwan side of Witten's formula is two
-ops on it:
+set {c s = a} of s = sum_j w_j |z_j|^2, and it is parametrized by the
+same chart (integrate._LevelChart) as the boundary surfaces {s = s_pm} of
+the deformation's boundary term.  On these torus-symmetric levels the
+Kirwan integrand does not depend on the phase angles, so the level is
+meshed on its eta line at angle 0 (weight 2 pi per plane), with seeded
+probe nodes at random angles that check this, by the radial driver's
+torus-invariance rule, before any sum is trusted: a failed probe puts
+that level or that integral on the full (eta, xi1, xi2) tensor mesh.  The
+Kirwan side of Witten's formula is two ops on it:
 
 * ``zero_level``        -- mesh + induced measure + the metric connection
                            A = G(p)^{-1} <V ., .>  with  G_ab = <V e_a, V e_b>,
@@ -116,11 +121,11 @@ def _vertical_volume(conn: np.ndarray) -> dict:
     return parts
 
 
-def _fiber_integral(parts: dict, vert: dict, weights: np.ndarray, dim: int):
-    """The integral of parts ^ vert over the level: its top coefficient in
-    the ``dim`` parameter coordinates summed against the mesh ``weights``
-    (0.0 when parts ^ vert has no top part)."""
-    return np.sum(weights * _wedge(parts, vert).get(tuple(range(dim)), 0.0))
+def _top_part(parts: dict, vert: dict, dim: int):
+    """The integrand of parts ^ vert over the level: its top coefficient in
+    the ``dim`` parameter coordinates at every node (None when parts ^ vert
+    has no top part, which integrates to 0 on any mesh)."""
+    return _wedge(parts, vert).get(tuple(range(dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +410,13 @@ def _pulled_back_first(data: dict) -> dict:
 class ZeroLevelData(_Frozen):
     """mu^{-1}(0) with induced measure, metric connection, and curvature.
 
+    The mesh is that of ``chart``: the eta line at phase angle 0 (grid
+    shape (mesh_density, 1, 1), a circle's (1,)) followed by
+    ``chart.n_probe`` probe nodes of weight 0, or, when the phase probe
+    failed, the full tensor mesh of ``mesh_density`` nodes per axis with
+    no probe nodes (see zero_level).  Every per-node array covers all of
+    them; ``n_nodes`` counts the probe nodes too.
+
     Besides the ambient connection it carries the data pulled back to
     parameter coordinates on the mesh (``connection_param``,
     ``vertical_param``, ``omega_param``, and ``f_param``, which is dA since
@@ -535,11 +547,25 @@ def _equivariance_residual(
 def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData:
     """Mesh mu^{-1}(0), build the metric connection, and verify regularity.
 
-    The level is {c s = a} of the space's RadialMoment, meshed by the
-    level chart the surfaces {s = s0} also use (integrate._LevelChart, at
-    s = a/c); ``mesh_density`` is its node count per parameter axis (the
-    circle gets ``mesh_density`` nodes; the three-sphere
-    ``mesh_density**3``).  One or two planes, as for every radial grid.
+    The level is {c s = a} of the space's RadialMoment, parametrized by
+    the level chart the surfaces {s = s0} also use (integrate._LevelChart,
+    at s = a/c).  One or two planes, as for every radial grid.
+
+    The mesh is the eta line: ``mesh_density`` Gauss-Legendre nodes in eta
+    at phase angle 0, each with weight 2 pi per plane's angle (a circle
+    has the one node at angle 0), then ``mesh_density`` probe nodes of
+    weight 0 at the same eta values with every plane turned by its own
+    seeded random angle.  The line is kept when the probe finds the
+    orientation (Liouville) integrand and the connection A in parameter
+    coordinates the same at the probe nodes as at their line nodes, by the
+    radial driver's torus-invariance rule (to 1e-12 relative; a zero scale
+    or a NaN fails it).  A is probed because the Liouville integrand does
+    not see it: a metric that u(1) preserves but the phase torus does not
+    moves A and F_A with the angles.  Otherwise the level is built again
+    on the full (eta, xi1, xi2) tensor mesh of
+    ``mesh_density`` nodes per axis (a circle: ``mesh_density`` angles).
+    ``kirwan_integral`` probes each integrand it sums the same way and
+    falls back to that full mesh as well.
 
     The connection is implemented for the catalog level families: one
     generator (u(1)) acting with a constant generator Jacobian D, a
@@ -553,7 +579,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     ``ZeroLevelData`` stores node-first (N, ...) views of them, in the
     shapes it has always had.
 
-    Checks, each over the whole mesh:
+    Checks, each over every stored node (the probe nodes included):
 
     * regularity: d mu is onto at every node.  With one generator d mu is
       a single row, whose only singular value is its norm (the root of the
@@ -565,8 +591,17 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     * orientation: the sign that makes the reduced Liouville volume
       positive (AccuracyError when that volume is ~0).
 
-    The residuals land in ``regularity_report``.
+    The residuals land in ``regularity_report``, with the phase probe's
+    larger relative residual (``phase_probe_residual``).
     """
+    return _zero_level(space, mesh_density, collapse=True)
+
+
+def _zero_level(space: HamiltonianSpace, mesh_density, collapse: bool) -> ZeroLevelData:
+    """zero_level on the eta line when ``collapse`` and its phase probe
+    passes, else on the full tensor mesh (with no probe nodes; its
+    ``phase_probe_residual`` is that of the failed probe, or None when no
+    line was tried)."""
     radial = space.radial
     if radial is None:
         raise InputError(
@@ -576,10 +611,36 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     radial.check_zero_level(space.name)
     _check_planes(radial)
     _check_count("mesh_density", mesh_density, 4)
-    weights = radial.weights
     m = int(mesh_density)
-    chart = _LevelChart(weights, radial.a / radial.c, m, m)
     struct = _constant_structure(space)
+    s_value = radial.a / radial.c
+    probe, passed = None, False
+    if collapse:
+        level, liouville = _checked_level(space, struct, _LevelChart(radial.weights, s_value, m, 1, m))
+        if liouville is not None:
+            # the Liouville integrand does not see the connection (omega is
+            # basic on the level and A(V) = 1): A is probed on its own
+            verdicts = [level["chart"].phase_probe(v)
+                        for v in (liouville, level["connection_param"])]
+            passed = all(ok for ok, _ in verdicts)
+            probe = float(np.max([res for _, res in verdicts]))
+    if not passed:
+        level, liouville = _checked_level(space, struct, _LevelChart(radial.weights, s_value, m, m))
+
+    # orientation: fix the sign making the reduced Liouville volume positive
+    raw = 0.0 if liouville is None else float(np.sum(level["param_weights"] * liouville))
+    if abs(raw) < 1e-12:
+        raise AccuracyError("could not orient the level set: Liouville ~ 0")
+    level["regularity_report"]["phase_probe_residual"] = probe
+    return ZeroLevelData(mesh_density=m, orient_sign=1.0 if raw > 0 else -1.0, **level)
+
+
+def _checked_level(space: HamiltonianSpace, struct: dict, chart: _LevelChart) -> tuple:
+    """The level on the mesh of ``chart`` after the regularity, moment,
+    normalization and equivariance checks over every node: its
+    ZeroLevelData fields but the mesh density and the orientation, and the
+    Liouville integrand exp(omega) ^ A at every node (None without a top
+    part)."""
     data = _chart_conn_last(struct, chart)
     conn = data.pop("conn")
     pulled = _pulled_back_first(data)
@@ -620,16 +681,12 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
                 f"connection equivariance residual {equiv:.3e} exceeds 1e-8"
             )
 
-    # orientation: fix the sign making the reduced Liouville volume positive
     dim = chart.param_dim
-    raw = float(_fiber_integral(
+    liouville = _top_part(
         _exp_parts(_matrix_to_parts(pulled["omega_u"], float), dim, len(nodes)),
-        _vertical_volume(pulled["a_u"]), chart.param_weights, dim,
-    ))
-    if abs(raw) < 1e-12:
-        raise AccuracyError("could not orient the level set: Liouville ~ 0")
-    orient = 1.0 if raw > 0 else -1.0
-
+        _vertical_volume(pulled["a_u"]), dim,
+    )
+    weights = space.radial.weights
     report = {
         "min_dmu_singular": min_sigma,
         "level_moment_residual": level_residual,
@@ -640,10 +697,9 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
             | {abs(w) for w in weights if len(weights) > 1}
         ),
     }
-    return ZeroLevelData(
+    level = dict(
         space=space,
         chart=chart,
-        mesh_density=m,
         param_nodes=chart.param_nodes,
         param_weights=chart.param_weights,
         grid_shape=chart.grid_shape,
@@ -657,8 +713,8 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
         f_param=pulled["f_u"],
         regularity_report=report,
         stabilizer_order=math.gcd(*(abs(w) for w in weights)),
-        orient_sign=orient,
     )
+    return level, liouville
 
 
 def _exp_parts(two_form: dict, top_dim: int, n_nodes: int) -> dict:
@@ -751,29 +807,15 @@ class KirwanResult(_Frozen):
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def kirwan_integral(
-    alpha: EquivariantForm, level: ZeroLevelData, eps: float
-) -> KirwanResult:
-    """int_{M_red} kappa(alpha) exp(omega_0 + (eps/2)|F_A|^2), upstairs.
-
-    Realized on mu^{-1}(0) by wedging with the vertical volume form
-    A^1 ^ ... ^ A^d (which annihilates all non-horizontal components),
-    integrating the top parameter form, and dividing by vol(G).  The orbit
-    volume in the A-normalized vertical measure is vol(G)/|Gamma|, so the
-    generic-stabilizer orbifold weight is carried automatically and the
-    result is the orbifold integral over M_red -- the normalization under
-    which the small-eps limit of the Basic Integral is reproduced.  The
-    eps-dependence enters only through wedge powers of the four-form
-    <F_A ^ F_A>_g, so the result is the polynomial  sum_k c_k eps^k  with
-    4k <= dim(M_red); the coefficient vector is returned alongside the
-    evaluation."""
-    if not 0 < eps < math.inf:
-        raise InputError("eps must be positive and finite")
+def _kirwan_tops(alpha: EquivariantForm, level: ZeroLevelData) -> list:
+    """The integrands of the eps^k coefficients of kirwan_integral, k = 0,
+    1, ..., as top coefficients at every node of the level (None for one
+    without a top part), before the push-forward factor: kappa(alpha) ^
+    exp(omega) ^ <F ^ F>_g^k ^ A^1 ^ ... ^ A^d.  The list stops early
+    when the power of <F ^ F>_g vanishes."""
     space = level.space
-    _gate_alpha(space, alpha)
     kappa = _kappa_parts(space, alpha, level._pulled_back())
-    omega_parts = level.omega_parts()
-    exp_omega = _exp_parts(omega_parts, level.param_dim, level.n_nodes)
+    exp_omega = _exp_parts(level.omega_parts(), level.param_dim, level.n_nodes)
     vert = _vertical_volume(level.connection_param)
     gdim = space.algebra.dim
     # <F ^ F>_g with the algebra inner product
@@ -790,23 +832,59 @@ def kirwan_integral(
                 s_parts, _scale_parts(_wedge(f_parts[a], f_parts[b]), q_mat[a, b])
             )
     max_k = max(0, level.horizontal_dim // 4)
-    vol_g = space.algebra.group_volume
-    push = level.orient_sign / vol_g
     base = _wedge(kappa, exp_omega)
-    coeffs = []
+    tops = []
     s_power = {(): np.ones(level.n_nodes, dtype=complex)}
-    factor = 1.0
     for k in range(max_k + 1):
-        raw = complex(_fiber_integral(
-            _wedge(base, s_power), vert, level.param_weights, level.param_dim
-        ))
-        coeffs.append(push * factor * raw)
+        tops.append(_top_part(_wedge(base, s_power), vert, level.param_dim))
         if k < max_k:
             s_power = _wedge(s_power, s_parts)
-            factor /= 2.0 * (k + 1)
             if not s_power:
-                coeffs.extend([0.0 + 0.0j] * (max_k - k))
                 break
+    return tops
+
+
+def kirwan_integral(
+    alpha: EquivariantForm, level: ZeroLevelData, eps: float
+) -> KirwanResult:
+    """int_{M_red} kappa(alpha) exp(omega_0 + (eps/2)|F_A|^2), upstairs.
+
+    Realized on mu^{-1}(0) by wedging with the vertical volume form
+    A^1 ^ ... ^ A^d (which annihilates all non-horizontal components),
+    integrating the top parameter form, and dividing by vol(G).  The orbit
+    volume in the A-normalized vertical measure is vol(G)/|Gamma|, so the
+    generic-stabilizer orbifold weight is carried automatically and the
+    result is the orbifold integral over M_red -- the normalization under
+    which the small-eps limit of the Basic Integral is reproduced.  The
+    eps-dependence enters only through wedge powers of the four-form
+    <F_A ^ F_A>_g, so the result is the polynomial  sum_k c_k eps^k  with
+    4k <= dim(M_red); the coefficient vector is returned alongside the
+    evaluation.
+
+    On a level meshed on its eta line (zero_level) each coefficient's
+    integrand is probed at the level's probe nodes; when one depends on
+    the phase angles, the level is rebuilt on the full tensor mesh and
+    every coefficient is summed there (``meta["n_nodes"]`` counts the
+    nodes of the mesh summed)."""
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
+    space = level.space
+    _gate_alpha(space, alpha)
+    tops = _kirwan_tops(alpha, level)
+    chart = level.chart
+    if chart.n_probe and not all(chart.phase_probe(t)[0] for t in tops if t is not None):
+        level = _zero_level(space, level.mesh_density, collapse=False)
+        tops = _kirwan_tops(alpha, level)
+    max_k = max(0, level.horizontal_dim // 4)
+    vol_g = space.algebra.group_volume
+    push = level.orient_sign / vol_g
+    coeffs = []
+    factor = 1.0
+    for k, top in enumerate(tops):
+        raw = 0j if top is None else complex(np.sum(level.param_weights * top))
+        coeffs.append(push * factor * raw)
+        factor /= 2.0 * (k + 1)
+    coeffs.extend([0.0 + 0.0j] * (max_k + 1 - len(coeffs)))
     value = sum(c * eps**k for k, c in enumerate(coeffs))
     return KirwanResult(
         value=value,

@@ -92,10 +92,15 @@ def test_record_space_keeps_the_level_report_and_calls_only_ops_that_exist():
     assert sorted(k for k in out if k.startswith("zero_level")) == [
         "zero_level.connection_reproduces_generators",
         "zero_level.equivariance_residual",
+        "zero_level.grid_shape",
         "zero_level.level_moment_residual",
         "zero_level.min_dmu_singular",
+        "zero_level.n_nodes",
+        "zero_level.phase_probe_residual",
         "zero_level.stratum_orders",
     ]
+    # the circle's eta line: the node at angle 0 and 32 probe nodes
+    assert out["zero_level.grid_shape"] == [1] and out["zero_level.n_nodes"] == 33
     # a refusal is recorded as its message; an op the package no longer
     # has would be recorded as an AttributeError
     assert [k for k, v in out.items() if str(v).startswith("AttributeError")] == []

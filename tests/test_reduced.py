@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from symloc import reduced as R
-from symloc.fields import MatAffine, add, column, const, coord, mul
-from symloc.forms import EquivariantForm, VectorFieldFamily
+from symloc.fields import MatAffine, MatConst, add, column, const, coord, mul
+from symloc.forms import EquivariantForm, VectorFieldFamily, equivariant_D
 from symloc.hamspace import HamiltonianSpace, catalog
 from symloc.integrate import _LevelChart
 from symloc.liealg import InputError, NotRegularError
@@ -57,7 +57,9 @@ def _phi_linear(space):
 
 def test_circle_level_data(circle):
     sp, lv = circle
-    assert lv.n_nodes == 64
+    # the one node at angle 0, then one probe node per unit of mesh density
+    assert lv.grid_shape == (1,)
+    assert lv.n_nodes == 1 + 64
     # the mesh sits on |z|^2 = 1 and carries the arc-length measure
     assert np.max(np.abs(np.sum(lv.nodes**2, axis=1) - 1.0)) < 1e-14
     assert lv.riemann_weights.sum() == pytest.approx(2 * math.pi, abs=1e-12)
@@ -195,6 +197,15 @@ def test_level_arrays_are_read_only(circle, sphere):
                 arr[(0,) * arr.ndim] = 0.0
 
 
+# the two ways a level is meshed: the eta line with its probe nodes (64
+# nodes, 33 on a circle), and the full tensor mesh a failed phase probe
+# falls back to (32**3 nodes, 32 on a circle)
+_MESHES = (
+    lambda sp: R.zero_level(sp),
+    lambda sp: R._zero_level(sp, 32, collapse=False),
+)
+
+
 @pytest.mark.parametrize(
     "name, kw",
     [
@@ -226,24 +237,25 @@ def test_zero_level_makes_no_per_node_lapack_call(name, kw, monkeypatch):
 
     for fn in shapes:
         monkeypatch.setattr(np.linalg, fn, counted(fn))
-    lv = R.zero_level(sp)
-    assert shapes["svd"] == []
-    forms = (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j))
-    for alpha in forms:
-        R.kirwan_integral(alpha, lv, 0.05)
-    # the mesh's Gauss-Legendre rule solves one companion matrix; no
-    # per-node stack reaches LAPACK
-    for fn, seen in shapes.items():
-        assert all(len(shape) == 2 for shape in seen), (fn, seen)
-    # the row norm gives the SVD's smallest singular value to roundoff
-    dmu = np.array(
-        [
-            [column(p.diff(k), lv.nodes, {}) for k in range(sp.ambient_dim)]
-            for p in sp.mu_pairing_exprs()
-        ]
-    ).transpose(2, 0, 1)
-    ref = float(np.min(svd(dmu, compute_uv=False)[:, -1]))
-    assert abs(lv.regularity_report["min_dmu_singular"] - ref) <= 4 * np.spacing(ref)
+    for mesh in _MESHES:
+        lv = mesh(sp)
+        assert shapes["svd"] == []
+        forms = (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j))
+        for alpha in forms:
+            R.kirwan_integral(alpha, lv, 0.05)
+        # the mesh's Gauss-Legendre rule solves one companion matrix; no
+        # per-node stack reaches LAPACK
+        for fn, seen in shapes.items():
+            assert all(len(shape) == 2 for shape in seen), (fn, seen)
+        # the row norm gives the SVD's smallest singular value to roundoff
+        dmu = np.array(
+            [
+                [column(p.diff(k), lv.nodes, {}) for k in range(sp.ambient_dim)]
+                for p in sp.mu_pairing_exprs()
+            ]
+        ).transpose(2, 0, 1)
+        ref = float(np.min(svd(dmu, compute_uv=False)[:, -1]))
+        assert abs(lv.regularity_report["min_dmu_singular"] - ref) <= 4 * np.spacing(ref)
 
 
 def test_level_connection_needs_one_generator():
@@ -269,10 +281,12 @@ def test_determinism_and_json(circle):
     assert a.value == b.value
     blob = json.loads(lv.to_json(stride=8))
     assert blob["space"] == "cn_u1(1,1)"
-    assert blob["n_nodes"] == 64
-    assert len(blob["mesh"]["nodes"]) == 8
+    assert blob["n_nodes"] == 65
+    assert blob["grid_shape"] == [1]
+    assert len(blob["mesh"]["nodes"]) == 9  # nodes 0, 8, ..., 64
     kb = json.loads(a.to_json())
-    assert kb["value"] == [1.0000000000000002, 0.0]
+    # one node of weight 2 pi, where the 64-angle mesh summed 64 of 2 pi / 64
+    assert kb["value"] == [1.0, 0.0]
     assert kb["meta"]["space"] == "cn_u1(1,1)"
 
 
@@ -368,16 +382,18 @@ def test_zero_level_makes_no_per_node_matrix_product(name, kw, monkeypatch):
 
         return call
 
-    for fn in ("einsum", "matmul", "dot"):
-        monkeypatch.setattr(np, fn, recorded(getattr(np, fn)))
-    lv = R.zero_level(sp)
-    monkeypatch.undo()
-    n = lv.n_nodes
-    per_node = [(fn, s) for fn, seen in shapes for s in seen if n in s]
-    assert per_node == [], per_node
-    # the recording is live: it saw the one product of constants, D g
     amb = sp.ambient_dim
-    assert shapes == [("einsum", [(amb, amb), (amb, amb)])]
+    for mesh in _MESHES:
+        shapes.clear()
+        for fn in ("einsum", "matmul", "dot"):
+            monkeypatch.setattr(np, fn, recorded(getattr(np, fn)))
+        lv = mesh(sp)
+        monkeypatch.undo()
+        n = lv.n_nodes
+        per_node = [(fn, s) for fn, seen in shapes for s in seen if n in s]
+        assert per_node == [], per_node
+        # the recording is live: it saw the one product of constants, D g
+        assert shapes == [("einsum", [(amb, amb), (amb, amb)])]
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +515,11 @@ def test_level_arrays_match_the_reference_pipeline(level_and_reference):
         got, want = getattr(lv, name), getattr(ref, name)
         assert got.shape == want.shape, name
         if name == "riemann_weights":
-            # weights are ~1e-3: compare the density sqrt det J^T J, ~1
-            got, want = got / lv.param_weights, want / ref.param_weights
+            # compare the density sqrt det J^T J, ~1, where the weight is
+            # not 0; a probe node's measure is 0 in both
+            live = lv.param_weights > 0
+            assert not got[~live].any() and not want[~live].any()
+            got, want = got[live] / lv.param_weights[live], want[live] / ref.param_weights[live]
         if name in ("param_nodes", "param_weights", "nodes", "jacobians"):
             assert np.array_equal(got, want), name
         else:
@@ -540,9 +559,10 @@ _RANK_TWO_TOL = 1e-15
     ids=lambda p: f"{p[0]}{tuple(p[1].values())}-mesh{p[2]}",
 )
 def level_and_seed(request):
+    # the full tensor mesh, whose axes the einsum reference embeds
     name, kw, mesh = request.param
     sp = catalog(name, **kw)
-    lv = R.zero_level(sp, mesh)
+    lv = R._zero_level(sp, mesh, collapse=False)
     fields = {slot: getattr(lv, slot) for slot in R.ZeroLevelData.__slots__}
     seed = seed_level_arrays(sp, lv.chart)
     fields.update(seed)
@@ -573,3 +593,97 @@ def test_kirwan_and_chern_match_the_einsum_connection(level_and_seed):
     want = R.kirwan_integral(_phi_linear(sp), seed, 0.05).coefficients
     for g, w in zip(got, want):
         assert abs(g - w) <= (lv.mesh_density < 32) * np.spacing(abs(w))
+
+
+# ---------------------------------------------------------------------------
+# the eta line against the full tensor mesh it collapses, and the fallback
+# to the full mesh when the phase probe fails
+# ---------------------------------------------------------------------------
+
+# kirwan_integral's coefficients on the line and on the full mesh differ only
+# in how the sums round: the largest move measured is 3 ulp (cn_u1(2,1) at
+# mesh 12); at mesh 32 it is at most 1 ulp, and no level array moves
+_COLLAPSE_ULPS = 4
+
+
+@pytest.mark.parametrize("mesh", [12, 32])
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("cn_u1", dict(n=1, a=1.0)),
+        ("cn_u1", dict(n=2, a=1.0)),
+        ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0)),
+        ("weighted_cn_u1", dict(n=1, weights=(2,), a=1.0)),
+    ],
+    ids=lambda p: f"{p}" if isinstance(p, str) else f"{tuple(p.values())}",
+)
+def test_the_line_is_the_angle_zero_slice_of_the_full_mesh(name, kw, mesh):
+    sp = catalog(name, **kw)
+    line, full = R.zero_level(sp, mesh), R._zero_level(sp, mesh, collapse=False)
+    two_planes = sp.ambient_dim == 4
+    assert line.grid_shape == ((mesh, 1, 1) if two_planes else (1,))
+    assert full.grid_shape == ((mesh,) * 3 if two_planes else (mesh,))
+    n_line = math.prod(line.grid_shape)
+    assert line.n_nodes == n_line + mesh and full.chart.n_probe == 0
+    assert line.regularity_report["phase_probe_residual"] <= 1e-12
+    assert full.regularity_report["phase_probe_residual"] is None
+    # the full mesh's angle-0 nodes, in eta order
+    at_zero = np.arange(n_line) * (full.n_nodes // n_line)
+    for arr in set(_LEVEL_ARRAYS) - {"param_weights", "riemann_weights"}:
+        assert np.array_equal(getattr(line, arr)[:n_line], getattr(full, arr)[at_zero]), arr
+    # weight 2 pi per plane's angle where the full mesh has 2 pi / mesh per
+    # angle node; the probe nodes weigh nothing
+    angle_nodes = mesh ** (2 if two_planes else 1)
+    assert np.allclose(line.param_weights[:n_line], full.param_weights[at_zero] * angle_nodes,
+                       rtol=1e-15, atol=0.0)
+    assert not line.param_weights[n_line:].any() and not line.riemann_weights[n_line:].any()
+    density = line.riemann_weights[:n_line] / line.param_weights[:n_line]
+    want = full.riemann_weights[at_zero] / full.param_weights[at_zero]
+    assert np.max(np.abs(density - want)) <= 4 * np.spacing(1.0)
+    for alpha in (_unit(sp), _phi_linear(sp), sp.omega + sp.mu_phi_form().scale(1j)):
+        got = R.kirwan_integral(alpha, line, 0.05)
+        assert got.meta["n_nodes"] == line.n_nodes  # every probe passed
+        want = R.kirwan_integral(alpha, full, 0.05).coefficients
+        for g, w in zip(got.coefficients, want):
+            assert abs(g - w) <= _COLLAPSE_ULPS * np.spacing(abs(w))
+
+
+def test_a_metric_the_phase_torus_moves_keeps_the_full_mesh():
+    # the realified Hermitian metric H = [[1, 0.3], [0.3, 1]] is preserved by
+    # u(1) but not by the phase torus: A = G^{-1} g V depends on xi1 - xi2.
+    # The Liouville integrand does not (omega is basic and A(V) = 1), so it
+    # is the probe of A that fails
+    sp = catalog("cn_u1", n=2, a=1.0)
+    tilted = _replaced(
+        sp, name="cn_u1(2,1) tilted",
+        metric=MatConst(np.kron([[1.0, 0.3], [0.3, 1.0]], np.eye(2))),
+    )
+    lv = R.zero_level(tilted)
+    assert lv.grid_shape == (32, 32, 32) and lv.chart.n_probe == 0
+    assert lv.regularity_report["phase_probe_residual"] > 0.1
+    # neither the reduced volume nor the first Chern number depends on the
+    # connection
+    assert abs(R.kirwan_integral(_unit(tilted), lv, 0.05).value - math.pi) < 1e-10
+    assert abs(R.kirwan_integral(_phi_linear(tilted), lv, 0.05).value - 2j * math.pi) < 1e-10
+
+
+def test_an_integrand_the_phase_torus_moves_takes_the_full_mesh(sphere):
+    # alpha = D(f dh) = df ^ dh with f = Im(conj(z1) z2), which u(1) preserves
+    # and the phase torus does not, and h = |z1|^2 (dh(V) = 0): closed,
+    # invariant and exact, so its reduced integral is 0.  On the level its
+    # integrand goes as cos(xi2 - xi1), which the eta line alone would sum
+    # to a value far from 0
+    sp, lv = sphere
+    x1, y1, x2, y2 = (coord(i) for i in range(4))
+    f = add(mul(x1, y2), mul(const(-1.0), y1, x2))
+    beta = EquivariantForm(
+        sp.chart_id, 4, 1,
+        [((0,), mul(const(2.0), x1, f), (0,)), ((1,), mul(const(2.0), y1, f), (0,))],
+    )
+    alpha = equivariant_D(beta, sp.action)
+    (top,) = R._kirwan_tops(alpha, lv)
+    assert not lv.chart.phase_probe(top)[0]
+    assert abs(np.sum(lv.param_weights * top)) > 1.0
+    res = R.kirwan_integral(alpha, lv, 0.05)
+    assert res.meta["n_nodes"] == lv.mesh_density**3
+    assert abs(res.value) < 1e-10
