@@ -9,7 +9,11 @@ Runs, on the catalog spaces the benchmark uses:
 * one t > 0 Basic Integral on cn_u1(1,1) (integrate);
 * the degree-0 epsilon sweep on cn_u1(2,1) and one large_t_limit on
   cn_u1(1,1) (analysis);
-* the G and H action samplers of the su2_hopf standard model (hamspace).
+* the G and H action samplers of the su2_hopf standard model (hamspace);
+* zero_level + kirwan_integral on cn_u1(2,1) again, with a metric the
+  phase torus moves, so the level is built on the full 32^3 mesh its
+  failed phase probe falls back to.  No benchmark workload runs that
+  path, so its wall time is printed.
 
 Prints one line per op, then the peak RSS and the scipy modules loaded.
 symloc needs only NumPy at runtime, so the list must be empty: the script
@@ -20,14 +24,16 @@ from __future__ import annotations
 
 import resource
 import sys
+import time
 
 import numpy as np
 
 
 def main() -> int:
     from symloc import analysis, critical, integrate, reduced
+    from symloc.fields import MatConst
     from symloc.forms import EquivariantForm
-    from symloc.hamspace import catalog, catalog_from_string, sample_points
+    from symloc.hamspace import HamiltonianSpace, catalog, catalog_from_string, sample_points
 
     def space_and_one(text):
         space = catalog_from_string(text)
@@ -58,6 +64,19 @@ def main() -> int:
         new_pts, jac = space.action_sampler(np.full(space.algebra.dim, 0.3), pts)
         print(f"action_sampler {space.name}: finite", bool(
             np.all(np.isfinite(new_pts)) and np.all(np.isfinite(jac))))
+
+    # the realified Hermitian metric [[1, 0.3], [0.3, 1]]: u(1) preserves
+    # it, the phase torus does not, so A moves with the angles
+    tilted = HamiltonianSpace(**{
+        **{name: getattr(cn2, name) for name in HamiltonianSpace.__slots__},
+        "name": "cn_u1(2,1) tilted",
+        "metric": MatConst(np.kron([[1.0, 0.3], [0.3, 1.0]], np.eye(2))),
+    })
+    t0 = time.perf_counter()
+    level = reduced.zero_level(tilted)
+    value = reduced.kirwan_integral(one2, level, 0.05).value.real
+    print(f"zero_level + kirwan_integral {tilted.name} on the full mesh "
+          f"{level.grid_shape}: {value:.12f} in {time.perf_counter() - t0:.3f} s")
 
     print("ru_maxrss: %.1f MB" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))

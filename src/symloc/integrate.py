@@ -76,6 +76,7 @@ from .liealg import (
     NotRegularError,
     PhiPolynomial,
     _check_count,
+    _check_real,
     _logdet,
     _wick_table,
 )
@@ -237,6 +238,8 @@ class BasicIntegralRequest:
 
 def _check_request(space, alpha, r, epsilon, t):
     """The invariants of one Basic Integral evaluation."""
+    for name, value in (("r", r), ("epsilon", epsilon), ("t", t)):
+        _check_real(name, value)
     if not 0 < r < math.inf:
         raise InputError("region radius r must be positive and finite")
     if not 0 < epsilon < math.inf:
@@ -1055,14 +1058,14 @@ class _LevelChart(_Frozen):
         jac[2:, 1] = 0.0
         jac[:2, 2] = 0.0
 
-    def embed_nodes(self, out=None):
+    def embed_nodes(self):
         """embed(param_nodes), the two-plane tensor mesh built from its
         axes: cos and sin are taken on each axis's values and broadcast over
         the mesh, each node getting the same products embed forms from
         them.  The probe nodes after it are embedded node by node."""
         if self.n == 1:
-            return self.embed(self.param_nodes, out)
-        x_out, jac_out = self._outputs(len(self.param_nodes), out)
+            return self.embed(self.param_nodes)
+        x_out, jac_out = self._outputs(len(self.param_nodes), None)
         n_mesh = len(self.param_nodes) - self.n_probe
         if self.n_probe:
             self.embed(self.param_nodes[n_mesh:], (x_out[:, n_mesh:], jac_out[..., n_mesh:]))

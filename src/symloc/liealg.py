@@ -63,6 +63,12 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """InputError unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+
+
 class NotRegularError(RuntimeError):
     """A level or radius touches a critical value of the moment-map square,
     so the requested region/quotient is not well defined."""

@@ -57,7 +57,7 @@ from .fields import Const, Expr, MatConst, _Frozen, column  # noqa: F401  (Expr 
 from .forms import EquivariantForm, _merge_sign, _pullback
 from .hamspace import HamiltonianSpace
 from .integrate import _check_planes, _gate_alpha, _LevelChart
-from .liealg import AccuracyError, InputError, NotRegularError, _check_count
+from .liealg import AccuracyError, InputError, NotRegularError, _check_count, _check_real
 
 __all__ = [
     "ZeroLevelData",
@@ -134,22 +134,18 @@ def _top_part(parts: dict, vert: dict, dim: int):
 # The level families are U(1) acting linearly on flat space: the generator
 # Jacobian D[k, i] = d_k V^i, the metric g and the symplectic matrix Omega
 # are constant matrices, read once from the exact field expressions.  Then
-# V = D^T x, G = <V, V>_g and A = G^{-1} g V are row arithmetic over the
-# nodes, and dA has the rank-2 form
+# V = D^T x, G = <V, V>_g and A = G^{-1} g V, and dA has the rank-2 form
 #
 #     dA_kl = G^{-1} (S_kl - dG_k A_l + A_k dG_l),   S = Dg - (Dg)^T,
 #
 # with dG = 2 D g V.  Only its pullback through the chart Jacobian J is
 # formed: J^T dA J = G^{-1} (J^T S J - p a^T + a p^T), p = J^T dG, a = J^T A.
 #
-# Every per-node array has the node axis last and no generator axis (there
-# is one generator): V, A and dG are (ambient_dim, N), J^T dA J is
-# (param_dim, param_dim, N).  Each entry is a sum of scaled (N,) rows,
-# written into preallocated outputs: no per-node matrix product and no BLAS
-# call on a node-sized operand.  A sum skips the rows that are zero at every node (a
-# chart's Jacobian has some, and so do products with the sparse constant
-# matrices), which changes no bit of it.  zero_level hands the data on in
-# the (N, dim g, ...) layout of ZeroLevelData.
+# Each is an einsum with the node axis last and no generator axis (there
+# is one generator): V, A and dG are (ambient_dim, N), J is
+# (ambient_dim, param_dim, N) and J^T dA J is (param_dim, param_dim, N).
+# zero_level stores node-first views of them, in the (N, dim g, ...)
+# layout of ZeroLevelData.
 # ---------------------------------------------------------------------------
 
 
@@ -203,203 +199,36 @@ def _constant_structure(space: HamiltonianSpace) -> dict:
     }
 
 
-def _live_rows(arr: np.ndarray) -> dict:
-    """The rows of a node-last (m, N) array that are not zero at every node,
-    by index: the only ones a sum over its rows needs."""
-    return {i: row for i, row in enumerate(arr) if row.any()}
+def _metric_connection(struct: dict, x: np.ndarray) -> dict:
+    """V = D^T x, g V, 1 / G for the 1 x 1 Gram G = <V, V>_g and
+    A = G^{-1} g V at the node-last (ambient_dim, N) points ``x``."""
+    v_field = np.einsum("jl,jn->ln", struct["D"], x)
+    vg = np.einsum("jl,jn->ln", struct["metric"], v_field)
+    gram_inv = 1.0 / np.einsum("ln,ln->n", vg, v_field)
+    return {"V": v_field, "vg": vg, "gram_inv": gram_inv, "A": vg * gram_inv}
 
 
-def _combine(mat: np.ndarray, rows: dict, out: np.ndarray, tmp: np.ndarray) -> dict:
-    """out[l] = sum_j mat[j, l] rows[j] for a small constant matrix ``mat``,
-    one scaled row per nonzero term, accumulated in j order.  A row of
-    ``out`` without a term is zeroed; the others are returned by l."""
-    live = {}
-    for l, row_out in enumerate(out):
-        terms = [(mat[j, l], row) for j, row in rows.items() if mat[j, l] != 0.0]
-        if not terms:
-            row_out[...] = 0.0
-            continue
-        np.multiply(terms[0][1], terms[0][0], out=row_out)
-        for c, row in terms[1:]:
-            row_out += np.multiply(row, c, out=tmp)
-        live[l] = row_out
-    return live
+def _pull_back_matrix(jac: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """J^T M J for the node-last (ambient_dim, param_dim, N) Jacobian J and
+    a constant M, as two two-operand einsums: on the full mesh they take
+    less than half the time of one three-operand einsum, to the same
+    bits."""
+    return np.einsum("kin,iln->kln", np.einsum("jkn,ji->kin", jac, mat), jac)
 
 
-def _dot(a: dict, b: dict, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = sum_i a[i] b[i] over the rows both hold, in i order."""
-    common = [i for i in a if i in b]
-    if not common:
-        out[...] = 0.0
-        return out
-    np.multiply(a[common[0]], b[common[0]], out=out)
-    for i in common[1:]:
-        out += np.multiply(a[i], b[i], out=tmp)
-    return out
-
-
-def _rank_two_update(
-    out: np.ndarray, scale, p: np.ndarray, a: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """out[k, l] <- scale (out[k, l] - p_k a_l + a_k p_l) on the upper
-    triangle k < l of an (m, m, N) array."""
-    for k in range(len(out)):
-        for l in range(k + 1, len(out)):
-            entry = out[k, l]
-            entry -= np.multiply(p[k], a[l], out=tmp)
-            entry += np.multiply(a[k], p[l], out=tmp)
-            entry *= scale
-    return out
-
-
-def _antisymmetrize(out: np.ndarray) -> np.ndarray:
-    """Zero the diagonal of an (m, m, N) array and set its lower triangle
-    to minus the upper one."""
-    for k in range(len(out)):
-        out[k, k] = 0.0
-        for l in range(k + 1, len(out)):
-            np.negative(out[k, l], out=out[l, k])
-    return out
-
-
-def _pull_back_upper(
-    cols: list, mat: np.ndarray, out: np.ndarray, row: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """The upper triangle k < l of J^T M J into ``out`` for a constant M,
-    from the live rows of J's columns: the row (J^T M)[k] into ``row``
-    (amb, N), then its dot with each later column."""
-    for k, col in enumerate(cols[:-1]):
-        jtm = _combine(mat, col, row, tmp)
-        for l in range(k + 1, len(cols)):
-            _dot(jtm, cols[l], out[k, l], tmp)
-    return out
-
-
-def _node_last_arrays(n: int, *shapes) -> list:
-    """Node-last arrays with the given leading shapes, carved from one
-    (rows, n) allocation: the arrays a level keeps live and die together,
-    so they cost the allocator one block, not one each."""
-    block = np.empty((sum(math.prod(s) for s in shapes), n))
-    views, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        views.append(block[start:stop].reshape(shape + (n,)))
-        start = stop
-    return views
-
-
-def _metric_connection(struct: dict, x: np.ndarray, a_out: np.ndarray) -> dict:
-    """The generator field V = D^T x, g V, the reciprocal of the 1 x 1 Gram
-    G = <V, V>_g and A = G^{-1} g V (into ``a_out``) at the (N,
-    ambient_dim) points ``x``, node axis last."""
-    n, amb = x.shape
-    tmp = np.empty(n)
-    v_field = np.empty((amb, n))
-    _combine(struct["D"], dict(enumerate(x.T)), v_field, tmp)
-    vg = np.empty_like(v_field)
-    _combine(struct["metric"], dict(enumerate(v_field)), vg, tmp)
-    gram_inv = _dot(dict(enumerate(vg)), dict(enumerate(v_field)), np.empty(n), tmp)
-    np.divide(1.0, gram_inv, out=gram_inv)
-    return {
-        "V": v_field,
-        "vg": vg,
-        "gram_inv": gram_inv,
-        "A": np.multiply(vg, gram_inv, out=a_out),
-    }
-
-
-def _connection_at(struct: dict, x: np.ndarray, a_out: np.ndarray) -> dict:
-    """A at the (N, ambient_dim) points ``x``, into ``a_out``, with V, dG
-    and G^{-1} for the pullback of dA."""
-    base = _metric_connection(struct, x, a_out)
-    # dG = 2 D g V (g is symmetric)
-    dgram = np.empty_like(base["A"])
-    _combine(2.0 * struct["D"].T, dict(enumerate(base["vg"])), dgram, np.empty(len(x)))
-    return {
-        "V": base["V"],
-        "A": base["A"],
-        "dgram": dgram,
-        "gram_inv": base["gram_inv"],
-    }
-
-
-def _gram_det_solve(
-    cols: list, rhs: np.ndarray, out: np.ndarray, det: np.ndarray, tmp: np.ndarray
-):
-    """det J^T J into ``det`` and the solution of J^T J v = rhs (k, N) into
-    ``out``, from the live rows of J's 1 or 3 columns, by cofactors and the
-    adjugate rather than per-node LAPACK."""
-    if len(cols) == 1:
-        _dot(cols[0], cols[0], det, tmp)
-        np.divide(rhs, det, out=out)
-        return
-    (a, b, c), (d, e), (f,) = (
-        [_dot(cols[k], cols[l], np.empty_like(det), tmp) for l in range(k, 3)]
-        for k in range(3)
-    )
+def _vertical_solve(jtj: np.ndarray, jtv: np.ndarray) -> tuple:
+    """The solution v of J^T J v = J^T V and det J^T J, from the node-last
+    (k, k, N) J^T J with k = 1 or 3, by cofactors and the adjugate rather
+    than per-node LAPACK."""
+    if len(jtj) == 1:
+        det = jtj[0, 0]
+        return jtv / det, det
+    (a, b, c), (_, d, e), (_, _, f) = jtj
     c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
     c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
-    _dot({0: a, 1: b, 2: c}, {0: c00, 1: c01, 2: c02}, det, tmp)
-    rows = dict(enumerate(rhs))
-    for v, cof in zip(out, ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22))):
-        _dot(dict(enumerate(cof)), rows, v, tmp)
-        v /= det
-
-
-def _chart_conn_last(struct: dict, chart: _LevelChart):
-    """Connection data pulled back to parametrization coordinates at the
-    mesh nodes, node axis last, with det J^T J.  The arrays a level keeps,
-    the embedding included, share one allocation."""
-    n = len(chart.param_nodes)
-    amb, k_dim = len(struct["D"]), chart.param_dim
-    x, jac, jtj_det, a_amb, a_u, vert_u, omega_u, da_u = _node_last_arrays(
-        n, (amb,), (amb, k_dim), (), (amb,),
-        (k_dim,), (k_dim,), (k_dim, k_dim), (k_dim, k_dim),
-    )
-    chart.embed_nodes((x, jac))
-    conn = _connection_at(struct, x.T, a_amb)
-    tmp = np.empty(n)
-    row = np.empty((amb, n))
-    cols = [_live_rows(jac[:, k]) for k in range(k_dim)]
-    _antisymmetrize(_pull_back_upper(cols, struct["omega"], omega_u, row, tmp))
-    # a = J^T A, p = J^T dG and the vertical generators v_u, J^T J v_u = J^T V
-    p_u, jtv = np.empty((k_dim, n)), np.empty((k_dim, n))
-    dense = {name: dict(enumerate(conn[name])) for name in ("A", "dgram", "V")}
-    for k, col in enumerate(cols):
-        _dot(dense["A"], col, a_u[k], tmp)
-        _dot(dense["dgram"], col, p_u[k], tmp)
-        _dot(col, dense["V"], jtv[k], tmp)
-    _pull_back_upper(cols, struct["S"], da_u, row, tmp)
-    _antisymmetrize(_rank_two_update(da_u, conn["gram_inv"], p_u, a_u, tmp))
-    _gram_det_solve(cols, jtv, vert_u, jtj_det, tmp)
-    return {
-        "x": x,
-        "jac": jac,
-        "omega_u": omega_u,
-        "a_u": a_u,
-        "da_u": da_u,
-        "vert_u": vert_u,
-        "jtj_det": jtj_det,
-        "conn": conn,
-    }
-
-
-def _nodes_first(arr: np.ndarray) -> np.ndarray:
-    """A view with the node axis moved first (no copy)."""
-    return np.moveaxis(arr, -1, 0)
-
-
-def _pulled_back_first(data: dict) -> dict:
-    """_chart_conn_last's pullbacks as views in the (N, dim g, ...) shapes
-    that ZeroLevelData stores and the Cartan map reads."""
-    return {
-        "x": _nodes_first(data["x"]),
-        "jac": _nodes_first(data["jac"]),
-        "omega_u": _nodes_first(data["omega_u"]),
-        "a_u": _nodes_first(data["a_u"][None]),
-        "f_u": _nodes_first(data["da_u"][None]),  # F = dA
-        "vert_u": _nodes_first(data["vert_u"][None]),
-    }
+    adj = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
+    det = a * c00 + b * c01 + c * c02
+    return np.einsum("kln,ln->kn", adj, jtv) / det, det
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +255,8 @@ class ZeroLevelData(_Frozen):
     Every stored array is read-only: some share memory (``param_nodes`` is
     the chart's), so a write through one would silently change another.
     The arrays that ``zero_level`` builds are (N, ...) views of node-last
-    arrays carved from one allocation, so their node axis has the smallest
-    stride: a per-node column such as ``omega_param[:, i, j]`` is
-    contiguous."""
+    arrays, so their node axis has the smallest stride: a per-node column
+    such as ``omega_param[:, i, j]`` is contiguous."""
 
     __slots__ = (
         "space",
@@ -474,17 +302,6 @@ class ZeroLevelData(_Frozen):
     def omega_parts(self) -> dict:
         return _matrix_to_parts(self.omega_param)
 
-    def _pulled_back(self) -> dict:
-        """The stored connection data on the mesh, keyed as _kappa_parts
-        reads it."""
-        return {
-            "x": self.nodes,
-            "jac": self.jacobians,
-            "a_u": self.connection_param,
-            "vert_u": self.vertical_param,
-            "f_u": self.f_param,
-        }
-
     def to_json_dict(self, stride: int = 1) -> dict:
         """The level as JSON values, the mesh at every ``stride``-th node.
         InputError unless ``stride`` is an integer >= 1."""
@@ -520,9 +337,8 @@ def _min_dmu_norm(space: HamiltonianSpace, nodes: np.ndarray) -> float:
     its norm."""
     cache: dict = {}
     (pairing,) = space.mu_pairing_exprs()
-    rows = {k: column(pairing.diff(k), nodes, cache) for k in range(space.ambient_dim)}
-    norm2 = _dot(rows, rows, np.empty(len(nodes)), np.empty(len(nodes)))
-    return math.sqrt(float(np.min(norm2)))
+    rows = np.array([column(pairing.diff(k), nodes, cache) for k in range(space.ambient_dim)])
+    return math.sqrt(float(np.min(np.einsum("kn,kn->n", rows, rows))))
 
 
 def _equivariance_residual(
@@ -531,16 +347,13 @@ def _equivariance_residual(
     """max |g*A - A| over the (N, ambient_dim) nodes at four sampled group
     elements (u(1) is abelian, so g*A = A), for the node-last A ``conn``.
     A linear action moves every point by one constant matrix, so the
-    pullback is row arithmetic with the sampler's first Jacobian."""
-    tmp = np.empty(len(nodes))
-    back, a_moved = np.empty_like(conn), np.empty_like(conn)
+    pullback is one einsum with the sampler's first Jacobian."""
     residual = 0.0
     for t in (0.37, 1.19, 2.83, -0.61):
         moved, jac_g = space.action_sampler(t, nodes)
-        _metric_connection(struct, moved, a_moved)
-        _combine(jac_g[0], dict(enumerate(a_moved)), back, tmp)
-        back -= conn
-        residual = max(residual, float(np.max(np.abs(back, out=back))))
+        a_moved = _metric_connection(struct, moved.T)["A"]
+        back = np.einsum("jl,jn->ln", jac_g[0], a_moved)
+        residual = max(residual, float(np.max(np.abs(back - conn))))
     return residual
 
 
@@ -571,13 +384,12 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     generator (u(1)) acting with a constant generator Jacobian D, a
     constant metric g and a constant omega_matrix (``MatConst``); anything
     else raises InputError.  These constants are read once, and the rest
-    is row arithmetic over the nodes with the node axis last: V = D^T x,
+    is einsums over the nodes with the node axis last: V = D^T x,
     A = G^{-1} g V, dA in its rank-2 form G^{-1} (S - dG A^T + A dG^T)
     with S = Dg - (Dg)^T, its pullback G^{-1} (J^T S J - p a^T + a p^T),
-    and the 1 x 1 / 3 x 3 Gram algebra by cofactors.  No per-node matrix
-    product is formed.  The arrays the level keeps share one allocation;
-    ``ZeroLevelData`` stores node-first (N, ...) views of them, in the
-    shapes it has always had.
+    and the 1 x 1 / 3 x 3 Gram algebra by cofactors, so no per-node stack
+    reaches LAPACK.  ``ZeroLevelData`` stores node-first (N, ...) views
+    of these arrays, in the shapes it has always had.
 
     Checks, each over every stored node (the probe nodes included):
 
@@ -641,12 +453,34 @@ def _checked_level(space: HamiltonianSpace, struct: dict, chart: _LevelChart) ->
     ZeroLevelData fields but the mesh density and the orientation, and the
     Liouville integrand exp(omega) ^ A at every node (None without a top
     part)."""
-    data = _chart_conn_last(struct, chart)
-    conn = data.pop("conn")
-    pulled = _pulled_back_first(data)
-    nodes = pulled["x"]
-    riemann = np.sqrt(data["jtj_det"], out=data["jtj_det"])
-    riemann *= chart.param_weights
+    x, jac = chart.embed_nodes()
+    conn = _metric_connection(struct, x)
+    # dG = 2 D g V (g is symmetric), a = J^T A, p = J^T dG and
+    # J^T dA J = G^{-1} (J^T S J - p a^T + a p^T)
+    dgram = np.einsum("kl,ln->kn", 2.0 * struct["D"], conn["vg"])
+    a_u = np.einsum("in,ikn->kn", conn["A"], jac)
+    p_u = np.einsum("in,ikn->kn", dgram, jac)
+    da_u = _pull_back_matrix(jac, struct["S"])
+    da_u -= p_u[:, None] * a_u
+    da_u += a_u[:, None] * p_u
+    da_u *= conn["gram_inv"]
+    # the vertical generator in parameter coordinates: J^T J v = J^T V
+    vert_u, jtj_det = _vertical_solve(
+        np.einsum("ikn,iln->kln", jac, jac), np.einsum("ikn,in->kn", jac, conn["V"])
+    )
+    # ZeroLevelData stores (N, dim g, ...) views with the node axis first
+    first = lambda arr: np.moveaxis(arr, -1, 0)  # noqa: E731
+    arrays = dict(
+        nodes=x.T,
+        jacobians=first(jac),
+        riemann_weights=np.sqrt(jtj_det) * chart.param_weights,
+        connection_ambient=first(conn["A"][None]),
+        connection_param=first(a_u[None]),
+        vertical_param=first(vert_u[None]),
+        omega_param=first(_pull_back_matrix(jac, struct["omega"])),
+        f_param=first(da_u[None]),  # F = dA: u(1) is abelian
+    )
+    nodes = arrays["nodes"]
 
     # regularity: d mu must be onto at every node
     min_sigma = _min_dmu_norm(space, nodes)
@@ -660,12 +494,8 @@ def _checked_level(space: HamiltonianSpace, struct: dict, chart: _LevelChart) ->
     level_residual = float(np.max(np.abs(space.eval_moment(nodes))))
 
     # the defining normalization A(V e) = 1
-    pair = _dot(
-        dict(enumerate(conn["A"])), dict(enumerate(conn["V"])),
-        np.empty(len(nodes)), np.empty(len(nodes)),
-    )
-    pair -= 1.0
-    reproduce = float(np.max(np.abs(pair, out=pair)))
+    pair = np.einsum("in,in->n", conn["A"], conn["V"])
+    reproduce = float(np.max(np.abs(pair - 1.0)))
     if reproduce > 1e-10:
         raise AccuracyError(
             f"connection normalization A(V phi) = phi fails "
@@ -683,8 +513,8 @@ def _checked_level(space: HamiltonianSpace, struct: dict, chart: _LevelChart) ->
 
     dim = chart.param_dim
     liouville = _top_part(
-        _exp_parts(_matrix_to_parts(pulled["omega_u"], float), dim, len(nodes)),
-        _vertical_volume(pulled["a_u"]), dim,
+        _exp_parts(_matrix_to_parts(arrays["omega_param"], float), dim, len(nodes)),
+        _vertical_volume(arrays["connection_param"]), dim,
     )
     weights = space.radial.weights
     report = {
@@ -703,14 +533,7 @@ def _checked_level(space: HamiltonianSpace, struct: dict, chart: _LevelChart) ->
         param_nodes=chart.param_nodes,
         param_weights=chart.param_weights,
         grid_shape=chart.grid_shape,
-        nodes=nodes,
-        jacobians=pulled["jac"],
-        riemann_weights=riemann,
-        connection_ambient=_nodes_first(conn["A"][None]),
-        connection_param=pulled["a_u"],
-        vertical_param=pulled["vert_u"],
-        omega_param=pulled["omega_u"],
-        f_param=pulled["f_u"],
+        **arrays,
         regularity_report=report,
         stabilizer_order=math.gcd(*(abs(w) for w in weights)),
     )
@@ -737,32 +560,29 @@ def _exp_parts(two_form: dict, top_dim: int, n_nodes: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _kappa_parts(
-    space: HamiltonianSpace, alpha: EquivariantForm, data: dict
-) -> dict:
+def _kappa_parts(alpha: EquivariantForm, level: ZeroLevelData) -> dict:
     """kappa(alpha) = P_A^* (alpha|_{level}, phi -> i F_A) as a pointwise
-    form dict, from the pulled-back connection data on the level mesh
-    (ZeroLevelData._pulled_back()).  For closed invariant alpha the output
-    is basic (invariant and horizontal), so it descends to M_red."""
-    n_pts, k_dim = data["jac"].shape[0], data["jac"].shape[2]
-    gdim = space.algebra.dim
+    form dict, from the connection data ``level`` stores on its mesh.  For
+    closed invariant alpha the output is basic (invariant and horizontal),
+    so it descends to M_red."""
+    n_pts, k_dim = level.n_nodes, level.param_dim
     # horizontal projection in parameter coordinates
     proj = np.broadcast_to(np.eye(k_dim), (n_pts, k_dim, k_dim)).copy()
-    proj -= np.einsum("nak,nal->nkl", data["vert_u"], data["a_u"])
+    proj -= np.einsum("nak,nal->nkl", level.vertical_param, level.connection_param)
     f_parts = [
-        _matrix_to_parts(data["f_u"][:, a]) for a in range(gdim)
+        _matrix_to_parts(level.f_param[:, a]) for a in range(level.space.algebra.dim)
     ]
     cache: dict = {}
     total: dict = {}
     for fmi, coeff, phi_poly in alpha.terms:
         coeff_vals = np.broadcast_to(
-            np.asarray(coeff.eval(data["x"], cache), dtype=complex), (n_pts,)
+            np.asarray(coeff.eval(level.nodes, cache), dtype=complex), (n_pts,)
         )
         ((nu, unit),) = phi_poly.terms.items()
         coeff_vals = coeff_vals * unit
         # pull the form part back to the level and project horizontally
         base = {tuple(fmi): coeff_vals}
-        base = _pullback(base, data["jac"], k_dim)
+        base = _pullback(base, level.jacobians, k_dim)
         base = _pullback(base, proj, k_dim)
         # substitute phi^a -> i F^a
         for a, power in enumerate(nu):
@@ -814,7 +634,7 @@ def _kirwan_tops(alpha: EquivariantForm, level: ZeroLevelData) -> list:
     exp(omega) ^ <F ^ F>_g^k ^ A^1 ^ ... ^ A^d.  The list stops early
     when the power of <F ^ F>_g vanishes."""
     space = level.space
-    kappa = _kappa_parts(space, alpha, level._pulled_back())
+    kappa = _kappa_parts(alpha, level)
     exp_omega = _exp_parts(level.omega_parts(), level.param_dim, level.n_nodes)
     vert = _vertical_volume(level.connection_param)
     gdim = space.algebra.dim
@@ -866,6 +686,7 @@ def kirwan_integral(
     the phase angles, the level is rebuilt on the full tensor mesh and
     every coefficient is summed there (``meta["n_nodes"]`` counts the
     nodes of the mesh summed)."""
+    _check_real("eps", eps)
     if not 0 < eps < math.inf:
         raise InputError("eps must be positive and finite")
     space = level.space

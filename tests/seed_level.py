@@ -5,8 +5,9 @@ Before the zero level was built from its constant structure, every node
 evaluated the generator derivatives into an (ambient_dim, ambient_dim, N)
 array, formed the Gram derivative and dA by per-node einsums, and pulled
 Omega and dA back through the chart Jacobian with two einsums each.  The
-row-arithmetic build (reduced._chart_conn_last) must give every level array
-bit for bit, except dA and its pullback, which may move by roundoff.
+build from the constant structure (reduced._checked_level, which reads D,
+g, S = Dg - (Dg)^T and Omega once) must give every level array bit for
+bit, except dA's pullback, whose rank-2 form may move by roundoff.
 
 Before the surfaces {s = s0} were built on the zero level's chart
 (integrate._LevelChart), they had their own cos/sin/meshgrid

@@ -835,6 +835,33 @@ def test_non_finite_inputs_are_refused(case):
         _non_finite_calls()[case]()
 
 
+def _non_real_calls():
+    """Basic Integral scalars that are not real numbers (kirwan_integral's
+    eps: tests/test_reduced.py): a string or None raised an untyped
+    TypeError from the range check, an array a ValueError, and True ran as
+    1.0."""
+    from symloc.integrate import BasicIntegralRequest, basic_integral_batch
+
+    sp = catalog_from_string("cn_u1(1,1)")
+    one = _unit(sp)
+    calls = {}
+    for v in ("0.1", None, np.array([0.1]), True):
+        for name in ("r", "epsilon", "t"):
+            kw = {"r": 0.36, "epsilon": 0.05, "t": 0.0, name: v}
+            calls[f"BasicIntegralRequest {name}={v!r}"] = (
+                lambda kw=kw: BasicIntegralRequest(space=sp, alpha=one, **kw))
+            point = (kw["r"], kw["epsilon"], kw["t"])
+            calls[f"basic_integral_batch {name}={v!r}"] = (
+                lambda point=point: basic_integral_batch(sp, one, [point]))
+    return calls
+
+
+@pytest.mark.parametrize("case", list(_non_real_calls()))
+def test_non_real_inputs_are_refused(case):
+    with pytest.raises(InputError, match="must be a real number"):
+        _non_real_calls()[case]()
+
+
 def _bad_count_calls():
     """Counts that are checked before any Basic Integral runs: a float
     index raised a bare TypeError from a list lookup and True ran as

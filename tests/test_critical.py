@@ -814,8 +814,9 @@ print("blocked imports:", NoScipy.tried)
 def test_runtime_ops_run_with_every_scipy_import_refused():
     # scripts/runtime_smoke.py runs both critical searches, zero_level +
     # kirwan_integral, a t > 0 Basic Integral, the degree-0 epsilon sweep,
-    # large_t_limit and the su2_hopf G/H samplers; a meta-path finder
-    # refuses every scipy import, and records it in case it is caught
+    # large_t_limit, the su2_hopf G/H samplers and the full-mesh level; a
+    # meta-path finder refuses every scipy import, and records it in case
+    # it is caught
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "runtime_smoke.py")
     out = _fresh_interpreter(_NO_SCIPY, script).splitlines()
     assert out[0] == "find_critical_points cn_u1(2,1): n_converged [925, 99]"
@@ -825,6 +826,10 @@ def test_runtime_ops_run_with_every_scipy_import_refused():
         "large_t_limit cn_u1(1,1)", "action_sampler su2_hopf", "action_sampler su2_hopf",
     ]
     assert all(line.endswith("finite True") for line in out[6:8])
+    assert out[8].startswith(
+        "zero_level + kirwan_integral cn_u1(2,1) tilted on the full mesh (32, 32, 32): "
+        "3.14159265359"
+    )
     assert out[-3:] == ["scipy modules: []", "exit 0", "blocked imports: []"]
 
 

@@ -168,12 +168,18 @@ _BAD_LEVEL_OP_CALLS = {
         f"to_json_dict stride={v}": lambda sp, lv, v=v: lv.to_json_dict(v)
         for v in (0, -3, 2.7, True, math.nan)
     },
+    # a string or None raised an untyped TypeError, an array a ValueError,
+    # and True acted as eps = 1
+    **{
+        f"kirwan_integral eps={v!r}": lambda sp, lv, v=v: R.kirwan_integral(_unit(sp), lv, v)
+        for v in ("0.1", None, np.array([0.1]), True)
+    },
 }
 
 
 @pytest.mark.parametrize("case", list(_BAD_LEVEL_OP_CALLS))
 def test_level_ops_refuse_bad_sizes_and_steps(sphere, case):
-    with pytest.raises(InputError, match="finite|at least 1|integer"):
+    with pytest.raises(InputError, match="finite|at least 1|integer|real number"):
         _BAD_LEVEL_OP_CALLS[case](*sphere)
 
 
@@ -294,15 +300,14 @@ def test_metric_connection_is_the_connection_form(sphere):
     sp, lv = sphere
     struct = R._constant_structure(sp)
     moved, _ = sp.action_sampler(0.37, lv.nodes)
-    amb, n = sp.ambient_dim, lv.n_nodes
     for pts in (lv.nodes, moved):
-        a_only = R._metric_connection(struct, pts, np.empty((amb, n)))["A"]
-        full = R._connection_at(struct, pts, np.empty((amb, n)))
-        assert np.array_equal(a_only, full["A"])
+        # A(V) = 1 on the level and off it
+        conn = R._metric_connection(struct, pts.T)
+        pair = np.einsum("in,in->n", conn["A"], conn["V"])
+        assert np.max(np.abs(pair - 1.0)) <= 4 * np.spacing(1.0)
     # the connection is built with the node axis last and stored node-first
     assert np.array_equal(
-        R._metric_connection(struct, lv.nodes, np.empty((amb, n)))["A"],
-        lv.connection_ambient[:, 0].T,
+        R._metric_connection(struct, lv.nodes.T)["A"], lv.connection_ambient[:, 0].T
     )
 
 
@@ -355,45 +360,6 @@ def test_level_connection_needs_a_constant_omega_matrix():
     )
     with pytest.raises(InputError, match="constant omega_matrix, got MatAffine"):
         R.zero_level(varying)
-
-
-@pytest.mark.parametrize(
-    "name, kw",
-    [
-        ("cn_u1", dict(n=1, a=1.0)),
-        ("cn_u1", dict(n=2, a=1.0)),
-        ("weighted_cn_u1", dict(n=1, weights=(2,), a=1.0)),
-        ("weighted_cn_u1", dict(n=2, weights=(1, 2), a=1.0)),
-    ],
-)
-def test_zero_level_makes_no_per_node_matrix_product(name, kw, monkeypatch):
-    # the level is built by row arithmetic over the nodes: no einsum,
-    # matmul or dot sees a node-sized operand, so none multiplies an
-    # (amb, amb, N) or (N, amb, amb) stack of per-node matrices
-    sp = catalog(name, **kw)
-    shapes = []
-
-    def recorded(fn):
-        def call(*args, **kwargs):
-            shapes.append(
-                (fn.__name__, [np.shape(a) for a in args if isinstance(a, np.ndarray)])
-            )
-            return fn(*args, **kwargs)
-
-        return call
-
-    amb = sp.ambient_dim
-    for mesh in _MESHES:
-        shapes.clear()
-        for fn in ("einsum", "matmul", "dot"):
-            monkeypatch.setattr(np, fn, recorded(getattr(np, fn)))
-        lv = mesh(sp)
-        monkeypatch.undo()
-        n = lv.n_nodes
-        per_node = [(fn, s) for fn, seen in shapes for s in seen if n in s]
-        assert per_node == [], per_node
-        # the recording is live: it saw the one product of constants, D g
-        assert shapes == [("einsum", [(amb, amb), (amb, amb)])]
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +501,9 @@ def test_kirwan_integrals_match_the_reference_pipeline(level_and_reference):
 
 
 # ---------------------------------------------------------------------------
-# the einsum level connection (tests/seed_level.py) as the reference for the
-# row-arithmetic build from the constant structure
+# the einsum level connection from the per-node generator derivatives
+# (tests/seed_level.py) as the reference for the build from the constant
+# structure
 # ---------------------------------------------------------------------------
 
 # dA's rank-2 form rounds differently from the einsum dA and its J^T dA J
