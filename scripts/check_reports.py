@@ -11,11 +11,15 @@ sample box, and the action sampler's image of 8 fixed points at a fixed
 xi.  Then it runs each public check op once and keeps every field of its
 report, or the error it raised (type and message):
 
-    check_alpha, invariance_residual, check_moment_condition,
-    validate_space, find_critical_points + local_model_check (and the
-    search at c -/+ REGULAR_MARGIN/2 for the top critical value c),
-    zero_level's regularity report (with its phase probe residual), grid
-    shape and node count, damping_check and global_convergence_check.
+    check_alpha, invariance_residual, find_critical_points +
+    local_model_check (and the search at c -/+ REGULAR_MARGIN/2 for the
+    top critical value c), zero_level's regularity report (with its phase
+    probe residual), grid shape and node count, damping_check and
+    global_convergence_check;
+
+and the reports of the space oracles of tests/space_checks.py (this
+checkout's copy, run on the tree under test): check_moment_condition, on
+the space and on with_corrupted_moment of it, and validate_space.
 
 On the five standard_model(...) spaces it keeps only the definition, by
 value (their Exprs reach MatrixField nodes, which have no repr): every
@@ -35,9 +39,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
+
+TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 
 SPACES = ("cn_u1(1,1)", "cn_u1(2,1)", "weighted_cn_u1(2,(1,2),1)", "c2_su2")
 MODELS = ("standard_model(u1_w1,G)", "standard_model(u1_w1,H)", "standard_model(u1_beta,G)",
@@ -144,11 +151,21 @@ def _model_definition(space) -> dict:
     }
 
 
+def _space_checks():
+    """tests/space_checks.py of this checkout."""
+    if TESTS not in sys.path:
+        sys.path.insert(0, TESTS)
+    import space_checks
+
+    return space_checks
+
+
 def record_space(name: str) -> dict:
     from symloc import analysis, critical, hamspace, integrate, reduced
     from symloc.forms import invariance_residual
     from symloc.liealg import REGULAR_MARGIN
 
+    space_checks = _space_checks()
     space = hamspace.catalog_from_string(name)
     alphas = _alphas(space)
     out: dict = {}
@@ -159,10 +176,10 @@ def record_space(name: str) -> dict:
         _run(out, f"check_alpha({label})", lambda: integrate.check_alpha(space, alpha))
         _run(out, f"invariance_residual({label})", lambda: invariance_residual(
             alpha, space.action, space.algebra, pts, phis))
-    _run(out, "check_moment_condition", lambda: hamspace.check_moment_condition(space, 200))
-    _run(out, "check_moment_condition(corrupted)", lambda: hamspace.check_moment_condition(
-        hamspace.with_corrupted_moment(space), 200))
-    _run(out, "validate_space", lambda: hamspace.validate_space(space))
+    _run(out, "check_moment_condition", lambda: space_checks.check_moment_condition(space, 200))
+    _run(out, "check_moment_condition(corrupted)", lambda: space_checks.check_moment_condition(
+        space_checks.with_corrupted_moment(space), 200))
+    _run(out, "validate_space", lambda: space_checks.validate_space(space))
 
     found = _run(out, "find_critical_points", lambda: critical.find_critical_points(
         space, R_MAX), view=lambda comps: [c.to_json_dict() for c in comps])

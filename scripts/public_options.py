@@ -10,11 +10,15 @@ imported.
 
     python scripts/public_options.py             # this checkout's src/symloc
     python scripts/public_options.py --diff REV  # names and options added or removed since REV
+    python scripts/public_options.py --test-only # public names no src/perfbench/scripts file uses
 
 One line each, sorted: ``module:__all__ name`` for a public name and
 ``module:qualname param=default`` for an option.  A changed default shows
-as one removed and one added line.  The diff only reports; it exits 0
-either way.
+as one removed and one added line.  ``--test-only`` prints ``module:name``
+for each ``__all__`` name that no file under src/, perfbench/ or scripts/
+spells as a name or an attribute (matched by name alone, so a name that
+any module uses counts as used), which leaves the names only tests call.
+Every mode only reports; it exits 0.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = "src/symloc"
+CALLERS = ("src", "perfbench", "scripts")
 
 
 def _public(name: str) -> bool:
@@ -67,7 +72,7 @@ def _exported(body):
     for node in body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            yield from (f"__all__ {name}" for name in ast.literal_eval(node.value))
+            yield from ast.literal_eval(node.value)
 
 
 def options(sources: dict) -> list:
@@ -76,8 +81,24 @@ def options(sources: dict) -> list:
     out = []
     for module, text in sorted(sources.items()):
         body = ast.parse(text).body
-        out += [f"{module}:{line}" for line in (*_exported(body), *_body_options(body, ""))]
+        exported = (f"__all__ {name}" for name in _exported(body))
+        out += [f"{module}:{line}" for line in (*exported, *_body_options(body, ""))]
     return sorted(out)
+
+
+def test_only(sources: dict, callers) -> list:
+    """``module:name`` for each ``__all__`` name of ``sources`` ({module
+    name: source text}) that none of the source texts ``callers`` uses as
+    a name or an attribute."""
+    used = set()
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{module}:{name}" for module, text in sources.items()
+                  for name in _exported(ast.parse(text).body) if name not in used)
 
 
 def _checkout_sources() -> dict:
@@ -87,6 +108,18 @@ def _checkout_sources() -> dict:
         if name.endswith(".py") and _public(name[:-3]):
             with open(os.path.join(pkg, name)) as f:
                 out[name[:-3]] = f.read()
+    return out
+
+
+def _caller_sources() -> list:
+    """The text of every .py file under CALLERS."""
+    out = []
+    for top in CALLERS:
+        for folder, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as f:
+                        out.append(f.read())
     return out
 
 
@@ -106,7 +139,13 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--diff", metavar="REV",
                    help="print the names and options added or removed since REV")
+    p.add_argument("--test-only", action="store_true",
+                   help="print the public names that no src/, perfbench/ or scripts/ file uses")
     args = p.parse_args(argv)
+    if args.test_only:
+        names = test_only(_checkout_sources(), _caller_sources())
+        print("\n".join(names) if names else "every public name has a caller")
+        return
     head = options(_checkout_sources())
     if args.diff is None:
         print("\n".join(head))

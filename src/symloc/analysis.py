@@ -58,6 +58,7 @@ from .liealg import (
     NonConvergenceError,
     NotRegularError,
     _check_count,
+    _check_real,
 )
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
     "DEFAULT_FIT_TOL",
     "PLATEAU_REL_TOL",
     "PLATEAU_ABS_TOL",
-    "CSV_HEADER",
     "SweepResult",
     "ContributionRecord",
     "epsilon_sweep",
@@ -101,20 +101,6 @@ DAMPING_SLACK = 0.15
 # global_convergence_check: c in the shell bound exp(-r/(2 eps) + 2 c sqrt(r)).
 GROWTH_CONSTANT = 1.0
 
-CSV_HEADER = "epsilon,t,value_re,value_im,error_estimate"
-
-
-def _csv_lines(rows) -> str:
-    """rows of (epsilon, t, complex value, error) -> CSV text.  Floats are
-    formatted by repr (shortest round-trip), so equal inputs give equal
-    bytes."""
-    lines = [CSV_HEADER]
-    for e, t, v, err in rows:
-        v = complex(v)
-        lines.append(f"{float(e)!r},{float(t)!r},{v.real!r},{v.imag!r},{float(err)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _reim(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
@@ -143,9 +129,9 @@ class SweepResult:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        eps = _ascending_grid(self.epsilon_grid, "epsilon grid")
         if np.ndim(self.epsilon_grid) != 1:
             raise InputError("epsilon grid must be a flat list of reals")
-        eps = _ascending_grid(self.epsilon_grid, "epsilon grid")
         if len(self.values) != eps.size:
             raise InputError("need exactly one value per epsilon grid point")
         if self.poly_coeffs is None:
@@ -163,24 +149,6 @@ class SweepResult:
                     f"{worst:.3g} > {bound:.3g}",
                     report=self.provenance.get("fit", {}),
                 )
-
-    @property
-    def n_points(self) -> int:
-        return len(self.epsilon_grid)
-
-    def to_csv(self) -> str:
-        policy = self.provenance.get("t_policy", {})
-        t_col = (
-            float(policy.get("t", 0.0))
-            if policy.get("kind") == "fixed"
-            else float("inf")
-        )
-        errs = self.provenance.get("point_errors") or [0.0] * self.n_points
-        rows = [
-            (e, t_col, v, err)
-            for e, v, err in zip(self.epsilon_grid, self.values, errs)
-        ]
-        return _csv_lines(rows)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -221,43 +189,26 @@ class ContributionRecord:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.index < 0:
-            raise InputError("component index must be nonnegative")
+        _check_count("index", self.index, 0)
+        _check_real("critical value", self.critical_value)
         if not 0 <= self.critical_value < math.inf:
             raise InputError(
                 "critical values are squares, hence nonnegative and finite"
             )
         below, above = self.probes
+        for probe in (above,) if below is None else (below, above):
+            _check_real("probe radius", probe)
         if not all(p is None or 0 <= p < math.inf for p in (below, above)):
             raise InputError("probe radii must be nonnegative and finite")
         if above <= self.critical_value:
             raise InputError("upper probe must exceed the critical value")
         if below is not None and not (0 <= below < self.critical_value):
             raise InputError("lower probe must sit below the critical value")
-        eps = np.atleast_1d(np.asarray(self.epsilon_grid, float))
+        eps = _real_grid(self.epsilon_grid, "epsilon grid")
         if eps.size == 0 or not np.all((eps > 0) & (eps < math.inf)):
             raise InputError("epsilon grid must be positive and finite")
         if len(self.values) != eps.size:
             raise InputError("need exactly one contribution value per epsilon")
-
-    def to_csv(self) -> str:
-        """Raw per-(eps, t) differences, then one t=inf row per eps with
-        the extrapolated contribution (error = plateau gap)."""
-        t_grid = self.diagnostics.get("t_grid", [])
-        diffs = self.diagnostics.get("differences", [])
-        errs = self.diagnostics.get("point_errors", [])
-        gaps = self.diagnostics.get("plateau_gaps", [0.0] * len(self.epsilon_grid))
-        rows = []
-        for i, e in enumerate(self.epsilon_grid):
-            if diffs:
-                for k, t in enumerate(t_grid):
-                    re_im = diffs[i][k]
-                    rows.append(
-                        (e, t, complex(re_im[0], re_im[1]),
-                         errs[i][k] if errs else 0.0)
-                    )
-            rows.append((e, float("inf"), self.values[i], gaps[i]))
-        return _csv_lines(rows)
 
     def to_json_dict(self) -> dict:
         below, above = self.probes
@@ -662,8 +613,19 @@ def _settled(out):
     return out.value, out.error
 
 
+def _real_grid(grid, what) -> np.ndarray:
+    """A real number, or a flat list, tuple or 1-D array of them, as a 1-D
+    float array; InputError for anything else (a string or a bool is not a
+    real number, a nested grid is not flat)."""
+    flat = isinstance(grid, (list, tuple)) or (isinstance(grid, np.ndarray) and grid.ndim == 1)
+    entries = list(grid) if flat else [grid]
+    for value in entries:
+        _check_real(f"{what} entry", value)
+    return np.array(entries, dtype=float)
+
+
 def _ascending_grid(grid, what) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(grid, float))
+    arr = _real_grid(grid, what)
     if arr.size == 0 or not np.all((arr > 0) & (arr < np.inf)):
         raise InputError(f"{what} must be positive and finite")
     if arr.size > 1 and np.any(np.diff(arr) <= 0):
@@ -674,7 +636,7 @@ def _ascending_grid(grid, what) -> np.ndarray:
 def _plateau_t_grid(t_grid) -> np.ndarray:
     """The t grid of a plateau search (DEFAULT_T_GRID for None): at least
     three values, nonnegative, finite and strictly ascending."""
-    t_arr = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, float)
+    t_arr = _real_grid(DEFAULT_T_GRID if t_grid is None else t_grid, "t grid")
     if t_arr.size < 3:
         raise InputError("plateau detection needs at least three t values")
     if not np.all((t_arr >= 0) & (t_arr < np.inf)) or np.any(np.diff(t_arr) <= 0):
@@ -831,6 +793,7 @@ def epsilon_sweep(
         t_arr = _plateau_t_grid(t_grid)
         policy = {"kind": "extrapolated", "t_grid": [float(t) for t in t_arr]}
     else:
+        _check_real("t_policy", t_policy)
         policy = {"kind": "fixed", "t": float(t_policy)}
         if not 0 <= policy["t"] < math.inf:
             raise InputError("fixed t must be nonnegative and finite")
@@ -1077,6 +1040,8 @@ def damping_check(
     quadrature noise floor the check is inconclusive (reported, not an
     error); a live slope missing the bound raises AccuracyError.
     """
+    _check_real("r", r)
+    _check_real("s", s)
     if not 0 < s < r:
         raise InputError("need radii 0 < s < r")
     scheme = quadrature or QuadratureScheme()
@@ -1158,6 +1123,7 @@ def global_convergence_check(
     norm outruns the Gaussian, so the infinite-region integral does not
     exist; that is a finding, not an error.
     """
+    _check_real("epsilon", epsilon)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     if space.radial is None:

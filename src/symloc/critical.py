@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Expr, column, const
+from .fields import column
 from .hamspace import HamiltonianSpace
-from .liealg import REGULAR_MARGIN, InputError, NonConvergenceError, NotRegularError
+from .liealg import REGULAR_MARGIN, InputError, NonConvergenceError, NotRegularError, _check_real
 
 _log = logging.getLogger(__name__)
 
@@ -585,6 +585,7 @@ def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[Critical
     Returns [] with a warning when no seed converges.  One DEBUG record
     on the "symloc.critical" logger gives the Gauss-Newton iterations,
     the seeds that kept a multiplicity step and their orders p."""
+    _check_real("r_max", r_max)
     if not 0 < r_max < math.inf:
         raise InputError("r_max must be positive and finite")
     starts = _sobol_seeds(space, r_max, 256 * space.ambient_dim, 0)

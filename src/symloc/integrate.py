@@ -85,18 +85,14 @@ _log = logging.getLogger(__name__)
 
 __all__ = [
     "QuadratureScheme",
-    "QuadratureGrid",
     "SurfaceGrid",
     "IntegralResult",
     "BasicIntegralRequest",
     "BasicIntegralResult",
     "known_critical_values",
     "check_regular_radius",
-    "radial_grid",
     "integrate_over_Mr",
     "boundary_surfaces",
-    "level_surface",
-    "surface_measure",
     "integrate_form_on_surface",
     "boundary_integral",
     "sgi_values",
@@ -150,24 +146,6 @@ class QuadratureScheme:
 
 
 @dataclass(frozen=True)
-class QuadratureGrid:
-    """Materialized nodes/weights for one refinement level over
-    {|mu|^2 <= r}.  Weights are in units of chart Lebesgue measure, so
-    sum(weights) is the Lebesgue volume of the region (up to quadrature
-    error in the simplex/slab directions, which is exact here because the
-    volume integrand is polynomial)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    region: str
-    level: int
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-
-@dataclass(frozen=True)
 class SurfaceGrid:
     """Quadrature on one connected component of a level set {s = s0} of
     the radial coordinate s = sum_j w_j |z_j|^2, in the level chart the
@@ -175,8 +153,8 @@ class SurfaceGrid:
 
     ``jac`` holds the chart Jacobian (d x (d-1)) per node; ``weights`` are
     the chart's parameter-space weights.  ``orient_sign`` converts the
-    parametrization orientation to outward-normal-first (Stokes) when the
-    grid was built as a boundary component."""
+    parametrization orientation to outward-normal-first (Stokes) on the
+    boundary component the grid was built as."""
 
     nodes: np.ndarray
     jac: np.ndarray
@@ -302,6 +280,7 @@ def check_regular_radius(space: HamiltonianSpace, r: float):
     """Raise NotRegularError when r sits within REGULAR_MARGIN of a known
     critical value of |mu|^2 (known_critical_values).  Silent for spaces
     without a RadialMoment."""
+    _check_real("r", r)
     if not 0 < r < math.inf:
         raise InputError("region radius r must be positive and finite")
     crit = known_critical_values(space)
@@ -532,29 +511,6 @@ def _product_chunks(info, scheme, level, supports, invariant):
         yield _stacked_grids(info, scheme, level, supports, invariant, span)
 
 
-def radial_grid(
-    space: HamiltonianSpace, r: float, level: int = 0, scheme: QuadratureScheme = None
-) -> QuadratureGrid:
-    """Materialize one refinement level of the radial M_r grid, at most
-    4,000,000 nodes.  InputError for a space without a RadialMoment."""
-    scheme = scheme or QuadratureScheme()
-    info = _radial(space)
-    check_regular_radius(space, r)
-    slab = [info.s_bounds(r)]
-    total = _grid_size(info, scheme, level, slab, False)
-    if total > 4_000_000:
-        raise InputError(
-            f"level-{level} grid has {total} nodes; too large to materialize"
-        )
-    nodes, weights = _stacked_grids(info, scheme, level, [slab], [False])
-    return QuadratureGrid(
-        nodes=nodes,
-        weights=weights,
-        region=f"{{|mu|^2 <= {r}}} on {space.name}",
-        level=level,
-    )
-
-
 # ---------------------------------------------------------------------------
 # integrand plumbing
 # ---------------------------------------------------------------------------
@@ -707,6 +663,7 @@ def integrate_over_Mr(
     AccuracyError (carrying the partial value) when refinement is
     exhausted first."""
     scheme = quadrature or QuadratureScheme()
+    _check_real("r", r)
     if not 0 < r < math.inf:
         raise InputError("region radius r must be positive and finite")
     f = _as_integrand(space, form_field)
@@ -933,7 +890,7 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
 class _LevelChart(_Frozen):
     """Parametrization of the level set {sum_j w_j |z_j|^2 = s} for one or
     two planes, shared by the zero level (s = a/c, reduced.zero_level) and
-    the surfaces {s = s0} (level_surface, boundary_surfaces).
+    the boundary surfaces {s = s0} (boundary_surfaces).
 
     One plane: the circle of radius sqrt(s/w), angle theta in [0, 2 pi).
     Two planes: Hopf-style coordinates (eta, xi1, xi2) with
@@ -1016,71 +973,30 @@ class _LevelChart(_Frozen):
         scale = float(np.max(np.abs(ref)))
         return _invariant(residual, scale), residual / scale if scale > 0.0 else math.inf
 
-    def _outputs(self, n: int, out):
-        """The (x, jac) arrays an embedding fills: ``out``, C-contiguous,
-        or new ones."""
-        if out is not None:
-            return out
-        return np.empty((2 * self.n, n)), np.empty((2 * self.n, self.param_dim, n))
-
-    def embed(self, u: np.ndarray, out=None):
+    def embed(self, u: np.ndarray):
         """The ambient points x and the Jacobian dx/du at the (N,
         param_dim) parameter points ``u``, node axis last: x is
-        (ambient_dim, N) and the Jacobian (ambient_dim, param_dim, N),
-        written into ``out`` = (x, jac) when given."""
+        (ambient_dim, N) and the Jacobian (ambient_dim, param_dim, N).
+        On two planes the Jacobian's columns are d/d eta, then the two
+        angle generators, each zero off its own plane."""
         u = np.asarray(u, dtype=float)
-        x, jac = self._outputs(len(u), out)
         if self.n == 1:
-            r0 = self.radii[0]
-            th = u[:, 0]
-            x[0], x[1] = r0 * np.cos(th), r0 * np.sin(th)
-            jac[0, 0] = -r0 * np.sin(th)
-            jac[1, 0] = x[0]
+            r0, th = self.radii[0], u[:, 0]
+            x = np.stack([r0 * np.cos(th), r0 * np.sin(th)])
+            jac = np.empty((2, 1, len(u)))
+            jac[0, 0], jac[1, 0] = -r0 * np.sin(th), x[0]
             return x, jac
         eta, x1, x2 = u[:, 0], u[:, 1], u[:, 2]
         c1, s1 = np.cos(x1), np.sin(x1)
         c2, s2 = np.cos(x2), np.sin(x2)
-        r1 = self.radii[0] * np.cos(eta)
-        r2 = self.radii[1] * np.sin(eta)
-        dr1 = -self.radii[0] * np.sin(eta)
-        dr2 = self.radii[1] * np.cos(eta)
-        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
-        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
-        return x, jac
-
-    @staticmethod
-    def _fill_jacobian(jac, x, d_eta):
-        """The two-plane Jacobian: d/d eta, then the two angle generators,
-        each zero off its own plane."""
-        jac[0, 0], jac[1, 0], jac[2, 0], jac[3, 0] = d_eta
+        r1, r2 = self.radii[0] * np.cos(eta), self.radii[1] * np.sin(eta)
+        dr1, dr2 = -self.radii[0] * np.sin(eta), self.radii[1] * np.cos(eta)
+        x = np.stack([r1 * c1, r1 * s1, r2 * c2, r2 * s2])
+        jac = np.zeros((4, 3, len(u)))
+        jac[0, 0], jac[1, 0], jac[2, 0], jac[3, 0] = dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2
         jac[0, 1], jac[1, 1] = -x[1], x[0]
         jac[2, 2], jac[3, 2] = -x[3], x[2]
-        jac[2:, 1] = 0.0
-        jac[:2, 2] = 0.0
-
-    def embed_nodes(self):
-        """embed(param_nodes), the two-plane tensor mesh built from its
-        axes: cos and sin are taken on each axis's values and broadcast over
-        the mesh, each node getting the same products embed forms from
-        them.  The probe nodes after it are embedded node by node."""
-        if self.n == 1:
-            return self.embed(self.param_nodes)
-        x_out, jac_out = self._outputs(len(self.param_nodes), None)
-        n_mesh = len(self.param_nodes) - self.n_probe
-        if self.n_probe:
-            self.embed(self.param_nodes[n_mesh:], (x_out[:, n_mesh:], jac_out[..., n_mesh:]))
-        eta, x1, x2 = self.axes
-        ce, se = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
-        c1, s1 = np.cos(x1)[None, :, None], np.sin(x1)[None, :, None]
-        c2, s2 = np.cos(x2)[None, None, :], np.sin(x2)[None, None, :]
-        r1, r2 = self.radii[0] * ce, self.radii[1] * se
-        dr1, dr2 = -self.radii[0] * se, self.radii[1] * ce
-        # the mesh's node axis is contiguous, so these reshapes are views
-        x = x_out[:, :n_mesh].reshape((4,) + self.grid_shape)
-        jac = jac_out[..., :n_mesh].reshape((4, 3) + self.grid_shape)
-        x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
-        self._fill_jacobian(jac, x, (dr1 * c1, dr1 * s1, dr2 * c2, dr2 * s2))
-        return x_out, jac_out
+        return x, jac
 
 
 def _surface_counts(scheme: QuadratureScheme, level: int):
@@ -1095,45 +1011,29 @@ def _surface_counts(scheme: QuadratureScheme, level: int):
 def _build_surface(info, s_value, level, scheme, outward) -> SurfaceGrid:
     """The SurfaceGrid of {s = s_value} on the level chart at the counts of
     ``level``, oriented as the outer (``outward`` = +1) or inner (-1) shell
-    of a boundary, or not at all (0: orient_sign +1)."""
+    of a boundary."""
     chart = _LevelChart(info.weights, s_value, *_surface_counts(scheme, level))
-    x, jac = chart.embed_nodes()
+    x, jac = chart.embed(chart.param_nodes)
     nodes, jac = x.T, np.moveaxis(jac, -1, 0)
-    orient_sign = 1.0
-    if outward != 0:
-        # Outward normal is +grad(s) at the outer shell, -grad(s) at the
-        # inner one; the Stokes orientation of the surface parametrization
-        # is the sign of det[normal | jacobian].  Constant over these
-        # product parametrizations -- probe a few nodes and insist on it.
-        w_full = np.repeat(info.weights, 2)
-        signs = set()
-        for idx in range(0, nodes.shape[0], max(1, nodes.shape[0] // 7)):
-            normal = outward * 2.0 * w_full * nodes[idx]
-            frame = np.column_stack([normal, jac[idx]])
-            det = np.linalg.det(frame)
-            if abs(det) > 1e-12:
-                signs.add(1.0 if det > 0 else -1.0)
-        if len(signs) != 1:
-            raise InputError("surface parametrization orientation is not constant")
-        orient_sign = signs.pop()
+    # Outward normal is +grad(s) at the outer shell, -grad(s) at the
+    # inner one; the Stokes orientation of the surface parametrization
+    # is the sign of det[normal | jacobian].  Constant over these
+    # product parametrizations -- probe a few nodes and insist on it.
+    w_full = np.repeat(info.weights, 2)
+    signs = set()
+    for idx in range(0, nodes.shape[0], max(1, nodes.shape[0] // 7)):
+        normal = outward * 2.0 * w_full * nodes[idx]
+        frame = np.column_stack([normal, jac[idx]])
+        det = np.linalg.det(frame)
+        if abs(det) > 1e-12:
+            signs.add(1.0 if det > 0 else -1.0)
+    if len(signs) != 1:
+        raise InputError("surface parametrization orientation is not constant")
+    orient_sign = signs.pop()
     return SurfaceGrid(
         nodes=nodes, jac=jac, weights=chart.param_weights,
         orient_sign=orient_sign, s_value=s_value, level=level,
     )
-
-
-def level_surface(
-    space: HamiltonianSpace,
-    s_value: float,
-    level: int = 0,
-    scheme: QuadratureScheme = None,
-) -> SurfaceGrid:
-    """Quadrature grid on {s = s_value} in the level chart the zero level
-    also uses, at the surface counts of ``level``, with no boundary
-    orientation attached (orient_sign fixed to +1).  InputError unless
-    s_value is positive and finite."""
-    scheme = scheme or QuadratureScheme()
-    return _build_surface(_radial(space), s_value, level, scheme, outward=0)
 
 
 def boundary_surfaces(
@@ -1154,13 +1054,6 @@ def boundary_surfaces(
         for s_value, outward in ((s_hi, +1), (s_lo, -1))
         if s_value > 0
     ]
-
-
-def surface_measure(grid: SurfaceGrid) -> np.ndarray:
-    """Per-node induced Riemannian measure (flat ambient metric):
-    sqrt(det J^T J) times the parameter weight."""
-    jtj = np.einsum("nij,nik->njk", grid.jac, grid.jac)
-    return np.sqrt(np.linalg.det(jtj)) * grid.weights
 
 
 def integrate_form_on_surface(grid: SurfaceGrid, fmi_values: dict) -> complex:
@@ -1225,6 +1118,10 @@ def sgi_values(
     alone are computed once per distinct eps with scalar arithmetic, so
     each row is bit-identical to a call at that row's eps."""
     eps_arr = np.asarray(eps)
+    if eps_arr.ndim == 0:
+        _check_real("eps", eps)
+    elif eps_arr.dtype.kind not in "iuf":
+        raise InputError(f"eps must be a real number per row, got dtype {eps_arr.dtype}")
     if not np.all((eps_arr > 0) & (eps_arr < np.inf)):
         raise InputError("eps must be positive and finite")
     nu = tuple(int(e) for e in nu)
@@ -1489,6 +1386,8 @@ def phi_reduced_integrand(
     the (d-1)-degree ones feed boundary integrals).  It is an
     _IntegrandPlan of (space, alpha) contracted at this (t, eps); its
     ``_damp_profile`` attribute gives the Gaussian damping factor."""
+    _check_real("t", t)
+    _check_real("eps", eps)
     if not 0 < eps < math.inf:
         raise InputError("eps must be positive and finite")
     if not 0 <= t < math.inf:
@@ -1500,9 +1399,13 @@ def pairing_alpha(space: HamiltonianSpace, vec) -> EquivariantForm:
     """The phi-linear scalar <phi, vec> (inner-product pairing) as an
     equivariant form -- closed, and invariant when vec is central."""
     g = space.algebra.dim
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (g,):
+    if np.shape(vec) != (g,):
         raise InputError("pairing vector length must match the algebra dimension")
+    for v in vec:
+        _check_real("pairing vector entry", v)
+    vec = np.asarray(vec, dtype=float)
+    if not np.all(np.isfinite(vec)):
+        raise InputError("pairing vector entries must be finite")
     coeffs = space.algebra.inner_product @ vec
     terms = {}
     for a in range(g):

@@ -138,17 +138,6 @@ class PhiPolynomial(_Frozen):
     def constant(dim: int, c=1.0) -> "PhiPolynomial":
         return PhiPolynomial(dim, {tuple([0] * dim): c})
 
-    @staticmethod
-    def linear(dim: int, coeffs) -> "PhiPolynomial":
-        """sum_a coeffs[a] * phi_a"""
-        terms = {}
-        for a, c in enumerate(coeffs):
-            if c != 0:
-                mi = [0] * dim
-                mi[a] = 1
-                terms[tuple(mi)] = c
-        return PhiPolynomial(dim, terms)
-
     # -- queries ----------------------------------------------------------
     @property
     def degree(self) -> int:
@@ -452,7 +441,10 @@ def builtin_algebra(name: str) -> LieAlgebraSpec:
             name="su2",
         )
     if name.startswith("torus(") and name.endswith(")"):
-        k = int(name[len("torus(") : -1])
+        try:
+            k = int(name[len("torus(") : -1])
+        except ValueError:
+            raise InputError(f"torus rank must be an integer, got {name!r}") from None
         if k <= 0:
             raise InputError("torus rank must be positive")
         return LieAlgebraSpec(

@@ -453,7 +453,7 @@ def _checked_level(space: HamiltonianSpace, struct: dict, chart: _LevelChart) ->
     ZeroLevelData fields but the mesh density and the orientation, and the
     Liouville integrand exp(omega) ^ A at every node (None without a top
     part)."""
-    x, jac = chart.embed_nodes()
+    x, jac = chart.embed(chart.param_nodes)
     conn = _metric_connection(struct, x)
     # dG = 2 D g V (g is symmetric), a = J^T A, p = J^T dG and
     # J^T dA J = G^{-1} (J^T S J - p a^T + a p^T)

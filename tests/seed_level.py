@@ -24,7 +24,8 @@ from symloc.fields import column
 
 
 def seed_embed_nodes(chart):
-    """The chart's mesh points and Jacobian, node axis last."""
+    """The chart's mesh points and Jacobian, node axis last, from cos and
+    sin on each axis broadcast over the tensor mesh."""
     if chart.n == 1:
         r0, th = chart.radii[0], chart.param_nodes[:, 0]
         x = np.stack([r0 * np.cos(th), r0 * np.sin(th)])
@@ -33,15 +34,14 @@ def seed_embed_nodes(chart):
         jac[1, 0] = x[0]
         return x, jac
     eta, x1, x2 = chart.axes
-    m = eta.size
     ce, se = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
     c1, s1 = np.cos(x1)[None, :, None], np.sin(x1)[None, :, None]
     c2, s2 = np.cos(x2)[None, None, :], np.sin(x2)[None, None, :]
     r1, r2 = chart.radii[0] * ce, chart.radii[1] * se
     dr1, dr2 = -chart.radii[0] * se, chart.radii[1] * ce
-    x = np.empty((4, m, m, m))
+    x = np.empty((4,) + chart.grid_shape)
     x[0], x[1], x[2], x[3] = r1 * c1, r1 * s1, r2 * c2, r2 * s2
-    jac = np.zeros((4, 3, m, m, m))
+    jac = np.zeros((4, 3) + chart.grid_shape)
     jac[0, 0], jac[1, 0] = dr1 * c1, dr1 * s1
     jac[2, 0], jac[3, 0] = dr2 * c2, dr2 * s2
     jac[0, 1], jac[1, 1] = -x[1], x[0]
@@ -126,7 +126,8 @@ def seed_level_arrays(space, chart):
 
 def seed_build_surface(info, s_value, level, scheme, outward):
     """(nodes, jac, weights, orient_sign) of {s = s_value} at refinement
-    ``level`` of ``scheme``: one plane, a circle in theta; two planes,
+    ``level`` of ``scheme``, oriented as the outer (``outward`` = +1) or
+    inner (-1) shell of a boundary: one plane, a circle in theta; two planes,
     (psi, theta1, theta2) with rho1 = s cos^2 psi / w1,
     rho2 = s sin^2 psi / w2."""
     n_psi = scheme.base_radial * (1 << level)
@@ -169,15 +170,12 @@ def seed_build_surface(info, s_value, level, scheme, outward):
         jac[:, 1, 1] = r1 * cp * c1
         jac[:, 2, 2] = -r2 * sp * s2
         jac[:, 3, 2] = r2 * sp * c2
-    orient_sign = 1.0
-    if outward != 0:
-        w_full = np.repeat(info.weights, 2)
-        signs = set()
-        for idx in range(0, nodes.shape[0], max(1, nodes.shape[0] // 7)):
-            normal = outward * 2.0 * w_full * nodes[idx]
-            det = np.linalg.det(np.column_stack([normal, jac[idx]]))
-            if abs(det) > 1e-12:
-                signs.add(1.0 if det > 0 else -1.0)
-        assert len(signs) == 1
-        orient_sign = signs.pop()
-    return nodes, jac, weights, orient_sign
+    w_full = np.repeat(info.weights, 2)
+    signs = set()
+    for idx in range(0, nodes.shape[0], max(1, nodes.shape[0] // 7)):
+        normal = outward * 2.0 * w_full * nodes[idx]
+        det = np.linalg.det(np.column_stack([normal, jac[idx]]))
+        if abs(det) > 1e-12:
+            signs.add(1.0 if det > 0 else -1.0)
+    assert len(signs) == 1
+    return nodes, jac, weights, signs.pop()

@@ -654,7 +654,7 @@ def test_each_large_t_call_is_one_batch(call, passes):
 def test_extrapolated_sweep_points_are_the_large_t_limits():
     sp = catalog_from_string("cn_u1(1,1)")
     sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", t_grid=_SWEEP_T)
-    assert sweep.n_points == len(A.DEFAULT_EPSILON_GRID)
+    assert len(sweep.epsilon_grid) == len(A.DEFAULT_EPSILON_GRID)
     for e, v, err, diag in zip(sweep.epsilon_grid, sweep.values,
                                sweep.provenance["point_errors"],
                                sweep.provenance["t_diagnostics"]):
@@ -716,51 +716,66 @@ def test_every_missing_plateau_raises_one_error_format(case):
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# JSON export
 # ---------------------------------------------------------------------------
 
 
-def _csv_rows(text):
-    lines = text.splitlines()
-    assert lines[0] == A.CSV_HEADER == "epsilon,t,value_re,value_im,error_estimate"
-    return [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+def _round_trip(record):
+    """The record's JSON text read back, after checking it is the record's
+    dict, and its values and eps grid back as the record holds them."""
+    rec = json.loads(record.to_json())
+    assert rec == record.to_json_dict()
+    assert [complex(re, im) for re, im in rec["values"]] == [complex(v) for v in record.values]
+    assert rec["epsilon_grid"] == list(record.epsilon_grid)
+    return rec
 
 
-def test_fixed_t_sweep_csv_is_one_row_per_epsilon():
+def test_fixed_t_sweep_json_round_trips():
     sweep = _sweep("cn_u1(2,1)", 0.16, 0.0)
-    rows = _csv_rows(sweep.to_csv())
-    assert rows == [(e, 0.0, complex(v).real, complex(v).imag, err)
-                    for e, v, err in zip(sweep.epsilon_grid, sweep.values,
-                                         sweep.provenance["point_errors"])]
+    rec = _round_trip(sweep)
+    assert rec["provenance"]["t_policy"] == {"kind": "fixed", "t": 0.0}
+    assert rec["tail_rate"] == sweep.tail_rate
+    assert [complex(*c) for c in rec["poly_coeffs"]] == list(sweep.poly_coeffs)
+    assert [complex(*c) for c in rec["residuals"]] == list(sweep.residuals)
 
 
-def test_extrapolated_sweep_csv_puts_each_limit_at_t_inf():
+def test_extrapolated_sweep_json_round_trips():
     sp = catalog_from_string("cn_u1(1,1)")
     grid = (0.05, 0.1)
     with pytest.warns(UserWarning, match="fit skipped"):
         sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid, t_grid=_SWEEP_T)
-    rows = _csv_rows(sweep.to_csv())
-    assert rows == [(e, math.inf, complex(v).real, complex(v).imag, err)
-                    for e, v, err in zip(grid, sweep.values, sweep.provenance["point_errors"])]
+    rec = _round_trip(sweep)
+    assert rec["epsilon_grid"] == list(grid)
+    assert rec["poly_coeffs"] is None and rec["residuals"] is None
+    assert rec["provenance"]["t_policy"] == {"kind": "extrapolated", "t_grid": list(_SWEEP_T)}
+    assert [d["epsilon"] for d in rec["provenance"]["t_diagnostics"]] == list(grid)
 
 
-def test_contribution_csv_is_the_t_table_then_the_limit_per_epsilon():
+def test_contribution_json_round_trips():
     sp = catalog_from_string("cn_u1(1,1)")
     rec = contribution(sp, _unit(sp), 1, [0.05, 0.1], t_grid=_LONG_T, quadrature=_DEEP)
-    rows = _csv_rows(rec.to_csv())
-    diag = rec.diagnostics
-    want = []
-    for i, e in enumerate(rec.epsilon_grid):
-        want += [(e, t, re, im, err) for t, (re, im), err
-                 in zip(_LONG_T, diag["differences"][i], diag["point_errors"][i])]
-        want.append((e, math.inf, complex(rec.values[i]).real, complex(rec.values[i]).imag,
-                     diag["plateau_gaps"][i]))
-    assert rows == want
-    assert len(rows) == len(rec.epsilon_grid) * (len(_LONG_T) + 1)
+    out = _round_trip(rec)
+    assert out["probes"] == list(rec.probes)
+    assert out["critical_value"] == rec.critical_value == 0.25
+    diag = out["diagnostics"]
+    assert diag["t_grid"] == list(_LONG_T)
     # each limit is the last difference of its t table, its error the plateau gap
     for i in range(len(rec.epsilon_grid)):
+        assert len(diag["differences"][i]) == len(_LONG_T)
         assert diag["differences"][i][-1] == A._reim(rec.values[i])
         assert diag["plateau_gaps"][i] == diag["plateau"][i]["plateau_gap"]
+
+
+def test_integral_result_json_round_trips():
+    from symloc.integrate import integrate_over_Mr
+
+    sp = catalog_from_string("cn_u1(1,1)")
+    res = integrate_over_Mr(sp, sp.omega, 0.16)
+    rec = res.to_json_dict()
+    assert json.loads(json.dumps(rec)) == rec
+    assert complex(*rec["value"]) == res.value
+    assert (rec["error"], rec["n_nodes"], rec["level"]) == (res.error, res.n_nodes, res.level)
+    assert rec["scheme"] == QuadratureScheme().to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +787,10 @@ def _non_finite_calls():
     from symloc.integrate import (
         BasicIntegralRequest,
         basic_integral,
+        _LevelChart,
         check_regular_radius,
-        level_surface,
+        pairing_alpha,
         phi_reduced_integrand,
-        radial_grid,
         sgi_values,
     )
     from symloc.reduced import kirwan_integral, zero_level
@@ -796,9 +811,8 @@ def _non_finite_calls():
         "basic_integral t=nan": bi(t=nan),
         "basic_integral t=inf": bi(t=inf),
         "check_regular_radius nan": lambda: check_regular_radius(sp, nan),
-        "radial_grid nan": lambda: radial_grid(sp, nan),
-        "level_surface s=nan": lambda: level_surface(sp, nan),
-        "level_surface s=inf": lambda: level_surface(sp, inf),
+        "level chart s=nan": lambda: _LevelChart((1,), nan, 4, 16),
+        "level chart s=inf": lambda: _LevelChart((1,), inf, 4, 16),
         "sgi_values eps=nan": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)), nan),
         "sgi_values eps row inf": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)),
                                                      np.array([0.1, inf])),
@@ -826,6 +840,8 @@ def _non_finite_calls():
         "phi_reduced_integrand eps=inf": lambda: phi_reduced_integrand(sp, one, 0.0, inf),
         "phi_reduced_integrand t=nan": lambda: phi_reduced_integrand(sp, one, nan, 0.05),
         "phi_reduced_integrand t=inf": lambda: phi_reduced_integrand(sp, one, inf, 0.05),
+        "pairing_alpha nan": lambda: pairing_alpha(sp, [nan]),
+        "pairing_alpha inf": lambda: pairing_alpha(sp, np.array([-inf])),
     }
 
 
@@ -836,11 +852,23 @@ def test_non_finite_inputs_are_refused(case):
 
 
 def _non_real_calls():
-    """Basic Integral scalars that are not real numbers (kirwan_integral's
-    eps: tests/test_reduced.py): a string or None raised an untyped
-    TypeError from the range check, an array a ValueError, and True ran as
-    1.0."""
-    from symloc.integrate import BasicIntegralRequest, basic_integral_batch
+    """Scalars and grids that are not real numbers (kirwan_integral's eps:
+    tests/test_reduced.py).  A string or None raised an untyped TypeError
+    from the range check, an array a ValueError, and True ran as 1.0; a
+    grid entry that is not a real raised ValueError or TypeError from the
+    float conversion, or passed as the number a string spells, and a
+    nested grid ran or failed untyped."""
+    from symloc.integrate import (
+        BasicIntegralRequest,
+        basic_integral_batch,
+        boundary_integral,
+        boundary_surfaces,
+        check_regular_radius,
+        integrate_over_Mr,
+        pairing_alpha,
+        phi_reduced_integrand,
+        sgi_values,
+    )
 
     sp = catalog_from_string("cn_u1(1,1)")
     one = _unit(sp)
@@ -853,6 +881,56 @@ def _non_real_calls():
             point = (kw["r"], kw["epsilon"], kw["t"])
             calls[f"basic_integral_batch {name}={v!r}"] = (
                 lambda point=point: basic_integral_batch(sp, one, [point]))
+    for v in ("0.36", None, True):
+        calls.update({
+            f"check_regular_radius r={v!r}": lambda v=v: check_regular_radius(sp, v),
+            f"find_critical_points r_max={v!r}": lambda v=v: find_critical_points(sp, v),
+            f"integrate_over_Mr r={v!r}": lambda v=v: integrate_over_Mr(sp, sp.omega, v),
+            f"boundary_surfaces r={v!r}": lambda v=v: boundary_surfaces(sp, v),
+        })
+    grids = {"'a' entry": ["a"], "string entry": [0.05, "0.1"], "nested": [[0.05, 0.1]],
+             "bool entry": [0.05, True], "2-D array": np.array([[0.05, 0.1]])}
+    t_grids = {"'a' entry": [0.0, 1.0, "a"], "nested": [[0.0, 1.0, 2.0]],
+               "2-D array": np.array([[0.0, 1.0, 2.0]])}
+    calls.update({
+        "boundary_integral r=None": lambda: boundary_integral(sp, sp.omega, None),
+        "large_t_limit r='0.36'": lambda: large_t_limit(sp, one, "0.36", 0.1),
+        "epsilon_sweep r='0.36'": lambda: epsilon_sweep(sp, one, "0.36"),
+        "epsilon_sweep t_policy=True": lambda: epsilon_sweep(sp, one, 0.36, True),
+        "epsilon_sweep t_policy=None": lambda: epsilon_sweep(sp, one, 0.36, None),
+        "contribution epsilon='0.1'": lambda: contribution(sp, one, 0, "0.1"),
+        "contribution r_max='1.0'": lambda: contribution(sp, one, 0, 0.05, r_max="1.0"),
+        "damping_check s='0.1'": lambda: damping_check(sp, one, 0.36, "0.1"),
+        "damping_check r=None": lambda: damping_check(sp, one, None, 0.1),
+        "global_convergence_check epsilon='0.05'": lambda: global_convergence_check(
+            sp, one, (0.36, 0.64, 1.0), "0.05"),
+        "phi_reduced_integrand eps='a'": lambda: phi_reduced_integrand(sp, one, 0.0, "a"),
+        "phi_reduced_integrand t=True": lambda: phi_reduced_integrand(sp, one, True, 0.05),
+        "sgi_values eps=True": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)), True),
+        "sgi_values eps rows bool": lambda: sgi_values(
+            sp.algebra, (0,), np.zeros((2, 1)), np.array([True, True])),
+        "SweepResult nested grid": lambda: A.SweepResult(
+            epsilon_grid=[[0.05], [0.1, 0.2]], values=[1.0, 1.0]),
+        "ContributionRecord eps='0.05'": lambda: A.ContributionRecord(
+            index=0, critical_value=0.0, probes=(None, 0.1), epsilon_grid=("0.05",),
+            values=[1.0]),
+        "ContributionRecord critical value None": lambda: A.ContributionRecord(
+            index=0, critical_value=None, probes=(None, 0.1), epsilon_grid=(0.05,),
+            values=[1.0]),
+        "ContributionRecord probe '0.1'": lambda: A.ContributionRecord(
+            index=0, critical_value=0.0, probes=(None, "0.1"), epsilon_grid=(0.05,),
+            values=[1.0]),
+        "pairing_alpha ['a']": lambda: pairing_alpha(sp, ["a"]),
+        "pairing_alpha [True]": lambda: pairing_alpha(sp, [True]),
+    })
+    for label, grid in grids.items():
+        calls[f"epsilon_sweep grid {label}"] = (
+            lambda grid=grid: epsilon_sweep(sp, one, 0.36, grid=grid))
+        calls[f"contribution epsilon {label}"] = (
+            lambda grid=grid: contribution(sp, one, 0, grid))
+    for label, t_grid in t_grids.items():
+        calls[f"large_t_limit t_grid {label}"] = (
+            lambda t_grid=t_grid: large_t_limit(sp, one, 0.36, 0.1, t_grid))
     return calls
 
 
@@ -874,6 +952,11 @@ def _bad_count_calls():
         **{f"contribution index={v}": (
             "index", lambda v=v: contribution(sp, one, v, 0.05))
            for v in (1.5, True, -1)},
+        **{f"ContributionRecord index={v}": (
+            "index", lambda v=v: A.ContributionRecord(
+                index=v, critical_value=0.0, probes=(None, 0.1), epsilon_grid=(0.05,),
+                values=[1.0]))
+           for v in (1.5, True)},
         **{f"epsilon_sweep poly_degree_max={v}": (
             "poly_degree_max", lambda v=v: epsilon_sweep(sp, one, 0.16, poly_degree_max=v))
            for v in (1.5, True, -1)},

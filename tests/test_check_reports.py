@@ -101,6 +101,10 @@ def test_record_space_keeps_the_level_report_and_calls_only_ops_that_exist():
     ]
     # the circle's eta line: the node at angle 0 and 32 probe nodes
     assert out["zero_level.grid_shape"] == [1] and out["zero_level.n_nodes"] == 33
+    # the space oracles of tests/space_checks.py are recorded with the ops
+    assert out["check_moment_condition.accepted"] is True
+    assert out["check_moment_condition(corrupted).accepted"] is False
+    assert out["validate_space.ok"] is True
     # a refusal is recorded as its message; an op the package no longer
     # has would be recorded as an AttributeError
     assert [k for k, v in out.items() if str(v).startswith("AttributeError")] == []

@@ -15,6 +15,7 @@ import pytest
 
 import seed_linear
 import seed_model
+from space_checks import check_moment_condition, validate_space, with_corrupted_moment
 from symloc.fields import add, const, coord, mul
 from symloc.forms import contract, exterior_d
 from symloc.hamspace import (
@@ -28,12 +29,9 @@ from symloc.hamspace import (
     build_standard_model,
     catalog,
     catalog_from_string,
-    check_moment_condition,
     eta_exprs,
     lambda_form,
     sample_points,
-    validate_space,
-    with_corrupted_moment,
 )
 from symloc.liealg import InputError, LieAlgebraSpec, builtin_algebra
 

@@ -29,6 +29,7 @@ from scipy.special import iv
 from seed_level import seed_build_surface
 from seed_linear import expr_reprs, seed_torus2_space
 from seed_path import radial_chunks, seed_basic_integrals, seed_integrand
+from space_checks import with_corrupted_moment
 from symloc import integrate
 from symloc.analysis import DEFAULT_EPSILON_GRID, DEFAULT_T_GRID
 from symloc.fields import add, const, coord, mul
@@ -48,11 +49,11 @@ from symloc.hamspace import (
     catalog_names_for_validation,
     eta_exprs,
     lambda_form,
-    with_corrupted_moment,
 )
 from symloc.integrate import (
     BasicIntegralRequest,
     BasicIntegralResult,
+    _build_surface,
     _index_runs,
     _leggauss,
     _LevelChart,
@@ -69,12 +70,9 @@ from symloc.integrate import (
     integrate_form_on_surface,
     integrate_over_Mr,
     known_critical_values,
-    level_surface,
     pairing_alpha,
     phi_reduced_integrand,
-    radial_grid,
     sgi_values,
-    surface_measure,
 )
 from symloc.liealg import (
     AccuracyError,
@@ -117,36 +115,43 @@ def bi_single_plane_oracle(r, t, eps):
 # ---------------------------------------------------------------------------
 
 
+def _grid(space, r, level=0):
+    """(nodes, weights) of the level-``level`` grid of {|mu|^2 <= r}: the
+    stacked grid of one member on the whole slab, every angle node kept."""
+    info = space.radial
+    return _stacked_grids(info, QuadratureScheme(), level, [[info.s_bounds(r)]], [False])
+
+
 def test_grid_volume_annulus():
     # Lebesgue area of {|s - 1| <= 0.8} = pi (s_hi - s_lo) = 1.6 pi
-    sp = annulus()
     for level in (0, 1):
-        g = radial_grid(sp, 0.16, level=level)
-        assert g.weights.sum() == pytest.approx(1.6 * math.pi, rel=1e-12)
-        assert g.nodes.shape[1] == 2
+        nodes, weights = _grid(annulus(), 0.16, level)
+        assert weights.sum() == pytest.approx(1.6 * math.pi, rel=1e-12)
+        assert nodes.shape[1] == 2
 
 
 def test_grid_volume_two_planes_and_weighted():
     # volume between the spheres {s = s_lo} and {s = s_hi} is
     # pi^2 (s_hi^2 - s_lo^2) / (2 w1 w2)
-    g = radial_grid(two_planes(), 0.16)
-    assert g.weights.sum() == pytest.approx(1.6 * math.pi**2, rel=1e-12)
+    assert _grid(two_planes(), 0.16)[1].sum() == pytest.approx(
+        1.6 * math.pi**2, rel=1e-12)
     wsp = catalog("weighted_cn_u1", n=2, weights=(1, 2), a=1.0)
-    g = radial_grid(wsp, 0.16)
-    assert g.weights.sum() == pytest.approx(0.8 * math.pi**2, rel=1e-12)
+    assert _grid(wsp, 0.16)[1].sum() == pytest.approx(0.8 * math.pi**2, rel=1e-12)
 
 
 def test_grid_volume_quartic_ball():
     # {|z|^2 <= 4 sqrt(r)}: ball of s-radius 0.8 -> pi^2 0.8^2 / 2
-    g = radial_grid(catalog("c2_su2"), 0.04)
-    assert g.weights.sum() == pytest.approx(0.32 * math.pi**2, rel=1e-12)
+    assert _grid(catalog("c2_su2"), 0.04)[1].sum() == pytest.approx(
+        0.32 * math.pi**2, rel=1e-12)
 
 
 def test_grid_rejects_critical_radius_and_odd_spaces():
+    sp = annulus()
     with pytest.raises(NotRegularError):
-        radial_grid(annulus(), 0.25)
-    with pytest.raises(InputError):
-        radial_grid(catalog("standard_model", preset="u1_w1"), 0.1)
+        basic_integral(BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.25,
+                                            epsilon=0.05))
+    with pytest.raises(InputError, match="radial moment norm"):
+        boundary_surfaces(catalog("standard_model", preset="u1_w1"), 0.1)
 
 
 def test_known_critical_values():
@@ -196,8 +201,6 @@ def test_corrupted_moment_has_no_radial_geometry():
     sp = with_corrupted_moment(annulus())
     assert sp.radial is None
     assert known_critical_values(sp) is None
-    with pytest.raises(InputError, match="radial moment norm"):
-        radial_grid(sp, 0.36)
     req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.36, epsilon=0.1)
     with pytest.raises(InputError, match="radial moment norm"):
         basic_integral(req)
@@ -239,7 +242,8 @@ def test_negative_weights_fold_into_a_negative_level():
     assert exact == pytest.approx(0.0280334, abs=1e-7)
     assert abs(res.value - exact) < 1e-10
     with pytest.raises(InputError, match="is empty"):
-        radial_grid(sp, 0.16)
+        basic_integral(BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16,
+                                            epsilon=eps))
     with pytest.raises(InputError, match="zero level set .* is empty"):
         zero_level(sp)
 
@@ -965,14 +969,12 @@ def test_basic_integral_validation_paths():
 
 def test_radial_paths_refuse_three_planes():
     # the typed refusal comes before the support scan, which would unpack
-    # two plane weights; grids, level surfaces and the zero level share the
+    # two plane weights; the boundary surfaces and the zero level share the
     # same check
     sp = catalog("cn_u1", n=3, a=1.0)
     req = BasicIntegralRequest(space=sp, alpha=one_form(sp), r=0.16, epsilon=0.05)
     for build in (
         lambda: basic_integral(req),
-        lambda: radial_grid(sp, 0.16),
-        lambda: level_surface(sp, 1.0),
         lambda: boundary_surfaces(sp, 0.16),
         lambda: zero_level(sp),
     ):
@@ -1001,8 +1003,6 @@ def test_bad_quadrature_schemes_are_refused(kwargs):
 @pytest.mark.parametrize("level", [-1, 2.5, True])
 def test_bad_surface_levels_are_refused(level):
     sp = catalog("cn_u1", n=2, a=1.0)
-    with pytest.raises(InputError, match="level must be an integer"):
-        level_surface(sp, 1.0, level)
     with pytest.raises(InputError, match="level must be an integer"):
         boundary_surfaces(sp, 0.36, level)
 
@@ -1083,13 +1083,18 @@ def test_request_and_result_serialize():
 
 
 def test_level_surface_measures():
-    # circle of radius sqrt(1.8); 3-sphere of radius 1 has area 2 pi^2
-    g = level_surface(annulus(), 1.8, level=1)
-    assert surface_measure(g).sum() == pytest.approx(
-        2.0 * math.pi * math.sqrt(1.8), rel=1e-12
-    )
-    g2 = level_surface(two_planes(), 1.0, level=1)
-    assert surface_measure(g2).sum() == pytest.approx(2.0 * math.pi**2, rel=1e-12)
+    # circle of radius sqrt(1.8) (the outer shell of r = 0.16); 3-sphere of
+    # radius 1 has area 2 pi^2.  The induced measure of a chart is
+    # sqrt(det J^T J) times the parameter weight.
+    def area(grid):
+        jtj = np.einsum("nij,nik->njk", grid.jac, grid.jac)
+        return float(np.sum(np.sqrt(np.linalg.det(jtj)) * grid.weights))
+
+    outer, _ = boundary_surfaces(annulus(), 0.16, level=1)
+    assert outer.s_value == pytest.approx(1.8)
+    assert area(outer) == pytest.approx(2.0 * math.pi * math.sqrt(1.8), rel=1e-12)
+    sphere = _build_surface(two_planes().radial, 1.0, 1, QuadratureScheme(), +1)
+    assert area(sphere) == pytest.approx(2.0 * math.pi**2, rel=1e-12)
 
 
 def test_boundary_components_annulus_vs_disk():
@@ -1161,11 +1166,11 @@ _SURFACE_SPACES = [
 
 
 def _surface_pairs(space, level, scheme):
-    """(SurfaceGrid, seed surface) on {s = 1} and on both shells of the
-    annulus r = 0.16 (s = 1.8 outward, s = 0.2 inward)."""
+    """(SurfaceGrid, seed surface) on {s = 1} as an outer shell and on both
+    shells of the annulus r = 0.16 (s = 1.8 outward, s = 0.2 inward)."""
     info = space.radial
-    grid = level_surface(space, 1.0, level, scheme)
-    yield grid, seed_build_surface(info, 1.0, level, scheme, 0)
+    grid = _build_surface(info, 1.0, level, scheme, +1)
+    yield grid, seed_build_surface(info, 1.0, level, scheme, +1)
     for grid, outward in zip(boundary_surfaces(space, 0.16, level, scheme), (1, -1)):
         yield grid, seed_build_surface(info, grid.s_value, level, scheme, outward)
 

@@ -77,6 +77,10 @@ def test_torus_catalog():
     assert a.group_volume == pytest.approx((2 * np.pi) ** 3, rel=1e-15)
     with pytest.raises(InputError):
         builtin_algebra("torus(0)")
+    # a rank that is not an integer raised a ValueError from int()
+    for name in ("torus(a)", "torus(1.5)", "torus()"):
+        with pytest.raises(InputError, match="torus rank must be an integer"):
+            builtin_algebra(name)
     with pytest.raises(InputError):
         builtin_algebra("so(3,1)")
 

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from symloc import analysis, critical, hamspace, integrate, reduced
+from symloc import analysis, critical, integrate, reduced
 
 _SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "public_options.py")
 
@@ -48,7 +48,6 @@ _REMOVED = [
     (critical.local_model_check, "tol"),
     (critical.local_model_check, "local_radius"),
     (reduced.ZeroLevelData.to_json_dict, "include_mesh"),
-    (hamspace.with_corrupted_moment, "magnitude"),
 ]
 
 
@@ -138,6 +137,42 @@ def helper(c=3):
         "mod:__all__ op",
         "mod:helper c=3",
         "mod:op b=2",
+    ]
+
+
+def test_test_only_lists_each_name_in_all_that_no_caller_uses():
+    mod = '''
+"""lonely is only named in this docstring."""
+
+__all__ = ["op", "Thing", "lonely", "CONST"]
+
+CONST = 3
+
+def op(a):
+    return Thing()
+
+class Thing:
+    pass
+
+def lonely():
+    pass
+'''
+    script = _load_script()
+    callers = [mod, "from mod import CONST\nprint(CONST)\n"]
+    # op is used as an attribute, Thing and CONST as names; a definition
+    # and a string are no use
+    assert script.test_only({"mod": mod}, callers + ["import mod\nmod.op(1)\n"]) == [
+        "mod:lonely"]
+    assert script.test_only({"mod": mod}, callers) == ["mod:lonely", "mod:op"]
+
+
+def test_checkout_names_without_a_caller_are_the_four_integration_primitives():
+    script = _load_script()
+    assert script.test_only(script._checkout_sources(), script._caller_sources()) == [
+        "integrate:boundary_integral",
+        "integrate:integrate_over_Mr",
+        "integrate:phi_reduced_integrand",
+        "liealg:shifted_gaussian_integral",
     ]
 
 

@@ -27,7 +27,7 @@ from symloc.hamspace import HamiltonianSpace, catalog
 from symloc.integrate import _LevelChart
 from symloc.liealg import InputError, NotRegularError
 
-from seed_level import seed_level_arrays
+from seed_level import seed_embed_nodes, seed_level_arrays
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +470,9 @@ def level_and_reference(request):
 def test_chart_nodes_from_the_axes_are_the_per_node_embedding(weights, n_eta, n_angle):
     chart = _LevelChart(weights, 1.0, n_eta, n_angle)
     assert chart.grid_shape == (n_eta, n_angle, n_angle)
-    got, want = chart.embed_nodes(), chart.embed(chart.param_nodes)
+    # the per-node embedding of the level builds gives the bits of cos and
+    # sin taken on each axis and broadcast over the mesh
+    got, want = chart.embed(chart.param_nodes), seed_embed_nodes(chart)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
 
