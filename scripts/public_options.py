@@ -10,14 +10,16 @@ imported.
 
     python scripts/public_options.py             # this checkout's src/symloc
     python scripts/public_options.py --diff REV  # names and options added or removed since REV
-    python scripts/public_options.py --test-only # public names no src/perfbench/scripts file uses
+    python scripts/public_options.py --test-only # public names and members no src/perfbench/scripts file uses
 
 One line each, sorted: ``module:__all__ name`` for a public name and
 ``module:qualname param=default`` for an option.  A changed default shows
 as one removed and one added line.  ``--test-only`` prints ``module:name``
 for each ``__all__`` name that no file under src/, perfbench/ or scripts/
 spells as a name or an attribute (matched by name alone, so a name that
-any module uses counts as used), which leaves the names only tests call.
+any module uses counts as used), which leaves the names only tests call;
+then ``module:Class.member`` for each public method or property of an
+``__all__`` class that none of them spells as an attribute or a name.
 Every mode only reports; it exits 0.
 """
 
@@ -86,10 +88,8 @@ def options(sources: dict) -> list:
     return sorted(out)
 
 
-def test_only(sources: dict, callers) -> list:
-    """``module:name`` for each ``__all__`` name of ``sources`` ({module
-    name: source text}) that none of the source texts ``callers`` uses as
-    a name or an attribute."""
+def _used_names(callers) -> set:
+    """Every name and attribute the source texts ``callers`` spell."""
     used = set()
     for text in callers:
         for node in ast.walk(ast.parse(text)):
@@ -97,8 +97,35 @@ def test_only(sources: dict, callers) -> list:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_only(sources: dict, callers) -> list:
+    """``module:name`` for each ``__all__`` name of ``sources`` ({module
+    name: source text}) that none of the source texts ``callers`` uses as
+    a name or an attribute."""
+    used = _used_names(callers)
     return sorted(f"{module}:{name}" for module, text in sources.items()
                   for name in _exported(ast.parse(text).body) if name not in used)
+
+
+def test_only_members(sources: dict, callers) -> list:
+    """``module:Class.member`` for each public method or property (no
+    underscore, so no dunder) of each ``__all__`` class of ``sources``
+    that none of the source texts ``callers`` uses as an attribute or a
+    name."""
+    used = _used_names(callers)
+    out = []
+    for module, text in sources.items():
+        body = ast.parse(text).body
+        exported = set(_exported(body))
+        for cls in body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            out += [f"{module}:{cls.name}.{node.name}" for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and node.name not in used]
+    return sorted(out)
 
 
 def _checkout_sources() -> dict:
@@ -140,11 +167,15 @@ def main(argv=None):
     p.add_argument("--diff", metavar="REV",
                    help="print the names and options added or removed since REV")
     p.add_argument("--test-only", action="store_true",
-                   help="print the public names that no src/, perfbench/ or scripts/ file uses")
+                   help="print the public names and class members that no src/, perfbench/ "
+                        "or scripts/ file uses")
     args = p.parse_args(argv)
     if args.test_only:
-        names = test_only(_checkout_sources(), _caller_sources())
+        sources, callers = _checkout_sources(), _caller_sources()
+        names = test_only(sources, callers)
         print("\n".join(names) if names else "every public name has a caller")
+        members = test_only_members(sources, callers)
+        print("\n".join(members) if members else "every public class member has a caller")
         return
     head = options(_checkout_sources())
     if args.diff is None:

@@ -7,8 +7,9 @@ Runs, on the catalog spaces the benchmark uses:
 * the critical search on cn_u1(2,1) and on c2_su2 (critical);
 * zero_level + kirwan_integral on cn_u1(2,1) (reduced);
 * one t > 0 Basic Integral on cn_u1(1,1) (integrate);
-* the degree-0 epsilon sweep on cn_u1(2,1) and one large_t_limit on
-  cn_u1(1,1) (analysis);
+* the degree-0 epsilon sweep on cn_u1(2,1), one large_t_limit on
+  cn_u1(1,1), with the t* its rate bound sizes and its confirming gap,
+  and one default contribution on cn_u1(1,1) (analysis);
 * the G and H action samplers of the su2_hopf standard model (hamspace);
 * zero_level + kirwan_integral on cn_u1(2,1) again, with a metric the
   phase torus moves, so the level is built on the full 32^3 mesh its
@@ -56,8 +57,12 @@ def main() -> int:
     print(f"basic_integral {cn1.name} t=4: {bi.value.real:.12f}")
     sweep = analysis.epsilon_sweep(cn2, one2, r=0.16, t_policy=0.0, poly_degree_max=0)
     print(f"epsilon_sweep {cn2.name} degree 0: poly part {sweep.poly_coeffs[0].real:.9f}")
-    limit, _ = analysis.large_t_limit(cn1, one1, 0.36, 0.1)
-    print(f"large_t_limit {cn1.name}: {limit.real:.12f}")
+    limit, diag = analysis.large_t_limit(cn1, one1, 0.36, 0.1)
+    print(f"large_t_limit {cn1.name}: {limit.real:.12f} at t* = {diag['t_values'][0]:.4g}, "
+          f"gap {diag['plateau_gap']:.2g}")
+    rec = analysis.contribution(cn1, one1, 1, [0.05, 0.1])
+    print(f"contribution {cn1.name} index 1:",
+          ", ".join(f"{v.real:.12f}" for v in rec.values))
     for which in "GH":
         space = catalog("standard_model", preset="su2_hopf", which=which)
         pts = sample_points(space, 64, 0)

@@ -16,18 +16,17 @@ numbers, judging them is the caller's business.
 
 Every large-t limit -- large_t_limit, the extrapolated epsilon_sweep and
 contribution -- runs as one Basic Integral batch per call, t-major per
-epsilon, and reads its limit off one plateau rule: the last successive
-difference on the t grid must sit below max(PLATEAU_REL_TOL * the
-largest value, PLATEAU_ABS_TOL, 10 * the largest point error).  The
-boundary term killed by the deformation shrinks like exp(-t^2 q / (2 eps))
-where q is the smallest squared pairing <V_a, V_mustar> on the probe
-boundary, so a grid topping out at t=16 settles small eps long before
-eps ~ 0.2.  When the plateau is unreachable within the given t grid the
-operation refuses (NonConvergenceError, its report carrying that rate
-bound) rather than extrapolating; pass a longer grid.  The default grid
-keeps the Gaussian shift t*|pairing|/eps within ~1e3, where the
-closed-form moment evaluation stays comfortably conditioned; the shift
-actually reached is reported.
+epsilon, and takes its t from a rate it measures.  The boundary term the
+deformation kills decays like exp(-rho t^2), rho = q / (2 eps) with q the
+smallest squared pairing <V_a, V_mustar> on the probe boundaries, so each
+limit is evaluated at t* = sqrt(37 / rho), where that factor is e^-37 ~
+1e-16, and confirmed at 1.5 t*.  One plateau rule accepts it: the two
+values must differ by less than max(PLATEAU_REL_TOL * the larger value,
+PLATEAU_ABS_TOL, 10 * the larger point error).  Otherwise the operation
+refuses (NonConvergenceError, its report carrying rho, both t and the
+gap) rather than extrapolating.  contribution also takes an explicit t
+grid, whose last two points face the same rule.  The Gaussian shift
+t * |pairing| / eps the closed-form moment evaluation absorbs is reported.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .liealg import (
 
 __all__ = [
     "DEFAULT_EPSILON_GRID",
-    "DEFAULT_T_GRID",
     "DEFAULT_FIT_TOL",
     "PLATEAU_REL_TOL",
     "PLATEAU_ABS_TOL",
@@ -82,14 +80,15 @@ __all__ = [
 # the Gaussian shifts stay conditioned.
 DEFAULT_EPSILON_GRID = tuple(np.geomspace(0.02, 0.2, 25))
 
-DEFAULT_T_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-
 # The plateau tolerance of every large-t limit: relative to the largest
-# value on the t grid, absolute, and never below 10x the largest point error.
+# value a limit evaluates, absolute, and never below 10x the largest point
+# error.
 PLATEAU_REL_TOL = 1e-7
 PLATEAU_ABS_TOL = 1e-11
-# the plateau fields of a limit's diagnostics (contribution keeps these)
-_PLATEAU_KEYS = ("differences", "tolerance", "plateau_from", "plateau_gap", "t_grid")
+# A limit runs at the t where its boundary factor exp(-rho t^2) is e^-37
+# (~1e-16), and is confirmed at 1.5 times that t.
+_DECAY_EXPONENT = 37.0
+_CONFIRM_FACTOR = 1.5
 
 # Declared combined-fit tolerance, relative to the sweep's value scale
 # (absolute once the whole sweep sits below 1e-8).  The fitter lands
@@ -176,8 +175,8 @@ class ContributionRecord:
 
     ``probes`` is the (below, above) pair of regular radii straddling the
     value (below is None for the bottom value 0, where the lower region
-    is empty).  ``diagnostics`` carries the raw t tables, plateau data,
-    Gaussian-rate fits and the probe-independence check, all JSON-safe.
+    is empty).  ``diagnostics`` carries the limit report of each epsilon
+    (large_t_limit's) and the probe-independence check, all JSON-safe.
     """
 
     index: int
@@ -634,9 +633,9 @@ def _ascending_grid(grid, what) -> np.ndarray:
 
 
 def _plateau_t_grid(t_grid) -> np.ndarray:
-    """The t grid of a plateau search (DEFAULT_T_GRID for None): at least
-    three values, nonnegative, finite and strictly ascending."""
-    t_arr = _real_grid(DEFAULT_T_GRID if t_grid is None else t_grid, "t grid")
+    """An explicit t grid of a large-t limit: at least three values,
+    nonnegative, finite and strictly ascending."""
+    t_arr = _real_grid(t_grid, "t grid")
     if t_arr.size < 3:
         raise InputError("plateau detection needs at least three t values")
     if not np.all((t_arr >= 0) & (t_arr < np.inf)) or np.any(np.diff(t_arr) <= 0):
@@ -662,65 +661,68 @@ def _boundary_gauge_pairing(space, r, scheme):
     return lo, hi
 
 
-def _limits(space, alpha, rows, t_arr, scheme):
+def _limits(space, alpha, rows, scheme, t_arr=None):
     """lim_{t->inf} of BI(alpha, above, t) - BI(alpha, below, t) for each
     row (name, epsilon, below, above) of ``rows``; below is None for the
     empty region, whose integral is exactly 0.
 
+    The boundary pairing is measured once per distinct probe radius.  A
+    row's rate bound rho is min pairing^2 / (2 eps) over its probes, and
+    without ``t_arr`` the row is evaluated at t* = sqrt(_DECAY_EXPONENT /
+    rho) and at _CONFIRM_FACTOR * t*; with it, at every t of ``t_arr``.
     Every row runs in one basic_integral_batch, t-major per row with the
-    upper probe first, and the boundary pairing is measured once, on the
-    probes of the first row.  Rows settle in order, so the error raised is
-    the one a row-by-row loop raised first: a member's AccuracyError, or a
-    NonConvergenceError naming the row when its last successive
-    difference is not below max(PLATEAU_REL_TOL * max|value|,
-    PLATEAU_ABS_TOL, 10 * largest point error).  The decay is
-    super-exponential, so that last gap bounds the truncation.  Returns
-    per row (limit, values, point errors, diagnostics); the diagnostics
-    are the NonConvergenceError report."""
-    _, _, below, above = rows[0]
-    pairs = [_boundary_gauge_pairing(space, rad, scheme) for rad in (above, below)
-             if rad is not None]
-    pair_lo, pair_hi = min(p[0] for p in pairs), max(p[1] for p in pairs)
-    points = [(rad, e, float(t)) for _, e, lo, hi in rows
-              for t in t_arr for rad in (hi, lo) if rad is not None]
+    upper probe first.  Rows settle in order, so the error raised is the
+    one a row-by-row loop raised first: a member's AccuracyError, or a
+    NonConvergenceError naming the row when its last two values differ by
+    max(PLATEAU_REL_TOL * max|value|, PLATEAU_ABS_TOL, 10 * largest point
+    error) or more.  The decay is super-exponential, so that gap bounds
+    the truncation.  Returns per row (limit, diagnostics); the
+    diagnostics are the NonConvergenceError report."""
+    radii = dict.fromkeys(rad for *_, lo, hi in rows for rad in (hi, lo) if rad is not None)
+    pairing = {rad: _boundary_gauge_pairing(space, rad, scheme) for rad in radii}
+    sized = []
+    for _, e, lo, hi in rows:
+        pair_lo = min(pairing[rad][0] for rad in (hi, lo) if rad is not None)
+        pair_hi = max(pairing[rad][1] for rad in (hi, lo) if rad is not None)
+        rate = pair_lo**2 / (2.0 * e)
+        t_row = t_arr
+        if t_row is None:
+            t_star = math.sqrt(_DECAY_EXPONENT / rate)
+            t_row = np.array([t_star, _CONFIRM_FACTOR * t_star])
+        sized.append((t_row, pair_lo, pair_hi, rate))
+    points = [(rad, e, float(t)) for (_, e, lo, hi), (t_row, *_) in zip(rows, sized)
+              for t in t_row for rad in (hi, lo) if rad is not None]
     outs = iter(basic_integral_batch(space, alpha, points, scheme))
     results = []
-    for name, e, lo, _ in rows:
-        vals = np.empty(t_arr.size, complex)
-        errs = np.empty(t_arr.size)
-        for k in range(t_arr.size):
+    for (name, e, lo, _), (t_row, pair_lo, pair_hi, rate) in zip(rows, sized):
+        vals = np.empty(t_row.size, complex)
+        errs = np.empty(t_row.size)
+        for k in range(t_row.size):
             va, ea = _settled(next(outs))
             vb, eb = (0.0 + 0.0j, 0.0) if lo is None else _settled(next(outs))
             vals[k], errs[k] = va - vb, ea + eb
-        diffs = np.abs(np.diff(vals))
+        gap = float(abs(vals[-1] - vals[-2]))
         tol = max(PLATEAU_REL_TOL * float(np.max(np.abs(vals))), PLATEAU_ABS_TOL,
                   10.0 * float(errs.max()))
-        settled = diffs[-1] < tol
-        start = diffs.size
-        while start > 0 and diffs[start - 1] < tol:
-            start -= 1
         diag = {
-            "differences": [float(d) for d in diffs],
-            "tolerance": tol,
-            "plateau_from": int(start) if settled else None,
-            "plateau_gap": float(diffs[-1]),
-            "t_grid": [float(t) for t in t_arr],
+            "epsilon": float(e),
+            "t_values": [float(t) for t in t_row],
             "values": [_reim(v) for v in vals],
             "point_errors": [float(x) for x in errs],
-            "epsilon": float(e),
+            "plateau_gap": gap,
+            "tolerance": tol,
+            "rate_bound": rate,
             "gauge_pairing": {"min": pair_lo, "max": pair_hi},
-            "shift_magnitude": float(t_arr[-1]) * pair_hi / float(e),
-            "rate_bound": pair_lo**2 / (2.0 * float(e)),
+            "shift_magnitude": float(t_row[-1]) * pair_hi / float(e),
         }
-        if not settled:
+        if not gap < tol:
             raise NonConvergenceError(
-                f"{name} has not reached its large-t plateau by t={t_arr[-1]:g} "
-                f"at eps={e:g}: last difference {diffs[-1]:.3g} vs tolerance "
-                f"{tol:.3g}. The boundary term decays like "
-                f"exp(-t^2 {diag['rate_bound']:.3g}); extend the t grid",
+                f"{name} has not reached its large-t plateau at eps={e:g}: it moved "
+                f"by {gap:.3g} from t={t_row[-2]:g} to t={t_row[-1]:g}, tolerance "
+                f"{tol:.3g}. The boundary term decays like exp(-t^2 {rate:.3g})",
                 report=diag,
             )
-        results.append((vals[-1], vals, errs, diag))
+        results.append((vals[-1], diag))
     return results
 
 
@@ -729,25 +731,23 @@ def large_t_limit(
     alpha: EquivariantForm,
     r: float,
     epsilon: float,
-    t_grid=None,
     quadrature: QuadratureScheme | None = None,
 ):
-    """lim_{t->inf} BI(alpha, r, t) at one epsilon: the value at the end
-    of the t grid (DEFAULT_T_GRID for None) once the last successive
-    difference sits below the plateau tolerance (PLATEAU_REL_TOL
-    relative, PLATEAU_ABS_TOL absolute, 10x the largest point error).
-    One batch over the grid.  Returns (limit, diagnostics).
+    """lim_{t->inf} BI(alpha, r, t) at one epsilon.  The boundary pairing
+    on the boundary of M_r gives the rate bound rho of the boundary term
+    exp(-rho t^2); BI is evaluated at t* = sqrt(37 / rho) and at 1.5 t*,
+    in one batch, and the value at 1.5 t* is the limit once the two
+    differ by less than the plateau tolerance (PLATEAU_REL_TOL relative,
+    PLATEAU_ABS_TOL absolute, 10x the larger point error).  Returns
+    (limit, diagnostics).
 
-    Raises NonConvergenceError when the grid ends before the plateau;
-    the report carries the conditioning data (Gaussian shift magnitude,
-    the boundary pairing bounds and the t^2 rate bound) needed to size a
-    longer grid."""
+    Raises NonConvergenceError when they do not; the report carries the
+    rate bound, both t, the gap, the boundary pairing bounds and the
+    Gaussian shift magnitude."""
     scheme = quadrature or QuadratureScheme()
-    t_arr = _plateau_t_grid(t_grid)
     check_regular_radius(space, r)
     _gate_alpha(space, alpha)
-    ((limit, _, _, diag),) = _limits(space, alpha, [(f"BI(r={r:g})", epsilon, None, r)],
-                                     t_arr, scheme)
+    ((limit, diag),) = _limits(space, alpha, [(f"BI(r={r:g})", epsilon, None, r)], scheme)
     return limit, {**diag, "r": float(r)}
 
 
@@ -763,7 +763,6 @@ def epsilon_sweep(
     t_policy=0.0,
     grid=None,
     quadrature: QuadratureScheme | None = None,
-    t_grid=None,
     poly_degree_max: int | None = None,
 ) -> SweepResult:
     """Evaluate BI(alpha, r, .) on an ascending epsilon grid and fit the
@@ -771,8 +770,8 @@ def epsilon_sweep(
 
     ``t_policy`` is either a finite number (BI evaluated at that fixed t)
     or the string "extrapolated": each grid point is then large_t_limit
-    over ``t_grid`` at that eps, value, diagnostics and all, with the
-    plateau gap plus the largest point error as its error.  Either way
+    at that eps, at its own sized t, value, diagnostics and all, with the
+    plateau gap plus the larger point error as its error.  Either way
     every eps runs in one Basic Integral batch, and a failing point raises
     what a one-eps-at-a-time loop raised first.  The fit is skipped, with a
     warning, when the grid is shorter than poly_degree_max + 4 points.
@@ -790,8 +789,7 @@ def epsilon_sweep(
             raise InputError(
                 f"unknown t policy {t_policy!r}: pass a number or 'extrapolated'"
             )
-        t_arr = _plateau_t_grid(t_grid)
-        policy = {"kind": "extrapolated", "t_grid": [float(t) for t in t_arr]}
+        policy = {"kind": "extrapolated"}
     else:
         _check_real("t_policy", t_policy)
         policy = {"kind": "fixed", "t": float(t_policy)}
@@ -809,7 +807,7 @@ def epsilon_sweep(
             values[i], errors[i] = _settled(out)
     else:
         rows = [(f"BI(r={r:g})", float(e), None, r) for e in eps]
-        for i, (limit, _, _, diag) in enumerate(_limits(space, alpha, rows, t_arr, scheme)):
+        for i, (limit, diag) in enumerate(_limits(space, alpha, rows, scheme)):
             values[i] = limit
             errors[i] = diag["plateau_gap"] + max(diag["point_errors"])
             t_diagnostics.append({**diag, "r": float(r)})
@@ -882,15 +880,17 @@ def contribution(
     probes (both offsets shrunk to 3/4) for the largest epsilon;
     disagreement raises AccuracyError.  Every epsilon and the perturbed
     probes run in one Basic Integral batch under the plateau rule of
-    large_t_limit; a missing plateau raises NonConvergenceError naming
+    large_t_limit, each row at the t* its own probes' rate bound sizes,
+    or, with ``t_grid``, at every t of that grid, its last two values
+    facing the rule; a missing plateau raises NonConvergenceError naming
     the epsilon (and the perturbed probes, for the check) with the
-    conditioning data.  ``diagnostics`` adds, per epsilon, a log-fit of
-    the successive differences against the Gaussian rate bound.
+    conditioning data.  ``diagnostics`` holds the limit report of each
+    epsilon and the probe-independence check.
     """
     _check_count("index", index, 0)
     scheme = quadrature or QuadratureScheme()
     eps_arr = _ascending_grid(epsilon, "epsilon")
-    t_arr = _plateau_t_grid(t_grid)
+    t_arr = None if t_grid is None else _plateau_t_grid(t_grid)
     _gate_alpha(space, alpha)
 
     if components is None and r_max is None:
@@ -941,26 +941,12 @@ def contribution(
         probes_alt = ", ".join(f"r={p:g}" for p in (below_alt, above_alt) if p is not None)
         rows.append((f"contribution {index} at the perturbed probes {probes_alt}",
                      e_chk, below_alt, above_alt))
-    limits = _limits(space, alpha, rows, t_arr, scheme)
+    limits = _limits(space, alpha, rows, scheme, t_arr)
     if alt_refused is not None:
         raise alt_refused
-    limit_alt, *_, diag_alt = limits.pop()
-    values = np.array([lim for lim, *_ in limits])
-    diags = [diag for *_, diag in limits]
-    pairing = diags[0]["gauge_pairing"]
-    pair_lo = pairing["min"]
-    betas = []
-    for e, (_, vals_t, errs_t, _) in zip(eps_arr, limits):
-        # log-fit of the successive differences against the Gaussian
-        # rate bound t^2 * pair_min^2 / (2 eps): slope >= 1 means the
-        # plateau is approached at least at the boundary-mode rate.
-        d = np.abs(np.diff(vals_t))
-        live = d > max(10.0 * float(errs_t.max()), 1e-14 * float(np.max(np.abs(vals_t))))
-        beta = None
-        if pair_lo > 0 and int(np.sum(live)) >= 3:
-            x = t_arr[:-1][live] ** 2 * pair_lo**2 / (2.0 * float(e))
-            _, beta = _log_linear_fit(-x, d[live])
-        betas.append(beta)
+    limit_alt, diag_alt = limits.pop()
+    values = np.array([lim for lim, _ in limits])
+    diags = [diag for _, diag in limits]
 
     ref = values[-1]
     scale_chk = max(abs(ref), abs(limit_alt), 1.0)
@@ -982,21 +968,11 @@ def contribution(
         )
 
     diagnostics = {
-        "t_grid": [float(t) for t in t_arr],
-        "differences": [diag["values"] for diag in diags],
-        "point_errors": [diag["point_errors"] for diag in diags],
-        "plateau": [{k: diag[k] for k in _PLATEAU_KEYS} for diag in diags],
-        "plateau_gaps": [diag["plateau_gap"] for diag in diags],
-        "gaussian_rate": {
-            "bound_coefficient": pair_lo**2 / 2.0,
-            "fitted_slope_ratio": betas,
-        },
-        "gauge_pairing": pairing,
-        "shift_magnitude": float(t_arr[-1]) * pairing["max"] / float(eps_arr[0]),
+        "limits": diags,
         "probe_independence": {
             "epsilon": e_chk,
             "perturbed_probes": [below_alt, above_alt],
-            "value": _reim(limit_alt),
+            "limit": diag_alt,
             "difference": float(probe_shift),
             "tolerance": float(tol_ind),
         },

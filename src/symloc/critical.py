@@ -30,7 +30,14 @@ import numpy as np
 
 from .fields import column
 from .hamspace import HamiltonianSpace
-from .liealg import REGULAR_MARGIN, InputError, NonConvergenceError, NotRegularError, _check_real
+from .liealg import (
+    REGULAR_MARGIN,
+    InputError,
+    NonConvergenceError,
+    NotRegularError,
+    _check_real,
+    _check_type,
+)
 
 _log = logging.getLogger(__name__)
 
@@ -585,6 +592,7 @@ def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[Critical
     Returns [] with a warning when no seed converges.  One DEBUG record
     on the "symloc.critical" logger gives the Gauss-Newton iterations,
     the seeds that kept a multiplicity step and their orders p."""
+    _check_type("space", space, HamiltonianSpace)
     _check_real("r_max", r_max)
     if not 0 < r_max < math.inf:
         raise InputError("r_max must be positive and finite")

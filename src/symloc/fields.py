@@ -136,10 +136,6 @@ class Expr(_Node):
     def is_zero(self) -> bool:
         return isinstance(self, Const) and self.value == 0
 
-    @property
-    def is_one(self) -> bool:
-        return isinstance(self, Const) and self.value == 1
-
     # -- operator sugar ------------------------------------------------------
     def __add__(self, other):
         return add(self, as_expr(other))

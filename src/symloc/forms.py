@@ -157,12 +157,6 @@ class EquivariantForm(_Frozen):
     def is_zero(self) -> bool:
         return not self._terms
 
-    def grades(self) -> set:
-        return {len(fmi) + 2 * sum(nu) for (fmi, nu) in self._terms}
-
-    def form_degrees(self) -> set:
-        return {len(fmi) for (fmi, nu) in self._terms}
-
     def max_phi_degree(self) -> int:
         return max((sum(nu) for (fmi, nu) in self._terms), default=0)
 

@@ -77,6 +77,7 @@ from .liealg import (
     PhiPolynomial,
     _check_count,
     _check_real,
+    _check_type,
     _logdet,
     _wick_table,
 )
@@ -216,6 +217,7 @@ class BasicIntegralRequest:
 
 def _check_request(space, alpha, r, epsilon, t):
     """The invariants of one Basic Integral evaluation."""
+    _check_objects(space, alpha)
     for name, value in (("r", r), ("epsilon", epsilon), ("t", t)):
         _check_real(name, value)
     if not 0 < r < math.inf:
@@ -226,6 +228,13 @@ def _check_request(space, alpha, r, epsilon, t):
         raise InputError("deformation parameter t must be nonnegative and finite")
     if not _lives_on(alpha, space):
         raise InputError("alpha does not live on the request's space")
+
+
+def _check_objects(space, alpha):
+    """InputError unless space is a HamiltonianSpace and alpha an
+    EquivariantForm."""
+    _check_type("space", space, HamiltonianSpace)
+    _check_type("alpha", alpha, EquivariantForm)
 
 
 def _lives_on(alpha: EquivariantForm, space: HamiltonianSpace) -> bool:
@@ -1436,7 +1445,8 @@ def check_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
 
 def _gate_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
     """check_alpha's record, or InputError naming both residuals when
-    alpha is not closed and invariant."""
+    alpha is not closed and invariant (or not an EquivariantForm)."""
+    _check_objects(space, alpha)
     checks = check_alpha(space, alpha)
     if not checks["ok"]:
         raise InputError(

@@ -69,6 +69,14 @@ def _check_real(name: str, value) -> None:
         raise InputError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """InputError unless ``value`` is an instance of the class ``kind``."""
+    if not isinstance(value, kind):
+        raise InputError(
+            f"{name} must be of type {kind.__name__}, got {type(value).__name__}"
+        )
+
+
 class NotRegularError(RuntimeError):
     """A level or radius touches a critical value of the moment-map square,
     so the requested region/quotient is not well defined."""
@@ -276,31 +284,6 @@ class LieAlgebraSpec:
 
     def pairing(self, xi, eta):
         return (np.asarray(xi) * (self.inner_product @ np.asarray(eta))).sum()
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "basis_labels": list(self.basis_labels),
-            "structure_constants": [float(v) for v in self.structure_constants.ravel()],
-            "inner_product": [float(v) for v in self.inner_product.ravel()],
-            "group_volume": float(self.group_volume),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LieAlgebraSpec":
-        dim = int(d["dim"])
-        return LieAlgebraSpec(
-            dim=dim,
-            basis_labels=tuple(d.get("basis_labels", [f"e{i+1}" for i in range(dim)])),
-            structure_constants=np.asarray(d["structure_constants"], dtype=float).reshape(
-                dim, dim, dim
-            ),
-            inner_product=np.asarray(d["inner_product"], dtype=float).reshape(dim, dim),
-            group_volume=float(d["group_volume"]),
-            name=str(d.get("name", "custom")),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,14 @@ from .fields import Const, Expr, MatConst, _Frozen, column  # noqa: F401  (Expr 
 from .forms import EquivariantForm, _merge_sign, _pullback
 from .hamspace import HamiltonianSpace
 from .integrate import _check_planes, _gate_alpha, _LevelChart
-from .liealg import AccuracyError, InputError, NotRegularError, _check_count, _check_real
+from .liealg import (
+    AccuracyError,
+    InputError,
+    NotRegularError,
+    _check_count,
+    _check_real,
+    _check_type,
+)
 
 __all__ = [
     "ZeroLevelData",
@@ -406,6 +413,7 @@ def zero_level(space: HamiltonianSpace, mesh_density: int = 32) -> ZeroLevelData
     The residuals land in ``regularity_report``, with the phase probe's
     larger relative residual (``phase_probe_residual``).
     """
+    _check_type("space", space, HamiltonianSpace)
     return _zero_level(space, mesh_density, collapse=True)
 
 
@@ -686,6 +694,7 @@ def kirwan_integral(
     the phase angles, the level is rebuilt on the full tensor mesh and
     every coefficient is summed there (``meta["n_nodes"]`` counts the
     nodes of the mesh summed)."""
+    _check_type("level", level, ZeroLevelData)
     _check_real("eps", eps)
     if not 0 < eps < math.inf:
         raise InputError("eps must be positive and finite")

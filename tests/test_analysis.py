@@ -13,6 +13,7 @@ cn_u1 by the same Gaussian closed forms.
 import json
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,6 @@ import symloc.analysis as A
 from seed_path import seed_basic_integrals
 from symloc.analysis import (
     DEFAULT_FIT_TOL,
-    DEFAULT_T_GRID,
     _lstsq,
     _split_poly_tail,
     contribution,
@@ -261,29 +261,46 @@ def _first_failure(outs):
     return next(o for o in outs if isinstance(o, AccuracyError))
 
 
+def _same_carried_data(got, want):
+    """The partial values of two AccuracyErrors agree as a batch member
+    agrees with its one-at-a-time evaluation at t > 0, to 1e-15 relative,
+    and their estimates, the gap between two such values, to twice that."""
+    scale = abs(want.partial)
+    assert abs(got.partial - want.partial) <= 1e-15 * scale
+    assert abs(got.estimate - want.estimate) <= 2e-15 * scale
+
+
 _SHALLOW = QuadratureScheme(max_level=1)
+# on cn_u1(1,1) at r = 0.36 this settles BI at each sized t* but not at
+# 1.5 t*; max_level does not move the boundary pairing, so the same
+# scheme at max_level 3 reports the sized t this one evaluates
+_SETTLES_T_STAR = QuadratureScheme(rel_tol=1e-4, base_radial=16, max_level=1)
 
 
 def test_large_t_limit_raises_the_first_failing_point():
     sp = catalog("cn_u1", n=1, a=1.0)
-    ref = seed_basic_integrals(sp, _unit(sp), [(0.36, 0.1, t) for t in DEFAULT_T_GRID],
-                               _SHALLOW)
+    _, diag = large_t_limit(sp, _unit(sp), 0.36, 0.1, replace(_SETTLES_T_STAR, max_level=3))
+    ref = seed_basic_integrals(sp, _unit(sp), [(0.36, 0.1, t) for t in diag["t_values"]],
+                               _SETTLES_T_STAR)
     assert not isinstance(ref[0], AccuracyError)  # the failure is not the first point
     with pytest.raises(AccuracyError) as exc:
-        large_t_limit(sp, _unit(sp), 0.36, 0.1, quadrature=_SHALLOW)
+        large_t_limit(sp, _unit(sp), 0.36, 0.1, quadrature=_SETTLES_T_STAR)
     want = _first_failure(ref)
     assert str(exc.value) == str(want)
-    assert (exc.value.partial, exc.value.estimate) == (want.partial, want.estimate)
+    _same_carried_data(exc.value, want)
 
 
 @pytest.mark.parametrize("index", [0, 1])
 def test_contribution_raises_the_first_failing_point(index):
-    # t-major at the first epsilon, the upper probe before the lower one
+    # t-major at the first epsilon, the upper probe before the lower one;
+    # max_level does not move the boundary pairing, so the default scheme
+    # reports the sized t a max_level 1 run evaluates
     sp = catalog("cn_u1", n=1, a=1.0)
     comps = find_critical_points(sp, 1.0)
     below, above = critical_values(comps)[1][index]
-    points = [(rad, 0.05, t) for t in DEFAULT_T_GRID for rad in (above, below)
-              if rad is not None]
+    sized = contribution(sp, _unit(sp), index, [0.05, 0.1], components=comps)
+    points = [(rad, 0.05, t) for t in sized.diagnostics["limits"][0]["t_values"]
+              for rad in (above, below) if rad is not None]
     want = _first_failure(seed_basic_integrals(sp, _unit(sp), points, _SHALLOW))
     with pytest.raises(AccuracyError) as exc:
         contribution(sp, _unit(sp), index, [0.05, 0.1], components=comps,
@@ -577,26 +594,12 @@ def _annulus_limit(eps):
     return 0.5 * (1.0 + math.erf(1.0 / (2.0 * math.sqrt(2.0 * eps))))
 
 
-def test_extrapolated_sweep_takes_an_array_t_grid():
-    sp = catalog_from_string("cn_u1(1,1)")
-    sweeps = []
-    for t_grid in (np.array(_LONG_T), _LONG_T):
-        with pytest.warns(UserWarning, match="fit skipped"):  # two points: no fit
-            sweeps.append(epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=(0.05, 0.1),
-                                        quadrature=_DEEP, t_grid=t_grid))
-    array_sweep, tuple_sweep = sweeps
-    assert array_sweep.provenance["t_policy"]["t_grid"] == list(_LONG_T)
-    assert [complex(v) for v in array_sweep.values] == [complex(v) for v in tuple_sweep.values]
-    for e, v in zip(array_sweep.epsilon_grid, array_sweep.values):
-        assert abs(complex(v) - _annulus_limit(e)) <= 1e-10
-
-
 @pytest.mark.parametrize("t_grid", [np.array([0.0, 1.0]), (), [0.0, 2.0, 1.0], [-1.0, 0.0, 1.0]],
                          ids=["too-short", "empty", "descending", "negative"])
-def test_extrapolated_sweep_refuses_a_bad_t_grid_before_integrating(t_grid):
+def test_contribution_refuses_a_bad_t_grid_before_integrating(t_grid):
     sp = catalog_from_string("cn_u1(1,1)")
     with mock.patch.object(A, "basic_integral_batch") as batch, pytest.raises(InputError):
-        epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", t_grid=t_grid)
+        contribution(sp, _unit(sp), 0, [0.05, 0.1], t_grid=t_grid)
     assert batch.call_count == 0
 
 
@@ -608,18 +611,24 @@ def test_extrapolated_sweep_refuses_a_bad_t_grid_before_integrating(t_grid):
 @pytest.mark.parametrize("eps", [0.05, 0.1])
 def test_annulus_large_t_limit_is_the_closed_form(eps):
     sp = catalog_from_string("cn_u1(1,1)")
-    limit, _ = large_t_limit(sp, _unit(sp), 0.36, eps, _LONG_T, _DEEP)
+    limit, _ = large_t_limit(sp, _unit(sp), 0.36, eps, _DEEP)
     assert abs(complex(limit) - _annulus_limit(eps)) <= 1e-10
 
 
-@pytest.mark.parametrize("index", [0, 1])
-def test_annulus_contributions_are_the_closed_forms(index):
+@pytest.mark.parametrize("index, kwargs", [
+    pytest.param(0, {"t_grid": _LONG_T, "quadrature": _DEEP}, id="0"),
+    pytest.param(1, {"t_grid": _LONG_T, "quadrature": _DEEP}, id="1"),
+    pytest.param(0, {}, id="default-0"),
+    pytest.param(1, {}, id="default-1"),
+])
+def test_annulus_contributions_are_the_closed_forms(index, kwargs):
     # C_0 = 1 (the Kirwan integral of the point M_red), and the critical
     # value 1/4 (the origin) contributes C_1 = -erfc(1/(2 sqrt(2 eps)))/2,
-    # so C_0 + C_1 is the large-t limit
+    # so C_0 + C_1 is the large-t limit; the default arguments size each
+    # row's t from its own rate bound
     sp = catalog_from_string("cn_u1(1,1)")
     eps = [0.05, 0.1]
-    rec = contribution(sp, _unit(sp), index, eps, t_grid=_LONG_T, quadrature=_DEEP)
+    rec = contribution(sp, _unit(sp), index, eps, **kwargs)
     exact = [1.0 if index == 0 else -0.5 * math.erfc(1.0 / (2.0 * math.sqrt(2.0 * e)))
              for e in eps]
     assert len(rec.values) == 2
@@ -627,22 +636,83 @@ def test_annulus_contributions_are_the_closed_forms(index):
         assert abs(complex(v) - x) <= 1e-10
 
 
+def _whole_region_limit(name, eps):
+    """lim_t BI(1, r, t) for r above the critical value 1/4, where the
+    region reaches the origin: on cn_u1(1,1) the Gaussian mass of mu
+    above -1/2; on cn_u1(2,1) pi (Phi(1/sigma) + sigma phi(1/sigma)) with
+    sigma = 2 sqrt(eps); half of that on weighted_cn_u1(2,(1,2),1)."""
+    if name == "cn_u1(1,1)":
+        return _annulus_limit(eps)
+    sigma = 2.0 * math.sqrt(eps)
+    phi = math.exp(-0.5 / sigma**2) / math.sqrt(2.0 * math.pi)
+    full = math.pi * (0.5 * math.erfc(-1.0 / (sigma * math.sqrt(2.0))) + sigma * phi)
+    return full if name == "cn_u1(2,1)" else full / 2.0
+
+
+def _sized_limit_exact(name, r, eps):
+    """The closed form of lim_t BI(1, r, t): below the first positive
+    critical value 1/4 the reduced integral, 1, pi or pi/2; above it the
+    whole-region forms; on c2_su2, where mu^{-1}(0) is the origin and the
+    only critical value is 0, (2 pi)^{-3/2} eps^{-1/2} at every r."""
+    if name == "c2_su2":
+        return (2.0 * math.pi) ** -1.5 / math.sqrt(eps)
+    if r > 0.25:
+        return _whole_region_limit(name, eps)
+    return {"cn_u1(1,1)": 1.0, "cn_u1(2,1)": math.pi,
+            "weighted_cn_u1(2,(1,2),1)": math.pi / 2.0}[name]
+
+
+_SIZED_CASES = [(name, r, eps)
+                for name, radii in [("cn_u1(1,1)", (0.16, 0.36)), ("cn_u1(2,1)", (0.16, 0.36)),
+                                    ("weighted_cn_u1(2,(1,2),1)", (0.16, 0.36)),
+                                    ("c2_su2", (0.04, 0.36))]
+                for r in radii for eps in (0.05, 0.1)]
+
+
+@pytest.mark.parametrize("name, r, eps", _SIZED_CASES)
+def test_sized_large_t_limit_is_the_closed_form(name, r, eps):
+    # evaluated at t* = sqrt(37 / rho) from the measured rate bound rho
+    # and confirmed at 1.5 t*; the parent's default t grid stopped at 16
+    sp = catalog_from_string(name)
+    limit, diag = large_t_limit(sp, _unit(sp), r, eps)
+    t_star = math.sqrt(37.0 / diag["rate_bound"])
+    assert diag["t_values"] == [t_star, 1.5 * t_star]
+    assert diag["plateau_gap"] < diag["tolerance"]
+    assert abs(complex(limit) - _sized_limit_exact(name, r, eps)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", _CONTRIBUTION_SPACES)
+def test_extrapolated_sweep_below_the_first_critical_value_is_the_kirwan_value(name):
+    # at r = 0.16 only the critical value 0 lies inside, so every sized
+    # large-t limit is the reduced integral, at every eps of the default grid
+    from symloc.reduced import kirwan_integral, zero_level
+
+    sp = catalog_from_string(name)
+    exact = {"cn_u1(1,1)": 1.0, "cn_u1(2,1)": math.pi,
+             "weighted_cn_u1(2,(1,2),1)": math.pi / 2.0}[name]
+    sweep = epsilon_sweep(sp, _unit(sp), 0.16, "extrapolated")
+    level = zero_level(sp)
+    for e, v in zip(sweep.epsilon_grid, sweep.values):
+        kirwan = kirwan_integral(_unit(sp), level, e).value
+        assert abs(complex(v) - kirwan) <= 1e-10
+        assert abs(complex(v) - exact) <= 1e-10
+    assert abs(sweep.poly_coeffs[0] - exact) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # every large-t limit is one batch under one plateau rule
 # ---------------------------------------------------------------------------
 
-_SWEEP_T = (0.0, 1.0, 2.0, 4.0)
-
 
 @pytest.mark.parametrize("call,passes", [
-    (lambda sp: large_t_limit(sp, _unit(sp), 0.36, 0.1, _LONG_T, _DEEP), 1),
-    (lambda sp: contribution(sp, _unit(sp), 0, [0.05, 0.1], t_grid=_LONG_T, quadrature=_DEEP), 1),
-    (lambda sp: contribution(sp, _unit(sp), 1, [0.05, 0.1], t_grid=_LONG_T, quadrature=_DEEP), 2),
-    (lambda sp: epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", t_grid=_SWEEP_T), 1),
+    (lambda sp: large_t_limit(sp, _unit(sp), 0.36, 0.1), 1),
+    (lambda sp: contribution(sp, _unit(sp), 0, [0.05, 0.1]), 2),
+    (lambda sp: contribution(sp, _unit(sp), 1, [0.05, 0.1]), 4),
+    (lambda sp: epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated"), 1),
 ], ids=["large_t_limit", "contribution-0", "contribution-1", "extrapolated-sweep"])
 def test_each_large_t_call_is_one_batch(call, passes):
-    # one boundary-pairing pass per probe radius (two across a positive
-    # critical value), whatever the number of epsilons
+    # one boundary-pairing pass per distinct probe radius, the perturbed
+    # probes of a contribution included, whatever the number of epsilons
     sp = catalog_from_string("cn_u1(1,1)")
     batch = mock.patch.object(A, "basic_integral_batch", wraps=A.basic_integral_batch)
     pairing = mock.patch.object(A, "_boundary_gauge_pairing", wraps=A._boundary_gauge_pairing)
@@ -653,12 +723,12 @@ def test_each_large_t_call_is_one_batch(call, passes):
 
 def test_extrapolated_sweep_points_are_the_large_t_limits():
     sp = catalog_from_string("cn_u1(1,1)")
-    sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", t_grid=_SWEEP_T)
+    sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated")
     assert len(sweep.epsilon_grid) == len(A.DEFAULT_EPSILON_GRID)
     for e, v, err, diag in zip(sweep.epsilon_grid, sweep.values,
                                sweep.provenance["point_errors"],
                                sweep.provenance["t_diagnostics"]):
-        limit, want = large_t_limit(sp, _unit(sp), 0.36, e, _SWEEP_T)
+        limit, want = large_t_limit(sp, _unit(sp), 0.36, e)
         assert (complex(v).real.hex(), complex(v).imag.hex()) == (
             complex(limit).real.hex(), complex(limit).imag.hex())
         assert err == want["plateau_gap"] + max(want["point_errors"])
@@ -669,49 +739,52 @@ def test_extrapolated_sweep_raises_the_first_failing_point():
     # eps-major, t-major: the order of a one-eps-at-a-time loop
     sp = catalog_from_string("cn_u1(1,1)")
     grid = (0.1, 0.15, 0.2)
-    ref = seed_basic_integrals(sp, _unit(sp), [(0.36, e, t) for e in grid for t in DEFAULT_T_GRID],
-                               _SHALLOW)
+    with pytest.warns(UserWarning, match="fit skipped"):
+        sized = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid,
+                              quadrature=replace(_SETTLES_T_STAR, max_level=3))
+    points = [(0.36, d["epsilon"], t) for d in sized.provenance["t_diagnostics"]
+              for t in d["t_values"]]
+    ref = seed_basic_integrals(sp, _unit(sp), points, _SETTLES_T_STAR)
     assert not isinstance(ref[0], AccuracyError)  # the failure is not the first point
     with pytest.raises(AccuracyError) as exc:
-        epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid, quadrature=_SHALLOW)
+        epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid,
+                      quadrature=_SETTLES_T_STAR)
     want = _first_failure(ref)
     assert str(exc.value) == str(want)
-    assert (exc.value.partial, exc.value.estimate) == (want.partial, want.estimate)
+    _same_carried_data(exc.value, want)
 
 
-_LIMIT_REPORT_KEYS = {"differences", "tolerance", "plateau_from", "plateau_gap", "t_grid",
-                      "values", "point_errors", "epsilon", "gauge_pairing",
-                      "shift_magnitude", "rate_bound"}
+_LIMIT_REPORT_KEYS = {"t_values", "values", "point_errors", "plateau_gap", "tolerance",
+                      "epsilon", "rate_bound", "gauge_pairing", "shift_magnitude"}
 
 
 _MISSING_PLATEAUS = {
-    "large_t_limit": (
-        "cn_u1(2,1)", lambda sp: large_t_limit(sp, _unit(sp), 0.16, 0.1, (0.0, 0.5, 1.0)),
-        "BI(r=0.16) has not reached its large-t plateau by t=1 at eps=0.1: "),
     "contribution": (
-        "cn_u1(1,1)", lambda sp: contribution(sp, _unit(sp), 0, [0.05, 0.1]),
-        "contribution 0 has not reached its large-t plateau by t=16 at eps=0.1: "),
+        lambda sp: contribution(sp, _unit(sp), 0, [0.05, 0.1],
+                                t_grid=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)),
+        "contribution 0 has not reached its large-t plateau at eps=0.1: "),
     "perturbed-probes": (
-        "cn_u1(1,1)",
         lambda sp: contribution(sp, _unit(sp), 1, [0.05, 0.1], t_grid=_SHORT_T, quadrature=_DEEP),
         "contribution 1 at the perturbed probes r=0.175, r=0.3625 has not reached "
-        "its large-t plateau by t=64 at eps=0.1: "),
+        "its large-t plateau at eps=0.1: "),
 }
 
 
 @pytest.mark.parametrize("case", list(_MISSING_PLATEAUS))
 def test_every_missing_plateau_raises_one_error_format(case):
-    name, call, prefix = _MISSING_PLATEAUS[case]
+    # only an explicit t grid can stop short of the plateau
+    call, prefix = _MISSING_PLATEAUS[case]
     with pytest.raises(NonConvergenceError) as exc:
-        call(catalog_from_string(name))
+        call(catalog_from_string("cn_u1(1,1)"))
     report = exc.value.report
     assert set(report) == _LIMIT_REPORT_KEYS
+    t_prev, t_last = report["t_values"][-2:]
     assert str(exc.value) == (
-        f"{prefix}last difference {report['differences'][-1]:.3g} vs tolerance "
-        f"{report['tolerance']:.3g}. The boundary term decays like "
-        f"exp(-t^2 {report['rate_bound']:.3g}); extend the t grid")
-    assert report["plateau_from"] is None
-    assert report["plateau_gap"] == report["differences"][-1] >= report["tolerance"]
+        f"{prefix}it moved by {report['plateau_gap']:.3g} from t={t_prev:g} to "
+        f"t={t_last:g}, tolerance {report['tolerance']:.3g}. The boundary term "
+        f"decays like exp(-t^2 {report['rate_bound']:.3g})")
+    last, prev = (complex(*v) for v in report["values"][:-3:-1])
+    assert report["plateau_gap"] == abs(last - prev) >= report["tolerance"]
     assert report["epsilon"] == 0.1
 
 
@@ -743,11 +816,11 @@ def test_extrapolated_sweep_json_round_trips():
     sp = catalog_from_string("cn_u1(1,1)")
     grid = (0.05, 0.1)
     with pytest.warns(UserWarning, match="fit skipped"):
-        sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid, t_grid=_SWEEP_T)
+        sweep = epsilon_sweep(sp, _unit(sp), 0.36, "extrapolated", grid=grid)
     rec = _round_trip(sweep)
     assert rec["epsilon_grid"] == list(grid)
     assert rec["poly_coeffs"] is None and rec["residuals"] is None
-    assert rec["provenance"]["t_policy"] == {"kind": "extrapolated", "t_grid": list(_SWEEP_T)}
+    assert rec["provenance"]["t_policy"] == {"kind": "extrapolated"}
     assert [d["epsilon"] for d in rec["provenance"]["t_diagnostics"]] == list(grid)
 
 
@@ -757,13 +830,13 @@ def test_contribution_json_round_trips():
     out = _round_trip(rec)
     assert out["probes"] == list(rec.probes)
     assert out["critical_value"] == rec.critical_value == 0.25
-    diag = out["diagnostics"]
-    assert diag["t_grid"] == list(_LONG_T)
-    # each limit is the last difference of its t table, its error the plateau gap
-    for i in range(len(rec.epsilon_grid)):
-        assert len(diag["differences"][i]) == len(_LONG_T)
-        assert diag["differences"][i][-1] == A._reim(rec.values[i])
-        assert diag["plateau_gaps"][i] == diag["plateau"][i]["plateau_gap"]
+    # each limit is the last difference of its t table
+    limits = out["diagnostics"]["limits"]
+    assert len(limits) == len(rec.epsilon_grid)
+    for limit, v in zip(limits, rec.values):
+        assert limit["t_values"] == list(_LONG_T)
+        assert len(limit["values"]) == len(_LONG_T)
+        assert limit["values"][-1] == A._reim(v)
 
 
 def test_integral_result_json_round_trips():
@@ -929,8 +1002,8 @@ def _non_real_calls():
         calls[f"contribution epsilon {label}"] = (
             lambda grid=grid: contribution(sp, one, 0, grid))
     for label, t_grid in t_grids.items():
-        calls[f"large_t_limit t_grid {label}"] = (
-            lambda t_grid=t_grid: large_t_limit(sp, one, 0.36, 0.1, t_grid))
+        calls[f"contribution t_grid {label}"] = (
+            lambda t_grid=t_grid: contribution(sp, one, 0, [0.05, 0.1], t_grid=t_grid))
     return calls
 
 
@@ -938,6 +1011,43 @@ def _non_real_calls():
 def test_non_real_inputs_are_refused(case):
     with pytest.raises(InputError, match="must be a real number"):
         _non_real_calls()[case]()
+
+
+def _wrong_object_calls():
+    """Object arguments of the wrong type, each of which raised an untyped
+    AttributeError from deep inside the op: (the argument and type the
+    refusal names, the call)."""
+    from symloc.integrate import BasicIntegralRequest, basic_integral, basic_integral_batch
+    from symloc.reduced import kirwan_integral, zero_level
+
+    sp = catalog_from_string("cn_u1(1,1)")
+    alpha = ("alpha", "EquivariantForm", "int")
+    return {
+        "basic_integral alpha=1": (alpha, lambda: basic_integral(
+            BasicIntegralRequest(space=sp, alpha=1, r=0.36, epsilon=0.05, t=0.0))),
+        "basic_integral_batch alpha=1": (
+            alpha, lambda: basic_integral_batch(sp, 1, [(0.36, 0.05, 0.0)])),
+        "kirwan_integral alpha=1": (alpha, lambda: kirwan_integral(1, zero_level(sp), 0.05)),
+        "kirwan_integral level=None": (("level", "ZeroLevelData", "NoneType"),
+                                       lambda: kirwan_integral(_unit(sp), None, 0.05)),
+        "large_t_limit alpha=1": (alpha, lambda: large_t_limit(sp, 1, 0.36, 0.1)),
+        "epsilon_sweep alpha=1": (alpha, lambda: epsilon_sweep(sp, 1, 0.36)),
+        "contribution alpha=1": (alpha, lambda: contribution(sp, 1, 0, 0.05)),
+        "damping_check alpha=1": (alpha, lambda: damping_check(sp, 1, 0.36, 0.1)),
+        "zero_level space=None": (("space", "HamiltonianSpace", "NoneType"),
+                                  lambda: zero_level(None)),
+        "find_critical_points space=None": (("space", "HamiltonianSpace", "NoneType"),
+                                            lambda: find_critical_points(None, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wrong_object_calls()))
+def test_wrong_object_arguments_are_refused(case):
+    (name, kind, got), call = _wrong_object_calls()[case]
+    with mock.patch.object(A, "basic_integral_batch") as batch, pytest.raises(
+            InputError, match=f"^{name} must be of type {kind}, got {got}$"):
+        call()
+    assert batch.call_count == 0
 
 
 def _bad_count_calls():

@@ -814,19 +814,21 @@ print("blocked imports:", NoScipy.tried)
 def test_runtime_ops_run_with_every_scipy_import_refused():
     # scripts/runtime_smoke.py runs both critical searches, zero_level +
     # kirwan_integral, a t > 0 Basic Integral, the degree-0 epsilon sweep,
-    # large_t_limit, the su2_hopf G/H samplers and the full-mesh level; a
+    # large_t_limit, a default contribution, the su2_hopf G/H samplers and
+    # the full-mesh level; a
     # meta-path finder refuses every scipy import, and records it in case
     # it is caught
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "runtime_smoke.py")
     out = _fresh_interpreter(_NO_SCIPY, script).splitlines()
     assert out[0] == "find_critical_points cn_u1(2,1): n_converged [925, 99]"
-    assert [line.split(":")[0] for line in out[1:8]] == [
+    assert [line.split(":")[0] for line in out[1:9]] == [
         "find_critical_points c2_su2", "zero_level + kirwan_integral cn_u1(2,1)",
         "basic_integral cn_u1(1,1) t=4", "epsilon_sweep cn_u1(2,1) degree 0",
-        "large_t_limit cn_u1(1,1)", "action_sampler su2_hopf", "action_sampler su2_hopf",
+        "large_t_limit cn_u1(1,1)", "contribution cn_u1(1,1) index 1",
+        "action_sampler su2_hopf", "action_sampler su2_hopf",
     ]
-    assert all(line.endswith("finite True") for line in out[6:8])
-    assert out[8].startswith(
+    assert all(line.endswith("finite True") for line in out[7:9])
+    assert out[9].startswith(
         "zero_level + kirwan_integral cn_u1(2,1) tilted on the full mesh (32, 32, 32): "
         "3.14159265359"
     )

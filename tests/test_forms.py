@@ -136,12 +136,17 @@ def test_wedge_antisymmetry_and_unit():
     assert wedge(dx12, dx13).is_zero
 
 
+def _grades(form):
+    """The equivariant degrees of a form's terms: form degree + 2 phi degree."""
+    return {len(fmi) + 2 * sum(nu) for fmi, nu in form.indexed_terms}
+
+
 def test_wedge_grading_additivity():
     chart, n, g = "c2", 4, 2
     alpha = EquivariantForm(chart, n, g, [((0,), coord(1), (1, 0))])  # grade 3
     beta = EquivariantForm(chart, n, g, [((1, 2), const(2.0), (0, 1))])  # grade 4
     prod = wedge(alpha, beta)
-    assert prod.grades() == {7}
+    assert _grades(prod) == {7}
 
 
 def test_wedge_chart_mismatch():
@@ -195,9 +200,9 @@ def test_contract_linear_field_gives_phi_pairing():
 def test_contract_degree_bookkeeping():
     chart, n, g, omega, V, mu = su2_c2_space()
     res = contract(omega, V)
-    assert res.form_degrees() == {1}
+    assert {len(fmi) for fmi, _ in res.indexed_terms} == {1}
     assert res.max_phi_degree() == 1
-    assert res.grades() == {3}
+    assert _grades(res) == {3}
 
 
 def test_double_contraction_vanishes_at_fixed_phi():

@@ -31,7 +31,7 @@ from seed_linear import expr_reprs, seed_torus2_space
 from seed_path import radial_chunks, seed_basic_integrals, seed_integrand
 from space_checks import with_corrupted_moment
 from symloc import integrate
-from symloc.analysis import DEFAULT_EPSILON_GRID, DEFAULT_T_GRID
+from symloc.analysis import DEFAULT_EPSILON_GRID
 from symloc.fields import add, const, coord, mul
 from symloc.forms import (
     EquivariantForm,
@@ -718,6 +718,8 @@ def _contribution_points():
 
 
 _T_TO_64 = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+# seven t values up to 16, the t of the plateau and probe batches below
+_T_TO_16 = _T_TO_64[:-2]
 
 
 def _batch_points(name, kind):
@@ -725,9 +727,9 @@ def _batch_points(name, kind):
         return _contribution_points()
     r_out, r_in = (0.04, 0.02) if name == "c2_su2" else (0.36, 0.16)
     if kind == "plateau":  # one large_t_limit
-        return [(r_out, 0.1, t) for t in DEFAULT_T_GRID]
+        return [(r_out, 0.1, t) for t in _T_TO_16]
     if kind == "probes":  # contribution: t-major, upper probe first
-        return [(rad, e, t) for e in (0.05, 0.1) for t in DEFAULT_T_GRID
+        return [(rad, e, t) for e in (0.05, 0.1) for t in _T_TO_16
                 for rad in (r_out, r_in)]
     if kind == "eps_grid":  # a fixed-t epsilon_sweep
         return [(r_in, e, 0.0) for e in DEFAULT_EPSILON_GRID]
@@ -898,7 +900,7 @@ def test_plan_contracts_once_per_block_not_per_member(monkeypatch):
     scheme = QuadratureScheme(max_level=1)
     counts = []
     for points in ([(0.36, 0.1, 4.0)],
-                   [(0.36, e, t) for e in (0.05, 0.1) for t in DEFAULT_T_GRID]):
+                   [(0.36, e, t) for e in (0.05, 0.1) for t in _T_TO_16]):
         calls.clear()
         basic_integral_batch(sp, one_form(sp), points, scheme)
         counts.append(len(calls))

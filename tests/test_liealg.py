@@ -148,16 +148,6 @@ def test_validation_rejects_bad_data():
         LieAlgebraSpec(1, ("a",), np.zeros((1, 1, 1)), np.eye(1), 0.0)
 
 
-def test_serialization_round_trip():
-    a = builtin_algebra("su2")
-    b = LieAlgebraSpec.from_dict(a.to_dict())
-    assert b.dim == a.dim
-    assert b.name == "su2"
-    assert np.array_equal(b.structure_constants, a.structure_constants)
-    assert np.array_equal(b.inner_product, a.inner_product)
-    assert b.group_volume == a.group_volume
-
-
 # ---------------------------------------------------------------------------
 # phi polynomials
 # ---------------------------------------------------------------------------

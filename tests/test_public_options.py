@@ -166,6 +166,56 @@ def lonely():
     assert script.test_only({"mod": mod}, callers) == ["mod:lonely", "mod:op"]
 
 
+def test_test_only_members_lists_each_public_member_of_an_all_class_no_caller_uses():
+    mod = '''
+__all__ = ["Thing"]
+
+class Thing:
+    def __init__(self):
+        self._cache = None
+
+    def used(self):
+        return self.helper()
+
+    def helper(self):
+        pass
+
+    @property
+    def lonely(self):
+        return 1
+
+    def _private(self):
+        pass
+
+    def spare(self):
+        pass
+
+class Hidden:
+    def spare(self):
+        pass
+'''
+    script = _load_script()
+    # helper is used as an attribute inside the class, used and spare as
+    # names elsewhere; a dunder, a private method and a class outside
+    # __all__ are not listed
+    callers = [mod, "from mod import Thing\nThing().used()\n"]
+    assert script.test_only_members({"mod": mod}, callers) == ["mod:Thing.lonely",
+                                                                "mod:Thing.spare"]
+    assert script.test_only_members({"mod": mod}, callers + ["spare = lonely = 0\n"]) == []
+
+
+def test_checkout_members_without_a_caller_are_the_json_texts():
+    script = _load_script()
+    assert script.test_only_members(script._checkout_sources(), script._caller_sources()) == [
+        "analysis:ContributionRecord.to_json",
+        "analysis:SweepResult.to_json",
+        "critical:CriticalComponent.to_json",
+        "integrate:BasicIntegralResult.to_json",
+        "reduced:KirwanResult.to_json",
+        "reduced:ZeroLevelData.to_json",
+    ]
+
+
 def test_checkout_names_without_a_caller_are_the_four_integration_primitives():
     script = _load_script()
     assert script.test_only(script._checkout_sources(), script._caller_sources()) == [
@@ -187,7 +237,7 @@ def test_checkout_keeps_the_shared_accuracy_inputs():
         "integrate:BasicIntegralRequest quadrature=QuadratureScheme()",
         "integrate:basic_integral_batch quadrature=None",
         "analysis:epsilon_sweep quadrature=None",
-        "analysis:epsilon_sweep t_grid=None",
+        "analysis:contribution t_grid=None",
         "analysis:damping_check epsilon_grid=None",
         "reduced:zero_level mesh_density=32",
     } <= listed
