@@ -31,7 +31,6 @@ t * |pairing| / eps the closed-form moment evaluation absorbs is reported.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -58,6 +57,7 @@ from .liealg import (
     NotRegularError,
     _check_count,
     _check_real,
+    _check_type,
 )
 
 __all__ = [
@@ -163,9 +163,6 @@ class SweepResult:
             out["residuals"] = [_reim(v) for v in self.residuals]
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ContributionRecord:
@@ -220,9 +217,6 @@ class ContributionRecord:
             "diagnostics": self.diagnostics,
             "provenance": self.provenance,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +510,7 @@ def fit_poly_plus_tail(sweep: SweepResult, poly_degree_max: int | None = None):
     the signature of a non-regular zero level (fractional powers the
     polynomial cannot absorb).
     """
+    _check_type("sweep", sweep, SweepResult)
     if poly_degree_max is None:
         poly_degree_max = int(sweep.provenance.get("poly_degree_max", 0))
     _check_count("poly_degree_max", poly_degree_max, 0)
@@ -776,6 +771,7 @@ def epsilon_sweep(
     what a one-eps-at-a-time loop raised first.  The fit is skipped, with a
     warning, when the grid is shorter than poly_degree_max + 4 points.
     """
+    _check_type("space", space, HamiltonianSpace)
     scheme = quadrature or QuadratureScheme()
     if poly_degree_max is None:
         poly_degree_max = default_poly_degree(space)
@@ -1099,6 +1095,7 @@ def global_convergence_check(
     norm outruns the Gaussian, so the infinite-region integral does not
     exist; that is a finding, not an error.
     """
+    _check_type("space", space, HamiltonianSpace)
     _check_real("epsilon", epsilon)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")

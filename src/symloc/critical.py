@@ -20,7 +20,6 @@ verifies both statements numerically.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 import warnings
@@ -95,9 +94,6 @@ class CriticalComponent:
             "n_converged": self.n_converged,
             "representative_points": self.representative_points.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +689,9 @@ def critical_values(components):
     Returns (values, probes) with the probes of critical_probes(values).
     Raises NonConvergenceError when two clusters sit closer than
     MIN_VALUE_GAP but are not identical within 1e-6."""
+    _check_type("components", components, (list, tuple))
+    for c in components:
+        _check_type("component", c, CriticalComponent)
     vals = sorted(c.critical_value for c in components)
     dedup: list[float] = []
     for v in vals:
@@ -715,6 +714,7 @@ def critical_probes(values) -> list:
     neighboring gaps: below_0 is None when the smallest value is 0, and
     the last upper probe extends to 1.6x the top value (0.1 above a top
     value of 0)."""
+    _check_type("values", values, (list, tuple))
     probes = []
     for i, v in enumerate(values):
         gap_below = v - values[i - 1] if i > 0 else v
@@ -774,6 +774,8 @@ def local_model_check(space: HamiltonianSpace, component: CriticalComponent) -> 
     A residual passes below LOCAL_MODEL_TOL, or below a bound scaled by
     the representatives' position uncertainty when that is larger.
     """
+    _check_type("space", space, HamiltonianSpace)
+    _check_type("component", component, CriticalComponent)
     reps = np.asarray(component.representative_points, dtype=float)
     if reps.size == 0:
         raise InputError("component has no representative points")

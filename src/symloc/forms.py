@@ -31,7 +31,7 @@ import itertools
 import numpy as np
 
 from .fields import Const, Expr, _Frozen, add, as_expr, const, mul
-from .liealg import InputError, LieAlgebraSpec, PhiPolynomial
+from .liealg import InputError, LieAlgebraSpec, PhiPolynomial, _check_type
 
 __all__ = [
     "EquivariantForm",
@@ -256,6 +256,8 @@ class EquivariantForm(_Frozen):
 
 
 def wedge(alpha: EquivariantForm, beta: EquivariantForm) -> EquivariantForm:
+    _check_type("alpha", alpha, EquivariantForm)
+    _check_type("beta", beta, EquivariantForm)
     alpha._check_compatible(beta)
     out: dict = {}
     for (fa, na), ca in alpha._terms.items():

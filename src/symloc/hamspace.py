@@ -84,6 +84,7 @@ from .liealg import (
     NotRegularError,
     PhiPolynomial,
     _check_count,
+    _check_type,
     bracket,
     builtin_algebra,
 )
@@ -284,6 +285,7 @@ class HamiltonianSpace(_Frozen):
 
 
 def sample_points(space: HamiltonianSpace, n: int, seed: int = 0) -> np.ndarray:
+    _check_type("space", space, HamiltonianSpace)
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -294,6 +296,7 @@ def sample_points(space: HamiltonianSpace, n: int, seed: int = 0) -> np.ndarray:
 
 def lambda_form(space: HamiltonianSpace) -> EquivariantForm:
     """The invariant one-form lambda _| v = <V mu*, v>_M (phi-degree 0)."""
+    _check_type("space", space, HamiltonianSpace)
     vmu = space.v_mu_star_exprs()
     g = space.metric
     terms = []
@@ -314,6 +317,7 @@ def lambda_form(space: HamiltonianSpace) -> EquivariantForm:
 
 def eta_exprs(space: HamiltonianSpace):
     """eta_a = <V mu*, V e_a>_M, the phi-linear scalar part of D lambda."""
+    _check_type("space", space, HamiltonianSpace)
     vmu = space.v_mu_star_exprs()
     g = space.metric
     out = []
@@ -595,6 +599,7 @@ def _so3_log(rot: np.ndarray) -> np.ndarray:
 
 
 def build_standard_model(m: StandardLocalModel) -> StandardModelSpaces:
+    _check_type("m", m, StandardLocalModel)
     g = m.algebra_G
     dg, dk, dx = g.dim, m.dim_k, m.x_dim
     n = dg + dk + dx
@@ -992,6 +997,7 @@ def catalog_from_string(text: str) -> HamiltonianSpace:
     """Parse forms like cn_u1(2, 1.0), weighted_cn_u1(2, (1,2), 1.0),
     c2_su2, standard_model(u1_w1, G): the family's parameters in order (a
     bare word is a name), trailing ones left out take their defaults."""
+    _check_type("text", text, str)
     try:
         tree = ast.parse(text.strip(), mode="eval").body
         if isinstance(tree, ast.Call) and isinstance(tree.func, ast.Name) and not tree.keywords:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import logging
 import math
 import time
@@ -92,12 +91,10 @@ __all__ = [
     "BasicIntegralResult",
     "known_critical_values",
     "check_regular_radius",
-    "integrate_over_Mr",
     "boundary_surfaces",
     "integrate_form_on_surface",
     "boundary_integral",
     "sgi_values",
-    "phi_reduced_integrand",
     "pairing_alpha",
     "check_alpha",
     "basic_integral",
@@ -270,9 +267,6 @@ class BasicIntegralResult:
             "checks": self.checks,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # critical values and regular radii
@@ -282,6 +276,7 @@ class BasicIntegralResult:
 def known_critical_values(space: HamiltonianSpace):
     """Critical values of |mu|^2 from the space's RadialMoment, or None
     without one (the critical-point search can still find them)."""
+    _check_type("space", space, HamiltonianSpace)
     return None if space.radial is None else space.radial.critical_values
 
 
@@ -405,6 +400,7 @@ def _radial(space: HamiltonianSpace) -> RadialMoment:
     """The space's RadialMoment, checked by _check_planes; InputError for
     a space without one.  Every radial grid, surface and integral over
     M_r starts here."""
+    _check_type("space", space, HamiltonianSpace)
     if space.radial is None:
         raise InputError(f"{space.name} does not advertise a radial moment norm")
     _check_planes(space.radial)
@@ -531,6 +527,7 @@ def _as_integrand(space: HamiltonianSpace, form_field):
     Accepts an EquivariantForm (phi substituted at 0 -- appropriate for
     ordinary differential forms, which is what reaches the quadrature
     after phi-reduction) or any callable with the same signature."""
+    _check_type("space", space, HamiltonianSpace)
     if isinstance(form_field, EquivariantForm):
         if (
             form_field.chart_id != space.chart_id
@@ -561,14 +558,6 @@ def _check_orientation(space: HamiltonianSpace) -> None:
             f"omega^n/n! is not positive on the chart coordinate order of "
             f"{space.name}; the symplectic orientation convention is violated"
         )
-
-
-def _eval_top(f, pts, top):
-    vals = f(pts, {})
-    arr = vals.get(top)
-    if arr is None:
-        return np.zeros(pts.shape[0], dtype=complex)
-    return arr
 
 
 def _wsum(values, weights) -> complex:
@@ -653,63 +642,18 @@ def _refine(level_value, scheme, t0, failure):
 
 
 # ---------------------------------------------------------------------------
-# integrate over M_r
+# the radial driver over M_r
 # ---------------------------------------------------------------------------
-
-
-def integrate_over_Mr(
-    space: HamiltonianSpace,
-    form_field,
-    r: float,
-    quadrature: QuadratureScheme = None,
-) -> IntegralResult:
-    """Integrate the top-degree component of ``form_field`` over
-    {|mu|^2 <= r} with the symplectic orientation on the radial grids,
-    escalating the quadrature until the consecutive-level error estimate
-    meets the scheme tolerance.
-
-    Raises InputError for a space without a RadialMoment, and
-    AccuracyError (carrying the partial value) when refinement is
-    exhausted first."""
-    scheme = quadrature or QuadratureScheme()
-    _check_real("r", r)
-    if not 0 < r < math.inf:
-        raise InputError("region radius r must be positive and finite")
-    f = _as_integrand(space, form_field)
-    _check_orientation(space)
-    info = _radial(space)
-    (out,) = _integrate_radial(space, _FieldSource(f, space), [_Member(r)], info, scheme)
-    if isinstance(out, AccuracyError):
-        raise out
-    return out
 
 
 @dataclass(frozen=True, eq=False)
 class _Member:
     """One integral of a radial batch: region radius r, and the (t, eps)
-    a plan is contracted at (unused by a _FieldSource)."""
+    the plan is contracted at."""
 
     r: float
-    t: float = 0.0
-    eps: float = 0.0
-
-
-class _FieldSource:
-    """The radial driver's view of one form field ``f(pts, cache) ->
-    {fmi: values}``: every member integrates its top-degree component."""
-
-    def __init__(self, f, space: HamiltonianSpace):
-        self.f = f
-        self.top = tuple(range(space.ambient_dim))
-        self.profile = getattr(f, "_damp_profile", None)
-        self.has_profile = self.profile is not None
-
-    def tops(self, pts, members, counts):
-        return _eval_top(self.f, pts, self.top)
-
-    def damps(self, pts, members):
-        prof = np.asarray(self.profile(pts), dtype=float)
-        return np.broadcast_to(prof, (len(members), prof.size))
+    t: float
+    eps: float
 
 
 _INVARIANCE_SAMPLES = 8  # per support interval
@@ -774,18 +718,16 @@ def _blocks(sizes, bound):
         yield block
 
 
-def _supports(info, source, members):
+def _supports(info, plan, members):
     """The support panels of every member: one scan per distinct radius,
     the damping factors of all its members taken from one evaluation."""
-    if not source.has_profile:
-        return [[info.s_bounds(m.r)] for m in members]
     by_r: dict = {}
     for i, m in enumerate(members):
         by_r.setdefault(m.r, []).append(i)
     out = [None] * len(members)
     for r, idx in by_r.items():
         scan, pts = _scan_points(info, r)
-        damps = source.damps(pts, [members[i] for i in idx])
+        damps = plan.damps(pts, [members[i] for i in idx])
         for i, panels in zip(idx, _support_intervals(info, r, scan, damps)):
             out[i] = panels
     return out
@@ -799,7 +741,7 @@ def _invariant(residual: float, scale: float) -> bool:
     return scale > 0.0 and residual <= _INVARIANCE_RTOL * scale
 
 
-def _torus_invariance(space, info, source, members, supports):
+def _torus_invariance(space, info, plan, members, supports):
     """Whether each member's top-degree integrand passed the
     torus-invariance probe on its own support (see _probe_points).  The
     probes of all members are evaluated together, _BLOCK_NODES at a time."""
@@ -810,7 +752,7 @@ def _torus_invariance(space, info, source, members, supports):
         a, b = offsets[block[0]], offsets[block[-1] + 1]
         part = [members[i] for i in block]
         cnt = [counts[i] for i in block]
-        vals = source.tops(np.concatenate([base[a:b], rotated[a:b]]), part + part, cnt + cnt)
+        vals = plan.tops(np.concatenate([base[a:b], rotated[a:b]]), part + part, cnt + cnt)
         ref, rot = vals[: b - a], vals[b - a :]
         starts = offsets[block] - a
         residuals = np.maximum.reduceat(np.abs(rot - ref), starts).tolist()
@@ -826,7 +768,7 @@ def _torus_invariance(space, info, source, members, supports):
     return out
 
 
-def _level_sums(info, source, members, supports, invariant, level, scheme):
+def _level_sums(info, plan, members, supports, invariant, level, scheme):
     """(value, nodes) of every member on its grid of one refinement level.
 
     The level runs as a stream of pieces: the blocks of consecutive
@@ -834,7 +776,7 @@ def _level_sums(info, source, members, supports, invariant, level, scheme):
     _CHUNK_NODES nodes, _BLOCK_NODES) nodes (_blocks), each expanded by
     _product_chunks into one stacked grid of its members, or, for a
     single grid of more than _CHUNK_NODES nodes, that grid's chunks.
-    Each piece makes one source.tops call and one exact sum per member
+    Each piece makes one plan.tops call and one exact sum per member
     over its own slice (_wsums).  A member's value is the exact sum of
     its pieces' sums in order, which for a grid in one piece is that
     piece's sum (math.fsum never returns -0.0), so it does not depend on
@@ -847,17 +789,18 @@ def _level_sums(info, source, members, supports, invariant, level, scheme):
         for pts, wts in _product_chunks(info, scheme, level, [supports[i] for i in block],
                                         [invariant[i] for i in block]):
             counts = [sizes[i] for i in block] if len(block) > 1 else [len(wts)]
-            vals = source.tops(pts, [members[i] for i in block], counts)
+            vals = plan.tops(pts, [members[i] for i in block], counts)
             for i, value, n in zip(block, _wsums(vals, wts, counts), counts):
                 parts[i].append((value, n))
     return [(complex(math.fsum(v.real for v, _ in p), math.fsum(v.imag for v, _ in p)),
              sum(n for _, n in p)) for p in parts]
 
 
-def _integrate_radial(space, source, members, info, scheme) -> list:
-    """Integrate the top-degree integrand of ``source`` over
-    {|mu|^2 <= r} for every member, on the radial grids, all members in
-    step.  Returns one IntegralResult or AccuracyError per member.
+def _integrate_radial(space, plan, members, info, scheme) -> list:
+    """Integrate the top-degree integrand of the _IntegrandPlan ``plan``
+    over {|mu|^2 <= r} for every member, each at its own (t, eps), on the
+    radial grids, all members in step.  Returns one IntegralResult or
+    AccuracyError per member.
 
     Each member keeps what makes its result: its support panels
     (_support_intervals), its torus-invariance verdict (_probe_points),
@@ -865,19 +808,19 @@ def _integrate_radial(space, source, members, info, scheme) -> list:
     own _Refinement rule, so every result is the one a batch of one
     gives.  The work is shared: one support scan per distinct r, one
     probe evaluation for all members, and per level one stacked grid per
-    block of members.  ``source.damps`` takes a scan and the members at
-    that r; ``source.tops`` takes the stacked nodes of several members
-    with the node count of each, so a plan (_IntegrandPlan) runs one Expr
-    pass and one contraction, at per-node t and eps, per block.  Members
+    block of members.  ``plan.damps`` takes a scan and the members at
+    that r; ``plan.tops`` takes the stacked nodes of several members
+    with the node count of each, so the plan runs one Expr pass and one
+    contraction, at per-node t and eps, per block.  Members
     that settled drop out of the later levels.  Every result's wall_time
     is the wall time of the whole batch."""
     t0 = time.perf_counter()
-    supports = _supports(info, source, members)
-    invariant = _torus_invariance(space, info, source, members, supports)
+    supports = _supports(info, plan, members)
+    invariant = _torus_invariance(space, info, plan, members, supports)
     steps = [_Refinement(scheme) for _ in members]
     live = list(range(len(members)))
     for level in range(scheme.max_level + 1):
-        sums = _level_sums(info, source, [members[i] for i in live],
+        sums = _level_sums(info, plan, [members[i] for i in live],
                            [supports[i] for i in live], [invariant[i] for i in live],
                            level, scheme)
         live = [i for i, (value, n) in zip(live, sums) if not steps[i].add(level, value, n)]
@@ -1070,6 +1013,7 @@ def integrate_form_on_surface(grid: SurfaceGrid, fmi_values: dict) -> complex:
     grid nodes} via pullback: each component contributes
     coeff * det(J[rows fmi]) against the parameter weights, each summed
     on its own."""
+    _check_type("grid", grid, SurfaceGrid)
     d = grid.nodes.shape[1]
     total = 0j
     for fmi, vals in sorted(fmi_values.items()):
@@ -1087,7 +1031,8 @@ def boundary_integral(
     quadrature: QuadratureScheme = None,
 ) -> IntegralResult:
     """Integrate the (d-1)-degree part of ``form_field`` over the oriented
-    boundary of {|mu|^2 <= r}, escalating as in integrate_over_Mr."""
+    boundary of {|mu|^2 <= r}, refining the surface charts until
+    consecutive levels agree to the scheme tolerance (_refine)."""
     scheme = quadrature or QuadratureScheme()
     f = _as_integrand(space, form_field)
     t0 = time.perf_counter()
@@ -1120,12 +1065,14 @@ def sgi_values(
         int phi^nu exp(i<m, phi> - eps/2 |phi|^2) dphi
 
     per row of ``m_arr`` (shape (N, dim)), at one eps or at the row's own
-    entry of an (N,) eps array.  Same completing-the-square reduction as
-    shifted_gaussian_integral, with the binomial expansion of
-    (phi + i m/eps)^nu evaluated against the Wick table once per exponent
+    entry of an (N,) eps array.  Completing the square sends
+    phi -> phi + i m / eps and leaves the damping exp(-|m|^2 / (2 eps))
+    outside; the binomial expansion of (phi + i m/eps)^nu is evaluated
+    against the Wick table (Isserlis recursion, exact) once per exponent
     pattern instead of once per point.  The factors that depend on eps
     alone are computed once per distinct eps with scalar arithmetic, so
     each row is bit-identical to a call at that row's eps."""
+    _check_type("algebra", algebra, LieAlgebraSpec)
     eps_arr = np.asarray(eps)
     if eps_arr.ndim == 0:
         _check_real("eps", eps)
@@ -1326,9 +1273,7 @@ class _IntegrandPlan:
             out[fmi] = acc
         return out
 
-    # -- as a source of the radial driver (_integrate_radial) -------------
-
-    has_profile = True
+    # -- as the integrand of the radial driver (_integrate_radial) ---------
 
     def tops(self, pts, members, counts):
         """Top-degree values at the stacked nodes ``pts`` of ``members``
@@ -1347,19 +1292,16 @@ class _IntegrandPlan:
 
     def integrand(self, t, eps):
         """The integrand at one (t, eps) as ``f(pts, cache=None) ->
-        {fmi: values}``, every form degree, with its damping profile."""
+        {fmi: values}``, every form degree: the top one is what the radial
+        driver integrates over M_r, the (d-1)-degree ones are what
+        boundary_integral integrates over its boundary (equivariant
+        Stokes)."""
         deformed = t != 0.0
 
         def integrand(pts, cache=None):
             ev = self.evaluate(pts, deformed, top_only=False, cache=cache)
             return self.contract(ev, t, eps, top_only=False)
 
-        def damp_profile(pts):
-            return self.damping(pts, [t], [eps])[0]
-
-        # The quadrature driver uses this to place radial panels where the
-        # Gaussian mass is (it narrows as t grows).
-        integrand._damp_profile = damp_profile
         return integrand
 
 
@@ -1379,34 +1321,10 @@ def _coefficient(terms, key, powers):
     return total
 
 
-def phi_reduced_integrand(
-    space: HamiltonianSpace,
-    alpha: EquivariantForm,
-    t: float,
-    eps: float,
-):
-    """Build the vectorized phi-reduced integrand of the Basic Integral:
-    a callable ``f(pts, cache=None) -> {fmi: complex array}`` giving, at
-    each point, the ordinary form
-
-        int_g alpha exp(omega + i mu.phi - eps/2 |phi|^2 + t D lambda) dphi
-
-    with every form degree retained (the top one feeds integrate_over_Mr,
-    the (d-1)-degree ones feed boundary integrals).  It is an
-    _IntegrandPlan of (space, alpha) contracted at this (t, eps); its
-    ``_damp_profile`` attribute gives the Gaussian damping factor."""
-    _check_real("t", t)
-    _check_real("eps", eps)
-    if not 0 < eps < math.inf:
-        raise InputError("eps must be positive and finite")
-    if not 0 <= t < math.inf:
-        raise InputError("t must be nonnegative and finite")
-    return _IntegrandPlan(space, alpha, deformed=t != 0.0).integrand(t, eps)
-
-
 def pairing_alpha(space: HamiltonianSpace, vec) -> EquivariantForm:
     """The phi-linear scalar <phi, vec> (inner-product pairing) as an
     equivariant form -- closed, and invariant when vec is central."""
+    _check_type("space", space, HamiltonianSpace)
     g = space.algebra.dim
     if np.shape(vec) != (g,):
         raise InputError("pairing vector length must match the algebra dimension")
@@ -1431,6 +1349,7 @@ def check_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
     """Verify the Basic Integral's standing hypotheses on alpha:
     equivariant closedness (D alpha = 0) and invariance, both pointwise
     at 40 samples, each residual below 1e-8."""
+    _check_objects(space, alpha)
     pts = sample_points(space, 40, 0)
     rng = np.random.default_rng(1)
     phis = rng.standard_normal((4, space.algebra.dim))
@@ -1446,7 +1365,6 @@ def check_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
 def _gate_alpha(space: HamiltonianSpace, alpha: EquivariantForm) -> dict:
     """check_alpha's record, or InputError naming both residuals when
     alpha is not closed and invariant (or not an EquivariantForm)."""
-    _check_objects(space, alpha)
     checks = check_alpha(space, alpha)
     if not checks["ok"]:
         raise InputError(
@@ -1474,6 +1392,7 @@ def basic_integral(
     skips them for a request whose r and alpha were checked before.  The
     sweeps do not come here: they check r and alpha once and call
     basic_integral_batch."""
+    _check_type("req", req, BasicIntegralRequest)
     t0 = time.perf_counter()
     space = req.space
     checks: dict = {}

@@ -1,4 +1,5 @@
-"""Compact Lie algebra arithmetic and closed-form Gaussian integrals over it.
+"""Compact Lie algebra arithmetic, the Gaussian moments over it, and the
+package's error types.
 
 ``LieAlgebraSpec`` fixes the algebra data: structure constants, the
 invariant inner product (which realizes the raise/lower identification,
@@ -6,14 +7,16 @@ so moment maps are always stored as algebra-valued fields), and the
 Riemannian volume of the group under the bi-invariant metric induced by
 that inner product.
 
-``gaussian_moment`` / ``shifted_gaussian_integral`` evaluate
+The Wick table holds the central Gaussian moments E[phi^nu] of the
+inner product (Isserlis recursion).  From it and the inner product's
+log-determinant, ``integrate.sgi_values`` evaluates
 
-    integral over the algebra of  p(phi) * exp(i<m, phi> - eps/2 |phi|^2)
+    integral over the algebra of  phi^nu * exp(i<m, phi> - eps/2 |phi|^2)
 
-exactly (Wick/Isserlis recursion; the shift is absorbed by completing
-the square), with Lebesgue measure on basis coefficients.  Every
-phi-integral in the package reduces to these two calls, so the
-oscillatory part of the theory never meets a sampler.
+exactly (the shift is absorbed by completing the square), with Lebesgue
+measure on basis coefficients.  Every phi-integral of the Basic Integral
+reduces to that call, so the oscillatory part of the theory never meets
+a sampler.
 
 Volume conventions for the built-ins (documented, used consistently on
 both sides of every quotient comparison): the u(1) generator has unit
@@ -36,8 +39,6 @@ __all__ = [
     "LieAlgebraSpec",
     "PhiPolynomial",
     "bracket",
-    "gaussian_moment",
-    "shifted_gaussian_integral",
     "builtin_algebra",
     "WICK_DEGREE_CAP",
     "InputError",
@@ -69,11 +70,14 @@ def _check_real(name: str, value) -> None:
         raise InputError(f"{name} must be a real number, got {value!r}")
 
 
-def _check_type(name: str, value, kind: type) -> None:
-    """InputError unless ``value`` is an instance of the class ``kind``."""
+def _check_type(name: str, value, kind) -> None:
+    """InputError unless ``value`` is an instance of the class ``kind``, or
+    of one of the classes of a tuple ``kind``."""
     if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
         raise InputError(
-            f"{name} must be of type {kind.__name__}, got {type(value).__name__}"
+            f"{name} must be of type {' or '.join(k.__name__ for k in kinds)}, "
+            f"got {type(value).__name__}"
         )
 
 
@@ -179,35 +183,6 @@ class PhiPolynomial(_Frozen):
                 out[mi] = out.get(mi, 0) + c1 * c2
         return PhiPolynomial(self.dim, out)
 
-    def shift(self, v) -> "PhiPolynomial":
-        """p(phi) -> p(phi + v) for a fixed (complex) vector v."""
-        from math import comb
-
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.dim,):
-            raise InputError("shift vector length does not match algebra dim")
-        out: dict = {}
-        for mi, c in self.terms.items():
-            # expand each variable's binomial independently
-            partial = {tuple([0] * self.dim): c}
-            for a, e in enumerate(mi):
-                if e == 0:
-                    continue
-                nxt: dict = {}
-                for k in range(e + 1):
-                    w = comb(e, k) * (v[a] ** (e - k))
-                    if w == 0:
-                        continue
-                    for pmi, pc in partial.items():
-                        key = list(pmi)
-                        key[a] += k
-                        key = tuple(key)
-                        nxt[key] = nxt.get(key, 0) + pc * w
-                partial = nxt
-            for pmi, pc in partial.items():
-                out[pmi] = out.get(pmi, 0) + pc
-        return PhiPolynomial(self.dim, out)
-
     def eval(self, phi) -> complex:
         phi = np.asarray(phi, dtype=complex)
         total = 0j
@@ -278,10 +253,6 @@ class LieAlgebraSpec:
         xi = np.asarray(xi, dtype=float)
         return np.einsum("i,ijk->kj", xi, self.structure_constants)
 
-    def norm2(self, xi) -> float:
-        xi = np.asarray(xi)
-        return float(np.real(xi @ self.inner_product @ xi))
-
     def pairing(self, xi, eta):
         return (np.asarray(xi) * (self.inner_product @ np.asarray(eta))).sum()
 
@@ -351,45 +322,6 @@ def _logdet(qbytes: bytes, dim: int) -> float:
     q = np.frombuffer(qbytes, dtype=float).reshape(dim, dim)
     sign, logdet = np.linalg.slogdet(q)
     return logdet
-
-
-def gaussian_moment(a: LieAlgebraSpec, p: PhiPolynomial, eps: float) -> complex:
-    """Exact value of  integral p(phi) exp(-eps/2 |phi|^2) dphi  over the
-    algebra (Lebesgue measure on basis coefficients)."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    if p.dim != a.dim:
-        raise InputError("phi-polynomial dimension does not match the algebra")
-    if p.degree > WICK_DEGREE_CAP:
-        raise InputError(
-            f"phi-degree {p.degree} exceeds the Wick cap {WICK_DEGREE_CAP}"
-        )
-    table = _wick_table(a)
-    logdet = _logdet(a.inner_product.tobytes(), a.dim)
-    z = (2 * np.pi / eps) ** (a.dim / 2) * np.exp(-0.5 * logdet)
-    acc = 0j
-    for mi, c in p.terms.items():
-        total = sum(mi)
-        if total % 2 == 1:
-            continue
-        acc += c * table.moment(mi) * eps ** (-total / 2)
-    return complex(z * acc)
-
-
-def shifted_gaussian_integral(
-    a: LieAlgebraSpec, p: PhiPolynomial, m, eps: float
-) -> complex:
-    """Exact value of  integral p(phi) exp(i<m, phi> - eps/2 |phi|^2) dphi.
-
-    Completing the square sends phi -> phi + i m / eps and leaves the
-    Gaussian weight exp(-|m|^2 / (2 eps)) outside."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    m = np.asarray(m, dtype=float)
-    if m.shape != (a.dim,):
-        raise InputError("shift vector length does not match algebra dim")
-    damp = np.exp(-a.norm2(m) / (2 * eps))
-    return damp * gaussian_moment(a, p.shift(1j * m / eps), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ origin, where d mu has rank zero, so ``zero_level`` raises NotRegularError.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -333,9 +332,6 @@ class ZeroLevelData(_Frozen):
                 "connection": self.connection_ambient[sl].tolist(),
             },
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(**kw), sort_keys=True)
 
 
 def _min_dmu_norm(space: HamiltonianSpace, nodes: np.ndarray) -> float:
@@ -630,9 +626,6 @@ class KirwanResult(_Frozen):
             "epsilon": self.epsilon,
             "meta": self.meta,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _kirwan_tops(alpha: EquivariantForm, level: ZeroLevelData) -> list:

@@ -796,7 +796,7 @@ def test_every_missing_plateau_raises_one_error_format(case):
 def _round_trip(record):
     """The record's JSON text read back, after checking it is the record's
     dict, and its values and eps grid back as the record holds them."""
-    rec = json.loads(record.to_json())
+    rec = json.loads(json.dumps(record.to_json_dict(), sort_keys=True))
     assert rec == record.to_json_dict()
     assert [complex(re, im) for re, im in rec["values"]] == [complex(v) for v in record.values]
     assert rec["epsilon_grid"] == list(record.epsilon_grid)
@@ -840,10 +840,13 @@ def test_contribution_json_round_trips():
 
 
 def test_integral_result_json_round_trips():
-    from symloc.integrate import integrate_over_Mr
+    from symloc.fields import coord
+    from symloc.integrate import boundary_integral
 
     sp = catalog_from_string("cn_u1(1,1)")
-    res = integrate_over_Mr(sp, sp.omega, 0.16)
+    beta = EquivariantForm.dx(sp.chart_id, 2, 1, 1, coord(0))  # x dy: the area 1.6 pi
+    res = boundary_integral(sp, beta, 0.16)
+    assert res.value == pytest.approx(1.6 * math.pi, abs=1e-10)
     rec = res.to_json_dict()
     assert json.loads(json.dumps(rec)) == rec
     assert complex(*rec["value"]) == res.value
@@ -863,7 +866,6 @@ def _non_finite_calls():
         _LevelChart,
         check_regular_radius,
         pairing_alpha,
-        phi_reduced_integrand,
         sgi_values,
     )
     from symloc.reduced import kirwan_integral, zero_level
@@ -909,10 +911,6 @@ def _non_finite_calls():
         "ContributionRecord eps=nan": lambda: A.ContributionRecord(
             index=0, critical_value=0.0, probes=(None, 0.1), epsilon_grid=(nan,),
             values=[1.0]),
-        "phi_reduced_integrand eps=nan": lambda: phi_reduced_integrand(sp, one, 0.0, nan),
-        "phi_reduced_integrand eps=inf": lambda: phi_reduced_integrand(sp, one, 0.0, inf),
-        "phi_reduced_integrand t=nan": lambda: phi_reduced_integrand(sp, one, nan, 0.05),
-        "phi_reduced_integrand t=inf": lambda: phi_reduced_integrand(sp, one, inf, 0.05),
         "pairing_alpha nan": lambda: pairing_alpha(sp, [nan]),
         "pairing_alpha inf": lambda: pairing_alpha(sp, np.array([-inf])),
     }
@@ -937,9 +935,7 @@ def _non_real_calls():
         boundary_integral,
         boundary_surfaces,
         check_regular_radius,
-        integrate_over_Mr,
         pairing_alpha,
-        phi_reduced_integrand,
         sgi_values,
     )
 
@@ -958,7 +954,6 @@ def _non_real_calls():
         calls.update({
             f"check_regular_radius r={v!r}": lambda v=v: check_regular_radius(sp, v),
             f"find_critical_points r_max={v!r}": lambda v=v: find_critical_points(sp, v),
-            f"integrate_over_Mr r={v!r}": lambda v=v: integrate_over_Mr(sp, sp.omega, v),
             f"boundary_surfaces r={v!r}": lambda v=v: boundary_surfaces(sp, v),
         })
     grids = {"'a' entry": ["a"], "string entry": [0.05, "0.1"], "nested": [[0.05, 0.1]],
@@ -977,8 +972,6 @@ def _non_real_calls():
         "damping_check r=None": lambda: damping_check(sp, one, None, 0.1),
         "global_convergence_check epsilon='0.05'": lambda: global_convergence_check(
             sp, one, (0.36, 0.64, 1.0), "0.05"),
-        "phi_reduced_integrand eps='a'": lambda: phi_reduced_integrand(sp, one, 0.0, "a"),
-        "phi_reduced_integrand t=True": lambda: phi_reduced_integrand(sp, one, True, 0.05),
         "sgi_values eps=True": lambda: sgi_values(sp.algebra, (0,), np.zeros((2, 1)), True),
         "sgi_values eps rows bool": lambda: sgi_values(
             sp.algebra, (0,), np.zeros((2, 1)), np.array([True, True])),
@@ -1015,14 +1008,76 @@ def test_non_real_inputs_are_refused(case):
 
 def _wrong_object_calls():
     """Object arguments of the wrong type, each of which raised an untyped
-    AttributeError from deep inside the op: (the argument and type the
-    refusal names, the call)."""
-    from symloc.integrate import BasicIntegralRequest, basic_integral, basic_integral_batch
+    AttributeError (or, for a None that was iterated, TypeError) from deep
+    inside the op: (the argument and type the refusal names, the call)."""
+    from symloc.critical import critical_probes, local_model_check
+    from symloc.forms import wedge
+    from symloc.hamspace import (
+        build_standard_model, eta_exprs, lambda_form, sample_points,
+    )
+    from symloc.integrate import (
+        BasicIntegralRequest,
+        basic_integral,
+        basic_integral_batch,
+        boundary_integral,
+        boundary_surfaces,
+        check_alpha,
+        check_regular_radius,
+        integrate_form_on_surface,
+        known_critical_values,
+        pairing_alpha,
+        sgi_values,
+    )
     from symloc.reduced import kirwan_integral, zero_level
 
     sp = catalog_from_string("cn_u1(1,1)")
+    one = _unit(sp)
     alpha = ("alpha", "EquivariantForm", "int")
+    space = ("space", "HamiltonianSpace", "NoneType")
+    no_space = {
+        "large_t_limit": lambda: large_t_limit(None, one, 0.36, 0.1),
+        "epsilon_sweep": lambda: epsilon_sweep(None, one, 0.36),
+        "damping_check": lambda: damping_check(None, one, 0.36, 0.1),
+        "global_convergence_check": lambda: global_convergence_check(
+            None, one, (0.36, 0.64, 1.0), 0.05),
+        "check_regular_radius": lambda: check_regular_radius(None, 0.36),
+        "known_critical_values": lambda: known_critical_values(None),
+        "boundary_surfaces": lambda: boundary_surfaces(None, 0.36),
+        "boundary_integral": lambda: boundary_integral(None, one, 0.36),
+        "pairing_alpha": lambda: pairing_alpha(None, [1.0]),
+        "check_alpha": lambda: check_alpha(None, one),
+        "sample_points": lambda: sample_points(None, 4),
+        "lambda_form": lambda: lambda_form(None),
+        "eta_exprs": lambda: eta_exprs(None),
+        "local_model_check": lambda: local_model_check(None, None),
+    }
     return {
+        **{f"{op} space=None": (space, call) for op, call in no_space.items()},
+        "check_alpha alpha=1": (alpha, lambda: check_alpha(sp, 1)),
+        "local_model_check component=None": (
+            ("component", "CriticalComponent", "NoneType"), lambda: local_model_check(sp, None)),
+        "fit_poly_plus_tail sweep=None": (("sweep", "SweepResult", "NoneType"),
+                                          lambda: fit_poly_plus_tail(None)),
+        "fit_poly_plus_tail sweep=1": (("sweep", "SweepResult", "int"),
+                                       lambda: fit_poly_plus_tail(1, 0)),
+        "basic_integral req=None": (("req", "BasicIntegralRequest", "NoneType"),
+                                    lambda: basic_integral(None)),
+        "critical_values components=None": (
+            ("components", "list or tuple", "NoneType"), lambda: critical_values(None)),
+        "critical_values components=[1]": (
+            ("component", "CriticalComponent", "int"), lambda: critical_values([1])),
+        "critical_probes values=None": (("values", "list or tuple", "NoneType"),
+                                        lambda: critical_probes(None)),
+        "integrate_form_on_surface grid=None": (
+            ("grid", "SurfaceGrid", "NoneType"), lambda: integrate_form_on_surface(None, {})),
+        "sgi_values algebra=None": (("algebra", "LieAlgebraSpec", "NoneType"),
+                                    lambda: sgi_values(None, (0,), [[0.0]], 0.1)),
+        "wedge alpha=None": (("alpha", "EquivariantForm", "NoneType"), lambda: wedge(None, one)),
+        "wedge beta=None": (("beta", "EquivariantForm", "NoneType"), lambda: wedge(one, None)),
+        "catalog_from_string text=None": (("text", "str", "NoneType"),
+                                          lambda: catalog_from_string(None)),
+        "build_standard_model m=None": (("m", "StandardLocalModel", "NoneType"),
+                                        lambda: build_standard_model(None)),
         "basic_integral alpha=1": (alpha, lambda: basic_integral(
             BasicIntegralRequest(space=sp, alpha=1, r=0.36, epsilon=0.05, t=0.0))),
         "basic_integral_batch alpha=1": (

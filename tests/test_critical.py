@@ -708,7 +708,7 @@ def test_component_validation_and_json():
     assert c.critical_value == 0.0
     with pytest.raises(InputError):
         _component(-0.1)
-    rec = json.loads(_component(0.25).to_json())
+    rec = json.loads(json.dumps(_component(0.25).to_json_dict(), sort_keys=True))
     assert rec["critical_value"] == 0.25
     assert rec["representative_points"] == [[0.3, 0.0]]
 

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
+from gaussian_oracle import shifted_gaussian_integral
 from seed_level import seed_build_surface
 from seed_linear import expr_reprs, seed_torus2_space
 from seed_path import radial_chunks, seed_basic_integrals, seed_integrand
@@ -55,6 +56,7 @@ from symloc.integrate import (
     BasicIntegralResult,
     _build_surface,
     _index_runs,
+    _IntegrandPlan,
     _leggauss,
     _LevelChart,
     _points_on_ray,
@@ -68,10 +70,8 @@ from symloc.integrate import (
     boundary_surfaces,
     check_alpha,
     integrate_form_on_surface,
-    integrate_over_Mr,
     known_critical_values,
     pairing_alpha,
-    phi_reduced_integrand,
     sgi_values,
 )
 from symloc.liealg import (
@@ -80,7 +80,6 @@ from symloc.liealg import (
     NotRegularError,
     PhiPolynomial,
     builtin_algebra,
-    shifted_gaussian_integral,
 )
 from symloc.reduced import zero_level
 
@@ -96,6 +95,12 @@ def two_planes():
 def one_form(space):
     return EquivariantForm.scalar(space.chart_id, space.ambient_dim,
                                   space.algebra.dim, 1.0)
+
+
+def reduced_integrand(space, alpha, t, eps):
+    """The phi-reduced integrand of (space, alpha) at one (t, eps), every
+    form degree: f(pts, cache=None) -> {fmi: values}."""
+    return _IntegrandPlan(space, alpha, deformed=t != 0.0).integrand(t, eps)
 
 
 def bi_single_plane_oracle(r, t, eps):
@@ -246,44 +251,6 @@ def test_negative_weights_fold_into_a_negative_level():
                                             epsilon=eps))
     with pytest.raises(InputError, match="zero level set .* is empty"):
         zero_level(sp)
-
-
-# ---------------------------------------------------------------------------
-# integrate_over_Mr
-# ---------------------------------------------------------------------------
-
-
-def test_integrate_omega_is_annulus_area():
-    sp = annulus()
-    res = integrate_over_Mr(sp, sp.omega, 0.16)
-    assert res.value == pytest.approx(1.6 * math.pi, abs=1e-10)
-    assert res.error < 1e-8
-
-
-def test_integrate_liouville_volume_two_planes():
-    sp = two_planes()
-    res = integrate_over_Mr(sp, exp_form_part(sp.omega), 0.16)
-    assert res.value == pytest.approx(1.6 * math.pi**2, abs=1e-9)
-
-
-def test_integrate_zero_form_gives_zero():
-    sp = annulus()
-    res = integrate_over_Mr(sp, one_form(sp), 0.16)
-    assert res.value == 0
-
-
-def test_integrate_radial_polynomial():
-    # int_{M_r} mu^2 omega = pi int_{0.2}^{1.8} ((s-1)/2)^2 ds
-    #                      = pi (0.8^3 + 0.8^3) / 12 = pi 1.024 / 12
-    sp = annulus()
-    mu = sp.moment_star[0]
-    res = integrate_over_Mr(sp, sp.omega.scale(mul(mu, mu)), 0.16)
-    assert res.value == pytest.approx(math.pi * 1.024 / 12.0, abs=1e-12)
-
-
-def test_integrate_requires_positive_radius():
-    with pytest.raises(InputError):
-        integrate_over_Mr(annulus(), annulus().omega, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +470,7 @@ def test_phi_exactness_against_direct_quadrature(space_builder, n_axis, t_values
     alpha = _phi_degree_four_alpha(space)
     top = tuple(range(space.ambient_dim))
     for t in t_values:
-        f = phi_reduced_integrand(space, alpha, t, eps)
-        reduced = f(pts)[top]
+        reduced = reduced_integrand(space, alpha, t, eps)(pts)[top]
         direct = _direct_phi_quadrature(space, alpha, t, eps, pts, n_axis)
         scale = np.max(np.abs(direct))
         # The direct sum carries ~1e-13 * scale of cancellation roundoff,
@@ -522,16 +488,16 @@ def test_integrand_point_values_single_plane():
     sp = annulus()
     eps = 0.05
     z = math.sqrt(2.0 * math.pi / eps)
-    vals = phi_reduced_integrand(sp, one_form(sp), 0.0, eps)(np.array([[1.0, 0.0]]))
+    vals = reduced_integrand(sp, one_form(sp), 0.0, eps)(np.array([[1.0, 0.0]]))
     assert vals[()][0] == pytest.approx(z, rel=1e-13)
     assert vals[(0, 1)][0] == pytest.approx(z, rel=1e-13)
     # general point: damped by exp(-mu^2 / (2 eps))
     pt = np.array([[1.2, 0.0]])
     mu = 0.5 * (1.44 - 1.0)
-    vals = phi_reduced_integrand(sp, one_form(sp), 0.0, eps)(pt)
+    vals = reduced_integrand(sp, one_form(sp), 0.0, eps)(pt)
     assert vals[()][0] == pytest.approx(z * math.exp(-mu**2 / (2 * eps)), rel=1e-13)
     # alpha = <phi, e>: first-moment shift i mu / eps times the alpha = 1 value
-    vals_phi = phi_reduced_integrand(sp, pairing_alpha(sp, [1.0]), 0.0, eps)(pt)
+    vals_phi = reduced_integrand(sp, pairing_alpha(sp, [1.0]), 0.0, eps)(pt)
     assert vals_phi[()][0] == pytest.approx(vals[()][0] * 1j * mu / eps, rel=1e-12)
 
 
@@ -643,9 +609,28 @@ def test_basic_integral_monotone_convergence():
 # ---------------------------------------------------------------------------
 
 
-def x_squared_top_form(space, i):
-    """x_i^2 times the Liouville form: not invariant in the plane of x_i."""
-    return exp_form_part(space.omega).scale(mul(coord(i), coord(i)))
+def x_squared(space, i):
+    """The 0-form x_i^2: not invariant in the plane of x_i."""
+    return EquivariantForm.scalar(space.chart_id, space.ambient_dim, space.algebra.dim,
+                                  mul(coord(i), coord(i)))
+
+
+def bi_x_squared_oracle(r, eps):
+    """Closed form for BI(x_i^2, r, 0) on cn_u1(2, 1), i = 1 or 3.  On the
+    sphere s = |z|^2 the average of x_i^2 is s/4, and the shells between s
+    and s + ds have volume pi^2 s ds; with K = 4 pi^2 that gives
+    (1/16) sqrt(2 pi/eps) int s^2 e^{-u^2/(2 sig^2)} ds over the slab,
+    u = s - 1, sig^2 = 4 eps.  The antiderivative in u is
+    (sig^2 + 1) sig sqrt(pi/2) erf(u/(sig sqrt 2)) - sig^2 (u + 2) e^{-u^2/(2 sig^2)}."""
+    sig2 = 4.0 * eps
+    sig = math.sqrt(sig2)
+
+    def anti(u):
+        return ((sig2 + 1.0) * sig * math.sqrt(math.pi / 2.0) * math.erf(u / (sig * math.sqrt(2.0)))
+                - sig2 * (u + 2.0) * math.exp(-u * u / (2.0 * sig2)))
+
+    s_lo, s_hi = max(1.0 - 2.0 * math.sqrt(r), 0.0), 1.0 + 2.0 * math.sqrt(r)
+    return math.sqrt(2.0 * math.pi / eps) / 16.0 * (anti(s_hi - 1.0) - anti(s_lo - 1.0))
 
 
 def test_invariant_integrand_collapses_angles(caplog):
@@ -674,17 +659,16 @@ def test_su2_deformed_integrand_collapses_angles():
     assert res.n_nodes == 720
 
 
+@pytest.mark.parametrize("r", [0.16, 0.36])
 @pytest.mark.parametrize("coord_index", [0, 2], ids=["x1", "x3"])
-def test_non_invariant_integrand_keeps_angular_grid(coord_index, caplog):
-    # int x_i^2 over {0.2 <= s <= 1.8} in C^2 = pi^2 (1.8^3 - 0.2^3) / 12;
+def test_non_invariant_integrand_keeps_angular_grid(coord_index, r, caplog):
     # x3^2 is invariant in plane 1 only, which must not collapse either
     sp = two_planes()
+    eps = 0.05
     with caplog.at_level(logging.DEBUG, logger="symloc"):
-        res = integrate_over_Mr(sp, x_squared_top_form(sp, coord_index), 0.16)
+        (res,) = basic_integral_batch(sp, x_squared(sp, coord_index), [(r, eps, 0.0)])
     assert res.n_nodes == 626_688
-    assert res.value == pytest.approx(
-        math.pi**2 * (1.8**3 - 0.2**3) / 12.0, abs=1e-12
-    )
+    assert abs(res.value - bi_x_squared_oracle(r, eps)) < 1e-12
     assert "full angular grid" in caplog.text
 
 
@@ -920,23 +904,23 @@ def test_batch_checks_every_point():
 
 
 @pytest.mark.parametrize("name", _BATCH_SPACES)
-def test_phi_reduced_integrand_at_t0_is_the_seed_integrand(name):
+def test_plan_integrand_at_t0_is_the_seed_integrand(name):
     sp = catalog_from_string(name)
     lo, hi = sp.sample_box[:, 0], sp.sample_box[:, 1]
     pts = lo + (hi - lo) * np.random.default_rng(3).random((200, sp.ambient_dim))
     beta = EquivariantForm.dx(sp.chart_id, sp.ambient_dim, sp.algebra.dim, 0, coord(1))
     for alpha in (one_form(sp), _phi_degree_four_alpha(sp), pairing_alpha(sp, [1.0] * sp.algebra.dim),
                   equivariant_D(beta, sp.action)):
+        plan = _IntegrandPlan(sp, alpha, deformed=False)
         for eps in (0.05, 0.3):
-            got = phi_reduced_integrand(sp, alpha, 0.0, eps)
             want = seed_integrand(sp, alpha, 0.0, eps)
-            g, w = got(pts), want(pts)
+            g, w = plan.integrand(0.0, eps)(pts), want(pts)
             assert list(g) == list(w)
             for fmi in w:
                 assert np.array_equal(g[fmi], w[fmi]), fmi
-            assert np.array_equal(got._damp_profile(pts), want._damp_profile(pts))
+            assert np.array_equal(plan.damping(pts, [0.0], [eps])[0], want._damp_profile(pts))
             # t > 0: the same forms and shift, summed in another order
-            g, w = (f(pts) for f in (phi_reduced_integrand(sp, alpha, 2.0, eps),
+            g, w = (f(pts) for f in (reduced_integrand(sp, alpha, 2.0, eps),
                                      seed_integrand(sp, alpha, 2.0, eps)))
             assert sorted(g) == sorted(w)
             scale = max(float(np.max(np.abs(v))) for v in w.values())
@@ -1064,8 +1048,8 @@ def test_phi_degree_cap_enforced():
     sp = annulus()
     pp = PhiPolynomial(1, {(18,): 1.0})
     alpha = EquivariantForm.scalar(sp.chart_id, 2, 1, 1.0, pp)
-    with pytest.raises(InputError):
-        phi_reduced_integrand(sp, alpha, 0.0, 0.05)
+    with pytest.raises(InputError, match="Wick cap"):
+        _IntegrandPlan(sp, alpha, deformed=False)
 
 
 def test_request_and_result_serialize():
@@ -1074,7 +1058,7 @@ def test_request_and_result_serialize():
     blob = json.dumps(req.to_json_dict(), sort_keys=True)
     assert "cn_u1(1,1)" in blob
     res = basic_integral(req)
-    rec = json.loads(res.to_json())
+    rec = json.loads(json.dumps(res.to_json_dict(), sort_keys=True))
     assert rec["value"][0] == res.value.real
     assert rec["n_nodes"] == res.n_nodes
 
@@ -1108,12 +1092,10 @@ def test_boundary_components_annulus_vs_disk():
 
 
 def test_plain_stokes_on_annulus():
-    # beta = x dy: d beta = dx ^ dy, so both sides equal the area 1.6 pi
+    # beta = x dy: d beta = dx ^ dy, so the boundary integral is the area 1.6 pi
     sp = annulus()
     beta = EquivariantForm.dx(sp.chart_id, 2, 1, 1, coord(0))
-    bulk = integrate_over_Mr(sp, exterior_d(beta), 0.16)
     bdry = boundary_integral(sp, beta, 0.16)
-    assert bulk.value == pytest.approx(1.6 * math.pi, abs=1e-10)
     assert bdry.value == pytest.approx(1.6 * math.pi, abs=1e-10)
 
 
@@ -1122,14 +1104,13 @@ def test_equivariant_stokes_identity(t):
     """Bulk integral of D(beta) e^S equals the boundary integral of the
     (d-1)-degree part of beta e^S: D annihilates the exponent (closed
     equivariant extension, invariant lambda), so Leibniz plus ordinary
-    Stokes in top degree gives the identity."""
+    Stokes in top degree gives the identity.  The bulk side is
+    K * BI(D beta, r, t)."""
     sp = annulus()
     eps = 0.05
     beta = EquivariantForm.dx(sp.chart_id, 2, 1, 1, coord(0))  # x dy
-    d_beta = equivariant_D(beta, sp.action)
-    bulk = integrate_over_Mr(sp, phi_reduced_integrand(sp, d_beta, t, eps), 0.16)
-    bdry = boundary_integral(sp, phi_reduced_integrand(sp, beta, t, eps), 0.16)
-    assert abs(bulk.value - bdry.value) < 1e-8 * abs(bdry.value)
+    bulk, bdry = _stokes_sides(sp, beta, 0.16, eps, t)
+    assert abs(bulk - bdry) < 1e-8 * abs(bdry)
 
 
 def test_equivariant_stokes_phi_dependent_witness():
@@ -1137,10 +1118,39 @@ def test_equivariant_stokes_phi_dependent_witness():
     eps = 0.05
     base = EquivariantForm.dx(sp.chart_id, 2, 1, 1, coord(0))
     beta = wedge(pairing_alpha(sp, [1.0]), base)  # <phi, e> x dy
-    d_beta = equivariant_D(beta, sp.action)
-    bulk = integrate_over_Mr(sp, phi_reduced_integrand(sp, d_beta, 0.0, eps), 0.16)
-    bdry = boundary_integral(sp, phi_reduced_integrand(sp, beta, 0.0, eps), 0.16)
-    assert abs(bulk.value - bdry.value) < 1e-8 * max(abs(bdry.value), 1e-6)
+    bulk, bdry = _stokes_sides(sp, beta, 0.16, eps, 0.0)
+    assert abs(bulk - bdry) < 1e-8 * max(abs(bdry), 1e-6)
+
+
+@pytest.mark.parametrize("name,r,t", [
+    ("cn_u1(2,1)", 0.16, 0.0),
+    ("weighted_cn_u1(2,(1,2),1)", 0.16, 0.0),
+    ("c2_su2", 0.04, 0.7),
+])
+@pytest.mark.parametrize("which", ["x1 dy1", "x2 dy2 omega"])
+def test_equivariant_stokes_on_two_planes(name, r, t, which):
+    """The identity over the S^3 shells that bound M_r in C^2 (the inner
+    one at r = 0.16, where the region is a spherical shell): the bulk
+    integral pins their orientation."""
+    sp = catalog_from_string(name)
+    g = sp.algebra.dim
+    if which == "x1 dy1":
+        beta = EquivariantForm.dx(sp.chart_id, 4, g, 1, coord(0))
+    else:
+        beta = wedge(EquivariantForm.dx(sp.chart_id, 4, g, 3, coord(2)), sp.omega)
+    bulk, bdry = _stokes_sides(sp, beta, r, 0.05, t)
+    assert abs(bdry) > 1e-3
+    assert abs(bulk - bdry) < 1e-12 * abs(bdry)
+
+
+def _stokes_sides(space, beta, r, eps, t):
+    """(bulk, boundary) of equivariant Stokes on M_r at (t, eps): K times
+    the Basic Integral of D beta, and the boundary integral of the
+    phi-reduced integrand of beta."""
+    (res,) = basic_integral_batch(space, equivariant_D(beta, space.action), [(r, eps, t)])
+    bdry = boundary_integral(space, reduced_integrand(space, beta, t, eps), r)
+    k = space.algebra.group_volume * (2.0 * math.pi) ** space.algebra.dim
+    return k * res.value, bdry.value
 
 
 def test_surface_form_integration_orientation():

@@ -1,10 +1,12 @@
-"""Algebra layer: structure-constant validation, Wick moments against a
-Monte-Carlo oracle, shifted Gaussian integrals against 1-D quadrature."""
+"""Algebra layer: structure-constant validation, and the scalar Gaussian
+oracle of tests/gaussian_oracle.py -- Wick moments against a Monte-Carlo
+oracle, shifted Gaussian integrals against 1-D quadrature."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gaussian_oracle import gaussian_moment, shift, shifted_gaussian_integral
 from symloc.liealg import (
     InputError,
     LieAlgebraSpec,
@@ -12,8 +14,6 @@ from symloc.liealg import (
     WICK_DEGREE_CAP,
     bracket,
     builtin_algebra,
-    gaussian_moment,
-    shifted_gaussian_integral,
 )
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_phi_polynomial_shift_matches_pointwise():
     rng = np.random.default_rng(3)
     p = PhiPolynomial(3, {(2, 1, 0): 1.5, (0, 0, 3): -2j, (1, 1, 1): 0.7})
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    shifted = p.shift(v)
+    shifted = shift(p, v)
     for _ in range(4):
         phi = rng.standard_normal(3)
         assert shifted.eval(phi) == pytest.approx(p.eval(phi + v), rel=1e-12)
