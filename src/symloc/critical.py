@@ -682,6 +682,16 @@ def find_critical_points(space: HamiltonianSpace, r_max: float) -> list[Critical
     return components
 
 
+def _entries(name, items) -> list:
+    """The entries of an iterable ``items`` as a list; InputError for
+    anything that cannot be iterated."""
+    try:
+        return list(items)
+    except TypeError:
+        raise InputError(
+            f"{name} must be an iterable, got {type(items).__name__}") from None
+
+
 def critical_values(components):
     """Deduplicated ascending critical values with suggested regular
     probes.
@@ -689,7 +699,7 @@ def critical_values(components):
     Returns (values, probes) with the probes of critical_probes(values).
     Raises NonConvergenceError when two clusters sit closer than
     MIN_VALUE_GAP but are not identical within 1e-6."""
-    _check_type("components", components, (list, tuple))
+    components = _entries("components", components)
     for c in components:
         _check_type("component", c, CriticalComponent)
     vals = sorted(c.critical_value for c in components)
@@ -714,7 +724,9 @@ def critical_probes(values) -> list:
     neighboring gaps: below_0 is None when the smallest value is 0, and
     the last upper probe extends to 1.6x the top value (0.1 above a top
     value of 0)."""
-    _check_type("values", values, (list, tuple))
+    values = _entries("values", values)
+    for v in values:
+        _check_real("values entry", v)
     probes = []
     for i, v in enumerate(values):
         gap_below = v - values[i - 1] if i > 0 else v

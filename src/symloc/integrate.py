@@ -1290,20 +1290,6 @@ class _IntegrandPlan:
     def damps(self, pts, members):
         return self.damping(pts, [m.t for m in members], [m.eps for m in members])
 
-    def integrand(self, t, eps):
-        """The integrand at one (t, eps) as ``f(pts, cache=None) ->
-        {fmi: values}``, every form degree: the top one is what the radial
-        driver integrates over M_r, the (d-1)-degree ones are what
-        boundary_integral integrates over its boundary (equivariant
-        Stokes)."""
-        deformed = t != 0.0
-
-        def integrand(pts, cache=None):
-            ev = self.evaluate(pts, deformed, top_only=False, cache=cache)
-            return self.contract(ev, t, eps, top_only=False)
-
-        return integrand
-
 
 def _coefficient(terms, key, powers):
     """sum_k t^k (values of P_k at ``key``), with powers[k] = t^k (a

@@ -99,8 +99,17 @@ def one_form(space):
 
 def reduced_integrand(space, alpha, t, eps):
     """The phi-reduced integrand of (space, alpha) at one (t, eps), every
-    form degree: f(pts, cache=None) -> {fmi: values}."""
-    return _IntegrandPlan(space, alpha, deformed=t != 0.0).integrand(t, eps)
+    form degree: f(pts, cache=None) -> {fmi: values}.  The top degree is
+    what the radial driver integrates over M_r, the (d-1)-degree ones are
+    what boundary_integral integrates over its boundary (equivariant
+    Stokes)."""
+    plan = _IntegrandPlan(space, alpha, deformed=t != 0.0)
+
+    def integrand(pts, cache=None):
+        ev = plan.evaluate(pts, t != 0.0, top_only=False, cache=cache)
+        return plan.contract(ev, t, eps, top_only=False)
+
+    return integrand
 
 
 def bi_single_plane_oracle(r, t, eps):
@@ -914,7 +923,7 @@ def test_plan_integrand_at_t0_is_the_seed_integrand(name):
         plan = _IntegrandPlan(sp, alpha, deformed=False)
         for eps in (0.05, 0.3):
             want = seed_integrand(sp, alpha, 0.0, eps)
-            g, w = plan.integrand(0.0, eps)(pts), want(pts)
+            g, w = reduced_integrand(sp, alpha, 0.0, eps)(pts), want(pts)
             assert list(g) == list(w)
             for fmi in w:
                 assert np.array_equal(g[fmi], w[fmi]), fmi
@@ -1091,7 +1100,7 @@ def test_boundary_components_annulus_vs_disk():
     assert [c.s_value for c in comps] == pytest.approx([2.2])
 
 
-def test_plain_stokes_on_annulus():
+def test_boundary_integral_of_x_dy_is_the_area():
     # beta = x dy: d beta = dx ^ dy, so the boundary integral is the area 1.6 pi
     sp = annulus()
     beta = EquivariantForm.dx(sp.chart_id, 2, 1, 1, coord(0))
